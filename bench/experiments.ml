@@ -9,6 +9,7 @@ module Metrics = Abcast_sim.Metrics
 module Faults = Abcast_sim.Faults
 module Payload = Abcast_core.Payload
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 module Proto = Abcast_core.Proto
 module Cluster = Abcast_harness.Cluster
 module Checks = Abcast_harness.Checks
@@ -68,9 +69,9 @@ let e1 () =
       [ "stack"; "msgs"; "rounds"; "ops(consensus)"; "ops(abcast)";
         "abcast ops/msg"; "total ops/msg" ]
     [
-      row "basic/paxos (minimal)" (Factory.basic ());
-      row "alt/paxos (checkpoints)" (Factory.alternative ());
-      row "naive/paxos (strawman)" (Factory.naive ());
+      row "basic/paxos (minimal)" (Factory.make Protocol.paper_basic);
+      row "alt/paxos (checkpoints)" (Factory.make Protocol.paper_alternative);
+      row "naive/paxos (strawman)" (Factory.make Protocol.naive);
       row "ct-stop/paxos (no crash-recovery)" (Abcast_baseline.Ct_abcast.stack ());
     ]
 
@@ -80,11 +81,17 @@ let e1 () =
 let e2 () =
   let variants =
     [
-      ("basic (full replay)", fun () -> Factory.basic ());
+      ("basic (full replay)", fun () -> Factory.make Protocol.paper_basic);
       ( "alt, checkpoint 50ms",
-        fun () -> Factory.alternative ~checkpoint_period:50_000 () );
+        fun () ->
+          Factory.make
+            { Protocol.paper_alternative with checkpoint_period = Some 50_000 }
+      );
       ( "alt, checkpoint 200ms",
-        fun () -> Factory.alternative ~checkpoint_period:200_000 () );
+        fun () ->
+          Factory.make
+            { Protocol.paper_alternative with checkpoint_period = Some 200_000 }
+      );
     ]
   in
   let rows =
@@ -148,12 +155,13 @@ let e3 () =
   let replicas = Array.make 3 None in
   let series =
     [
-      run "basic (log grows)" (Factory.basic ());
+      run "basic (log grows)" (Factory.make Protocol.paper_basic);
       run "alt, no app checkpoint"
-        (Factory.alternative ~checkpoint_period:60_000 ());
+        (Factory.make
+           { Protocol.paper_alternative with checkpoint_period = Some 60_000 });
       run "alt + KV app checkpoint"
-        (Factory.alternative ~checkpoint_period:60_000
-           ~app_factory:(kv_factory replicas) ());
+        (Factory.make ~app_factory:(kv_factory replicas)
+           { Protocol.paper_alternative with checkpoint_period = Some 60_000 });
     ]
   in
   let rows =
@@ -211,9 +219,15 @@ let e4 () =
             ])
           [
             ( "state transfer (alt, delta=3)",
-              Factory.alternative ~delta:3 ~checkpoint_period:40_000
-                ~early_return:false () );
-            ("replay missed consensus (basic)", Factory.basic ());
+              Factory.make
+                {
+                  Protocol.paper_alternative with
+                  delta = Some 3;
+                  checkpoint_period = Some 40_000;
+                  early_return = false;
+                } );
+            ( "replay missed consensus (basic)",
+              Factory.make Protocol.paper_basic );
           ])
       [ scale 40; scale 80; scale 160 ]
   in
@@ -232,8 +246,13 @@ let e4 () =
         let missed, ms, transfers =
           episode
             ~stack:
-              (Factory.alternative ~delta ~checkpoint_period:2_000_000
-                 ~early_return:false ())
+              (Factory.make
+                 {
+                   Protocol.paper_alternative with
+                   delta = Some delta;
+                   checkpoint_period = Some 2_000_000;
+                   early_return = false;
+                 })
             ~down_ms:(scale 120)
         in
         [ Table.num delta; Table.num missed; Table.num ms; Table.num transfers ])
@@ -248,8 +267,14 @@ let e4 () =
   (* §5.3 closing remark: ship only what the recipient is missing *)
   let bytes_row (name, trim_state) =
     let stack =
-      Factory.alternative ~delta:3 ~checkpoint_period:2_000_000
-        ~early_return:false ~trim_state ()
+      Factory.make
+        {
+          Protocol.paper_alternative with
+          delta = Some 3;
+          checkpoint_period = Some 2_000_000;
+          early_return = false;
+          trim_state;
+        }
     in
     let cluster = Cluster.create stack ~seed:71 ~n:3 () in
     let rng = Rng.create 73 in
@@ -317,9 +342,10 @@ let e5 () =
     List.concat_map
       (fun pipeline ->
         [
-          row "basic (blocking)" (Factory.basic ()) pipeline;
+          row "basic (blocking)" (Factory.make Protocol.paper_basic) pipeline;
           row "alt (early return)"
-            (Factory.alternative ~early_return:true ())
+            (Factory.make
+               { Protocol.paper_alternative with early_return = true })
             pipeline;
         ])
       [ 1; 4; 16; 64 ]
@@ -363,9 +389,10 @@ let e5b () =
        burst fits in a handful of consensus rounds)"
     ~header:[ "stack"; "burst"; "drain us"; "rounds"; "batch" ]
     [
-      row "basic" (Factory.basic ());
-      row "alt" (Factory.alternative ());
-      row "alt, window=4" (Factory.alternative ~window:4 ());
+      row "basic" (Factory.make Protocol.paper_basic);
+      row "alt" (Factory.make Protocol.paper_alternative);
+      row "alt, window=4"
+        (Factory.make { Protocol.paper_alternative with window = 4 });
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -376,8 +403,13 @@ let e6 () =
     (* checkpointing disabled (huge period) so the table isolates the
        cost of keeping the Unordered set durable *)
     let stack =
-      Factory.alternative ~early_return:true ~incremental
-        ~checkpoint_period:1_000_000_000 ()
+      Factory.make
+        {
+          Protocol.paper_alternative with
+          early_return = true;
+          incremental;
+          checkpoint_period = Some 1_000_000_000;
+        }
     in
     let cluster, count = steady_run ~seed:43 ~msgs:(scale 200) ~size:64 stack in
     let m = Cluster.metrics cluster in
@@ -414,7 +446,7 @@ let e7 () =
             Metrics.mean m "lat_deliver" /. 1_000.0,
             count )
         in
-        let bm, bl, blat, count = run (Factory.basic ()) in
+        let bm, bl, blat, count = run (Factory.make Protocol.paper_basic) in
         let cm, cl, clat, _ = run (Abcast_baseline.Ct_abcast.stack ()) in
         [
           [
@@ -471,11 +503,13 @@ let e8 () =
       [ "stack"; "msgs"; "rounds"; "net msgs"; "ops(consensus)";
         "ops(abcast)"; "mean lat ms" ]
     [
-      row "basic over paxos (leader-based, Omega FD)" (Factory.basic ());
+      row "basic over paxos (leader-based, Omega FD)"
+        (Factory.make Protocol.paper_basic);
       row "basic over coord (rotating coordinator, no FD)"
-        (Factory.basic ~consensus:`Coord ());
-      row "alt over paxos" (Factory.alternative ());
-      row "alt over coord" (Factory.alternative ~consensus:`Coord ());
+        (Factory.make ~consensus:`Coord Protocol.paper_basic);
+      row "alt over paxos" (Factory.make Protocol.paper_alternative);
+      row "alt over coord"
+        (Factory.make ~consensus:`Coord Protocol.paper_alternative);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -526,9 +560,15 @@ let e9 () =
           Table.num !violations;
         ])
       [
-        ("basic/paxos", Factory.basic ());
-        ("basic/coord", Factory.basic ~consensus:`Coord ());
-        ("alt/paxos", Factory.alternative ~checkpoint_period:30_000 ~delta:4 ());
+        ("basic/paxos", Factory.make Protocol.paper_basic);
+        ("basic/coord", Factory.make ~consensus:`Coord Protocol.paper_basic);
+        ( "alt/paxos",
+          Factory.make
+            {
+              Protocol.paper_alternative with
+              checkpoint_period = Some 30_000;
+              delta = Some 4;
+            } );
       ]
   in
   Table.print
@@ -549,8 +589,13 @@ let e10 () =
   let msgs = scale 400 in
   let row window =
     let stack =
-      Factory.alternative ~window ~early_return:true
-        ~checkpoint_period:1_000_000_000 ()
+      Factory.make
+        {
+          Protocol.paper_alternative with
+          window;
+          early_return = true;
+          checkpoint_period = Some 1_000_000_000;
+        }
     in
     let cluster = Cluster.create stack ~seed:59 ~n:3 () in
     let rng = Rng.create 61 in
@@ -590,7 +635,9 @@ let e10 () =
 let e11 () =
   let msgs = scale 120 in
   let row n =
-    let cluster, count = steady_run ~n ~seed:67 ~msgs (Factory.basic ()) in
+    let cluster, count =
+      steady_run ~n ~seed:67 ~msgs (Factory.make Protocol.paper_basic)
+    in
     let m = Cluster.metrics cluster in
     let net_msgs = Metrics.sum m "msgs_sent" in
     [
@@ -712,9 +759,9 @@ let e13 () =
     ~header:
       [ "stack"; "msgs"; "rx total"; "% consensus"; "% gossip"; "% fd"; "% state" ]
     [
-      row "basic/paxos" (Factory.basic ());
-      row "basic/coord" (Factory.basic ~consensus:`Coord ());
-      row "alt/paxos" (Factory.alternative ());
+      row "basic/paxos" (Factory.make Protocol.paper_basic);
+      row "basic/coord" (Factory.make ~consensus:`Coord Protocol.paper_basic);
+      row "alt/paxos" (Factory.make Protocol.paper_alternative);
     ]
 
 (* E14 — delta gossip: wire cost of the dissemination layer. *)
@@ -745,8 +792,9 @@ let e14 () =
       [ "gossip mode"; "msgs"; "gossip msgs"; "gossip bytes";
         "bytes/gossip msg"; "gossip bytes/msg"; "net msgs total" ]
     [
-      row "full set (Fig. 3 literal)" (Factory.alternative ~delta_gossip:false ());
-      row "digest + Need pull" (Factory.alternative ());
+      row "full set (Fig. 3 literal)"
+        (Factory.make { Protocol.paper_alternative with delta_gossip = false });
+      row "digest + Need pull" (Factory.make Protocol.paper_alternative);
     ]
 
 (* E15 — binary wire codec vs Marshal, per protocol message type. *)
@@ -844,9 +892,9 @@ let e15 () =
     (List.map row msgs)
 
 (* ------------------------------------------------------------------ *)
-(* E16 — durable stable storage: append throughput and recovery cost   *)
-(*       vs backend and fsync policy (the WAL of abcast.store against  *)
-(*       the file-per-key layout it subsumes).                         *)
+(* E16 — durable stable storage: WAL append throughput and recovery    *)
+(*       cost vs fsync policy. (The file-per-key backend it replaced    *)
+(*       is compared in BENCH_PR3.json.)                                *)
 
 let e16 () =
   let module Durable = Abcast_store.Durable in
@@ -862,18 +910,16 @@ let e16 () =
   let ops = scale 2_000 in
   let value = String.make 128 'v' in
   let key_space = 64 in
-  let backend_name = function `Files -> "files" | _ -> "wal" in
-  let run backend policy =
+  let run policy =
     let dir =
       Filename.concat
         (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abcast-e16-%d-%s-%s" (Unix.getpid ())
-           (backend_name backend)
+        (Printf.sprintf "abcast-e16-%d-wal-%s" (Unix.getpid ())
            (Durable.policy_to_string policy))
     in
     rm_rf dir;
     let metrics = Metrics.create () in
-    let store = Storage.create ~dir ~backend ~fsync:policy ~metrics ~node:0 () in
+    let store = Storage.create ~dir ~fsync:policy ~metrics ~node:0 () in
     let t0 = Unix.gettimeofday () in
     for i = 0 to ops - 1 do
       Storage.write store ~layer:"bench"
@@ -882,11 +928,7 @@ let e16 () =
     done;
     let append_s = Unix.gettimeofday () -. t0 in
     (* read before close: close issues one final fsync of its own *)
-    let fsyncs =
-      match backend with
-      | `Files -> Metrics.get metrics ~node:0 "file_fsyncs"
-      | _ -> Metrics.get metrics ~node:0 "wal_fsyncs"
-    in
+    let fsyncs = Metrics.get metrics ~node:0 "wal_fsyncs" in
     let compactions =
       match Storage.wal_stats store with
       | Some s -> s.Abcast_store.Wal.compactions
@@ -896,83 +938,62 @@ let e16 () =
     Storage.close store;
     let m2 = Metrics.create () in
     let t1 = Unix.gettimeofday () in
-    let store2 = Storage.create ~dir ~backend ~fsync:policy ~metrics:m2 ~node:0 () in
+    let store2 = Storage.create ~dir ~fsync:policy ~metrics:m2 ~node:0 () in
     let recover_ms = (Unix.gettimeofday () -. t1) *. 1_000.0 in
     let recovered = Storage.retained_keys store2 in
     Storage.close store2;
     rm_rf dir;
     ( fsyncs,
       [
-        backend_name backend;
         Durable.policy_to_string policy;
         Table.num ops;
         Table.flt ~dec:0 (float_of_int ops /. append_s);
         Table.num fsyncs;
-        (match backend with `Files -> "-" | _ -> Table.num compactions);
+        Table.num compactions;
         Table.num disk;
         Table.flt ~dec:3 recover_ms;
         Table.num recovered;
       ] )
   in
-  let policies =
-    [ Durable.Always; Durable.Every { ops = 64; ms = 20 }; Durable.Never ]
-  in
   let results =
-    List.concat_map
-      (fun backend ->
-        List.map (fun policy -> (backend, policy, run backend policy)) policies)
-      [ `Files; `Wal ]
+    List.map run
+      [ Durable.Always; Durable.Every { ops = 64; ms = 20 }; Durable.Never ]
   in
   Table.print
     ~title:
-      "E16: durable backend append throughput and recovery (128 B values, \
-       cycling keys; the WAL pays one sequential append per op where \
-       file-per-key pays a create+rename, and its compaction keeps the \
-       replayed bytes near the live state)"
+      "E16: WAL append throughput and recovery (128 B values, cycling keys; \
+       one sequential append per op, and compaction keeps the replayed \
+       bytes near the live state)"
     ~header:
-      [ "backend"; "fsync"; "ops"; "appends/s"; "fsyncs"; "compactions";
-        "disk B"; "recover ms"; "keys" ]
-    (List.map (fun (_, _, (_, row)) -> row) results);
+      [ "fsync"; "ops"; "appends/s"; "fsyncs"; "compactions"; "disk B";
+        "recover ms"; "keys" ]
+    (List.map snd results);
   (* The policies must order the sync counts; anything else means the
      pacer is broken. (The WAL under Never still fsyncs its compaction
      snapshots — durability of the rename is not policy-optional.) *)
-  List.iter
-    (fun backend ->
-      let count p =
-        List.find_map
-          (fun (b, p', (fsyncs, _)) ->
-            if b = backend && p' = p then Some fsyncs else None)
-          results
-        |> Option.get
-      in
-      let always = count Durable.Always
-      and every = count (Durable.Every { ops = 64; ms = 20 })
-      and never = count Durable.Never in
-      if always > every && every >= never then
-        Printf.printf "  %s: fsync ordering OK (always %d > every %d >= never %d)\n"
-          (backend_name backend) always every never
-      else
-        Printf.printf
-          "  %s: VIOLATION: fsync counts out of order (always %d, every %d, never %d)\n"
-          (backend_name backend) always every never)
-    [ `Files; `Wal ]
+  match List.map fst results with
+  | [ always; every; never ] when always > every && every >= never ->
+    Printf.printf "  wal: fsync ordering OK (always %d > every %d >= never %d)\n"
+      always every never
+  | counts ->
+    Printf.printf "  wal: VIOLATION: fsync counts out of order (%s)\n"
+      (String.concat ", " (List.map string_of_int counts))
 
 (* ------------------------------------------------------------------ *)
 (* E18 — the throughput ceiling: dissemination topology x pipeline      *)
 (* window draining a saturating burst (every payload offered at once —  *)
 (* an open-loop load would only measure its own arrival rate). Gossip + *)
-(* window=1 is the PR-3/PR-4 configuration; ring+window>=4 matches the  *)
-(* [Factory.throughput] preset, including its repair-only digest tuning.*)
+(* window=1 is the PR-3/PR-4 configuration; ring rows are the          *)
+(* [Protocol.throughput] preset, including its repair-only digest       *)
+(* tuning, at each window.                                              *)
 
 let e18 () =
   let msgs = scale 2_000 in
   let row ~n ~dissemination ~window =
     let stack =
       match dissemination with
-      | `Ring ->
-        Factory.alternative ~window ~dissemination ~gossip_full_every:32
-          ~gossip_period:10_000 ()
-      | `Gossip -> Factory.alternative ~window ~dissemination ()
+      | `Ring -> Factory.make { Protocol.throughput with window }
+      | `Gossip -> Factory.make { Protocol.paper_alternative with window }
     in
     let cluster = Cluster.create stack ~seed:53 ~n ~count_bytes:true () in
     let rng = Rng.create 57 in
@@ -1039,7 +1060,7 @@ type e19_row = {
 
 let e19_run ~per_group shards =
   let n = 5 in
-  let stack = Factory.sharded ~shards (Factory.throughput ()) in
+  let stack = Factory.sharded ~shards (Factory.make Protocol.throughput) in
   let cluster = Cluster.create stack ~seed:61 ~n () in
   let rng = Rng.create 67 in
   let msgs = per_group * shards in
@@ -1156,7 +1177,7 @@ let e20_run ~shards ~mode ~clients =
     }
   in
   let svc =
-    Service.create ~base_port ~dir ~backend:`Wal
+    Service.create ~base_port ~dir
       ~fsync:(Abcast_store.Durable.Every { ops = 64; ms = 20 })
       cfg
   in
@@ -1285,8 +1306,8 @@ let e21_run ~msgs sample =
   let n = 5 in
   let stack () =
     match sample with
-    | 0 -> Factory.throughput ()
-    | k -> Factory.throughput ~trace_sample:k ()
+    | 0 -> Factory.make Protocol.throughput
+    | k -> Factory.make { Protocol.throughput with trace_sample = k }
   in
   let go () =
     let cluster = Cluster.create (stack ()) ~seed:53 ~n ~count_bytes:true () in
@@ -1371,7 +1392,11 @@ type e22_row = {
 
 let e22_run ~msgs on =
   let n = 5 in
-  let stack () = Factory.throughput ~audit_every:(if on then 1 else 0) () in
+  let stack () = Factory.make
+                   {
+                     Protocol.throughput with
+                     audit_every = (if on then 1 else 0);
+                   } in
   let go () =
     let cluster = Cluster.create (stack ()) ~seed:61 ~n ~count_bytes:true () in
     let rng = Rng.create 67 in

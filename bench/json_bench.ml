@@ -51,8 +51,8 @@
      codec-vs-Marshal pairs, and the encoded bytes per value for a
      representative gossip message;
    - the durable-storage section: append throughput and reopen/recovery
-     time of the segmented WAL vs the file-per-key backend under each
-     fsync policy (the E16 workload, one repetition);
+     time of the segmented WAL under each fsync policy (the E16
+     workload, one repetition);
    - the observability section (new in schema 4): the delta-gossip
      steady run repeated with lifecycle tracing + spans enabled, the
      relative overhead against the traced-off run (the < 5% budget of
@@ -70,6 +70,7 @@ module Trace = Abcast_sim.Trace
 module Cluster = Abcast_harness.Cluster
 module Workload = Abcast_harness.Workload
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 
 type steady = {
   count : int;
@@ -88,7 +89,7 @@ type steady = {
 let steady ?(trace = false) ~delta_gossip () =
   let n = 5 and msgs = 400 and mean_gap = 1_500 in
   let go () =
-    let stack = Factory.alternative ~delta_gossip () in
+    let stack = Factory.make { Protocol.paper_alternative with delta_gossip } in
     let tr = Trace.create ~enabled:trace () in
     let cluster = Cluster.create stack ~seed:7 ~n ~trace:tr () in
     let rng = Rng.create 91 in
@@ -171,17 +172,14 @@ type thr_row = {
      backlog depth, not the protocol. *)
 let throughput_row ~n ~dissemination ~window =
   let burst_msgs = 2_000 in
-  (* Ring rows take the [Factory.throughput] preset's tuning (sparser
-     full gossip, slower digest tick): with the ring carrying payloads,
-     digests are repair-only and a 3ms digest tick is pure per-stream
-     scan overhead at every receiver. Gossip rows keep the defaults —
-     there the digest exchange IS the dissemination. *)
+  (* Ring rows are the [Protocol.throughput] preset (sparser full gossip,
+     slower digest tick): with the ring carrying payloads, digests are
+     repair-only. Gossip rows keep the defaults — there the digest
+     exchange IS the dissemination. *)
   let stack () =
     match dissemination with
-    | `Ring ->
-      Factory.alternative ~window ~dissemination ~gossip_full_every:32
-        ~gossip_period:10_000 ()
-    | `Gossip -> Factory.alternative ~window ~dissemination ()
+    | `Ring -> Factory.make { Protocol.throughput with window }
+    | `Gossip -> Factory.make { Protocol.paper_alternative with window }
   in
   let go_burst () =
     let cluster = Cluster.create (stack ()) ~seed:53 ~n ~count_bytes:true () in
@@ -361,7 +359,9 @@ let micros () =
   let m = Metrics.create () in
   let h = Metrics.handle m ~node:0 "rx.gossip" in
   let quiesce () =
-    let cluster = Cluster.create (Factory.basic ()) ~seed:1 ~n:3 () in
+    let cluster =
+      Cluster.create (Factory.make Protocol.paper_basic) ~seed:1 ~n:3 ()
+    in
     for j = 0 to 9 do
       Cluster.at cluster
         (500 * (j + 1))
@@ -393,9 +393,6 @@ let micros () =
       time_ns ~iters:20_000 (fun () ->
           let s = Marshal.to_string gossip [] in
           ignore (Marshal.from_string s 0 : P.msg)) );
-    ( "hex_of_key_20B",
-      time_ns ~iters:2_000_000 (fun () ->
-          ignore (Abcast_sim.Storage.hex_of_key "cons/000123/proposal")) );
     ( "metrics_incr_string",
       time_ns ~iters:2_000_000 (fun () -> Metrics.incr m ~node:0 "rx.gossip") );
     ("metrics_hincr_interned", time_ns ~iters:10_000_000 (fun () -> Metrics.hincr h));
@@ -429,7 +426,8 @@ let live_bench () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "abcast-bench-live-%d" (Unix.getpid ()))
   in
-  match Live.create (Factory.basic ()) ~n:3 ~base_port:7541 ~dir () with
+  let stack = Factory.make Protocol.paper_basic in
+  match Live.create stack ~n:3 ~base_port:7541 ~dir () with
   | exception Unix.Unix_error _ -> None
   | live ->
     Fun.protect ~finally:(fun () -> Live.shutdown live) @@ fun () ->
@@ -474,8 +472,8 @@ let live_bench () =
            (sum_ctr "wal_segments"))
     end
 
-(* Durable storage: append throughput and recovery cost per backend and
-   fsync policy (the machine-readable face of experiment E16). *)
+(* Durable storage: WAL append throughput and recovery cost per fsync
+   policy (the machine-readable face of experiment E16). *)
 let storage_bench () =
   let module Durable = Abcast_store.Durable in
   let module Storage = Abcast_sim.Storage in
@@ -488,10 +486,9 @@ let storage_bench () =
     | exception Unix.Unix_error _ -> ()
   in
   let ops = 2_000 and value = String.make 128 'v' in
-  let run backend policy =
+  let run policy =
     let name =
-      Printf.sprintf "%s_%s"
-        (match backend with `Files -> "files" | _ -> "wal")
+      Printf.sprintf "wal_%s"
         (match policy with
         | Durable.Always -> "always"
         | Durable.Every _ -> "every_64_20"
@@ -504,7 +501,7 @@ let storage_bench () =
     in
     rm_rf dir;
     let metrics = Metrics.create () in
-    let store = Storage.create ~dir ~backend ~fsync:policy ~metrics ~node:0 () in
+    let store = Storage.create ~dir ~fsync:policy ~metrics ~node:0 () in
     let t0 = Unix.gettimeofday () in
     for i = 0 to ops - 1 do
       Storage.write store ~layer:"bench"
@@ -516,9 +513,7 @@ let storage_bench () =
     Storage.close store;
     let m2 = Metrics.create () in
     let t1 = Unix.gettimeofday () in
-    let store2 =
-      Storage.create ~dir ~backend ~fsync:policy ~metrics:m2 ~node:0 ()
-    in
+    let store2 = Storage.create ~dir ~fsync:policy ~metrics:m2 ~node:0 () in
     let recover_ms = (Unix.gettimeofday () -. t1) *. 1_000.0 in
     Storage.close store2;
     rm_rf dir;
@@ -526,11 +521,8 @@ let storage_bench () =
       {|    "%s": { "ops": %d, "appends_per_sec": %.0f, "disk_bytes": %d, "recover_ms": %.3f }|}
       name ops appends_per_s disk recover_ms
   in
-  List.concat_map
-    (fun backend ->
-      List.map (run backend)
-        [ Durable.Always; Durable.Every { ops = 64; ms = 20 }; Durable.Never ])
-    [ `Files; `Wal ]
+  List.map run
+    [ Durable.Always; Durable.Every { ops = 64; ms = 20 }; Durable.Never ]
 
 (* Encoded bytes per value: the other axis of the codec change. *)
 let encoded_bytes () =

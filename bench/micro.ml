@@ -10,6 +10,7 @@ module Engine = Abcast_sim.Engine
 module Cluster = Abcast_harness.Cluster
 module Workload = Abcast_harness.Workload
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 module Metrics = Abcast_sim.Metrics
 
 let rng_bench =
@@ -46,7 +47,9 @@ let engine_bench =
 let protocol_round_bench =
   Test.make ~name:"abcast: 10 msgs to quiescence (n=3)"
     (Staged.stage (fun () ->
-         let cluster = Cluster.create (Factory.basic ()) ~seed:1 ~n:3 () in
+         let cluster =
+           Cluster.create (Factory.make Protocol.paper_basic) ~seed:1 ~n:3 ()
+         in
          for j = 0 to 9 do
            Cluster.at cluster (500 * (j + 1)) (fun () ->
                ignore (Cluster.broadcast cluster ~node:(j mod 3) "m"))
@@ -94,25 +97,6 @@ let msg_marshal_bench =
     (Staged.stage (fun () ->
          let s = Marshal.to_string bench_msg [] in
          ignore (Marshal.from_string s 0 : PB.msg)))
-
-(* hex_of_key: lookup-table fast path vs the sprintf-per-byte
-   formulation it replaced (one filename per file-backed log write). *)
-let hex_key = "cons/000123/proposal"
-
-let hex_bench =
-  Test.make ~name:"storage hex_of_key, table (20B key)"
-    (Staged.stage (fun () -> ignore (Abcast_sim.Storage.hex_of_key hex_key)))
-
-let hex_sprintf_of_key key =
-  let buf = Buffer.create (2 * String.length key) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    key;
-  Buffer.contents buf
-
-let hex_sprintf_bench =
-  Test.make ~name:"storage hex_of_key, sprintf (20B key)"
-    (Staged.stage (fun () -> ignore (hex_sprintf_of_key hex_key)))
 
 let storage_bench =
   Test.make ~name:"storage write (64B value)"
@@ -162,8 +146,8 @@ let metrics_handle_bench =
 let tests =
   [
     rng_bench; heap_bench; storage_bench; vclock_bench; batch_bench;
-    batch_marshal_bench; msg_wire_bench; msg_marshal_bench; hex_bench;
-    hex_sprintf_bench; metrics_string_bench; metrics_handle_bench;
+    batch_marshal_bench; msg_wire_bench; msg_marshal_bench;
+    metrics_string_bench; metrics_handle_bench;
     engine_bench; protocol_round_bench;
   ]
 

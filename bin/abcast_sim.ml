@@ -23,6 +23,7 @@ module Metrics = Abcast_sim.Metrics
 module Trace = Abcast_sim.Trace
 module Faults = Abcast_sim.Faults
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 module Cluster = Abcast_harness.Cluster
 module Checks = Abcast_harness.Checks
 module Workload = Abcast_harness.Workload
@@ -37,20 +38,35 @@ let parse_topo = function
     Printf.eprintf "unknown --topo %S (expected gossip|ring)\n" s;
     exit 3
 
-(* [window]: [None] keeps each stack's own default (1 for alt, 4 for the
-   throughput preset); naive/ct/basic have no pipeline so the flag is
-   ignored there, as is [--topo] for naive/ct. *)
+(* The stack flags parse into one protocol config. [window]: [None]
+   keeps each preset's own (1 for alt, 4 for throughput); naive/ct/basic
+   have no pipeline so the flag is ignored there, as is [--topo] for
+   throughput/naive/ct. *)
 let make_stack stack consensus checkpoint_period delta ~window ~topo ~shards
-    ?trace_sample () =
+    ?(trace_sample = 0) () =
   let dissemination = parse_topo topo in
+  let tuned (c : Protocol.config) = { c with trace_sample } in
+  let windowed (c : Protocol.config) =
+    { c with window = Option.value window ~default:c.window }
+  in
   let base =
     match stack with
-    | "basic" -> Factory.basic ~consensus ~dissemination ?trace_sample ()
+    | "basic" ->
+      Factory.make ~consensus
+        (tuned { Protocol.paper_basic with dissemination })
     | "alt" ->
-      Factory.alternative ~consensus ~checkpoint_period ~delta ?window
-        ~dissemination ?trace_sample ()
-    | "throughput" -> Factory.throughput ~consensus ?window ?trace_sample ()
-    | "naive" -> Factory.naive ~consensus ()
+      Factory.make ~consensus
+        (tuned
+           (windowed
+              {
+                Protocol.paper_alternative with
+                checkpoint_period = Some checkpoint_period;
+                delta = Some delta;
+                dissemination;
+              }))
+    | "throughput" ->
+      Factory.make ~consensus (tuned (windowed Protocol.throughput))
+    | "naive" -> Factory.make ~consensus Protocol.naive
     | "ct" -> Abcast_baseline.Ct_abcast.stack ~consensus ()
     | s ->
       failwith
@@ -63,7 +79,7 @@ let make_stack stack consensus checkpoint_period delta ~window ~topo ~shards
 let is_latency_series name =
   List.exists
     (fun p -> String.starts_with ~prefix:p name)
-    [ "stage."; "cons."; "wal_"; "file_"; "lat_" ]
+    [ "stage."; "cons."; "wal_"; "lat_" ]
 
 let parse_fsync s =
   match Abcast_store.Durable.policy_of_string s with
@@ -84,7 +100,7 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
   in
   let fsync = parse_fsync fsync in
   let storage_dir =
-    (* Durable backends need a scratch directory; memory needs none. *)
+    (* The WAL needs a scratch directory; memory needs none. *)
     lazy
       (let d =
          Filename.concat (Filename.get_temp_dir_name ())
@@ -96,16 +112,15 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
   let storage =
     match backend with
     | "memory" -> None
-    | ("files" | "wal") as b ->
-      let backend = if b = "wal" then `Wal else `Files in
+    | "wal" ->
       Some
         (fun ~metrics ~node ->
           Abcast_sim.Storage.create
             ~dir:(Filename.concat (Lazy.force storage_dir)
                     (Printf.sprintf "node%d" node))
-            ~backend ~fsync ~metrics ~node ())
+            ~fsync ~metrics ~node ())
     | s ->
-      Printf.eprintf "unknown --backend %S (expected memory|files|wal)\n" s;
+      Printf.eprintf "unknown --backend %S (expected memory|wal)\n" s;
       exit 3
   in
   let cluster = Cluster.create stack_mod ~seed ~n ~net ~trace ?storage () in
@@ -323,20 +338,12 @@ let install_sigusr1 rt metrics_out =
               | None -> ())))
 
 let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
-    backend fsync metrics_port metrics_interval metrics_out trace_sample
+    fsync metrics_port metrics_interval metrics_out trace_sample
     dir_opt min_rate =
   let consensus = if consensus = "coord" then `Coord else `Paxos in
-  let trace_sample = if trace_sample > 0 then Some trace_sample else None in
   let stack_mod =
-    make_stack stack consensus 100_000 3 ~window ~topo ~shards ?trace_sample ()
-  in
-  let backend =
-    match backend with
-    | "wal" -> `Wal
-    | "files" -> `Files
-    | s ->
-      Printf.eprintf "unknown --backend %S (expected wal|files)\n" s;
-      exit 3
+    make_stack stack consensus 100_000 3 ~window ~topo ~shards
+      ~trace_sample:(max 0 trace_sample) ()
   in
   let fsync = parse_fsync fsync in
   let dir =
@@ -360,7 +367,7 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     | None -> fun ~node:_ ~group:_ _ -> ()
   in
   match
-    Abcast_live.Runtime.create stack_mod ~n ~base_port ~dir ~backend ~fsync
+    Abcast_live.Runtime.create stack_mod ~n ~base_port ~dir ~fsync
       ~on_deliver ?metrics_port ~metrics_interval ?metrics_out ()
   with
   | exception Unix.Unix_error (e, _, _) ->
@@ -372,11 +379,9 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     Fun.protect ~finally:(fun () -> Abcast_live.Runtime.shutdown live)
     @@ fun () ->
     Printf.printf
-      "%d live processes on udp/127.0.0.1:%d.. (storage: %s, backend: %s, \
-       fsync: %s)
+      "%d live processes on udp/127.0.0.1:%d.. (storage: %s, fsync: %s)
 " n
       base_port dir
-      (match backend with `Wal -> "wal" | `Files -> "files")
       (Abcast_store.Durable.policy_to_string fsync);
     (match metrics_port with
     | Some p ->
@@ -493,7 +498,7 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     if not agree then exit 1
 
 let service_cmd n shards read_mode clients rate duration write_pct lin_pct
-    lease_ms timeout base_port backend fsync kills seed trace_sample dir_opt
+    lease_ms timeout base_port fsync kills seed trace_sample dir_opt
     metrics_port metrics_out history_out min_rate =
   let module Service = Abcast_service.Service in
   let module Loadgen = Abcast_service.Loadgen in
@@ -507,14 +512,6 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
         read_mode;
       exit 3
   in
-  let backend =
-    match backend with
-    | "wal" -> `Wal
-    | "files" -> `Files
-    | s ->
-      Printf.eprintf "unknown --backend %S (expected wal|files)\n" s;
-      exit 3
-  in
   let fsync = parse_fsync fsync in
   let dir =
     match dir_opt with
@@ -525,18 +522,16 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
   in
   let cfg =
     {
-      Service.default_config with
-      n;
+      Service.n;
       shards;
       read_mode;
       lease_ms;
       max_sessions = max 4096 (2 * clients);
     }
   in
-  let trace_sample = if trace_sample > 0 then Some trace_sample else None in
   match
-    Service.create ~base_port ~dir ~backend ~fsync ?trace_sample ?metrics_port
-      ~metrics_interval:1.0 ?metrics_out cfg
+    Service.create ~base_port ~dir ~fsync ~trace_sample:(max 0 trace_sample)
+      ?metrics_port ~metrics_interval:1.0 ?metrics_out cfg
   with
   | exception Unix.Unix_error (e, _, _) ->
     Printf.eprintf "cannot create sockets: %s\n" (Unix.error_message e);
@@ -796,7 +791,7 @@ let run_t =
     Arg.(
       value
       & opt string "memory"
-      & info [ "backend" ] ~doc:"storage backend: memory|files|wal")
+      & info [ "backend" ] ~doc:"storage backend: memory|wal")
   in
   let fsync =
     Arg.(
@@ -837,9 +832,6 @@ let dir_arg =
 let live_t =
   let msgs = Arg.(value & opt int 30 & info [ "msgs" ] ~doc:"broadcast count") in
   let port = Arg.(value & opt int 7480 & info [ "port" ] ~doc:"UDP base port") in
-  let backend =
-    Arg.(value & opt string "wal" & info [ "backend" ] ~doc:"storage backend: wal|files")
-  in
   let fsync =
     Arg.(
       value
@@ -881,7 +873,7 @@ let live_t =
   in
   Term.(
     const live_cmd $ stack_arg $ consensus_arg $ window_arg $ topo_arg
-    $ shards_arg $ partitioned_kv_arg $ n_arg $ msgs $ port $ backend $ fsync
+    $ shards_arg $ partitioned_kv_arg $ n_arg $ msgs $ port $ fsync
     $ metrics_port $ metrics_interval $ metrics_out $ trace_sample_arg
     $ dir_arg $ min_rate)
 
@@ -925,9 +917,6 @@ let service_t =
     Arg.(value & opt float 0.5 & info [ "timeout" ] ~doc:"per-attempt retry deadline, s")
   in
   let port = Arg.(value & opt int 7520 & info [ "port" ] ~doc:"UDP base port") in
-  let backend =
-    Arg.(value & opt string "wal" & info [ "backend" ] ~doc:"storage backend: wal|files")
-  in
   let fsync =
     Arg.(
       value
@@ -998,7 +987,7 @@ let service_t =
   in
   Term.(
     const service_cmd $ n_arg $ shards_arg $ read_mode $ clients $ rate
-    $ duration $ write_pct $ lin_pct $ lease_ms $ timeout $ port $ backend
+    $ duration $ write_pct $ lin_pct $ lease_ms $ timeout $ port
     $ fsync $ kills $ seed_arg $ trace_sample_arg $ dir_arg $ metrics_port
     $ metrics_out $ history_out $ min_rate)
 

@@ -14,6 +14,7 @@
    The trace timeline below is the protocol's own narration. *)
 
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 module Cluster = Abcast_harness.Cluster
 module Workload = Abcast_harness.Workload
 module Metrics = Abcast_sim.Metrics
@@ -65,9 +66,14 @@ let scenario name stack =
 
 let () =
   scenario "basic protocol: recovery replays the whole history"
-    (Factory.basic ());
+    (Factory.make Protocol.paper_basic);
   scenario "alternative protocol: checkpoint + state transfer skip it"
-    (Factory.alternative ~checkpoint_period:20_000 ~delta:3 ());
+    (Factory.make
+       {
+         Protocol.paper_alternative with
+         checkpoint_period = Some 20_000;
+         delta = Some 3;
+       });
   Printf.printf
     "Both recover to the same total order; the alternative pays a few log\n\
      writes per checkpoint to make recovery O(1) instead of O(history).\n"

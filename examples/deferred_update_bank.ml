@@ -11,6 +11,7 @@
    protocol, no distributed locking. *)
 
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 module Cluster = Abcast_harness.Cluster
 module Payload = Abcast_core.Payload
 module Du = Abcast_apps.Deferred_update
@@ -18,7 +19,7 @@ module Du = Abcast_apps.Deferred_update
 let () =
   (* One replica per process; deliveries certify transactions. *)
   let dbs = Array.init 3 (fun _ -> Du.create ()) in
-  let stack = Factory.basic () in
+  let stack = Factory.make Protocol.paper_basic in
   let cluster = Cluster.create stack ~seed:13 ~n:3 () in
 
   (* Seed: balance = 100 (a blind write commits unconditionally). *)

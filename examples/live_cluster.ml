@@ -11,6 +11,7 @@
 
 module Live = Abcast_live.Runtime
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 
 let await ?(timeout = 20.0) what pred =
   let t0 = Unix.gettimeofday () in
@@ -31,7 +32,14 @@ let () =
       (Printf.sprintf "abcast-live-demo-%d" (Unix.getpid ()))
   in
   Printf.printf "storage directory: %s\n" dir;
-  let stack = Factory.alternative ~checkpoint_period:100_000 ~delta:2 () in
+  let stack =
+    Factory.make
+      {
+        Protocol.paper_alternative with
+        checkpoint_period = Some 100_000;
+        delta = Some 2;
+      }
+  in
   let live =
     try Live.create stack ~n:3 ~base_port:7470 ~dir ()
     with Unix.Unix_error (e, _, _) ->

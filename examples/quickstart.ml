@@ -7,13 +7,16 @@
    [Factory], put it on a simulated [Cluster], broadcast, run, inspect. *)
 
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 module Payload = Abcast_core.Payload
 module Cluster = Abcast_harness.Cluster
 
 let () =
   (* A 3-process cluster running the paper's basic protocol (Fig. 2) over
      crash-recovery Paxos. Everything is driven by the seed. *)
-  let cluster = Cluster.create (Factory.basic ()) ~seed:2026 ~n:3 () in
+  let cluster =
+    Cluster.create (Factory.make Protocol.paper_basic) ~seed:2026 ~n:3 ()
+  in
 
   (* Each process atomically broadcasts a greeting. The calls race: the
      total order that comes out is decided by the protocol, not by

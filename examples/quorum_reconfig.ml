@@ -10,6 +10,7 @@
    by the epoch number. *)
 
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 module Cluster = Abcast_harness.Cluster
 module Q = Abcast_apps.Quorum
 
@@ -25,7 +26,9 @@ let () =
   (* Three replicas; reconfigurations flow through a real broadcast
      cluster; data ops are plain quorum calls against replica state. *)
   let stores = Array.init 3 (fun _ -> Q.Store.create ()) in
-  let cluster = Cluster.create (Factory.basic ()) ~seed:6 ~n:3 () in
+  let cluster =
+    Cluster.create (Factory.make Protocol.paper_basic) ~seed:6 ~n:3 ()
+  in
   let sync () =
     (* apply every replica's delivered reconfigurations *)
     Array.iteri

@@ -9,6 +9,7 @@
    footprint stays bounded. *)
 
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 module Cluster = Abcast_harness.Cluster
 module Kv = Abcast_apps.Kv
 module Metrics = Abcast_sim.Metrics
@@ -16,9 +17,13 @@ module Metrics = Abcast_sim.Metrics
 let () =
   let replicas = Array.make 3 None in
   let stack =
-    Factory.alternative ~checkpoint_period:25_000 ~delta:3
+    Factory.make
       ~app_factory:(Kv.Replica.factory (fun i r -> replicas.(i) <- Some r))
-      ()
+      {
+        Protocol.paper_alternative with
+        checkpoint_period = Some 25_000;
+        delta = Some 3;
+      }
   in
   let cluster = Cluster.create stack ~seed:7 ~n:3 () in
 

@@ -20,6 +20,7 @@ module Wal = Abcast_store.Wal
 module Durable = Abcast_store.Durable
 module Live = Abcast_live.Runtime
 module Factory = Abcast_core.Factory
+module Protocol = Abcast_core.Protocol
 
 let failures = ref 0
 
@@ -98,10 +99,10 @@ let part1 () =
 let part2 () =
   Printf.printf "part 2: restart a live cluster from its WAL\n%!";
   let dir = fresh_dir "live" in
-  let stack () = Factory.basic () in
+  let stack () = Factory.make Protocol.paper_basic in
   let msgs = 5 in
   let start () =
-    Live.create (stack ()) ~n:3 ~base_port:7491 ~dir ~backend:`Wal
+    Live.create (stack ()) ~n:3 ~base_port:7491 ~dir
       ~fsync:Durable.Always ()
   in
   match start () with

@@ -42,7 +42,7 @@ module Make (M : MACHINE) : sig
   val factory :
     (int -> t -> unit) -> Abcast_core.Factory.app_factory
   (** [factory register] builds the per-process application factory for
-      {!Abcast_core.Factory.alternative}: at each (re)start of process [i]
+      {!Abcast_core.Factory.make}: at each (re)start of process [i]
       it creates a fresh replica, calls [register i replica] (so the
       scenario can keep a handle) and returns its hooks and deliver
       upcall. *)

@@ -9,60 +9,19 @@ let volatile_io (io : 'm Engine.io) =
   let store = Storage.create ~metrics:(Metrics.create ()) ~node:io.self () in
   { io with store }
 
-let stack ?(consensus = `Paxos) ?gossip_period () : Abcast_core.Proto.t =
-  let make (module C : Abcast_consensus.Consensus_intf.S) =
-    let module P = Abcast_core.Protocol.Make (C) in
-    (module struct
-      let name = "ct-stop/" ^ C.name
-
-      type msg = P.msg
-
-      let msg_size = P.msg_size
-
-      let write_msg = P.write_msg
-
-      let read_msg = P.read_msg
-
-      let encode_msg = P.encode_msg
-
-      let decode_msg = P.decode_msg
-
-      let msg_group _ = 0
-
-      type t = P.Basic.t
-
-      let create io ~deliver =
-        P.Basic.create ?gossip_period (volatile_io io)
-          ~on_deliver:(fun p -> deliver ~group:0 p)
-
-      let broadcast_blocks = true
-
-      let handler = P.Basic.handler
-
-      let broadcast = P.Basic.broadcast
-
-      let round = P.Basic.round
-
-      let delivered_count = P.Basic.delivered_count
-
-      let delivered_tail = P.Basic.delivered_tail
-
-      let delivery_vc = P.Basic.delivery_vc
-
-      let unordered_count = P.Basic.unordered_count
-
-      include Abcast_core.Proto.Single_group (struct
-        type nonrec t = t
-
-        let broadcast = broadcast
-        let round = round
-        let delivered_count = delivered_count
-        let delivered_tail = delivered_tail
-        let delivery_vc = delivery_vc
-        let unordered_count = unordered_count
-      end)
-    end : Abcast_core.Proto.S)
+let stack ?(consensus = `Paxos) () : Abcast_core.Proto.t =
+  let (module S) =
+    Abcast_core.Factory.make ~consensus Abcast_core.Protocol.paper_basic
   in
-  match consensus with
-  | `Paxos -> make (module Abcast_consensus.Paxos)
-  | `Coord -> make (module Abcast_consensus.Coord)
+  let cname =
+    match consensus with
+    | `Paxos -> Abcast_consensus.Paxos.name
+    | `Coord -> Abcast_consensus.Coord.name
+  in
+  (module struct
+    include S
+
+    let name = "ct-stop/" ^ cname
+
+    let create io ~deliver = S.create (volatile_io io) ~deliver
+  end : Abcast_core.Proto.S)

@@ -14,8 +14,5 @@
     there is nothing to recover. *)
 
 val stack :
-  ?consensus:Abcast_core.Factory.consensus ->
-  ?gossip_period:int ->
-  unit ->
-  Abcast_core.Proto.t
+  ?consensus:Abcast_core.Factory.consensus -> unit -> Abcast_core.Proto.t
 (** A packaged crash-stop stack named ["ct-stop/<consensus>"]. *)

@@ -1,8 +1,10 @@
 (** Builders of packaged protocol stacks.
 
-    Each function closes a full configuration into a {!Proto.t} that the
-    harness can instantiate per process. The [consensus] argument selects
-    the black box ([`Paxos] default, [`Coord] for E8). *)
+    {!make} closes a {!Protocol.config} into a {!Proto.t} that the
+    harness can instantiate per process:
+    [Factory.make { Protocol.paper_alternative with window = 4 }]. The
+    [consensus] argument selects the black box ([`Paxos] default,
+    [`Coord] for E8). *)
 
 type consensus = [ `Paxos | `Coord ]
 
@@ -21,94 +23,22 @@ type group_app_factory =
     compaction independently. When both factories are given, the plain
     one's checkpoint rides first in a composite blob. *)
 
-val basic :
+val make :
   ?consensus:consensus ->
-  ?gossip_period:int ->
-  ?delta_gossip:bool ->
-  ?gossip_full_every:int ->
-  ?dissemination:[ `Gossip | `Ring ] ->
-  ?max_batch_bytes:int ->
-  ?ring_flush_us:int ->
-  ?need_cap:int ->
-  ?trace_sample:int ->
-  ?audit_every:int ->
-  unit ->
-  Proto.t
-(** The basic protocol (Fig. 2). [delta_gossip] (default true) gossips
-    digests and pulls missing entries; [false] multisends the full
-    [Unordered] set every period, as the paper's pseudocode reads.
-    [dissemination:`Ring] forwards payload batches around the successor
-    ring instead of relying on gossip pulls (the stack name gains a
-    ["+ring"] suffix); [max_batch_bytes] bounds one proposal's payload
-    bytes. [trace_sample] (default 0 = off) samples every k-th broadcast
-    with a causal {!Trace_ctx} id carried on the wire. [audit_every]
-    (default 1; 0 = off) piggybacks an {!Audit.cert} order certificate
-    on every k-th gossip/digest — the online order audit. *)
-
-val alternative :
-  ?consensus:consensus ->
-  ?gossip_period:int ->
-  ?checkpoint_period:int ->
-  ?delta:int ->
-  ?early_return:bool ->
-  ?incremental:bool ->
-  ?paranoid_log:bool ->
-  ?window:int ->
-  ?trim_state:bool ->
-  ?delta_gossip:bool ->
-  ?gossip_full_every:int ->
-  ?dissemination:[ `Gossip | `Ring ] ->
-  ?max_batch_bytes:int ->
-  ?ring_flush_us:int ->
-  ?need_cap:int ->
-  ?trace_sample:int ->
-  ?audit_every:int ->
-  ?fault_reorder_node:int ->
   ?app_factory:app_factory ->
   ?group_app_factory:group_app_factory ->
-  unit ->
+  Protocol.config ->
   Proto.t
-(** The alternative protocol (Figs. 3–5); defaults as in
-    {!Protocol.Make.Alternative.create}. [window > 1] pipelines that many
-    consensus instances; [dissemination:`Ring] adds successor-ring
-    payload forwarding. [need_cap] (default 128) bounds how many missing
-    payload ids one digest exchange will pull. [trace_sample] (default 0
-    = off) samples every k-th broadcast with a causal {!Trace_ctx} id
-    carried on the wire and stamped into the flight recorder at every
-    hop. [audit_every] (default 1; 0 = off) controls the order-certificate
-    cadence as in {!basic}. [fault_reorder_node] (tests only) arms the
-    one-shot apply-reorder fault injection on exactly that process id, so
-    a run can break total order on one node and watch the audit sentinel
-    catch it. *)
+(** The stack for [config]. Its name is ["naive"] when [paranoid_log],
+    else ["basic"] without checkpoints and state transfer, else
+    ["alt"]; ring dissemination appends ["+ring"], then ["/paxos"] or
+    ["/coord"] (e.g. ["alt+ring/paxos"]). Its [A-broadcast] blocks
+    unless [config.early_return]. The config is validated at each
+    process start ({!Protocol.Make.create}). *)
 
 val throughput :
-  ?consensus:consensus ->
-  ?window:int ->
-  ?max_batch_bytes:int ->
-  ?repair_period:int ->
-  ?repair_full_every:int ->
-  ?need_cap:int ->
-  ?trace_sample:int ->
-  ?audit_every:int ->
-  ?fault_reorder_node:int ->
-  ?group_app_factory:group_app_factory ->
-  unit ->
-  Proto.t
-(** The throughput-tuned preset behind E18 and the live smoke: the
-    alternative protocol with ring dissemination, a pipelined window
-    (default 4), adaptive batching at [max_batch_bytes] (default 24_000)
-    and a rarer full-gossip belt — the ring carries the payloads, the
-    digests only repair. The repair path is tunable per shard:
-    [repair_period] (default 10_000 µs) is the digest gossip cadence,
-    [repair_full_every] (default 32) sends a full digest every that many
-    ticks, and [need_cap] (default 128) caps ids pulled per exchange.
-    [trace_sample]/[audit_every]/[fault_reorder_node] as in
-    {!alternative}. *)
-
-val naive : ?consensus:consensus -> unit -> Proto.t
-(** The naive-logging strawman for ablations E1/E6: alternative protocol
-    with a checkpoint after {e every} round and full (non-incremental)
-    [Unordered] re-logging on every broadcast. *)
+  ?trace_sample:int -> ?group_app_factory:group_app_factory -> unit -> Proto.t
+(** [make { Protocol.throughput with trace_sample }] (default 0). *)
 
 val sharded : ?route:(string -> int) -> shards:int -> Proto.t -> Proto.t
 (** [sharded ~shards stack] multiplexes [shards] independent instances

@@ -27,6 +27,87 @@ let unordered_item_key (id : Payload.id) =
    functor instantiation so that generic harness code can build them. *)
 type app = { checkpoint : unit -> string; install : string -> unit }
 
+(* --- Configuration ---------------------------------------------------- *)
+(* The basic protocol (Fig. 2) and the alternative protocol (Figs. 3-5)
+   are settings of this one record (fields documented in protocol.mli);
+   the presets below name the paper's two variants and the two
+   ablation/tuning points the benches use. *)
+type config = {
+  gossip_period : int;
+  checkpoint_period : int option;
+  delta : int option;
+  early_return : bool;
+  incremental : bool;
+  paranoid_log : bool;
+  window : int;
+  trim_state : bool;
+  delta_gossip : bool;
+  gossip_full_every : int;
+  dissemination : [ `Gossip | `Ring ];
+  need_cap : int;
+  trace_sample : int;
+  audit_every : int;
+}
+
+let paper_basic =
+  {
+    gossip_period = 3_000;
+    checkpoint_period = None;
+    delta = None;
+    early_return = false;
+    incremental = false;
+    paranoid_log = false;
+    window = 1;
+    trim_state = false;
+    delta_gossip = true;
+    gossip_full_every = 8;
+    dissemination = `Gossip;
+    need_cap = 128;
+    trace_sample = 0;
+    audit_every = 1;
+  }
+
+let paper_alternative =
+  {
+    paper_basic with
+    checkpoint_period = Some 50_000;
+    delta = Some 4;
+    early_return = true;
+    incremental = true;
+    trim_state = true;
+  }
+
+let naive = { paper_alternative with paranoid_log = true; incremental = false }
+
+(* With ring dissemination the payloads never wait on a gossip tick —
+   digests only repair a torn ring — so the preset slows the gossip task
+   down (10ms instead of 3ms): under a heavy backlog every digest
+   exchange costs per-stream scans at each receiver, and at 3ms that
+   bookkeeping was a measurable slice of the per-payload budget. *)
+let throughput =
+  {
+    paper_alternative with
+    window = 4;
+    dissemination = `Ring;
+    gossip_period = 10_000;
+    gossip_full_every = 32;
+  }
+
+(* Bytes budget for one proposal's payload bodies (the adaptive batch is
+   the whole backlog, cut at this bound) and for one ring message. *)
+let max_batch_bytes = 24_000
+
+(* Coalescing delay before forwarding ring entries to the successor. *)
+let ring_flush_us = 400
+
+let validate c =
+  let reject what = invalid_arg ("Protocol.config: " ^ what) in
+  if c.window < 1 then reject "window must be >= 1";
+  if c.gossip_full_every < 1 then reject "gossip_full_every must be >= 1";
+  if c.need_cap < 0 then reject "need_cap must be >= 0";
+  if c.trace_sample < 0 then reject "trace_sample must be >= 0";
+  if c.audit_every < 0 then reject "audit_every must be >= 0"
+
 (* The Unordered set. Most operations on it are point lookups, adds and
    removes — one of each per payload per process — so it lives in a
    Hashtbl; the identity-sorted list view the batching and full-gossip
@@ -210,67 +291,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      [t.size]. *)
   let msg_size = make_msg_size ()
 
-  (* ----------------------------------------------------------------- *)
-  (* The parameterized node: both the basic protocol (Fig. 2) and the
-     alternative protocol (Figs. 3-4) are configurations of it. *)
-
-  type mode = {
-    gossip_period : int;
-    checkpoint_period : int option; (* None = basic: never checkpoint *)
-    delta : int option; (* None = basic: no state transfer *)
-    early_return : bool;
-    incremental : bool;
-    paranoid_log : bool; (* naive strawman: checkpoint every round *)
-    window : int; (* max consensus instances proposed ahead (>= 1) *)
-    trim_state : bool; (* ship only the suffix the recipient lacks (§5.3) *)
-    delta_gossip : bool; (* gossip digests, pull missing entries (vs Fig. 3 full sets) *)
-    gossip_full_every : int; (* every Nth tick still ships the full set (liveness belt) *)
-    dissemination : [ `Gossip | `Ring ];
-        (* how payloads spread before consensus: all-to-all gossip (the
-           paper's §4.2) or successor-ring forwarding with the digest/pull
-           path as repair fallback *)
-    max_batch_bytes : int;
-        (* bytes budget for one proposal's payload bodies: the adaptive
-           batch is the whole backlog, cut at this bound *)
-    ring_flush_us : int; (* coalescing delay before forwarding ring entries *)
-    need_cap : int; (* max missing ids pulled per digest exchange *)
-    trace_sample : int;
-        (* 0 = no causal tracing; k > 0 samples every k-th local
-           broadcast: mint a [Trace_ctx] carried on the payload across
-           every hop, so all nodes stamp flight events with it *)
-    audit_every : int;
-        (* 0 = no order audit; k > 0 piggybacks an [Audit.cert] on every
-           k-th gossip/digest tick, and receivers compare it against
-           their own chain window (the online safety sentinel) *)
-    fault_reorder_once : bool;
-        (* test-only fault injection: deliberately apply the first
-           multi-stream decided batch in reversed order, breaking total
-           order on this node exactly once — the sentinel must catch it *)
-    app : app option;
-  }
-
-  let basic_mode =
-    {
-      gossip_period = 3_000;
-      checkpoint_period = None;
-      delta = None;
-      early_return = false;
-      incremental = false;
-      paranoid_log = false;
-      window = 1;
-      trim_state = false;
-      delta_gossip = true;
-      gossip_full_every = 8;
-      dissemination = `Gossip;
-      max_batch_bytes = 24_000;
-      ring_flush_us = 400;
-      need_cap = 128;
-      trace_sample = 0;
-      audit_every = 1;
-      fault_reorder_once = false;
-      app = None;
-    }
-
   (* Lifecycle record of one locally-broadcast message, from A-broadcast
      to local A-delivery (volatile — lost on crash like [pending] always
      was). [p_proposed] is -1 until the id first enters one of our
@@ -303,7 +323,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   type node = {
     io : msg Engine.io;
-    mode : mode;
+    cfg : config;
+    app : app option;
     on_deliver : Payload.t -> unit;
     hb : Heartbeat.t;
     multi : M.t;
@@ -348,7 +369,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     mutable recovery_done : bool; (* [recover] finished for this boot *)
     mutable caught_up : bool; (* first post-recovery delivery observed *)
     mutable audit_tripped : bool; (* order-divergence sentinel, one-shot *)
-    mutable fault_armed : bool; (* [mode.fault_reorder_once] not yet fired *)
+    mutable fault_armed : bool;
+        (* the test-only apply-order fault [io.reorder_apply] (see
+           [Abcast_sim.Faults.reorder_apply]) has not fired yet *)
   }
 
   (* The round counter [k] of the paper is the pipeline's commit cursor:
@@ -436,8 +459,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   (* --- Unordered-set durability (alternative protocol, §5.4/§5.5) --- *)
 
   let log_unordered_add t (p : Payload.t) =
-    if t.mode.early_return then
-      if t.mode.incremental then begin
+    if t.cfg.early_return then
+      if t.cfg.incremental then begin
         (* §5.5: log only the new part — one small write per message. *)
         Storage.write t.io.store ~layer ~key:(unordered_item_key p.id)
           (Wire.to_string Payload.write p);
@@ -450,8 +473,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       end
 
   let cleanup_unordered_log t =
-    if t.mode.early_return then
-      if t.mode.incremental then begin
+    if t.cfg.early_return then
+      if t.cfg.incremental then begin
         let stale =
           Ptbl.fold
             (fun id () acc ->
@@ -473,8 +496,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       end
 
   let restore_unordered t =
-    if t.mode.early_return then
-      if t.mode.incremental then
+    if t.cfg.early_return then
+      if t.cfg.incremental then
         Storage.keys_with_prefix t.io.store "ab/u/"
         |> List.iter (fun key ->
                match Storage.read t.io.store key with
@@ -524,7 +547,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       Metrics.add t.io.metrics ~node:t.io.self "recovery_catchup_us" dt
     end;
     if
-      t.mode.audit_every > 0
+      t.cfg.audit_every > 0
       && Agreed.total_len t.agreed land chain_grid_mask = 0
     then
       flight t ~stage:Flight.chain ~trace:0 ~a:(Agreed.total_len t.agreed)
@@ -549,7 +572,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   (* --- Checkpointing (§5.1/§5.2) ------------------------------------ *)
 
   let do_checkpoint t =
-    (match t.mode.app with
+    (match t.app with
     | Some app -> Agreed.compact t.agreed ~app_blob:(app.checkpoint ())
     | None -> ());
     Storage.Slot.set t.ck_slot (committed t, Agreed.snapshot t.agreed);
@@ -600,7 +623,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        paper's idempotence requires; the excluded suffix stays in
        [Unordered] for the next instance of the window. *)
     let value, batch, _excluded =
-      Batch.encode_sorted_bounded ~max_bytes:t.mode.max_batch_bytes backlog
+      Batch.encode_sorted_bounded ~max_bytes:max_batch_bytes backlog
     in
     (* First time one of our own messages enters a proposal: close the
        batching-delay stage. The [p_proposed < 0] guard keeps re-proposals
@@ -690,7 +713,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       batch;
     own_props_del t (committed t);
     M.Pipeline.commit t.pipe;
-    if t.mode.paranoid_log then do_checkpoint t
+    if t.cfg.paranoid_log then do_checkpoint t
 
   let rec drain_decisions t =
     match M.Pipeline.ready t.pipe with
@@ -704,7 +727,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let send_state ?for_len t dst =
     let agreed =
       match for_len with
-      | Some len when t.mode.trim_state -> (
+      | Some len when t.cfg.trim_state -> (
         match Agreed.suffix_snapshot t.agreed ~from_len:len with
         | Some trimmed -> trimmed
         | None -> Agreed.snapshot t.agreed)
@@ -720,7 +743,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        unconditionally when we sit below the donor's truncation floor —
        the consensus instances we would need to replay no longer exist
        there, so state transfer is the only way forward (§5.3). *)
-    match t.mode.delta with
+    match t.cfg.delta with
     | Some delta
       when committed t < ks
            && (committed t < ks - delta || committed t < floor)
@@ -739,7 +762,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       (match Agreed.adopt t.agreed repr with
       | `Deliver ps -> List.iter (deliver_one t) ps
       | `Install (blob, ps) ->
-        (match (t.mode.app, blob) with
+        (match (t.app, blob) with
         | Some app, Some b -> app.install b
         | _, None -> assert (repr.base_len = 0)
         | None, Some _ ->
@@ -806,7 +829,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         | [] -> if acc <> [] then send acc
         | ((_, p) as e) :: rest ->
           let c = ring_entry_cost p in
-          if acc <> [] && cost + c > t.mode.max_batch_bytes then begin
+          if acc <> [] && cost + c > max_batch_bytes then begin
             send acc;
             chunked c [ e ] rest
           end
@@ -816,11 +839,11 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     end
 
   and ring_enqueue t hops (p : Payload.t) =
-    if t.mode.dissemination = `Ring && hops > 0 && t.io.n > 1 then begin
+    if t.cfg.dissemination = `Ring && hops > 0 && t.io.n > 1 then begin
       t.ring_pending <- (hops, p) :: t.ring_pending;
       if not t.ring_armed then begin
         t.ring_armed <- true;
-        t.io.after t.mode.ring_flush_us (fun () -> ring_flush t)
+        t.io.after ring_flush_us (fun () -> ring_flush t)
       end
     end
 
@@ -828,7 +851,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      so. One small option allocation per periodic tick — never on the
      per-payload path — and ~1 byte on the wire when absent. *)
   let cert_now t =
-    if t.mode.audit_every > 0 && t.gossip_tick mod t.mode.audit_every = 0
+    if t.cfg.audit_every > 0 && t.gossip_tick mod t.cfg.audit_every = 0
     then
       Some
         {
@@ -841,8 +864,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let rec gossip_loop t =
     t.gossip_tick <- t.gossip_tick + 1;
     let full =
-      (not t.mode.delta_gossip)
-      || t.gossip_tick mod t.mode.gossip_full_every = 0
+      (not t.cfg.delta_gossip)
+      || t.gossip_tick mod t.cfg.gossip_full_every = 0
     in
     let cert = cert_now t in
     let m =
@@ -865,7 +888,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     in
     count_gossip t ~copies:t.io.n m;
     t.io.multisend m;
-    t.io.after t.mode.gossip_period (fun () -> gossip_loop t)
+    t.io.after t.cfg.gossip_period (fun () -> gossip_loop t)
 
   (* The sentinel: compare a peer's order certificate against our own
      chain at the same delivery position. Positions outside our window
@@ -877,7 +900,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     match cert with
     | None -> ()
     | Some (c : Audit.cert) -> (
-      if t.mode.audit_every > 0 then
+      if t.cfg.audit_every > 0 then
         match Agreed.chain_at t.agreed c.c_len with
         | None -> ()
         | Some h ->
@@ -904,7 +927,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         end)
       uq;
     if kq > committed t then t.gossip_k <- max t.gossip_k kq;
-    (match t.mode.delta with
+    (match t.cfg.delta with
     | Some delta when committed t > kq + delta -> send_state ~for_len:len_q t src
     | _ -> ());
     drain_decisions t
@@ -920,7 +943,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         end)
       entries;
     if kq > committed t then t.gossip_k <- max t.gossip_k kq;
-    (match t.mode.delta with
+    (match t.cfg.delta with
     | Some delta when committed t > kq + delta -> send_state ~for_len:len_q t src
     | _ -> ());
     drain_decisions t
@@ -930,8 +953,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      a candidate gap: pull exactly those. The sender replies with the
      subset it actually has, as a regular payload gossip.
 
-     The pull is flow-controlled: at most [mode.need_cap] ids per digest
-     (default 128, a {!Factory} knob). An uncapped pull turns the first
+     The pull is flow-controlled: at most [cfg.need_cap] ids per digest
+     (default 128, a [config] field). An uncapped pull turns the first
      digest of a large burst into a storm — every receiver asks every
      peer for the whole backlog that the primary dissemination path
      (ring or full gossip) is already carrying, and each peer answers
@@ -939,7 +962,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      later tick, so repair throughput stays bounded but positive. *)
 
   let on_digest t ~src kq ~len_q summary =
-    let budget = ref t.mode.need_cap in
+    let budget = ref t.cfg.need_cap in
     let missing =
       List.fold_left
         (fun acc (origin, boot, smax) ->
@@ -966,7 +989,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       t.io.send src m
     end;
     if kq > committed t then t.gossip_k <- max t.gossip_k kq;
-    (match t.mode.delta with
+    (match t.cfg.delta with
     | Some delta when committed t > kq + delta -> send_state ~for_len:len_q t src
     | _ -> ());
     drain_decisions t
@@ -998,7 +1021,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        the hot path. The stamp packs (seq, group, boot) so it stays
        unique across shard groups and reboots of the same node. *)
     let trace =
-      let s = t.mode.trace_sample in
+      let s = t.cfg.trace_sample in
       if
         s > 0
         && seq mod s = 0
@@ -1032,7 +1055,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | Some (k, repr) ->
       M.Pipeline.seek t.pipe k;
       t.agreed <- Agreed.restore repr;
-      (match (t.mode.app, repr.base_app) with
+      (match (t.app, repr.base_app) with
       | Some app, Some blob -> app.install blob
       | _ -> ());
       (* The upper layer is volatile: re-deliver the explicit tail so it
@@ -1071,7 +1094,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           | None -> ())
       (M.logged_proposal_instances t.multi)
 
-  let create_node io mode ~on_deliver =
+  let create ?app cfg io ~on_deliver =
+    validate cfg;
     let tref = ref None in
     let with_t f = match !tref with Some t -> f t | None -> () in
     let hb = Heartbeat.create (Engine.map_io (fun m -> Fd m) io) in
@@ -1121,13 +1145,14 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     let t =
       {
         io;
-        mode;
+        cfg;
+        app;
         on_deliver;
         hb;
         multi;
         mh;
         size = make_msg_size ();
-        pipe = M.Pipeline.attach multi ~width:mode.window;
+        pipe = M.Pipeline.attach multi ~width:cfg.window;
         agreed = Agreed.create ();
         unordered = Ptbl.create 64;
         unordered_cache = None;
@@ -1153,14 +1178,14 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         recovery_done = false;
         caught_up = false;
         audit_tripped = false;
-        fault_armed = mode.fault_reorder_once;
+        fault_armed = io.Engine.reorder_apply;
       }
     in
     tref := Some t;
     recover t;
     t.recovery_done <- true;
     gossip_loop t;
-    (match mode.checkpoint_period with
+    (match cfg.checkpoint_period with
     | Some period ->
       let rec checkpoint_loop () =
         t.io.after period (fun () ->
@@ -1197,129 +1222,21 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       Metrics.hincr t.mh.h_rx_ring;
       on_ring t ~src k ~len_q:len entries
 
-  module type NODE = sig
-    type t
+  type t = node
 
-    val handler : t -> src:int -> msg -> unit
+  let handler = node_handler
 
-    val broadcast : t -> ?on_agreed:(Payload.id -> unit) -> string -> Payload.id
+  let round t = committed t
 
-    val round : t -> int
+  let delivered_count t = Agreed.total_len t.agreed
 
-    val unordered_count : t -> int
+  let delivered_tail t = Agreed.tail t.agreed
 
-    val delivered_count : t -> int
+  let delivery_vc t = Agreed.vc t.agreed
 
-    val delivered_tail : t -> Payload.t list
+  let agreed_snapshot t = Agreed.snapshot t.agreed
 
-    val delivery_vc : t -> Vclock.t
+  let checkpoint_now = do_checkpoint
 
-    val agreed_snapshot : t -> Agreed.repr
-  end
-
-  module Node_ops = struct
-    type t = node
-
-    let handler = node_handler
-
-    let broadcast = broadcast
-
-    let round t = committed t
-
-    let unordered_count t = unordered_count t
-
-    let delivered_count t = Agreed.total_len t.agreed
-
-    let delivered_tail t = Agreed.tail t.agreed
-
-    let delivery_vc t = Agreed.vc t.agreed
-
-    let agreed_snapshot t = Agreed.snapshot t.agreed
-  end
-
-  module Basic = struct
-    include Node_ops
-
-    let create ?(gossip_period = 3_000) ?(delta_gossip = true)
-        ?(gossip_full_every = 8) ?(dissemination = `Gossip)
-        ?(max_batch_bytes = 24_000) ?(ring_flush_us = 400) ?(need_cap = 128)
-        ?(trace_sample = 0) ?(audit_every = 1) io ~on_deliver =
-      if gossip_full_every < 1 then
-        invalid_arg "Basic.create: gossip_full_every must be >= 1";
-      if max_batch_bytes < 1 then
-        invalid_arg "Basic.create: max_batch_bytes must be >= 1";
-      if need_cap < 0 then invalid_arg "Basic.create: need_cap must be >= 0";
-      if trace_sample < 0 then
-        invalid_arg "Basic.create: trace_sample must be >= 0";
-      if audit_every < 0 then
-        invalid_arg "Basic.create: audit_every must be >= 0";
-      create_node io
-        {
-          basic_mode with
-          gossip_period;
-          delta_gossip;
-          gossip_full_every;
-          dissemination;
-          max_batch_bytes;
-          ring_flush_us;
-          need_cap;
-          trace_sample;
-          audit_every;
-        }
-        ~on_deliver
-  end
-
-  module Alternative = struct
-    include Node_ops
-
-    type nonrec app = app = {
-      checkpoint : unit -> string;
-      install : string -> unit;
-    }
-
-    let create ?(gossip_period = 3_000) ?(checkpoint_period = 50_000)
-        ?(delta = 4) ?(early_return = true) ?(incremental = true)
-        ?(paranoid_log = false) ?(window = 1) ?(trim_state = true)
-        ?(delta_gossip = true) ?(gossip_full_every = 8)
-        ?(dissemination = `Gossip) ?(max_batch_bytes = 24_000)
-        ?(ring_flush_us = 400) ?(need_cap = 128) ?(trace_sample = 0)
-        ?(audit_every = 1) ?(fault_reorder_once = false) ?app io ~on_deliver =
-      if window < 1 then invalid_arg "Alternative.create: window must be >= 1";
-      if gossip_full_every < 1 then
-        invalid_arg "Alternative.create: gossip_full_every must be >= 1";
-      if max_batch_bytes < 1 then
-        invalid_arg "Alternative.create: max_batch_bytes must be >= 1";
-      if need_cap < 0 then
-        invalid_arg "Alternative.create: need_cap must be >= 0";
-      if trace_sample < 0 then
-        invalid_arg "Alternative.create: trace_sample must be >= 0";
-      if audit_every < 0 then
-        invalid_arg "Alternative.create: audit_every must be >= 0";
-      create_node io
-        {
-          gossip_period;
-          checkpoint_period = Some checkpoint_period;
-          delta = Some delta;
-          early_return;
-          incremental;
-          paranoid_log;
-          window;
-          trim_state;
-          delta_gossip;
-          gossip_full_every;
-          dissemination;
-          max_batch_bytes;
-          ring_flush_us;
-          need_cap;
-          trace_sample;
-          audit_every;
-          fault_reorder_once;
-          app;
-        }
-        ~on_deliver
-
-    let checkpoint_now = do_checkpoint
-
-    let floor t = M.floor t.multi
-  end
+  let floor t = M.floor t.multi
 end

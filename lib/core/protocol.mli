@@ -7,12 +7,12 @@
     {!Abcast_consensus.Paxos} for {!Abcast_consensus.Coord} changes
     nothing above this line (experiment E8).
 
-    Two protocol variants are exposed:
+    The paper's two protocols are two settings of one {!config} record:
 
-    - {!Make.Basic} — Fig. 2: minimal logging. The only stable-storage
+    - {!paper_basic} — Fig. 2: minimal logging. The only stable-storage
       write above consensus is… none: the proposal log is the consensus's
       own initial-value write (§4.3). Recovery replays every logged round.
-    - {!Make.Alternative} — Figs. 3–5: periodic [(k, Agreed)] checkpoints
+    - {!paper_alternative} — Figs. 3–5: periodic [(k, Agreed)] checkpoints
       (§5.1), application-level checkpoints with vector clocks bounding
       log size (§5.2), state transfer with tunable Δ (§5.3), early-return
       [A-broadcast] that logs the [Unordered] set for batching (§5.4), and
@@ -28,6 +28,83 @@ type app = { checkpoint : unit -> string; install : string -> unit }
     application state; [install] resets the application to a received
     checkpoint (recovery and state transfer). Shared across all functor
     instantiations. *)
+
+type config = {
+  gossip_period : int;
+      (** simulated µs between gossip ticks (§4.2) *)
+  checkpoint_period : int option;
+      (** µs between [(k, Agreed)] checkpoints (§5.1); [None] never
+          checkpoints (the basic protocol) *)
+  delta : int option;
+      (** the §5.3 state-transfer threshold Δ in rounds; [None] disables
+          state transfer (the basic protocol) *)
+  early_return : bool;
+      (** log [Unordered] on [A-broadcast] and complete immediately
+          (§5.4); [false] blocks until the message reaches [Agreed] *)
+  incremental : bool;
+      (** log only the new part of [Unordered] (§5.5) *)
+  paranoid_log : bool;
+      (** the naive-logging strawman of E1/E6: checkpoint after every
+          round *)
+  window : int;
+      (** consensus instances that may run concurrently as a pipeline
+          ([1] is the paper's strictly sequential sequencer). Each
+          proposal carries a disjoint identity-sorted slice of the
+          backlog cut at 24_000 payload bytes; decisions may arrive out
+          of order but deliveries happen strictly in instance order, and
+          a batch entry whose stream predecessor is missing is skipped
+          deterministically and re-proposed. *)
+  trim_state : bool;
+      (** a gossip-triggered state transfer carries only the suffix the
+          recipient is missing (§5.3), falling back to the full snapshot
+          when that suffix reaches into a compacted checkpoint *)
+  delta_gossip : bool;
+      (** gossip {!Make.Digest} summaries and pull missing entries
+          instead of multisending the full [Unordered] set every period;
+          [false] restores Fig. 2/3 verbatim *)
+  gossip_full_every : int;
+      (** with [delta_gossip], every this-many-th tick still ships the
+          full set, so the paper's §4.2 liveness argument applies
+          unchanged to that subsequence of gossips *)
+  dissemination : [ `Gossip | `Ring ];
+      (** [`Ring] forwards payload batches to the successor process only
+          (coalesced for 400 µs); the digest/pull gossip stays as the
+          repair path after crashes *)
+  need_cap : int;
+      (** how many missing ids one digest exchange will pull — the
+          repair path's flow control *)
+  trace_sample : int;
+      (** [0] = off; [k] samples every [k]-th local broadcast for causal
+          tracing: the payload carries a {!Trace_ctx} across every hop
+          and each node stamps flight events with it
+          (see {!Abcast_sim.Flight}) *)
+  audit_every : int;
+      (** [0] = off; [k] piggybacks an {!Audit.cert} order certificate
+          on every [k]-th gossip or digest; a mismatch against the
+          receiver's own delivery hash chain trips the
+          ["audit_diverged"] sentinel (an [io.alarm], a flight event and
+          a metric) *)
+}
+(** The protocol's tuning, shared by every functor instantiation. Build
+    one from a preset: [{ paper_alternative with window = 4 }]. *)
+
+val paper_basic : config
+(** Fig. 2: no checkpoints, no state transfer, blocking [A-broadcast],
+    3 ms gossip with digests and a full set every 8th tick, window 1,
+    [need_cap = 128], audit on every tick, tracing off. *)
+
+val paper_alternative : config
+(** Figs. 3–5: {!paper_basic} plus 50 ms checkpoints, Δ = 4, early
+    return, incremental logging and trimmed state transfer. *)
+
+val naive : config
+(** {!paper_alternative} with a checkpoint after every round and full
+    (non-incremental) [Unordered] re-logging — the E1/E6 strawman. *)
+
+val throughput : config
+(** {!paper_alternative} with ring dissemination, a window of 4 and the
+    gossip slowed to repair duty (10 ms ticks, full set every 32nd) —
+    the preset behind E18, the service layer and the live benchmark. *)
 
 val encode_checkpoint : int * Agreed.repr -> string
 (** Wire encoding of the stable [(k, Agreed)] checkpoint cell — the
@@ -116,171 +193,67 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
       [make_msg_size ()] instance for engine-level accounting (one
       consumer per simulation). *)
 
-  (** Operations common to both protocol variants. *)
-  module type NODE = sig
-    type t
+  type t
+  (** Per-process protocol state (one value per incarnation). *)
 
-    val handler : t -> src:int -> msg -> unit
-    (** The incoming-message dispatcher to register as the engine
-        behaviour of this process. *)
+  val create :
+    ?app:app ->
+    config ->
+    msg Abcast_sim.Engine.io ->
+    on_deliver:(Payload.t -> unit) ->
+    t
+  (** Boot or recover this process. Without checkpoints, recovery
+      parses the consensus proposal/decision log, rebuilds [Agreed],
+      re-delivers (calling [on_deliver] from the start — the upper
+      layer is volatile too) and re-proposes the in-flight round
+      (§4.2); with them it restores the last checkpoint first. Without
+      [app], checkpoints store the full message sequence; with it, the
+      prefix is replaced by the application state and the consensus log
+      is truncated (§5.2).
 
-    val broadcast : t -> ?on_agreed:(Payload.id -> unit) -> string -> Payload.id
-    (** [A-broadcast]: hand a message to the protocol. Returns its
-        identity immediately; [on_agreed] fires when the message enters
-        the [Agreed] queue locally (the basic protocol's completion
-        point, §4.2). *)
+      [io.reorder_apply] (armed only by the simulator's
+      {!Abcast_sim.Faults.reorder_apply}) makes this incarnation apply
+      its first decided batch carrying payloads of two streams in
+      reversed order — a deliberate total-order violation for the audit
+      sentinel to catch.
 
-    val round : t -> int
-    (** Current consensus round [k_p]. *)
+      @raise Invalid_argument ["Protocol.config: <field> must be >= …"]
+      unless [window >= 1], [gossip_full_every >= 1], [need_cap >= 0],
+      [trace_sample >= 0] and [audit_every >= 0]. *)
 
-    val unordered_count : t -> int
-    (** Size of the [Unordered] set. *)
+  val handler : t -> src:int -> msg -> unit
+  (** The incoming-message dispatcher to register as the engine
+      behaviour of this process. *)
 
-    val delivered_count : t -> int
-    (** Length of the whole delivery sequence (including any checkpointed
-        prefix). *)
+  val broadcast : t -> ?on_agreed:(Payload.id -> unit) -> string -> Payload.id
+  (** [A-broadcast]: hand a message to the protocol. Returns its
+      identity immediately; [on_agreed] fires when the message enters
+      the [Agreed] queue locally (the basic protocol's completion
+      point, §4.2). *)
 
-    val delivered_tail : t -> Payload.t list
-    (** Explicit (non-checkpointed) suffix of the delivery sequence —
+  val round : t -> int
+  (** Current consensus round [k_p]. *)
+
+  val unordered_count : t -> int
+  (** Size of the [Unordered] set. *)
+
+  val delivered_count : t -> int
+  (** Length of the whole delivery sequence (including any checkpointed
+      prefix). *)
+
+  val delivered_tail : t -> Payload.t list
+  (** Explicit (non-checkpointed) suffix of the delivery sequence —
       [A-deliver-sequence()] (§2.2). *)
 
-    val delivery_vc : t -> Vclock.t
-    (** Vector clock covering every delivered message. *)
+  val delivery_vc : t -> Vclock.t
+  (** Vector clock covering every delivered message. *)
 
-    val agreed_snapshot : t -> Agreed.repr
-    (** Snapshot of the [Agreed] queue (tests, state inspection). *)
-  end
+  val agreed_snapshot : t -> Agreed.repr
+  (** Snapshot of the [Agreed] queue (tests, state inspection). *)
 
-  (** The basic protocol (Fig. 2): minimal logging, full replay on
-      recovery. *)
-  module Basic : sig
-    include NODE
+  val checkpoint_now : t -> unit
+  (** Force a checkpoint immediately (tests and examples). *)
 
-    val create :
-      ?gossip_period:int ->
-      ?delta_gossip:bool ->
-      ?gossip_full_every:int ->
-      ?dissemination:[ `Gossip | `Ring ] ->
-      ?max_batch_bytes:int ->
-      ?ring_flush_us:int ->
-      ?need_cap:int ->
-      ?trace_sample:int ->
-      ?audit_every:int ->
-      msg Abcast_sim.Engine.io ->
-      on_deliver:(Payload.t -> unit) ->
-      t
-    (** Boot or recover this process. Recovery runs the replay procedure:
-        it parses the consensus proposal/decision log, rebuilds [Agreed],
-        re-delivers (calling [on_deliver] from the start — the upper layer
-        is volatile too) and re-proposes the in-flight round (§4.2).
-        [gossip_period] defaults to 3_000 simulated µs.
-
-        [delta_gossip] (default [true]) gossips {!Digest} summaries and
-        pulls missing entries instead of multisending the full [Unordered]
-        set every period; every [gossip_full_every]'th tick (default 8)
-        still ships the full set, so the paper's literal §4.2 liveness
-        argument applies unchanged to that subsequence of gossips.
-        [delta_gossip = false] restores Fig. 2/3 verbatim.
-
-        [dissemination] (default [`Gossip]) selects the payload
-        dissemination topology: [`Ring] forwards payload batches to the
-        successor process only (coalesced for [ring_flush_us], default
-        400 µs), with the digest/pull gossip retained as the repair path
-        after crashes. [max_batch_bytes] (default 24_000) bounds one
-        consensus proposal's payload bytes — the adaptive batch is the
-        whole backlog, cut at this budget. [need_cap] (default 128)
-        bounds how many missing ids one digest exchange will pull — the
-        repair path's flow control.
-
-        [trace_sample] (default 0 = off) samples every [trace_sample]-th
-        local broadcast for causal tracing: the payload carries a
-        {!Trace_ctx} across every hop and each node records
-        flight-recorder events stamped with it (see
-        {!Abcast_sim.Flight}).
-
-        [audit_every] (default 1 = every tick; 0 = off) piggybacks an
-        {!Audit.cert} order certificate on every [audit_every]-th gossip
-        or digest; receivers compare it against their own delivery hash
-        chain and a mismatch trips the ["audit_diverged"] sentinel (an
-        [io.alarm], a flight event, and a metric). *)
-  end
-
-  (** The alternative protocol (Figs. 3–5). *)
-  module Alternative : sig
-    include NODE
-
-    type nonrec app = app = {
-      checkpoint : unit -> string;
-      install : string -> unit;
-    }
-
-    val create :
-      ?gossip_period:int ->
-      ?checkpoint_period:int ->
-      ?delta:int ->
-      ?early_return:bool ->
-      ?incremental:bool ->
-      ?paranoid_log:bool ->
-      ?window:int ->
-      ?trim_state:bool ->
-      ?delta_gossip:bool ->
-      ?gossip_full_every:int ->
-      ?dissemination:[ `Gossip | `Ring ] ->
-      ?max_batch_bytes:int ->
-      ?ring_flush_us:int ->
-      ?need_cap:int ->
-      ?trace_sample:int ->
-      ?audit_every:int ->
-      ?fault_reorder_once:bool ->
-      ?app:app ->
-      msg Abcast_sim.Engine.io ->
-      on_deliver:(Payload.t -> unit) ->
-      t
-    (** Boot or recover. Defaults: [checkpoint_period = 50_000] µs,
-        [delta = 4] rounds (the paper's Δ), [early_return = true] (log
-        [Unordered] on broadcast and complete immediately, §5.4),
-        [incremental = true] (log only the new part, §5.5),
-        [paranoid_log = false] ([true] turns the node into the
-        naive-logging strawman used by experiments E1/E6: it checkpoints
-        after every round). Without [app], checkpoints store the full
-        message sequence; with it, the prefix is replaced by the
-        application state and the consensus log is truncated (§5.2).
-
-        [trim_state] (default true) applies the §5.3 optimization: a
-        state transfer triggered by a gossip carries only the suffix the
-        recipient is missing (falling back to the full snapshot when the
-        missing prefix reaches into a compacted checkpoint).
-
-        [delta_gossip]/[gossip_full_every]: as in {!Basic.create} —
-        digest-based gossip with pull of missing entries and a periodic
-        full-set fallback.
-
-        [window] (default 1 — the paper's strictly sequential sequencer)
-        is an extension: up to [window] consensus instances may run
-        concurrently as a pipeline. Instances are opened in order; each
-        proposal carries a disjoint identity-sorted slice of the
-        [Unordered] backlog — only payloads not already covered by an
-        earlier in-flight proposal — cut at [max_batch_bytes], so
-        concurrent instances decide mostly-distinct batches instead of
-        re-deciding the same prefix [window] times. Decisions may arrive
-        out of order (they are buffered); deliveries still happen
-        strictly in instance order, and a batch entry whose stream
-        predecessor is missing is skipped deterministically and
-        re-proposed rather than breaking the FIFO invariant.
-
-        [dissemination]/[max_batch_bytes]/[ring_flush_us]/[need_cap]/
-        [trace_sample]/[audit_every]: as in {!Basic.create}.
-
-        [fault_reorder_once] (default false; tests only) arms a one-shot
-        fault injection: the first decided batch carrying payloads of at
-        least two streams is applied in reversed order, deliberately
-        breaking total order on this node so the audit sentinel can be
-        exercised end to end. *)
-
-    val checkpoint_now : t -> unit
-    (** Force a checkpoint immediately (tests and examples). *)
-
-    val floor : t -> int
-    (** Consensus truncation floor (0 until a checkpoint truncates). *)
-  end
+  val floor : t -> int
+  (** Consensus truncation floor (0 until a checkpoint truncates). *)
 end

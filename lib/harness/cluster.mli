@@ -17,6 +17,7 @@ val create :
   ?count_bytes:bool ->
   ?storage:(metrics:Abcast_sim.Metrics.t -> node:int -> Abcast_sim.Storage.t) ->
   ?flight:(node:int -> Abcast_sim.Flight.t) ->
+  ?reorder_apply:int ->
   unit ->
   t
 (** Build the cluster and start every process. [count_bytes] (default
@@ -24,7 +25,10 @@ val create :
     message). [storage] selects the stable-storage backend per process
     (default memory-only; see {!Abcast_sim.Engine.create}). [flight]
     gives each process a real flight recorder — tests dump them to a
-    run directory and feed {!Abcast_harness.Doctor}. *)
+    run directory and feed {!Abcast_harness.Doctor}. [reorder_apply]
+    (tests only) arms {!Abcast_sim.Faults.reorder_apply} on every
+    incarnation of that process, so a run can break total order on one
+    node and watch the audit sentinel catch it. *)
 
 val n : t -> int
 val metrics : t -> Abcast_sim.Metrics.t

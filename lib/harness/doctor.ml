@@ -220,7 +220,6 @@ let analyze ?(max_traces = 64) ?(audit = false) ~dir () =
       let acks = by_stage Flight.ack in
       let submits = by_stage Flight.submit in
       let stjumps = by_stage Flight.stjump in
-      let leases = by_stage Flight.lease in
       (* every distinct sampled trace id, in first-seen order *)
       let tids = Hashtbl.create 64 in
       let tid_order = ref [] in
@@ -694,21 +693,30 @@ let analyze ?(max_traces = 64) ?(audit = false) ~dir () =
       in
       (* overlapping lease: a Lease renewal granted to a node that is not
          the last Claim holder on that observer's timeline means two
-         nodes could serve lease reads at once *)
+         nodes could serve lease reads at once. Each observer's own dump
+         is walked in recording order. A state-transfer jump adopts a
+         prefix whose Claims this observer never applied, so its holder
+         is unknown until the next Claim — as the delivery-gap rule
+         excuses jumps. *)
       let last_claim = Hashtbl.create 8 in
       List.iter
-        (fun (e : Flight.event) ->
-          let k = (e.e_node, e.e_group) in
-          if e.e_b land 2 <> 0 then Hashtbl.replace last_claim k e.e_a
-          else
-            match Hashtbl.find_opt last_claim k with
-            | Some holder when holder <> e.e_a ->
-              flag "lease-overlap"
-                "node %d group %d: lease renewed for node %d while floor is \
-                 held by node %d"
-                e.e_node e.e_group e.e_a holder
-            | _ -> ())
-        leases;
+        (fun (_, d) ->
+          List.iter
+            (fun (e : Flight.event) ->
+              let k = (e.e_node, e.e_group) in
+              if e.e_stage = Flight.stjump then Hashtbl.remove last_claim k
+              else if e.e_stage <> Flight.lease then ()
+              else if e.e_b land 2 <> 0 then Hashtbl.replace last_claim k e.e_a
+              else
+                match Hashtbl.find_opt last_claim k with
+                | Some holder when holder <> e.e_a ->
+                  flag "lease-overlap"
+                    "node %d group %d: lease renewed for node %d while floor \
+                     is held by node %d"
+                    e.e_node e.e_group e.e_a holder
+                | _ -> ())
+            d.Flight.d_events)
+        loaded;
       let snapshots =
         List.fold_left (fun acc p -> acc + count_lines p) 0 (list_jsonl dir)
       in

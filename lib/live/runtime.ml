@@ -53,7 +53,6 @@ type t = {
   shards : int;
   base_port : int;
   dir : string option;
-  backend : [ `Files | `Wal ];
   fsync : Abcast_store.Durable.policy;
   nodes : node array;
   wake_sock : Unix.file_descr; (* unbound socket used to poke loops *)
@@ -166,7 +165,7 @@ let drain_socket sock =
   in
   go ()
 
-let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~backend ~fsync
+let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
     ~flight_cap ~on_deliver () =
   let nodes =
     Array.init n (fun id ->
@@ -197,7 +196,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~backend ~fsync
       shards = P.shards;
       base_port;
       dir;
-      backend;
       fsync;
       nodes;
       wake_sock;
@@ -219,9 +217,8 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~backend ~fsync
     let store =
       match node_dir with
       | Some d ->
-        Storage.create ~dir:d
-          ~backend:(backend :> [ `Memory | `Files | `Wal ])
-          ~fsync ~flight:nd.flight ~flight_now:now_us ~metrics ~node:nd.id ()
+        Storage.create ~dir:d ~fsync ~flight:nd.flight ~flight_now:now_us
+          ~metrics ~node:nd.id ()
       | None -> Storage.create ~metrics ~node:nd.id ()
     in
     (* Real boot counter: persisted, so identities survive restarts. *)
@@ -351,6 +348,7 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~backend ~fsync
             Metrics.incr metrics ~node:nd.id "alarms";
             Printf.eprintf "abcast-live node %d: ALARM: %s\n%!" nd.id reason;
             dump_flight ());
+        reorder_apply = false;
       }
     in
     let p =
@@ -787,13 +785,13 @@ let snapshot_loop t interval path ~rotate_bytes ~keep =
   in
   t.metrics_threads <- th :: t.metrics_threads
 
-let create proto ~n ?(base_port = 7400) ?dir ?(backend = `Wal)
+let create proto ~n ?(base_port = 7400) ?dir ?backend:(_ : [ `Wal ] = `Wal)
     ?(fsync = Abcast_store.Durable.Every { ops = 64; ms = 20 })
     ?(flight_cap = 8192) ?(on_deliver = fun ~node:_ ~group:_ _ -> ())
     ?metrics_port ?(metrics_interval = 1.0) ?metrics_out
     ?(metrics_rotate_bytes = 4 * 1024 * 1024) ?(metrics_keep = 4) () =
   let t =
-    make proto ~n ~base_port ~dir ~backend ~fsync ~flight_cap ~on_deliver ()
+    make proto ~n ~base_port ~dir ~fsync ~flight_cap ~on_deliver ()
   in
   for i = 0 to n - 1 do
     t.start_node i

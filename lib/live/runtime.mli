@@ -53,7 +53,7 @@ val create :
   n:int ->
   ?base_port:int ->
   ?dir:string ->
-  ?backend:[ `Files | `Wal ] ->
+  ?backend:[ `Wal ] ->
   ?fsync:Abcast_store.Durable.policy ->
   ?flight_cap:int ->
   ?on_deliver:(node:int -> group:int -> Abcast_core.Payload.t -> unit) ->
@@ -66,11 +66,11 @@ val create :
   t
 (** Bind one UDP socket per process on [127.0.0.1:base_port+i] (default
     base port 7400) and start every process. With [dir], process [i]
-    persists its stable storage under [dir/node<i>/] through [backend]
-    (default [`Wal], the segmented write-ahead log; [`Files] keeps the
-    file-per-key layout) with durability [fsync] (default
+    persists its stable storage under [dir/node<i>/] in the segmented
+    write-ahead log with durability [fsync] (default
     [Every {ops = 64; ms = 20}]) — required for {!recover} to actually
-    recover. Without [dir] both are ignored and storage is memory-only.
+    recover. Without [dir] storage is memory-only. [backend] names the
+    only backend there is and is accepted for source compatibility.
     [on_deliver] runs in the delivering process's thread with the
     delivering node, the broadcast group ([0] on a single-group stack)
     and the payload; keep it short and synchronize your own data.

@@ -40,7 +40,6 @@ type config = {
   read_mode : read_mode;
   lease_ms : float;
   max_sessions : int;
-  window : int;
 }
 
 let default_config =
@@ -50,7 +49,6 @@ let default_config =
     read_mode = Broadcast;
     lease_ms = 200.;
     max_sessions = 4096;
-    window = 4;
   }
 
 type read_result = Value of string | Not_ready
@@ -229,7 +227,7 @@ let on_payload cfg fronts ~flight ~now ~node ~group (pl : Abcast_core.Payload.t)
     k status reply
   | None -> ()
 
-let create ?base_port ?dir ?backend ?fsync ?trace_sample ?flight_cap
+let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
     ?metrics_port ?metrics_interval ?metrics_out (cfg : config) =
   if cfg.n < 1 then invalid_arg "Service.create: n >= 1";
   if cfg.shards < 1 then invalid_arg "Service.create: shards >= 1";
@@ -269,8 +267,8 @@ let create ?base_port ?dir ?backend ?fsync ?trace_sample ?flight_cap
   in
   let stack =
     let inner =
-      Abcast_core.Factory.throughput ~window:cfg.window ?trace_sample
-        ~group_app_factory ()
+      Abcast_core.Factory.make ~group_app_factory
+        { Abcast_core.Protocol.throughput with trace_sample }
     in
     if cfg.shards = 1 then inner
     else Abcast_core.Factory.sharded ~shards:cfg.shards inner

@@ -23,19 +23,18 @@ type config = {
   read_mode : read_mode;  (** how linearizable reads are served *)
   lease_ms : float;  (** read-index lease window *)
   max_sessions : int;  (** session-table cap per group replica *)
-  window : int;  (** consensus pipeline window of the stack *)
 }
 
 val default_config : config
 (** [n = 3], [shards = 1], [Broadcast] reads, 200 ms lease, 4096
-    sessions, window 4. *)
+    sessions. *)
 
 type read_result = Value of string | Not_ready
 
 val create :
   ?base_port:int ->
   ?dir:string ->
-  ?backend:[ `Files | `Wal ] ->
+  ?backend:[ `Wal ] ->
   ?fsync:Abcast_store.Durable.policy ->
   ?trace_sample:int ->
   ?flight_cap:int ->
@@ -44,20 +43,19 @@ val create :
   ?metrics_out:string ->
   config ->
   t
-(** Build the throughput stack (sharded when [shards > 1]) with the
-    session machines wired in as group app state, and start the live
-    cluster. [dir]/[backend]/[fsync]/[flight_cap]/[metrics_port]/
-    [metrics_interval]/[metrics_out] (JSONL snapshots with size-based
-    rotation) as in
+(** Build the {!Abcast_core.Protocol.throughput} stack (sharded when
+    [shards > 1]) with the session machines wired in as group app
+    state, and start the live cluster. [dir]/[backend]/[fsync]/
+    [flight_cap]/[metrics_port]/[metrics_interval]/[metrics_out] (JSONL
+    snapshots with size-based rotation) as in
     {!Abcast_live.Runtime.create} (the Prometheus dump additionally
     carries this layer's [abcast_service_request_us] per-class
     histograms, labelled [class="write"|"lin"|"stale"] and by shard
-    [group]); [trace_sample] as in
-    {!Abcast_core.Factory.throughput} (every k-th broadcast carries a
-    causal trace id, stamped into each node's flight recorder at every
-    stage — including this layer's submit/ack/lease events).
-    Call {!start} afterwards to begin lease maintenance (read-index
-    mode only). *)
+    [group]); [trace_sample] (default 0, off) is the stack's
+    [trace_sample]: every k-th broadcast carries a causal trace id,
+    stamped into each node's flight recorder at every stage — including
+    this layer's submit/ack/lease events. Call {!start} afterwards to
+    begin lease maintenance (read-index mode only). *)
 
 val start : t -> unit
 (** In read-index mode: claim leadership for the current claimant

@@ -28,6 +28,8 @@ type 'm io = {
   alarm : string -> unit;
       (* safety sentinel tripped (audit divergence): the live runtime
          dumps the flight recorder immediately so the evidence survives *)
+  reorder_apply : bool;
+      (* test-only apply-order fault, armed by [Faults.reorder_apply] *)
 }
 
 let map_io wrap io =
@@ -49,6 +51,7 @@ let map_io wrap io =
     span_end = io.span_end;
     flight = io.flight;
     alarm = io.alarm;
+    reorder_apply = io.reorder_apply;
   }
 
 type 'm behavior = 'm io -> src:int -> 'm -> unit
@@ -205,6 +208,7 @@ let io_of t node =
       (fun reason ->
         Metrics.incr t.metrics ~node:id "alarms";
         Trace.emit t.trace ~time:t.time ~node:id ("ALARM: " ^ reason));
+    reorder_apply = false;
   }
 
 let set_behavior t i f = t.behaviors.(i) <- Some f

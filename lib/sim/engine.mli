@@ -56,6 +56,12 @@ type 'm io = {
           detects a violated invariant (order divergence). The engine
           bumps an ["alarms"] counter and traces; the live runtime also
           dumps the flight recorder immediately so evidence survives. *)
+  reorder_apply : bool;
+      (** test-only fault: the protocol applies this incarnation's first
+          decided multi-stream batch in reversed order, breaking total
+          order on purpose so the audit sentinel can be exercised. Always
+          [false] except in simulator runs that wrap the io with
+          {!Faults.reorder_apply}; the live runtime cannot set it. *)
 }
 
 val map_io : ('a -> 'b) -> 'b io -> 'a io
@@ -85,8 +91,8 @@ val create :
     default {!Net} model. [msg_size] enables per-message byte accounting
     (counter ["net_bytes"]). [storage] overrides how each process's
     stable storage is built (default: memory-only) — pass a factory
-    closing over a directory to run a simulation against the real
-    file-per-key or WAL backends (the backend-equivalence sweep does).
+    closing over a directory to run a simulation against the real WAL
+    (the backend-equivalence sweep does).
     [flight] gives each process a real flight recorder (default:
     {!Flight.disabled}); recorders survive crash/recover like storage. *)
 

@@ -2,17 +2,6 @@ module Durable = Abcast_store.Durable
 module Wal = Abcast_store.Wal
 module Histogram = Abcast_util.Histogram
 
-type files_state = {
-  fdir : string;
-  fpacer : Durable.pacer;
-  (* paths written since the last sync under a batched policy; flushed
-     together so the batched policy means "at most this window is lost",
-     not "whichever file happened to be written last is durable" *)
-  pending : (string, unit) Hashtbl.t;
-  h_file_fsyncs : Metrics.handle;
-  h_fsync_us : Histogram.t;
-}
-
 type wal_state = {
   wal : Wal.t;
   mutable last : Wal.stats;
@@ -24,8 +13,6 @@ type wal_state = {
   h_torn : Metrics.handle;
 }
 
-type persist = P_none | P_files of files_state | P_wal of wal_state
-
 type t = {
   tbl : (string, string) Hashtbl.t;
   metrics : Metrics.t;
@@ -35,39 +22,11 @@ type t = {
          the root store. Sharded stacks give each broadcast group a view
          prefixed ["g<id>/"], so one WAL holds group-tagged records for
          every group and recovers them all in one pass. *)
-  persist : persist;
+  durable : wal_state option; (* [None]: memory only *)
   layer_handles : (string, Metrics.handle * Metrics.handle) Hashtbl.t;
       (* layer -> (log_ops.<layer>, log_bytes.<layer>) — interned so the
          per-write accounting stops concatenating and hashing full names *)
 }
-
-let hex_digits = "0123456789abcdef"
-
-(* One Bytes of the exact final size, two table lookups per input byte —
-   the Printf.sprintf-per-character version this replaces allocated a
-   format interpreter run and an intermediate string per byte and showed
-   up in the file-backed write path (one filename per log write). *)
-let hex_of_key key =
-  let n = String.length key in
-  let out = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code (String.unsafe_get key i) in
-    Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_digits (c lsr 4));
-    Bytes.unsafe_set out ((2 * i) + 1)
-      (String.unsafe_get hex_digits (c land 0xf))
-  done;
-  Bytes.unsafe_to_string out
-
-let key_of_hex hex =
-  let len = String.length hex / 2 in
-  String.init len (fun i -> Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
-
-let read_file file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
 
 (* ---- wal_* counter mirror ----
 
@@ -119,41 +78,10 @@ let wal_state ~metrics ~node wal =
   sync_wal_metrics w;
   w
 
-(* ---- file-per-key durability ---- *)
-
-let files_flush fs =
-  let t0 = Unix.gettimeofday () in
-  Hashtbl.iter (fun path () -> Durable.fsync_path path) fs.pending;
-  Durable.fsync_dir fs.fdir;
-  Histogram.add fs.h_fsync_us ((Unix.gettimeofday () -. t0) *. 1e6);
-  Metrics.hincr fs.h_file_fsyncs;
-  Hashtbl.reset fs.pending;
-  Durable.note_sync fs.fpacer
-
-let files_after_op fs path =
-  match Durable.policy fs.fpacer with
-  | Durable.Always ->
-    (* write_file already synced file + directory *)
-    Metrics.hincr fs.h_file_fsyncs;
-    ignore (Durable.note_op fs.fpacer);
-    Durable.note_sync fs.fpacer
-  | Durable.Never -> ()
-  | Durable.Every _ ->
-    (match path with
-    | Some p -> Hashtbl.replace fs.pending p ()
-    | None -> ());
-    if Durable.note_op fs.fpacer then files_flush fs
-
-let create ?dir ?backend ?(fsync = Durable.Every { ops = 64; ms = 20 })
+let create ?dir ?(fsync = Durable.Every { ops = 64; ms = 20 })
     ?wal_segment_bytes ?wal_compact_min_bytes ?(flight = Flight.disabled)
     ?(flight_now = fun () -> int_of_float (Unix.gettimeofday () *. 1e6))
     ~metrics ~node () =
-  let backend =
-    match (backend, dir) with
-    | Some b, _ -> b
-    | None, Some _ -> `Files
-    | None, None -> `Memory
-  in
   let tbl = Hashtbl.create 32 in
   (* Recovery-timeline instrumentation: how much the boot replayed from
      stable storage and how long it took. The flight event puts the
@@ -168,36 +96,10 @@ let create ?dir ?backend ?(fsync = Durable.Every { ops = 64; ms = 20 })
       Flight.record flight ~time:(flight_now ()) ~node ~group:0 ~boot:0
         ~stage:Flight.replay ~trace:0 ~a:records ~b:us
   in
-  let persist =
-    match (backend, dir) with
-    | `Memory, _ -> P_none
-    | (`Files | `Wal), None ->
-      invalid_arg "Storage.create: file and wal backends need ~dir"
-    | `Files, Some d ->
-      Durable.mkdir_p d;
-      let t0 = Unix.gettimeofday () in
-      let records = ref 0 and bytes = ref 0 in
-      Array.iter
-        (fun name ->
-          if not (Filename.check_suffix name ".tmp") then
-            match key_of_hex name with
-            | key ->
-              let v = read_file (Filename.concat d name) in
-              incr records;
-              bytes := !bytes + String.length v;
-              Hashtbl.replace tbl key v
-            | exception _ -> ())
-        (Sys.readdir d);
-      note_replay ~t0 ~records:!records ~bytes:!bytes;
-      P_files
-        {
-          fdir = d;
-          fpacer = Durable.pacer fsync;
-          pending = Hashtbl.create 8;
-          h_file_fsyncs = Metrics.handle metrics ~node "file_fsyncs";
-          h_fsync_us = Metrics.hist metrics ~node "file_fsync_us";
-        }
-    | `Wal, Some d ->
+  let durable =
+    match dir with
+    | None -> None
+    | Some d ->
       (* Route the WAL's timing tap into the latency histograms before
          the wal exists — [open_] itself reports the `Recover sample. *)
       let h_append = Metrics.hist metrics ~node "wal_append_us"
@@ -232,9 +134,9 @@ let create ?dir ?backend ?(fsync = Durable.Every { ops = 64; ms = 20 })
           bytes := !bytes + String.length key + String.length value;
           Hashtbl.replace tbl key value);
       note_replay ~t0 ~records:!records ~bytes:!bytes;
-      P_wal (wal_state ~metrics ~node wal)
+      Some (wal_state ~metrics ~node wal)
   in
-  { tbl; metrics; node; prefix = ""; persist; layer_handles = Hashtbl.create 4 }
+  { tbl; metrics; node; prefix = ""; durable; layer_handles = Hashtbl.create 4 }
 
 (* A scoped view shares everything — table, backend, pacer, metric
    handles — and only rewrites keys. [sync]/[close]/[wipe]/[wal_stats]
@@ -264,13 +166,9 @@ let write t ~layer ~key v =
   let key = full_key t key in
   account t ~layer (String.length v);
   Hashtbl.replace t.tbl key v;
-  match t.persist with
-  | P_none -> ()
-  | P_files fs ->
-    let path = Filename.concat fs.fdir (hex_of_key key) in
-    Durable.write_file ~fsync:(Durable.policy fs.fpacer = Durable.Always) path v;
-    files_after_op fs (Some path)
-  | P_wal w ->
+  match t.durable with
+  | None -> ()
+  | Some w ->
     Wal.put w.wal key v;
     sync_wal_metrics w
 
@@ -290,16 +188,9 @@ let delete t ~layer key =
   if Hashtbl.mem t.tbl key then begin
     account t ~layer 0;
     Hashtbl.remove t.tbl key;
-    match t.persist with
-    | P_none -> ()
-    | P_files fs ->
-      let path = Filename.concat fs.fdir (hex_of_key key) in
-      (try Sys.remove path with Sys_error _ -> ());
-      Hashtbl.remove fs.pending path;
-      if Durable.policy fs.fpacer = Durable.Always then
-        Durable.fsync_dir fs.fdir;
-      files_after_op fs None
-    | P_wal w ->
+    match t.durable with
+    | None -> ()
+    | Some w ->
       Wal.delete w.wal key;
       sync_wal_metrics w
   end
@@ -324,48 +215,28 @@ let retained_bytes t =
 let retained_keys t = Hashtbl.length t.tbl
 
 let sync t =
-  match t.persist with
-  | P_none -> ()
-  | P_files fs -> files_flush fs
-  | P_wal w ->
+  match t.durable with
+  | None -> ()
+  | Some w ->
     Wal.sync w.wal;
     sync_wal_metrics w
 
 let close t =
-  match t.persist with
-  | P_none -> ()
-  | P_files fs -> if Hashtbl.length fs.pending > 0 then files_flush fs
-  | P_wal w ->
+  match t.durable with
+  | None -> ()
+  | Some w ->
     Wal.close w.wal;
     sync_wal_metrics w
 
-let wal_stats t =
-  match t.persist with
-  | P_wal w -> Some (Wal.stats w.wal)
-  | P_none | P_files _ -> None
+let wal_stats t = Option.map (fun w -> Wal.stats w.wal) t.durable
 
 let disk_bytes t =
-  match t.persist with
-  | P_none -> 0
-  | P_wal w -> Wal.disk_bytes w.wal
-  | P_files fs ->
-    Array.fold_left
-      (fun acc name ->
-        match (Unix.stat (Filename.concat fs.fdir name)).Unix.st_size with
-        | size -> acc + size
-        | exception Unix.Unix_error _ -> acc)
-      0 (Sys.readdir fs.fdir)
+  match t.durable with None -> 0 | Some w -> Wal.disk_bytes w.wal
 
 let wipe t =
-  (match t.persist with
-  | P_none -> ()
-  | P_files fs ->
-    Array.iter
-      (fun name ->
-        try Sys.remove (Filename.concat fs.fdir name) with Sys_error _ -> ())
-      (Sys.readdir fs.fdir);
-    Hashtbl.reset fs.pending
-  | P_wal w ->
+  (match t.durable with
+  | None -> ()
+  | Some w ->
     Wal.wipe w.wal;
     sync_wal_metrics w);
   Hashtbl.reset t.tbl

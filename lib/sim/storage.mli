@@ -8,35 +8,26 @@
     {!Metrics}, plus the currently retained footprint via {!retained_bytes}
     (used for the log-growth experiment E3).
 
-    Reads always hit an in-memory table; what differs per {e backend} is
-    how (and whether) that table is made durable:
+    Reads always hit an in-memory table. Without a directory nothing
+    reaches disk ("stability" is the simulator's promise); with one the
+    table is made durable by the segmented write-ahead log of
+    {!Abcast_store.Wal}: every write/delete is one CRC-guarded append,
+    recovery is a sequential replay with torn-tail truncation, and key
+    deletion (the paper's §5 checkpoint/trim rule) triggers compaction
+    that keeps the on-disk footprint proportional to the live state.
 
-    - [`Memory] — nothing on disk; "stability" is the simulator's promise.
-    - [`Files] — one file per key (hex-encoded name, atomic tmp+rename
-      write, fsync per the policy). Simple, but every write costs a file
-      create+rename and recovery costs one open per key.
-    - [`Wal] — the segmented write-ahead log of {!Abcast_store.Wal}: every
-      write/delete is one CRC-guarded append, recovery is a sequential
-      replay with torn-tail truncation, and key deletion (the paper's §5
-      checkpoint/trim rule) triggers compaction that keeps the on-disk
-      footprint proportional to the live state. This is what the live
-      runtime uses by default.
-
-    Durable backends mirror their sync activity into {!Metrics}:
-    [`Files] counts ["file_fsyncs"] (sync events, each covering the
-    pending batch), [`Wal] mirrors ["wal_appends"], ["wal_fsyncs"],
-    ["wal_segments"], ["wal_compactions"], ["wal_recovered_records"] and
-    ["wal_torn_records"]. Both also feed wall-clock latency histograms
-    (series observed via {!Metrics.hist}): [`Wal] records
+    The WAL mirrors its activity into {!Metrics}: ["wal_appends"],
+    ["wal_fsyncs"], ["wal_segments"], ["wal_compactions"],
+    ["wal_recovered_records"] and ["wal_torn_records"], plus the
+    wall-clock latency histograms (series observed via {!Metrics.hist})
     ["wal_append_us"], ["wal_fsync_us"] and ["wal_recover_us"] (replay
-    cost at open), [`Files] records ["file_fsync_us"] per flush. *)
+    cost at open). *)
 
 type t
 (** Stable storage of one process. *)
 
 val create :
   ?dir:string ->
-  ?backend:[ `Memory | `Files | `Wal ] ->
   ?fsync:Abcast_store.Durable.policy ->
   ?wal_segment_bytes:int ->
   ?wal_compact_min_bytes:int ->
@@ -53,22 +44,18 @@ val create :
     [flight_now ()] µs (default: wall clock) so the live runtime can
     keep flight timestamps on its own run-relative clock.
 
-    [backend] defaults to [`Files] when [dir] is given (compatibility
-    with the original file-per-key store) and [`Memory] otherwise;
-    [`Files] and [`Wal] require [dir] (@raise Invalid_argument without
-    it). [fsync] (default [Every {ops = 64; ms = 20}]) applies to either
-    durable backend. [wal_segment_bytes] / [wal_compact_min_bytes] tune
-    the [`Wal] backend (see {!Abcast_store.Wal.open_}).
-
-    With a durable backend, existing state is loaded/replayed at
-    creation — this is what lets state survive {e real} process
-    restarts in the live runtime. *)
+    With [dir] the store is a WAL in that directory, otherwise memory
+    only. [fsync] (default [Every {ops = 64; ms = 20}]),
+    [wal_segment_bytes] and [wal_compact_min_bytes] tune the WAL (see
+    {!Abcast_store.Wal.open_}). An existing WAL is replayed at creation
+    — this is what lets state survive {e real} process restarts in the
+    live runtime. *)
 
 val scoped : t -> prefix:string -> t
 (** [scoped t ~prefix] is a view of the same physical store that stamps
     [prefix] onto every key it reads or writes ({!keys_with_prefix}
     returns keys with the prefix stripped, so a scoped reader round-trips
-    cleanly). Views share the backend: one WAL/file-set holds the
+    cleanly). Views share the backend: one WAL holds the
     group-tagged records of every view and recovers them all in one
     replay. Whole-store operations ({!sync}, {!close}, {!wipe},
     {!retained_bytes}, {!wal_stats}, the byte accounting) act on the
@@ -111,7 +98,7 @@ val retained_keys : t -> int
 
 val sync : t -> unit
 (** Flush outstanding durability work now (pending batched fsyncs),
-    whatever the policy. No-op for [`Memory]. *)
+    whatever the policy. No-op for a memory store. *)
 
 val close : t -> unit
 (** Release the backend's file descriptors after a final {!sync}. The
@@ -119,20 +106,15 @@ val close : t -> unit
     node's storage when its event loop exits). *)
 
 val wal_stats : t -> Abcast_store.Wal.stats option
-(** The [`Wal] backend's counters ([None] for other backends). *)
+(** The WAL's counters ([None] for a memory store). *)
 
 val disk_bytes : t -> int
-(** On-disk footprint of the backend: WAL segment bytes, or the summed
-    file sizes for [`Files]; 0 for [`Memory]. The quantity a recovering
-    process must read back, and the thing WAL compaction bounds. *)
+(** On-disk footprint: WAL segment bytes, 0 for a memory store. The
+    quantity a recovering process must read back, and the thing WAL
+    compaction bounds. *)
 
 val wipe : t -> unit
 (** Clear everything (test helper; never called by protocols). *)
-
-val hex_of_key : string -> string
-(** Lowercase hex of a key, used for backing-file names. Exposed for
-    benchmarking ({!Bench} compares it against the naive
-    [Printf.sprintf]-per-byte formulation it replaced). *)
 
 (** Typed single-value cell on top of {!t}. Serialization defaults to
     [Marshal] (only instantiate at plain data types, no closures) but a

@@ -1,14 +1,12 @@
 (** Shared durability primitives: fsync policies and crash-safe file
     writes.
 
-    Both stable-storage backends ({!Wal} and the file-per-key store in
-    [Abcast_sim.Storage]) honor the same {!policy}; the helpers here are
-    the single place where the tmp+write+fsync+rename+dirsync dance is
-    spelled out, so the two backends cannot drift apart on what
-    "durable" means. All fsync failures are swallowed (best effort on
-    filesystems that reject fsync, e.g. some tmpfs/CI mounts): the
-    policies trade durability for throughput, they never trade
-    availability. *)
+    The {!Wal} honors a {!policy}; the helpers here are the single place
+    where the tmp+write+fsync+rename+dirsync dance is spelled out (the
+    flight recorder's dumps use it). All fsync failures are swallowed
+    (best effort on filesystems that reject fsync, e.g. some tmpfs/CI
+    mounts): the policies trade durability for throughput, they never
+    trade availability. *)
 
 (** When appends are forced to disk. *)
 type policy =
@@ -28,10 +26,6 @@ val policy_of_string : string -> (policy, string) result
 
 val fsync_fd : Unix.file_descr -> unit
 (** [Unix.fsync], errors swallowed. *)
-
-val fsync_path : string -> unit
-(** Open read-only, fsync, close — used for directory entries whose fd
-    is no longer at hand. Errors swallowed. *)
 
 val fsync_dir : string -> unit
 (** Persist directory metadata (created/renamed/unlinked entries). On

@@ -6,6 +6,8 @@ module Net = Abcast_sim.Net
 module Storage = Abcast_sim.Storage
 module Metrics = Abcast_sim.Metrics
 module Payload = Abcast_core.Payload
+module Protocol = Abcast_core.Protocol
+module Factory = Abcast_core.Factory
 module Cluster = Abcast_harness.Cluster
 module Checks = Abcast_harness.Checks
 module Workload = Abcast_harness.Workload

@@ -1,7 +1,6 @@
 (* Tests for the replicated applications built on the broadcast layer. *)
 
 open Helpers
-module Factory = Abcast_core.Factory
 module Kv = Abcast_apps.Kv
 module Bank = Abcast_apps.Bank
 module Du = Abcast_apps.Deferred_update
@@ -56,9 +55,9 @@ let kv_tests =
     test "kv: replicated run converges under a crash" (fun () ->
         let replicas = Array.make 3 None in
         let stack =
-          Factory.alternative ~checkpoint_period:20_000
+          Factory.make
             ~app_factory:(Kv.Replica.factory (fun i r -> replicas.(i) <- Some r))
-            ()
+            { Protocol.paper_alternative with checkpoint_period = Some 20_000 }
         in
         let cluster = Cluster.create stack ~seed:41 ~n:3 () in
         for j = 0 to 29 do
@@ -114,9 +113,9 @@ let bank_tests =
     test "bank: replicated totals conserved under faults" (fun () ->
         let replicas = Array.make 3 None in
         let stack =
-          Factory.alternative ~checkpoint_period:25_000
+          Factory.make
             ~app_factory:(Bank.Replica.factory (fun i r -> replicas.(i) <- Some r))
-            ()
+            { Protocol.paper_alternative with checkpoint_period = Some 25_000 }
         in
         let cluster = Cluster.create stack ~seed:43 ~n:3 () in
         let rng = Rng.create 17 in
@@ -220,7 +219,7 @@ let du_tests =
     test "deferred-update: end-to-end over the broadcast stack" (fun () ->
         let dbs = Array.init 3 (fun _ -> Du.create ()) in
         (* Use the basic stack and feed every replica from deliveries. *)
-        let stack = Factory.basic () in
+        let stack = Factory.make Protocol.paper_basic in
         let cluster = Cluster.create stack ~seed:44 ~n:3 () in
         (* replicas fed by polling delivered tails at the end (total order
            makes replay equivalent); conflicting txns from 2 clients *)
@@ -265,7 +264,7 @@ let cfa_tests =
         Alcotest.(check (option string)) "x" (Some "1") (Cfa.decision c ~instance:"x");
         Alcotest.(check (option string)) "y" (Some "2") (Cfa.decision c ~instance:"y"));
     test "consensus-from-abcast: agreement over the real stack (§6.1)" (fun () ->
-        let stack = Factory.basic () in
+        let stack = Factory.make Protocol.paper_basic in
         let cluster = Cluster.create stack ~seed:45 ~n:3 () in
         (* all three propose concurrently for the same instance *)
         for i = 0 to 2 do
@@ -327,7 +326,7 @@ let mc_tests =
         let membership = [| [ 0 ]; [ 0; 1 ]; [ 1 ]; [ 1 ] |] in
         let views = Array.map (fun gs -> Mc.create ~member_of:gs) membership in
         let cluster =
-          Cluster.create (Abcast_core.Factory.basic ()) ~seed:90 ~n:4 ()
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:90 ~n:4 ()
         in
         let send at node dst body =
           Cluster.at cluster at (fun () ->

@@ -77,7 +77,7 @@ let ct_tests =
           Metrics.sum (Cluster.metrics cluster) "msgs_sent"
         in
         Alcotest.(check int) "equal" (msgs_of (Ct.stack ()))
-          (msgs_of (Abcast_core.Factory.basic ())));
+          (msgs_of (Factory.make Protocol.paper_basic)));
     test "ct-stop: crash-stop minority failure tolerated" (fun () ->
         let cluster = Cluster.create (Ct.stack ()) ~seed:53 ~n:3 () in
         Cluster.at cluster 500 (fun () -> Cluster.crash cluster 2);

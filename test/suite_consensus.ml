@@ -383,7 +383,8 @@ let pipelined_adversarial_tests =
           (fun seed ->
             ignore
               (Suite_faults.episode
-                 ~stack:(Factory.alternative ~window:4 ())
+                 ~stack:(Factory.make
+                           { Protocol.paper_alternative with window = 4 })
                  ~seed ~n:5 ~n_bad:2 ()))
           [ 1101; 1102; 1103 ]);
     slow_test "E9 adversarial schedules with window=8 + ring" (fun () ->
@@ -392,13 +393,18 @@ let pipelined_adversarial_tests =
             ignore
               (Suite_faults.episode
                  ~stack:
-                   (Factory.alternative ~window:8 ~dissemination:`Ring ())
+                   (Factory.make
+                      {
+                        Protocol.paper_alternative with
+                        window = 8;
+                        dissemination = `Ring;
+                      })
                  ~seed ~n:5 ~n_bad:2 ()))
           [ 2201; 2202; 2203 ]);
     slow_test "E9 partition churn over the throughput preset" (fun () ->
         ignore
           (Suite_faults.episode ~partition_churn:true
-             ~stack:(Factory.throughput ())
+             ~stack:(Factory.make Protocol.throughput)
              ~seed:3301 ~n:5 ~n_bad:1 ()));
   ]
 

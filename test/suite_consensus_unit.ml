@@ -43,6 +43,7 @@ let probe ?(self = 0) ?(n = 3) () =
       span_end = (fun ~stage:_ _ -> ());
       flight = Abcast_sim.Flight.disabled;
       alarm = ignore;
+      reorder_apply = false;
     }
   in
   { io; sent; timers; store }

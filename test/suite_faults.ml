@@ -2,8 +2,9 @@
    plans with the four properties checked over good processes. *)
 
 open Helpers
-module Factory = Abcast_core.Factory
 module Faults = Abcast_sim.Faults
+
+let basic = Factory.make Protocol.paper_basic
 
 (* One randomized episode: build a plan, pump a workload from whichever
    processes are up, run past the stability horizon, check properties. *)
@@ -79,7 +80,7 @@ let fixed_seed_tests =
       [
         slow_test
           (Printf.sprintf "basic survives adversarial schedule (seed %d)" seed)
-          (fun () -> ignore (episode ~stack:(Factory.basic ()) ~seed ~n:3 ~n_bad:0 ()));
+          (fun () -> ignore (episode ~stack:basic ~seed ~n:3 ~n_bad:0 ()));
       ])
     [ 101; 202; 303; 404 ]
 
@@ -89,14 +90,19 @@ let bad_process_tests =
       [
         slow_test
           (Printf.sprintf "basic tolerates a bad process (seed %d)" seed)
-          (fun () -> ignore (episode ~stack:(Factory.basic ()) ~seed ~n:3 ~n_bad:1 ()));
+          (fun () -> ignore (episode ~stack:basic ~seed ~n:3 ~n_bad:1 ()));
         slow_test
           (Printf.sprintf "alternative tolerates a bad process (seed %d)" seed)
           (fun () ->
             ignore
               (episode
                  ~stack:
-                   (Factory.alternative ~checkpoint_period:20_000 ~delta:3 ())
+                   (Factory.make
+                      {
+                        Protocol.paper_alternative with
+                        checkpoint_period = Some 20_000;
+                        delta = Some 3;
+                      })
                  ~seed ~n:3 ~n_bad:1 ()));
       ])
     [ 555; 666 ]
@@ -104,25 +110,36 @@ let bad_process_tests =
 let five_node_tests =
   [
     slow_test "n=5 with 2 bad processes (basic)" (fun () ->
-        ignore (episode ~stack:(Factory.basic ()) ~seed:808 ~n:5 ~n_bad:2 ()));
+        ignore (episode ~stack:basic ~seed:808 ~n:5 ~n_bad:2 ()));
     slow_test "n=5 with 2 bad processes (alternative)" (fun () ->
         ignore
           (episode
-             ~stack:(Factory.alternative ~checkpoint_period:25_000 ~delta:4 ())
+             ~stack:(Factory.make
+                       {
+                         Protocol.paper_alternative with
+                         checkpoint_period = Some 25_000;
+                         delta = Some 4;
+                       })
              ~seed:909 ~n:5 ~n_bad:2 ()));
     slow_test "partition churn + crashes (basic)" (fun () ->
         ignore
-          (episode ~partition_churn:true ~stack:(Factory.basic ()) ~seed:1201
+          (episode ~partition_churn:true ~stack:basic ~seed:1201
              ~n:3 ~n_bad:1 ()));
     slow_test "partition churn + crashes (alternative)" (fun () ->
         ignore
           (episode ~partition_churn:true
-             ~stack:(Factory.alternative ~checkpoint_period:25_000 ~delta:3 ())
+             ~stack:(Factory.make
+                       {
+                         Protocol.paper_alternative with
+                         checkpoint_period = Some 25_000;
+                         delta = Some 3;
+                       })
              ~seed:1301 ~n:3 ~n_bad:1 ()));
     slow_test "partition churn + crashes (window=4)" (fun () ->
         ignore
           (episode ~partition_churn:true
-             ~stack:(Factory.alternative ~window:4 ())
+             ~stack:(Factory.make
+                       { Protocol.paper_alternative with window = 4 })
              ~seed:1401 ~n:3 ~n_bad:1 ()));
   ]
 
@@ -135,10 +152,16 @@ let kitchen_sink_tests =
         let replicas = Array.make 3 None in
         let module R = Abcast_apps.Kv.Replica in
         let stack =
-          Factory.alternative ~window:3 ~checkpoint_period:20_000 ~delta:3
-            ~early_return:true ~incremental:true
+          Factory.make
             ~app_factory:(R.factory (fun i r -> replicas.(i) <- Some r))
-            ()
+            {
+              Protocol.paper_alternative with
+              window = 3;
+              checkpoint_period = Some 20_000;
+              delta = Some 3;
+              early_return = true;
+              incremental = true;
+            }
         in
         let cluster =
           episode ~partition_churn:true ~compacted:true ~stack ~seed:4242 ~n:3
@@ -164,7 +187,7 @@ let random_props =
       ~count:12
       QCheck.(int_range 1 100_000)
       (fun seed ->
-        ignore (episode ~stack:(Factory.basic ()) ~seed ~n:3 ~n_bad:1 ());
+        ignore (episode ~stack:basic ~seed ~n:3 ~n_bad:1 ());
         true);
     QCheck.Test.make
       ~name:"E9: alternative protocol under random schedules" ~count:9
@@ -172,7 +195,12 @@ let random_props =
       (fun seed ->
         ignore
           (episode
-             ~stack:(Factory.alternative ~checkpoint_period:30_000 ~delta:5 ())
+             ~stack:(Factory.make
+                       {
+                         Protocol.paper_alternative with
+                         checkpoint_period = Some 30_000;
+                         delta = Some 5;
+                       })
              ~seed ~n:3 ~n_bad:1 ());
         true);
   ]

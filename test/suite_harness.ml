@@ -87,7 +87,7 @@ let workload_tests =
           p);
     test "open_loop schedules roughly stop-start/gap broadcasts" (fun () ->
         let cluster =
-          Cluster.create (Abcast_core.Factory.basic ()) ~seed:5 ~n:3 ()
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:5 ~n:3 ()
         in
         let rng = Rng.create 6 in
         let count =
@@ -100,7 +100,7 @@ let workload_tests =
           (count >= 60 && count <= 160));
     test "closed_loop issues exactly total broadcasts" (fun () ->
         let cluster =
-          Cluster.create (Abcast_core.Factory.basic ()) ~seed:7 ~n:3 ()
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:7 ~n:3 ()
         in
         let rng = Rng.create 8 in
         Workload.closed_loop cluster ~rng ~node:0 ~total:10 ();
@@ -114,7 +114,7 @@ let cluster_tests =
   [
     test "broadcast on a down node returns None" (fun () ->
         let cluster =
-          Cluster.create (Abcast_core.Factory.basic ()) ~seed:9 ~n:3 ()
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:9 ~n:3 ()
         in
         Cluster.crash cluster 1;
         Alcotest.(check bool) "none" true
@@ -123,7 +123,7 @@ let cluster_tests =
           (Cluster.broadcast cluster ~node:0 "x" <> None));
     test "sent tracks completion" (fun () ->
         let cluster =
-          Cluster.create (Abcast_core.Factory.basic ()) ~seed:10 ~n:3 ()
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:10 ~n:3 ()
         in
         ignore (Cluster.broadcast cluster ~node:0 "x");
         (match Cluster.sent cluster with
@@ -134,18 +134,21 @@ let cluster_tests =
         | [ (_, completed) ] -> Alcotest.(check bool) "completed" true completed
         | _ -> Alcotest.fail "one record expected");
     test "broadcast_blocks reflects the stack" (fun () ->
-        let b = Cluster.create (Abcast_core.Factory.basic ()) ~seed:11 ~n:3 () in
+        let b =
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:11 ~n:3 ()
+        in
         Alcotest.(check bool) "basic blocks" true (Cluster.broadcast_blocks b);
         let a =
           Cluster.create
-            (Abcast_core.Factory.alternative ~early_return:true ())
+            (Factory.make
+               { Protocol.paper_alternative with early_return = true })
             ~seed:11 ~n:3 ()
         in
         Alcotest.(check bool) "early return does not" false
           (Cluster.broadcast_blocks a));
     test "ever_delivered accumulates across crashes" (fun () ->
         let cluster =
-          Cluster.create (Abcast_core.Factory.basic ()) ~seed:12 ~n:3 ()
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:12 ~n:3 ()
         in
         ignore (Cluster.broadcast cluster ~node:0 "x");
         Cluster.run cluster ~until:5_000_000;

@@ -4,7 +4,6 @@
 
 open Helpers
 module Lemmas = Abcast_harness.Lemmas
-module Factory = Abcast_core.Factory
 module Keys = Abcast_consensus.Consensus_intf.Keys
 
 let healthy_run stack =
@@ -28,13 +27,18 @@ let healthy_run stack =
 let tests =
   [
     test "healthy basic run: no lemma violations" (fun () ->
-        let _, lemmas = healthy_run (Factory.basic ()) in
+        let _, lemmas = healthy_run (Factory.make Protocol.paper_basic) in
         check_ok "P1-P5" (Lemmas.report lemmas);
         check_ok "P3" (Lemmas.check_converged lemmas ~good:[ 0; 1; 2 ]));
     test "healthy alternative run with crash: no lemma violations" (fun () ->
         let cluster =
           Cluster.create
-            (Factory.alternative ~checkpoint_period:15_000 ~delta:3 ())
+            (Factory.make
+               {
+                 Protocol.paper_alternative with
+                 checkpoint_period = Some 15_000;
+                 delta = Some 3;
+               })
             ~seed:83 ~n:3 ()
         in
         let lemmas = Lemmas.attach cluster ~period:3_000 () in
@@ -56,7 +60,7 @@ let tests =
           (Lemmas.report lemmas);
         check_ok "P3" (Lemmas.check_converged lemmas ~good:[ 0; 1; 2 ]));
     test "monitor catches a mutated proposal (anti-P4)" (fun () ->
-        let cluster, lemmas = healthy_run (Factory.basic ()) in
+        let cluster, lemmas = healthy_run (Factory.make Protocol.paper_basic) in
         check_ok "pre-corruption" (Lemmas.report lemmas);
         Alcotest.(check bool) "proposal exists" true
           (Cluster.read_storage cluster 0 (Keys.proposal 0) <> None);
@@ -70,13 +74,13 @@ let tests =
             (Astring.String.is_infix ~affix:"proposal" v)
         | [] -> Alcotest.fail "no violation recorded"));
     test "monitor catches a mutated decision (anti-P5)" (fun () ->
-        let cluster, lemmas = healthy_run (Factory.basic ()) in
+        let cluster, lemmas = healthy_run (Factory.make Protocol.paper_basic) in
         Cluster.corrupt_storage cluster 1 ~key:(Keys.decision 0) "forged";
         Lemmas.sample_now lemmas;
         Alcotest.(check bool) "detected" true
           (Result.is_error (Lemmas.report lemmas)));
     test "monitor catches divergent decisions (anti-agreement)" (fun () ->
-        let cluster, lemmas = healthy_run (Factory.basic ()) in
+        let cluster, lemmas = healthy_run (Factory.make Protocol.paper_basic) in
         (* forge a decision for a brand-new instance at two processes *)
         Cluster.corrupt_storage cluster 0 ~key:(Keys.decision 999) "alpha";
         Cluster.corrupt_storage cluster 1 ~key:(Keys.decision 999) "beta";
@@ -86,7 +90,11 @@ let tests =
     test "monitor catches a rewound checkpoint (anti-P1/P2)" (fun () ->
         let cluster =
           Cluster.create
-            (Factory.alternative ~checkpoint_period:10_000 ())
+            (Factory.make
+               {
+                 Protocol.paper_alternative with
+                 checkpoint_period = Some 10_000;
+               })
             ~seed:85 ~n:3 ()
         in
         let lemmas = Lemmas.attach cluster ~period:2_000 () in
@@ -104,7 +112,7 @@ let tests =
         check_ok "pre" (Lemmas.report lemmas);
         (* rewind the checkpoint round to 0 *)
         Cluster.corrupt_storage cluster 0 ~key:"ab/checkpoint"
-          (Abcast_core.Protocol.encode_checkpoint
+          (Protocol.encode_checkpoint
              (0, Abcast_core.Agreed.snapshot (Abcast_core.Agreed.create ())));
         Lemmas.sample_now lemmas;
         Alcotest.(check bool) "detected" true

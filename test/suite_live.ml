@@ -5,7 +5,8 @@
 
 open Helpers
 module Live = Abcast_live.Runtime
-module Factory = Abcast_core.Factory
+
+let basic = Factory.make Protocol.paper_basic
 
 let fresh_dir =
   let counter = ref 0 in
@@ -41,7 +42,7 @@ let await ?(timeout = 15.0) pred =
 let tests =
   [
     slow_test "live: total order over real UDP" (fun () ->
-        with_live ~base_port:7411 (Factory.basic ()) (fun live ->
+        with_live ~base_port:7411 basic (fun live ->
             for j = 0 to 4 do
               Live.broadcast live ~node:(j mod 3) (Printf.sprintf "m%d" j)
             done;
@@ -54,7 +55,7 @@ let tests =
             Alcotest.(check (list string)) "1=2" (seq 1) (seq 2);
             Alcotest.(check int) "five messages" 5 (List.length (seq 0))));
     slow_test "live: majority continues while a process is down" (fun () ->
-        with_live ~base_port:7421 (Factory.basic ()) (fun live ->
+        with_live ~base_port:7421 basic (fun live ->
             Live.crash live 2;
             Alcotest.(check bool) "down" false (Live.is_up live 2);
             for j = 0 to 3 do
@@ -66,7 +67,7 @@ let tests =
             Alcotest.(check bool) "survivors deliver" true (await done_)));
     slow_test "live: real crash-recovery from files" (fun () ->
         let dir = fresh_dir () in
-        with_live ~dir ~base_port:7431 (Factory.basic ()) (fun live ->
+        with_live ~dir ~base_port:7431 basic (fun live ->
             for j = 0 to 3 do
               Live.broadcast live ~node:(j mod 3) (Printf.sprintf "a%d" j)
             done;
@@ -96,8 +97,13 @@ let tests =
     slow_test "live: alternative protocol with state transfer" (fun () ->
         let dir = fresh_dir () in
         let stack =
-          Factory.alternative ~checkpoint_period:100_000 ~delta:2
-            ~early_return:true ()
+          Factory.make
+            {
+              Protocol.paper_alternative with
+              checkpoint_period = Some 100_000;
+              delta = Some 2;
+              early_return = true;
+            }
         in
         with_live ~dir ~base_port:7441 stack (fun live ->
             Live.crash live 2;
@@ -121,7 +127,7 @@ let tests =
            heap at all — the regression this guards is any per-send
            [Bytes]/closure allocation creeping back into [Wire] or the
            message writers. *)
-        let module P = Abcast_core.Protocol.Make (Abcast_consensus.Paxos) in
+        let module P = Protocol.Make (Abcast_consensus.Paxos) in
         let module Wire = Abcast_util.Wire in
         let payloads =
           List.init 8 (fun i ->
@@ -152,7 +158,7 @@ let tests =
         if per_send > 0.01 then
           Alcotest.failf "send allocates %.3f minor words" per_send);
     slow_test "live: ring dissemination with a pipelined window" (fun () ->
-        let stack = Factory.throughput ~window:4 () in
+        let stack = Factory.make { Protocol.throughput with window = 4 } in
         with_live ~base_port:7461 stack (fun live ->
             for j = 0 to 19 do
               Live.broadcast live ~node:(j mod 3) (Printf.sprintf "r%d" j)
@@ -167,7 +173,7 @@ let tests =
             Alcotest.(check (list string)) "0=1" (seq 0) (seq 1);
             Alcotest.(check (list string)) "1=2" (seq 1) (seq 2)));
     slow_test "live: lifecycle robustness" (fun () ->
-        with_live ~base_port:7451 (Factory.basic ()) (fun live ->
+        with_live ~base_port:7451 basic (fun live ->
             Alcotest.(check int) "n" 3 (Live.n live);
             Alcotest.(check bool) "up" true (Live.is_up live 0);
             (* crash is idempotent; ops on a down node degrade gracefully *)

@@ -6,7 +6,6 @@ open Helpers
 module Histogram = Abcast_util.Histogram
 module Trace = Abcast_sim.Trace
 module Flight = Abcast_sim.Flight
-module Factory = Abcast_core.Factory
 module Durable = Abcast_store.Durable
 module Live = Abcast_live.Runtime
 
@@ -274,7 +273,8 @@ let trace_tests =
       (fun () ->
         let trace = Trace.create ~enabled:true () in
         let cluster =
-          Cluster.create (Factory.basic ()) ~seed:11 ~n:3 ~trace ()
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:11 ~n:3
+            ~trace ()
         in
         let rng = Rng.create 99 in
         let count =
@@ -363,10 +363,11 @@ let stage_tests =
             let storage ~metrics ~node =
               Storage.create
                 ~dir:(Filename.concat base (Printf.sprintf "n%d" node))
-                ~backend:`Wal ~fsync:Durable.Always ~metrics ~node ()
+                ~fsync:Durable.Always ~metrics ~node ()
             in
             let cluster =
-              Cluster.create (Factory.basic ()) ~seed:5 ~n:3 ~storage ()
+              Cluster.create (Factory.make Protocol.paper_basic) ~seed:5 ~n:3
+                ~storage ()
             in
             let rng = Rng.create 55 in
             let count =
@@ -459,7 +460,7 @@ let live_tests =
       (fun () ->
         let port = 7461 and mport = 9461 in
         match
-          Live.create (Factory.basic ()) ~n:3 ~base_port:port
+          Live.create (Factory.make Protocol.paper_basic) ~n:3 ~base_port:port
             ~metrics_port:mport ()
         with
         | exception Unix.Unix_error (err, _, _) ->
@@ -718,6 +719,33 @@ let doctor_tests =
           (List.exists
              (fun a -> a.Doctor.code = "dedup-violation")
              r.Doctor.anomalies));
+    test "doctor: lease-overlap excuses a state-transfer jump" (fun () ->
+        (* node 2 observes Claim(0) then a Lease renewal for node 1; only
+           a state-transfer jump in between (which adopted node 1's Claim
+           without applying it) makes that legitimate *)
+        let observe ~jump =
+          healthy_cluster
+            ~extra:(fun i fl ->
+              if i = 2 then begin
+                let rec_ ~time ~stage ~a ~b =
+                  Flight.record fl ~time ~node:2 ~group:0 ~boot:1 ~stage
+                    ~trace:0 ~a ~b
+                in
+                rec_ ~time:1200 ~stage:Flight.lease ~a:0 ~b:3;
+                if jump then rec_ ~time:1300 ~stage:Flight.stjump ~a:3 ~b:9;
+                rec_ ~time:1400 ~stage:Flight.lease ~a:1 ~b:1
+              end)
+            ()
+        in
+        let overlaps fls =
+          List.filter
+            (fun a -> a.Doctor.code = "lease-overlap")
+            (analyze_cluster fls).Doctor.anomalies
+        in
+        Alcotest.(check int) "jump excuses the new holder" 0
+          (List.length (overlaps (observe ~jump:true)));
+        Alcotest.(check int) "no jump: flagged" 1
+          (List.length (overlaps (observe ~jump:false))));
     test "doctor: errors on a directory with no dumps" (fun () ->
         with_dir (fun base ->
             match Doctor.analyze ~dir:base () with
@@ -774,10 +802,10 @@ let audit_tests =
            must catch via the piggybacked order certificates *)
         let cluster =
           Cluster.create
-            (Factory.alternative ~fault_reorder_node:1 ())
+            (Factory.make Protocol.paper_alternative)
             ~seed:42 ~n:3
             ~flight:(fun ~node:_ -> Flight.create ~cap:8192 ())
-            ()
+            ~reorder_apply:1 ()
         in
         let rng = Rng.create 4242 in
         let count =
@@ -826,7 +854,7 @@ let audit_tests =
                    r.Doctor.anomalies)));
     test "sentinel: a healthy run keeps every chain agreeing" (fun () ->
         let cluster =
-          Cluster.create (Factory.alternative ()) ~seed:43 ~n:3
+          Cluster.create (Factory.make Protocol.paper_alternative) ~seed:43 ~n:3
             ~flight:(fun ~node:_ -> Flight.create ~cap:8192 ())
             ()
         in

@@ -2,10 +2,9 @@
    alternative) against the paper's properties and mechanisms. *)
 
 open Helpers
-module Factory = Abcast_core.Factory
 module Proto = Abcast_core.Proto
 
-let basic = Factory.basic ()
+let basic = Factory.make Protocol.paper_basic
 
 let basic_tests =
   [
@@ -18,7 +17,9 @@ let basic_tests =
         let net = Net.create ~loss:0.15 ~dup:0.1 () in
         ignore (run_workload ~seed:3 ~msgs:20 ~net ~until:60_000_000 basic));
     test "basic: coord consensus black box" (fun () ->
-        ignore (run_workload ~seed:4 ~msgs:20 (Factory.basic ~consensus:`Coord ())));
+        ignore
+          (run_workload ~seed:4 ~msgs:20
+             (Factory.make ~consensus:`Coord Protocol.paper_basic)));
     test "basic: idle cluster runs no consensus (§4.2)" (fun () ->
         let cluster = Cluster.create basic ~seed:5 ~n:3 () in
         Cluster.run cluster ~until:500_000;
@@ -123,19 +124,21 @@ let basic_tests =
         check_ok "props" (Checks.all ~cluster ~good:[ 0; 1; 2 ] ()));
   ]
 
-let alt ?checkpoint_period ?delta ?early_return ?incremental () =
-  Factory.alternative ?checkpoint_period ?delta ?early_return ?incremental ()
-
 let alternative_tests =
   [
     test "alt: total order, default config" (fun () ->
-        ignore (run_workload ~seed:20 ~msgs:30 (alt ())));
+        ignore
+          (run_workload ~seed:20 ~msgs:30
+             (Factory.make Protocol.paper_alternative)));
     test "alt: coord consensus" (fun () ->
         ignore
-          (run_workload ~seed:21 ~msgs:20 (Factory.alternative ~consensus:`Coord ())));
+          (run_workload ~seed:21 ~msgs:20
+             (Factory.make ~consensus:`Coord Protocol.paper_alternative)));
     test "alt: early-return broadcast survives an origin crash (§5.4)" (fun () ->
         let cluster =
-          Cluster.create (alt ~early_return:true ()) ~seed:22 ~n:3 ()
+          Cluster.create
+            (Factory.make { Protocol.paper_alternative with early_return = true })
+            ~seed:22 ~n:3 ()
         in
         (* Partition the origin first so nothing escapes by gossip; the
            logged Unordered set is the only way the message survives. *)
@@ -169,7 +172,10 @@ let alternative_tests =
         check_ok "props (loss is allowed: never completed)"
           (Checks.all ~cluster ~good:[ 0; 1; 2 ] ()));
     test "alt: checkpoints shorten replay (§5.1)" (fun () ->
-        let stack = alt ~checkpoint_period:10_000 () in
+        let stack =
+          Factory.make
+            { Protocol.paper_alternative with checkpoint_period = Some 10_000 }
+        in
         let cluster, _ = run_workload ~seed:23 ~msgs:30 ~until:30_000_000 stack in
         Cluster.run cluster ~until:(Cluster.now cluster + 50_000);
         Cluster.crash cluster 1;
@@ -182,7 +188,14 @@ let alternative_tests =
           true
           (replayed < rounds / 2));
     test "alt: state transfer rescues a long-gone node (§5.3)" (fun () ->
-        let stack = alt ~delta:3 ~checkpoint_period:15_000 () in
+        let stack =
+          Factory.make
+            {
+              Protocol.paper_alternative with
+              delta = Some 3;
+              checkpoint_period = Some 15_000;
+            }
+        in
         let cluster = Cluster.create stack ~seed:24 ~n:3 () in
         Cluster.at cluster 2_000 (fun () -> Cluster.crash cluster 2);
         let rng = Rng.create 5 in
@@ -201,15 +214,27 @@ let alternative_tests =
           (Metrics.sum (Cluster.metrics cluster) "state_transfers_applied" >= 1);
         check_ok "props" (Checks.all ~cluster ~good:[ 0; 1; 2 ] ()));
     test "alt: small lag stays below delta (no state transfer)" (fun () ->
-        let stack = alt ~delta:1_000 ~checkpoint_period:1_000_000 () in
+        let stack =
+          Factory.make
+            {
+              Protocol.paper_alternative with
+              delta = Some 1_000;
+              checkpoint_period = Some 1_000_000;
+            }
+        in
         let cluster, _ = run_workload ~seed:25 ~msgs:20 stack in
         Alcotest.(check int) "no transfers" 0
           (Metrics.sum (Cluster.metrics cluster) "state_transfers_applied"));
     test "alt: trimmed state transfer ships fewer bytes (§5.3 optim.)" (fun () ->
         let bytes_of trim_state =
           let stack =
-            Factory.alternative ~delta:3 ~checkpoint_period:1_000_000
-              ~trim_state ()
+            Factory.make
+              {
+                Protocol.paper_alternative with
+                delta = Some 3;
+                checkpoint_period = Some 1_000_000;
+                trim_state;
+              }
           in
           let cluster = Cluster.create stack ~seed:95 ~n:3 () in
           let rng = Rng.create 96 in
@@ -237,7 +262,14 @@ let alternative_tests =
           (trimmed < full));
     test "alt: incremental logging writes fewer bytes than full (§5.5)" (fun () ->
         let bytes_of incremental =
-          let stack = alt ~early_return:true ~incremental () in
+          let stack =
+            Factory.make
+              {
+                Protocol.paper_alternative with
+                early_return = true;
+                incremental;
+              }
+          in
           let cluster, _ = run_workload ~seed:26 ~msgs:30 stack in
           Metrics.sum_prefix (Cluster.metrics cluster) "log_bytes.abcast"
         in
@@ -250,7 +282,7 @@ let alternative_tests =
           let cluster, _ = run_workload ~seed:27 ~msgs:20 stack in
           Metrics.sum_prefix (Cluster.metrics cluster) "log_ops.abcast"
         in
-        let naive = ops_of (Factory.naive ()) in
+        let naive = ops_of (Factory.make Protocol.naive) in
         let minimal = ops_of basic in
         Alcotest.(check int) "basic is zero" 0 minimal;
         (* per-round checkpoints + per-broadcast Unordered re-logs: at
@@ -262,9 +294,9 @@ let alternative_tests =
         let replicas = Array.make 3 None in
         let module R = Abcast_apps.Kv.Replica in
         let stack =
-          Factory.alternative ~checkpoint_period:10_000
+          Factory.make
             ~app_factory:(R.factory (fun i r -> replicas.(i) <- Some r))
-            ()
+            { Protocol.paper_alternative with checkpoint_period = Some 10_000 }
         in
         let cluster = Cluster.create stack ~seed:28 ~n:3 () in
         let rng = Rng.create 12 in
@@ -304,9 +336,9 @@ let alternative_tests =
         let replicas = Array.make 3 None in
         let module R = Abcast_apps.Kv.Replica in
         let stack =
-          Factory.alternative ~checkpoint_period:8_000
+          Factory.make
             ~app_factory:(R.factory (fun i r -> replicas.(i) <- Some r))
-            ()
+            { Protocol.paper_alternative with checkpoint_period = Some 8_000 }
         in
         let cluster = Cluster.create stack ~seed:29 ~n:3 () in
         for j = 0 to 29 do
@@ -337,13 +369,21 @@ let window_tests =
     test "window=4: total order and properties hold" (fun () ->
         ignore
           (run_workload ~seed:60 ~msgs:40
-             (Factory.alternative ~window:4 ())));
+             (Factory.make { Protocol.paper_alternative with window = 4 })));
     test "window=4: coord consensus" (fun () ->
         ignore
           (run_workload ~seed:61 ~msgs:25
-             (Factory.alternative ~window:4 ~consensus:`Coord ())));
+             (Factory.make ~consensus:`Coord
+                { Protocol.paper_alternative with window = 4 })));
     test "window=4: lossy network, crash and recovery" (fun () ->
-        let stack = Factory.alternative ~window:4 ~checkpoint_period:30_000 () in
+        let stack =
+          Factory.make
+            {
+              Protocol.paper_alternative with
+              window = 4;
+              checkpoint_period = Some 30_000;
+            }
+        in
         let net = Net.create ~loss:0.1 () in
         let cluster = Cluster.create stack ~seed:62 ~n:3 ~net () in
         let rng = Rng.create 63 in
@@ -365,8 +405,13 @@ let window_tests =
            then crash it before they decide; recovery must re-propose all
            of them (P4) and lose nothing that was logged *)
         let stack =
-          Factory.alternative ~window:4 ~early_return:true
-            ~checkpoint_period:1_000_000 ()
+          Factory.make
+            {
+              Protocol.paper_alternative with
+              window = 4;
+              early_return = true;
+              checkpoint_period = Some 1_000_000;
+            }
         in
         let cluster = Cluster.create stack ~seed:64 ~n:3 () in
         let net = Cluster.net cluster in
@@ -390,7 +435,9 @@ let window_tests =
         (* heavy concurrent load from all nodes; any FIFO violation makes
            Vclock.add raise inside the protocol, so quiescing cleanly plus
            the prefix check is the assertion *)
-        let stack = Factory.alternative ~window:4 () in
+        let stack =
+          Factory.make { Protocol.paper_alternative with window = 4 }
+        in
         let cluster = Cluster.create stack ~seed:65 ~n:3 () in
         let rng = Rng.create 66 in
         let count =
@@ -408,20 +455,48 @@ let window_tests =
         (* same seed, window=1 vs the basic-protocol trigger shape: the
            alternative with window=1 opens at most one instance beyond
            delivered rounds *)
-        let stack = Factory.alternative ~window:1 () in
+        let stack =
+          Factory.make { Protocol.paper_alternative with window = 1 }
+        in
         let cluster, _ = run_workload ~seed:67 ~msgs:20 stack in
         ignore cluster);
     test "window: invalid value rejected" (fun () ->
+        (* one row per field [Protocol.validate] guards *)
         let module P = Abcast_core.Stacks.Over_paxos in
+        let c = Protocol.paper_alternative in
+        let rejected =
+          [
+            ("window must be >= 1", { c with window = 0 });
+            ("gossip_full_every must be >= 1", { c with gossip_full_every = 0 });
+            ("need_cap must be >= 0", { c with need_cap = -1 });
+            ("trace_sample must be >= 0", { c with trace_sample = -1 });
+            ("audit_every must be >= 0", { c with audit_every = -1 });
+          ]
+        in
         let eng = Engine.create ~seed:1 ~n:1 () in
         Engine.set_behavior eng 0 (fun io ->
-            Alcotest.check_raises "window=0"
-              (Invalid_argument "Alternative.create: window must be >= 1")
-              (fun () ->
-                ignore
-                  (P.Alternative.create ~window:0 io ~on_deliver:(fun _ -> ())));
+            List.iter
+              (fun (what, cfg) ->
+                Alcotest.check_raises what
+                  (Invalid_argument ("Protocol.config: " ^ what))
+                  (fun () -> ignore (P.create cfg io ~on_deliver:ignore)))
+              rejected;
             fun ~src:_ _ -> ());
         Engine.start eng 0);
+    test "presets derive the stack names bench rows are keyed on" (fun () ->
+        List.iter
+          (fun (cfg, variant) ->
+            List.iter
+              (fun (consensus, cname) ->
+                Alcotest.(check string) variant (variant ^ "/" ^ cname)
+                  (Abcast_core.Proto.name (Factory.make ~consensus cfg)))
+              [ (`Paxos, "paxos"); (`Coord, "coord") ])
+          [
+            (Protocol.paper_basic, "basic");
+            (Protocol.paper_alternative, "alt");
+            (Protocol.naive, "naive");
+            (Protocol.throughput, "alt+ring");
+          ]);
   ]
 
 (* Delivery latency should be recorded at origins. *)
@@ -447,34 +522,37 @@ let direct_api_tests =
     test "Alternative.checkpoint_now raises the truncation floor" (fun () ->
         let module P = Abcast_core.Stacks.Over_paxos in
         let eng = Engine.create ~seed:91 ~n:3 () in
-        let protos : P.Alternative.t option array = Array.make 3 None in
+        let protos : P.t option array = Array.make 3 None in
+        let cfg =
+          {
+            Protocol.paper_alternative with
+            checkpoint_period = Some 10_000_000;
+          }
+        in
         for i = 0 to 2 do
           Engine.set_behavior eng i (fun io ->
-              let p =
-                P.Alternative.create ~checkpoint_period:10_000_000 io
-                  ~on_deliver:(fun _ -> ())
-              in
+              let p = P.create cfg io ~on_deliver:ignore in
               protos.(i) <- Some p;
-              P.Alternative.handler p)
+              P.handler p)
         done;
         Engine.start_all eng;
         let get i = match protos.(i) with Some p -> p | None -> assert false in
         for j = 0 to 9 do
           Engine.at eng (500 * (j + 1)) (fun () ->
-              ignore (P.Alternative.broadcast (get (j mod 3)) "x"))
+              ignore (P.broadcast (get (j mod 3)) "x"))
         done;
         let done_ () =
-          List.for_all (fun i -> P.Alternative.delivered_count (get i) >= 10) [ 0; 1; 2 ]
+          List.for_all (fun i -> P.delivered_count (get i) >= 10) [ 0; 1; 2 ]
         in
         Alcotest.(check bool) "delivered" true
           (Engine.run_until eng ~until:20_000_000 ~pred:done_ ());
-        Alcotest.(check int) "floor starts at 0" 0 (P.Alternative.floor (get 0));
-        P.Alternative.checkpoint_now (get 0);
-        Alcotest.(check bool) "floor raised" true (P.Alternative.floor (get 0) > 0);
-        Alcotest.(check int) "floor = round" (P.Alternative.round (get 0))
-          (P.Alternative.floor (get 0));
+        Alcotest.(check int) "floor starts at 0" 0 (P.floor (get 0));
+        P.checkpoint_now (get 0);
+        Alcotest.(check bool) "floor raised" true (P.floor (get 0) > 0);
+        Alcotest.(check int) "floor = round" (P.round (get 0))
+          (P.floor (get 0));
         (* the agreed snapshot survives a checkpoint untouched *)
-        let snap = P.Alternative.agreed_snapshot (get 0) in
+        let snap = P.agreed_snapshot (get 0) in
         Alcotest.(check int) "snapshot covers everything" 10
           (snap.base_len + List.length snap.tail));
     test "consensus tunables are settable" (fun () ->
@@ -482,15 +560,19 @@ let direct_api_tests =
         let saved_c = !Abcast_consensus.Coord.round_timeout in
         Abcast_consensus.Paxos.retry_period := 2_000;
         Abcast_consensus.Coord.round_timeout := 3_000;
-        ignore (run_workload ~seed:92 ~msgs:10 (Factory.basic ()));
-        ignore (run_workload ~seed:93 ~msgs:10 (Factory.basic ~consensus:`Coord ()));
+        ignore (run_workload ~seed:92 ~msgs:10 basic);
+        ignore
+          (run_workload ~seed:93 ~msgs:10
+             (Factory.make ~consensus:`Coord Protocol.paper_basic));
         Abcast_consensus.Paxos.retry_period := saved_p;
         Abcast_consensus.Coord.round_timeout := saved_c);
     test "gossip period is configurable and matters" (fun () ->
         (* a 10x slower gossip delays a gossip-only catch-up *)
         let catch_up_time gossip_period =
           let cluster =
-            Cluster.create (Factory.basic ~gossip_period ()) ~seed:94 ~n:3 ()
+            Cluster.create
+              (Factory.make { Protocol.paper_basic with gossip_period })
+              ~seed:94 ~n:3 ()
           in
           Cluster.at cluster 1_000 (fun () -> Cluster.crash cluster 2);
           Cluster.at cluster 2_000 (fun () ->
@@ -602,7 +684,7 @@ let edge_tests =
    produce the same delivered set as Fig. 3's full-set gossip. *)
 let delta_equiv_run ~delta_gossip ~seed =
   let net = Net.create ~loss:0.12 ~dup:0.05 () in
-  let stack = Factory.alternative ~delta_gossip () in
+  let stack = Factory.make { Protocol.paper_alternative with delta_gossip } in
   let cluster = Cluster.create stack ~seed ~n:3 ~net () in
   let rng = Rng.create (seed + 4242) in
   Cluster.at cluster 12_000 (fun () -> Cluster.crash cluster 1);
@@ -659,7 +741,8 @@ let delta_gossip_tests =
         check_ok "props" (Checks.all ~cluster ~good:(List.init 5 Fun.id) ()));
     test "full-gossip mode sends no digests or Needs" (fun () ->
         let cluster, _ =
-          run_workload ~seed:42 ~msgs:10 (Factory.basic ~delta_gossip:false ())
+          run_workload ~seed:42 ~msgs:10
+            (Factory.make { Protocol.paper_basic with delta_gossip = false })
         in
         let m = Cluster.metrics cluster in
         Alcotest.(check int) "rx.digest" 0 (Metrics.sum m "rx.digest");
@@ -674,7 +757,8 @@ let delta_gossip_tests =
         Alcotest.(check bool) "full fallback present" true (fulls > 0));
     test "gossip_full_every=1 degenerates to full gossip" (fun () ->
         let cluster, _ =
-          run_workload ~seed:44 ~msgs:8 (Factory.basic ~gossip_full_every:1 ())
+          run_workload ~seed:44 ~msgs:8
+            (Factory.make { Protocol.paper_basic with gossip_full_every = 1 })
         in
         Alcotest.(check int) "no digests" 0
           (Metrics.sum (Cluster.metrics cluster) "rx.digest"));
@@ -694,7 +778,9 @@ let delta_gossip_tests =
    payloads travel, never what gets ordered. *)
 let ring_equiv_run ~dissemination ~seed =
   let net = Net.create ~loss:0.12 ~dup:0.05 () in
-  let stack = Factory.alternative ~dissemination ~window:2 () in
+  let stack =
+    Factory.make { Protocol.paper_alternative with dissemination; window = 2 }
+  in
   let cluster = Cluster.create stack ~seed ~n:3 ~net () in
   let rng = Rng.create (seed + 9191) in
   Cluster.at cluster 12_000 (fun () -> Cluster.crash cluster 1);
@@ -723,7 +809,8 @@ let ring_tests =
     test "ring: payloads travel the ring, not the gossip pull" (fun () ->
         let cluster, count =
           run_workload ~seed:71 ~msgs:12
-            (Factory.alternative ~dissemination:`Ring ())
+            (Factory.make
+               { Protocol.paper_alternative with dissemination = `Ring })
         in
         Alcotest.(check bool) "delivered" true
           (Cluster.delivered_count cluster 0 >= count);
@@ -737,7 +824,8 @@ let ring_tests =
            ring message per hop here. *)
         let cluster =
           Cluster.create
-            (Factory.alternative ~dissemination:`Ring ())
+            (Factory.make
+               { Protocol.paper_alternative with dissemination = `Ring })
             ~seed:72 ~n:4 ()
         in
         Cluster.at cluster 1_000 (fun () ->
@@ -755,7 +843,8 @@ let ring_tests =
            up). *)
         let cluster =
           Cluster.create
-            (Factory.alternative ~dissemination:`Ring ())
+            (Factory.make
+               { Protocol.paper_alternative with dissemination = `Ring })
             ~seed:73 ~n:5 ()
         in
         Cluster.at cluster 500 (fun () -> Cluster.crash cluster 1);

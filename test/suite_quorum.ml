@@ -3,7 +3,6 @@
 
 open Helpers
 module Q = Abcast_apps.Quorum
-module Factory = Abcast_core.Factory
 
 let cfg ?(r = 2) ?(w = 2) weights =
   { Q.weights = Array.of_list weights; read_quorum = r; write_quorum = w }
@@ -150,7 +149,9 @@ let integration_tests =
   [
     test "reconfigurations are serialized by atomic broadcast" (fun () ->
         let stores = Array.init 3 (fun _ -> Q.Store.create ()) in
-        let cluster = Cluster.create (Factory.basic ()) ~seed:70 ~n:3 () in
+        let cluster =
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed:70 ~n:3 ()
+        in
         (* two competing reconfigs from different replicas *)
         let c_a = cfg ~r:2 ~w:2 [ 1; 1; 1 ] in
         let c_b = cfg ~r:3 ~w:3 [ 3; 1; 1 ] in

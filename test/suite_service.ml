@@ -8,7 +8,6 @@
 
 open Helpers
 module Envelope = Abcast_core.Envelope
-module Factory = Abcast_core.Factory
 module Kv = Abcast_apps.Kv
 module Session = Abcast_service.Session
 module Service = Abcast_service.Service
@@ -154,7 +153,7 @@ let unit_tests =
    group-aware factory; events observed at each process are recorded so
    dedup decisions can be asserted, not just final state. *)
 let sim_stack ~machines ~events =
-  Factory.alternative ~checkpoint_period:20_000
+  Factory.make
     ~group_app_factory:(fun ~node ~group ->
       assert (group = 0);
       let m = Session.create () in
@@ -162,7 +161,7 @@ let sim_stack ~machines ~events =
       ( Session.hooks m,
         fun (pl : Payload.t) ->
           events.(node) <- Session.apply m pl.data :: events.(node) ))
-    ()
+    { Protocol.paper_alternative with checkpoint_period = Some 20_000 }
 
 let applied_requests evs ~session ~seq =
   List.filter

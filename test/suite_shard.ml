@@ -4,7 +4,6 @@
    single-group stacks, and cross-shard fault isolation. *)
 
 open Helpers
-module Factory = Abcast_core.Factory
 module Proto = Abcast_core.Proto
 module Vclock = Abcast_core.Vclock
 module Wire = Abcast_util.Wire
@@ -12,14 +11,15 @@ module Kv = Abcast_apps.Kv
 module Partitioned_kv = Abcast_apps.Partitioned_kv
 
 let sharded ?route ~shards () =
-  Factory.sharded ?route ~shards (Factory.basic ())
+  Factory.sharded ?route ~shards (Factory.make Protocol.paper_basic)
 
 (* --- units: combinator shape and wire framing ----------------------- *)
 
 let unit_tests =
   [
     test "shards=1 bypasses the mux entirely" (fun () ->
-        let module P = (val Factory.sharded ~shards:1 (Factory.basic ())) in
+        let stack = Factory.make Protocol.paper_basic in
+        let module P = (val Factory.sharded ~shards:1 stack) in
         Alcotest.(check int) "shards" 1 P.shards;
         Alcotest.(check bool) "no mux suffix" false
           (String.length P.name > 2
@@ -97,12 +97,15 @@ let need_cap_tests =
         let net = Net.create ~loss:0.15 ~dup:0.05 () in
         ignore
           (run_workload ~seed:21 ~msgs:15 ~net ~until:60_000_000
-             (Factory.basic ~need_cap:1 ())));
+             (Factory.make { Protocol.paper_basic with need_cap = 1 })));
     test "need_cap rejects negative values" (fun () ->
         Alcotest.check_raises "invalid"
-          (Invalid_argument "Basic.create: need_cap must be >= 0") (fun () ->
-            ignore
-              (Cluster.create (Factory.basic ~need_cap:(-1) ()) ~seed:1 ~n:3 ())));
+          (Invalid_argument "Protocol.config: need_cap must be >= 0")
+          (fun () ->
+            let stack =
+              Factory.make { Protocol.paper_basic with need_cap = -1 }
+            in
+            ignore (Cluster.create stack ~seed:1 ~n:3 ())));
   ]
 
 (* --- end-to-end: sharded runs deliver per group --------------------- *)
@@ -176,7 +179,9 @@ let equivalence_run ~seed =
   let isolated =
     List.init shards (fun g ->
         let net = Net.create ~loss:0.12 ~dup:0.05 () in
-        let cluster = Cluster.create (Factory.basic ()) ~seed ~n:3 ~net () in
+        let cluster =
+          Cluster.create (Factory.make Protocol.paper_basic) ~seed ~n:3 ~net ()
+        in
         crash_schedule cluster;
         let plan_g =
           List.filter_map

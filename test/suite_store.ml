@@ -1,13 +1,12 @@
 (* Tests for abcast.store: the segmented WAL, its crash fidelity (torn
-   writes at every byte offset, kill-mid-compaction), and the durable
-   backends of Abcast_sim.Storage built on it — including a sweep that
-   runs the same seeded simulation over all three backends and requires
-   identical outcomes. *)
+   writes at every byte offset, kill-mid-compaction), and the WAL-backed
+   Abcast_sim.Storage built on it — including a sweep that runs the same
+   seeded simulation over memory and WAL storage and requires identical
+   outcomes. *)
 
 open Helpers
 module Wal = Abcast_store.Wal
 module Durable = Abcast_store.Durable
-module Factory = Abcast_core.Factory
 
 (* ---- scratch directories ---- *)
 
@@ -441,33 +440,29 @@ let qcheck_tests =
 
 (* ---- Storage backends ---- *)
 
-let mk_storage ?dir ?backend ?fsync () =
+let mk_storage ?dir ?fsync () =
   let metrics = Metrics.create () in
-  (Storage.create ?dir ?backend ?fsync ~metrics ~node:0 (), metrics)
-
-let backend_reopen_test name backend =
-  test (name ^ " backend: state survives close and reopen") (fun () ->
-      with_dir (fun d ->
-          let s, _ = mk_storage ~dir:d ~backend ~fsync:Durable.Always () in
-          Storage.write s ~layer:"x" ~key:"a" "1";
-          Storage.write s ~layer:"x" ~key:"b" "two";
-          Storage.write s ~layer:"x" ~key:"a" "one";
-          Storage.delete s ~layer:"x" "b";
-          Alcotest.(check bool) "disk in use" true (Storage.disk_bytes s > 0);
-          Storage.close s;
-          let s2, _ = mk_storage ~dir:d ~backend () in
-          Alcotest.(check (option string)) "a" (Some "one") (Storage.read s2 "a");
-          Alcotest.(check (option string)) "b gone" None (Storage.read s2 "b");
-          Alcotest.(check int) "keys" 1 (Storage.retained_keys s2);
-          Storage.close s2))
+  (Storage.create ?dir ?fsync ~metrics ~node:0 (), metrics)
 
 let backend_tests =
   [
-    backend_reopen_test "files" `Files;
-    backend_reopen_test "wal" `Wal;
+    test "wal backend: state survives close and reopen" (fun () ->
+        with_dir (fun d ->
+            let s, _ = mk_storage ~dir:d ~fsync:Durable.Always () in
+            Storage.write s ~layer:"x" ~key:"a" "1";
+            Storage.write s ~layer:"x" ~key:"b" "two";
+            Storage.write s ~layer:"x" ~key:"a" "one";
+            Storage.delete s ~layer:"x" "b";
+            Alcotest.(check bool) "disk in use" true (Storage.disk_bytes s > 0);
+            Storage.close s;
+            let s2, _ = mk_storage ~dir:d () in
+            Alcotest.(check (option string)) "a" (Some "one") (Storage.read s2 "a");
+            Alcotest.(check (option string)) "b gone" None (Storage.read s2 "b");
+            Alcotest.(check int) "keys" 1 (Storage.retained_keys s2);
+            Storage.close s2));
     test "wal backend mirrors its counters into metrics" (fun () ->
         with_dir (fun d ->
-            let s, m = mk_storage ~dir:d ~backend:`Wal ~fsync:Durable.Always () in
+            let s, m = mk_storage ~dir:d ~fsync:Durable.Always () in
             for i = 1 to 8 do
               Storage.write s ~layer:"x" ~key:(string_of_int i) "v"
             done;
@@ -479,7 +474,7 @@ let backend_tests =
               (Metrics.get m ~node:0 "wal_segments");
             Storage.close s;
             (* a reopen mirrors the replay count of the new instance *)
-            let s2, m2 = mk_storage ~dir:d ~backend:`Wal () in
+            let s2, m2 = mk_storage ~dir:d () in
             Alcotest.(check int) "recovered"
               9
               (Metrics.get m2 ~node:0 "wal_recovered_records");
@@ -487,44 +482,23 @@ let backend_tests =
             | Some st -> Alcotest.(check int) "stats agree" 9 st.Wal.recovered_records
             | None -> Alcotest.fail "wal_stats missing");
             Storage.close s2));
-    test "files backend counts its sync events" (fun () ->
-        with_dir (fun d ->
-            let s, m = mk_storage ~dir:d ~backend:`Files ~fsync:Durable.Always () in
-            Storage.write s ~layer:"x" ~key:"a" "1";
-            Storage.write s ~layer:"x" ~key:"b" "2";
-            Alcotest.(check bool) "synced per op" true
-              (Metrics.get m ~node:0 "file_fsyncs" >= 2);
-            Storage.close s);
-        with_dir (fun d ->
-            let s, m =
-              mk_storage ~dir:d ~backend:`Files
-                ~fsync:(Durable.Every { ops = 100; ms = 100_000 }) ()
-            in
-            Storage.write s ~layer:"x" ~key:"a" "1";
-            Alcotest.(check int) "batched: not yet" 0
-              (Metrics.get m ~node:0 "file_fsyncs");
-            Storage.sync s;
-            Alcotest.(check int) "explicit sync flushes" 1
-              (Metrics.get m ~node:0 "file_fsyncs");
-            Storage.close s));
-    test "durable backends require a directory" (fun () ->
-        let metrics = Metrics.create () in
-        List.iter
-          (fun backend ->
-            match Storage.create ~backend ~metrics ~node:0 () with
-            | _ -> Alcotest.fail "accepted a durable backend without ~dir"
-            | exception Invalid_argument _ -> ())
-          [ `Files; `Wal ]);
   ]
 
-(* ---- backend equivalence sweep (E3 workload on all three) ---- *)
+(* ---- backend equivalence sweep (E3 workload on memory and WAL) ---- *)
 
 (* The simulator's schedule never depends on how storage persists, so a
-   seeded run must produce bit-identical protocol outcomes on the memory,
-   file-per-key and WAL backends — same deliveries, same log accounting,
-   same retained footprint, same surviving keys. *)
+   seeded run must produce bit-identical protocol outcomes on the memory
+   and WAL backends — same deliveries, same log accounting, same retained
+   footprint, same surviving keys. *)
 let sweep_run ?storage () =
-  let stack = Factory.alternative ~checkpoint_period:15_000 ~delta:3 () in
+  let stack =
+    Factory.make
+      {
+        Protocol.paper_alternative with
+        checkpoint_period = Some 15_000;
+        delta = Some 3;
+      }
+  in
   let cluster = Cluster.create stack ~seed:17 ~n:3 ?storage () in
   let rng = Rng.create 23 in
   let count =
@@ -555,51 +529,41 @@ let observe cluster =
 
 let sweep_tests =
   [
-    test "backend equivalence: memory, files and wal agree on a seeded run"
+    test "backend equivalence: memory and wal agree on a seeded run"
       (fun () ->
         with_dir (fun base ->
-            let factory backend ~metrics ~node =
+            let factory ~metrics ~node =
               Storage.create
-                ~dir:(Filename.concat base (Printf.sprintf "%s%d"
-                        (match backend with `Files -> "f" | _ -> "w") node))
-                ~backend ~fsync:Durable.Never ~wal_compact_min_bytes:2048
-                ~metrics ~node ()
+                ~dir:(Filename.concat base (Printf.sprintf "w%d" node))
+                ~fsync:Durable.Never ~wal_compact_min_bytes:2048 ~metrics ~node
+                ()
             in
             let mem_cluster, count = sweep_run () in
-            let files_cluster, count_f = sweep_run ~storage:(factory `Files) () in
-            let wal_cluster, count_w = sweep_run ~storage:(factory `Wal) () in
-            Alcotest.(check int) "same workload (files)" count count_f;
+            let wal_cluster, count_w = sweep_run ~storage:factory () in
             Alcotest.(check int) "same workload (wal)" count count_w;
-            let reference = observe mem_cluster in
-            List.iter
-              (fun (name, cluster) ->
-                let actual = observe cluster in
-                List.iteri
-                  (fun i (dc, ids, rb, rk, keys) ->
-                    let dc', ids', rb', rk', keys' = List.nth actual i in
-                    Alcotest.(check int)
-                      (Printf.sprintf "%s: delivered_count[%d]" name i)
-                      dc dc';
-                    Alcotest.(check bool)
-                      (Printf.sprintf "%s: delivery order[%d]" name i)
-                      true (ids = ids');
-                    Alcotest.(check int)
-                      (Printf.sprintf "%s: retained_bytes[%d]" name i)
-                      rb rb';
-                    Alcotest.(check int)
-                      (Printf.sprintf "%s: retained_keys[%d]" name i)
-                      rk rk';
-                    Alcotest.(check (list string))
-                      (Printf.sprintf "%s: stored keys[%d]" name i)
-                      keys keys')
-                  reference)
-              [ ("files", files_cluster); ("wal", wal_cluster) ];
-            (* durable backends actually wrote: both have bytes on disk *)
-            List.iter
-              (fun (name, cluster) ->
-                Alcotest.(check bool) (name ^ " wrote to disk") true
-                  (Cluster.disk_bytes cluster 0 > 0))
-              [ ("files", files_cluster); ("wal", wal_cluster) ];
+            let actual = observe wal_cluster in
+            List.iteri
+              (fun i (dc, ids, rb, rk, keys) ->
+                let dc', ids', rb', rk', keys' = List.nth actual i in
+                Alcotest.(check int)
+                  (Printf.sprintf "wal: delivered_count[%d]" i)
+                  dc dc';
+                Alcotest.(check bool)
+                  (Printf.sprintf "wal: delivery order[%d]" i)
+                  true (ids = ids');
+                Alcotest.(check int)
+                  (Printf.sprintf "wal: retained_bytes[%d]" i)
+                  rb rb';
+                Alcotest.(check int)
+                  (Printf.sprintf "wal: retained_keys[%d]" i)
+                  rk rk';
+                Alcotest.(check (list string))
+                  (Printf.sprintf "wal: stored keys[%d]" i)
+                  keys keys')
+              (observe mem_cluster);
+            (* the durable backend actually wrote: bytes on disk *)
+            Alcotest.(check bool) "wal wrote to disk" true
+              (Cluster.disk_bytes wal_cluster 0 > 0);
             (* the WAL's own replay agrees with the cluster's view: reopen
                node 0's directory and compare every surviving key *)
             (match Cluster.wal_stats wal_cluster 0 with

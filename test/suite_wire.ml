@@ -8,9 +8,7 @@ module Wire = Abcast_util.Wire
 module Vclock = Abcast_core.Vclock
 module Agreed = Abcast_core.Agreed
 module Batch = Abcast_core.Batch
-module Protocol = Abcast_core.Protocol
 module Proto = Abcast_core.Proto
-module Factory = Abcast_core.Factory
 module Paxos = Abcast_consensus.Paxos
 module Coord = Abcast_consensus.Coord
 module Heartbeat = Abcast_fd.Heartbeat
@@ -506,11 +504,11 @@ let equivalence_tests =
   [
     slow_test "codec-roundtrip delivery order equals baseline (16 seeds)"
       (fun () ->
-        let basic = Factory.basic () in
+        let basic = Factory.make Protocol.paper_basic in
         for seed = 400 to 415 do
           let baseline = equiv_run ~stack:basic ~seed in
           let codec =
-            equiv_run ~stack:(with_codec_roundtrip (Factory.basic ())) ~seed
+            equiv_run ~stack:(with_codec_roundtrip basic) ~seed
           in
           if baseline = [] then Alcotest.failf "seed %d: empty run" seed;
           if codec <> baseline then
@@ -541,13 +539,9 @@ let equivalence_tests =
         in
         List.iter
           (fun seed ->
-            let base = fingerprint (Factory.alternative ~consensus:`Coord ()) seed in
-            let codec =
-              fingerprint
-                (with_codec_roundtrip
-                   (Factory.alternative ~consensus:`Coord ()))
-                seed
-            in
+            let alt = Factory.make ~consensus:`Coord Protocol.paper_alternative in
+            let base = fingerprint alt seed in
+            let codec = fingerprint (with_codec_roundtrip alt) seed in
             if base <> codec then
               Alcotest.failf "seed %d: fingerprints diverged" seed)
           [ 500; 501; 502; 503 ]);
