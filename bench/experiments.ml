@@ -899,14 +899,6 @@ let e15 () =
 let e16 () =
   let module Durable = Abcast_store.Durable in
   let module Storage = Abcast_sim.Storage in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
   let ops = scale 2_000 in
   let value = String.make 128 'v' in
   let key_space = 64 in
@@ -917,7 +909,7 @@ let e16 () =
         (Printf.sprintf "abcast-e16-%d-wal-%s" (Unix.getpid ())
            (Durable.policy_to_string policy))
     in
-    rm_rf dir;
+    Durable.rm_rf dir;
     let metrics = Metrics.create () in
     let store = Storage.create ~dir ~fsync:policy ~metrics ~node:0 () in
     let t0 = Unix.gettimeofday () in
@@ -942,7 +934,7 @@ let e16 () =
     let recover_ms = (Unix.gettimeofday () -. t1) *. 1_000.0 in
     let recovered = Storage.retained_keys store2 in
     Storage.close store2;
-    rm_rf dir;
+    Durable.rm_rf dir;
     ( fsyncs,
       [
         Durable.policy_to_string policy;
@@ -1152,14 +1144,6 @@ type e20_row = {
 let e20_port = ref 7710
 
 let e20_run ~shards ~mode ~clients =
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
   let base_port = !e20_port in
   e20_port := base_port + 16;
   let dir =
@@ -1167,7 +1151,7 @@ let e20_run ~shards ~mode ~clients =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "abcast-e20-%d-%d" (Unix.getpid ()) base_port)
   in
-  rm_rf dir;
+  Abcast_store.Durable.rm_rf dir;
   let cfg =
     {
       Service.default_config with
@@ -1184,7 +1168,7 @@ let e20_run ~shards ~mode ~clients =
   Fun.protect
     ~finally:(fun () ->
       Service.shutdown svc;
-      rm_rf dir)
+      Abcast_store.Durable.rm_rf dir)
   @@ fun () ->
   Service.start svc;
   (* Let the claim apply and its quarantine gate pass before offering

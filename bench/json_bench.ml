@@ -54,8 +54,8 @@
      time of the segmented WAL under each fsync policy (the E16
      workload, one repetition);
    - the observability section (new in schema 4): the delta-gossip
-     steady run repeated with lifecycle tracing + spans enabled, the
-     relative overhead against the traced-off run (the < 5% budget of
+     steady run repeated with a Flight ring on every node, the
+     relative overhead against the run without rings (the < 5% budget of
      E17), histogram hot-path ns/op, and the stage-latency p50s the
      instrumentation measured.
 
@@ -66,7 +66,7 @@
 module Rng = Abcast_util.Rng
 module Metrics = Abcast_sim.Metrics
 module Histogram = Abcast_util.Histogram
-module Trace = Abcast_sim.Trace
+module Flight = Abcast_sim.Flight
 module Cluster = Abcast_harness.Cluster
 module Workload = Abcast_harness.Workload
 module Factory = Abcast_core.Factory
@@ -85,13 +85,16 @@ type steady = {
 
 (* The E14 workload: n=5, 400 Poisson broadcasts, mean gap 1.5ms. One
    warm-up run (allocator, caches), then one timed run. [trace] runs it
-   with lifecycle tracing and spans recording (the E17 overhead axis). *)
+   with a flight ring on every node recording the untraced lifecycle
+   events (trace_sample stays 0; the E17 overhead axis). *)
 let steady ?(trace = false) ~delta_gossip () =
   let n = 5 and msgs = 400 and mean_gap = 1_500 in
   let go () =
     let stack = Factory.make { Protocol.paper_alternative with delta_gossip } in
-    let tr = Trace.create ~enabled:trace () in
-    let cluster = Cluster.create stack ~seed:7 ~n ~trace:tr () in
+    let flight =
+      if trace then Some (fun ~node:_ -> Flight.create ~cap:4096 ()) else None
+    in
+    let cluster = Cluster.create stack ~seed:7 ~n ?flight () in
     let rng = Rng.create 91 in
     let count =
       Workload.open_loop cluster ~rng ~senders:(List.init n Fun.id)
@@ -477,14 +480,6 @@ let live_bench () =
 let storage_bench () =
   let module Durable = Abcast_store.Durable in
   let module Storage = Abcast_sim.Storage in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
   let ops = 2_000 and value = String.make 128 'v' in
   let run policy =
     let name =
@@ -499,7 +494,7 @@ let storage_bench () =
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "abcast-bench-store-%d-%s" (Unix.getpid ()) name)
     in
-    rm_rf dir;
+    Durable.rm_rf dir;
     let metrics = Metrics.create () in
     let store = Storage.create ~dir ~fsync:policy ~metrics ~node:0 () in
     let t0 = Unix.gettimeofday () in
@@ -516,7 +511,7 @@ let storage_bench () =
     let store2 = Storage.create ~dir ~fsync:policy ~metrics:m2 ~node:0 () in
     let recover_ms = (Unix.gettimeofday () -. t1) *. 1_000.0 in
     Storage.close store2;
-    rm_rf dir;
+    Durable.rm_rf dir;
     Printf.sprintf
       {|    "%s": { "ops": %d, "appends_per_sec": %.0f, "disk_bytes": %d, "recover_ms": %.3f }|}
       name ops appends_per_s disk recover_ms

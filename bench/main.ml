@@ -14,7 +14,7 @@
                           clients, shard-scaling sweep S in {1,2,4,8},
                           throughput sweep gossip-vs-ring x window,
                           events/sec, quiescence wall time, gossip bytes,
-                          durable-storage throughput, trace/span overhead,
+                          durable-storage throughput, flight-ring overhead,
                           stage-latency p50s, micro ns/op) and exit *)
 
 let () =

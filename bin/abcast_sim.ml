@@ -1,7 +1,7 @@
 (* abcast-sim — command-line driver for the simulator.
 
    `abcast-sim run`     : one workload on one configured stack, with
-                          optional fault injection and a full protocol
+                          optional fault injection and a flight-recorder
                           trace.
    `abcast-sim soak`    : many randomized crash/recovery episodes with the
                           correctness properties checked after each
@@ -20,7 +20,8 @@
 module Rng = Abcast_util.Rng
 module Net = Abcast_sim.Net
 module Metrics = Abcast_sim.Metrics
-module Trace = Abcast_sim.Trace
+module Durable = Abcast_store.Durable
+module Flight = Abcast_sim.Flight
 module Faults = Abcast_sim.Faults
 module Factory = Abcast_core.Factory
 module Protocol = Abcast_core.Protocol
@@ -82,31 +83,46 @@ let is_latency_series name =
     [ "stage."; "cons."; "wal_"; "lat_" ]
 
 let parse_fsync s =
-  match Abcast_store.Durable.policy_of_string s with
+  match Durable.policy_of_string s with
   | Ok p -> p
   | Error msg ->
     Printf.eprintf "bad --fsync %S: %s\n" s msg;
     exit 3
 
+(* Default scratch directory of a command run without --dir. It starts
+   empty: after PID reuse its nodes would otherwise recover an earlier
+   run's WAL. *)
+let fresh_scratch_dir prefix =
+  let d =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s-%d" prefix (Unix.getpid ()))
+  in
+  Durable.rm_rf d;
+  d
+
 let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
     dup crashes trace_on trace_out backend fsync check =
   let consensus = if consensus = "coord" then `Coord else `Paxos in
+  (* Tracing samples every broadcast into per-node flight rings. The net
+     model ignores message size and sampling draws no randomness, so a
+     traced run keeps the untraced run's schedule. *)
+  let tracing = trace_on || trace_out <> None in
   let stack_mod =
-    make_stack stack consensus 50_000 4 ~window ~topo ~shards ()
+    make_stack stack consensus 50_000 4 ~window ~topo ~shards
+      ~trace_sample:(if tracing then 1 else 0) ()
+  in
+  let flight =
+    if tracing then Some (fun ~node:_ -> Flight.create ~cap:(32 * (msgs + 32)) ())
+    else None
   in
   let net = Net.create ~loss ~dup () in
-  let trace =
-    Trace.create ~enabled:(trace_on || trace_out <> None) ~echo:trace_on ()
-  in
   let fsync = parse_fsync fsync in
   let storage_dir =
-    (* The WAL needs a scratch directory; memory needs none. *)
+    (* The WAL needs a scratch directory (removed at exit); memory
+       needs none. *)
     lazy
-      (let d =
-         Filename.concat (Filename.get_temp_dir_name ())
-           (Printf.sprintf "abcast-sim-run-%d" (Unix.getpid ()))
-       in
-       (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      (let d = fresh_scratch_dir "abcast-sim-run" in
+       at_exit (fun () -> Durable.rm_rf d);
        d)
   in
   let storage =
@@ -123,7 +139,7 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
       Printf.eprintf "unknown --backend %S (expected memory|wal)\n" s;
       exit 3
   in
-  let cluster = Cluster.create stack_mod ~seed ~n ~net ~trace ?storage () in
+  let cluster = Cluster.create stack_mod ~seed ~n ~net ?storage ?flight () in
   List.iter
     (fun (node, from_, until) ->
       Cluster.at cluster from_ (fun () -> Cluster.crash cluster node);
@@ -167,6 +183,13 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
              ())
       ()
   in
+  let events =
+    List.concat_map (fun i -> Flight.events (Cluster.flight cluster i))
+      (List.init n Fun.id)
+  in
+  if trace_on then
+    List.stable_sort (fun (x : Flight.event) y -> compare x.e_time y.e_time) events
+    |> List.iter (Format.printf "%a@." Flight.pp_event);
   let m = Cluster.metrics cluster in
   Printf.printf
     "\nstack=%s seed=%d n=%d: %d broadcasts attempted, %d injected (the \
@@ -231,7 +254,7 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
   (match trace_out with
   | Some path ->
     let oc = open_out path in
-    output_string oc (Trace.to_chrome_json trace);
+    output_string oc (Abcast_harness.Doctor.chrome_json events);
     close_out oc;
     Printf.printf "chrome trace written to %s (load in chrome://tracing)\n"
       path
@@ -349,9 +372,7 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
   let dir =
     match dir_opt with
     | Some d -> d
-    | None ->
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abcast-live-cli-%d" (Unix.getpid ()))
+    | None -> fresh_scratch_dir "abcast-live-cli"
   in
   (* Per-node partitioned replicas, fed from the group-aware A-deliver
      upcall in each node's own thread; read only after convergence. *)
@@ -382,7 +403,7 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
       "%d live processes on udp/127.0.0.1:%d.. (storage: %s, fsync: %s)
 " n
       base_port dir
-      (Abcast_store.Durable.policy_to_string fsync);
+      (Durable.policy_to_string fsync);
     (match metrics_port with
     | Some p ->
       Printf.printf "metrics: http://127.0.0.1:%d/metrics (Prometheus text)\n"
@@ -516,9 +537,7 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
   let dir =
     match dir_opt with
     | Some d -> d
-    | None ->
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abcast-service-cli-%d" (Unix.getpid ()))
+    | None -> fresh_scratch_dir "abcast-service-cli"
   in
   let cfg =
     {
@@ -776,14 +795,23 @@ let run_t =
   let crashes =
     Arg.(value & opt_all crash_conv [] & info [ "crash" ] ~doc:"NODE:FROM[:UNTIL] fault (repeatable)")
   in
-  let trace = Arg.(value & flag & info [ "trace" ] ~doc:"echo the protocol trace") in
+  let trace =
+    Arg.(
+      value
+      & flag
+      & info [ "trace" ]
+          ~doc:
+            "sample every broadcast into per-node flight recorders and print \
+             the merged event timeline after the run")
+  in
   let trace_out =
     Arg.(
       value
       & opt (some string) None
       & info [ "trace-out" ]
           ~doc:
-            "write a Chrome trace-event JSON of the run to $(docv) (open in \
+            "sample every broadcast into per-node flight recorders and write \
+             them as Chrome trace-event JSON to $(docv) (open in \
              chrome://tracing or Perfetto)"
           ~docv:"FILE")
   in

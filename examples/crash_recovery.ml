@@ -11,20 +11,21 @@
      the state-transfer path (Δ) let it skip the missed consensus
      instances entirely.
 
-   The trace timeline below is the protocol's own narration. *)
+   The timeline below is p2's flight recorder: the protocol's own
+   lifecycle events (boot, replay, state-transfer jump, catch-up). *)
 
 module Factory = Abcast_core.Factory
 module Protocol = Abcast_core.Protocol
 module Cluster = Abcast_harness.Cluster
 module Workload = Abcast_harness.Workload
 module Metrics = Abcast_sim.Metrics
-module Trace = Abcast_sim.Trace
+module Flight = Abcast_sim.Flight
 module Rng = Abcast_util.Rng
 
 let scenario name stack =
   Printf.printf "=== %s ===\n" name;
-  let trace = Trace.create ~enabled:true () in
-  let cluster = Cluster.create stack ~seed:99 ~n:3 ~trace () in
+  let flight ~node:_ = Flight.create ~cap:4096 () in
+  let cluster = Cluster.create stack ~seed:99 ~n:3 ~flight () in
   let rng = Rng.create 4 in
   Cluster.at cluster 2_000 (fun () -> Cluster.crash cluster 2);
   let count =
@@ -48,11 +49,12 @@ let scenario name stack =
     (Metrics.sum m "state_transfers_applied")
     (Cluster.round cluster 0);
   Printf.printf "  p2's own timeline around recovery:\n";
+  let lifecycle = Flight.[ boot; replay_done; stjump; caught_up ] in
   List.iter
-    (fun (e : Trace.entry) ->
-      if e.node = 2 && e.time >= 90_000 then
-        Printf.printf "    [%7d] %s\n" e.time e.text)
-    (Trace.entries trace);
+    (fun (e : Flight.event) ->
+      if e.e_time >= 90_000 && List.mem e.e_stage lifecycle then
+        Format.printf "    %a@." Flight.pp_event e)
+    (Flight.events (Cluster.flight cluster 2));
   (* bounce p2 once more, now that it holds the full history locally: the
      basic protocol replays every logged round from its own log (no
      network needed); the alternative starts from its checkpoint *)

@@ -111,7 +111,6 @@ let decide t v =
       Metrics.observe t.io.metrics ~node:t.io.self "cons.rounds"
         (float_of_int (t.round + 1))
     end;
-    t.io.emit (Printf.sprintf "coord[%d]: decide" t.k);
     t.io.multisend (Decide { v });
     t.on_decide v
 

@@ -41,9 +41,6 @@ module Make (C : Consensus_intf.S) = struct
     on_lag : int -> unit;
     on_behind : src:int -> unit;
     instances : (int, C.t) Hashtbl.t;
-    (* instances whose "consensus" span we opened and must close on
-       decide — volatile, like the instances themselves *)
-    spanned : (int, unit) Hashtbl.t;
     (* Volatile mirrors of the stable proposal/decision log. [proposal]
        and [decision] sit on the broadcast layer's commit loop, which
        under pipelining polls them once per in-flight instance per
@@ -68,13 +65,10 @@ module Make (C : Consensus_intf.S) = struct
       on_lag;
       on_behind;
       instances = Hashtbl.create 16;
-      spanned = Hashtbl.create 8;
       proposals_cache = Hashtbl.create 16;
       decisions_cache = Hashtbl.create 16;
       floor;
     }
-
-  let span_key t k = Printf.sprintf "p%d.k%d" t.io.Engine.self k
 
   let instance t k =
     match Hashtbl.find_opt t.instances k with
@@ -89,10 +83,6 @@ module Make (C : Consensus_intf.S) = struct
                with instance [k] to its decision *)
             Metrics.observe t.io.metrics ~node:t.io.self "cons.instance_us"
               (float_of_int (t.io.now () - created_at));
-            if Hashtbl.mem t.spanned k then begin
-              Hashtbl.remove t.spanned k;
-              t.io.span_end ~stage:"consensus" (span_key t k)
-            end;
             Hashtbl.replace t.decisions_cache k v;
             t.on_decide k v)
       in
@@ -100,15 +90,7 @@ module Make (C : Consensus_intf.S) = struct
       c
 
   let propose t k v =
-    if k >= t.floor then begin
-      let c = instance t k in
-      if t.io.trace_on () && C.decision c = None && not (Hashtbl.mem t.spanned k)
-      then begin
-        Hashtbl.add t.spanned k ();
-        t.io.span_begin ~stage:"consensus" (span_key t k)
-      end;
-      C.propose c v
-    end
+    if k >= t.floor then C.propose (instance t k) v
 
   let cached_read cache store key k =
     match Hashtbl.find_opt cache k with

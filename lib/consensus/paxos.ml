@@ -133,7 +133,6 @@ let decide t v =
       Metrics.observe t.io.metrics ~node:t.io.self "cons.ballots"
         (float_of_int (max 1 t.round))
     end;
-    t.io.emit (Printf.sprintf "paxos[%d]: decide" t.k);
     t.io.multisend (Decide { v });
     t.on_decide v
 

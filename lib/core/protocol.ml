@@ -521,9 +521,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   (* --- Delivery ----------------------------------------------------- *)
 
-  let span_key (id : Payload.id) =
-    Printf.sprintf "%d.%d.%d" id.origin id.boot id.seq
-
   (* One flight event on this node's recorder (a no-op unless the run
      wired a real recorder into the engine io — the live runtime does). *)
   let[@inline] flight t ~stage ~trace ~a ~b =
@@ -563,7 +560,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       if pe.p_proposed >= 0 then
         Metrics.sobserve t.mh.s_stage_p2d
           (float_of_int (now - pe.p_proposed));
-      if t.io.trace_on () then t.io.span_end ~stage:"abcast" (span_key p.id);
       (match pe.p_cb with Some f -> f p.id | None -> ())
     | None -> ());
     unordered_remove t p.id;
@@ -577,10 +573,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | None -> ());
     Storage.Slot.set t.ck_slot (committed t, Agreed.snapshot t.agreed);
     M.truncate_below t.multi (committed t);
-    cleanup_unordered_log t;
-    t.io.emit
-      (Printf.sprintf "checkpoint at k=%d (len %d)" (committed t)
-         (Agreed.total_len t.agreed))
+    cleanup_unordered_log t
 
   (* --- Sequencer (Fig. 2; windowed extension) ------------------------ *)
 
@@ -693,7 +686,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       if t.fault_armed && multi_stream batch then begin
         t.fault_armed <- false;
         Metrics.incr t.io.metrics ~node:t.io.self "fault_reorder_injected";
-        t.io.emit "FAULT: applying decided batch in reversed order";
         List.rev batch
       end
       else batch
@@ -753,7 +745,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
               skip, the donor re-sends against our fresher len. *)
            && (repr.base_app <> None
               || Agreed.total_len t.agreed >= repr.base_len) ->
-      t.io.emit (Printf.sprintf "state transfer: k %d -> %d" (committed t) ks);
       (* The jump event excuses the skipped instances in the doctor's
          delivery-gap scan: adopted prefixes never saw local decides. *)
       flight t ~stage:Flight.stjump ~trace:0 ~a:(committed t) ~b:ks;
@@ -1040,7 +1031,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     unordered_add t p;
     Ptbl.replace t.pending id
       { p_t0 = t.io.now (); p_proposed = -1; p_cb = on_agreed };
-    if t.io.trace_on () then t.io.span_begin ~stage:"abcast" (span_key id);
     Metrics.hincr t.mh.h_broadcasts;
     log_unordered_add t p;
     ring_enqueue t (t.io.n - 1) p;

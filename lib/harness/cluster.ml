@@ -22,7 +22,6 @@ type node_ops = {
 type t = {
   n : int;
   metrics : Abcast_sim.Metrics.t;
-  trace : Abcast_sim.Trace.t;
   net : Abcast_sim.Net.t;
   nodes : node_ops option array;
   now : unit -> int;
@@ -51,10 +50,10 @@ type t = {
   mutable sent : (int * Payload.id * bool ref) list;
 }
 
-let create (module P : Abcast_core.Proto.S) ~seed ~n ?net ?trace
+let create (module P : Abcast_core.Proto.S) ~seed ~n ?net
     ?(count_bytes = false) ?storage ?flight ?reorder_apply () =
   let msg_size = if count_bytes then Some P.msg_size else None in
-  let eng = Engine.create ~seed ~n ?net ?msg_size ?trace ?storage ?flight () in
+  let eng = Engine.create ~seed ~n ?net ?msg_size ?storage ?flight () in
   let nodes = Array.make n None in
   let ever_delivered = Hashtbl.create 256 in
   for i = 0 to n - 1 do
@@ -90,7 +89,6 @@ let create (module P : Abcast_core.Proto.S) ~seed ~n ?net ?trace
   {
     n;
     metrics = Engine.metrics eng;
-    trace = Engine.trace eng;
     net = Engine.network eng;
     nodes;
     now = (fun () -> Engine.now eng);
@@ -128,7 +126,6 @@ let create (module P : Abcast_core.Proto.S) ~seed ~n ?net ?trace
 let n t = t.n
 let metrics t = t.metrics
 let flight t i = t.flight_of i
-let trace t = t.trace
 let histogram t name = Abcast_sim.Metrics.histogram t.metrics name
 let hist_summary t name = Abcast_sim.Metrics.hist_summary t.metrics name
 let net t = t.net

@@ -13,7 +13,6 @@ val create :
   seed:int ->
   n:int ->
   ?net:Abcast_sim.Net.t ->
-  ?trace:Abcast_sim.Trace.t ->
   ?count_bytes:bool ->
   ?storage:(metrics:Abcast_sim.Metrics.t -> node:int -> Abcast_sim.Storage.t) ->
   ?flight:(node:int -> Abcast_sim.Flight.t) ->
@@ -36,8 +35,6 @@ val metrics : t -> Abcast_sim.Metrics.t
 val flight : t -> int -> Abcast_sim.Flight.t
 (** A process's flight recorder ([Flight.disabled] no-op unless [create]
     got a [flight] factory). *)
-
-val trace : t -> Abcast_sim.Trace.t
 
 val histogram : t -> string -> Abcast_util.Histogram.t option
 (** Latency/size histogram of an observed series, merged across all

@@ -744,6 +744,81 @@ let has_anomalies r = r.anomalies <> []
 let reconstructed r =
   List.filter (fun t -> t.complete) r.traces |> List.length
 
+(* ---- Chrome trace_event export -------------------------------------- *)
+
+(* One JSON array loadable in chrome://tracing and Perfetto. Paired
+   stages become async events (ph "b"/"e"): many instances and payloads
+   are in flight per node at once, and synchronous B/E events would need
+   strict per-thread nesting. A node's untraced propose of instance j
+   opens its "consensus" span, closed by that node's decide of j; a
+   sampled payload's bcast opens its "abcast" span, closed by the first
+   apply of that trace on the origin. Every other event is an instant.
+   pid/tid are the node id; ts is the recorder's µs clock, sorted so it
+   is monotone across the merged nodes. *)
+let chrome_json events =
+  let events =
+    List.stable_sort
+      (fun (x : Flight.event) (y : Flight.event) -> compare x.e_time y.e_time)
+      events
+  in
+  let open_cons = Hashtbl.create 64 in
+  let open_abcast = Hashtbl.create 64 in
+  let buf = Buffer.create 4096 in
+  let sep = ref "\n" in
+  let add s =
+    Buffer.add_string buf !sep;
+    sep := ",\n";
+    Buffer.add_string buf s
+  in
+  let async (e : Flight.event) ~cat ~ph id =
+    add
+      (Printf.sprintf
+         {|  {"name":"%s","cat":"%s","ph":"%s","id":"%s","ts":%d,"pid":%d,"tid":%d}|}
+         cat cat ph id e.e_time e.e_node e.e_node)
+  in
+  let instant (e : Flight.event) =
+    add
+      (Printf.sprintf
+         {|  {"name":"%s","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{"group":%d,"boot":%d,"trace":%d,"a":%d,"b":%d}}|}
+         (Flight.stage_name e.e_stage) e.e_time e.e_node e.e_node e.e_group
+         e.e_boot e.e_trace e.e_a e.e_b)
+  in
+  Buffer.add_string buf "[";
+  List.iter
+    (fun (e : Flight.event) ->
+      let inst = (e.e_node, e.e_group, e.e_a) in
+      let cons_id () = Printf.sprintf "c%d.%d.%d" e.e_node e.e_group e.e_a in
+      let abcast_id () = Printf.sprintf "t%d" e.e_trace in
+      if
+        e.e_stage = Flight.propose && e.e_trace = 0
+        && not (Hashtbl.mem open_cons inst)
+      then begin
+        Hashtbl.add open_cons inst ();
+        async e ~cat:"consensus" ~ph:"b" (cons_id ())
+      end
+      else if e.e_stage = Flight.decide && Hashtbl.mem open_cons inst then begin
+        Hashtbl.remove open_cons inst;
+        async e ~cat:"consensus" ~ph:"e" (cons_id ())
+      end
+      else if
+        e.e_stage = Flight.bcast && e.e_trace <> 0
+        && not (Hashtbl.mem open_abcast e.e_trace)
+      then begin
+        Hashtbl.add open_abcast e.e_trace e.e_node;
+        async e ~cat:"abcast" ~ph:"b" (abcast_id ())
+      end
+      else if
+        e.e_stage = Flight.apply
+        && Hashtbl.find_opt open_abcast e.e_trace = Some e.e_node
+      then begin
+        Hashtbl.remove open_abcast e.e_trace;
+        async e ~cat:"abcast" ~ph:"e" (abcast_id ())
+      end
+      else instant e)
+    events;
+  Buffer.add_string buf "\n]\n";
+  Buffer.contents buf
+
 (* ---- rendering ------------------------------------------------------ *)
 
 let render ?(verbose = false) r =

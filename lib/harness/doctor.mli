@@ -110,3 +110,12 @@ val reconstructed : report -> int
 val render : ?verbose:bool -> report -> string
 (** Human-readable report. [verbose] prints every trace's timeline;
     otherwise only incomplete traces are expanded. *)
+
+val chrome_json : Abcast_sim.Flight.event list -> string
+(** The events (any number of nodes, any order) as a Chrome
+    [trace_event] JSON array for chrome://tracing or Perfetto, sorted so
+    [ts] is monotone. A node's untraced propose of instance [j] and its
+    decide of [j] form an async ["consensus"] span; a sampled payload's
+    [bcast] and its first [apply] on the origin form an async ["abcast"]
+    span. Every other event is an instant event named by
+    {!Abcast_sim.Flight.stage_name}. [pid] and [tid] are the node id. *)

@@ -335,10 +335,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
         store;
         rng = Rng.create ((nd.id * 7919) + incarnation);
         metrics;
-        emit = (fun _ -> ());
-        trace_on = (fun () -> false);
-        span_begin = (fun ~stage:_ _ -> ());
-        span_end = (fun ~stage:_ _ -> ());
         flight = nd.flight;
         alarm =
           (* Safety sentinel: scream on stderr, bump the counter and dump
@@ -557,6 +553,21 @@ let prom_name name =
         | _ -> '_')
       name
 
+let prom_histogram buf ~name ~labels h =
+  let cum = ref 0 in
+  List.iter
+    (fun (bound, count) ->
+      if Float.is_finite bound then begin
+        cum := !cum + count;
+        Printf.bprintf buf "%s_bucket{%s,le=\"%.6g\"} %d\n" name labels bound
+          !cum
+      end)
+    (Histogram.buckets h);
+  Printf.bprintf buf "%s_bucket{%s,le=\"+Inf\"} %d\n" name labels
+    (Histogram.count h);
+  Printf.bprintf buf "%s_sum{%s} %.6f\n" name labels (Histogram.sum h);
+  Printf.bprintf buf "%s_count{%s} %d\n" name labels (Histogram.count h)
+
 (* Snapshot every up node once and render the Prometheus text format:
    counters as gauges (recovery can rewind e.g. wal_segments), observed
    series as cumulative histograms. *)
@@ -615,24 +626,7 @@ let prometheus t =
            pn name pn);
       List.iter
         (fun (g, node, h) ->
-          let lbl = labels node g in
-          let cum = ref 0 in
-          List.iter
-            (fun (bound, count) ->
-              if Float.is_finite bound then begin
-                cum := !cum + count;
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_bucket{%s,le=\"%.6g\"} %d\n" pn lbl bound
-                     !cum)
-              end)
-            (Histogram.buckets h);
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket{%s,le=\"+Inf\"} %d\n" pn lbl
-               (Histogram.count h));
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum{%s} %.6f\n" pn lbl (Histogram.sum h));
-          Buffer.add_string buf
-            (Printf.sprintf "%s_count{%s} %d\n" pn lbl (Histogram.count h)))
+          prom_histogram buf ~name:pn ~labels:(labels node g) h)
         cells)
     (group snd);
   List.iter (fun f -> f buf) (List.rev t.prom_extra);

@@ -117,6 +117,13 @@ val request_dump : t -> unit
     loop notices on its next pass). The [abcast-sim] binary maps SIGUSR1
     to this. No-op without [dir]. *)
 
+val prom_histogram :
+  Buffer.t -> name:string -> labels:string -> Abcast_util.Histogram.t -> unit
+(** Append one histogram's Prometheus exposition lines: cumulative
+    [name_bucket{labels,le="..."}] per finite bound, the [+Inf] bucket,
+    [name_sum] and [name_count]. [labels] is the comma-separated label
+    list without braces. Shared by {!prometheus} and render hooks. *)
+
 val set_prom_extra : t -> (Buffer.t -> unit) -> unit
 (** Register an extra render hook appended to every {!prometheus} dump
     (text format lines, newline-terminated). The service layer exports

@@ -134,24 +134,9 @@ let render_latency t buf =
          pn pn);
     List.iter
       (fun ((cls, group), h) ->
-        let lbl = Printf.sprintf "class=\"%s\",group=\"%d\"" cls group in
-        let cum = ref 0 in
-        List.iter
-          (fun (bound, count) ->
-            if Float.is_finite bound then begin
-              cum := !cum + count;
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{%s,le=\"%.6g\"} %d\n" pn lbl bound
-                   !cum)
-            end)
-          (Histogram.buckets h);
-        Buffer.add_string buf
-          (Printf.sprintf "%s_bucket{%s,le=\"+Inf\"} %d\n" pn lbl
-             (Histogram.count h));
-        Buffer.add_string buf
-          (Printf.sprintf "%s_sum{%s} %.6f\n" pn lbl (Histogram.sum h));
-        Buffer.add_string buf
-          (Printf.sprintf "%s_count{%s} %d\n" pn lbl (Histogram.count h)))
+        Runtime.prom_histogram buf ~name:pn
+          ~labels:(Printf.sprintf "class=\"%s\",group=\"%d\"" cls group)
+          h)
       cells
   end
 

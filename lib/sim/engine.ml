@@ -18,10 +18,6 @@ type 'm io = {
   store : Storage.t;
   rng : Rng.t;
   metrics : Metrics.t;
-  emit : string -> unit;
-  trace_on : unit -> bool;
-  span_begin : stage:string -> string -> unit;
-  span_end : stage:string -> string -> unit;
   flight : Flight.t;
       (* this node's crash flight recorder; [Flight.disabled] (a no-op)
          in the simulator unless a run opts in *)
@@ -45,10 +41,6 @@ let map_io wrap io =
     store = io.store;
     rng = io.rng;
     metrics = io.metrics;
-    emit = io.emit;
-    trace_on = io.trace_on;
-    span_begin = io.span_begin;
-    span_end = io.span_end;
     flight = io.flight;
     alarm = io.alarm;
     reorder_apply = io.reorder_apply;
@@ -77,7 +69,6 @@ type 'm t = {
   n : int;
   net : Net.t;
   metrics : Metrics.t;
-  trace : Trace.t;
   rng : Rng.t; (* network stream *)
   nodes : 'm node array;
   behaviors : 'm behavior option array;
@@ -98,12 +89,11 @@ let item_cmp a b =
   let c = compare a.at b.at in
   if c <> 0 then c else compare a.seq b.seq
 
-let create ~seed ~n ?net ?msg_size ?trace ?storage ?flight () =
+let create ~seed ~n ?net ?msg_size ?storage ?flight () =
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
   let root = Rng.create seed in
   let metrics = Metrics.create () in
   let net = match net with Some x -> x | None -> Net.create () in
-  let trace = match trace with Some x -> x | None -> Trace.create () in
   let mk_store =
     match storage with
     | Some f -> f
@@ -131,7 +121,6 @@ let create ~seed ~n ?net ?msg_size ?trace ?storage ?flight () =
     n;
     net;
     metrics;
-    trace;
     rng = Rng.split root;
     nodes;
     behaviors = Array.make n None;
@@ -151,7 +140,6 @@ let n t = t.n
 let now t = t.time
 let metrics t = t.metrics
 let network t = t.net
-let trace t = t.trace
 let storage t i = t.nodes.(i).store
 let flight t i = t.nodes.(i).flight
 
@@ -195,19 +183,8 @@ let io_of t node =
     store = node.store;
     rng = node.rng;
     metrics = t.metrics;
-    emit = (fun s -> Trace.emit t.trace ~time:t.time ~node:id s);
-    trace_on = (fun () -> Trace.enabled t.trace);
-    span_begin =
-      (fun ~stage key ->
-        Trace.span_begin t.trace ~time:t.time ~node:id ~stage key);
-    span_end =
-      (fun ~stage key ->
-        Trace.span_end t.trace ~time:t.time ~node:id ~stage key);
     flight = node.flight;
-    alarm =
-      (fun reason ->
-        Metrics.incr t.metrics ~node:id "alarms";
-        Trace.emit t.trace ~time:t.time ~node:id ("ALARM: " ^ reason));
+    alarm = (fun _reason -> Metrics.incr t.metrics ~node:id "alarms");
     reorder_apply = false;
   }
 
@@ -223,8 +200,8 @@ let start t i =
     in
     node.inc <- node.inc + 1;
     node.up <- true;
-    Trace.emit t.trace ~time:t.time ~node:i
-      (if node.inc = 0 then "start" else Printf.sprintf "recover (inc %d)" node.inc);
+    Flight.record node.flight ~time:t.time ~node:i ~group:0 ~boot:node.inc
+      ~stage:Flight.boot ~trace:0 ~a:node.inc ~b:0;
     let io = io_of t node in
     node.handler <- Some (behavior io)
   end
@@ -239,8 +216,7 @@ let crash t i =
   if node.up then begin
     node.up <- false;
     node.handler <- None;
-    Metrics.incr t.metrics ~node:i "crashes";
-    Trace.emit t.trace ~time:t.time ~node:i "crash"
+    Metrics.incr t.metrics ~node:i "crashes"
   end
 
 let recover = start

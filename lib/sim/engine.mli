@@ -37,15 +37,6 @@ type 'm io = {
   store : Storage.t;  (** stable storage, survives crashes *)
   rng : Abcast_util.Rng.t;  (** this process's private random stream *)
   metrics : Metrics.t;  (** shared measurement registry *)
-  emit : string -> unit;  (** trace an event at the current time *)
-  trace_on : unit -> bool;
-      (** whether the trace records; test before building span keys so a
-          disabled trace costs one branch per instrumentation site *)
-  span_begin : stage:string -> string -> unit;
-      (** open a lifecycle span (stage tag + message key) at the current
-          time; no-op when the trace is disabled *)
-  span_end : stage:string -> string -> unit;
-      (** close the matching span at the current time *)
   flight : Flight.t;
       (** this node's crash flight recorder. The engine hands out
           {!Flight.disabled} (recording is a no-op) unless [create] got a
@@ -54,7 +45,8 @@ type 'm io = {
   alarm : string -> unit;
       (** safety sentinel: the protocol calls this when an online audit
           detects a violated invariant (order divergence). The engine
-          bumps an ["alarms"] counter and traces; the live runtime also
+          bumps an ["alarms"] counter (the protocol has already recorded
+          a {!Flight.audit} event); the live runtime also
           dumps the flight recorder immediately so evidence survives. *)
   reorder_apply : bool;
       (** test-only fault: the protocol applies this incarnation's first
@@ -82,7 +74,6 @@ val create :
   n:int ->
   ?net:Net.t ->
   ?msg_size:('m -> int) ->
-  ?trace:Trace.t ->
   ?storage:(metrics:Metrics.t -> node:int -> Storage.t) ->
   ?flight:(node:int -> Flight.t) ->
   unit ->
@@ -100,7 +91,6 @@ val n : 'm t -> int
 val now : 'm t -> time
 val metrics : 'm t -> Metrics.t
 val network : 'm t -> Net.t
-val trace : 'm t -> Trace.t
 val storage : 'm t -> int -> Storage.t
 (** Direct access to a process's stable storage (inspection/tests). *)
 
@@ -113,7 +103,8 @@ val set_behavior : 'm t -> int -> 'm behavior -> unit
 
 val start : 'm t -> int -> unit
 (** Boot a process (first start or recovery): bumps its incarnation,
-    marks it up, runs its behaviour. No-op if already up. *)
+    records a {!Flight.boot} event ([a] = the new incarnation) on its
+    flight recorder, marks it up, runs its behaviour. No-op if already up. *)
 
 val start_all : 'm t -> unit
 (** [start] every process, in id order. *)

@@ -134,6 +134,11 @@ let event_at t i =
 
 let events t = List.init (stored t) (event_at t)
 
+let pp_event ppf e =
+  Format.fprintf ppf "%10d us  p%d boot %d g%d  %-11s a=%d b=%d" e.e_time
+    e.e_node e.e_boot e.e_group (stage_name e.e_stage) e.e_a e.e_b;
+  if e.e_trace <> 0 then Format.fprintf ppf " trace=%d" e.e_trace
+
 (* ---- dump / load ---- *)
 
 type dump = { d_dropped : int; d_events : event list }

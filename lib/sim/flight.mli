@@ -106,6 +106,10 @@ val dropped : t -> int
 val events : t -> event list
 (** Stored events, oldest first. Allocates; not for hot paths. *)
 
+val pp_event : Format.formatter -> event -> unit
+(** One timeline line: time, node, boot, group, stage name, operands and
+    (when sampled) the trace id. *)
+
 val clear : t -> unit
 
 (** {2 Dump / load} *)

@@ -34,6 +34,10 @@ val fsync_dir : string -> unit
 val mkdir_p : string -> unit
 (** Create a directory and its missing parents (0o755). *)
 
+val rm_rf : string -> unit
+(** Remove a file or a directory tree, best effort; symlinks are removed,
+    not followed. A missing path is a no-op. *)
+
 val write_file : ?fsync:bool -> string -> string -> unit
 (** [write_file path contents] writes atomically via
     [path ^ ".tmp"] + rename. With [~fsync:true] (default false) the

@@ -37,10 +37,6 @@ let probe ?(self = 0) ?(n = 3) () =
       store;
       rng = Rng.create 1;
       metrics = Metrics.create ();
-      emit = ignore;
-      trace_on = (fun () -> false);
-      span_begin = (fun ~stage:_ _ -> ());
-      span_end = (fun ~stage:_ _ -> ());
       flight = Abcast_sim.Flight.disabled;
       alarm = ignore;
       reorder_apply = false;

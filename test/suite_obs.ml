@@ -1,11 +1,11 @@
 (* Observability layer tests: log-bucketed histogram accuracy and edge
-   cases, span bookkeeping, Chrome-trace export validity, the
+   cases, the Chrome-trace export built from Flight events, the
    instrumented lifecycle stages, and the live Prometheus endpoint. *)
 
 open Helpers
 module Histogram = Abcast_util.Histogram
-module Trace = Abcast_sim.Trace
 module Flight = Abcast_sim.Flight
+module Doctor = Abcast_harness.Doctor
 module Durable = Abcast_store.Durable
 module Live = Abcast_live.Runtime
 
@@ -244,102 +244,136 @@ let validate_json s =
   let i = skip_ws (value 0) in
   if i <> n then fail i "trailing garbage"
 
+(* A seeded paper_basic run; [traced] gives every node a flight ring
+   and samples every broadcast, [faults] adds 5% loss and a crash and
+   recovery of node 2. *)
+let seeded_run ?(traced = true) ?(faults = false) () =
+  let cfg =
+    { Protocol.paper_basic with trace_sample = (if traced then 1 else 0) }
+  in
+  let flight =
+    if traced then Some (fun ~node:_ -> Flight.create ~cap:8192 ()) else None
+  in
+  let net = Abcast_sim.Net.create ~loss:(if faults then 0.05 else 0.0) () in
+  let cluster =
+    Cluster.create (Factory.make cfg) ~seed:11 ~n:3 ~net ?flight ()
+  in
+  if faults then begin
+    Cluster.at cluster 6_000 (fun () -> Cluster.crash cluster 2);
+    Cluster.at cluster 14_000 (fun () -> Cluster.recover cluster 2)
+  end;
+  let rng = Rng.create 99 in
+  let count =
+    Workload.open_loop cluster ~rng ~senders:[ 0; 1; 2 ] ~start:1_000
+      ~stop:20_000 ~mean_gap:1_200 ()
+  in
+  (* a crash can lose broadcasts the down node had not disseminated, so
+     that run waits for every node to hold everything anyone delivered *)
+  let target () =
+    if faults then List.length (Cluster.ever_delivered cluster) else count
+  in
+  let ok =
+    Cluster.run_until cluster ~until:30_000_000
+      ~pred:(fun () ->
+        Cluster.now cluster > 20_000
+        && Cluster.all_caught_up cluster ~count:(target ()) ())
+      ()
+  in
+  Alcotest.(check bool) "quiesced" true ok;
+  cluster
+
+let merged_events cluster =
+  List.concat_map
+    (fun i -> Flight.events (Cluster.flight cluster i))
+    (List.init (Cluster.n cluster) Fun.id)
+
+(* The integer after ["key":] on one export line, if present. *)
+let int_field key line =
+  let pat = Printf.sprintf {|"%s":|} key in
+  let n = String.length pat in
+  let rec find i =
+    if i + n > String.length line then None
+    else if String.sub line i n = pat then
+      Some (Scanf.sscanf (String.sub line (i + n) (String.length line - i - n)) "%d" Fun.id)
+    else find (i + 1)
+  in
+  find 0
+
+(* The async (cat, ph, id, ts, pid) events of an export, one per line. *)
+let async_events json =
+  String.split_on_char '\n' json
+  |> List.filter_map (fun line ->
+         try
+           Some
+             (Scanf.sscanf line
+                {|  {"name":"%_s@","cat":"%s@","ph":"%s@","id":"%s@","ts":%d,"pid":%d,|}
+                (fun cat ph id ts pid -> (cat, ph, id, ts, pid)))
+         with Scanf.Scan_failure _ | End_of_file -> None)
+
 let trace_tests =
   [
-    test "trace: emitf does not format when disabled" (fun () ->
-        let t = Trace.create ~enabled:false () in
-        let invoked = ref false in
-        let pp ppf () =
-          invoked := true;
-          Format.pp_print_string ppf "x"
-        in
-        Trace.emitf t ~time:1 ~node:0 "hello %a %d" pp () 42;
-        Alcotest.(check bool) "formatter not invoked" false !invoked;
-        Alcotest.(check int) "nothing recorded" 0
-          (List.length (Trace.entries t));
-        Trace.enable t true;
-        Trace.emitf t ~time:2 ~node:0 "hello %a %d" pp () 42;
-        Alcotest.(check bool) "formatter invoked when enabled" true !invoked;
-        match Trace.entries t with
-        | [ e ] -> Alcotest.(check string) "text" "hello x 42" e.Trace.text
-        | l -> Alcotest.failf "expected one entry, got %d" (List.length l));
-    test "trace: spans are no-ops when disabled" (fun () ->
-        let t = Trace.create ~enabled:false () in
-        Trace.span_begin t ~time:1 ~node:0 ~stage:"abcast" "k";
-        Trace.span_end t ~time:2 ~node:0 ~stage:"abcast" "k";
-        Alcotest.(check int) "no spans" 0 (List.length (Trace.spans t));
-        Alcotest.(check bool) "enabled is false" false (Trace.enabled t));
     test "trace: chrome export of a seeded run is valid and well-paired"
       (fun () ->
-        let trace = Trace.create ~enabled:true () in
-        let cluster =
-          Cluster.create (Factory.make Protocol.paper_basic) ~seed:11 ~n:3
-            ~trace ()
-        in
-        let rng = Rng.create 99 in
-        let count =
-          Workload.open_loop cluster ~rng ~senders:[ 0; 1; 2 ] ~start:1_000
-            ~stop:20_000 ~mean_gap:1_200 ()
-        in
-        let ok =
-          Cluster.run_until cluster ~until:30_000_000
-            ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
-            ()
-        in
-        Alcotest.(check bool) "quiesced" true ok;
-        let spans = Trace.spans trace in
-        Alcotest.(check bool) "spans recorded" true (spans <> []);
-        (* every begin has exactly one matching end, never end-first *)
-        let open_tbl = Hashtbl.create 64 in
-        List.iter
-          (fun (sp : Trace.span) ->
-            let key = (sp.stage, sp.key) in
-            match sp.phase with
-            | Trace.B ->
-              Alcotest.(check bool)
-                (Printf.sprintf "no double begin %s/%s" sp.stage sp.key)
-                false (Hashtbl.mem open_tbl key);
-              Hashtbl.add open_tbl key sp.time
-            | Trace.E ->
-              (match Hashtbl.find_opt open_tbl key with
-              | None ->
-                Alcotest.failf "end without begin: %s/%s" sp.stage sp.key
-              | Some t0 ->
-                Alcotest.(check bool) "end not before begin" true
-                  (sp.time >= t0);
-                Hashtbl.remove open_tbl key))
-          spans;
-        (* abcast spans all close on a clean run *)
-        Hashtbl.iter
-          (fun (stage, key) _ ->
-            if stage = "abcast" then
-              Alcotest.failf "unclosed abcast span %s" key)
-          open_tbl;
-        let json = Trace.to_chrome_json trace in
+        let cluster = seeded_run () in
+        let json = Doctor.chrome_json (merged_events cluster) in
         validate_json json;
-        (* ts values are monotone: scan for every "ts": occurrence *)
-        let last = ref min_int in
-        let i = ref 0 in
-        let len = String.length json in
-        let pat = "\"ts\":" in
-        while
-          !i < len - String.length pat
-          && String.length json - !i >= String.length pat
-        do
-          if String.sub json !i (String.length pat) = pat then begin
-            let j = ref (!i + String.length pat) in
-            let v = ref 0 in
-            while !j < len && json.[!j] >= '0' && json.[!j] <= '9' do
-              v := (!v * 10) + (Char.code json.[!j] - Char.code '0');
-              incr j
-            done;
-            Alcotest.(check bool) "monotone ts" true (!v >= !last);
-            last := !v;
-            i := !j
-          end
-          else incr i
-        done;
-        Alcotest.(check bool) "saw ts values" true (!last > min_int));
+        (* ts values are monotone over the merged nodes *)
+        let ts =
+          List.filter_map (int_field "ts") (String.split_on_char '\n' json)
+        in
+        Alcotest.(check bool) "saw ts values" true (ts <> []);
+        ignore
+          (List.fold_left
+             (fun last t ->
+               Alcotest.(check bool) "monotone ts" true (t >= last);
+               t)
+             min_int ts);
+        (* every end has exactly one earlier begin on its node *)
+        let open_tbl = Hashtbl.create 64 in
+        let closed = Hashtbl.create 8 in
+        List.iter
+          (fun (cat, ph, id, ts, pid) ->
+            match ph with
+            | "b" ->
+              Alcotest.(check bool)
+                (Printf.sprintf "no double begin %s/%s" cat id)
+                false
+                (Hashtbl.mem open_tbl (cat, id));
+              Hashtbl.add open_tbl (cat, id) (ts, pid)
+            | "e" -> (
+              match Hashtbl.find_opt open_tbl (cat, id) with
+              | None -> Alcotest.failf "end without begin: %s/%s" cat id
+              | Some (t0, pid0) ->
+                Alcotest.(check bool) "end not before begin" true (ts >= t0);
+                Alcotest.(check int) "ends on the begin's node" pid0 pid;
+                Hashtbl.remove open_tbl (cat, id);
+                Hashtbl.replace closed cat
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt closed cat)))
+            | ph -> Alcotest.failf "unexpected phase %s" ph)
+          (async_events json);
+        let closed cat = Option.value ~default:0 (Hashtbl.find_opt closed cat) in
+        Alcotest.(check int) "one closed abcast span per broadcast"
+          (List.length (Cluster.sent cluster))
+          (closed "abcast");
+        Alcotest.(check bool) "consensus spans recorded" true
+          (closed "consensus" > 0);
+        (* a clean run closes every span it opened *)
+        Hashtbl.iter
+          (fun (cat, id) _ -> Alcotest.failf "unclosed %s span %s" cat id)
+          open_tbl);
+    test "trace: recording does not perturb the simulation" (fun () ->
+        let fingerprint cluster =
+          ( Cluster.now cluster,
+            Cluster.events_processed cluster,
+            List.init (Cluster.n cluster) (fun i ->
+                ids_of (Cluster.delivered_tail cluster i)) )
+        in
+        let plain = fingerprint (seeded_run ~traced:false ~faults:true ()) in
+        let traced = seeded_run ~faults:true () in
+        Alcotest.(check bool) "traced run recorded" true
+          (merged_events traced <> []);
+        Alcotest.(check bool) "same deliveries, events and final now" true
+          (plain = fingerprint traced));
   ]
 
 (* ---- lifecycle instrumentation on a seeded sim run ---- *)
@@ -582,34 +616,10 @@ let flight_tests =
           | Error _ -> ()
           | Ok _ -> Alcotest.failf "prefix %d accepted" len
         done);
-    test "trace: ring-buffer mode bounds memory and counts drops" (fun () ->
-        let t = Trace.create ~enabled:true ~cap:10 () in
-        for i = 1 to 35 do
-          Trace.emit t ~time:i ~node:0 (Printf.sprintf "e%d" i)
-        done;
-        let entries = Trace.entries t in
-        let n = List.length entries in
-        Alcotest.(check bool) "retains at least cap" true (n >= 10);
-        Alcotest.(check bool) "bounded by two blocks" true (n <= 20);
-        Alcotest.(check int) "dropped accounts the rest" (35 - n)
-          (Trace.dropped_events t);
-        (match List.rev entries with
-        | last :: _ -> Alcotest.(check string) "newest kept" "e35" last.Trace.text
-        | [] -> Alcotest.fail "no entries");
-        Trace.clear t;
-        Alcotest.(check int) "clear resets drops" 0 (Trace.dropped_events t));
-    test "trace: unbounded mode never drops" (fun () ->
-        let t = Trace.create ~enabled:true () in
-        for i = 1 to 200 do
-          Trace.emit t ~time:i ~node:0 "x"
-        done;
-        Alcotest.(check int) "all kept" 200 (List.length (Trace.entries t));
-        Alcotest.(check int) "no drops" 0 (Trace.dropped_events t));
   ]
 
 (* ---- doctor: offline trace analysis over synthetic dumps ---- *)
 
-module Doctor = Abcast_harness.Doctor
 module Trace_ctx = Abcast_core.Trace_ctx
 
 let write_dump base i fl =

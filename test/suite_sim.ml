@@ -4,7 +4,6 @@
    durable storage, incarnation guards). *)
 
 open Helpers
-module Trace = Abcast_sim.Trace
 module Faults = Abcast_sim.Faults
 module Histogram = Abcast_util.Histogram
 
@@ -317,40 +316,6 @@ let net_tests =
           (fun () -> ignore (Net.create ~delay_min:10 ~delay_max:5 ())));
   ]
 
-let trace_tests =
-  [
-    test "disabled trace records nothing" (fun () ->
-        let tr = Trace.create () in
-        Trace.emit tr ~time:1 ~node:0 "x";
-        Alcotest.(check int) "entries" 0 (List.length (Trace.entries tr)));
-    test "enabled trace keeps order" (fun () ->
-        let tr = Trace.create ~enabled:true () in
-        Trace.emit tr ~time:1 ~node:0 "a";
-        Trace.emit tr ~time:2 ~node:1 "b";
-        let texts = List.map (fun (e : Trace.entry) -> e.text) (Trace.entries tr) in
-        Alcotest.(check (list string)) "order" [ "a"; "b" ] texts);
-    test "emitf formats" (fun () ->
-        let tr = Trace.create ~enabled:true () in
-        Trace.emitf tr ~time:5 ~node:2 "k=%d %s" 7 "yes";
-        match Trace.entries tr with
-        | [ e ] ->
-          Alcotest.(check string) "text" "k=7 yes" e.text;
-          Alcotest.(check int) "time" 5 e.time;
-          Alcotest.(check int) "node" 2 e.node
-        | _ -> Alcotest.fail "one entry expected");
-    test "find locates entry" (fun () ->
-        let tr = Trace.create ~enabled:true () in
-        Trace.emit tr ~time:1 ~node:0 "a";
-        Trace.emit tr ~time:2 ~node:1 "target";
-        Alcotest.(check bool) "found" true
-          (Trace.find tr (fun e -> e.text = "target") <> None));
-    test "clear drops entries" (fun () ->
-        let tr = Trace.create ~enabled:true () in
-        Trace.emit tr ~time:1 ~node:0 "a";
-        Trace.clear tr;
-        Alcotest.(check int) "entries" 0 (List.length (Trace.entries tr)));
-  ]
-
 (* A trivial echo protocol to exercise the engine. *)
 let echo_behavior log (io : string Engine.io) ~src:_ msg =
   log := (io.self, io.now (), msg) :: !log
@@ -432,6 +397,27 @@ let engine_tests =
         Engine.recover eng 0;
         Alcotest.(check (list int)) "incarnations" [ 1; 0 ] !incs;
         Alcotest.(check int) "engine view" 1 (Engine.incarnation eng 0));
+    test "start and recover record one boot per incarnation" (fun () ->
+        let fl = Abcast_sim.Flight.create ~cap:16 () in
+        let eng : unit Engine.t =
+          Engine.create ~seed:1 ~n:1 ~flight:(fun ~node:_ -> fl) ()
+        in
+        Engine.set_behavior eng 0 (fun _io ~src:_ () -> ());
+        Engine.start eng 0;
+        Engine.crash eng 0;
+        Engine.recover eng 0;
+        Engine.start eng 0;
+        Engine.crash eng 0;
+        Engine.recover eng 0;
+        let boots =
+          List.filter_map
+            (fun (e : Abcast_sim.Flight.event) ->
+              if e.e_stage = Abcast_sim.Flight.boot then Some (e.e_boot, e.e_a)
+              else None)
+            (Abcast_sim.Flight.events fl)
+        in
+        Alcotest.(check (list (pair int int)))
+          "one boot per incarnation" [ (0, 0); (1, 1); (2, 2) ] boots);
     test "start is idempotent while up" (fun () ->
         let eng : unit Engine.t = Engine.create ~seed:1 ~n:1 () in
         let boots = ref 0 in
@@ -573,4 +559,4 @@ let engine_bytes_tests =
 let suite =
   ( "sim",
     storage_tests @ storage_file_tests @ metrics_tests @ net_tests
-    @ trace_tests @ engine_tests @ engine_bytes_tests @ faults_tests )
+    @ engine_tests @ engine_bytes_tests @ faults_tests )

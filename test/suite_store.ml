@@ -22,17 +22,9 @@ let fresh_dir () =
   Durable.mkdir_p d;
   d
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
 let with_dir f =
   let d = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
+  Fun.protect ~finally:(fun () -> Durable.rm_rf d) (fun () -> f d)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -96,6 +88,16 @@ let build_log d ops =
 
 let wal_tests =
   [
+    test "durable: rm_rf removes a nested tree; a missing path is a no-op"
+      (fun () ->
+        let d = fresh_dir () in
+        Durable.mkdir_p (Filename.concat d "a/b/c");
+        Durable.write_file (Filename.concat d "a/b/c/f") "x";
+        Durable.write_file (Filename.concat d "a/g") "y";
+        Durable.rm_rf d;
+        Alcotest.(check bool) "tree gone" false (Sys.file_exists d);
+        Durable.rm_rf d;
+        Durable.rm_rf (Filename.concat d "never/existed"));
     test "wal: puts and deletes survive reopen" (fun () ->
         with_dir (fun d ->
             let w = Wal.open_ ~dir:d () in
