@@ -1,11 +1,14 @@
-(* The experiment harness: one table per experiment E1-E9 of
-   EXPERIMENTS.md. Each function builds fresh simulations (everything is
-   seeded, so tables are reproducible bit-for-bit) and prints rows in the
-   style of a paper evaluation section. *)
+(* The experiment harness: E1-E9 reproduce the paper's evaluation claims
+   and E10-E22 measure the extensions (EXPERIMENTS.md). Each experiment
+   builds fresh simulations (everything is seeded, so the simulated
+   columns are reproducible bit-for-bit) and returns its tables as data;
+   bench/main.ml renders them as text or JSON. A must-hold check that
+   fails raises instead of returning a table. *)
 
 module Rng = Abcast_util.Rng
 module Net = Abcast_sim.Net
 module Metrics = Abcast_sim.Metrics
+module Flight = Abcast_sim.Flight
 module Faults = Abcast_sim.Faults
 module Payload = Abcast_core.Payload
 module Factory = Abcast_core.Factory
@@ -21,24 +24,61 @@ let quick = ref false
 
 let scale n = if !quick then max 1 (n / 4) else n
 
+(* Run until every process has delivered [count] broadcasts. *)
+let quiesce cluster ~count what =
+  if
+    not
+      (Cluster.run_until cluster ~until:1_000_000_000
+         ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
+         ())
+  then failwith (what ^ " did not quiesce")
+
 (* Drive [msgs] Poisson broadcasts on a fresh cluster of the stack and run
    to quiescence. Returns the cluster and the message count. *)
 let steady_run ?(n = 3) ?(seed = 7) ?(msgs = 200) ?(mean_gap = 1_500) ?net
-    ?(size = 32) ?count_bytes stack =
-  let cluster = Cluster.create stack ~seed ~n ?net ?count_bytes () in
+    ?(size = 32) ?count_bytes ?flight stack =
+  let cluster = Cluster.create stack ~seed ~n ?net ?count_bytes ?flight () in
   let rng = Rng.create (seed * 13) in
   let count =
     Workload.open_loop cluster ~rng ~senders:(List.init n Fun.id) ~start:1_000
       ~stop:(1_000 + (msgs * mean_gap))
       ~mean_gap ~size ()
   in
-  let ok =
-    Cluster.run_until cluster ~until:1_000_000_000
-      ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
-      ()
-  in
-  if not ok then failwith "steady_run did not quiesce";
+  quiesce cluster ~count "steady run";
   (cluster, count)
+
+(* One warm-up run, then [k] timed runs: the result of the last and the
+   best host wall time. The runs are seeded, so they differ only in host
+   noise and the minimum is the least noise-contaminated estimate. *)
+let best_of k go =
+  ignore (go ());
+  let best = ref infinity and last = ref None in
+  for _ = 1 to k do
+    let t0 = Unix.gettimeofday () in
+    let r = go () in
+    best := Float.min !best (Unix.gettimeofday () -. t0);
+    last := Some r
+  done;
+  (Option.get !last, !best)
+
+(* A saturating burst of [msgs] 64-byte payloads spread over all [n]
+   processes at t = 1 ms, drained to quiescence with byte accounting on:
+   the drained cluster and the best of 5 host wall times. *)
+let drain_burst ~seed ~rng_seed ~n ~msgs stack =
+  best_of 5 (fun () ->
+      let cluster = Cluster.create stack ~seed ~n ~count_bytes:true () in
+      Workload.burst cluster ~rng:(Rng.create rng_seed)
+        ~senders:(List.init n Fun.id) ~at:1_000 ~count:msgs ~size:64 ();
+      quiesce cluster ~count:msgs "burst";
+      cluster)
+
+(* Drained payloads per simulated second of a burst offered at t = 1 ms. *)
+let drain_rate cluster ~msgs =
+  float_of_int msgs /. (float_of_int (Cluster.now cluster - 1_000) /. 1e6)
+
+let bytes_per_msg cluster ~msgs =
+  float_of_int (Metrics.sum (Cluster.metrics cluster) "net_bytes")
+  /. float_of_int msgs
 
 (* ------------------------------------------------------------------ *)
 (* E1 — log operations per delivered message (paper §4.3).             *)
@@ -52,7 +92,7 @@ let e1 () =
     let ab = Metrics.sum_prefix m "log_ops.abcast" in
     let rounds = Cluster.round cluster 0 in
     [
-      name;
+      Table.Text name;
       Table.num count;
       Table.num rounds;
       Table.num cons;
@@ -61,19 +101,24 @@ let e1 () =
       Table.flt (float_of_int (cons + ab) /. float_of_int count);
     ]
   in
-  Table.print
-    ~title:
-      "E1: log operations by layer (n=3, crash-free; paper claim: the basic \
-       protocol adds ZERO log ops beyond consensus)"
-    ~header:
-      [ "stack"; "msgs"; "rounds"; "ops(consensus)"; "ops(abcast)";
-        "abcast ops/msg"; "total ops/msg" ]
-    [
-      row "basic/paxos (minimal)" (Factory.make Protocol.paper_basic);
-      row "alt/paxos (checkpoints)" (Factory.make Protocol.paper_alternative);
-      row "naive/paxos (strawman)" (Factory.make Protocol.naive);
-      row "ct-stop/paxos (no crash-recovery)" (Abcast_baseline.Ct_abcast.stack ());
-    ]
+  [
+    {
+      Table.title =
+        "E1: log operations by layer (n=3, crash-free; paper claim: the basic \
+         protocol adds ZERO log ops beyond consensus)";
+      header =
+        [ "stack"; "msgs"; "rounds"; "ops(consensus)"; "ops(abcast)";
+          "abcast ops/msg"; "total ops/msg" ];
+      rows =
+        [
+          row "basic/paxos (minimal)" (Factory.make Protocol.paper_basic);
+          row "alt/paxos (checkpoints)" (Factory.make Protocol.paper_alternative);
+          row "naive/paxos (strawman)" (Factory.make Protocol.naive);
+          row "ct-stop/paxos (no crash-recovery)"
+            (Abcast_baseline.Ct_abcast.stack ());
+        ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E2 — recovery cost vs. history length (paper §5.1).                 *)
@@ -110,7 +155,7 @@ let e2 () =
             in
             [
               Table.num msgs;
-              name;
+              Table.Text name;
               Table.num rounds;
               Table.num replayed;
               Table.flt ~dec:3 host_ms;
@@ -118,13 +163,16 @@ let e2 () =
           variants)
       [ scale 100; scale 200; scale 400 ]
   in
-  Table.print
-    ~title:
-      "E2: recovery cost vs history length (crash after the run, then \
-       recover; paper claim: checkpoints make replay O(since-checkpoint) \
-       instead of O(history))"
-    ~header:[ "msgs"; "stack"; "rounds"; "replayed rounds"; "host ms" ]
-    rows
+  [
+    {
+      Table.title =
+        "E2: recovery cost vs history length (crash after the run, then \
+         recover; paper claim: checkpoints make replay O(since-checkpoint) \
+         instead of O(history))";
+      header = [ "msgs"; "stack"; "rounds"; "replayed rounds"; "host ms" ];
+      rows;
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E3 — stable-storage footprint vs time (paper §5.2).                 *)
@@ -167,16 +215,18 @@ let e3 () =
   let rows =
     List.map
       (fun (name, samples) ->
-        name
-        :: List.map (fun (_, bytes) -> Table.num bytes) samples)
+        Table.Text name :: List.map (fun (_, bytes) -> Table.num bytes) samples)
       series
   in
-  Table.print
-    ~title:
-      "E3: retained stable-storage bytes at node 0 over time (paper claim: \
-       application-level checkpoints keep the log bounded)"
-    ~header:[ "stack"; "t=25%"; "t=50%"; "t=75%"; "t=100%"; "idle+ckpt" ]
-    rows
+  [
+    {
+      Table.title =
+        "E3: retained stable-storage bytes at node 0 over time (paper claim: \
+         application-level checkpoints keep the log bounded)";
+      header = [ "stack"; "t=25%"; "t=50%"; "t=75%"; "t=100%"; "idle+ckpt" ];
+      rows;
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E4 — catching up: consensus replay vs state transfer (paper §5.3).  *)
@@ -193,12 +243,7 @@ let e4 () =
     in
     Cluster.at cluster (stop + 1_000) (fun () -> Cluster.recover cluster 2);
     let recover_at = stop + 1_000 in
-    let ok =
-      Cluster.run_until cluster ~until:1_000_000_000
-        ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
-        ()
-    in
-    if not ok then failwith "E4 episode did not converge";
+    quiesce cluster ~count "E4 episode";
     let catch_up_ms = (Cluster.now cluster - recover_at) / 1_000 in
     let transfers = Metrics.sum (Cluster.metrics cluster) "state_transfers_applied" in
     let rounds_missed = Cluster.round cluster 0 in
@@ -213,7 +258,7 @@ let e4 () =
             [
               Table.num down_ms;
               Table.num missed;
-              name;
+              Table.Text name;
               Table.num ms;
               Table.num transfers;
             ])
@@ -231,14 +276,6 @@ let e4 () =
           ])
       [ scale 40; scale 80; scale 160 ]
   in
-  Table.print
-    ~title:
-      "E4: catch-up after a long down-time (paper claim: state transfer \
-       catches up in O(1) rounds; re-running missed consensus grows with \
-       the gap)"
-    ~header:
-      [ "down ms"; "rounds run"; "catch-up path"; "catch-up ms"; "state transfers" ]
-    rows;
   (* Δ sweep: how much de-synchronization triggers a transfer (§5.3 line d) *)
   let sweep =
     List.map
@@ -258,12 +295,6 @@ let e4 () =
         [ Table.num delta; Table.num missed; Table.num ms; Table.num transfers ])
       [ 1; 4; 16; 64 ]
   in
-  Table.print
-    ~title:
-      "E4b: tuning delta (fixed down-time; small delta = eager transfer, \
-       large delta = catch up by re-running consensus)"
-    ~header:[ "delta"; "rounds run"; "catch-up ms"; "state transfers" ]
-    sweep;
   (* §5.3 closing remark: ship only what the recipient is missing *)
   let bytes_row (name, trim_state) =
     let stack =
@@ -286,26 +317,42 @@ let e4 () =
         ~stop:horizon ~mean_gap:1_000 ()
     in
     Cluster.at cluster (horizon + 1_000) (fun () -> Cluster.recover cluster 2);
-    let ok =
-      Cluster.run_until cluster ~until:1_000_000_000
-        ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
-        ()
-    in
-    if not ok then failwith "E4c did not converge";
+    quiesce cluster ~count "E4c";
     let m = Cluster.metrics cluster in
     [
-      name;
+      Table.Text name;
       Table.num count;
       Table.num (Metrics.sum m "state_sent");
       Table.num (Metrics.sum m "state_bytes_sent");
     ]
   in
-  Table.print
-    ~title:
-      "E4c: state-transfer payload, full snapshot vs missing-suffix only \
-       (the optimization the paper sketches at the end of 5.3)"
-    ~header:[ "mode"; "msgs"; "state msgs sent"; "state bytes sent" ]
-    [ bytes_row ("full snapshot", false); bytes_row ("suffix only", true) ]
+  [
+    {
+      Table.title =
+        "E4: catch-up after a long down-time (paper claim: state transfer \
+         catches up in O(1) rounds; re-running missed consensus grows with \
+         the gap)";
+      header =
+        [ "down ms"; "rounds run"; "catch-up path"; "catch-up ms";
+          "state transfers" ];
+      rows;
+    };
+    {
+      title =
+        "E4b: tuning delta (fixed down-time; small delta = eager transfer, \
+         large delta = catch up by re-running consensus)";
+      header = [ "delta"; "rounds run"; "catch-up ms"; "state transfers" ];
+      rows = sweep;
+    };
+    {
+      title =
+        "E4c: state-transfer payload, full snapshot vs missing-suffix only \
+         (the optimization the paper sketches at the end of 5.3)";
+      header = [ "mode"; "msgs"; "state msgs sent"; "state bytes sent" ];
+      rows =
+        [ bytes_row ("full snapshot", false); bytes_row ("suffix only", true) ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E5 — throughput and batching (paper §5.4).                          *)
@@ -318,19 +365,13 @@ let e5 () =
     for node = 0 to 2 do
       Workload.closed_loop cluster ~rng ~node ~total:(total / 3) ~pipeline ()
     done;
-    let ok =
-      Cluster.run_until cluster ~until:1_000_000_000
-        ~pred:(fun () ->
-          Cluster.all_caught_up cluster ~count:(3 * (total / 3)) ())
-        ()
-    in
-    if not ok then failwith "E5 did not converge";
+    quiesce cluster ~count:(3 * (total / 3)) "E5";
     let m = Cluster.metrics cluster in
     let dur_s = float_of_int (Cluster.now cluster) /. 1_000_000.0 in
     let delivered = 3 * (total / 3) in
     let rounds = Cluster.round cluster 0 in
     [
-      stack_name;
+      Table.Text stack_name;
       Table.num pipeline;
       Table.flt (float_of_int delivered /. dur_s);
       Table.flt (float_of_int delivered /. float_of_int rounds);
@@ -350,14 +391,17 @@ let e5 () =
         ])
       [ 1; 4; 16; 64 ]
   in
-  Table.print
-    ~title:
-      "E5: throughput vs client pipelining (3 closed-loop clients; paper \
-       claim: batching messages into one consensus raises throughput)"
-    ~header:
-      [ "stack"; "pipeline"; "msgs/s (sim)"; "batch (msgs/round)";
-        "mean lat ms"; "p95 lat ms" ]
-    rows
+  [
+    {
+      Table.title =
+        "E5: throughput vs client pipelining (3 closed-loop clients; paper \
+         claim: batching messages into one consensus raises throughput)";
+      header =
+        [ "stack"; "pipeline"; "msgs/s (sim)"; "batch (msgs/round)";
+          "mean lat ms"; "p95 lat ms" ];
+      rows;
+    };
+  ]
 
 (* E5b — drain time for an instantaneous burst: batching means the whole
    burst should cost a near-constant number of consensus rounds. *)
@@ -369,31 +413,30 @@ let e5b () =
     let rng = Rng.create 103 in
     Workload.burst cluster ~rng ~senders:[ 0; 1; 2 ] ~at:1_000
       ~count:burst_size ();
-    let ok =
-      Cluster.run_until cluster ~until:1_000_000_000
-        ~pred:(fun () -> Cluster.all_caught_up cluster ~count:burst_size ())
-        ()
-    in
-    if not ok then failwith "E5b did not drain";
+    quiesce cluster ~count:burst_size "E5b";
     [
-      name;
+      Table.Text name;
       Table.num burst_size;
       Table.num (Cluster.now cluster - 1_000);
       Table.num (Cluster.round cluster 0);
       Table.flt (float_of_int burst_size /. float_of_int (Cluster.round cluster 0));
     ]
   in
-  Table.print
-    ~title:
-      "E5b: draining an instantaneous burst (batching at work: the whole \
-       burst fits in a handful of consensus rounds)"
-    ~header:[ "stack"; "burst"; "drain us"; "rounds"; "batch" ]
-    [
-      row "basic" (Factory.make Protocol.paper_basic);
-      row "alt" (Factory.make Protocol.paper_alternative);
-      row "alt, window=4"
-        (Factory.make { Protocol.paper_alternative with window = 4 });
-    ]
+  [
+    {
+      Table.title =
+        "E5b: draining an instantaneous burst (batching at work: the whole \
+         burst fits in a handful of consensus rounds)";
+      header = [ "stack"; "burst"; "drain us"; "rounds"; "batch" ];
+      rows =
+        [
+          row "basic" (Factory.make Protocol.paper_basic);
+          row "alt" (Factory.make Protocol.paper_alternative);
+          row "alt, window=4"
+            (Factory.make { Protocol.paper_alternative with window = 4 });
+        ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E6 — incremental logging (paper §5.5).                              *)
@@ -416,19 +459,23 @@ let e6 () =
     let ops = Metrics.sum_prefix m "log_ops.abcast" in
     let bytes = Metrics.sum_prefix m "log_bytes.abcast" in
     [
-      name;
+      Table.Text name;
       Table.num count;
       Table.num ops;
       Table.num bytes;
       Table.flt (float_of_int bytes /. float_of_int count);
     ]
   in
-  Table.print
-    ~title:
-      "E6: logging the Unordered set, full re-log vs incremental (paper \
-       claim: logging only the new part saves log operations and bytes)"
-    ~header:[ "mode"; "msgs"; "abcast log ops"; "abcast log bytes"; "bytes/msg" ]
-    [ row "full re-log" false; row "incremental" true ]
+  [
+    {
+      Table.title =
+        "E6: logging the Unordered set, full re-log vs incremental (paper \
+         claim: logging only the new part saves log operations and bytes)";
+      header =
+        [ "mode"; "msgs"; "abcast log ops"; "abcast log bytes"; "bytes/msg" ];
+      rows = [ row "full re-log" false; row "incremental" true ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E7 — cost of crash-recovery support vs crash-stop CT (paper §1/§7). *)
@@ -450,16 +497,16 @@ let e7 () =
         let cm, cl, clat, _ = run (Abcast_baseline.Ct_abcast.stack ()) in
         [
           [
-            string_of_int n;
-            "basic/paxos (crash-recovery)";
+            Table.num n;
+            Table.Text "basic/paxos (crash-recovery)";
             Table.num count;
             Table.num bm;
             Table.num bl;
             Table.flt ~dec:1 blat;
           ];
           [
-            string_of_int n;
-            "ct-stop/paxos (crash-stop)";
+            Table.num n;
+            Table.Text "ct-stop/paxos (crash-stop)";
             Table.num count;
             Table.num cm;
             Table.num cl;
@@ -468,13 +515,16 @@ let e7 () =
         ])
       [ 3; 5; 7 ]
   in
-  Table.print
-    ~title:
-      "E7: crash-free runs vs the Chandra-Toueg crash-stop reduction (paper \
-       claim: same protocol structure; the entire crash-recovery premium is \
-       the logging)"
-    ~header:[ "n"; "stack"; "msgs"; "net msgs"; "log ops"; "mean lat ms" ]
-    rows
+  [
+    {
+      Table.title =
+        "E7: crash-free runs vs the Chandra-Toueg crash-stop reduction (paper \
+         claim: same protocol structure; the entire crash-recovery premium is \
+         the logging)";
+      header = [ "n"; "stack"; "msgs"; "net msgs"; "log ops"; "mean lat ms" ];
+      rows;
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E8 — consensus as a black box (paper §1/§7).                        *)
@@ -485,7 +535,7 @@ let e8 () =
     let cluster, count = steady_run ~seed:53 ~msgs stack in
     let m = Cluster.metrics cluster in
     [
-      name;
+      Table.Text name;
       Table.num count;
       Table.num (Cluster.round cluster 0);
       Table.num (Metrics.sum m "msgs_sent");
@@ -494,23 +544,27 @@ let e8 () =
       Table.flt ~dec:1 (Metrics.mean m "lat_deliver" /. 1_000.0);
     ]
   in
-  Table.print
-    ~title:
-      "E8: swapping the consensus building block (paper claim: the \
-       broadcast layer is consensus- and FD-agnostic; only consensus-\
-       internal costs change)"
-    ~header:
-      [ "stack"; "msgs"; "rounds"; "net msgs"; "ops(consensus)";
-        "ops(abcast)"; "mean lat ms" ]
-    [
-      row "basic over paxos (leader-based, Omega FD)"
-        (Factory.make Protocol.paper_basic);
-      row "basic over coord (rotating coordinator, no FD)"
-        (Factory.make ~consensus:`Coord Protocol.paper_basic);
-      row "alt over paxos" (Factory.make Protocol.paper_alternative);
-      row "alt over coord"
-        (Factory.make ~consensus:`Coord Protocol.paper_alternative);
-    ]
+  [
+    {
+      Table.title =
+        "E8: swapping the consensus building block (paper claim: the \
+         broadcast layer is consensus- and FD-agnostic; only consensus-\
+         internal costs change)";
+      header =
+        [ "stack"; "msgs"; "rounds"; "net msgs"; "ops(consensus)";
+          "ops(abcast)"; "mean lat ms" ];
+      rows =
+        [
+          row "basic over paxos (leader-based, Omega FD)"
+            (Factory.make Protocol.paper_basic);
+          row "basic over coord (rotating coordinator, no FD)"
+            (Factory.make ~consensus:`Coord Protocol.paper_basic);
+          row "alt over paxos" (Factory.make Protocol.paper_alternative);
+          row "alt over coord"
+            (Factory.make ~consensus:`Coord Protocol.paper_alternative);
+        ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E9 — correctness under adversarial schedules (paper §2.2, P1-P7).   *)
@@ -538,22 +592,27 @@ let e9 () =
     Cluster.run cluster ~until:(plan.horizon + 4_000_000);
     let crashes = Metrics.sum (Cluster.metrics cluster) "crashes" in
     let delivered = Cluster.delivered_count cluster (List.hd good) in
-    match Checks.all ~cluster ~good () with
-    | Ok () -> (crashes, delivered, 0)
-    | Error _ -> (crashes, delivered, 1)
+    (crashes, delivered, Checks.all ~cluster ~good ())
   in
+  let first_violation = ref None in
   let rows =
     List.map
       (fun (name, stack) ->
         let crashes = ref 0 and delivered = ref 0 and violations = ref 0 in
         for seed = 1 to episodes do
-          let c, d, v = run_episode stack (seed * 271) in
+          let c, d, verdict = run_episode stack (seed * 271) in
           crashes := !crashes + c;
           delivered := !delivered + d;
-          violations := !violations + v
+          match verdict with
+          | Ok () -> ()
+          | Error e ->
+            incr violations;
+            if !first_violation = None then
+              first_violation :=
+                Some (Printf.sprintf "%s, seed %d: %s" name (seed * 271) e)
         done;
         [
-          name;
+          Table.Text name;
           Table.num episodes;
           Table.num !crashes;
           Table.num !delivered;
@@ -571,13 +630,20 @@ let e9 () =
             } );
       ]
   in
-  Table.print
-    ~title:
-      "E9: randomized crash/recovery schedules, 1 bad process of 3 \
-       (Validity + Integrity + Total Order + Termination checked over good \
-       processes; paper claim: zero violations)"
-    ~header:[ "stack"; "episodes"; "crashes injected"; "msgs delivered"; "violations" ]
-    rows
+  Option.iter
+    (fun v -> failwith ("E9: property violated: " ^ v))
+    !first_violation;
+  [
+    {
+      Table.title =
+        "E9: randomized crash/recovery schedules, 1 bad process of 3 \
+         (Validity + Integrity + Total Order + Termination checked over good \
+         processes; paper claim: zero violations)";
+      header =
+        [ "stack"; "episodes"; "crashes injected"; "msgs delivered"; "violations" ];
+      rows;
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E10 — ablation: windowed (pipelined) sequencer. An extension beyond  *)
@@ -605,12 +671,7 @@ let e10 () =
         ~stop:(1_000 + (msgs * 150))
         ~mean_gap:150 ()
     in
-    let ok =
-      Cluster.run_until cluster ~until:1_000_000_000
-        ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
-        ()
-    in
-    if not ok then failwith "E10 did not converge";
+    quiesce cluster ~count "E10";
     let m = Cluster.metrics cluster in
     let dur_s = float_of_int (Cluster.now cluster) /. 1_000_000.0 in
     [
@@ -621,12 +682,15 @@ let e10 () =
       Table.flt ~dec:1 (Metrics.percentile m "lat_deliver" 95.0 /. 1_000.0);
     ]
   in
-  Table.print
-    ~title:
-      "E10 (extension ablation): concurrent consensus window under heavy \
-       open-loop load (paper's sequencer = window 1)"
-    ~header:[ "window"; "rounds"; "msgs/s (sim)"; "mean lat ms"; "p95 lat ms" ]
-    (List.map row [ 1; 2; 4; 8 ])
+  [
+    {
+      Table.title =
+        "E10 (extension ablation): concurrent consensus window under heavy \
+         open-loop load (paper's sequencer = window 1)";
+      header = [ "window"; "rounds"; "msgs/s (sim)"; "mean lat ms"; "p95 lat ms" ];
+      rows = List.map row [ 1; 2; 4; 8 ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E11 — scalability with the group size (context for all the above:    *)
@@ -641,7 +705,7 @@ let e11 () =
     let m = Cluster.metrics cluster in
     let net_msgs = Metrics.sum m "msgs_sent" in
     [
-      string_of_int n;
+      Table.num n;
       Table.num count;
       Table.num (Cluster.round cluster 0);
       Table.num net_msgs;
@@ -652,15 +716,18 @@ let e11 () =
       Table.flt ~dec:1 (Metrics.percentile m "lat_deliver" 95.0 /. 1_000.0);
     ]
   in
-  Table.print
-    ~title:
-      "E11: scaling the process group (basic/paxos, fixed offered load; \
-       message cost grows ~n^2 per round, latency stays ~flat while a \
-       majority answers quickly)"
-    ~header:
-      [ "n"; "msgs"; "rounds"; "net msgs"; "net msgs/msg"; "log ops/msg";
-        "mean lat ms"; "p95 lat ms" ]
-    (List.map row [ 3; 5; 7; 9 ])
+  [
+    {
+      Table.title =
+        "E11: scaling the process group (basic/paxos, fixed offered load; \
+         message cost grows ~n^2 per round, latency stays ~flat while a \
+         majority answers quickly)";
+      header =
+        [ "n"; "msgs"; "rounds"; "net msgs"; "net msgs/msg"; "log ops/msg";
+          "mean lat ms"; "p95 lat ms" ];
+      rows = List.map row [ 3; 5; 7; 9 ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E12 — failure-detector quality of service (context for §3.5): the    *)
@@ -721,14 +788,18 @@ let e12 () =
       Table.num retrust;
     ]
   in
-  Table.print
-    ~title:
-      "E12: heartbeat failure-detector QoS (20 percent heavy-tail delays; \
-       detection time ~ timeout, wrongful suspicions fall as the timeout \
-       grows — the trade-off behind Omega's eventual accuracy)"
-    ~header:
-      [ "period us"; "timeout us"; "wrongful samples"; "detect us"; "re-trust us" ]
-    (List.map row [ 500; 1_000; 2_000; 4_000 ])
+  [
+    {
+      Table.title =
+        "E12: heartbeat failure-detector QoS (20 percent heavy-tail delays; \
+         detection time ~ timeout, wrongful suspicions fall as the timeout \
+         grows — the trade-off behind Omega's eventual accuracy)";
+      header =
+        [ "period us"; "timeout us"; "wrongful samples"; "detect us";
+          "re-trust us" ];
+      rows = List.map row [ 500; 1_000; 2_000; 4_000 ];
+    };
+  ]
 
 (* E13 — traffic anatomy: what the wire actually carries. *)
 
@@ -742,7 +813,7 @@ let e13 () =
     let total = gossip + rx "consensus" + rx "fd" + rx "state" in
     let pct v = Table.flt (100.0 *. float_of_int v /. float_of_int (max 1 total)) in
     [
-      name;
+      Table.Text name;
       Table.num count;
       Table.num total;
       pct (rx "consensus");
@@ -751,51 +822,105 @@ let e13 () =
       pct (rx "state");
     ]
   in
-  Table.print
-    ~title:
-      "E13: received-message anatomy (share per layer; gossip covers full \
-       sets, digests and Need pulls; heartbeats are the fixed background, \
-       consensus scales with rounds)"
-    ~header:
-      [ "stack"; "msgs"; "rx total"; "% consensus"; "% gossip"; "% fd"; "% state" ]
-    [
-      row "basic/paxos" (Factory.make Protocol.paper_basic);
-      row "basic/coord" (Factory.make ~consensus:`Coord Protocol.paper_basic);
-      row "alt/paxos" (Factory.make Protocol.paper_alternative);
-    ]
+  [
+    {
+      Table.title =
+        "E13: received-message anatomy (share per layer; gossip covers full \
+         sets, digests and Need pulls; heartbeats are the fixed background, \
+         consensus scales with rounds)";
+      header =
+        [ "stack"; "msgs"; "rx total"; "% consensus"; "% gossip"; "% fd";
+          "% state" ];
+      rows =
+        [
+          row "basic/paxos" (Factory.make Protocol.paper_basic);
+          row "basic/coord" (Factory.make ~consensus:`Coord Protocol.paper_basic);
+          row "alt/paxos" (Factory.make Protocol.paper_alternative);
+        ];
+    };
+  ]
 
-(* E14 — delta gossip: wire cost of the dissemination layer. *)
+(* E14 — delta gossip: wire cost of the dissemination layer. The runs
+   are also timed (warm-up, best of 7), once more with a Flight ring on
+   every node recording the untraced lifecycle events, so the wall
+   column shows the recorder's cost; a second table reads the stage
+   latency p50s the same runs measured. *)
 
 let e14 () =
   let msgs = scale 400 in
-  let row name stack =
-    let cluster, count = steady_run ~n:5 ~msgs ~mean_gap:1_500 stack in
+  let run ?flight stack =
+    best_of 7 (fun () -> steady_run ~n:5 ~msgs ~mean_gap:1_500 ?flight stack)
+  in
+  let row name ((cluster, count), wall_s) =
     let m = Cluster.metrics cluster in
     let gmsgs = Metrics.sum m "gossip_msgs_sent" in
     let gbytes = Metrics.sum m "gossip_bytes_sent" in
     [
-      name;
+      Table.Text name;
       Table.num count;
       Table.num gmsgs;
       Table.num gbytes;
       Table.flt (float_of_int gbytes /. float_of_int (max 1 gmsgs));
       Table.flt (float_of_int gbytes /. float_of_int (max 1 count));
       Table.num (Metrics.sum m "msgs_sent");
+      Table.num (Cluster.events_processed cluster);
+      Table.num (Cluster.now cluster);
+      Table.flt (wall_s *. 1_000.0);
     ]
   in
-  Table.print
-    ~title:
-      "E14: digest/pull gossip vs full-set gossip (n=5 steady load; the \
-       dissemination layer stops re-shipping the whole Unordered set \
-       every period)"
-    ~header:
-      [ "gossip mode"; "msgs"; "gossip msgs"; "gossip bytes";
-        "bytes/gossip msg"; "gossip bytes/msg"; "net msgs total" ]
+  let full =
+    run (Factory.make { Protocol.paper_alternative with delta_gossip = false })
+  in
+  let delta = run (Factory.make Protocol.paper_alternative) in
+  let flight =
+    run
+      ~flight:(fun ~node:_ -> Flight.create ~cap:4096 ())
+      (Factory.make Protocol.paper_alternative)
+  in
+  let stages =
     [
-      row "full set (Fig. 3 literal)"
-        (Factory.make { Protocol.paper_alternative with delta_gossip = false });
-      row "digest + Need pull" (Factory.make Protocol.paper_alternative);
+      "stage.broadcast_to_propose_us";
+      "stage.propose_to_adeliver_us";
+      "lat_deliver";
+      "cons.propose_to_decide_us";
     ]
+  in
+  let stage_row name ((cluster, _), _) =
+    Table.Text name
+    :: List.map
+         (fun series ->
+           match Cluster.hist_summary cluster series with
+           | Some s -> Table.flt ~dec:1 s.p50
+           | None -> Table.flt nan)
+         stages
+  in
+  [
+    {
+      Table.title =
+        "E14: digest/pull gossip vs full-set gossip (n=5 steady load; the \
+         dissemination layer stops re-shipping the whole Unordered set \
+         every period)";
+      header =
+        [ "gossip mode"; "msgs"; "gossip msgs"; "gossip bytes";
+          "bytes/gossip msg"; "gossip bytes/msg"; "net msgs total"; "events";
+          "sim us"; "wall ms (host)" ];
+      rows =
+        [
+          row "full set (Fig. 3 literal)" full;
+          row "digest + Need pull" delta;
+          row "digest + Need pull, Flight rings" flight;
+        ];
+    };
+    {
+      title = "E14b: stage latency p50s of the same runs (simulated µs)";
+      header = "gossip mode" :: stages;
+      rows =
+        [
+          stage_row "full set (Fig. 3 literal)" full;
+          stage_row "digest + Need pull" delta;
+        ];
+    };
+  ]
 
 (* E15 — binary wire codec vs Marshal, per protocol message type. *)
 
@@ -804,6 +929,7 @@ let e15 () =
   let module Heartbeat = Abcast_fd.Heartbeat in
   let module Agreed = Abcast_core.Agreed in
   let module Vclock = Abcast_core.Vclock in
+  let module Batch = Abcast_core.Batch in
   let module P = Abcast_core.Protocol.Make (Paxos) in
   let payload i =
     Payload.make
@@ -811,6 +937,11 @@ let e15 () =
     (String.make 32 'x')
   in
   let payloads n = List.init n payload in
+  (* the micro-benchmarks' 32-payload set (three origins) *)
+  let batch32 =
+    List.init 32 (fun i ->
+        Payload.make { origin = i mod 3; boot = 0; seq = i } (String.make 32 'x'))
+  in
   let vc =
     Vclock.of_streams (List.init 5 (fun origin -> ((origin, 0), 10)))
   in
@@ -843,9 +974,11 @@ let e15 () =
         P.Cons
           (P.M.Inst
              ( 12,
-               Paxos.Accept { b = 3; v = Abcast_core.Batch.encode (payloads 24) }
+               Paxos.Accept { b = 3; v = Batch.encode (payloads 24) }
              )) );
       ("fd heartbeat", P.Fd (Heartbeat.Beat { epoch = 3 }));
+      ( "gossip (32 x 32B)",
+        P.Gossip { k = 12; len = 40; unordered = batch32; cert = None } );
     ]
   in
   let time_ns ~iters f =
@@ -856,40 +989,52 @@ let e15 () =
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
   in
   let iters = scale 40_000 in
-  let row (name, m) =
-    let wire = P.encode_msg m in
-    let marshal = Marshal.to_string m [] in
-    let wire_ns =
-      time_ns ~iters (fun () ->
-          match P.decode_msg (P.encode_msg m) with
-          | Some _ -> ()
-          | None -> failwith "wire roundtrip failed")
-    in
-    let marshal_ns =
-      time_ns ~iters (fun () ->
-          ignore (Marshal.from_string (Marshal.to_string m []) 0 : P.msg))
-    in
+  (* [encode]/[decode] are the wire codec, [marshal]/[unmarshal] the
+     replaced baseline; one row times each round trip. *)
+  let row name ~encode ~decode ~marshal ~unmarshal =
+    let wire = String.length (encode ()) in
+    let marshalled = String.length (marshal ()) in
+    let wire_ns = time_ns ~iters (fun () -> decode (encode ())) in
+    let marshal_ns = time_ns ~iters (fun () -> unmarshal (marshal ())) in
     [
-      name;
-      Table.num (String.length wire);
-      Table.num (String.length marshal);
-      Table.flt
-        (float_of_int (String.length marshal)
-        /. float_of_int (String.length wire));
+      Table.Text name;
+      Table.num wire;
+      Table.num marshalled;
+      Table.ratio (float_of_int marshalled) (float_of_int wire);
       Table.flt wire_ns;
       Table.flt marshal_ns;
-      Table.flt (marshal_ns /. wire_ns);
+      Table.ratio marshal_ns wire_ns;
     ]
   in
-  Table.print
-    ~title:
-      "E15: binary wire codec vs Marshal (encode+decode round trip per \
-       message; every boundary-crossing type is hand-coded, Marshal is \
-       the replaced baseline)"
-    ~header:
-      [ "message"; "wire B"; "marshal B"; "size x"; "wire ns"; "marshal ns";
-        "speedup x" ]
-    (List.map row msgs)
+  let msg_row (name, m) =
+    row name
+      ~encode:(fun () -> P.encode_msg m)
+      ~decode:(fun s ->
+        match P.decode_msg s with
+        | Some _ -> ()
+        | None -> failwith "wire roundtrip failed")
+      ~marshal:(fun () -> Marshal.to_string m [])
+      ~unmarshal:(fun s -> ignore (Marshal.from_string s 0 : P.msg))
+  in
+  let batch_row =
+    row "batch (32 x 32B)"
+      ~encode:(fun () -> Batch.encode batch32)
+      ~decode:(fun s -> ignore (Batch.decode s))
+      ~marshal:(fun () -> Marshal.to_string (Payload.sort_batch batch32) [])
+      ~unmarshal:(fun s -> ignore (Marshal.from_string s 0 : Payload.t list))
+  in
+  [
+    {
+      Table.title =
+        "E15: binary wire codec vs Marshal (encode+decode round trip per \
+         message; every boundary-crossing type is hand-coded, Marshal is \
+         the replaced baseline)";
+      header =
+        [ "message"; "wire B"; "marshal B"; "size x"; "wire ns"; "marshal ns";
+          "speedup x" ];
+      rows = List.map msg_row msgs @ [ batch_row ];
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E16 — durable stable storage: WAL append throughput and recovery    *)
@@ -937,7 +1082,7 @@ let e16 () =
     Durable.rm_rf dir;
     ( fsyncs,
       [
-        Durable.policy_to_string policy;
+        Table.Text (Durable.policy_to_string policy);
         Table.num ops;
         Table.flt ~dec:0 (float_of_int ops /. append_s);
         Table.num fsyncs;
@@ -951,25 +1096,28 @@ let e16 () =
     List.map run
       [ Durable.Always; Durable.Every { ops = 64; ms = 20 }; Durable.Never ]
   in
-  Table.print
-    ~title:
-      "E16: WAL append throughput and recovery (128 B values, cycling keys; \
-       one sequential append per op, and compaction keeps the replayed \
-       bytes near the live state)"
-    ~header:
-      [ "fsync"; "ops"; "appends/s"; "fsyncs"; "compactions"; "disk B";
-        "recover ms"; "keys" ]
-    (List.map snd results);
   (* The policies must order the sync counts; anything else means the
      pacer is broken. (The WAL under Never still fsyncs its compaction
      snapshots — durability of the rename is not policy-optional.) *)
-  match List.map fst results with
-  | [ always; every; never ] when always > every && every >= never ->
-    Printf.printf "  wal: fsync ordering OK (always %d > every %d >= never %d)\n"
-      always every never
+  (match List.map fst results with
+  | [ always; every; never ] when always > every && every >= never -> ()
   | counts ->
-    Printf.printf "  wal: VIOLATION: fsync counts out of order (%s)\n"
-      (String.concat ", " (List.map string_of_int counts))
+    failwith
+      (Printf.sprintf
+         "E16: wal fsync counts out of order (always, every, never = %s)"
+         (String.concat ", " (List.map string_of_int counts))));
+  [
+    {
+      Table.title =
+        "E16: WAL append throughput and recovery (128 B values, cycling keys; \
+         one sequential append per op, and compaction keeps the replayed \
+         bytes near the live state)";
+      header =
+        [ "fsync"; "ops"; "appends/s"; "fsyncs"; "compactions"; "disk B";
+          "recover ms"; "keys" ];
+      rows = List.map snd results;
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E18 — the throughput ceiling: dissemination topology x pipeline      *)
@@ -977,7 +1125,9 @@ let e16 () =
 (* an open-loop load would only measure its own arrival rate). Gossip + *)
 (* window=1 is the PR-3/PR-4 configuration; ring rows are the          *)
 (* [Protocol.throughput] preset, including its repair-only digest       *)
-(* tuning, at each window.                                              *)
+(* tuning, at each window. The delivery p95 comes from a separate,      *)
+(* moderate open-loop run of the same stack: a queueing-delay reading   *)
+(* at saturation would only measure the backlog depth.                  *)
 
 let e18 () =
   let msgs = scale 2_000 in
@@ -987,31 +1137,29 @@ let e18 () =
       | `Ring -> Factory.make { Protocol.throughput with window }
       | `Gossip -> Factory.make { Protocol.paper_alternative with window }
     in
-    let cluster = Cluster.create stack ~seed:53 ~n ~count_bytes:true () in
-    let rng = Rng.create 57 in
-    Workload.burst cluster ~rng ~senders:(List.init n Fun.id) ~at:1_000
-      ~count:msgs ~size:64 ();
-    let t0 = Unix.gettimeofday () in
-    let ok =
-      Cluster.run_until cluster ~until:1_000_000_000
-        ~pred:(fun () -> Cluster.all_caught_up cluster ~count:msgs ())
-        ()
-    in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    if not ok then failwith "E18: burst did not drain";
-    let m = Cluster.metrics cluster in
-    let drain_s = float_of_int (Cluster.now cluster - 1_000) /. 1_000_000.0 in
+    let cluster, wall_s = drain_burst ~seed:53 ~rng_seed:57 ~n ~msgs stack in
     let rounds = Cluster.round cluster 0 in
-    let net_bytes = Metrics.sum m "net_bytes" in
+    let p95_ms =
+      let lat = Cluster.create stack ~seed:53 ~n () in
+      let count =
+        Workload.open_loop lat ~rng:(Rng.create 57)
+          ~senders:(List.init n Fun.id) ~start:1_000
+          ~stop:(1_000 + scale 120_000)
+          ~mean_gap:300 ~size:64 ()
+      in
+      quiesce lat ~count "E18 latency run";
+      Metrics.percentile (Cluster.metrics lat) "lat_deliver" 95.0 /. 1_000.0
+    in
     [
-      string_of_int n;
-      (match dissemination with `Gossip -> "gossip" | `Ring -> "ring");
+      Table.num n;
+      Table.Text (match dissemination with `Gossip -> "gossip" | `Ring -> "ring");
       Table.num window;
-      Table.flt (float_of_int msgs /. drain_s);
+      Table.flt (drain_rate cluster ~msgs);
       Table.flt (float_of_int msgs /. wall_s);
       Table.num rounds;
       Table.flt (float_of_int msgs /. float_of_int (max 1 rounds));
-      Table.flt (float_of_int net_bytes /. float_of_int msgs);
+      Table.flt (bytes_per_msg cluster ~msgs);
+      Table.flt p95_ms;
     ]
   in
   let rows =
@@ -1025,16 +1173,19 @@ let e18 () =
           [ `Gossip; `Ring ])
       [ 5; 9 ]
   in
-  Table.print
-    ~title:
-      "E18: throughput ceiling — dissemination topology x pipeline window \
-       draining a saturating burst (alt/paxos; window>=4 lifts simulated \
-       drain rate via deeper batching pipelines, ring cuts bytes/payload \
-       and host wall time)"
-    ~header:
-      [ "n"; "topo"; "W"; "msgs/s (sim)"; "msgs/s (host)"; "rounds";
-        "batch"; "net bytes/msg" ]
-    rows
+  [
+    {
+      Table.title =
+        "E18: throughput ceiling — dissemination topology x pipeline window \
+         draining a saturating burst (alt/paxos; window>=4 lifts simulated \
+         drain rate via deeper batching pipelines, ring cuts bytes/payload \
+         and host wall time)";
+      header =
+        [ "n"; "topo"; "W"; "msgs/s (sim)"; "msgs/s (host)"; "rounds";
+          "batch"; "net bytes/msg"; "p95 lat ms (open loop)" ];
+      rows;
+    };
+  ]
 
 (* E19 — shard scaling: S independent broadcast groups multiplexed per  *)
 (* process (one socket, one WAL), each group offered the same burst —   *)
@@ -1042,82 +1193,65 @@ let e18 () =
 (* while each group's delivery p95 stays at the single-group figure.    *)
 (* (A fixed total split S ways would only measure per-group latency.)   *)
 
-type e19_row = {
-  s_shards : int;
-  s_msgs : int;      (* aggregate payload count = shards x per_group *)
-  s_rate : float;    (* aggregate drained msgs per simulated second *)
-  s_wall_s : float;  (* host wall time to quiescence *)
-  s_p95_us : float;  (* worst per-group lat_deliver p95 *)
-}
-
-let e19_run ~per_group shards =
-  let n = 5 in
-  let stack = Factory.sharded ~shards (Factory.make Protocol.throughput) in
-  let cluster = Cluster.create stack ~seed:61 ~n () in
-  let rng = Rng.create 67 in
-  let msgs = per_group * shards in
-  for g = 0 to shards - 1 do
-    Cluster.at cluster 1_000 (fun () ->
-        for j = 0 to per_group - 1 do
-          ignore
-            (Cluster.broadcast cluster ~group:g ~node:(j mod n)
-               (Workload.payload rng ~size:64))
-        done)
-  done;
-  let t0 = Unix.gettimeofday () in
-  let ok =
-    Cluster.run_until cluster ~until:1_000_000_000
-      ~pred:(fun () -> Cluster.all_caught_up cluster ~count:msgs ())
-      ()
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  if not ok then failwith "E19: burst did not drain";
-  let m = Cluster.metrics cluster in
-  let drain_s = float_of_int (Cluster.now cluster - 1_000) /. 1_000_000.0 in
-  let p95 =
-    List.fold_left
-      (fun acc g ->
-        let series =
-          if shards = 1 then "lat_deliver"
-          else Printf.sprintf "g%d/lat_deliver" g
-        in
-        Float.max acc (Metrics.percentile m series 95.0))
-      0.0 (List.init shards Fun.id)
-  in
-  {
-    s_shards = shards;
-    s_msgs = msgs;
-    s_rate = float_of_int msgs /. drain_s;
-    s_wall_s = wall_s;
-    s_p95_us = p95;
-  }
-
-let e19_rows ~per_group = List.map (e19_run ~per_group) [ 1; 2; 4; 8 ]
-
 let e19 () =
   let per_group = scale 800 in
-  let rows = e19_rows ~per_group in
-  let base = List.hd rows in
-  Table.print
-    ~title:
-      "E19: shard scaling — S broadcast groups per process \
-       (throughput preset, n=5), same burst per group; aggregate \
-       simulated drain rate vs the worst group's delivery p95"
-    ~header:
-      [ "S"; "msgs"; "agg msgs/s (sim)"; "speedup"; "wall s (host)";
-        "worst p95 µs"; "p95 vs S=1" ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.s_shards;
-           Table.num r.s_msgs;
-           Table.flt r.s_rate;
-           Table.flt (r.s_rate /. base.s_rate);
-           Table.flt r.s_wall_s;
-           Table.flt r.s_p95_us;
-           Table.flt (r.s_p95_us /. base.s_p95_us);
-         ])
-       rows)
+  let n = 5 in
+  (* aggregate drain rate, host wall time and worst per-group p95 *)
+  let run shards =
+    let stack = Factory.sharded ~shards (Factory.make Protocol.throughput) in
+    let cluster = Cluster.create stack ~seed:61 ~n () in
+    let rng = Rng.create 67 in
+    let msgs = per_group * shards in
+    for g = 0 to shards - 1 do
+      Cluster.at cluster 1_000 (fun () ->
+          for j = 0 to per_group - 1 do
+            ignore
+              (Cluster.broadcast cluster ~group:g ~node:(j mod n)
+                 (Workload.payload rng ~size:64))
+          done)
+    done;
+    let t0 = Unix.gettimeofday () in
+    quiesce cluster ~count:msgs "E19 burst";
+    let wall_s = Unix.gettimeofday () -. t0 in
+    let p95 =
+      List.fold_left
+        (fun acc g ->
+          let series =
+            if shards = 1 then "lat_deliver"
+            else Printf.sprintf "g%d/lat_deliver" g
+          in
+          Float.max acc
+            (Metrics.percentile (Cluster.metrics cluster) series 95.0))
+        0.0 (List.init shards Fun.id)
+    in
+    (shards, drain_rate cluster ~msgs, wall_s, p95)
+  in
+  let runs = List.map run [ 1; 2; 4; 8 ] in
+  let _, base_rate, _, base_p95 = List.hd runs in
+  [
+    {
+      Table.title =
+        "E19: shard scaling — S broadcast groups per process \
+         (throughput preset, n=5), same burst per group; aggregate \
+         simulated drain rate vs the worst group's delivery p95";
+      header =
+        [ "S"; "msgs"; "agg msgs/s (sim)"; "speedup"; "wall s (host)";
+          "worst p95 µs"; "p95 vs S=1" ];
+      rows =
+        List.map
+          (fun (shards, rate, wall_s, p95) ->
+            [
+              Table.num shards;
+              Table.num (per_group * shards);
+              Table.flt rate;
+              Table.ratio rate base_rate;
+              Table.flt wall_s;
+              Table.flt p95;
+              Table.ratio p95 base_p95;
+            ])
+          runs;
+    };
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E20 — service SLO: the client layer under open-loop load on the     *)
@@ -1133,17 +1267,9 @@ let e19 () =
 module Service = Abcast_service.Service
 module Loadgen = Abcast_service.Loadgen
 
-type e20_row = {
-  v_shards : int;
-  v_mode : Service.read_mode;
-  v_clients : int;
-  v_offered : float;  (* target arrivals per second *)
-  v_report : Loadgen.report;
-}
-
 let e20_port = ref 7710
 
-let e20_run ~shards ~mode ~clients =
+let e20_row ~shards ~mode ~clients =
   let base_port = !e20_port in
   e20_port := base_port + 16;
   let dir =
@@ -1193,7 +1319,7 @@ let e20_run ~shards ~mode ~clients =
       seed = 23 + base_port;
     }
   in
-  let report = Loadgen.run svc lcfg in
+  let rep = Loadgen.run svc lcfg in
   (* Quiesce (lease markers keep bumping the apply index), wait for the
      replicas to converge, then audit: every acked write applied exactly
      once, nothing acked was lost. *)
@@ -1217,57 +1343,57 @@ let e20_run ~shards ~mode ~clients =
     else failwith "E20: replicas did not converge after the run"
   in
   settle ();
-  (match Loadgen.check_exactly_once svc report ~node:0 with
+  (match Loadgen.check_exactly_once svc rep ~node:0 with
   | [] -> ()
   | v :: _ ->
     failwith (Printf.sprintf "E20: exactly-once audit failed: %s" v));
-  { v_shards = shards; v_mode = mode; v_clients = clients; v_offered = rate;
-    v_report = report }
-
-let e20_rows () =
-  let counts = if !quick then [ 50; 200 ] else [ 50; 200; 1_000 ] in
-  List.concat_map
-    (fun shards ->
-      List.concat_map
-        (fun mode ->
-          List.map (fun clients -> e20_run ~shards ~mode ~clients) counts)
-        [ Service.Broadcast; Service.Read_index ])
-    [ 1; 4 ]
+  [
+    Table.num shards;
+    Table.Text (Service.read_mode_to_string mode);
+    Table.num clients;
+    Table.flt ~dec:0 rate;
+    Table.flt ~dec:0 (float_of_int rep.Loadgen.completed /. rep.wall);
+    Table.flt ~dec:0 rep.write.p50;
+    Table.flt ~dec:0 rep.write.p95;
+    Table.flt ~dec:0 rep.write.p99;
+    Table.flt ~dec:0 rep.lin.p50;
+    Table.flt ~dec:0 rep.lin.p95;
+    Table.flt ~dec:0 rep.lin.p99;
+    Table.num rep.not_ready;
+    Table.num rep.retries;
+    Table.num rep.failed;
+  ]
 
 let e20 () =
-  match e20_rows () with
+  let counts = if !quick then [ 50; 200 ] else [ 50; 200; 1_000 ] in
+  match
+    List.concat_map
+      (fun shards ->
+        List.concat_map
+          (fun mode ->
+            List.map (fun clients -> e20_row ~shards ~mode ~clients) counts)
+          [ Service.Broadcast; Service.Read_index ])
+      [ 1; 4 ]
+  with
   | exception Unix.Unix_error _ ->
-    print_endline "E20: skipped (live sockets unavailable in this environment)"
+    prerr_endline "E20: skipped (live sockets unavailable in this environment)";
+    []
   | rows ->
-    Table.print
-      ~title:
-        "E20: service SLO — open-loop sessions on the live runtime (n=3, \
-         WAL, fsync every:64:20); writes are Incr broadcasts in both \
-         modes, linearizable reads are a broadcast round trip \
-         (read=broadcast) or a local lease check at the claimant \
-         (read=read-index); every cell passed the exactly-once audit"
-      ~header:
-        [ "S"; "read mode"; "clients"; "offered/s"; "done/s";
-          "wr p50 µs"; "wr p99 µs"; "lin p50 µs"; "lin p99 µs";
-          "not ready"; "retry"; "fail" ]
-      (List.map
-         (fun r ->
-           let rep = r.v_report in
-           [
-             string_of_int r.v_shards;
-             Service.read_mode_to_string r.v_mode;
-             Table.num r.v_clients;
-             Table.flt ~dec:0 r.v_offered;
-             Table.flt ~dec:0 (float_of_int rep.Loadgen.completed /. rep.wall);
-             Table.flt ~dec:0 rep.write.p50;
-             Table.flt ~dec:0 rep.write.p99;
-             Table.flt ~dec:0 rep.lin.p50;
-             Table.flt ~dec:0 rep.lin.p99;
-             Table.num rep.not_ready;
-             Table.num rep.retries;
-             Table.num rep.failed;
-           ])
-         rows)
+    [
+      {
+        Table.title =
+          "E20: service SLO — open-loop sessions on the live runtime (n=3, \
+           WAL, fsync every:64:20); writes are Incr broadcasts in both \
+           modes, linearizable reads are a broadcast round trip \
+           (read=broadcast) or a local lease check at the claimant \
+           (read=read-index); every cell passed the exactly-once audit";
+        header =
+          [ "S"; "read mode"; "clients"; "offered/s"; "done/s"; "wr p50 µs";
+            "wr p95 µs"; "wr p99 µs"; "lin p50 µs"; "lin p95 µs";
+            "lin p99 µs"; "not ready"; "retry"; "fail" ];
+        rows;
+      };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E21 — causal tracing cost: the per-payload trace context on the     *)
@@ -1278,181 +1404,91 @@ let e20 () =
 (* 1-in-100 / 1-in-10 / every broadcast over the E18 saturating burst  *)
 (* and compare drain wall time and wire bytes per payload.             *)
 
-type e21_row = {
-  tr_sample : int;  (* 0 = tracing off, k = every k-th A-broadcast *)
-  tr_msgs : int;
-  tr_wall_s : float;  (* host wall time to drain, best of 5 *)
-  tr_rate : float;  (* drained msgs per simulated second *)
-  tr_bytes_per_msg : float;  (* wire bytes per delivered payload *)
-}
-
-let e21_run ~msgs sample =
-  let n = 5 in
-  let stack () =
-    match sample with
-    | 0 -> Factory.make Protocol.throughput
-    | k -> Factory.make { Protocol.throughput with trace_sample = k }
-  in
-  let go () =
-    let cluster = Cluster.create (stack ()) ~seed:53 ~n ~count_bytes:true () in
-    let rng = Rng.create 57 in
-    Workload.burst cluster ~rng ~senders:(List.init n Fun.id) ~at:1_000
-      ~count:msgs ~size:64 ();
-    let ok =
-      Cluster.run_until cluster ~until:1_000_000_000
-        ~pred:(fun () -> Cluster.all_caught_up cluster ~count:msgs ())
-        ()
-    in
-    if not ok then failwith "E21: burst did not drain";
-    cluster
-  in
-  ignore (go ());
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to 5 do
-    let t0 = Unix.gettimeofday () in
-    let c = go () in
-    let w = Unix.gettimeofday () -. t0 in
-    if w < !best then begin
-      best := w;
-      result := Some c
-    end
-  done;
-  let cluster = Option.get !result in
-  let m = Cluster.metrics cluster in
-  {
-    tr_sample = sample;
-    tr_msgs = msgs;
-    tr_wall_s = !best;
-    tr_rate =
-      float_of_int msgs /. (float_of_int (Cluster.now cluster - 1_000) /. 1e6);
-    tr_bytes_per_msg =
-      float_of_int (Metrics.sum m "net_bytes") /. float_of_int (max 1 msgs);
-  }
-
-let e21_rows ~msgs = List.map (e21_run ~msgs) [ 0; 100; 10; 1 ]
-
 let e21 () =
   let msgs = scale 2_000 in
-  let rows = e21_rows ~msgs in
-  let base = List.hd rows in
-  Table.print
-    ~title:
-      "E21: causal tracing cost — the E18 saturating burst (throughput \
-       preset, n=5) with the per-payload trace context sampled every \
-       k-th A-broadcast; unsampled payloads carry zero trace bytes, so \
-       cost tracks only the sampled fraction"
-    ~header:
-      [ "sample"; "msgs"; "wall s (host)"; "sim msgs/s"; "bytes/msg";
-        "wall vs off" ]
-    (List.map
-       (fun r ->
-         [
-           (if r.tr_sample = 0 then "off"
-            else Printf.sprintf "1/%d" r.tr_sample);
-           Table.num r.tr_msgs;
-           Table.flt r.tr_wall_s;
-           Table.flt r.tr_rate;
-           Table.flt r.tr_bytes_per_msg;
-           Table.flt (r.tr_wall_s /. base.tr_wall_s);
-         ])
-       rows)
+  let run trace_sample =
+    drain_burst ~seed:53 ~rng_seed:57 ~n:5 ~msgs
+      (Factory.make { Protocol.throughput with trace_sample })
+  in
+  let samples = [ 0; 100; 10; 1 ] in
+  let runs = List.map run samples in
+  let base_wall = snd (List.hd runs) in
+  [
+    {
+      Table.title =
+        "E21: causal tracing cost — the E18 saturating burst (throughput \
+         preset, n=5) with the per-payload trace context sampled every \
+         k-th A-broadcast; unsampled payloads carry zero trace bytes, so \
+         cost tracks only the sampled fraction";
+      header =
+        [ "sample"; "msgs"; "wall s (host)"; "sim msgs/s"; "bytes/msg";
+          "wall vs off" ];
+      rows =
+        List.map2
+          (fun sample (cluster, wall_s) ->
+            [
+              Table.Text
+                (if sample = 0 then "off" else Printf.sprintf "1/%d" sample);
+              Table.num msgs;
+              Table.flt wall_s;
+              Table.flt (drain_rate cluster ~msgs);
+              Table.flt (bytes_per_msg cluster ~msgs);
+              Table.ratio wall_s base_wall;
+            ])
+          samples runs;
+    };
+  ]
 
 (* E22 — online audit cost: the order-certificate sentinel on the same  *)
 (* saturating burst. Chain folding is a handful of integer multiplies   *)
 (* per delivery and certificates ride only the periodic gossip/digest   *)
 (* frames, so both the drain wall time and the wire bytes per payload   *)
 (* must sit within noise of the audit-off run (the acceptance bar is    *)
-(* <= 2 amortized bytes per payload).                                   *)
-
-type e22_row = {
-  au_on : bool;
-  au_msgs : int;
-  au_wall_s : float;  (* host wall time to drain, best of 5 *)
-  au_rate : float;  (* drained msgs per simulated second *)
-  au_bytes_per_msg : float;  (* wire bytes per delivered payload *)
-  au_diverged : int;  (* sentinel trips — must be 0 on a healthy run *)
-}
-
-let e22_run ~msgs on =
-  let n = 5 in
-  let stack () = Factory.make
-                   {
-                     Protocol.throughput with
-                     audit_every = (if on then 1 else 0);
-                   } in
-  let go () =
-    let cluster = Cluster.create (stack ()) ~seed:61 ~n ~count_bytes:true () in
-    let rng = Rng.create 67 in
-    Workload.burst cluster ~rng ~senders:(List.init n Fun.id) ~at:1_000
-      ~count:msgs ~size:64 ();
-    let ok =
-      Cluster.run_until cluster ~until:1_000_000_000
-        ~pred:(fun () -> Cluster.all_caught_up cluster ~count:msgs ())
-        ()
-    in
-    if not ok then failwith "E22: burst did not drain";
-    cluster
-  in
-  ignore (go ());
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to 5 do
-    let t0 = Unix.gettimeofday () in
-    let c = go () in
-    let w = Unix.gettimeofday () -. t0 in
-    if w < !best then begin
-      best := w;
-      result := Some c
-    end
-  done;
-  let cluster = Option.get !result in
-  let m = Cluster.metrics cluster in
-  {
-    au_on = on;
-    au_msgs = msgs;
-    au_wall_s = !best;
-    au_rate =
-      float_of_int msgs /. (float_of_int (Cluster.now cluster - 1_000) /. 1e6);
-    au_bytes_per_msg =
-      float_of_int (Metrics.sum m "net_bytes") /. float_of_int (max 1 msgs);
-    au_diverged = Metrics.sum m "audit_diverged";
-  }
-
-let e22_rows ~msgs = List.map (e22_run ~msgs) [ false; true ]
+(* <= 2 amortized bytes per payload). A sentinel trip on this healthy   *)
+(* run fails the experiment.                                            *)
 
 let e22 () =
   let msgs = scale 2_000 in
-  let rows = e22_rows ~msgs in
-  let base = List.hd rows in
-  Table.print
-    ~title:
-      "E22: online audit cost — the E18 saturating burst (throughput \
-       preset, n=5) with the order-certificate sentinel off vs on; \
-       certificates piggyback on periodic gossip frames, so the \
-       amortized wire cost must stay under 2 bytes per payload"
-    ~header:
-      [ "audit"; "msgs"; "wall s (host)"; "sim msgs/s"; "bytes/msg";
-        "diverged"; "wall vs off" ]
-    (List.map
-       (fun r ->
-         [
-           (if r.au_on then "on" else "off");
-           Table.num r.au_msgs;
-           Table.flt r.au_wall_s;
-           Table.flt r.au_rate;
-           Table.flt r.au_bytes_per_msg;
-           Table.num r.au_diverged;
-           Table.flt (r.au_wall_s /. base.au_wall_s);
-         ])
-       rows);
-  List.iter
-    (fun r ->
-      if r.au_diverged > 0 then
-        failwith "E22: audit sentinel tripped on a healthy run")
-    rows
+  let run on =
+    drain_burst ~seed:61 ~rng_seed:67 ~n:5 ~msgs
+      (Factory.make
+         { Protocol.throughput with audit_every = (if on then 1 else 0) })
+  in
+  let modes = [ false; true ] in
+  let runs = List.map run modes in
+  let base_wall = snd (List.hd runs) in
+  let diverged (cluster, _) =
+    Metrics.sum (Cluster.metrics cluster) "audit_diverged"
+  in
+  if List.exists (fun r -> diverged r > 0) runs then
+    failwith "E22: audit sentinel tripped on a healthy run";
+  [
+    {
+      Table.title =
+        "E22: online audit cost — the E18 saturating burst (throughput \
+         preset, n=5) with the order-certificate sentinel off vs on; \
+         certificates piggyback on periodic gossip frames, so the \
+         amortized wire cost must stay under 2 bytes per payload";
+      header =
+        [ "audit"; "msgs"; "wall s (host)"; "sim msgs/s"; "bytes/msg";
+          "diverged"; "wall vs off" ];
+      rows =
+        List.map2
+          (fun on ((cluster, wall_s) as r) ->
+            [
+              Table.Text (if on then "on" else "off");
+              Table.num msgs;
+              Table.flt wall_s;
+              Table.flt (drain_rate cluster ~msgs);
+              Table.flt (bytes_per_msg cluster ~msgs);
+              Table.num (diverged r);
+              Table.ratio wall_s base_wall;
+            ])
+          modes runs;
+    };
+  ]
 
-let all : (string * (unit -> unit)) list =
+let all : (string * (unit -> Table.t list)) list =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5);
     ("E5b", e5b); ("E6", e6); ("E7", e7); ("E8", e8); ("E9", e9);

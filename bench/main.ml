@@ -1,43 +1,60 @@
 (* Benchmark harness entry point.
 
-   Default: print every experiment table E1-E9 (simulated metrics; see
-   EXPERIMENTS.md for the paper-claim vs measured record), then the
-   bechamel micro-benchmarks.
+     main.exe [--quick] [--json] [--micro] [NAME ...]
 
-   Flags:
-     --only E4 [E5 ...]   run only the listed experiments
-     --micro              run only the micro-benchmarks
-     --quick              shrink workloads (~4x faster, coarser numbers)
-     --json               write BENCH_PR10.json (machine-readable snapshot:
-                          causal-tracing cost sweep sampling off..1/1,
-                          live service SLO sweep read-mode x shards x
-                          clients, shard-scaling sweep S in {1,2,4,8},
-                          throughput sweep gossip-vs-ring x window,
-                          events/sec, quiescence wall time, gossip bytes,
-                          durable-storage throughput, flight-ring overhead,
-                          stage-latency p50s, micro ns/op) and exit *)
+   Runs the named experiments (E1 ... E22 and Micro, the bechamel
+   micro-benchmarks; see EXPERIMENTS.md), or all of them when none is
+   named. An unknown name exits 2 and lists the known ones.
+
+     --quick   shrink workloads (~4x faster, coarser numbers)
+     --micro   run Micro (alone unless names are given)
+     --json    print one JSON document instead of text tables:
+               {"schema": 11, "experiments": {"E1": [table, ...], ...}},
+               each table {"title", "header", "rows"} (Table.to_json)
+
+   Text tables print as each experiment finishes; the JSON document
+   prints once every experiment has run. The "(E1 took ...)" host-time
+   lines go to stderr, so stdout holds only the tables. A must-hold check
+   that fails (E9 violations, E16 fsync order, E20 audit, E22 sentinel)
+   raises: the run exits non-zero and --json prints nothing. *)
+
+module Table = Abcast_harness.Table
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  if List.mem "--json" args then begin
-    Json_bench.run ();
-    exit 0
-  end;
-  let micro_only = List.mem "--micro" args in
-  Experiments.quick := List.mem "--quick" args;
-  let selected =
-    List.filter (fun a -> List.mem_assoc a Experiments.all) args
+  let all = Experiments.all @ [ ("Micro", fun () -> [ Micro.run () ]) ] in
+  let json = ref false and names = ref [] in
+  List.iter
+    (function
+      | "--json" -> json := true
+      | "--quick" -> Experiments.quick := true
+      | "--micro" -> names := "Micro" :: !names
+      | name when List.mem_assoc name all -> names := name :: !names
+      | arg ->
+        Printf.eprintf
+          "unknown experiment %S\nknown: %s\nflags: --quick --json --micro\n"
+          arg
+          (String.concat " " (List.map fst all));
+        exit 2)
+    (List.tl (Array.to_list Sys.argv));
+  let todo =
+    if !names = [] then all
+    else List.filter (fun (name, _) -> List.mem name !names) all
   in
-  if not micro_only then begin
-    let todo =
-      if selected = [] then Experiments.all
-      else List.filter (fun (n, _) -> List.mem n selected) Experiments.all
-    in
-    List.iter
+  let results =
+    List.map
       (fun (name, f) ->
         let t0 = Sys.time () in
-        f ();
-        Printf.printf "(%s took %.2fs host time)\n" name (Sys.time () -. t0))
+        let tables = f () in
+        if not !json then List.iter Table.print tables;
+        Printf.eprintf "(%s took %.2fs host time)\n%!" name (Sys.time () -. t0);
+        (name, tables))
       todo
-  end;
-  if micro_only || selected = [] then Micro.run ()
+  in
+  if !json then
+    Printf.printf "{\"schema\": 11, \"experiments\": {\n%s\n}}\n"
+      (String.concat ",\n"
+         (List.map
+            (fun (name, tables) ->
+              Printf.sprintf "%S: [%s]" name
+                (String.concat ", " (List.map Table.to_json tables)))
+            results))

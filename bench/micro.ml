@@ -12,6 +12,8 @@ module Workload = Abcast_harness.Workload
 module Factory = Abcast_core.Factory
 module Protocol = Abcast_core.Protocol
 module Metrics = Abcast_sim.Metrics
+module Histogram = Abcast_util.Histogram
+module Table = Abcast_harness.Table
 
 let rng_bench =
   Test.make ~name:"rng.bits64"
@@ -143,11 +145,40 @@ let metrics_handle_bench =
         let h = Metrics.handle m ~node:0 "rx.gossip" in
         fun () -> Metrics.hincr h))
 
+let metrics_observe_bench =
+  Test.make ~name:"metrics observe (histogram series)"
+    (Staged.stage
+       (let m = Metrics.create () in
+        fun () -> Metrics.observe m ~node:0 "bench.obs" 123.4))
+
+(* Sweeps the value over the whole bucket range so every add lands in a
+   realistic bucket, not one hot cache line. *)
+let histogram_add_bench =
+  Test.make ~name:"histogram add"
+    (Staged.stage
+       (let h = Histogram.create () in
+        let v = ref 1.5 in
+        fun () ->
+          v := !v *. 1.009;
+          if !v > 1e8 then v := 1.5;
+          Histogram.add h !v))
+
+let histogram_percentile_bench =
+  Test.make ~name:"histogram p95 (10k samples)"
+    (Staged.stage
+       (let h = Histogram.create () in
+        let rng = Rng.create 3 in
+        for _ = 1 to 10_000 do
+          Histogram.add h (float_of_int (1 + Rng.int rng 1_000_000))
+        done;
+        fun () -> ignore (Histogram.percentile h 95.)))
+
 let tests =
   [
     rng_bench; heap_bench; storage_bench; vclock_bench; batch_bench;
     batch_marshal_bench; msg_wire_bench; msg_marshal_bench;
-    metrics_string_bench; metrics_handle_bench;
+    metrics_string_bench; metrics_handle_bench; metrics_observe_bench;
+    histogram_add_bench; histogram_percentile_bench;
     engine_bench; protocol_round_bench;
   ]
 
@@ -159,16 +190,24 @@ let run () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
   in
-  Printf.printf "\n== Micro-benchmarks (host time per run) ==\n";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysis = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-40s (no estimate)\n" name)
-        analysis)
-    tests;
-  print_newline ()
+  let rows =
+    List.concat_map
+      (fun test ->
+        let results = Benchmark.all cfg instances test in
+        let analysis = Analyze.all ols Instance.monotonic_clock results in
+        Hashtbl.fold
+          (fun name ols_result acc ->
+            let ns =
+              match Analyze.OLS.estimates ols_result with
+              | Some [ est ] -> est
+              | _ -> nan
+            in
+            [ Table.Text name; Table.flt ~dec:1 ns ] :: acc)
+          analysis [])
+      tests
+  in
+  {
+    Table.title = "Micro-benchmarks (host time per run)";
+    header = [ "benchmark"; "ns/run" ];
+    rows;
+  }

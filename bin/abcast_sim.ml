@@ -198,36 +198,53 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
     (List.length (Cluster.sent cluster))
     (if ok then Printf.sprintf "quiesced at %d µs" (Cluster.now cluster)
      else "DID NOT QUIESCE");
-  Table.print ~title:"per-process state"
-    ~header:[ "process"; "up"; "round"; "delivered"; "unordered"; "log bytes" ]
-    (List.init n (fun i ->
-         [
-           string_of_int i;
-           (if Cluster.is_up cluster i then "yes" else "no");
-           Table.num (Cluster.round cluster i);
-           Table.num (Cluster.delivered_count cluster i);
-           Table.num (Cluster.unordered_count cluster i);
-           Table.num (Cluster.retained_bytes cluster i);
-         ]));
+  Table.print
+    {
+      title = "per-process state";
+      header = [ "process"; "up"; "round"; "delivered"; "unordered"; "log bytes" ];
+      rows =
+        List.init n (fun i ->
+            [
+              Table.num i;
+              Text (if Cluster.is_up cluster i then "yes" else "no");
+              Table.num (Cluster.round cluster i);
+              Table.num (Cluster.delivered_count cluster i);
+              Table.num (Cluster.unordered_count cluster i);
+              Table.num (Cluster.retained_bytes cluster i);
+            ]);
+    };
   if shards > 1 then
-    Table.print ~title:"per-group delivered"
-      ~header:("process" :: List.init shards (fun g -> Printf.sprintf "g%d" g))
-      (List.init n (fun i ->
-           string_of_int i
-           :: List.init shards (fun g ->
-                  Table.num (Cluster.delivered_count ~group:g cluster i))));
-  Table.print ~title:"run totals"
-    ~header:[ "metric"; "value" ]
-    [
-      [ "net messages"; Table.num (Metrics.sum m "msgs_sent") ];
-      [ "log ops (consensus)"; Table.num (Metrics.sum_prefix m "log_ops.consensus") ];
-      [ "log ops (abcast)"; Table.num (Metrics.sum_prefix m "log_ops.abcast") ];
-      [ "mean delivery latency µs"; Table.flt (Metrics.mean m "lat_deliver") ];
-      [ "crashes"; Table.num (Metrics.sum m "crashes") ];
-      [ "state transfers"; Table.num (Metrics.sum m "state_transfers_applied") ];
-      [ "wal appends"; Table.num (Metrics.sum m "wal_appends") ];
-      [ "wal fsyncs"; Table.num (Metrics.sum m "wal_fsyncs") ];
-    ];
+    Table.print
+      {
+        title = "per-group delivered";
+        header = "process" :: List.init shards (fun g -> Printf.sprintf "g%d" g);
+        rows =
+          List.init n (fun i ->
+              Table.num i
+              :: List.init shards (fun g ->
+                     Table.num (Cluster.delivered_count ~group:g cluster i)));
+      };
+  let metric name v = [ Table.Text name; v ] in
+  Table.print
+    {
+      title = "run totals";
+      header = [ "metric"; "value" ];
+      rows =
+        [
+          metric "net messages" (Table.num (Metrics.sum m "msgs_sent"));
+          metric "log ops (consensus)"
+            (Table.num (Metrics.sum_prefix m "log_ops.consensus"));
+          metric "log ops (abcast)"
+            (Table.num (Metrics.sum_prefix m "log_ops.abcast"));
+          metric "mean delivery latency µs"
+            (Table.flt (Metrics.mean m "lat_deliver"));
+          metric "crashes" (Table.num (Metrics.sum m "crashes"));
+          metric "state transfers"
+            (Table.num (Metrics.sum m "state_transfers_applied"));
+          metric "wal appends" (Table.num (Metrics.sum m "wal_appends"));
+          metric "wal fsyncs" (Table.num (Metrics.sum m "wal_fsyncs"));
+        ];
+    };
   let lat_rows =
     List.filter_map
       (fun name ->
@@ -237,7 +254,7 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
           | Some (s : Abcast_util.Histogram.summary) when s.count > 0 ->
             Some
               [
-                name;
+                Table.Text name;
                 Table.num s.count;
                 Table.flt s.p50;
                 Table.flt s.p95;
@@ -248,9 +265,12 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
       (Metrics.series_names m)
   in
   if lat_rows <> [] then
-    Table.print ~title:"latency histograms (µs unless noted, all processes)"
-      ~header:[ "series"; "count"; "p50"; "p95"; "p99"; "max" ]
-      lat_rows;
+    Table.print
+      {
+        title = "latency histograms (µs unless noted, all processes)";
+        header = [ "series"; "count"; "p50"; "p95"; "p99"; "max" ];
+        rows = lat_rows;
+      };
   (match trace_out with
   | Some path ->
     let oc = open_out path in
@@ -452,14 +472,17 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
 "
       msgs n (dt *. 1000.0) rate agree;
     if shards > 1 then
-      Table.print ~title:"per-group delivered"
-        ~header:
-          ("process" :: List.init shards (fun g -> Printf.sprintf "g%d" g))
-        (List.init n (fun i ->
-             string_of_int i
-             :: List.init shards (fun g ->
-                    Table.num
-                      (Abcast_live.Runtime.delivered_count ~group:g live i))));
+      Table.print
+        {
+          title = "per-group delivered";
+          header = "process" :: List.init shards (fun g -> Printf.sprintf "g%d" g);
+          rows =
+            List.init n (fun i ->
+                Table.num i
+                :: List.init shards (fun g ->
+                       Table.num
+                         (Abcast_live.Runtime.delivered_count ~group:g live i)));
+        };
     (match pkvs with
     | Some arr ->
       let digests = Array.to_list (Array.map Partitioned_kv.digest arr) in
@@ -471,25 +494,29 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
       if not convergent then exit 1
     | None -> ());
     (* end-of-run observability summary: network drops + WAL counters *)
-    Table.print ~title:"per-process network and WAL counters"
-      ~header:
-        [ "process"; "tx oversize"; "rx undecodable"; "wal appends"; "wal fsyncs" ]
-      (List.init n (fun i ->
-           let ns = Abcast_live.Runtime.net_stats live i in
-           let ctr name =
-             match
-               List.assoc_opt name (Abcast_live.Runtime.node_counters live i)
-             with
-             | Some v -> Table.num v
-             | None -> "-"
-           in
-           [
-             string_of_int i;
-             Table.num ns.Abcast_live.Runtime.tx_oversize;
-             Table.num ns.Abcast_live.Runtime.rx_undecodable;
-             ctr "wal_appends";
-             ctr "wal_fsyncs";
-           ]));
+    Table.print
+      {
+        title = "per-process network and WAL counters";
+        header =
+          [ "process"; "tx oversize"; "rx undecodable"; "wal appends"; "wal fsyncs" ];
+        rows =
+          List.init n (fun i ->
+              let ns = Abcast_live.Runtime.net_stats live i in
+              let ctr name =
+                match
+                  List.assoc_opt name (Abcast_live.Runtime.node_counters live i)
+                with
+                | Some v -> Table.num v
+                | None -> Table.Text "-"
+              in
+              [
+                Table.num i;
+                Table.num ns.Abcast_live.Runtime.tx_oversize;
+                Table.num ns.Abcast_live.Runtime.rx_undecodable;
+                ctr "wal_appends";
+                ctr "wal_fsyncs";
+              ]);
+      };
     let lat_rows =
       List.concat_map
         (fun i ->
@@ -497,8 +524,8 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
           |> List.filter (fun (name, _) -> is_latency_series name)
           |> List.map (fun (name, (s : Abcast_util.Histogram.summary)) ->
                  [
-                   string_of_int i;
-                   name;
+                   Table.num i;
+                   Table.Text name;
                    Table.num s.count;
                    Table.flt s.p50;
                    Table.flt s.p95;
@@ -507,9 +534,12 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
         (List.init n Fun.id)
     in
     if lat_rows <> [] then
-      Table.print ~title:"latency histograms (µs, per process)"
-        ~header:[ "process"; "series"; "count"; "p50"; "p95"; "max" ]
-        lat_rows;
+      Table.print
+        {
+          title = "latency histograms (µs, per process)";
+          header = [ "process"; "series"; "count"; "p50"; "p95"; "max" ];
+          rows = lat_rows;
+        };
     (match min_rate with
     | Some floor when rate < floor ->
       Printf.eprintf "throughput %.0f msg/s is below the --min-rate floor %.0f\n"
@@ -644,33 +674,42 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
     done;
     let cls name (s : Abcast_util.Histogram.summary) =
       [
-        name;
+        Table.Text name;
         Table.num s.count;
-        Printf.sprintf "%.0f" (float_of_int s.count /. report.Loadgen.wall);
+        Table.flt ~dec:0 (float_of_int s.count /. report.Loadgen.wall);
         Table.flt s.p50;
         Table.flt s.p95;
         Table.flt s.p99;
         Table.flt s.max;
       ]
     in
-    Table.print ~title:"service SLOs (latency µs)"
-      ~header:[ "class"; "count"; "ops/s"; "p50"; "p95"; "p99"; "max" ]
-      [
-        cls "write" report.Loadgen.write;
-        cls "lin read" report.Loadgen.lin;
-        cls "stale read" report.Loadgen.stale;
-      ];
-    Table.print ~title:"run totals"
-      ~header:[ "metric"; "value" ]
-      [
-        [ "issued"; Table.num report.Loadgen.issued ];
-        [ "completed"; Table.num report.Loadgen.completed ];
-        [ "retries"; Table.num report.Loadgen.retries ];
-        [ "shed (all clients busy)"; Table.num report.Loadgen.shed ];
-        [ "lease reads bounced"; Table.num report.Loadgen.not_ready ];
-        [ "failed (drain expired)"; Table.num report.Loadgen.failed ];
-        [ "wall seconds"; Printf.sprintf "%.2f" report.Loadgen.wall ];
-      ];
+    Table.print
+      {
+        title = "service SLOs (latency µs)";
+        header = [ "class"; "count"; "ops/s"; "p50"; "p95"; "p99"; "max" ];
+        rows =
+          [
+            cls "write" report.Loadgen.write;
+            cls "lin read" report.Loadgen.lin;
+            cls "stale read" report.Loadgen.stale;
+          ];
+      };
+    let metric name v = [ Table.Text name; v ] in
+    Table.print
+      {
+        title = "run totals";
+        header = [ "metric"; "value" ];
+        rows =
+          [
+            metric "issued" (Table.num report.Loadgen.issued);
+            metric "completed" (Table.num report.Loadgen.completed);
+            metric "retries" (Table.num report.Loadgen.retries);
+            metric "shed (all clients busy)" (Table.num report.Loadgen.shed);
+            metric "lease reads bounced" (Table.num report.Loadgen.not_ready);
+            metric "failed (drain expired)" (Table.num report.Loadgen.failed);
+            metric "wall seconds" (Table.flt report.Loadgen.wall);
+          ];
+      };
     if not !stable then begin
       Printf.eprintf "replicas did not converge within 30s of the run end\n";
       exit 2

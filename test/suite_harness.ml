@@ -60,19 +60,40 @@ let checks_tests =
   ]
 
 let table_tests =
+  let text = Table.cell_text in
   [
     test "num inserts thousands separators" (fun () ->
-        Alcotest.(check string) "1,234,567" "1,234,567" (Table.num 1_234_567);
-        Alcotest.(check string) "small" "42" (Table.num 42);
-        Alcotest.(check string) "negative" "-1,000" (Table.num (-1_000));
-        Alcotest.(check string) "zero" "0" (Table.num 0));
+        Alcotest.(check string) "1,234,567" "1,234,567" (text (Table.num 1_234_567));
+        Alcotest.(check string) "small" "42" (text (Table.num 42));
+        Alcotest.(check string) "negative" "-1,000" (text (Table.num (-1_000)));
+        Alcotest.(check string) "zero" "0" (text (Table.num 0)));
     test "flt formats and handles nan" (fun () ->
-        Alcotest.(check string) "2 dec" "3.14" (Table.flt 3.14159);
-        Alcotest.(check string) "0 dec" "3" (Table.flt ~dec:0 3.14159);
-        Alcotest.(check string) "nan" "-" (Table.flt nan));
+        Alcotest.(check string) "2 dec" "3.14" (text (Table.flt 3.14159));
+        Alcotest.(check string) "0 dec" "3" (text (Table.flt ~dec:0 3.14159));
+        Alcotest.(check string) "nan" "-" (text (Table.flt nan)));
     test "ratio" (fun () ->
-        Alcotest.(check string) "3x" "3.00x" (Table.ratio 90.0 30.0);
-        Alcotest.(check string) "div0" "-" (Table.ratio 1.0 0.0));
+        Alcotest.(check string) "3x" "3.00" (text (Table.ratio 90.0 30.0));
+        Alcotest.(check string) "div0" "-" (text (Table.ratio 1.0 0.0)));
+    test "to_json: raw numbers, null nan, escaped text, full-width rows"
+      (fun () ->
+        let t =
+          {
+            Table.title = "t";
+            header = [ "a"; "b"; "c" ];
+            rows =
+              [
+                [ Table.num 1_234_567; Table.flt nan; Table.Text {|say "hi" \ bye|} ];
+                [ Table.num 0; Table.flt ~dec:0 0.1; Table.ratio 1.0 0.0 ];
+              ];
+          }
+        in
+        Alcotest.(check string) "json"
+          {|{"title": "t", "header": ["a", "b", "c"], "rows": [[1234567, null, "say \"hi\" \\ bye"], [0, 0.1, null]]}|}
+          (Table.to_json t);
+        Alcotest.check_raises "short row"
+          (Invalid_argument {|Table: a row of "t" is not 3 cells wide|})
+          (fun () ->
+            ignore (Table.to_json { t with rows = [ [ Table.num 1 ] ] })));
   ]
 
 let workload_tests =

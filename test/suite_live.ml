@@ -126,37 +126,61 @@ let tests =
            growth to the high-water mark) this must not touch the minor
            heap at all — the regression this guards is any per-send
            [Bytes]/closure allocation creeping back into [Wire] or the
-           message writers. *)
+           message writers. The audited input adds the sentinel's work:
+           the Gossip carries an order certificate and every send folds
+           one payload id into the delivery chain and its window. *)
         let module P = Protocol.Make (Abcast_consensus.Paxos) in
         let module Wire = Abcast_util.Wire in
+        let module Audit = Abcast_core.Audit in
         let payloads =
           List.init 8 (fun i ->
               Payload.make
                 { origin = i mod 3; boot = 0; seq = i }
                 (String.make 64 'x'))
         in
-        let msg = P.Gossip { k = 5; len = 9; unordered = payloads; cert = None } in
-        let dest = Wire.writer ~cap:(Live.max_datagram + 16) () in
-        let scratch = Wire.writer ~cap:4096 () in
-        let send () =
-          Wire.clear scratch;
-          P.write_msg scratch msg;
-          if Wire.length dest + Wire.length scratch + 3 > Live.max_datagram
-          then Live.Frame.start dest ~src:0;
-          Live.Frame.add dest ~msg:scratch
+        let id0 = (List.hd payloads).Payload.id in
+        let words_per_send ~audited =
+          let cert =
+            if audited then Some { Audit.c_boot = 1; c_len = 9; c_hash = 0x1234 }
+            else None
+          in
+          let msg = P.Gossip { k = 5; len = 9; unordered = payloads; cert } in
+          let chain = ref Audit.empty in
+          let window = Audit.window ~cap:1024 () in
+          let pos = ref 0 in
+          let dest = Wire.writer ~cap:(Live.max_datagram + 16) () in
+          let scratch = Wire.writer ~cap:4096 () in
+          let send () =
+            if audited then begin
+              chain := Audit.mix !chain id0;
+              incr pos;
+              Audit.note window ~pos:!pos ~hash:!chain
+            end;
+            Wire.clear scratch;
+            P.write_msg scratch msg;
+            if Wire.length dest + Wire.length scratch + 3 > Live.max_datagram
+            then Live.Frame.start dest ~src:0;
+            Live.Frame.add dest ~msg:scratch
+          in
+          Live.Frame.start dest ~src:0;
+          for _ = 1 to 1_000 do
+            send ()
+          done;
+          let iters = 10_000 in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to iters do
+            send ()
+          done;
+          (Gc.minor_words () -. w0) /. float_of_int iters
         in
-        Live.Frame.start dest ~src:0;
-        for _ = 1 to 1_000 do
-          send ()
-        done;
-        let iters = 10_000 in
-        let w0 = Gc.minor_words () in
-        for _ = 1 to iters do
-          send ()
-        done;
-        let per_send = (Gc.minor_words () -. w0) /. float_of_int iters in
-        if per_send > 0.01 then
-          Alcotest.failf "send allocates %.3f minor words" per_send);
+        List.iter
+          (fun audited ->
+            let per_send = words_per_send ~audited in
+            if per_send > 0.01 then
+              Alcotest.failf "%s send allocates %.3f minor words"
+                (if audited then "audited" else "plain")
+                per_send)
+          [ false; true ]);
     slow_test "live: ring dissemination with a pipelined window" (fun () ->
         let stack = Factory.make { Protocol.throughput with window = 4 } in
         with_live ~base_port:7461 stack (fun live ->
