@@ -134,7 +134,7 @@ module Make (C : Consensus_intf.S) = struct
                Storage.delete t.io.store ~layer:truncate_layer key
              | _ -> ());
       let prune tbl =
-        Hashtbl.iter (fun i _ -> if i < k then Hashtbl.remove tbl i) (Hashtbl.copy tbl)
+        Hashtbl.filter_map_inplace (fun i x -> if i < k then None else Some x) tbl
       in
       prune t.instances;
       prune t.proposals_cache;
@@ -184,9 +184,9 @@ module Make (C : Consensus_intf.S) = struct
 
     let seek p k =
       if k > p.committed then begin
-        Hashtbl.iter
-          (fun i _ -> if i < k then Hashtbl.remove p.decided i)
-          (Hashtbl.copy p.decided);
+        Hashtbl.filter_map_inplace
+          (fun i v -> if i < k then None else Some v)
+          p.decided;
         p.committed <- k
       end
   end

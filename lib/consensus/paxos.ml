@@ -154,11 +154,15 @@ let rec tick t =
   end
   else t.ticking <- false
 
+(* A leader holding a proposal starts phase 1 at once; the timer only
+   paces its retries. Anyone else waits a small random offset first,
+   which desynchronizes competing proposers. *)
 let ensure_ticking t =
   if (not t.ticking) && t.decided = None then begin
     t.ticking <- true;
-    (* Small random offset desynchronizes competing proposers. *)
-    t.io.after (1 + Rng.int t.io.rng (!retry_period / 4 + 1)) (fun () -> tick t)
+    if t.proposal <> None && t.leader () = t.io.self then tick t
+    else
+      t.io.after (1 + Rng.int t.io.rng (!retry_period / 4 + 1)) (fun () -> tick t)
   end
 
 let create io ~instance ~leader ~on_decide =

@@ -6,9 +6,10 @@
     recovered acceptor never contradicts its past promises, and quorum
     intersection carries decided values across crashes.
 
-    Liveness is delegated to the Ω oracle: a process retries a higher
-    ballot on a timer only while it believes itself leader, and sends a
-    [Query] otherwise (so a late process still learns decisions from
+    Liveness is delegated to the Ω oracle: a process that believes
+    itself leader starts its first ballot as soon as it proposes and
+    retries a higher one on a timer; any other process sends a [Query]
+    on that timer instead (so a late process still learns decisions from
     decided peers). Safety never depends on Ω.
 
     Stable-storage writes per instance at one process: the proposal
@@ -29,5 +30,8 @@ type msg =
 include Consensus_intf.S with type msg := msg
 
 val retry_period : int ref
-(** Base retransmission/ballot-retry period in simulated µs
-    (default 8_000); tests shrink it to accelerate convergence. *)
+(** Base period in simulated µs (default 8_000) between a leader's
+    ballot retries and a non-leader's [Query] probes; each wait adds a
+    random jitter of up to half of it. It never delays a leader's first
+    ballot, which starts at propose. A non-leader's first probe waits
+    1 µs to a quarter of it. Tests shrink it to accelerate convergence. *)

@@ -80,17 +80,26 @@ let paxos_tests =
         Alcotest.(check (option string)) "logged" (Some "v")
           (Storage.read p.store (Abcast_consensus.Consensus_intf.Keys.proposal 0));
         Alcotest.(check bool) "timer armed" true (not (Queue.is_empty p.timers)));
-    test "paxos: the leader's timer starts phase 1 with ballot r*n+self"
+    test "paxos: the leader's propose starts phase 1 with ballot r*n+self"
       (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "v";
-        fire_next_timer p;
         let prepares = sent_prepares (take_sent p) in
         Alcotest.(check int) "to everyone" 3 (List.length prepares);
         List.iter
           (fun (_, b) ->
             Alcotest.(check bool) "ballot = r*3+0, r>=1" true (b mod 3 = 0 && b >= 3))
-          prepares);
+          prepares;
+        (* a lost Prepare is retried with a higher ballot *)
+        let first = snd (List.hd prepares) in
+        fire_next_timer p;
+        let retries = sent_prepares (take_sent p) in
+        Alcotest.(check int) "retried to everyone" 3 (List.length retries);
+        List.iter
+          (fun (_, b) ->
+            Alcotest.(check bool) "higher ballot r*3+0" true
+              (b mod 3 = 0 && b > first))
+          retries);
     test "paxos: a non-leader queries instead of competing" (fun () ->
         let p, c, _ = paxos_make ~self:1 () in
         (* leader oracle says 0; self is 1 *)
@@ -124,7 +133,6 @@ let paxos_tests =
       (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "mine";
-        fire_next_timer p;
         let b =
           match sent_prepares (take_sent p) with
           | (_, b) :: _ -> b
@@ -143,7 +151,6 @@ let paxos_tests =
     test "paxos: free choice when no promise carries a value" (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "mine";
-        fire_next_timer p;
         let b =
           match sent_prepares (take_sent p) with
           | (_, b) :: _ -> b
@@ -157,11 +164,11 @@ let paxos_tests =
               match m with Paxos.Accept { v; _ } -> Some v | _ -> None)
             (take_sent p)
         in
+        Alcotest.(check bool) "phase 2 started" true (accepts <> []);
         List.iter (Alcotest.(check string) "own value" "mine") accepts);
     test "paxos: majority of accepted acks decides, logs, announces" (fun () ->
         let p, c, decided = paxos_make () in
         Paxos.propose c "mine";
-        fire_next_timer p;
         let b =
           match sent_prepares (take_sent p) with
           | (_, b) :: _ -> b
@@ -194,11 +201,11 @@ let paxos_tests =
     test "paxos: reject pushes the next ballot higher" (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "v";
-        fire_next_timer p;
         ignore (take_sent p);
         Paxos.handle c ~src:1 (Paxos.Reject { b = 30 });
         fire_next_timer p;
         let prepares = sent_prepares (take_sent p) in
+        Alcotest.(check bool) "retried" true (prepares <> []);
         List.iter
           (fun (_, b) -> Alcotest.(check bool) "above 30" true (b > 30))
           prepares);

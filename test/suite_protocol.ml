@@ -28,6 +28,33 @@ let basic_tests =
         done;
         Alcotest.(check int) "no consensus logging" 0
           (Metrics.sum_prefix (Cluster.metrics cluster) "log_ops"));
+    test "basic: one broadcast decides within two round trips" (fun () ->
+        (* Fixed 500 µs links: the leader's Prepare/Promise and
+           Accept/Accepted take 2,000 µs, and every other process learns
+           the decision 2,000 µs after its own propose. No timer wait may
+           sit on that path. *)
+        List.iter
+          (fun seed ->
+            let net = Net.create ~delay_min:500 ~delay_max:500 ~heavy_tail:0.0 () in
+            let cluster = Cluster.create basic ~seed ~n:3 ~net () in
+            Cluster.at cluster 100_000 (fun () ->
+                ignore (Cluster.broadcast cluster ~node:0 "m"));
+            let ok =
+              Cluster.run_until cluster ~until:1_000_000
+                ~pred:(fun () -> Cluster.all_caught_up cluster ~count:1 ())
+                ()
+            in
+            Alcotest.(check bool) "delivered" true ok;
+            let samples =
+              Metrics.samples (Cluster.metrics cluster) "cons.propose_to_decide_us"
+            in
+            Alcotest.(check bool) "sampled" true (samples <> []);
+            List.iter
+              (fun us ->
+                if us > 2_000.0 then
+                  Alcotest.failf "seed %d: propose->decide %.0f us > 2000" seed us)
+              samples)
+          [ 1; 2; 3; 4; 5 ]);
     test "basic: zero abcast-layer log operations (§4.3)" (fun () ->
         let cluster, _ = run_workload ~seed:6 ~msgs:25 basic in
         Alcotest.(check int) "abcast ops" 0
