@@ -69,12 +69,22 @@ module type S = sig
       @raise Abcast_util.Wire.Error on malformed input — the outermost
       decoder catches it and drops the datagram. *)
 
+  type node
+  (** State one process shares across all its instances, for one
+      incarnation ([unit] when an implementation needs none). {!Multi}
+      builds it once per incarnation and hands it to every {!create}. *)
+
+  val node : _ Abcast_sim.Engine.io -> node
+  (** Build the shared state, reading what earlier incarnations left in
+      stable storage. *)
+
   type t
   (** One instance at one process (volatile part; the durable part lives
       in the process's stable storage under {!Keys.inst} [instance]). *)
 
   val create :
     msg Abcast_sim.Engine.io ->
+    node:node ->
     instance:int ->
     leader:Abcast_fd.Omega.t ->
     on_decide:(value -> unit) ->

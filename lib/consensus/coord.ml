@@ -136,7 +136,11 @@ and arm_timer t r =
       if t.decided = None && t.timer_round = r && t.round = r then
         enter_round t (r + 1))
 
-let create io ~instance ~leader:_ ~on_decide =
+type node = unit
+
+let node _ = ()
+
+let create io ~node:() ~instance ~leader:_ ~on_decide =
   let locked_slot =
     Storage.Slot.make ~codec:locked_codec io.Engine.store ~layer:Keys.layer
       ~key:(Keys.inst instance "coord.locked")

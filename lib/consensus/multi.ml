@@ -40,6 +40,7 @@ module Make (C : Consensus_intf.S) = struct
     on_decide : int -> value -> unit;
     on_lag : int -> unit;
     on_behind : src:int -> unit;
+    node : C.node; (* state the instances of this incarnation share *)
     instances : (int, C.t) Hashtbl.t;
     (* Volatile mirrors of the stable proposal/decision log. [proposal]
        and [decision] sit on the broadcast layer's commit loop, which
@@ -50,6 +51,9 @@ module Make (C : Consensus_intf.S) = struct
     proposals_cache : (int, value) Hashtbl.t;
     decisions_cache : (int, value) Hashtbl.t;
     mutable floor : int;
+    mutable retired : int;
+        (* instances below it are settled here (truncated, or jumped past
+           by state transfer): their timers no longer fire *)
   }
 
   let create io ~leader ~on_decide ~on_lag ~on_behind =
@@ -64,20 +68,29 @@ module Make (C : Consensus_intf.S) = struct
       on_decide;
       on_lag;
       on_behind;
+      node = C.node io;
       instances = Hashtbl.create 16;
       proposals_cache = Hashtbl.create 16;
       decisions_cache = Hashtbl.create 16;
       floor;
+      retired = floor;
     }
 
   let instance t k =
     match Hashtbl.find_opt t.instances k with
     | Some c -> c
     | None ->
-      let io' = Engine.map_io (fun m -> Inst (k, m)) t.io in
+      let io' =
+        {
+          (Engine.map_io (fun m -> Inst (k, m)) t.io) with
+          after =
+            (fun delay f ->
+              t.io.after delay (fun () -> if k >= t.retired then f ()));
+        }
+      in
       let created_at = t.io.now () in
       let c =
-        C.create io' ~instance:k ~leader:t.leader
+        C.create io' ~node:t.node ~instance:k ~leader:t.leader
           ~on_decide:(fun v ->
             (* instance lifetime on this node: from first local contact
                with instance [k] to its decision *)
@@ -110,8 +123,11 @@ module Make (C : Consensus_intf.S) = struct
     | Truncated { floor } -> t.on_lag floor
     | Inst (k, m) ->
       if k < t.floor && decision t k = None then begin
-        t.io.send src (Truncated { floor = t.floor });
-        t.on_behind ~src
+        (* our own probe of an instance we truncated needs no answer *)
+        if src <> t.io.self then begin
+          t.io.send src (Truncated { floor = t.floor });
+          t.on_behind ~src
+        end
       end
       else C.handle (instance t k) ~src m
 
@@ -140,6 +156,7 @@ module Make (C : Consensus_intf.S) = struct
       prune t.proposals_cache;
       prune t.decisions_cache;
       t.floor <- k;
+      t.retired <- max t.retired k;
       Storage.write t.io.store ~layer:truncate_layer ~key:floor_key
         (string_of_int k)
     end
@@ -187,7 +204,8 @@ module Make (C : Consensus_intf.S) = struct
         Hashtbl.filter_map_inplace
           (fun i v -> if i < k then None else Some v)
           p.decided;
-        p.committed <- k
+        p.committed <- k;
+        p.m.retired <- max p.m.retired k
       end
   end
 end

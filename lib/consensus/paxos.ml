@@ -10,7 +10,11 @@ let retry_period = ref 8_000
 
 type msg =
   | Prepare of { b : int }
-  | Promise of { b : int; accepted : (int * value) option }
+  | Promise of {
+      b : int;
+      accepted : (int * value) option;
+      above : (int * int) list;
+    }
   | Reject of { b : int } (* nack carrying the promise that blocked us *)
   | Accept of { b : int; v : value }
   | Accepted of { b : int }
@@ -19,9 +23,11 @@ type msg =
 
 let pp_msg ppf = function
   | Prepare { b } -> Format.fprintf ppf "prepare(%d)" b
-  | Promise { b; accepted = None } -> Format.fprintf ppf "promise(%d,-)" b
-  | Promise { b; accepted = Some (ab, _) } ->
-    Format.fprintf ppf "promise(%d,acc@%d)" b ab
+  | Promise { b; accepted; above } ->
+    Format.fprintf ppf "promise(%d,%s%s)" b
+      (match accepted with None -> "-" | Some (ab, _) -> Printf.sprintf "acc@%d" ab)
+      (String.concat ""
+         (List.map (fun (j, ab) -> Printf.sprintf ",[%d]@%d" j ab) above))
   | Reject { b } -> Format.fprintf ppf "reject(%d)" b
   | Accept { b; _ } -> Format.fprintf ppf "accept(%d)" b
   | Accepted { b } -> Format.fprintf ppf "accepted(%d)" b
@@ -43,10 +49,15 @@ let write_msg w = function
   | Prepare { b } ->
     Wire.write_u8 w 0;
     Wire.write_varint w b
-  | Promise { b; accepted } ->
+  | Promise { b; accepted; above } ->
     Wire.write_u8 w 1;
     Wire.write_varint w b;
-    Wire.write_option write_accepted w accepted
+    Wire.write_option write_accepted w accepted;
+    Wire.write_list
+      (fun w (j, ab) ->
+        Wire.write_varint w j;
+        Wire.write_varint w ab)
+      w above
   | Reject { b } ->
     Wire.write_u8 w 2;
     Wire.write_varint w b
@@ -68,7 +79,15 @@ let read_msg r =
   | 1 ->
     let b = Wire.read_varint r in
     let accepted = Wire.read_option read_accepted r in
-    Promise { b; accepted }
+    let above =
+      Wire.read_list
+        (fun r ->
+          let j = Wire.read_varint r in
+          let ab = Wire.read_varint r in
+          (j, ab))
+        r
+    in
+    Promise { b; accepted; above }
   | 2 -> Reject { b = Wire.read_varint r }
   | 3 ->
     let b = Wire.read_varint r in
@@ -92,20 +111,73 @@ let acc_codec =
         let accepted = Wire.read_option read_accepted r in
         { promised; accepted }) )
 
+let acc_key k = Keys.inst k "paxos.acc"
+
+let accepted store ~instance =
+  match Storage.read store (acc_key instance) with
+  | Some s -> ( match snd acc_codec s with Some a -> a.accepted | None -> None)
+  | None -> None
+
+(* The node-wide promise: no ballot below it is accepted in any
+   instance. It sits outside the [cons/] prefix, so truncation keeps it. *)
+let promise_key = "cons.paxos.promise"
+
+(* The leader's view of its phase 1. [Opening] is the Prepare of instance
+   [k] at ballot [b] in flight; once a majority has promised, [Held]
+   lets every instance from [from] on, except [excluded] (instances some
+   promiser had already accepted), skip phase 1 at [b]. *)
+type term =
+  | No_term
+  | Opening of { b : int; k : int }
+  | Held of { b : int; from : int; excluded : int list }
+
+type node = {
+  store : Storage.t;
+  mutable promise : int; (* durable node-wide promise *)
+  mutable top : int; (* no instance above it holds acceptor state here *)
+  mutable high : int; (* highest ballot a peer's Reject or Accept showed us *)
+  mutable term : term;
+}
+
+let node (io : _ Engine.io) =
+  let promise =
+    match Storage.read io.store promise_key with
+    | Some s -> int_of_string s
+    | None -> 0
+  in
+  let top =
+    match List.rev (Storage.keys_with_prefix io.store Keys.prefix) with
+    | key :: _ -> Option.value ~default:(-1) (Keys.instance_of_key key)
+    | [] -> -1
+  in
+  { store = io.store; promise; top; high = 0; term = No_term }
+
+let raise_promise nd b =
+  if b > nd.promise then begin
+    nd.promise <- b;
+    Storage.write nd.store ~layer:Keys.layer ~key:promise_key (string_of_int b)
+  end
+
+let term_ballot nd =
+  match nd.term with No_term -> 0 | Opening { b; _ } | Held { b; _ } -> b
+
 type phase = Idle | Phase1 | Phase2
 
 type t = {
   io : msg Engine.io;
   k : int;
+  node : node;
   leader : Abcast_fd.Omega.t;
   on_decide : value -> unit;
   acc_slot : acc_state Storage.Slot.slot;
   mutable acc : acc_state;
   mutable proposal : value option;
   mutable decided : value option;
-  mutable round : int; (* our ballot = round * n + self *)
+  mutable ballot : int; (* our latest ballot here, 0 if none *)
+  mutable ballots : int; (* ballots this incarnation ran here *)
   mutable phase : phase;
   mutable promises : (int * (int * value) option) list;
+  mutable listed : int list; (* instances the counted promises listed *)
   mutable accepts : int list;
   mutable pushing : value option; (* value of our ongoing phase 2 *)
   mutable ticking : bool;
@@ -113,8 +185,6 @@ type t = {
 }
 
 let majority t = (t.io.n / 2) + 1
-
-let ballot t = (t.round * t.io.n) + t.io.self
 
 let set_acc t acc =
   t.acc <- acc;
@@ -127,34 +197,63 @@ let decide t v =
     t.decided <- Some v;
     Storage.write t.io.store ~layer:Keys.layer ~key:(Keys.decision t.k) v;
     t.phase <- Idle;
+    (match t.node.term with
+    | Opening { k; _ } when k = t.k -> t.node.term <- No_term
+    | _ -> ());
     if t.proposed_at >= 0 then begin
       Metrics.observe t.io.metrics ~node:t.io.self "cons.propose_to_decide_us"
         (float_of_int (t.io.now () - t.proposed_at));
       Metrics.observe t.io.metrics ~node:t.io.self "cons.ballots"
-        (float_of_int (max 1 t.round))
+        (float_of_int (max 1 t.ballots))
     end;
     t.io.multisend (Decide { v });
     t.on_decide v
 
-let start_ballot t =
-  t.round <- t.round + 1;
-  t.phase <- Phase1;
+(* Run the next ballot of this instance as the leader: straight to
+   phase 2 when the held term covers it, else phase 1 at the term's
+   ballot, else a new term opened here. A ballot is used at most once
+   per instance, and a fresh one is logged as our own promise before it
+   leaves, so no later incarnation can reuse it. *)
+let start t v =
+  let nd = t.node in
+  t.ballots <- t.ballots + 1;
   t.promises <- [];
+  t.listed <- [];
   t.accepts <- [];
   t.pushing <- None;
-  t.io.multisend (Prepare { b = ballot t })
+  match nd.term with
+  | Held { b; from; excluded }
+    when b > t.ballot && t.k >= from && not (List.mem t.k excluded) ->
+    t.ballot <- b;
+    t.phase <- Phase2;
+    t.pushing <- Some v;
+    t.io.multisend (Accept { b; v })
+  | (Held { b; _ } | Opening { b; _ }) when b > t.ballot ->
+    t.ballot <- b;
+    t.phase <- Phase1;
+    t.io.multisend (Prepare { b })
+  | _ ->
+    let above = max (max nd.promise nd.high) (max t.acc.promised t.ballot) in
+    let b = (((above / t.io.n) + 1) * t.io.n) + t.io.self in
+    raise_promise nd b;
+    nd.term <- Opening { b; k = t.k };
+    t.ballot <- b;
+    t.phase <- Phase1;
+    t.io.multisend (Prepare { b })
 
 let rec tick t =
   if t.decided = None then begin
     (match t.proposal with
-    | Some _ when t.leader () = t.io.self -> start_ballot t
-    | _ -> t.io.multisend Query);
+    | Some v when t.leader () = t.io.self -> start t v
+    | _ ->
+      t.node.term <- No_term;
+      t.io.multisend Query);
     let jitter = Rng.int t.io.rng (!retry_period / 2 + 1) in
     t.io.after (!retry_period + jitter) (fun () -> tick t)
   end
   else t.ticking <- false
 
-(* A leader holding a proposal starts phase 1 at once; the timer only
+(* A leader holding a proposal starts its ballot at once; the timer only
    paces its retries. Anyone else waits a small random offset first,
    which desynchronizes competing proposers. *)
 let ensure_ticking t =
@@ -165,10 +264,10 @@ let ensure_ticking t =
       t.io.after (1 + Rng.int t.io.rng (!retry_period / 4 + 1)) (fun () -> tick t)
   end
 
-let create io ~instance ~leader ~on_decide =
+let create io ~node ~instance ~leader ~on_decide =
   let acc_slot =
     Storage.Slot.make ~codec:acc_codec io.Engine.store ~layer:Keys.layer
-      ~key:(Keys.inst instance "paxos.acc")
+      ~key:(acc_key instance)
   in
   let acc =
     match Storage.Slot.get acc_slot with
@@ -179,17 +278,18 @@ let create io ~instance ~leader ~on_decide =
     {
       io;
       k = instance;
+      node;
       leader;
       on_decide;
       acc_slot;
       acc;
       proposal = Storage.read io.store (Keys.proposal instance);
       decided = Storage.read io.store (Keys.decision instance);
-      round = (match Storage.Slot.get acc_slot with
-              | Some a -> (a.promised / io.n) + 1
-              | None -> 0);
+      ballot = 0;
+      ballots = 0;
       phase = Idle;
       promises = [];
+      listed = [];
       accepts = [];
       pushing = None;
       ticking = false;
@@ -218,10 +318,6 @@ let proposal t = t.proposal
 
 let decision t = t.decided
 
-let add_promise t src acc =
-  if not (List.mem_assoc src t.promises) then
-    t.promises <- (src, acc) :: t.promises
-
 let best_accepted promises =
   List.fold_left
     (fun best (_, acc) ->
@@ -232,21 +328,46 @@ let best_accepted promises =
       | Some _, Some x -> Some x)
     None promises
 
+(* Every instance above ours this acceptor has accepted a value in. *)
+let accepted_above t =
+  let rec go j acc =
+    if j <= t.k then acc
+    else
+      go (j - 1)
+        (match accepted t.io.store ~instance:j with
+        | Some (ab, _) -> (j, ab) :: acc
+        | None -> acc)
+  in
+  go t.node.top []
+
 let handle t ~src msg =
   match t.decided with
   | Some v -> ( match msg with Decide _ -> () | _ -> t.io.send src (Decide { v }))
   | None -> (
+    let nd = t.node in
     match msg with
     | Prepare { b } ->
-      if b > t.acc.promised then begin
+      if b > t.acc.promised && b >= nd.promise then begin
+        raise_promise nd b;
         set_acc t { t.acc with promised = b };
-        t.io.send src (Promise { b; accepted = t.acc.accepted })
+        t.io.send src
+          (Promise { b; accepted = t.acc.accepted; above = accepted_above t })
       end
-      else t.io.send src (Reject { b = t.acc.promised })
-    | Promise { b; accepted } ->
-      if t.phase = Phase1 && b = ballot t then begin
-        add_promise t src accepted;
+      else t.io.send src (Reject { b = max t.acc.promised nd.promise })
+    | Promise { b; accepted; above } ->
+      if t.phase = Phase1 && b = t.ballot then begin
+        if not (List.mem_assoc src t.promises) then begin
+          t.promises <- (src, accepted) :: t.promises;
+          List.iter
+            (fun (j, _) ->
+              if not (List.mem j t.listed) then t.listed <- j :: t.listed)
+            above
+        end;
         if List.length t.promises >= majority t then begin
+          (match nd.term with
+          | Opening { b = tb; k } when tb = b && k = t.k ->
+            nd.term <- Held { b; from = t.k + 1; excluded = t.listed }
+          | _ -> ());
           let v =
             match best_accepted t.promises with
             | Some (_, v) -> v
@@ -262,18 +383,28 @@ let handle t ~src msg =
         end
       end
     | Reject { b } ->
-      if b > ballot t then begin
-        t.round <- b / t.io.n;
-        t.phase <- Idle
+      if b > t.ballot then begin
+        nd.high <- max nd.high b;
+        t.phase <- Idle;
+        if term_ballot nd < b then nd.term <- No_term
+        else
+          (* our own newer term overtook this ballot: rejoin it now *)
+          match t.proposal with
+          | Some v when t.leader () = t.io.self -> start t v
+          | _ -> ()
       end
     | Accept { b; v } ->
-      if b >= t.acc.promised then begin
+      (* a recovered leader learns the current term here, and opens its
+         own above it instead of being rejected once *)
+      nd.high <- max nd.high b;
+      if b >= t.acc.promised && b >= nd.promise then begin
         set_acc t { promised = b; accepted = Some (b, v) };
+        nd.top <- max nd.top t.k;
         t.io.send src (Accepted { b })
       end
-      else t.io.send src (Reject { b = t.acc.promised })
+      else t.io.send src (Reject { b = max t.acc.promised nd.promise })
     | Accepted { b } ->
-      if t.phase = Phase2 && b = ballot t then begin
+      if t.phase = Phase2 && b = t.ballot then begin
         if not (List.mem src t.accepts) then t.accepts <- src :: t.accepts;
         if List.length t.accepts >= majority t then
           match t.pushing with Some v -> decide t v | None -> assert false

@@ -725,10 +725,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         | None -> Agreed.snapshot t.agreed)
       | _ -> Agreed.snapshot t.agreed
     in
-    Metrics.add t.io.metrics ~node:t.io.self "state_bytes_sent"
-      (String.length (Wire.to_string Agreed.write_repr agreed));
+    let m = State { k = committed t; floor = M.floor t.multi; agreed } in
+    Metrics.add t.io.metrics ~node:t.io.self "state_bytes_sent" (t.size m);
     Metrics.incr t.io.metrics ~node:t.io.self "state_sent";
-    t.io.send dst (State { k = committed t; floor = M.floor t.multi; agreed })
+    t.io.send dst m
 
   let on_state t ~src:_ ks ~floor (repr : Agreed.repr) =
     (* Adopt when the de-synchronization exceeds the tuning knob, or

@@ -313,7 +313,32 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       end
       else true
     in
-    let send dst (msg : P.msg) = if encode_current msg then push dst in
+    (* Frames to ourselves never touch the socket: [send self] and the
+       self copy of a multisend queue the message value in this FIFO,
+       and [ship] hands them to the handler before every flush. A
+       growable array ring: once it has reached its high-water size,
+       queueing allocates nothing (a popped slot keeps its message until
+       the ring laps it). *)
+    let self_ring = ref [||] in
+    let self_head = ref 0 in
+    let self_len = ref 0 in
+    let push_self (msg : P.msg) =
+      let cap = Array.length !self_ring in
+      if !self_len = cap then begin
+        let ring = Array.make (max 16 (2 * cap)) msg in
+        for i = 0 to cap - 1 do
+          ring.(i) <- !self_ring.((!self_head + i) mod cap)
+        done;
+        self_ring := ring;
+        self_head := 0
+      end;
+      let ring = !self_ring in
+      ring.((!self_head + !self_len) mod Array.length ring) <- msg;
+      incr self_len
+    in
+    let send dst (msg : P.msg) =
+      if dst = nd.id then push_self msg else if encode_current msg then push dst
+    in
     let io : P.msg Engine.io =
       {
         self = nd.id;
@@ -324,9 +349,10 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
         send;
         multisend =
           (fun m ->
-            if encode_current m then
+            push_self m;
+            if n > 1 && encode_current m then
               for dst = 0 to n - 1 do
-                push dst
+                if dst <> nd.id then push dst
               done);
         after =
           (fun delay fn ->
@@ -351,6 +377,23 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       P.create io ~deliver:(fun ~group pl -> on_deliver ~node:nd.id ~group pl)
     in
     let handler = P.handler p in
+    let rec drain_self () =
+      if !self_len > 0 then begin
+        let ring = !self_ring in
+        let msg = ring.(!self_head) in
+        self_head := (!self_head + 1) mod Array.length ring;
+        decr self_len;
+        handler ~src:nd.id msg;
+        drain_self ()
+      end
+    in
+    (* Ship everything produced so far: our own frames are handled first
+       (their replies to peers join the same flush), then one coalesced
+       datagram leaves per destination with pending frames. *)
+    let ship () =
+      drain_self ();
+      flush_all ()
+    in
     Mutex.lock nd.mutex;
     nd.ops <-
       Some
@@ -472,9 +515,8 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       done;
       Mutex.unlock nd.mutex;
       List.iter (fun job -> job ()) (List.rev !jobs);
-      (* Ship everything the timers/mailbox/handlers produced this pass:
-         one coalesced datagram per destination with pending frames. *)
-      flush_all ();
+      (* Ship everything the timers/mailbox/handlers produced this pass. *)
+      ship ();
       (* wait for traffic or the next timer *)
       let timeout =
         match Heap.peek timers with
@@ -496,7 +538,7 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
         drain_ready recv_budget;
         (* replies produced by the handlers must not wait out the next
            select timeout *)
-        flush_all ()
+        ship ()
       | _ -> ()
       | exception Unix.Unix_error _ -> ())
     done;

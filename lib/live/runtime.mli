@@ -13,7 +13,10 @@
       oversized encodings (e.g. huge state transfers) are refused at the
       send site rather than silently truncated in flight, and received
       bytes that fail the bounds-checked decode are dropped, never raised
-      into the event loop;
+      into the event loop. A process's messages to itself skip the
+      socket: they queue in-process and are handled before the loop
+      flushes its outgoing datagrams, like the simulator's reliable
+      local hand-off;
     - stable storage is file-backed ({!Abcast_sim.Storage} with a
       directory): process state genuinely survives {!crash}/{!recover},
       including the boot counter that makes message identities unique

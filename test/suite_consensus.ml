@@ -27,7 +27,7 @@ module Rig (C : Intf.S) = struct
     for i = 0 to n - 1 do
       Engine.set_behavior eng i (fun io ->
           let c =
-            C.create io ~instance:0 ~leader ~on_decide:(fun v ->
+            C.create io ~node:(C.node io) ~instance:0 ~leader ~on_decide:(fun v ->
                 decisions := (i, v) :: !decisions)
           in
           nodes.(i) <- Some c;
@@ -173,7 +173,7 @@ module Adversarial_oracle (C : Intf.S) = struct
     for i = 0 to 2 do
       Engine.set_behavior eng i (fun io ->
           let c =
-            C.create io ~instance:0
+            C.create io ~node:(C.node io) ~instance:0
               ~leader:(fun () -> i) (* everyone believes in themselves *)
               ~on_decide:(fun _ -> ())
           in
@@ -229,7 +229,7 @@ let random_schedule_prop (module C : Intf.S) name =
 module Multi_suite (C : Intf.S) = struct
   module M = Abcast_consensus.Multi.Make (C)
 
-  let multi_rig ?(n = 3) ?(seed = 1) () =
+  let multi_rig ?(n = 3) ?(seed = 1) ?(on_behind = fun _ ~src:_ -> ()) () =
   let eng = Engine.create ~seed ~n () in
   let nodes = Array.make n None in
   let decisions = Array.make n [] in
@@ -244,7 +244,7 @@ module Multi_suite (C : Intf.S) = struct
           M.create io ~leader
             ~on_decide:(fun k v -> decisions.(i) <- (k, v) :: decisions.(i))
             ~on_lag:(fun f -> lags.(i) <- f :: lags.(i))
-            ~on_behind:(fun ~src:_ -> ())
+            ~on_behind:(on_behind i)
         in
         nodes.(i) <- Some m;
         M.handle m)
@@ -324,6 +324,46 @@ module Multi_suite (C : Intf.S) = struct
         Alcotest.(check bool) "lag reported" true
           (Engine.run_until eng ~until:20_000_000 ~pred:lagged ());
         Alcotest.(check bool) "floor carried" true (List.mem 1 lags.(2)));
+    test (name ^ " multi: an instance jumped past stops probing") (fun () ->
+        (* Node 2 logs a proposal for instance 0 and crashes; the others
+           decide and truncate it. Recovered, node 2 re-proposes it, hears
+           [Truncated] and jumps its cursor past it (what adopting a state
+           transfer does). From then on the instance must fall silent:
+           every probe of it costs its peers a State. *)
+        let probes = ref 0 in
+        let eng, node, _, lags =
+          multi_rig ~seed:9 ~on_behind:(fun _ ~src -> if src = 2 then incr probes) ()
+        in
+        M.propose (node 2) 0 "late";
+        Engine.crash eng 2;
+        for k = 0 to 2 do
+          for i = 0 to 1 do
+            M.propose (node i) k "v"
+          done
+        done;
+        let decided () =
+          List.for_all
+            (fun k -> M.decision (node 0) k <> None && M.decision (node 1) k <> None)
+            [ 0; 1; 2 ]
+        in
+        Alcotest.(check bool) "decided" true
+          (Engine.run_until eng ~until:10_000_000 ~pred:decided ());
+        M.truncate_below (node 0) 3;
+        M.truncate_below (node 1) 3;
+        (* the decisions' announcements to node 2 are lost while it is down *)
+        Engine.run eng ~until:(Engine.now eng + 100_000);
+        Engine.recover eng 2;
+        M.propose (node 2) 0 "late";
+        Alcotest.(check bool) "lag reported" true
+          (Engine.run_until eng ~until:(Engine.now eng + 1_000_000)
+             ~pred:(fun () -> lags.(2) <> []) ());
+        M.Pipeline.seek (M.Pipeline.attach (node 2) ~width:1) (List.hd lags.(2));
+        (* let the probes already in flight land, then listen for two
+           seconds: a retry period of ~10 ms would send ~200 more *)
+        Engine.run eng ~until:(Engine.now eng + 100_000);
+        probes := 0;
+        Engine.run eng ~until:(Engine.now eng + 2_000_000);
+        Alcotest.(check int) "probes after the jump" 0 !probes);
     test (name ^ " multi: decisions persist across recovery") (fun () ->
         let eng, node, _, _ = multi_rig ~seed:5 () in
         for i = 0 to 2 do
@@ -340,9 +380,102 @@ module Multi_suite (C : Intf.S) = struct
 end
 
 module Multi_paxos = Multi_suite (Abcast_consensus.Paxos)
+
+(* The leader crashes in the middle of its term: instances above the one
+   its phase 1 ran in are accepted somewhere but not decided. The next
+   leader opens its own term below them, so they reach it straight in
+   phase 2 unless its promises listed them. It must keep every value a
+   majority had accepted, and all processes, the old leader included,
+   must decide alike. *)
+let paxos_term_failover seed =
+  let module Paxos = Abcast_consensus.Paxos in
+  let module M = Multi_paxos.M in
+  let eng, node, _, _ = Multi_paxos.multi_rig ~seed () in
+  let insts = [ 1; 2; 3; 4 ] in
+  let run_to what pred =
+    if not (Engine.run_until eng ~until:(Engine.now eng + 20_000_000) ~pred ())
+    then Alcotest.failf "seed %d: %s" seed what
+  in
+  (* node 0 opens its term at instance 0 *)
+  M.propose (node 0) 0 "a0";
+  run_to "instance 0 decided" (fun () -> M.decision (node 0) 0 <> None);
+  List.iter (fun j -> M.propose (node 0) j (Printf.sprintf "a%d" j)) insts;
+  let accepted i j = Paxos.accepted (Engine.storage eng i) ~instance:j in
+  run_to "an accept reached a follower" (fun () ->
+      List.exists
+        (fun i ->
+          List.exists
+            (fun j -> accepted i j <> None && M.decision (node i) j = None)
+            [ 2; 3; 4 ])
+        [ 1; 2 ]);
+  Engine.crash eng 0;
+  let chosen =
+    List.map
+      (fun j ->
+        let acc = List.filter_map (fun i -> accepted i j) [ 0; 1; 2 ] in
+        ( j,
+          List.find_map
+            (fun (b, v) ->
+              if List.length (List.filter (( = ) (b, v)) acc) >= 2 then Some v
+              else None)
+            acc ))
+      insts
+  in
+  let propose_all j =
+    List.iter (fun i -> M.propose (node i) j (Printf.sprintf "n%d-%d" i j)) [ 1; 2 ]
+  in
+  (* node 1 leads now: its term opens at instance 1 *)
+  propose_all 1;
+  run_to "new term opened" (fun () -> M.decision (node 1) 1 <> None);
+  List.iter propose_all [ 2; 3; 4 ];
+  let decided_at i () = List.for_all (fun j -> M.decision (node i) j <> None) insts in
+  run_to "survivors decided" (fun () -> decided_at 1 () && decided_at 2 ());
+  Engine.recover eng 0;
+  List.iter (fun j -> M.propose (node 0) j "a-again") insts;
+  run_to "old leader decided" (decided_at 0);
+  List.iter
+    (fun (j, chosen) ->
+      let d = M.decision (node 0) j in
+      List.iter
+        (fun i ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "seed %d: agreement at %d" seed j)
+            d (M.decision (node i) j))
+        [ 1; 2 ];
+      Option.iter
+        (fun v ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "seed %d: chosen value kept at %d" seed j)
+            (Some v) d)
+        chosen)
+    chosen
 module Multi_coord = Multi_suite (Abcast_consensus.Coord)
 
-let multi_tests = Multi_paxos.tests "paxos" @ Multi_coord.tests "coord"
+let multi_tests =
+  Multi_paxos.tests "paxos" @ Multi_coord.tests "coord"
+  @ [
+      test "paxos multi: a new leader keeps the crashed term's values (20 seeds)"
+        (fun () -> List.iter paxos_term_failover (List.init 20 (fun i -> i + 1)));
+      test "paxos multi: a node does not answer its own probe below its floor"
+        (fun () ->
+          let behind = ref [] in
+          let eng, node, _, _ =
+            Multi_paxos.multi_rig
+              ~on_behind:(fun i ~src -> behind := (i, src) :: !behind)
+              ()
+          in
+          List.iter (fun i -> Multi_paxos.M.propose (node i) 0 "v") [ 0; 1; 2 ];
+          Alcotest.(check bool) "decided" true
+            (Engine.run_until eng ~until:10_000_000
+               ~pred:(fun () -> Multi_paxos.M.decision (node 0) 0 <> None)
+               ());
+          Multi_paxos.M.truncate_below (node 0) 1;
+          let probe = Multi_paxos.M.Inst (0, Abcast_consensus.Paxos.Query) in
+          Multi_paxos.M.handle (node 0) ~src:0 probe;
+          Multi_paxos.M.handle (node 0) ~src:1 probe;
+          Alcotest.(check (list (pair int int))) "only the peer's probe" [ (0, 1) ]
+            !behind);
+    ]
 
 let keys_tests =
   [

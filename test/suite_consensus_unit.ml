@@ -67,7 +67,7 @@ let paxos_make ?(self = 0) () =
   let p = probe ~self () in
   let decided = ref None in
   let c =
-    Paxos.create p.io ~instance:0 ~leader:self_leader ~on_decide:(fun v ->
+    Paxos.create p.io ~node:(Paxos.node p.io) ~instance:0 ~leader:self_leader ~on_decide:(fun v ->
         decided := Some v)
   in
   (p, c, decided)
@@ -113,7 +113,7 @@ let paxos_tests =
         let p, c, _ = paxos_make ~self:1 () in
         Paxos.handle c ~src:0 (Paxos.Prepare { b = 6 });
         (match take_sent p with
-        | [ (0, Paxos.Promise { b = 6; accepted = None }) ] -> ()
+        | [ (0, Paxos.Promise { b = 6; accepted = None; above = [] }) ] -> ()
         | _ -> Alcotest.fail "expected a promise to 0");
         Paxos.handle c ~src:2 (Paxos.Prepare { b = 5 });
         match take_sent p with
@@ -138,8 +138,8 @@ let paxos_tests =
           | (_, b) :: _ -> b
           | [] -> Alcotest.fail "no prepare"
         in
-        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = Some (2, "old-low") });
-        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = Some (4, "old-high") });
+        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = Some (2, "old-low"); above = [] });
+        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = Some (4, "old-high"); above = [] });
         let accepts =
           List.filter_map
             (fun (_, m) ->
@@ -156,8 +156,8 @@ let paxos_tests =
           | (_, b) :: _ -> b
           | [] -> Alcotest.fail "no prepare"
         in
-        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None });
-        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = None });
+        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = None; above = [] });
         let accepts =
           List.filter_map
             (fun (_, m) ->
@@ -174,8 +174,8 @@ let paxos_tests =
           | (_, b) :: _ -> b
           | [] -> Alcotest.fail "no prepare"
         in
-        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None });
-        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = None });
+        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = None; above = [] });
         ignore (take_sent p);
         Paxos.handle c ~src:1 (Paxos.Accepted { b });
         Paxos.handle c ~src:2 (Paxos.Accepted { b });
@@ -209,6 +209,87 @@ let paxos_tests =
         List.iter
           (fun (_, b) -> Alcotest.(check bool) "above 30" true (b > 30))
           prepares);
+    test "paxos: the node-wide promise survives a crash" (fun () ->
+        let p = probe ~self:1 () in
+        let inst nd k =
+          Paxos.create p.io ~node:nd ~instance:k ~leader:self_leader
+            ~on_decide:ignore
+        in
+        Paxos.handle (inst (Paxos.node p.io) 0) ~src:0 (Paxos.Prepare { b = 6 });
+        ignore (take_sent p);
+        (* the next incarnation rebuilds everything from storage; instance
+           5 never saw ballot 6, yet rejects anything below it *)
+        let c5 = inst (Paxos.node p.io) 5 in
+        Paxos.handle c5 ~src:2 (Paxos.Prepare { b = 5 });
+        Paxos.handle c5 ~src:2 (Paxos.Accept { b = 5; v = "x" });
+        match take_sent p with
+        | [ (2, Paxos.Reject { b = 6 }); (2, Paxos.Reject { b = 6 }) ] -> ()
+        | _ -> Alcotest.fail "expected two rejects carrying ballot 6");
+    test "paxos: one ballot is promised in every instance, once each" (fun () ->
+        let p = probe ~self:1 () in
+        let nd = Paxos.node p.io in
+        let inst k =
+          Paxos.create p.io ~node:nd ~instance:k ~leader:self_leader
+            ~on_decide:ignore
+        in
+        let c0 = inst 0 in
+        Paxos.handle c0 ~src:0 (Paxos.Prepare { b = 6 });
+        Paxos.handle (inst 1) ~src:0 (Paxos.Prepare { b = 6 });
+        Paxos.handle c0 ~src:0 (Paxos.Prepare { b = 6 });
+        match take_sent p with
+        | [
+         (0, Paxos.Promise { b = 6; _ });
+         (0, Paxos.Promise { b = 6; _ });
+         (0, Paxos.Reject { b = 6 });
+        ] ->
+          ()
+        | _ -> Alcotest.fail "expected promise, promise, reject");
+    test "paxos: a promise lists the instances accepted above it" (fun () ->
+        let p = probe ~self:1 () in
+        let nd = Paxos.node p.io in
+        let inst k =
+          Paxos.create p.io ~node:nd ~instance:k ~leader:self_leader
+            ~on_decide:ignore
+        in
+        Paxos.handle (inst 2) ~src:0 (Paxos.Accept { b = 3; v = "x" });
+        Paxos.handle (inst 4) ~src:0 (Paxos.Accept { b = 3; v = "y" });
+        ignore (take_sent p);
+        Paxos.handle (inst 1) ~src:0 (Paxos.Prepare { b = 6 });
+        Paxos.handle (inst 3) ~src:0 (Paxos.Prepare { b = 6 });
+        match take_sent p with
+        | [
+         (0, Paxos.Promise { above = [ (2, 3); (4, 3) ]; _ });
+         (0, Paxos.Promise { above = [ (4, 3) ]; _ });
+        ] ->
+          ()
+        | _ -> Alcotest.fail "expected promises listing [2;4] then [4]");
+    test "paxos: a held term skips phase 1 except where a promise listed"
+      (fun () ->
+        let p = probe () in
+        let nd = Paxos.node p.io in
+        let inst k =
+          Paxos.create p.io ~node:nd ~instance:k ~leader:self_leader
+            ~on_decide:ignore
+        in
+        let c0 = inst 0 in
+        Paxos.propose c0 "a";
+        let b =
+          match sent_prepares (take_sent p) with
+          | (_, b) :: _ -> b
+          | [] -> Alcotest.fail "no prepare"
+        in
+        Paxos.handle c0 ~src:1
+          (Paxos.Promise { b; accepted = None; above = [ (2, 1) ] });
+        Paxos.handle c0 ~src:2 (Paxos.Promise { b; accepted = None; above = [] });
+        ignore (take_sent p);
+        Paxos.propose (inst 1) "b";
+        (match take_sent p with
+        | [ (0, Paxos.Accept { b = b0; v = "b" }); _; _ ] when b0 = b -> ()
+        | _ -> Alcotest.fail "expected a direct accept at the term ballot");
+        Paxos.propose (inst 2) "c";
+        Alcotest.(check (list (pair int int))) "listed instance runs phase 1"
+          [ (0, b); (1, b); (2, b) ]
+          (sent_prepares (take_sent p)));
   ]
 
 (* ---------------- Coord ---------------- *)
@@ -217,7 +298,7 @@ let coord_make ?(self = 0) () =
   let p = probe ~self () in
   let decided = ref None in
   let c =
-    Coord.create p.io ~instance:0 ~leader:self_leader ~on_decide:(fun v ->
+    Coord.create p.io ~node:(Coord.node p.io) ~instance:0 ~leader:self_leader ~on_decide:(fun v ->
         decided := Some v)
   in
   (p, c, decided)

@@ -55,6 +55,40 @@ let basic_tests =
                   Alcotest.failf "seed %d: propose->decide %.0f us > 2000" seed us)
               samples)
           [ 1; 2; 3; 4; 5 ]);
+    test "basic: under a stable leader later broadcasts decide in one round trip"
+      (fun () ->
+        (* Fixed 500 µs links: the first broadcast opens the leader's term
+           (two round trips); each later one skips phase 1, so the leader
+           decides 1,000 µs after it proposes and the others learn the
+           decision no later than that after their own propose. *)
+        List.iter
+          (fun seed ->
+            let net = Net.create ~delay_min:500 ~delay_max:500 ~heavy_tail:0.0 () in
+            let cluster = Cluster.create basic ~seed ~n:3 ~net () in
+            let metrics = Cluster.metrics cluster in
+            let deliver_all count =
+              Alcotest.(check bool) "delivered" true
+                (Cluster.run_until cluster ~until:(Cluster.now cluster + 1_000_000)
+                   ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
+                   ())
+            in
+            Cluster.at cluster 100_000 (fun () ->
+                ignore (Cluster.broadcast cluster ~node:0 "m0"));
+            deliver_all 1;
+            Metrics.reset metrics;
+            for i = 1 to 4 do
+              Cluster.at cluster (100_000 + (i * 50_000)) (fun () ->
+                  ignore (Cluster.broadcast cluster ~node:0 (Printf.sprintf "m%d" i)))
+            done;
+            deliver_all 5;
+            let samples = Metrics.samples metrics "cons.propose_to_decide_us" in
+            Alcotest.(check bool) "sampled" true (List.length samples >= 4);
+            List.iter
+              (fun us ->
+                if us > 1_000.0 then
+                  Alcotest.failf "seed %d: propose->decide %.0f us > 1000" seed us)
+              samples)
+          [ 1; 2; 3; 4; 5 ]);
     test "basic: zero abcast-layer log operations (§4.3)" (fun () ->
         let cluster, _ = run_workload ~seed:6 ~msgs:25 basic in
         Alcotest.(check int) "abcast ops" 0

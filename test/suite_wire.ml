@@ -100,10 +100,11 @@ let paxos_gen : Paxos.msg QCheck.Gen.t =
     oneof
       [
         map (fun b -> Paxos.Prepare { b }) nat_gen;
-        map2
-          (fun b accepted -> Paxos.Promise { b; accepted })
+        map3
+          (fun b accepted above -> Paxos.Promise { b; accepted; above })
           nat_gen
-          (option (pair nat_gen data_gen));
+          (option (pair nat_gen data_gen))
+          (small_list (pair nat_gen nat_gen));
         map (fun b -> Paxos.Reject { b }) nat_gen;
         map2 (fun b v -> Paxos.Accept { b; v }) nat_gen data_gen;
         map (fun b -> Paxos.Accepted { b }) nat_gen;
