@@ -46,6 +46,14 @@ let engine_bench =
          Engine.start_all eng;
          Engine.run eng ~until:10_000))
 
+(* Construction alone, so the quiescence row below can be read as
+   setup plus delivery. *)
+let cluster_create_bench =
+  Test.make ~name:"cluster: create (n=3)"
+    (Staged.stage (fun () ->
+         ignore
+           (Cluster.create (Factory.make Protocol.paper_basic) ~seed:1 ~n:3 ())))
+
 let protocol_round_bench =
   Test.make ~name:"abcast: 10 msgs to quiescence (n=3)"
     (Staged.stage (fun () ->
@@ -179,7 +187,7 @@ let tests =
     batch_marshal_bench; msg_wire_bench; msg_marshal_bench;
     metrics_string_bench; metrics_handle_bench; metrics_observe_bench;
     histogram_add_bench; histogram_percentile_bench;
-    engine_bench; protocol_round_bench;
+    engine_bench; cluster_create_bench; protocol_round_bench;
   ]
 
 let run () =

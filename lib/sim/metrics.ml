@@ -1,10 +1,9 @@
 module Histogram = Abcast_util.Histogram
 
-(* Each series cell fuses the exact sample list (kept for tests and the
-   exact-percentile API) with a log-bucketed histogram fed on every
-   [observe]. Exporters read the histogram; property tests can compare
-   it against the raw samples. *)
-type cell = { mutable samples : float list; hist : Histogram.t }
+(* A series cell is its log-bucketed histogram and nothing else: every
+   reader (means, percentiles, exporters) works from bucket counts and
+   the exact count/sum/min/max, so a cell's size does not grow with the
+   number of samples it has seen. *)
 
 type t = {
   scope : string;
@@ -13,7 +12,7 @@ type t = {
          group a view scoped to ["g<id>/"] so one registry holds all
          groups' series side by side. *)
   counters : (int * string, int ref) Hashtbl.t;
-  series : (int * string, cell) Hashtbl.t;
+  series : (int * string, Histogram.t) Hashtbl.t;
 }
 
 let create () =
@@ -107,79 +106,54 @@ let sum_prefix t prefix =
 let cell t node name =
   let name = full t name in
   match Hashtbl.find_opt t.series (node, name) with
-  | Some c -> c
+  | Some h -> h
   | None ->
-    let c = { samples = []; hist = Histogram.create () } in
-    Hashtbl.add t.series (node, name) c;
-    c
+    let h = Histogram.create () in
+    Hashtbl.add t.series (node, name) h;
+    h
 
-let observe t ~node name v =
-  let c = cell t node name in
-  c.samples <- v :: c.samples;
-  Histogram.add c.hist v
+let observe t ~node name v = Histogram.add (cell t node name) v
 
 (* Interned series handles, the [observe] analogue of counter [handle]s:
    per-message paths resolve the cell once and then record samples
-   without the (node, name) tuple allocation and string hashing. Samples
-   recorded through a handle are indistinguishable from [observe]d ones
-   ([samples], [mean], [percentile] and the histogram all see them). *)
+   without the (node, name) tuple allocation and string hashing. *)
 
-type series = cell
+type series = Histogram.t
 
 let series_handle t ~node name = cell t node name
-
-let sobserve (c : series) v =
-  c.samples <- v :: c.samples;
-  Histogram.add c.hist v
-
-let hist t ~node name = (cell t node name).hist
-
-let samples t name =
-  let query = full t name in
-  Hashtbl.fold
-    (fun (_, n) c acc ->
-      if matches ~query n then List.rev_append c.samples acc else acc)
-    t.series []
-
-let count_samples t name = List.length (samples t name)
-
-let mean t name =
-  match samples t name with
-  | [] -> nan
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let percentile t name p =
-  match samples t name with
-  | [] -> nan
-  | xs ->
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
-    let lo = max 0 (min lo (n - 1)) and hi = max 0 (min hi (n - 1)) in
-    let frac = rank -. floor rank in
-    (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
+let sobserve = Histogram.add
+let hist t ~node name = cell t node name
 
 let histogram t name =
   let query = full t name in
   let acc = Histogram.create () in
   let found = ref false in
   Hashtbl.iter
-    (fun (_, n) c ->
+    (fun (_, n) h ->
       if matches ~query n then begin
         found := true;
-        Histogram.merge_into ~dst:acc c.hist
+        Histogram.merge_into ~dst:acc h
       end)
     t.series;
   if !found then Some acc else None
 
 let hist_summary t name = Option.map Histogram.summary (histogram t name)
 
+(* The scalar readers merge every node's cell of the series; [nan] marks
+   a series with no samples. *)
+let read t name ~empty f =
+  match histogram t name with
+  | Some h when Histogram.count h > 0 -> f h
+  | _ -> empty
+
+let count_samples t name = read t name ~empty:0 Histogram.count
+let mean t name = read t name ~empty:nan Histogram.mean
+
+let percentile t name p =
+  read t name ~empty:nan (fun h -> Histogram.percentile h p)
+
 let histograms t =
-  Hashtbl.fold
-    (fun k c acc -> (k, Histogram.copy c.hist) :: acc)
-    t.series []
+  Hashtbl.fold (fun k h acc -> (k, Histogram.copy h) :: acc) t.series []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let series_names t =
@@ -197,8 +171,4 @@ let counters t =
    refs). *)
 let reset t =
   Hashtbl.iter (fun _ r -> r := 0) t.counters;
-  Hashtbl.iter
-    (fun _ c ->
-      c.samples <- [];
-      Histogram.clear c.hist)
-    t.series
+  Hashtbl.iter (fun _ h -> Histogram.clear h) t.series

@@ -3,11 +3,13 @@
     Counters are keyed by [(node, name)]; [node = -1] holds run-global
     counters. Protocol layers use hierarchical dotted names
     (e.g. ["log_ops.abcast"], ["log_ops.consensus"], ["msgs_sent"]) so
-    experiments can aggregate by prefix. Observations ([observe]) collect
-    scalar samples, e.g. per-message delivery latencies; every observed
-    series also feeds a log-bucketed {!Abcast_util.Histogram} (~2%
-    relative error on percentiles) that exporters and summaries read
-    without touching the raw sample lists. *)
+    experiments can aggregate by prefix. Observations ([observe]) record
+    scalar samples, e.g. per-message delivery latencies, into a series
+    that is a log-bucketed {!Abcast_util.Histogram} and nothing else: no
+    sample is kept, so a series' size is bounded however long a process
+    runs. Counts, sums, means and the extremes are exact; interior
+    percentiles carry the histogram's {!Abcast_util.Histogram.bucket_error}
+    (~2% relative). *)
 
 type t
 (** A mutable registry. One per simulation run. *)
@@ -27,7 +29,7 @@ val scope : t -> string
 
 val group_prefix : int -> string
 (** ["g<g>/"] — the conventional scope prefix for broadcast group [g].
-    Aggregating readers ({!sum}, {!samples}, {!histogram}, ...) treat
+    Aggregating readers ({!sum}, {!count_samples}, {!histogram}, ...) treat
     this prefix as a label: querying a bare name from the root registry
     sums every group's series, while querying the full ["g<g>/name"]
     reads exactly one group. *)
@@ -74,14 +76,14 @@ val sum_prefix : t -> string -> int
     dotted prefix (["log_ops"] matches ["log_ops.abcast"] etc.). *)
 
 val observe : t -> node:int -> string -> float -> unit
-(** Record one sample in a named series (raw list + histogram). *)
+(** Record one sample in a named series' histogram. *)
 
 type series
 (** A pre-resolved series: like {!handle} but for {!observe}. Hot paths
     resolve the [(node, name)] cell once and record samples through it
-    without per-sample hashing. Samples recorded this way are fully
-    visible to {!samples}, {!mean}, {!percentile} and the histogram
-    readers, and the cell stays attached across {!reset}. *)
+    without per-sample hashing. Samples recorded this way are
+    indistinguishable from [observe]d ones, and the cell stays attached
+    across {!reset}. *)
 
 val series_handle : t -> node:int -> string -> series
 (** Resolve (creating if needed) the series [(node, name)]. *)
@@ -92,21 +94,23 @@ val sobserve : series -> float -> unit
 val hist : t -> node:int -> string -> Abcast_util.Histogram.t
 (** The live histogram backing the series [(node, name)], creating the
     series if needed. Like {!handle} for counters: resolve once, then
-    [Histogram.add] directly on hot paths — samples added this way are
-    visible to {!histogram}/{!histograms} but not to {!samples}. Stays
+    [Histogram.add] directly on hot paths, like {!sobserve}. Stays
     attached across {!reset}. *)
 
-val samples : t -> string -> float list
-(** All samples of a series across nodes, in recording order per node. *)
-
 val mean : t -> string -> float
-(** Mean of a series across nodes ([nan] if empty). *)
+(** Exact mean of a series across nodes ([nan] if empty). *)
 
 val percentile : t -> string -> float -> float
-(** [percentile t name p] with [p] in [\[0,100\]] ([nan] if empty). *)
+(** [percentile t name p] with [p] in [\[0,100\]] ([nan] if empty): the
+    nearest-rank percentile of the series across nodes, read from its
+    merged histogram. [p <= 0.] and [p >= 100.] give the exact minimum
+    and maximum; any other [p] gives the representative of the bucket
+    holding the nearest-rank sample, clamped to [\[min, max\]], so it is
+    within {!Abcast_util.Histogram.bucket_error} (relative) of that
+    sample when the sample exceeds 1. *)
 
 val count_samples : t -> string -> int
-(** Number of recorded samples of a series across nodes. *)
+(** Exact number of recorded samples of a series across nodes. *)
 
 val histogram : t -> string -> Abcast_util.Histogram.t option
 (** Fresh histogram merging a series across all nodes; [None] if the

@@ -12,7 +12,12 @@
    float stats live in a float array rather than mutable record fields:
    float-array elements are unboxed, which keeps [add] allocation-free
    (a mutable float field in a mixed record would re-box on every
-   store). *)
+   store).
+
+   The bucket array is allocated by the first [add] (or the first merge
+   of a non-empty source): a registry pre-registers many series that a
+   short run never observes, and each would otherwise pin 512 words of
+   major heap from birth. *)
 
 let gamma = 1.04
 let log_gamma = log gamma
@@ -22,7 +27,7 @@ let last = n_buckets - 1 (* overflow bucket *)
 let bucket_error = sqrt gamma -. 1.0
 
 type t = {
-  counts : int array;
+  mutable counts : int array; (* [||] until the first sample *)
   stats : float array; (* [| sum; min; max |], min/max valid iff count > 0 *)
   mutable count : int;
 }
@@ -38,8 +43,10 @@ type summary = {
   p99 : float;
 }
 
-let create () =
-  { counts = Array.make n_buckets 0; stats = [| 0.0; 0.0; 0.0 |]; count = 0 }
+let create () = { counts = [||]; stats = [| 0.0; 0.0; 0.0 |]; count = 0 }
+
+let ensure_counts (t : t) =
+  if Array.length t.counts = 0 then t.counts <- Array.make n_buckets 0
 
 let index v =
   if v <= 1.0 then 0
@@ -55,7 +62,9 @@ let representative b =
   if b = 0 then 1.0 else gamma ** (float_of_int b -. 0.5)
 
 let add (t : t) v =
-  t.counts.(index v) <- t.counts.(index v) + 1;
+  ensure_counts t;
+  let b = index v in
+  t.counts.(b) <- t.counts.(b) + 1;
   t.stats.(0) <- t.stats.(0) +. v;
   if t.count = 0 then begin
     t.stats.(1) <- v;
@@ -101,12 +110,13 @@ let percentile (t : t) p =
     clamp t (representative !b)
   end
 
-let merge_into ~dst src =
-  for i = 0 to last do
-    dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
-  done;
-  dst.stats.(0) <- dst.stats.(0) +. src.stats.(0);
-  if src.count > 0 then
+let merge_into ~dst (src : t) =
+  if src.count > 0 then begin
+    ensure_counts dst;
+    for i = 0 to last do
+      dst.counts.(i) <- dst.counts.(i) + src.counts.(i)
+    done;
+    dst.stats.(0) <- dst.stats.(0) +. src.stats.(0);
     if dst.count = 0 then begin
       dst.stats.(1) <- src.stats.(1);
       dst.stats.(2) <- src.stats.(2)
@@ -115,7 +125,8 @@ let merge_into ~dst src =
       if src.stats.(1) < dst.stats.(1) then dst.stats.(1) <- src.stats.(1);
       if src.stats.(2) > dst.stats.(2) then dst.stats.(2) <- src.stats.(2)
     end;
-  dst.count <- dst.count + src.count
+    dst.count <- dst.count + src.count
+  end
 
 let merge a b =
   let t = create () in
@@ -131,7 +142,7 @@ let copy (t : t) =
   }
 
 let clear (t : t) =
-  Array.fill t.counts 0 n_buckets 0;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
   t.stats.(0) <- 0.0;
   t.stats.(1) <- 0.0;
   t.stats.(2) <- 0.0;
@@ -151,7 +162,7 @@ let summary (t : t) =
 
 let buckets (t : t) =
   let acc = ref [] in
-  for i = last downto 0 do
+  for i = Array.length t.counts - 1 downto 0 do
     if t.counts.(i) > 0 then begin
       let bound =
         if i = last then infinity else gamma ** float_of_int i

@@ -11,10 +11,12 @@
 
     Because bucketing is deterministic, merging two histograms is exact:
     [merge a b] has identical bucket counts to the histogram of the
-    concatenated sample streams. Adding a sample allocates nothing, so
-    histograms are safe on hot paths. Not thread-safe: confine each
-    instance to one thread (the simulator is single-threaded; the live
-    runtime keeps one Metrics table per node thread). *)
+    concatenated sample streams. The bucket array is allocated by the
+    first sample, so an unused histogram costs a few dozen words; every
+    later [add] allocates nothing, so histograms are safe on hot paths.
+    Not thread-safe: confine each instance to one thread (the simulator
+    is single-threaded; the live runtime keeps one Metrics table per
+    node thread). *)
 
 type t
 
@@ -33,9 +35,11 @@ type summary = {
 }
 
 val create : unit -> t
+(** An empty histogram. Allocates no buckets until the first {!add}. *)
 
 val add : t -> float -> unit
-(** [add t v] records one sample. Allocation-free. *)
+(** [add t v] records one sample. The first [add] allocates the bucket
+    array; every later one is allocation-free. *)
 
 val count : t -> int
 val sum : t -> float
@@ -65,7 +69,7 @@ val merge_into : dst:t -> t -> unit
 val copy : t -> t
 
 val clear : t -> unit
-(** Reset to empty in place (the backing array is reused). *)
+(** Reset to empty in place (the bucket array, if any, is reused). *)
 
 val summary : t -> summary
 

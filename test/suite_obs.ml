@@ -46,6 +46,33 @@ let histogram_tests =
         Alcotest.(check int) "summary count" 0 s.count;
         Alcotest.(check (list (pair (float 0.) int))) "buckets" []
           (Histogram.buckets h));
+    test "histogram: buckets are allocated by the first sample" (fun () ->
+        let h = Histogram.create () in
+        let fresh = Obj.reachable_words (Obj.repr h) in
+        if fresh > 40 then Alcotest.failf "fresh histogram: %d words" fresh;
+        Histogram.add h 5.0;
+        Alcotest.(check bool) "first add allocates the buckets" true
+          (Obj.reachable_words (Obj.repr h) > 512);
+        let rec add_all = function
+          | [] -> ()
+          | v :: rest -> Histogram.add h v; add_all rest
+        in
+        let samples = List.init 1_000 (fun i -> float_of_int (i + 1)) in
+        let w0 = Gc.minor_words () in
+        add_all samples;
+        Alcotest.(check (float 0.)) "later adds allocate nothing" 0.
+          (Gc.minor_words () -. w0);
+        let copy = Histogram.copy (Histogram.create ()) in
+        Histogram.merge_into ~dst:copy (Histogram.create ());
+        Histogram.clear copy;
+        Alcotest.(check int) "empty copy/merge/clear" 0 (Histogram.count copy);
+        Alcotest.(check (list (pair (float 0.) int))) "no buckets" []
+          (Histogram.buckets copy);
+        Histogram.merge_into ~dst:copy h;
+        Alcotest.(check int) "merge into an empty histogram" 1_001
+          (Histogram.count copy);
+        Alcotest.(check bool) "same buckets" true
+          (Histogram.buckets copy = Histogram.buckets h));
     test "histogram: single sample is every percentile" (fun () ->
         let h = of_samples [ 137.5 ] in
         List.iter
