@@ -38,13 +38,25 @@ let make ?(consensus = `Paxos) ?app_factory ?group_app_factory
     let module P = Protocol.Make (C) in
     (module struct
       include P
-      include Proto.Single_group (P)
 
       let name = label ^ "/" ^ C.name
-
+      let shards = 1
       let msg_group _ = 0
 
+      (* The one group's state, once [g] is checked to be group 0. *)
+      let at t g =
+        Proto.check_group ~shards g;
+        t
+
+      let broadcast t ?on_agreed ?(group = 0) data =
+        P.broadcast (at t group) ?on_agreed data
+
       let broadcast_blocks = not cfg.early_return
+      let round t g = P.round (at t g)
+      let delivered_count t g = P.delivered_count (at t g)
+      let delivered_tail t g = P.delivered_tail (at t g)
+      let delivery_vc t g = P.delivery_vc (at t g)
+      let unordered_count t g = P.unordered_count (at t g)
 
       let create (io : msg Abcast_sim.Engine.io) ~deliver =
         (* Each hook wraps the upcall built so far and joins the

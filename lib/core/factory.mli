@@ -47,7 +47,7 @@ val sharded : ?route:(string -> int) -> shards:int -> Proto.t -> Proto.t
     one wire type tagged with a uvarint group id (see {!Shard.mux}).
     Storage is scoped to group-tagged keys in the shared store/WAL and
     every metrics series gains a ["g<g>/"] label. [route] maps payload
-    data to a group for plain {!Proto.S.broadcast} (default: data hash);
-    [Proto.S.broadcast_to] pins the group explicitly. [shards = 1]
+    data to a group when {!Proto.S.broadcast} gets no [?group]
+    (default: data hash). [shards = 1]
     returns [stack] unchanged — names, keys and series stay exactly as
     before. *)

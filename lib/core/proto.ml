@@ -5,7 +5,13 @@
     signature, with the wire message type held abstract. A value of type
     {!t} packages one fully configured stack — protocol variant, consensus
     implementation, tuning parameters — ready to be instantiated on each
-    process of a simulation; see {!Factory} for ready-made builders. *)
+    process of a simulation; see {!Factory} for ready-made builders.
+
+    A stack runs [shards] independent broadcast groups per process (one
+    for every plain stack, several under {!Factory.sharded}), and its
+    surface is indexed by group: {!S.broadcast} takes [?group] and every
+    reading takes a group number. The whole-stack readings that harnesses
+    report are derived from the per-group ones below the signature. *)
 
 module type S = sig
   val name : string
@@ -35,7 +41,7 @@ module type S = sig
   val shards : int
   (** Number of independent broadcast groups this stack multiplexes.
       [1] for every plain stack; [> 1] only for {!Factory.sharded}
-      stacks, whose per-group surface is the [group_*] family below. *)
+      stacks. Groups are numbered [0 .. shards - 1]. *)
 
   val msg_group : msg -> int
   (** Which group a wire message belongs to ([0] on single-group
@@ -54,14 +60,11 @@ module type S = sig
   val handler : t -> src:int -> msg -> unit
   (** Incoming-message dispatcher (the engine behaviour). *)
 
-  val broadcast : t -> ?on_agreed:(Payload.id -> unit) -> string -> Payload.id
-  (** [A-broadcast]. On sharded stacks the payload is routed to a group
-      by the stack's route function (hash of the data by default);
-      {!broadcast_to} pins the group explicitly. *)
-
-  val broadcast_to :
-    t -> ?on_agreed:(Payload.id -> unit) -> group:int -> string -> Payload.id
-  (** [A-broadcast] into one specific group.
+  val broadcast :
+    t -> ?on_agreed:(Payload.id -> unit) -> ?group:int -> string -> Payload.id
+  (** [A-broadcast] into [group]. Without [?group] a sharded stack routes
+      the payload by its route function (hash of the data by default)
+      and a plain stack uses group 0.
       @raise Invalid_argument if [group] is out of range. *)
 
   val broadcast_blocks : bool
@@ -71,85 +74,68 @@ module type S = sig
       (alternative protocol with early return, §5.4). Workload generators
       use this to model when a closed-loop client may continue. *)
 
-  val round : t -> int
-  (** Consensus rounds executed (summed over groups when [shards > 1]). *)
+  (** {2 Per-group readings}
 
-  val delivered_count : t -> int
-  (** Payloads A-delivered (summed over groups when [shards > 1]). *)
+      Each reads one broadcast group of the process and raises
+      [Invalid_argument] on an out-of-range group (see {!check_group}). *)
 
-  val delivered_tail : t -> Payload.t list
-  (** Uncompacted delivered suffix; for sharded stacks, the per-group
-      tails concatenated in group order (use {!group_delivered_tail} for
-      one group's sequence — ids collide across groups). *)
+  val round : t -> int -> int
+  (** Consensus rounds executed. *)
 
-  val delivery_vc : t -> Vclock.t
-  (** Compaction-proof delivery summary. Streams are keyed by
-      [(origin, boot)], which collides across groups — on sharded stacks
-      this is group 0's clock and {!group_delivery_vc} is the meaningful
-      per-group reading. *)
+  val delivered_count : t -> int -> int
+  (** Payloads A-delivered. *)
 
-  val unordered_count : t -> int
+  val delivered_tail : t -> int -> Payload.t list
+  (** Uncompacted delivered suffix, in delivery order. *)
 
-  (** {2 Per-group accessors}
+  val delivery_vc : t -> int -> Vclock.t
+  (** Compaction-proof delivery summary. *)
 
-      The [group_*] family indexes one broadcast group; on single-group
-      stacks only group [0] exists and each is the plain accessor.
-      All raise [Invalid_argument] on an out-of-range group. *)
-
-  val group_round : t -> int -> int
-  val group_delivered_count : t -> int -> int
-  val group_delivered_tail : t -> int -> Payload.t list
-  val group_delivery_vc : t -> int -> Vclock.t
-  val group_unordered_count : t -> int -> int
+  val unordered_count : t -> int -> int
 end
 
 type t = (module S)
 
 let name (module P : S) = P.name
 
-(** Derive the group-indexed surface of {!S} for a single-group stack:
-    [shards = 1], [broadcast_to ~group:0] is [broadcast], and each
-    [group_*] accessor bounds-checks and delegates. Implementors
-    [include] this after defining the plain accessors. *)
-module Single_group (P : sig
-  type t
+(** The bounds check every implementation of {!S} applies to a group
+    argument. @raise Invalid_argument unless [0 <= g < shards]. *)
+let check_group ~shards g =
+  if g < 0 || g >= shards then
+    invalid_arg (Printf.sprintf "group %d out of range (S=%d)" g shards)
 
-  val broadcast : t -> ?on_agreed:(Payload.id -> unit) -> string -> Payload.id
-  val round : t -> int
-  val delivered_count : t -> int
-  val delivered_tail : t -> Payload.t list
-  val delivery_vc : t -> Vclock.t
-  val unordered_count : t -> int
-end) =
-struct
-  let shards = 1
+(** {2 Whole-stack readings}
 
-  let check g =
-    if g <> 0 then
-      invalid_arg
-        (Printf.sprintf "group %d out of range on a single-group stack" g)
+    Each reads group [g] of a process when given [~group:g] and the
+    whole stack otherwise: counts are summed over groups, tails
+    concatenated in group order. Payload ids and delivery streams are
+    keyed per group and collide across groups, so there is no merged
+    clock: the whole-stack {!delivery_vc} is group 0's. On a
+    single-group stack both readings coincide. *)
 
-  let broadcast_to t ?on_agreed ~group data =
-    check group;
-    P.broadcast t ?on_agreed data
+let sum ~shards read ?group p =
+  match group with
+  | Some g -> read p g
+  | None ->
+    let acc = ref 0 in
+    for g = 0 to shards - 1 do
+      acc := !acc + read p g
+    done;
+    !acc
 
-  let group_round t g =
-    check g;
-    P.round t
+let round (type s) (module P : S with type t = s) ?group (p : s) =
+  sum ~shards:P.shards P.round ?group p
 
-  let group_delivered_count t g =
-    check g;
-    P.delivered_count t
+let delivered_count (type s) (module P : S with type t = s) ?group (p : s) =
+  sum ~shards:P.shards P.delivered_count ?group p
 
-  let group_delivered_tail t g =
-    check g;
-    P.delivered_tail t
+let unordered_count (type s) (module P : S with type t = s) ?group (p : s) =
+  sum ~shards:P.shards P.unordered_count ?group p
 
-  let group_delivery_vc t g =
-    check g;
-    P.delivery_vc t
+let delivered_tail (type s) (module P : S with type t = s) ?group (p : s) =
+  match group with
+  | Some g -> P.delivered_tail p g
+  | None -> List.concat (List.init P.shards (P.delivered_tail p))
 
-  let group_unordered_count t g =
-    check g;
-    P.unordered_count t
-end
+let delivery_vc (type s) (module P : S with type t = s) ?(group = 0) (p : s) =
+  P.delivery_vc p group

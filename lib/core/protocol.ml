@@ -908,6 +908,16 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
             end
           end)
 
+  (* Every dissemination message carries the sender's decided count [kq]
+     and Agreed length [len_q]: note how far the group has got, hand a
+     peer lagging by more than Δ a State (§5.3), then drain. *)
+  let on_peer_progress t ~src kq ~len_q =
+    if kq > committed t then t.gossip_k <- max t.gossip_k kq;
+    (match t.cfg.delta with
+    | Some delta when committed t > kq + delta -> send_state ~for_len:len_q t src
+    | _ -> ());
+    drain_decisions t
+
   let on_gossip t ~src kq ~len_q uq =
     List.iter
       (fun (p : Payload.t) ->
@@ -917,11 +927,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           unordered_add t p
         end)
       uq;
-    if kq > committed t then t.gossip_k <- max t.gossip_k kq;
-    (match t.cfg.delta with
-    | Some delta when committed t > kq + delta -> send_state ~for_len:len_q t src
-    | _ -> ());
-    drain_decisions t
+    on_peer_progress t ~src kq ~len_q
 
   let on_ring t ~src kq ~len_q entries =
     List.iter
@@ -933,11 +939,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           ring_enqueue t (hops - 1) p
         end)
       entries;
-    if kq > committed t then t.gossip_k <- max t.gossip_k kq;
-    (match t.cfg.delta with
-    | Some delta when committed t > kq + delta -> send_state ~for_len:len_q t src
-    | _ -> ());
-    drain_decisions t
+    on_peer_progress t ~src kq ~len_q
 
   (* A digest names, per stream, the highest seq the sender has held
      unordered. Everything below it that we neither delivered nor hold is
@@ -979,11 +981,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       count_gossip t ~copies:1 m;
       t.io.send src m
     end;
-    if kq > committed t then t.gossip_k <- max t.gossip_k kq;
-    (match t.cfg.delta with
-    | Some delta when committed t > kq + delta -> send_state ~for_len:len_q t src
-    | _ -> ());
-    drain_decisions t
+    on_peer_progress t ~src kq ~len_q
 
   let on_need t ~src ids =
     let ps = List.filter_map (Ptbl.find_opt t.unordered) ids in

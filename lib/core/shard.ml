@@ -60,9 +60,9 @@ let mux ?route ~shards (inner : Proto.t) : Proto.t =
 
       type t = I.t array
 
-      let check g =
-        if g < 0 || g >= shards then
-          invalid_arg (Printf.sprintf "group %d out of range (S=%d)" g shards)
+      let at t g =
+        Proto.check_group ~shards g;
+        t.(g)
 
       let group_io (io : msg Engine.io) g : I.msg Engine.io =
         let p = Group_id.prefix g in
@@ -82,50 +82,17 @@ let mux ?route ~shards (inner : Proto.t) : Proto.t =
 
       let handler t ~src (g, m) = I.handler t.(g) ~src m
 
+      let broadcast t ?on_agreed ?group data =
+        let g = match group with Some g -> g | None -> route data mod shards in
+        I.broadcast (at t g) ?on_agreed data
+
       let broadcast_blocks = I.broadcast_blocks
 
-      let broadcast_to t ?on_agreed ~group data =
-        check group;
-        I.broadcast t.(group) ?on_agreed data
-
-      let broadcast t ?on_agreed data =
-        broadcast_to t ?on_agreed ~group:(route data mod shards) data
-
-      let sum f t =
-        let acc = ref 0 in
-        Array.iter (fun i -> acc := !acc + f i) t;
-        !acc
-
-      let round = sum I.round
-      let delivered_count = sum I.delivered_count
-      let unordered_count = sum I.unordered_count
-
-      let delivered_tail t =
-        List.concat (Array.to_list (Array.map I.delivered_tail t))
-
-      (* Streams are keyed (origin, boot) and collide across groups, so
-         there is no meaningful merged clock; the aggregate accessor
-         reports group 0 and per-group readers use [group_delivery_vc]. *)
-      let delivery_vc t = I.delivery_vc t.(0)
-
-      let group_round t g =
-        check g;
-        I.round t.(g)
-
-      let group_delivered_count t g =
-        check g;
-        I.delivered_count t.(g)
-
-      let group_delivered_tail t g =
-        check g;
-        I.delivered_tail t.(g)
-
-      let group_delivery_vc t g =
-        check g;
-        I.delivery_vc t.(g)
-
-      let group_unordered_count t g =
-        check g;
-        I.unordered_count t.(g)
+      (* Each inner instance is a single-group stack: its group 0. *)
+      let round t g = I.round (at t g) 0
+      let delivered_count t g = I.delivered_count (at t g) 0
+      let delivered_tail t g = I.delivered_tail (at t g) 0
+      let delivery_vc t g = I.delivery_vc (at t g) 0
+      let unordered_count t g = I.unordered_count (at t g) 0
     end : Proto.S)
   end

@@ -67,11 +67,14 @@ val broadcast :
     and its completion are recorded — tagged with [group] (default 0) —
     for the property checks. On a sharded stack the caller picks the
     group (e.g. via {!Partitioned_kv} routing); the harness never hash
-    routes, so the checks always know which group owns each id. *)
+    routes, so the checks always know which group owns each id.
+    @raise Invalid_argument on a group outside [0 .. shards-1]. *)
 
 (** The accessors below read one broadcast group when [?group] is given
-    and the whole stack otherwise (identical on single-group stacks —
-    all existing call sites read group 0's aggregate). *)
+    and the whole stack otherwise, as {!Abcast_core.Proto} aggregates it:
+    counts summed over groups, tails concatenated in group order, group
+    0's clock. On a single-group stack both readings coincide.
+    @raise Invalid_argument on a group outside [0 .. shards-1]. *)
 
 val round : ?group:int -> t -> int -> int
 val delivered_count : ?group:int -> t -> int -> int

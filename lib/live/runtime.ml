@@ -10,25 +10,18 @@ module Flight = Abcast_sim.Flight
 
 type net_stats = { tx_oversize : int; rx_undecodable : int }
 
-(* Monomorphic operations on one process, only ever executed inside that
-   process's thread (reached via the mailbox). *)
-type node_ops = {
-  op_broadcast : string -> unit;
-  op_broadcast_to : int -> string -> unit;
-  op_delivered_count : unit -> int;
-  op_delivered_data : unit -> string list;
-  op_group_delivered_count : int -> int;
-  op_group_delivered_data : int -> string list;
-  op_round : unit -> int;
-  op_net_stats : unit -> net_stats;
-  op_metrics :
-    unit -> ((int * string) * int) list * ((int * string) * Histogram.t) list;
-      (* counter and histogram snapshots. Runs inside the node thread
-         like everything else — each node has a private Metrics table
-         and Hashtbl is not safe to read concurrently with writes, so
-         exporters pay one mailbox round-trip per node per scrape
-         instead of racing. The histograms are copies. *)
-}
+(* What the mailbox reaches in one process: the stack and its current
+   state, under an existential for the state type, and the process's
+   private metrics table. Only ever used inside that process's thread —
+   Hashtbl is not safe to read concurrently with writes, so exporters
+   pay one mailbox round-trip per node per scrape instead of racing. *)
+type node_ops =
+  | Ops : {
+      stack : (module Abcast_core.Proto.S with type t = 's);
+      state : 's;
+      metrics : Metrics.t;
+    }
+      -> node_ops
 
 type node = {
   id : int;
@@ -76,14 +69,12 @@ let localhost = Unix.inet_addr_loopback
 
 let addr_of t i = Unix.ADDR_INET (localhost, t.base_port + i)
 
-(* Datagram formats: 'W' = wake (mailbox poke),
-   'M' ^ uvarint(src) ^ wire(msg) — one message per datagram (legacy,
-   still decoded), and
+(* Datagram formats: 'W' = wake (mailbox poke) and
    'B' ^ uvarint(src) ^ (uvarint(len) ^ wire(msg))* — a batch of frames
    coalesced into one datagram (what the send path emits) — see
    DESIGN.md "Wire format". The receive path treats the bytes as
-   untrusted: anything that fails the bounds-checked decode is counted
-   and dropped, never raised into the event loop. *)
+   untrusted: any other tag, and anything that fails the bounds-checked
+   decode, is counted and dropped, never raised into the event loop. *)
 
 (* Stay under the conventional safe UDP payload ceiling; the receive
    buffer is sized to match, so an accepted send is never truncated. *)
@@ -395,32 +386,7 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       flush_all ()
     in
     Mutex.lock nd.mutex;
-    nd.ops <-
-      Some
-        {
-          op_broadcast = (fun data -> ignore (P.broadcast p data));
-          op_broadcast_to =
-            (fun group data -> ignore (P.broadcast_to p ~group data));
-          op_delivered_count = (fun () -> P.delivered_count p);
-          op_delivered_data =
-            (fun () ->
-              List.map (fun (x : Payload.t) -> x.data) (P.delivered_tail p));
-          op_group_delivered_count = (fun g -> P.group_delivered_count p g);
-          op_group_delivered_data =
-            (fun g ->
-              List.map
-                (fun (x : Payload.t) -> x.data)
-                (P.group_delivered_tail p g));
-          op_round = (fun () -> P.round p);
-          op_net_stats =
-            (fun () ->
-              {
-                tx_oversize = Metrics.hget h_tx_oversize;
-                rx_undecodable = Metrics.hget h_rx_undecodable;
-              });
-          op_metrics =
-            (fun () -> (Metrics.counters metrics, Metrics.histograms metrics));
-        };
+    nd.ops <- Some (Ops { stack = (module P); state = p; metrics });
     Mutex.unlock nd.mutex;
     (* The allocation-free receive path: the socket is non-blocking so a
        single wakeup drains a bounded burst of datagrams; each datagram
@@ -433,19 +399,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
     Unix.set_nonblock nd.sock;
     let rd = Wire.reader "" in
     let frame_rd = Wire.reader "" in
-    let decode_single len =
-      (* legacy 'M' framing: one message per datagram *)
-      Wire.reader_reset rd ~pos:1 ~len:(len - 1) buf_view;
-      match
-        let src = Wire.read_uvarint rd in
-        if src >= n then Wire.error "datagram: bad source %d" src;
-        let msg = P.read_msg rd in
-        Wire.expect_end rd;
-        (src, msg)
-      with
-      | src, msg -> handler ~src msg
-      | exception Wire.Error _ -> Metrics.hincr h_rx_undecodable
-    in
     let decode_batch len =
       (* 'B' framing: uvarint source, then length-prefixed frames *)
       Wire.reader_reset rd ~pos:1 ~len:(len - 1) buf_view;
@@ -477,9 +430,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
         match Unix.recvfrom nd.sock buf 0 (Bytes.length buf) [] with
         | len, _ when len > 1 && Bytes.get buf 0 = 'B' ->
           decode_batch len;
-          drain_ready (budget - 1)
-        | len, _ when len > 1 && Bytes.get buf 0 = 'M' ->
-          decode_single len;
           drain_ready (budget - 1)
         | len, _ when len > 0 && Bytes.get buf 0 = 'W' ->
           drain_ready (budget - 1) (* wake byte *)
@@ -568,13 +518,17 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
 
 (* ---- metrics export ---- *)
 
+(* Counter and histogram snapshots of one process; the histograms are
+   copies. *)
+let snapshot (Ops o) = (Metrics.counters o.metrics, Metrics.histograms o.metrics)
+
 let node_counters t i =
-  match call t i (fun ops -> ops.op_metrics ()) with
+  match call t i snapshot with
   | Some (ctrs, _) -> List.map (fun ((_, name), v) -> (name, v)) ctrs
   | None -> []
 
 let hist_summaries t i =
-  match call t i (fun ops -> ops.op_metrics ()) with
+  match call t i snapshot with
   | Some (_, hists) ->
     List.filter_map
       (fun ((_, name), h) ->
@@ -617,7 +571,7 @@ let prometheus t =
   let snaps =
     List.filter_map
       (fun i ->
-        Option.map (fun s -> (i, s)) (call t i (fun ops -> ops.op_metrics ())))
+        Option.map (fun s -> (i, s)) (call t i snapshot))
       (List.init t.n Fun.id)
   in
   let buf = Buffer.create 8192 in
@@ -677,7 +631,7 @@ let prometheus t =
 (* One JSONL snapshot line: counters and histogram summaries per node. *)
 let json_snapshot t =
   let node_json i =
-    match call t i (fun ops -> ops.op_metrics ()) with
+    match call t i snapshot with
     | None -> Printf.sprintf {|{"node":%d,"up":false}|} i
     | Some (ctrs, hists) ->
       let cjson =
@@ -894,33 +848,34 @@ let broadcast ?group t ~node data =
   if is_up t node then
     enqueue t node (fun () ->
         match t.nodes.(node).ops with
-        | Some ops -> (
-          match group with
-          | None -> ops.op_broadcast data
-          | Some g -> ops.op_broadcast_to g data)
+        | Some (Ops { stack = (module P); state; _ }) ->
+          ignore (P.broadcast state ?group data)
         | None -> ())
 
 let delivered_count ?group t i =
-  let get ops =
-    match group with
-    | None -> ops.op_delivered_count ()
-    | Some g -> ops.op_group_delivered_count g
-  in
+  let get (Ops o) = Abcast_core.Proto.delivered_count o.stack ?group o.state in
   match call t i get with Some c -> c | None -> 0
 
 let delivered_data ?group t i =
-  let get ops =
-    match group with
-    | None -> ops.op_delivered_data ()
-    | Some g -> ops.op_group_delivered_data g
+  let get (Ops o) =
+    List.map
+      (fun (x : Payload.t) -> x.data)
+      (Abcast_core.Proto.delivered_tail o.stack ?group o.state)
   in
   match call t i get with Some l -> l | None -> []
 
 let round t i =
-  match call t i (fun ops -> ops.op_round ()) with Some r -> r | None -> 0
+  let get (Ops o) = Abcast_core.Proto.round o.stack o.state in
+  match call t i get with Some r -> r | None -> 0
 
 let net_stats t i =
-  match call t i (fun ops -> ops.op_net_stats ()) with
+  let get (Ops o) =
+    {
+      tx_oversize = Metrics.get o.metrics ~node:i "udp_tx_oversize";
+      rx_undecodable = Metrics.get o.metrics ~node:i "udp_rx_undecodable";
+    }
+  in
+  match call t i get with
   | Some s -> s
   | None -> { tx_oversize = 0; rx_undecodable = 0 }
 

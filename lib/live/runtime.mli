@@ -146,18 +146,22 @@ val broadcast : ?group:int -> t -> node:int -> string -> unit
 (** Inject an [A-broadcast] at an up process (no-op if down). Without
     [group] the stack routes by payload hash (group [0] on a
     single-group stack); with it, the broadcast is pinned to that group
-    of a sharded stack. *)
+    of a sharded stack ({!Abcast_core.Proto.S.broadcast}). *)
+
+(** The readings below are synchronous queries into the process's thread
+    that return an empty reading if the process is down. With [group]
+    they read one broadcast group, otherwise the whole stack as
+    {!Abcast_core.Proto} aggregates it (counts summed, tails
+    concatenated group by group). *)
 
 val delivered_count : ?group:int -> t -> int -> int
-(** Length of the process's delivery sequence (synchronous query into its
-    thread; 0 if the process is down). Without [group], the sum across
-    all groups; with it, one group's count. *)
+(** Length of the process's delivery sequence. *)
 
 val delivered_data : ?group:int -> t -> int -> string list
-(** Payload bytes of the process's explicit delivery tail, in order
-    (per group with [group]; otherwise concatenated group by group). *)
+(** Payload bytes of the process's explicit delivery tail, in order. *)
 
 val round : t -> int -> int
+(** Consensus rounds executed, summed over groups. *)
 
 type net_stats = {
   tx_oversize : int;

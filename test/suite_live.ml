@@ -213,6 +213,51 @@ let tests =
             Live.broadcast live ~node:1 "counted";
             let done_ () = Live.delivered_count live 0 >= 1 in
             Alcotest.(check bool) "works after bounce" true (await done_)));
+    slow_test "live: receive path drops undecodable datagrams" (fun () ->
+        let module P = Protocol.Make (Abcast_consensus.Paxos) in
+        let module Wire = Abcast_util.Wire in
+        let base_port = 7471 in
+        with_live ~base_port basic (fun live ->
+            (* [tag ^ uvarint src ^ body]; a 'B' body is length-prefixed
+               frames. The 'M' datagram carries a well-formed message:
+               only 'B' batches are framing. *)
+            let datagram tag ~src body =
+              let w = Wire.writer () in
+              Wire.write_u8 w (Char.code tag);
+              Wire.write_uvarint w src;
+              Wire.contents w ^ body
+            in
+            let msg = P.encode_msg (P.Need { ids = [] }) in
+            let frame = Wire.to_string Wire.write_string msg in
+            let single = datagram 'M' ~src:1 msg in
+            let whole = datagram 'B' ~src:1 frame in
+            let truncated = String.sub whole 0 (String.length whole - 1) in
+            let bad_source = datagram 'B' ~src:9 frame in
+            let rx () = (Live.net_stats live 0).rx_undecodable in
+            let before = rx () in
+            let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+            Fun.protect
+              ~finally:(fun () -> Unix.close sock)
+              (fun () ->
+                List.iter
+                  (fun d ->
+                    ignore
+                      (Unix.sendto_substring sock d 0 (String.length d) []
+                         (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port))))
+                  [ single; truncated; bad_source ]);
+            Alcotest.(check bool) "three drops counted" true
+              (await ~timeout:5.0 (fun () -> rx () >= before + 3));
+            Alcotest.(check int) "exactly three" (before + 3) (rx ());
+            for j = 0 to 4 do
+              Live.broadcast live ~node:(j mod 3) (Printf.sprintf "u%d" j)
+            done;
+            let done_ () =
+              List.for_all (fun i -> Live.delivered_count live i >= 5) [ 0; 1; 2 ]
+            in
+            Alcotest.(check bool) "all delivered" true (await done_);
+            let seq i = Live.delivered_data live i in
+            Alcotest.(check (list string)) "0=1" (seq 0) (seq 1);
+            Alcotest.(check (list string)) "1=2" (seq 1) (seq 2)));
   ]
 
 let suite = ("live", tests)

@@ -523,7 +523,7 @@ let window_tests =
         ignore cluster);
     test "window: invalid value rejected" (fun () ->
         (* one row per field [Protocol.validate] guards *)
-        let module P = Abcast_core.Stacks.Over_paxos in
+        let module P = Protocol.Make (Abcast_consensus.Paxos) in
         let c = Protocol.paper_alternative in
         let rejected =
           [
@@ -581,7 +581,7 @@ let metrics_tests =
 let direct_api_tests =
   [
     test "Alternative.checkpoint_now raises the truncation floor" (fun () ->
-        let module P = Abcast_core.Stacks.Over_paxos in
+        let module P = Protocol.Make (Abcast_consensus.Paxos) in
         let eng = Engine.create ~seed:91 ~n:3 () in
         let protos : P.t option array = Array.make 3 None in
         let cfg =

@@ -43,6 +43,65 @@ let unit_tests =
         ignore cluster;
         let r = Abcast_core.Shard.default_route in
         Alcotest.(check int) "stable" (r "hello") (r "hello"));
+    test "group surface: range checks and whole-stack aggregates" (fun () ->
+        List.iter
+          (fun stack ->
+            let cluster = Cluster.create stack ~seed:3 ~n:3 () in
+            let shards = Cluster.shards cluster in
+            let groups = List.init shards Fun.id in
+            for j = 0 to 19 do
+              ignore
+                (Cluster.broadcast cluster ~group:(j mod shards)
+                   ~node:(j mod 3) (Printf.sprintf "v%d" j))
+            done;
+            ignore
+              (Cluster.run_until cluster ~until:400_000_000
+                 ~pred:(fun () -> Cluster.all_caught_up cluster ~count:20 ())
+                 ());
+            List.iter
+              (fun group ->
+                let rejects what f =
+                  match f () with
+                  | () -> Alcotest.failf "%s accepted group %d" what group
+                  | exception Invalid_argument _ -> ()
+                in
+                rejects "broadcast" (fun () ->
+                    ignore (Cluster.broadcast cluster ~group ~node:0 "x"));
+                rejects "round" (fun () ->
+                    ignore (Cluster.round ~group cluster 0));
+                rejects "delivered_count" (fun () ->
+                    ignore (Cluster.delivered_count ~group cluster 0));
+                rejects "delivered_tail" (fun () ->
+                    ignore (Cluster.delivered_tail ~group cluster 0));
+                rejects "delivery_vc" (fun () ->
+                    ignore (Cluster.delivery_vc ~group cluster 0));
+                rejects "unordered_count" (fun () ->
+                    ignore (Cluster.unordered_count ~group cluster 0)))
+              [ -1; shards ];
+            for i = 0 to 2 do
+              let whole_is_sum what read =
+                Alcotest.(check int) what
+                  (List.fold_left (fun acc g -> acc + read (Some g)) 0 groups)
+                  (read None)
+              in
+              let ids l = List.map (fun (p : Payload.t) -> p.id) l in
+              whole_is_sum "round" (fun group -> Cluster.round ?group cluster i);
+              whole_is_sum "delivered_count" (fun group ->
+                  Cluster.delivered_count ?group cluster i);
+              whole_is_sum "unordered_count" (fun group ->
+                  Cluster.unordered_count ?group cluster i);
+              Alcotest.(check int) "all delivered" 20
+                (Cluster.delivered_count cluster i);
+              Alcotest.(check bool) "delivered_tail in group order" true
+                (ids (Cluster.delivered_tail cluster i)
+                = List.concat_map
+                    (fun group -> ids (Cluster.delivered_tail ~group cluster i))
+                    groups);
+              Alcotest.(check bool) "delivery_vc is group 0's" true
+                (Vclock.streams (Cluster.delivery_vc cluster i)
+                = Vclock.streams (Cluster.delivery_vc ~group:0 cluster i))
+            done)
+          [ Factory.make Protocol.paper_basic; sharded ~shards:4 () ]);
   ]
 
 (* --- units: group-scoped metrics and storage views ------------------ *)
