@@ -1318,12 +1318,21 @@ let e20_row ~shards ~mode ~clients =
       Abcast_store.Durable.rm_rf dir)
   @@ fun () ->
   Service.start svc;
-  (* Let the claim apply and its quarantine gate pass before offering
-     load: the gate is a correctness feature (a fresh leaseholder must
-     sit out one lease window), but folding the one-off 200 ms startup
-     bounce into a steady-state p99 would only measure the warm-up. *)
-  if mode = Service.Read_index then
-    Thread.delay ((cfg.Service.lease_ms /. 1_000.) +. 0.15);
+  (* Offer load only once every group's lease is held, so lease reads
+     measure the steady state rather than the claim's first round trip. *)
+  if mode = Service.Read_index then begin
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    let held () =
+      List.for_all
+        (fun group -> Service.holds_lease svc ~node:0 ~group)
+        (List.init shards Fun.id)
+    in
+    while not (held ()) do
+      if Unix.gettimeofday () > deadline then
+        failwith "E20: no read lease on every group within 5 s";
+      Thread.delay 0.001
+    done
+  end;
   (* Open-loop: ~2.5 arrivals per client-second, capped so the deepest
      sweep point stays in the stack's sustainable band and measures
      service latency rather than queue depth. *)

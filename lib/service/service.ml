@@ -2,12 +2,13 @@
 
    One [front] per (node, group) pair owns that replica's session
    machine, the waiters of locally submitted requests, and the node's
-   read-lease state for the group. Session machines are (re)created by
-   the group-aware app factory at every incarnation, so a recovered node
-   reinstalls its table from the WAL checkpoint and replays only the
-   Agreed tail — while its volatile lease state is deliberately dropped:
-   a fresh incarnation can never serve a read-index read before a new
-   claim runs the full quarantine gate.
+   read-lease view for the group ({!Lease_view}). Session machines are
+   (re)created by the group-aware app factory at every incarnation, so a
+   recovered node reinstalls its table from the WAL checkpoint and
+   replays only the Agreed tail — while its volatile lease view starts
+   afresh: a fresh incarnation serves a read-index read only once its
+   own marker is granted and every other node's lease it has seen,
+   applied or folded into an installed checkpoint, has expired.
 
    Locking: each front has one mutex; completion callbacks fire outside
    it. The only cross-front state (the marker stamp counter, the
@@ -55,13 +56,9 @@ type read_result = Value of string | Not_ready
 
 type front = {
   fm : Mutex.t;
-  fc : Condition.t;
   mutable machine : Session.t;
   waiters : (int * int, Envelope.status -> string -> unit) Hashtbl.t;
-  pending : (int, float) Hashtbl.t;  (* our stamp -> wall time pre-send *)
-  mutable lease_until : float;  (* wall clock; 0. = no lease *)
-  mutable gate_until : float;  (* claim quarantine: serve only after *)
-  mutable confirmed : int;  (* apply index at our last granted marker *)
+  mutable lease : Lease_view.t;
 }
 
 type t = {
@@ -80,20 +77,12 @@ type t = {
          runtime's Prometheus endpoint with class/group labels *)
 }
 
-(* Slack added to the claim quarantine: covers the (shared-clock harness:
-   zero) inter-node clock skew plus the gettimeofday granularity. *)
-let gate_epsilon = 0.005
-
-let mk_front () =
+let mk_front ~node ~lease_s =
   {
     fm = Mutex.create ();
-    fc = Condition.create ();
     machine = Session.create ();
     waiters = Hashtbl.create 64;
-    pending = Hashtbl.create 8;
-    lease_until = 0.;
-    gate_until = 0.;
-    confirmed = 0;
+    lease = Lease_view.create ~self:node ~lease_s;
   }
 
 let group_of_key ~shards key =
@@ -171,7 +160,7 @@ let on_payload cfg fronts ~flight ~now ~node ~group (pl : Abcast_core.Payload.t)
           Some (k, status, reply)
         | None -> None)
       else None
-    | Session.Marker { kind; node = mn; stamp; granted; index } ->
+    | Session.Marker { kind; node = mn; stamp; granted; _ } ->
       if granted then
         (* one event per observing node: the doctor cross-checks that a
            Lease renewal is only ever granted to the current floor
@@ -179,25 +168,8 @@ let on_payload cfg fronts ~flight ~now ~node ~group (pl : Abcast_core.Payload.t)
         Flight.record (flight node) ~time:(now ()) ~node ~group ~boot:0
           ~stage:Flight.lease ~trace:0 ~a:mn
           ~b:((if kind = `Claim then 2 else 0) lor 1);
-      (if mn = node then (
-         (match Hashtbl.find_opt fr.pending stamp with
-         | Some t0 when granted ->
-           (* t0 was stamped before the broadcast left, so
-              t0 + lease underestimates the true window *)
-           fr.lease_until <- t0 +. cfg.lease_ms /. 1000.;
-           fr.confirmed <- index;
-           if kind = `Claim then
-             (* quarantine: an earlier leader's lease expires at most
-                lease after the wall time it broadcast its last granted
-                marker, which precedes this apply on every clock *)
-             fr.gate_until <-
-               Unix.gettimeofday () +. (cfg.lease_ms /. 1000.) +. gate_epsilon
-         | _ -> ());
-         Hashtbl.remove fr.pending stamp)
-       else if kind = `Claim then
-         (* someone else claimed: our lease (if any) is void *)
-         fr.lease_until <- 0.);
-      Condition.broadcast fr.fc;
+      Lease_view.on_marker fr.lease ~now:(Unix.gettimeofday ()) ~kind ~node:mn
+        ~stamp ~granted;
       None
     | Session.Foreign _ -> None
   in
@@ -216,8 +188,10 @@ let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
     ?metrics_port ?metrics_interval ?metrics_out (cfg : config) =
   if cfg.n < 1 then invalid_arg "Service.create: n >= 1";
   if cfg.shards < 1 then invalid_arg "Service.create: shards >= 1";
+  let lease_s = cfg.lease_ms /. 1000. in
   let fronts =
-    Array.init cfg.n (fun _ -> Array.init cfg.shards (fun _ -> mk_front ()))
+    Array.init cfg.n (fun node ->
+        Array.init cfg.shards (fun _ -> mk_front ~node ~lease_s))
   in
   let group_app_factory ~node ~group =
     let fr = fronts.(node).(group) in
@@ -227,10 +201,7 @@ let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
     (* fresh incarnation: waiters of the previous incarnation can never
        complete here, and volatile lease state must not survive *)
     Hashtbl.reset fr.waiters;
-    Hashtbl.reset fr.pending;
-    fr.lease_until <- 0.;
-    fr.gate_until <- 0.;
-    fr.confirmed <- 0;
+    fr.lease <- Lease_view.create ~self:node ~lease_s;
     Mutex.unlock fr.fm;
     let hooks = Session.hooks machine in
     let hooks =
@@ -245,6 +216,8 @@ let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
           (fun blob ->
             Mutex.lock fr.fm;
             hooks.install blob;
+            Lease_view.on_install fr.lease ~now:(Unix.gettimeofday ())
+              ~leader:(Session.leader machine);
             Mutex.unlock fr.fm);
       }
     in
@@ -278,7 +251,7 @@ let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
       cfg;
       rt;
       fronts;
-      lease_s = cfg.lease_ms /. 1000.;
+      lease_s;
       sm = Mutex.create ();
       claimant = 0;
       stamp_ctr = 0;
@@ -308,22 +281,11 @@ let next_stamp t =
   Mutex.unlock t.sm;
   s
 
-(* Drop pending stamps whose marker evidently got lost — bounds the
-   table; a grant arriving after this is simply ignored (conservative:
-   we only ever fail to take a lease we could have taken). *)
-let prune_pending t fr now =
-  Hashtbl.iter
-    (fun stamp t0 ->
-      if now -. t0 > 10. *. t.lease_s then Hashtbl.remove fr.pending stamp)
-    (Hashtbl.copy fr.pending)
-
 let send_marker t ~node ~group kind =
   let stamp = next_stamp t in
   let fr = t.fronts.(node).(group) in
-  let now = Unix.gettimeofday () in
   Mutex.lock fr.fm;
-  prune_pending t fr now;
-  Hashtbl.replace fr.pending stamp now;
+  Lease_view.sent fr.lease ~now:(Unix.gettimeofday ()) ~stamp;
   Mutex.unlock fr.fm;
   let env =
     match kind with
@@ -395,20 +357,17 @@ let read_stale t ~node ~key =
   Mutex.unlock fr.fm;
   Value (Option.value v ~default:"")
 
-(* Linearizable read without a broadcast: serve locally iff this node
-   holds a live lease for the key's group, is past the claim quarantine,
-   and has applied at least up to the lease's confirmation index. *)
+(* Linearizable read without a broadcast: serve locally iff this node's
+   lease view for the key's group serves. The own lease comes from a
+   marker this replica applied, after every write acked before it. *)
 let read_index t ~node ~key =
   let fr = t.fronts.(node).(group_of_key ~shards:t.cfg.shards key) in
   let now = Unix.gettimeofday () in
   Mutex.lock fr.fm;
-  let ok =
-    Session.leader fr.machine = node
-    && now < fr.lease_until
-    && now >= fr.gate_until
-    && Session.applied fr.machine >= fr.confirmed
+  let v =
+    if Lease_view.serves fr.lease ~now then Some (Session.get fr.machine key)
+    else None
   in
-  let v = if ok then Some (Session.get fr.machine key) else None in
   Mutex.unlock fr.fm;
   match v with
   | Some v -> Value (Option.value v ~default:"")
@@ -418,11 +377,7 @@ let holds_lease t ~node ~group =
   let fr = t.fronts.(node).(group) in
   let now = Unix.gettimeofday () in
   Mutex.lock fr.fm;
-  let ok =
-    Session.leader fr.machine = node
-    && now < fr.lease_until
-    && now >= fr.gate_until
-  in
+  let ok = Lease_view.serves fr.lease ~now in
   Mutex.unlock fr.fm;
   ok
 

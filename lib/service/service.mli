@@ -5,7 +5,7 @@
     protocol app state, so it is checkpointed into the WAL, survives
     Agreed-prefix compaction and rides state transfer), and this module
     adds the volatile per-node front: waiters keyed by [(session, seq)],
-    and the read-lease state of the read-index protocol. Group routing is
+    and the read-lease view of the read-index protocol ({!Lease_view}). Group routing is
     {!Abcast_apps.Partitioned_kv.shard_of_key} of the command's key, so a
     sharded service partitions the keyspace exactly like the PR-7
     partitioned store. *)
@@ -89,17 +89,19 @@ val read_stale : t -> node:int -> key:string -> read_result
 
 val read_index : t -> node:int -> key:string -> read_result
 (** Linearizable read without a broadcast: [Value] iff [node] holds a
-    live, quarantine-cleared lease for the key's group and its applied
-    index has reached the lease's confirmation point; [Not_ready]
+    live lease for the key's group and every lease of another node that
+    it has seen has expired ({!Lease_view.serves}); [Not_ready]
     otherwise (caller redirects to the claimant or retries). *)
 
 val holds_lease : t -> node:int -> group:int -> bool
+(** Whether {!read_index} at [node] would serve a key of [group] now. *)
 
 val claim : t -> node:int -> unit
 (** Make [node] the claimant and broadcast a Claim on every group —
     call on failover after crashing the previous claimant. The new
-    leaseholder serves reads only after a full lease window has passed
-    from the claim's apply (the quarantine gate). *)
+    leaseholder serves reads once its Claim has applied and the previous
+    holder's last renewal it applied is a lease window old: on failover
+    at most one window, on a new cluster at once. *)
 
 val claimant : t -> int
 

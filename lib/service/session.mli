@@ -27,7 +27,7 @@ type event =
       node : int;
       stamp : int;
       granted : bool;  (** [Lease] only renews if [node] already leads *)
-      index : int;  (** apply index — the read-index confirmation point *)
+      index : int;  (** apply index of the marker *)
     }
   | Foreign of { index : int }
       (** non-service payload, applied straight to the store *)

@@ -147,6 +147,115 @@ let unit_tests =
           (fun () -> Session.install m "xyz"));
   ]
 
+(* --- the lease rule under a fake clock -------------------------------- *)
+
+module Lease_view = Abcast_service.Lease_view
+
+(* Three replicas apply one random total order of Claim/Lease markers
+   from random nodes, each at random times after the marker's broadcast
+   t0, in order; replicas crash and recover at random, reinstalling a
+   random checkpoint prefix (at or below what they applied: WAL replay
+   of the rest; above it: a state-transfer jump). Two replicas must
+   never serve at the same instant. Serving intervals open only at an
+   event or at some event + lease + epsilon, so probing there (and on a
+   5-ms grid besides) finds any overlap. *)
+let lease_overlap_prop =
+  QCheck.Test.make ~name:"lease view: no two replicas serve at once"
+    ~count:2000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let unif a b = a +. Random.State.float rng (b -. a) in
+      let n = 3 and lease_s = 1.0 in
+      let m = 4 + Random.State.int rng 13 in
+      (* broadcast times overlap, so concurrent markers get ordered
+         either way round *)
+      let t0 = Array.init m (fun i -> (0.15 *. float_of_int i) +. unif 0. 0.6) in
+      (* leader.(c): leader view after the first c markers. Mostly the
+         leader renews; otherwise a random node claims or renews. *)
+      let leader = Array.make (m + 1) (-1) in
+      let marker =
+        Array.init m (fun i ->
+            let l = leader.(i) in
+            let mk =
+              if l >= 0 && Random.State.int rng 100 < 65 then (`Lease, l)
+              else
+                ( (if Random.State.bool rng then `Claim else `Lease),
+                  Random.State.int rng n )
+            in
+            leader.(i + 1) <- (match mk with `Claim, node -> node | _ -> l);
+            mk)
+      in
+      let granted i =
+        match marker.(i) with `Claim, _ -> true | `Lease, node -> leader.(i) = node
+      in
+      let events = ref [] in
+      let at time ev = events := (time, ev) :: !events in
+      Array.iteri (fun i _ -> at t0.(i) (`Send i)) t0;
+      for r = 0 to n - 1 do
+        let last = ref 0. in
+        for i = 0 to m - 1 do
+          let lag = if Random.State.int rng 4 = 0 then 2.0 else 0.3 in
+          last := Float.max !last t0.(i) +. unif 1e-6 lag;
+          at !last (`Apply (r, i))
+        done;
+        for _ = 1 to Random.State.int rng 3 do
+          at (unif 0. (!last +. 0.5)) (`Recover r)
+        done
+      done;
+      let events = List.sort compare !events in
+      let views = Array.init n (fun self -> Lease_view.create ~self ~lease_s) in
+      let next = Array.make n 0 in
+      let apply r i ~now =
+        let kind, node = marker.(i) in
+        Lease_view.on_marker views.(r) ~now ~kind ~node ~stamp:i
+          ~granted:(granted i)
+      in
+      let step (now, ev) =
+        match ev with
+        | `Send i -> Lease_view.sent views.(snd marker.(i)) ~now ~stamp:i
+        | `Apply (r, i) ->
+          if i = next.(r) then (
+            apply r i ~now;
+            next.(r) <- i + 1)
+        | `Recover r ->
+          (* a checkpoint only folds in markers already broadcast *)
+          let rec sent k = if k < m && t0.(k) < now then sent (k + 1) else k in
+          let c = Random.State.int rng (sent 0 + 1) in
+          views.(r) <- Lease_view.create ~self:r ~lease_s;
+          if c > 0 then Lease_view.on_install views.(r) ~now ~leader:leader.(c);
+          for i = c to next.(r) - 1 do
+            apply r i ~now
+          done;
+          next.(r) <- max c next.(r)
+      in
+      let horizon = fst (List.nth events (List.length events - 1)) +. lease_s in
+      let probes =
+        List.concat_map
+          (fun (e, _) -> [ e; e +. lease_s +. Lease_view.epsilon ])
+          events
+        @ List.init (int_of_float (horizon /. 0.005)) (fun k -> float_of_int k *. 0.005)
+        |> List.sort_uniq compare
+      in
+      let rec check events = function
+        | [] -> true
+        | p :: probes ->
+          let rec run = function
+            | ((e, _) as ev) :: rest when e <= p ->
+              step ev;
+              run rest
+            | rest -> rest
+          in
+          let events = run events in
+          let serving =
+            Array.fold_left
+              (fun k v -> if Lease_view.serves v ~now:p then k + 1 else k)
+              0 views
+          in
+          serving <= 1 && check events probes
+      in
+      check events probes)
+
 (* --- deterministic simulator: the table is app state ------------------ *)
 
 (* Register one Session machine per process as protocol app state via the
@@ -369,8 +478,8 @@ let live_tests =
               ~cmd:(Kv.set_cmd ~key:"k" ~value:"v") (fun _ _ -> acked := true);
             Alcotest.(check bool) "write acked by the leader" true
               (await (fun () -> !acked));
-            (* the claim quarantine (one lease window) must pass before
-               the first lease read; await absorbs it *)
+            (* the claim must apply before the first lease read; await
+               absorbs it *)
             let lin_read () =
               match Service.read_index svc ~node:0 ~key:"k" with
               | Service.Value v -> v = "v"
@@ -392,6 +501,94 @@ let live_tests =
                 [ 0; 1; 2 ]
             in
             Alcotest.(check bool) "stale reads" true (await stale_all)));
+    slow_test "live: a new cluster serves lease reads once its claim applies"
+      (fun () ->
+        (* no node ever held a lease, so there is nothing to wait out: a
+           2-s window must not delay the first lease by 2 s *)
+        let cfg =
+          {
+            Service.default_config with
+            read_mode = Service.Read_index;
+            lease_ms = 2000.;
+          }
+        in
+        with_service ~cfg ~base_port:7651 (fun svc ->
+            let t0 = Unix.gettimeofday () in
+            Service.start svc;
+            let applied = ref None in
+            let held = ref None in
+            while !held = None && Unix.gettimeofday () -. t0 < 1.0 do
+              let now = Unix.gettimeofday () in
+              if !applied = None && Service.applied svc ~node:0 > 0 then
+                applied := Some now;
+              if Service.holds_lease svc ~node:0 ~group:0 then held := Some now;
+              Thread.delay 0.0005
+            done;
+            match (!applied, !held) with
+            | Some a, Some h ->
+              Printf.printf "start -> claim applied %.1f ms -> lease held %.1f ms\n"
+                ((a -. t0) *. 1e3) ((h -. a) *. 1e3)
+            | _ -> Alcotest.fail "node 0 held no lease within 1 s of start"));
+    slow_test "live: failover waits out the dead holder's last renewal"
+      (fun () ->
+        let cfg =
+          {
+            Service.default_config with
+            read_mode = Service.Read_index;
+            lease_ms = 1000.;
+          }
+        in
+        with_service ~cfg ~base_port:7661 (fun svc ->
+            let rt = Service.runtime svc in
+            Service.start svc;
+            Alcotest.(check bool) "node 0 holds" true
+              (await (fun () -> Service.holds_lease svc ~node:0 ~group:0));
+            (* let renewals flow, so node 1 has applied some *)
+            Thread.delay 0.6;
+            Abcast_live.Runtime.crash rt 0;
+            let killed = Unix.gettimeofday () in
+            Service.claim svc ~node:1;
+            let rec first_hold () =
+              let now = Unix.gettimeofday () in
+              if Service.holds_lease svc ~node:1 ~group:0 then Some (now -. killed)
+              else if now -. killed > 5. then None
+              else (
+                Thread.delay 0.001;
+                first_hold ())
+            in
+            match first_hold () with
+            | None -> Alcotest.fail "node 1 held no lease within 5 s"
+            | Some dt ->
+              Printf.printf "kill -> node 1 holds the lease: %.0f ms\n" (dt *. 1e3);
+              (* the dead holder's last renewal went out at most a quarter
+                 window before the kill; its lease can live until then *)
+              if dt < 0.7 then
+                Alcotest.failf "node 1 held the lease %.0f ms after the kill"
+                  (dt *. 1e3)));
+    slow_test "live: handover to a node while the old holder runs" (fun () ->
+        let cfg =
+          {
+            Service.default_config with
+            read_mode = Service.Read_index;
+            lease_ms = 300.;
+          }
+        in
+        with_service ~cfg ~base_port:7671 (fun svc ->
+            Service.start svc;
+            Alcotest.(check bool) "node 0 holds" true
+              (await (fun () -> Service.holds_lease svc ~node:0 ~group:0));
+            Service.claim svc ~node:1;
+            let t0 = Unix.gettimeofday () in
+            let both = ref 0 and moved = ref false in
+            while Unix.gettimeofday () -. t0 < 1.5 do
+              let h0 = Service.holds_lease svc ~node:0 ~group:0 in
+              let h1 = Service.holds_lease svc ~node:1 ~group:0 in
+              if h0 && h1 then both := !both + 1;
+              if h1 then moved := true;
+              Thread.delay 0.0005
+            done;
+            Alcotest.(check int) "polls with two holders" 0 !both;
+            Alcotest.(check bool) "node 1 took the lease" true !moved));
     slow_test "live: per-class request histograms reach the Prometheus dump"
       (fun () ->
         with_service ~base_port:7641 (fun svc ->
@@ -445,4 +642,8 @@ let live_tests =
               (Loadgen.check_exactly_once svc report ~node:0)));
   ]
 
-let suite = ("service", unit_tests @ sim_tests @ live_tests)
+let suite =
+  ( "service",
+    unit_tests
+    @ [ QCheck_alcotest.to_alcotest lease_overlap_prop ]
+    @ sim_tests @ live_tests )
