@@ -1318,21 +1318,6 @@ let e20_row ~shards ~mode ~clients =
       Abcast_store.Durable.rm_rf dir)
   @@ fun () ->
   Service.start svc;
-  (* Offer load only once every group's lease is held, so lease reads
-     measure the steady state rather than the claim's first round trip. *)
-  if mode = Service.Read_index then begin
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    let held () =
-      List.for_all
-        (fun group -> Service.holds_lease svc ~node:0 ~group)
-        (List.init shards Fun.id)
-    in
-    while not (held ()) do
-      if Unix.gettimeofday () > deadline then
-        failwith "E20: no read lease on every group within 5 s";
-      Thread.delay 0.001
-    done
-  end;
   (* Open-loop: ~2.5 arrivals per client-second, capped so the deepest
      sweep point stays in the stack's sustainable band and measures
      service latency rather than queue depth. *)
@@ -1350,33 +1335,9 @@ let e20_row ~shards ~mode ~clients =
     }
   in
   let rep = Loadgen.run svc lcfg in
-  (* Quiesce (lease markers keep bumping the apply index), wait for the
-     replicas to converge, then audit: every acked write applied exactly
-     once, nothing acked was lost. *)
-  Service.stop_maintenance svc;
-  let converged () =
-    let d = Service.digest svc ~node:0 in
-    List.for_all
-      (fun i -> Service.digest svc ~node:i = d)
-      (List.init (cfg.Service.n - 1) (fun i -> i + 1))
-  in
-  let deadline = Unix.gettimeofday () +. 20.0 in
-  let rec settle () =
-    if converged () then begin
-      Thread.delay 0.2;
-      if not (converged ()) then settle ()
-    end
-    else if Unix.gettimeofday () < deadline then begin
-      Thread.delay 0.05;
-      settle ()
-    end
-    else failwith "E20: replicas did not converge after the run"
-  in
-  settle ();
-  (match Loadgen.check_exactly_once svc rep ~node:0 with
+  (match Loadgen.audit svc rep with
   | [] -> ()
-  | v :: _ ->
-    failwith (Printf.sprintf "E20: exactly-once audit failed: %s" v));
+  | v :: _ -> failwith ("E20: exactly-once audit failed: " ^ v));
   [
     Table.num shards;
     Table.Text (Service.read_mode_to_string mode);

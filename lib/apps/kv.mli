@@ -40,8 +40,10 @@ val incr_cmd : key:string -> string
     value. A non-numeric existing value restarts the count at 1. *)
 
 val decode_cmd : string -> cmd option
-(** Decode an encoded command; [None] for foreign bytes (which
-    {!Machine.apply} would ignore). *)
+(** Decode an encoded command (one tag byte, then length-prefixed
+    strings — a total {!Abcast_util.Wire} codec, since commands cross
+    processes inside payloads); [None] for foreign, truncated or
+    trailing-garbage bytes (which {!Machine.apply} ignores). *)
 
 val cmd_key : cmd -> string
 (** The key a command touches. *)

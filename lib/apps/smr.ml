@@ -32,7 +32,7 @@ module Make (M : MACHINE) = struct
           t.applied <- n);
     }
 
-  let factory register node =
+  let factory register ~node ~group:_ =
     let t = create () in
     register node t;
     (hooks t, deliver t)

@@ -41,9 +41,9 @@ module Make (M : MACHINE) : sig
 
   val factory :
     (int -> t -> unit) -> Abcast_core.Factory.app_factory
-  (** [factory register] builds the per-process application factory for
+  (** [factory register] builds the application factory for
       {!Abcast_core.Factory.make}: at each (re)start of process [i]
       it creates a fresh replica, calls [register i replica] (so the
       scenario can keep a handle) and returns its hooks and deliver
-      upcall. *)
+      upcall. It ignores the group. *)
 end

@@ -1,9 +1,6 @@
 type consensus = [ `Paxos | `Coord ]
 
-type app_factory = int -> Protocol.app * (Payload.t -> unit)
-
-type group_app_factory =
-  node:int -> group:int -> Protocol.app * (Payload.t -> unit)
+type app_factory = node:int -> group:int -> Protocol.app * (Payload.t -> unit)
 
 (* Stack names carry the variant and the topology so that benches and
    metrics comparing them stay distinguishable. *)
@@ -15,24 +12,8 @@ let name_of (c : Protocol.config) =
   in
   variant ^ match c.dissemination with `Ring -> "+ring" | `Gossip -> ""
 
-(* One checkpoint blob carrying two hooks' states, [a]'s first. *)
-let compose_apps (a : Protocol.app) (b : Protocol.app) : Protocol.app =
-  {
-    checkpoint =
-      (fun () ->
-        let wr = Abcast_util.Wire.writer () in
-        Abcast_util.Wire.write_string wr (a.checkpoint ());
-        Abcast_util.Wire.write_string wr (b.checkpoint ());
-        Abcast_util.Wire.contents wr);
-    install =
-      (fun blob ->
-        let rd = Abcast_util.Wire.reader blob in
-        a.install (Abcast_util.Wire.read_string rd);
-        b.install (Abcast_util.Wire.read_string rd));
-  }
-
-let make ?(consensus = `Paxos) ?app_factory ?group_app_factory
-    (cfg : Protocol.config) : Proto.t =
+let make ?(consensus = `Paxos) ?app_factory (cfg : Protocol.config) :
+    Proto.t =
   let label = name_of cfg in
   let make (module C : Abcast_consensus.Consensus_intf.S) =
     let module P = Protocol.Make (C) in
@@ -59,29 +40,17 @@ let make ?(consensus = `Paxos) ?app_factory ?group_app_factory
       let unordered_count t g = P.unordered_count (at t g)
 
       let create (io : msg Abcast_sim.Engine.io) ~deliver =
-        (* Each hook wraps the upcall built so far and joins the
-           checkpoint blob behind any earlier hook's. *)
-        let with_hook (app, deliver) (app', app_deliver) =
-          ( Some (match app with None -> app' | Some a -> compose_apps a app'),
-            fun p ->
+        let deliver p = deliver ~group:0 p in
+        (* The hook sees the io the shard mux rebinds per group, so one
+           factory serves every group of a sharded stack and its
+           checkpoints land under that group's scoped keys. *)
+        match app_factory with
+        | None -> P.create cfg io ~on_deliver:deliver
+        | Some f ->
+          let app, app_deliver = f ~node:io.self ~group:io.group in
+          P.create ~app cfg io ~on_deliver:(fun p ->
               app_deliver p;
-              deliver p )
-        in
-        let acc = (None, fun p -> deliver ~group:0 p) in
-        let acc =
-          match app_factory with
-          | None -> acc
-          | Some f -> with_hook acc (f io.self)
-        in
-        (* The group-aware hook sees the io the shard mux rebinds per
-           group, so one factory serves every group of a sharded stack
-           and its checkpoints land under that group's scoped keys. *)
-        let app, deliver =
-          match group_app_factory with
-          | None -> acc
-          | Some f -> with_hook acc (f ~node:io.self ~group:io.group)
-        in
-        P.create ?app cfg io ~on_deliver:deliver
+              deliver p)
     end : Proto.S)
   in
   match consensus with
@@ -89,6 +58,6 @@ let make ?(consensus = `Paxos) ?app_factory ?group_app_factory
   | `Coord -> make (module Abcast_consensus.Coord)
 
 let throughput ?(trace_sample = 0) ?group_app_factory () =
-  make ?group_app_factory { Protocol.throughput with trace_sample }
+  make ?app_factory:group_app_factory { Protocol.throughput with trace_sample }
 
 let sharded ?route ~shards stack = Shard.mux ?route ~shards stack

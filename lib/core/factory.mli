@@ -8,27 +8,18 @@
 
 type consensus = [ `Paxos | `Coord ]
 
-type app_factory = int -> Protocol.app * (Payload.t -> unit)
-(** Per-process application hook builder, called at every (re)start of
-    process [i] with a fresh application replica: returns the
+type app_factory = node:int -> group:int -> Protocol.app * (Payload.t -> unit)
+(** Application hook builder, called at every (re)start of process
+    [node] with a fresh application replica: returns the
     [A-checkpoint]/install hooks and the application's own deliver
-    upcall (composed with the harness's instrumentation). *)
-
-type group_app_factory =
-  node:int -> group:int -> Protocol.app * (Payload.t -> unit)
-(** Group-aware variant of {!app_factory}: under {!sharded} the factory
-    runs once per (process, group) — the shard mux rebinds the engine io
-    per inner group before stack creation, so each group's hooks
-    checkpoint into that group's scoped storage keys and survive
-    compaction independently. When both factories are given, the plain
-    one's checkpoint rides first in a composite blob. *)
+    upcall (composed with the harness's instrumentation). Under
+    {!sharded} it runs once per (process, group) — the shard mux rebinds
+    the engine io per inner group before stack creation, so each group's
+    hooks checkpoint into that group's scoped storage keys and survive
+    compaction independently. *)
 
 val make :
-  ?consensus:consensus ->
-  ?app_factory:app_factory ->
-  ?group_app_factory:group_app_factory ->
-  Protocol.config ->
-  Proto.t
+  ?consensus:consensus -> ?app_factory:app_factory -> Protocol.config -> Proto.t
 (** The stack for [config]. Its name is ["naive"] when [paranoid_log],
     else ["basic"] without checkpoints and state transfer, else
     ["alt"]; ring dissemination appends ["+ring"], then ["/paxos"] or
@@ -37,8 +28,9 @@ val make :
     process start ({!Protocol.Make.create}). *)
 
 val throughput :
-  ?trace_sample:int -> ?group_app_factory:group_app_factory -> unit -> Proto.t
-(** [make { Protocol.throughput with trace_sample }] (default 0). *)
+  ?trace_sample:int -> ?group_app_factory:app_factory -> unit -> Proto.t
+(** [make ?app_factory:group_app_factory
+    { Protocol.throughput with trace_sample }] (default 0). *)
 
 val sharded : ?route:(string -> int) -> shards:int -> Proto.t -> Proto.t
 (** [sharded ~shards stack] multiplexes [shards] independent instances

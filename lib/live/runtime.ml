@@ -721,20 +721,23 @@ let serve_metrics t port =
   t.metrics_threads <- th :: t.metrics_threads
 
 (* Size-based rotation for the JSONL snapshot stream: when the live file
-   crosses [rotate_bytes], it becomes [path.1] (shifting path.k to
-   path.k+1 and dropping path.keep), so a long-lived service bounds its
-   snapshot footprint at ~(keep+1) x rotate_bytes. The doctor reads the
-   rotated files oldest-first. *)
-let rotate_snapshots path ~keep =
+   crosses [snapshot_rotate_bytes], it becomes [path.1] (shifting path.k
+   to path.k+1 and dropping path.<snapshot_keep>), so a long-lived
+   service bounds its snapshot footprint at ~5 x 4 MiB. The doctor reads
+   the rotated files oldest-first. *)
+let snapshot_rotate_bytes = 4 * 1024 * 1024
+let snapshot_keep = 4
+
+let rotate_snapshots path =
   let numbered k = path ^ "." ^ string_of_int k in
-  (try Sys.remove (numbered keep) with Sys_error _ -> ());
-  for k = keep - 1 downto 1 do
+  (try Sys.remove (numbered snapshot_keep) with Sys_error _ -> ());
+  for k = snapshot_keep - 1 downto 1 do
     if Sys.file_exists (numbered k) then (
       try Sys.rename (numbered k) (numbered (k + 1)) with Sys_error _ -> ())
   done;
   try Sys.rename path (numbered 1) with Sys_error _ -> ()
 
-let snapshot_loop t interval path ~rotate_bytes ~keep =
+let snapshot_loop t interval path =
   let th =
     Thread.create
       (fun () ->
@@ -745,10 +748,9 @@ let snapshot_loop t interval path ~rotate_bytes ~keep =
             output_string !oc (json_snapshot t);
             output_char !oc '\n';
             flush !oc;
-            if rotate_bytes > 0 && keep > 0 && pos_out !oc > rotate_bytes
-            then begin
+            if pos_out !oc > snapshot_rotate_bytes then begin
               close_out_noerr !oc;
-              rotate_snapshots path ~keep;
+              rotate_snapshots path;
               oc := open_file ()
             end
           with Sys_error _ -> ()
@@ -778,8 +780,7 @@ let snapshot_loop t interval path ~rotate_bytes ~keep =
 let create proto ~n ?(base_port = 7400) ?dir ?backend:(_ : [ `Wal ] = `Wal)
     ?(fsync = Abcast_store.Durable.Every { ops = 64; ms = 20 })
     ?(flight_cap = 8192) ?(on_deliver = fun ~node:_ ~group:_ _ -> ())
-    ?metrics_port ?(metrics_interval = 1.0) ?metrics_out
-    ?(metrics_rotate_bytes = 4 * 1024 * 1024) ?(metrics_keep = 4) () =
+    ?metrics_port ?(metrics_interval = 1.0) ?metrics_out () =
   let t =
     make proto ~n ~base_port ~dir ~fsync ~flight_cap ~on_deliver ()
   in
@@ -796,9 +797,7 @@ let create proto ~n ?(base_port = 7400) ?dir ?backend:(_ : [ `Wal ] = `Wal)
     t.nodes;
   (match metrics_port with Some port -> serve_metrics t port | None -> ());
   (match metrics_out with
-  | Some path ->
-    snapshot_loop t metrics_interval path ~rotate_bytes:metrics_rotate_bytes
-      ~keep:metrics_keep
+  | Some path -> snapshot_loop t metrics_interval path
   | None -> ());
   t
 

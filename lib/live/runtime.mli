@@ -63,8 +63,6 @@ val create :
   ?metrics_port:int ->
   ?metrics_interval:float ->
   ?metrics_out:string ->
-  ?metrics_rotate_bytes:int ->
-  ?metrics_keep:int ->
   unit ->
   t
 (** Bind one UDP socket per process on [127.0.0.1:base_port+i] (default
@@ -90,10 +88,9 @@ val create :
     a time — built for a scraper, not a crowd). With [metrics_out], a
     second thread appends one JSON snapshot line to that file every
     [metrics_interval] seconds (default 1.0); when the file crosses
-    [metrics_rotate_bytes] (default 4 MiB; 0 disables) it is rotated to
-    [<file>.1] (shifting older rotations up, keeping at most
-    [metrics_keep] of them, default 4), so a long-lived service bounds
-    its snapshot footprint. Both threads are joined by {!shutdown}.
+    4 MiB it is rotated to [<file>.1] (shifting older rotations up,
+    keeping at most 4 of them), so a long-lived service bounds its
+    snapshot footprint. Both threads are joined by {!shutdown}.
 
     @raise Unix.Unix_error if sockets cannot be created (callers may want
     to skip live tests in restricted environments). *)

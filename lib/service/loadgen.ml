@@ -18,6 +18,7 @@ module Histogram = Abcast_util.Histogram
 module Envelope = Abcast_core.Envelope
 module Kv = Abcast_apps.Kv
 module History = Abcast_sim.History
+module Runtime = Abcast_live.Runtime
 
 type config = {
   clients : int;
@@ -28,17 +29,6 @@ type config = {
   timeout : float;  (* per-attempt retry deadline, seconds *)
   seed : int;
 }
-
-let default_config =
-  {
-    clients = 200;
-    rate = 500.;
-    duration = 5.;
-    write_pct = 50;
-    lin_pct = 30;
-    timeout = 0.5;
-    seed = 7;
-  }
 
 type report = {
   wall : float;
@@ -61,6 +51,7 @@ type op_kind =
   | Write
   | Lin_submit  (* linearizable read via broadcast (Get through session) *)
   | Lin_local  (* linearizable read via read-index, may retry locally *)
+  | Stale  (* local read at any live node, completes at issue *)
 
 type client = {
   id : int;
@@ -68,8 +59,8 @@ type client = {
   mutable busy : bool;
   mutable op : int;  (* issue counter: stale completions are ignored *)
   mutable kind : op_kind;
-  mutable rkey : string;  (* key of the in-flight read *)
-  mutable rkey_idx : int;  (* integer index of [rkey] (history capture) *)
+  mutable key : string;  (* key of the in-flight op *)
+  mutable key_idx : int;  (* client whose cell [key] is (history capture) *)
   mutable issue_t : float;
   mutable deadline : float;
   mutable target : int;
@@ -97,22 +88,22 @@ type gen = {
 
 let up_node g =
   let rt = Service.runtime g.svc in
-  let n = Abcast_live.Runtime.n rt in
+  let n = Runtime.n rt in
   let start = Random.State.int g.rng n in
   let rec go i =
     if i = n then start (* all down: broadcast will no-op, retry covers *)
     else
       let cand = (start + i) mod n in
-      if Abcast_live.Runtime.is_up rt cand then cand else go (i + 1)
+      if Runtime.is_up rt cand then cand else go (i + 1)
   in
   go 0
 
 (* Writes and broadcast reads go through sessions; in read-index mode
    only the leaseholder acks them, so they must target the claimant. *)
 let pick_target g =
-  match (Service.config g.svc).read_mode with
-  | Service.Read_index -> Service.claimant g.svc
-  | Service.Broadcast | Service.Stale -> up_node g
+  if (Service.config g.svc).read_mode = Service.Read_index then
+    Service.claimant g.svc
+  else up_node g
 
 (* Result value of a completed op for the history log: the Kv counter
    replies are decimal strings, anything else (missing key, non-counter
@@ -122,34 +113,24 @@ let int_value s = match int_of_string_opt s with Some v -> v | None -> -1
 let record g c status ~value =
   let now = Unix.gettimeofday () in
   let lat_us = (now -. c.issue_t) *. 1e6 in
-  let h, cls =
+  let h, cls, kind =
     match c.kind with
-    | Write -> (g.hw, "write")
-    | Lin_submit | Lin_local -> (g.hl, "lin")
+    | Write -> (g.hw, "write", History.kind_write)
+    | Lin_submit | Lin_local -> (g.hl, "lin", History.kind_lin)
+    | Stale -> (g.hs, "stale", History.kind_stale)
   in
   Histogram.add h lat_us;
-  let key = match c.kind with Write -> client_key c.id | _ -> c.rkey in
-  Service.observe_latency g.svc ~cls ~group:(Service.key_group g.svc key)
+  Service.observe_latency g.svc ~cls ~group:(Service.key_group g.svc c.key)
     lat_us;
   g.completed <- g.completed + 1;
   if c.kind = Write then g.writes_acked.(c.id) <- g.writes_acked.(c.id) + 1;
   (match g.hist with
   | Some hist ->
-    let kind =
-      match c.kind with
-      | Write -> History.kind_write
-      | Lin_submit | Lin_local ->
-        (* whole-service stale mode serves "lin"-class reads with no
-           ordering guarantee: exclude them from the real-time check *)
-        if (Service.config g.svc).read_mode = Service.Stale then
-          History.kind_stale
-        else History.kind_lin
-    in
     History.record hist
       {
         History.client = c.id;
         kind;
-        key = (match c.kind with Write -> c.id | _ -> c.rkey_idx);
+        key = c.key_idx;
         seq = c.seq;
         t_inv = int_of_float (c.issue_t *. 1e6);
         t_resp = int_of_float (now *. 1e6);
@@ -170,9 +151,9 @@ let completion g c op status reply =
 let submit_current g c =
   let cmd =
     match c.kind with
-    | Write -> Kv.incr_cmd ~key:(client_key c.id)
-    | Lin_submit -> Kv.get_cmd ~key:c.rkey
-    | Lin_local -> assert false
+    | Write -> Kv.incr_cmd ~key:c.key
+    | Lin_submit -> Kv.get_cmd ~key:c.key
+    | Lin_local | Stale -> assert false
   in
   let op = c.op in
   Service.submit g.svc ~node:c.target ~session:c.id ~seq:c.seq ~cmd
@@ -180,7 +161,7 @@ let submit_current g c =
 
 (* g.lm held. Returns [true] if the read completed. *)
 let try_lin_local g c =
-  match Service.read_index g.svc ~node:(Service.claimant g.svc) ~key:c.rkey with
+  match Service.read_index g.svc ~node:(Service.claimant g.svc) ~key:c.key with
   | Service.Value v ->
     record g c Envelope.Applied ~value:(int_value v);
     true
@@ -208,69 +189,41 @@ let issue g now =
     c.deadline <- now +. g.cfg.timeout;
     c.target <- pick_target g;
     let r = Random.State.int g.rng 100 in
-    if r < g.cfg.write_pct then begin
+    let write = r < g.cfg.write_pct in
+    (* a write increments its own client's cell, a read any client's *)
+    c.key_idx <- (if write then c.id else Random.State.int g.rng nclients);
+    c.key <- client_key c.key_idx;
+    if write then begin
       c.kind <- Write;
       c.seq <- c.seq + 1;
       g.writes_issued.(c.id) <- g.writes_issued.(c.id) + 1;
       submit_current g c
     end
-    else begin
-      c.rkey_idx <- Random.State.int g.rng (Array.length g.clients);
-      c.rkey <- client_key c.rkey_idx;
-      if r < g.cfg.write_pct + g.cfg.lin_pct then begin
-        match (Service.config g.svc).read_mode with
-        | Service.Broadcast ->
-          c.kind <- Lin_submit;
-          c.seq <- c.seq + 1;
-          submit_current g c
-        | Service.Read_index ->
-          c.kind <- Lin_local;
-          ignore (try_lin_local g c : bool)
-        | Service.Stale ->
-          (* the whole service runs stale reads: serve locally but
-             still account the op as a linearizable-class read *)
-          c.kind <- Lin_local;
-          (match Service.read_stale g.svc ~node:(up_node g) ~key:c.rkey with
-          | Service.Value v -> record g c Envelope.Applied ~value:(int_value v)
-          | Service.Not_ready -> assert false)
-      end
-      else begin
-        (* stale read: local, completes immediately *)
+    else if r < g.cfg.write_pct + g.cfg.lin_pct then begin
+      match (Service.config g.svc).read_mode with
+      | Service.Broadcast ->
+        c.kind <- Lin_submit;
+        c.seq <- c.seq + 1;
+        submit_current g c
+      | Service.Read_index ->
         c.kind <- Lin_local;
-        (match Service.read_stale g.svc ~node:(up_node g) ~key:c.rkey with
-        | Service.Value v ->
-          let done_t = Unix.gettimeofday () in
-          let lat_us = (done_t -. now) *. 1e6 in
-          Histogram.add g.hs lat_us;
-          Service.observe_latency g.svc ~cls:"stale"
-            ~group:(Service.key_group g.svc c.rkey) lat_us;
-          g.completed <- g.completed + 1;
-          (match g.hist with
-          | Some hist ->
-            History.record hist
-              {
-                History.client = c.id;
-                kind = History.kind_stale;
-                key = c.rkey_idx;
-                seq = c.seq;
-                t_inv = int_of_float (now *. 1e6);
-                t_resp = int_of_float (done_t *. 1e6);
-                value = int_value v;
-                ok = true;
-              }
-          | None -> ());
-          c.busy <- false
-        | Service.Not_ready -> assert false)
-      end
+        ignore (try_lin_local g c : bool)
+    end
+    else begin
+      c.kind <- Stale;
+      match Service.read_stale g.svc ~node:(up_node g) ~key:c.key with
+      | Service.Value v -> record g c Envelope.Applied ~value:(int_value v)
+      | Service.Not_ready -> assert false
     end
 
 (* g.lm held: retry every in-flight op past its deadline, and poll
-   pending read-index reads. *)
+   pending read-index reads. Stale reads are never in flight. *)
 let reap g now =
   Array.iter
     (fun c ->
       if c.busy then
         match c.kind with
+        | Stale -> ()
         | Lin_local ->
           if try_lin_local g c then ()
           else if now > c.deadline then begin
@@ -281,17 +234,36 @@ let reap g now =
           if now > c.deadline then begin
             g.retries <- g.retries + 1;
             Service.abandon g.svc ~node:c.target ~session:c.id ~seq:c.seq
-              ~key:
-                (match c.kind with Write -> client_key c.id | _ -> c.rkey);
+              ~key:c.key;
             c.target <- pick_target g;
             c.deadline <- now +. g.cfg.timeout;
             submit_current g c
           end)
     g.clients
 
+(* Read-index mode: offer load only once the claimant holds every
+   group's lease, so lease reads measure the steady state rather than
+   the claim's first round trip. *)
+let await_lease svc =
+  let scfg = Service.config svc in
+  if scfg.read_mode = Service.Read_index then begin
+    let node = Service.claimant svc in
+    let groups = List.init scfg.shards Fun.id in
+    let deadline = Unix.gettimeofday () +. 5. in
+    let held () =
+      List.for_all (fun group -> Service.holds_lease svc ~node ~group) groups
+    in
+    while not (held ()) do
+      if Unix.gettimeofday () > deadline then
+        failwith "Loadgen.run: no read lease on every group within 5 s";
+      Thread.delay 0.001
+    done
+  end
+
 let run ?history svc (cfg : config) =
   if cfg.clients < 1 then invalid_arg "Loadgen.run: clients >= 1";
   if cfg.rate <= 0. then invalid_arg "Loadgen.run: rate > 0";
+  await_lease svc;
   let g =
     {
       svc;
@@ -307,8 +279,8 @@ let run ?history svc (cfg : config) =
               busy = false;
               op = 0;
               kind = Write;
-              rkey = "";
-              rkey_idx = 0;
+              key = "";
+              key_idx = 0;
               issue_t = 0.;
               deadline = 0.;
               target = 0;
@@ -389,33 +361,53 @@ let run ?history svc (cfg : config) =
   Mutex.unlock g.lm;
   report
 
-(* Exactly-once audit against a quiesced replica: client i only ever
-   increments its own key, so the counter cell must sit between the acks
-   it received and the requests it issued — below the acks means a lost
+(* Settle, then audit. Lease markers keep bumping the apply index, so
+   stop them first; then wait until the live replicas' digests agree and
+   stay equal for 0.3 s. Client i only ever increments its own key, so
+   at one converged replica its counter cell must sit between the acks
+   it received and the requests it issued: below the acks means a lost
    acked write, above the issues means a duplicate apply. *)
-let check_exactly_once svc (report : report) ~node =
-  let violations = ref [] in
-  Array.iteri
-    (fun i issued ->
-      let acked = report.writes_acked.(i) in
-      let v =
-        match
-          int_of_string_opt (Service.value svc ~node ~key:(client_key i))
-        with
-        | Some n -> n
-        | None -> 0
-      in
-      if v < acked then
-        violations :=
-          Printf.sprintf
-            "client %d: %d acked writes but counter=%d (lost acked write)" i
-            acked v
-          :: !violations;
-      if v > issued then
-        violations :=
-          Printf.sprintf
-            "client %d: counter=%d exceeds %d issued writes (duplicate apply)"
-            i v issued
-          :: !violations)
-    report.writes_issued;
-  List.rev !violations
+let audit svc (report : report) =
+  Service.stop_maintenance svc;
+  let rt = Service.runtime svc in
+  let agreed () =
+    let live = List.filter (Runtime.is_up rt) (List.init (Runtime.n rt) Fun.id) in
+    match List.map (fun node -> (node, Service.digest svc ~node)) live with
+    | (node, d) :: rest when List.for_all (fun (_, d') -> d' = d) rest ->
+      Some (node, d)
+    | _ -> None
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec settle () =
+    if Unix.gettimeofday () > deadline then None
+    else
+      match agreed () with
+      | Some a ->
+        Thread.delay 0.3;
+        if agreed () = Some a then Some (fst a) else settle ()
+      | None ->
+        Thread.delay 0.05;
+        settle ()
+  in
+  match settle () with
+  | None -> [ "live replicas did not converge within 30 s of the run end" ]
+  | Some node ->
+    let violations = ref [] in
+    let flag fmt =
+      Printf.ksprintf (fun v -> violations := v :: !violations) fmt
+    in
+    Array.iteri
+      (fun i issued ->
+        let acked = report.writes_acked.(i) in
+        let v =
+          Option.value ~default:0
+            (int_of_string_opt (Service.value svc ~node ~key:(client_key i)))
+        in
+        if v < acked then
+          flag "client %d: %d acked writes but counter=%d (lost acked write)"
+            i acked v;
+        if v > issued then
+          flag "client %d: counter=%d exceeds %d issued writes (duplicate \
+                apply)" i v issued)
+      report.writes_issued;
+    List.rev !violations

@@ -5,8 +5,8 @@
     [(session, seq)] discipline holds), three op classes — writes
     ([Incr] on the client's own key), linearizable reads and stale
     reads — with per-class latency histograms, retry-on-deadline with
-    the {e same} (session, seq), and a final exactly-once audit built on
-    the non-idempotence of [Incr]. *)
+    the {e same} (session, seq), and a settle-and-audit of exactly-once
+    built on the non-idempotence of [Incr]. *)
 
 type config = {
   clients : int;
@@ -17,10 +17,6 @@ type config = {
   timeout : float;  (** per-attempt retry deadline, seconds *)
   seed : int;
 }
-
-val default_config : config
-(** 200 clients, 500 ops/s for 5 s, 50% writes / 30% lin / 20% stale,
-    0.5 s retry deadline. *)
 
 type report = {
   wall : float;
@@ -37,22 +33,26 @@ type report = {
   writes_acked : int array;
 }
 
-val client_key : int -> string
-(** The key client [i] increments — [c<i>]. *)
-
 val run : ?history:Abcast_sim.History.t -> Service.t -> config -> report
 (** Drive the service from the calling thread for [duration] seconds,
     then drain in-flight ops (retrying) for up to [3 * timeout + 1]
-    more. The service must be {!Service.start}ed. Safe to run while the
-    harness crashes/recovers nodes.
+    more. The service must be {!Service.start}ed; in read-index mode
+    load starts once the claimant holds every group's lease.
+    Safe to run while the harness crashes/recovers nodes.
 
     With [history], every completed op is appended to the recorder
     (session, kind, key, invocation/response wall-clock, result value) —
     the client-side half of the [doctor --audit] evidence. The caller
-    owns the recorder ({!Abcast_sim.History.close} it after the run). *)
+    owns the recorder ({!Abcast_sim.History.close} it after the run).
 
-val check_exactly_once : Service.t -> report -> node:int -> string list
-(** Audit a (quiesced) replica at [node] against the run: for every
-    client, the counter cell must satisfy
-    [acked <= value <= issued] — returns one violation string per
-    breach, [[]] when exactly-once held. *)
+    @raise Failure if in read-index mode the claimant does not hold
+    every group's lease within 5 s. *)
+
+val audit : Service.t -> report -> string list
+(** Settle the cluster after a {!run} and audit exactly-once: calls
+    {!Service.stop_maintenance}, waits up to 30 s until the live
+    replicas' digests agree and stay equal for 0.3 s, then checks every
+    client's counter cell at one live replica against the run,
+    [acked <= value <= issued]. Returns one violation line per breach,
+    or a single line if the replicas did not converge; [[]] when
+    exactly-once held. *)

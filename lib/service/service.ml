@@ -22,18 +22,16 @@ module Histogram = Abcast_util.Histogram
 module Kv = Abcast_apps.Kv
 module Pkv = Abcast_apps.Partitioned_kv
 
-type read_mode = Broadcast | Read_index | Stale
+type read_mode = Broadcast | Read_index
 
 let read_mode_of_string = function
   | "broadcast" -> Some Broadcast
   | "read-index" -> Some Read_index
-  | "stale" -> Some Stale
   | _ -> None
 
 let read_mode_to_string = function
   | Broadcast -> "broadcast"
   | Read_index -> "read-index"
-  | Stale -> "stale"
 
 type config = {
   n : int;
@@ -149,9 +147,7 @@ let on_payload cfg fronts ~flight ~now ~node ~group (pl : Abcast_core.Payload.t)
          could race a leader's lease read that has not yet applied the
          request (see DESIGN.md, "Service layer"). *)
       let ack =
-        match cfg.read_mode with
-        | Read_index -> Session.leader fr.machine = node
-        | Broadcast | Stale -> true
+        cfg.read_mode = Broadcast || Session.leader fr.machine = node
       in
       if ack then (
         match Hashtbl.find_opt fr.waiters (session, seq) with
@@ -193,7 +189,7 @@ let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
     Array.init cfg.n (fun node ->
         Array.init cfg.shards (fun _ -> mk_front ~node ~lease_s))
   in
-  let group_app_factory ~node ~group =
+  let app_factory ~node ~group =
     let fr = fronts.(node).(group) in
     let machine = Session.create ~max_sessions:cfg.max_sessions () in
     Mutex.lock fr.fm;
@@ -225,7 +221,7 @@ let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
   in
   let stack =
     let inner =
-      Abcast_core.Factory.make ~group_app_factory
+      Abcast_core.Factory.make ~app_factory
         { Abcast_core.Protocol.throughput with trace_sample }
     in
     if cfg.shards = 1 then inner

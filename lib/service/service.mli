@@ -12,7 +12,10 @@
 
 type t
 
-type read_mode = Broadcast | Read_index | Stale
+type read_mode = Broadcast | Read_index
+(** How linearizable reads are served: a [Get] through the total order,
+    or a local read at the leaseholder. Stale reads are a per-op class
+    in either mode ({!read_stale}). *)
 
 val read_mode_of_string : string -> read_mode option
 val read_mode_to_string : read_mode -> string
@@ -107,7 +110,8 @@ val claimant : t -> int
 
 val stop_maintenance : t -> unit
 (** Stop the lease renewal thread (markers stop flowing — required
-    before comparing replica digests, which include the apply index).
+    before comparing replica digests, which include the apply index;
+    {!Loadgen.audit} calls it).
     {!start} restarts it. *)
 
 val runtime : t -> Abcast_live.Runtime.t

@@ -372,6 +372,45 @@ let envelope_props =
         (not (Envelope.is_service cmd)) && Envelope.decode cmd = None);
   ]
 
+(* --- Kv commands (payload bytes from the network) --------------------- *)
+
+module Kv = Abcast_apps.Kv
+
+let kv_cmd_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun k v -> Kv.Set (k, v)) data_gen data_gen;
+        map (fun k -> Kv.Del k) data_gen;
+        map (fun k -> Kv.Get k) data_gen;
+        map (fun k -> Kv.Incr k) data_gen;
+      ])
+
+let kv_encode = function
+  | Kv.Set (key, value) -> Kv.set_cmd ~key ~value
+  | Kv.Del key -> Kv.del_cmd ~key
+  | Kv.Get key -> Kv.get_cmd ~key
+  | Kv.Incr key -> Kv.incr_cmd ~key
+
+let kv_props =
+  [
+    prop "kv command roundtrips" kv_cmd_gen (fun c ->
+        Kv.decode_cmd (kv_encode c) = Some c);
+    prop "every strict prefix of a kv command is rejected" kv_cmd_gen
+      (fun c ->
+        let s = kv_encode c in
+        let ok = ref true in
+        for len = 0 to String.length s - 1 do
+          if Kv.decode_cmd (String.sub s 0 len) <> None then ok := false
+        done;
+        !ok);
+    prop "kv command trailing garbage is rejected" kv_cmd_gen (fun c ->
+        Kv.decode_cmd (kv_encode c ^ "\x00") = None);
+    prop "kv decode of arbitrary bytes never raises"
+      QCheck.Gen.(string_size (int_bound 64))
+      (fun s -> match Kv.decode_cmd s with Some _ | None -> true);
+  ]
+
 (* --- Rejection: truncation, garbage, hostile input ------------------- *)
 
 (* Every encoding is prefix-free at the top level (length/count prefixes +
@@ -397,6 +436,18 @@ let truncation_props =
 
 let rejection_tests =
   [
+    test "a marshalled blob is not a kv command and leaves the store as is"
+      (fun () ->
+        let blob = Marshal.to_string (1, 2) [] in
+        Alcotest.(check bool) "decode rejects" true (Kv.decode_cmd blob = None);
+        let st, _ = Kv.eval Kv.Machine.initial (Kv.incr_cmd ~key:"c1") in
+        let st', reply = Kv.eval st blob in
+        Alcotest.(check string) "no reply" "" reply;
+        Alcotest.(check (list (pair string string)))
+          "state unchanged" (Kv.bindings st) (Kv.bindings st'));
+    test "Incr on a short key is five bytes" (fun () ->
+        Alcotest.(check int) "tag + length + key" 5
+          (String.length (Kv.incr_cmd ~key:"c12")));
     test "empty buffer is rejected" (fun () ->
         Alcotest.(check bool) "empty" true (P.decode_msg "" = None));
     test "overlong varint is rejected" (fun () ->
@@ -552,4 +603,5 @@ let suite =
   ( "wire",
     rejection_tests @ equivalence_tests
     @ List.map QCheck_alcotest.to_alcotest
-        (roundtrip_props @ audit_props @ envelope_props @ truncation_props) )
+        (roundtrip_props @ audit_props @ envelope_props @ kv_props
+       @ truncation_props) )
