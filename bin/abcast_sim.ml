@@ -12,10 +12,10 @@
                           optional mid-run kill/restart with an
                           exactly-once audit at the end.
    `abcast-sim doctor`  : offline analysis of a live run directory —
-                          merge the per-node crash flight recorders and
-                          metrics snapshots into causal per-trace
-                          timelines, a stage-latency table and anomaly
-                          flags; exits nonzero on anomaly (CI guard). *)
+                          merge the per-node crash flight recorders into
+                          causal per-trace timelines, a stage-latency
+                          table and anomaly flags; exits nonzero on
+                          anomaly (CI guard). *)
 
 module Rng = Abcast_util.Rng
 module Net = Abcast_sim.Net
@@ -358,31 +358,16 @@ let soak_cmd stack consensus window topo n n_bad episodes seed0 =
   if !violations > 0 then exit 1
 
 (* SIGUSR1 = "dump your black box now": persist every node's flight
-   recorder and (when snapshots are being written) append one extra JSONL
-   metrics line, so an operator can interrogate a live cluster without
+   recorder, so an operator can interrogate a live cluster without
    stopping it. *)
-let install_sigusr1 rt metrics_out =
+let install_sigusr1 rt =
   if Sys.os_type = "Unix" then
     ignore
       (Sys.signal Sys.sigusr1
-         (Sys.Signal_handle
-            (fun _ ->
-              Abcast_live.Runtime.request_dump rt;
-              match metrics_out with
-              | Some path ->
-                (try
-                   let oc =
-                     open_out_gen [ Open_append; Open_creat ] 0o644 path
-                   in
-                   output_string oc (Abcast_live.Runtime.json_snapshot rt);
-                   output_char oc '\n';
-                   close_out_noerr oc
-                 with Sys_error _ -> ())
-              | None -> ())))
+         (Sys.Signal_handle (fun _ -> Abcast_live.Runtime.request_dump rt)))
 
 let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
-    fsync metrics_port metrics_interval metrics_out trace_sample
-    dir_opt min_rate =
+    fsync metrics_port trace_sample dir_opt min_rate =
   let consensus = if consensus = "coord" then `Coord else `Paxos in
   let stack_mod =
     make_stack stack consensus 100_000 3 ~window ~topo ~shards
@@ -409,14 +394,14 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
   in
   match
     Abcast_live.Runtime.create stack_mod ~n ~base_port ~dir ~fsync
-      ~on_deliver ?metrics_port ~metrics_interval ?metrics_out ()
+      ~on_deliver ?metrics_port ()
   with
   | exception Unix.Unix_error (e, _, _) ->
     Printf.eprintf "cannot create sockets: %s
 " (Unix.error_message e);
     exit 3
   | live ->
-    install_sigusr1 live metrics_out;
+    install_sigusr1 live;
     Fun.protect ~finally:(fun () -> Abcast_live.Runtime.shutdown live)
     @@ fun () ->
     Printf.printf
@@ -428,11 +413,6 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     | Some p ->
       Printf.printf "metrics: http://127.0.0.1:%d/metrics (Prometheus text)\n"
         p
-    | None -> ());
-    (match metrics_out with
-    | Some f ->
-      Printf.printf "metrics: JSONL snapshots to %s every %.1fs\n" f
-        metrics_interval
     | None -> ());
     let t0 = Unix.gettimeofday () in
     for j = 0 to msgs - 1 do
@@ -550,7 +530,7 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
 
 let service_cmd n shards read_mode clients rate duration write_pct lin_pct
     lease_ms timeout base_port fsync kills seed trace_sample dir_opt
-    metrics_port metrics_out history_out min_rate =
+    metrics_port history_out min_rate =
   let module Service = Abcast_service.Service in
   let module Loadgen = Abcast_service.Loadgen in
   let module Runtime = Abcast_live.Runtime in
@@ -580,7 +560,7 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
   in
   match
     Service.create ~base_port ~dir ~fsync ~trace_sample:(max 0 trace_sample)
-      ?metrics_port ~metrics_interval:1.0 ?metrics_out cfg
+      ?metrics_port cfg
   with
   | exception Unix.Unix_error (e, _, _) ->
     Printf.eprintf "cannot create sockets: %s\n" (Unix.error_message e);
@@ -589,7 +569,7 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
     Fun.protect ~finally:(fun () -> Service.shutdown svc)
     @@ fun () ->
     let rt = Service.runtime svc in
-    install_sigusr1 rt metrics_out;
+    install_sigusr1 rt;
     Service.start svc;
     Printf.printf
       "service: %d processes, %d group(s), reads=%s, %d clients at %.0f \
@@ -857,7 +837,7 @@ let dir_arg =
            the system temp dir). Flight recorders persist to \
            $(docv)/node<i>/flight.bin — point `abcast-sim doctor` here \
            afterwards. Send the process SIGUSR1 to force an immediate \
-           flight + metrics dump on a running cluster."
+           flight dump on a running cluster."
         ~docv:"DIR")
 
 let live_t =
@@ -877,21 +857,6 @@ let live_t =
           ~doc:"serve Prometheus text metrics on 127.0.0.1:$(docv)"
           ~docv:"PORT")
   in
-  let metrics_interval =
-    Arg.(
-      value
-      & opt float 1.0
-      & info [ "metrics-interval" ]
-          ~doc:"seconds between JSONL metric snapshots (with --metrics-out)")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ]
-          ~doc:"append one JSON metrics snapshot per interval to $(docv)"
-          ~docv:"FILE")
-  in
   let min_rate =
     Arg.(
       value
@@ -905,7 +870,7 @@ let live_t =
   Term.(
     const live_cmd $ stack_arg $ consensus_arg $ window_arg $ topo_arg
     $ shards_arg $ partitioned_kv_arg $ n_arg $ msgs $ port $ fsync
-    $ metrics_port $ metrics_interval $ metrics_out $ trace_sample_arg
+    $ metrics_port $ trace_sample_arg
     $ dir_arg $ min_rate)
 
 let service_t =
@@ -983,16 +948,6 @@ let service_t =
           ~doc:"fail (exit 1) if the completed-op rate lands below $(docv)"
           ~docv:"OPS_PER_S")
   in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ]
-          ~doc:
-            "append one JSON metrics snapshot per second to $(docv); the \
-             file rotates by size ($(docv).1 … keep 4)"
-          ~docv:"FILE")
-  in
   let history_out =
     Arg.(
       value
@@ -1020,7 +975,7 @@ let service_t =
     const service_cmd $ n_arg $ shards_arg $ read_mode $ clients $ rate
     $ duration $ write_pct $ lin_pct $ lease_ms $ timeout $ port
     $ fsync $ kills $ seed_arg $ trace_sample_arg $ dir_arg $ metrics_port
-    $ metrics_out $ history_out $ min_rate)
+    $ history_out $ min_rate)
 
 let doctor_t =
   let dir =
@@ -1029,8 +984,8 @@ let doctor_t =
       & opt (some string) None
       & info [ "dir" ]
           ~doc:
-            "run directory to analyze (the --dir of a live/service run): \
-             node<i>/flight.bin dumps plus any .jsonl metrics snapshots"
+            "run directory to analyze (the --dir of a live/service run) \
+             holding the node<i>/flight.bin dumps"
           ~docv:"DIR")
   in
   let verbose =
@@ -1089,14 +1044,14 @@ let cmds =
            ~doc:
              "drive the client service layer (exactly-once sessions, lease \
               reads) under open-loop load on a live cluster; SIGUSR1 dumps \
-              flight recorders + a metrics snapshot without stopping it")
+              the flight recorders without stopping it")
         service_t;
       Cmd.v
         (Cmd.info "doctor"
            ~doc:
              "analyze a live run directory offline: merge per-node flight \
-              dumps and metrics snapshots into causal per-trace timelines, \
-              break latency into stages, and flag protocol anomalies \
+              dumps into causal per-trace timelines, break latency into \
+              stages, and flag protocol anomalies \
               (stuck instances, delivery gaps, dedup violations, lease \
               overlaps); exits non-zero on anomaly for CI use")
         doctor_t;

@@ -3,8 +3,6 @@ module Payload = Abcast_core.Payload
 
 type msg = Data of Payload.t
 
-let pp_msg ppf (Data p) = Format.fprintf ppf "rb(%a)" Payload.pp_id p.id
-
 type t = {
   io : msg Engine.io;
   deliver : Payload.t -> unit;

@@ -11,8 +11,6 @@
 
 type msg
 
-val pp_msg : Format.formatter -> msg -> unit
-
 type t
 
 val create :

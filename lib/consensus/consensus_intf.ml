@@ -58,8 +58,6 @@ module type S = sig
   type msg
   (** Wire messages of this implementation. *)
 
-  val pp_msg : Format.formatter -> msg -> unit
-
   val write_msg : Abcast_util.Wire.writer -> msg -> unit
   (** Binary wire encoding, composed into the enclosing stack's message
       codec (the whole datagram is framed by the outermost layer). *)

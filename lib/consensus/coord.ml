@@ -15,13 +15,6 @@ type msg =
   | Query
   | Decide of { v : value }
 
-let pp_msg ppf = function
-  | Estimate { r; ts; _ } -> Format.fprintf ppf "estimate(r%d,ts%d)" r ts
-  | Proposal { r; _ } -> Format.fprintf ppf "proposal(r%d)" r
-  | Ack { r } -> Format.fprintf ppf "ack(r%d)" r
-  | Query -> Format.fprintf ppf "query"
-  | Decide _ -> Format.fprintf ppf "decide"
-
 module Wire = Abcast_util.Wire
 
 let write_msg w = function

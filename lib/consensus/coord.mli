@@ -15,7 +15,7 @@
     {!Paxos} it demonstrates the paper's claim that the broadcast layer is
     bound to no particular failure-detection mechanism. *)
 
-(** Wire messages, exposed for white-box tests and tracing. *)
+(** Wire messages, exposed for white-box tests. *)
 type msg =
   | Estimate of { r : int; v : Consensus_intf.value; ts : int }
       (** phase 1: member's estimate to round [r]'s coordinator *)

@@ -10,10 +10,6 @@ let truncate_layer = "truncate"
 module Make (C : Consensus_intf.S) = struct
   type msg = Inst of int * C.msg | Truncated of { floor : int }
 
-  let pp_msg ppf = function
-    | Inst (k, m) -> Format.fprintf ppf "[%d]%a" k C.pp_msg m
-    | Truncated { floor } -> Format.fprintf ppf "truncated(<%d)" floor
-
   module Wire = Abcast_util.Wire
 
   let write_msg w = function
@@ -162,24 +158,18 @@ module Make (C : Consensus_intf.S) = struct
     end
 
   (* The pipelined sequencer: instances [committed .. committed+width)
-     may run concurrently; decisions are buffered as they arrive (in any
-     order) and handed to the broadcast layer strictly in instance order
-     through [ready]/[commit]. The cursor is volatile — on recovery the
-     broadcast layer re-derives it from its checkpoint and replays
-     decisions from the stable log, which [ready] falls back to when the
-     volatile buffer has no entry (e.g. right after recovery). *)
+     may run concurrently; decisions land in [decisions_cache] as they
+     arrive (in any order) and are handed to the broadcast layer strictly
+     in instance order through [ready]/[commit]. The cursor is volatile —
+     on recovery the broadcast layer re-derives it from its checkpoint and
+     replays decisions from the stable log, which [decision] falls back
+     to when the cache has no entry (e.g. right after recovery). *)
   module Pipeline = struct
     type multi = t
 
-    type t = {
-      m : multi;
-      width : int;
-      mutable committed : int;
-      decided : (int, value) Hashtbl.t;
-    }
+    type t = { m : multi; width : int; mutable committed : int }
 
-    let attach m ~width =
-      { m; width = max 1 width; committed = 0; decided = Hashtbl.create 16 }
+    let attach m ~width = { m; width = max 1 width; committed = 0 }
 
     let committed p = p.committed
 
@@ -187,23 +177,12 @@ module Make (C : Consensus_intf.S) = struct
 
     let limit p = p.committed + p.width
 
-    let note_decided p k v =
-      if k >= p.committed then Hashtbl.replace p.decided k v
+    let ready p = decision p.m p.committed
 
-    let ready p =
-      match Hashtbl.find_opt p.decided p.committed with
-      | Some _ as r -> r
-      | None -> decision p.m p.committed
-
-    let commit p =
-      Hashtbl.remove p.decided p.committed;
-      p.committed <- p.committed + 1
+    let commit p = p.committed <- p.committed + 1
 
     let seek p k =
       if k > p.committed then begin
-        Hashtbl.filter_map_inplace
-          (fun i v -> if i < k then None else Some v)
-          p.decided;
         p.committed <- k;
         p.m.retired <- max p.m.retired k
       end

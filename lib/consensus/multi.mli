@@ -23,8 +23,6 @@ module Make (C : Consensus_intf.S) : sig
     | Truncated of { floor : int }
         (** "instances below [floor] are gone here; catch up by state" *)
 
-  val pp_msg : Format.formatter -> msg -> unit
-
   val write_msg : Abcast_util.Wire.writer -> msg -> unit
   (** Wire encoding: instance number + the wrapped implementation's
       {!Consensus_intf.S.write_msg}. *)
@@ -76,12 +74,12 @@ module Make (C : Consensus_intf.S) : sig
       durable checkpoint. *)
 
   (** The pipelined sequencer over this instance manager: up to [width]
-      instances in flight at once, decisions buffered out of order and
+      instances in flight at once, decisions arriving out of order and
       committed strictly in instance order. The broadcast layer owns the
       apply side — it calls {!Pipeline.ready}/{!Pipeline.commit} in a
-      drain loop and feeds {!Pipeline.note_decided} from its
-      [on_decide]. The cursor is volatile: recovery re-derives it from
-      the durable checkpoint via {!Pipeline.seek}, and {!Pipeline.ready}
+      drain loop, kicked from its [on_decide]. The cursor is volatile:
+      recovery re-derives it from the durable checkpoint via
+      {!Pipeline.seek}, and {!Pipeline.ready} reads {!decision}, which
       falls back to the stable decision log for instances decided before
       the crash. *)
   module Pipeline : sig
@@ -104,14 +102,9 @@ module Make (C : Consensus_intf.S) : sig
     (** [committed + width], exclusive upper bound on the instances that
         may be proposed to right now. *)
 
-    val note_decided : t -> int -> Consensus_intf.value -> unit
-    (** Buffer a decision that arrived (possibly out of order) so the
-        drain loop can commit it without a storage read. Ignored below
-        the cursor. *)
-
     val ready : t -> Consensus_intf.value option
-    (** The decision of instance [committed], if known — from the
-        volatile buffer or, failing that, the stable decision log. *)
+    (** [decision] of instance [committed], if known — from the volatile
+        decision cache or, failing that, the stable decision log. *)
 
     val commit : t -> unit
     (** Advance the cursor past [committed] (whose decision the caller
@@ -119,7 +112,8 @@ module Make (C : Consensus_intf.S) : sig
 
     val seek : t -> int -> unit
     (** Jump the cursor forward to [k] (state transfer / recovery
-        adopting a checkpoint at round [k]); buffered decisions below
-        [k] are dropped. Never moves backwards. *)
+        adopting a checkpoint at round [k]); instances below [k] are
+        retired, so their pending timers no longer fire. Never moves
+        backwards. *)
   end
 end

@@ -21,19 +21,6 @@ type msg =
   | Query
   | Decide of { v : value }
 
-let pp_msg ppf = function
-  | Prepare { b } -> Format.fprintf ppf "prepare(%d)" b
-  | Promise { b; accepted; above } ->
-    Format.fprintf ppf "promise(%d,%s%s)" b
-      (match accepted with None -> "-" | Some (ab, _) -> Printf.sprintf "acc@%d" ab)
-      (String.concat ""
-         (List.map (fun (j, ab) -> Printf.sprintf ",[%d]@%d" j ab) above))
-  | Reject { b } -> Format.fprintf ppf "reject(%d)" b
-  | Accept { b; _ } -> Format.fprintf ppf "accept(%d)" b
-  | Accepted { b } -> Format.fprintf ppf "accepted(%d)" b
-  | Query -> Format.fprintf ppf "query"
-  | Decide _ -> Format.fprintf ppf "decide"
-
 module Wire = Abcast_util.Wire
 
 let write_accepted w (b, v) =

@@ -33,7 +33,7 @@
     term adds a promise write per acceptor for its first instance, plus
     the node-wide promise. *)
 
-(** Wire messages, exposed for white-box tests and tracing. *)
+(** Wire messages, exposed for white-box tests. *)
 type msg =
   | Prepare of { b : int }  (** phase 1a *)
   | Promise of {

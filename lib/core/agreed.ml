@@ -70,8 +70,6 @@ let chain_at (t : t) pos =
   else if pos = t.base_len then Some t.base_chain
   else Audit.hash_at t.window ~pos
 
-let chain_window (t : t) = t.window
-
 let tail (t : t) = List.rev t.tail_rev
 
 let vc (t : t) = t.vc
@@ -184,8 +182,3 @@ let read_repr rd =
   let vc = Vclock.read rd in
   let tail = Wire.read_list Payload.read rd in
   { base_app; base_len; base_chain; vc; tail }
-
-let pp ppf (t : t) =
-  Format.fprintf ppf "agreed<base:%d%s tail:%d>" t.base_len
-    (match t.base_app with Some _ -> "(app)" | None -> "")
-    t.tail_len

@@ -56,9 +56,6 @@ val chain_at : t -> int -> int option
     the frontier and the base are always known; intermediate positions
     come from a fixed window of the last 1024 (O(1) lookup). *)
 
-val chain_window : t -> Audit.window
-(** The underlying window, for certificate checks. *)
-
 val tail : t -> Payload.t list
 (** The explicit tail, in delivery order. *)
 
@@ -100,5 +97,3 @@ val adopt :
 val write_repr : Abcast_util.Wire.writer -> repr -> unit
 
 val read_repr : Abcast_util.Wire.reader -> repr
-
-val pp : Format.formatter -> t -> unit

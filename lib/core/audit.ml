@@ -91,6 +91,3 @@ let check w (c : cert) : verdict =
   match hash_at w ~pos:c.c_len with
   | None -> `Unknown
   | Some h -> if h = c.c_hash then `Match else `Mismatch
-
-let pp_cert ppf (c : cert) =
-  Format.fprintf ppf "cert<boot:%d len:%d hash:%x>" c.c_boot c.c_len c.c_hash

@@ -53,5 +53,3 @@ val check : window -> cert -> verdict
 (** Compare a received certificate against our own window. [`Unknown]
     when the certificate's position is outside the window — no evidence
     either way. [`Mismatch] is a total-order violation. *)
-
-val pp_cert : Format.formatter -> cert -> unit

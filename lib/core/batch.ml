@@ -33,8 +33,6 @@ let encode payloads : Abcast_consensus.Consensus_intf.value =
     Wire.contents scratch
   end
 
-let encode_sorted = encode_into
-
 (* Bounded variant for adaptive batching: the batch is the whole sorted
    backlog, cut at a payload boundary once the encoded bodies exceed
    [max_bytes]. Bodies go through a second scratch writer so the count

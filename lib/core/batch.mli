@@ -8,13 +8,6 @@
 
 val encode : Payload.t list -> Abcast_consensus.Consensus_intf.value
 
-val encode_sorted : Payload.t list -> Abcast_consensus.Consensus_intf.value
-(** Like {!encode} but the caller guarantees the list is already sorted
-    by identity and duplicate-free (e.g. it came out of the protocol's
-    incrementally sorted [Unordered] structure) — skips the O(n log n)
-    re-sort on the proposal hot path. Encodings are interchangeable with
-    {!encode}'s for such inputs. *)
-
 val encode_sorted_bounded :
   max_bytes:int ->
   Payload.t list ->
@@ -26,7 +19,7 @@ val encode_sorted_bounded :
     later instance. Because the cut respects identity order, [included]
     carries a contiguous per-stream prefix of the backlog, which is what
     keeps pipelined decisions appendable in FIFO order. The encoding of
-    a fully-included list is byte-identical to {!encode_sorted}'s. *)
+    a fully-included list is byte-identical to {!encode}'s. *)
 
 val decode : Abcast_consensus.Consensus_intf.value -> Payload.t list
 (** Inverse of {!encode}; the result is sorted by identity. Only for

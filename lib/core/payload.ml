@@ -34,8 +34,6 @@ let make ?(trace = Trace_ctx.none) id data = { id; data; trace }
 
 let compare a b = compare_id a.id b.id
 
-let pp ppf t = Format.fprintf ppf "%a(%d bytes)" pp_id t.id (String.length t.data)
-
 (* The protocol's own batches are built from the identity-ordered
    Unordered map, so they arrive here already sorted and duplicate-free:
    detect that in one O(n) pass and skip the sort + rebuild. *)

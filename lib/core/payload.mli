@@ -34,8 +34,6 @@ val make : ?trace:Trace_ctx.t -> id -> string -> t
 val compare : t -> t -> int
 (** Orders by {!compare_id} (payload bytes never influence order). *)
 
-val pp : Format.formatter -> t -> unit
-
 val sort_batch : t list -> t list
 (** Sort a decided batch by identity and drop duplicate identities — the
     deterministic insertion rule of Fig. 2. *)

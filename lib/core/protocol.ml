@@ -2,6 +2,7 @@ module Engine = Abcast_sim.Engine
 module Storage = Abcast_sim.Storage
 module Flight = Abcast_sim.Flight
 module Metrics = Abcast_sim.Metrics
+module Histogram = Abcast_util.Histogram
 module Heartbeat = Abcast_fd.Heartbeat
 module Omega = Abcast_fd.Omega
 
@@ -164,18 +165,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         (** payload batch travelling around the ring; each entry carries
             its remaining hop count *)
 
-  let pp_msg ppf = function
-    | Gossip { k; len; unordered; cert = _ } ->
-      Format.fprintf ppf "gossip(k%d,len%d,|U|=%d)" k len (List.length unordered)
-    | Digest { k; len; summary; cert = _ } ->
-      Format.fprintf ppf "digest(k%d,len%d,|S|=%d)" k len (List.length summary)
-    | Need { ids } -> Format.fprintf ppf "need(|ids|=%d)" (List.length ids)
-    | State { k; _ } -> Format.fprintf ppf "state(k%d)" k
-    | Cons m -> M.pp_msg ppf m
-    | Fd m -> Heartbeat.pp_msg ppf m
-    | Ring { k; len; entries } ->
-      Format.fprintf ppf "ring(k%d,len%d,|E|=%d)" k len (List.length entries)
-
   (* --- Wire codec --------------------------------------------------- *)
 
   let write_summary_entry w (origin, boot, smax) =
@@ -267,12 +256,13 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let decode_msg s = Wire.of_string_opt read_msg s
 
   (* One-slot memo keyed by physical equality: a multisend hands the same
-     message value to [Engine.transmit] once per destination, and byte
-     accounting used to re-serialize it every time. Protocol-level byte
-     accounting (gossip) warms the slot, the engine then hits it n times.
-     Each call to [make_msg_size] builds an independent memo (own slot,
-     own scratch buffer): nodes of one simulation must not evict each
-     other's entry between a warm-up and its reuse. *)
+     message value to [Engine.transmit] once per destination, so the
+     first transmit serializes it and the other n-1 hit the slot. Each
+     call to [make_msg_size] builds an independent memo (own slot, own
+     scratch buffer) so consumers never evict each other's entry: the
+     engine reads the stack-level [msg_size] below, while each node's
+     own accounting (gossip, state bytes) goes through its [t.size] — it
+     does not warm the slot the engine reads. *)
   let make_msg_size () =
     let memo : (msg * int) option ref = ref None in
     let scratch = Wire.writer ~cap:256 () in
@@ -287,8 +277,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         s
 
   (* The engine-facing instance (one per stack value, fed to
-     [Engine.create]); each node additionally carries its own in
-     [t.size]. *)
+     [Engine.create]). *)
   let msg_size = make_msg_size ()
 
   (* Lifecycle record of one locally-broadcast message, from A-broadcast
@@ -316,9 +305,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     h_rx_ring : Metrics.handle;
     h_gossip_msgs : Metrics.handle;
     h_gossip_bytes : Metrics.handle;
-    s_lat_deliver : Metrics.series;
-    s_stage_b2p : Metrics.series;
-    s_stage_p2d : Metrics.series;
+    s_lat_deliver : Histogram.t;
+    s_stage_b2p : Histogram.t;
+    s_stage_p2d : Histogram.t;
   }
 
   type node = {
@@ -556,10 +545,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | Some pe ->
       Ptbl.remove t.pending p.id;
       let now = t.io.now () in
-      Metrics.sobserve t.mh.s_lat_deliver (float_of_int (now - pe.p_t0));
+      Histogram.add t.mh.s_lat_deliver (float_of_int (now - pe.p_t0));
       if pe.p_proposed >= 0 then
-        Metrics.sobserve t.mh.s_stage_p2d
-          (float_of_int (now - pe.p_proposed));
+        Histogram.add t.mh.s_stage_p2d (float_of_int (now - pe.p_proposed));
       (match pe.p_cb with Some f -> f p.id | None -> ())
     | None -> ());
     unordered_remove t p.id;
@@ -627,7 +615,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         match Ptbl.find_opt t.pending p.id with
         | Some pe when pe.p_proposed < 0 ->
           pe.p_proposed <- now;
-          Metrics.sobserve t.mh.s_stage_b2p (float_of_int (now - pe.p_t0))
+          Histogram.add t.mh.s_stage_b2p (float_of_int (now - pe.p_t0))
         | _ -> ())
       batch;
     if Flight.enabled t.io.flight then begin
@@ -1095,9 +1083,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           with_t (fun t ->
               flight t ~stage:Flight.decide ~trace:0 ~a:k
                 ~b:(String.length v);
-              (* Buffer out-of-order decisions; only a decision at the
+              (* Multi caches every decision before this upcall, so an
+                 out-of-order one waits there; only a decision at the
                  cursor lets the drain loop make progress. *)
-              M.Pipeline.note_decided t.pipe k v;
               if k = committed t then drain_decisions t))
         ~on_lag:(fun floor ->
           with_t (fun t ->
@@ -1121,13 +1109,11 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         h_rx_ring = h "rx.ring";
         h_gossip_msgs = h "gossip_msgs_sent";
         h_gossip_bytes = h "gossip_bytes_sent";
-        s_lat_deliver = Metrics.series_handle metrics ~node:self "lat_deliver";
+        s_lat_deliver = Metrics.hist metrics ~node:self "lat_deliver";
         s_stage_b2p =
-          Metrics.series_handle metrics ~node:self
-            "stage.broadcast_to_propose_us";
+          Metrics.hist metrics ~node:self "stage.broadcast_to_propose_us";
         s_stage_p2d =
-          Metrics.series_handle metrics ~node:self
-            "stage.propose_to_adeliver_us";
+          Metrics.hist metrics ~node:self "stage.propose_to_adeliver_us";
       }
     in
     let t =

@@ -165,8 +165,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
             digest/pull gossip underneath — see DESIGN.md "Dissemination
             topologies". *)
 
-  val pp_msg : Format.formatter -> msg -> unit
-
   val write_msg : Abcast_util.Wire.writer -> msg -> unit
   (** Wire encoding of the whole stack's messages (one leading tag byte,
       then the constructor's fields — see DESIGN.md "Wire format"). *)
@@ -181,17 +179,11 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
   (** Total decoder for untrusted input (network datagrams): [None] on
       any malformation, including trailing bytes. *)
 
-  val make_msg_size : unit -> msg -> int
-  (** A fresh size function with its own one-slot memo (keyed by physical
-      equality) and scratch buffer: a multisend re-accounting the same
-      message for every destination serializes it once. Per-consumer so
-      that interleaved nodes of one simulation don't evict each other's
-      slot. *)
-
   val msg_size : msg -> int
-  (** Exact wire size in bytes, for network accounting — a shared
-      [make_msg_size ()] instance for engine-level accounting (one
-      consumer per simulation). *)
+  (** Exact wire size in bytes, for engine-level network accounting (one
+      consumer per simulation). A one-slot memo keyed by physical
+      equality: a multisend re-accounting the same message for every
+      destination serializes it once. *)
 
   type t
   (** Per-process protocol state (one value per incarnation). *)

@@ -57,10 +57,3 @@ let read r =
       ((o, b), s))
     r
   |> of_streams
-
-let pp ppf t =
-  Format.fprintf ppf "{";
-  List.iter
-    (fun ((o, b), s) -> Format.fprintf ppf " p%d.%d<=%d" o b s)
-    (streams t);
-  Format.fprintf ppf " }"

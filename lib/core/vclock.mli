@@ -45,5 +45,3 @@ val of_streams : ((int * int) * int) list -> t
 val write : Abcast_util.Wire.writer -> t -> unit
 
 val read : Abcast_util.Wire.reader -> t
-
-val pp : Format.formatter -> t -> unit

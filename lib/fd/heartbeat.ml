@@ -2,8 +2,6 @@ module Engine = Abcast_sim.Engine
 
 type msg = Beat of { epoch : int }
 
-let pp_msg ppf (Beat { epoch }) = Format.fprintf ppf "beat(e%d)" epoch
-
 module Wire = Abcast_util.Wire
 
 let write_msg w (Beat { epoch }) = Wire.write_varint w epoch

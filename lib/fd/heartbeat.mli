@@ -17,9 +17,7 @@
 
 type msg = Beat of { epoch : int }
 (** Wire messages (heartbeats) — exposed for white-box tests (codec
-    round-trips) and tracing. *)
-
-val pp_msg : Format.formatter -> msg -> unit
+    round-trips). *)
 
 val write_msg : Abcast_util.Wire.writer -> msg -> unit
 (** Wire encoding (one varint: the sender's epoch). *)

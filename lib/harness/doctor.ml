@@ -1,8 +1,7 @@
 (* Offline trace analyzer behind [abcast-sim doctor].
 
    Input is a live run directory: per-node flight-recorder dumps
-   ([node<i>/flight.bin], written by the runtime next to each WAL) plus
-   any JSONL metrics snapshot files the run left at the top level. The
+   ([node<i>/flight.bin], written by the runtime next to each WAL). The
    analyzer merges every node's events into one timeline (the live
    runtime stamps all flight events against one shared epoch, so
    cross-node times are directly comparable), reconstructs the causal
@@ -74,7 +73,6 @@ type report = {
   recoveries : recovery list;
   audit : audit_summary option;  (* Some when [analyze ~audit:true] ran *)
   anomalies : anomaly list;
-  snapshots : int;  (* JSONL metrics lines merged *)
   notes : string list;
 }
 
@@ -95,31 +93,6 @@ let list_node_dumps dir =
     |> List.sort compare
   | exception Sys_error _ -> []
 
-(* Snapshot streams rotate by size: [m.jsonl.3] is older than
-   [m.jsonl.1] is older than the live [m.jsonl]. Parse the generation so
-   the merged listing reads oldest-first. *)
-let jsonl_generation e =
-  if Filename.check_suffix e ".jsonl" then Some (e, 0)
-  else
-    match String.rindex_opt e '.' with
-    | Some i -> (
-      let base = String.sub e 0 i in
-      match int_of_string_opt (String.sub e (i + 1) (String.length e - i - 1)) with
-      | Some g when g > 0 && Filename.check_suffix base ".jsonl" ->
-        Some (base, g)
-      | _ -> None)
-    | None -> None
-
-let list_jsonl dir =
-  match Sys.readdir dir with
-  | entries ->
-    Array.to_list entries
-    |> List.filter_map (fun e ->
-           Option.map (fun (base, gen) -> ((base, -gen), e)) (jsonl_generation e))
-    |> List.sort compare
-    |> List.map (fun (_, e) -> Filename.concat dir e)
-  | exception Sys_error _ -> []
-
 let list_histories dir =
   match Sys.readdir dir with
   | entries ->
@@ -128,20 +101,6 @@ let list_histories dir =
     |> List.map (Filename.concat dir)
     |> List.sort compare
   | exception Sys_error _ -> []
-
-let count_lines path =
-  try
-    let ic = open_in path in
-    let n = ref 0 in
-    (try
-       while true do
-         ignore (input_line ic);
-         incr n
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
-  with Sys_error _ -> 0
 
 (* ---- analysis ------------------------------------------------------- *)
 
@@ -717,9 +676,6 @@ let analyze ?(max_traces = 64) ?(audit = false) ~dir () =
                 | _ -> ())
             d.Flight.d_events)
         loaded;
-      let snapshots =
-        List.fold_left (fun acc p -> acc + count_lines p) 0 (list_jsonl dir)
-      in
       Ok
         {
           dir;
@@ -733,7 +689,6 @@ let analyze ?(max_traces = 64) ?(audit = false) ~dir () =
           recoveries;
           audit = audit_summary;
           anomalies = List.rev !anomalies;
-          snapshots;
           notes = List.rev !notes;
         }
     end
@@ -825,10 +780,9 @@ let render ?(verbose = false) r =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "doctor: %s\n" r.dir;
-  pf "  dumps: nodes [%s], %d events (%d overwritten in rings), %d metrics \
-      snapshot lines\n"
+  pf "  dumps: nodes [%s], %d events (%d overwritten in rings)\n"
     (String.concat ";" (List.map string_of_int r.nodes))
-    r.events r.dropped r.snapshots;
+    r.events r.dropped;
   List.iter (fun (i, n) -> if n > 1 then pf "  node %d: %d boots\n" i n) r.boots;
   List.iter (fun n -> pf "  note: %s\n" n) r.notes;
   pf "  traces: %d sampled, %d fully reconstructed\n" (List.length r.traces)

@@ -1,12 +1,11 @@
 (** Offline causal trace analyzer ([abcast-sim doctor]).
 
     Merges the per-node flight-recorder dumps of a live run directory
-    ([node<i>/flight.bin], see {!Abcast_sim.Flight}) with any JSONL
-    metrics snapshots next to them, reconstructs the cross-node causal
-    timeline of every sampled broadcast (submit → broadcast →
-    dissemination hops → propose/decide → apply → ack), breaks the
-    latency into per-stage components, and cross-checks the merged
-    history for protocol anomalies:
+    ([node<i>/flight.bin], see {!Abcast_sim.Flight}), reconstructs the
+    cross-node causal timeline of every sampled broadcast (submit →
+    broadcast → dissemination hops → propose/decide → apply → ack),
+    breaks the latency into per-stage components, and cross-checks the
+    merged history for protocol anomalies:
 
     - [stuck-instance] — a consensus instance proposed but never decided
       anywhere while later instances of its group did decide;
@@ -89,7 +88,6 @@ type report = {
   recoveries : recovery list;
   audit : audit_summary option;
   anomalies : anomaly list;
-  snapshots : int;
   notes : string list;
 }
 

@@ -628,37 +628,6 @@ let prometheus t =
   List.iter (fun f -> f buf) (List.rev t.prom_extra);
   Buffer.contents buf
 
-(* One JSONL snapshot line: counters and histogram summaries per node. *)
-let json_snapshot t =
-  let node_json i =
-    match call t i snapshot with
-    | None -> Printf.sprintf {|{"node":%d,"up":false}|} i
-    | Some (ctrs, hists) ->
-      let cjson =
-        ctrs
-        |> List.sort compare
-        |> List.map (fun ((_, name), v) -> Printf.sprintf {|"%s":%d|} name v)
-        |> String.concat ","
-      in
-      let hjson =
-        hists
-        |> List.filter (fun (_, h) -> Histogram.count h > 0)
-        |> List.sort compare
-        |> List.map (fun ((_, name), h) ->
-               let s = Histogram.summary h in
-               Printf.sprintf
-                 {|"%s":{"count":%d,"mean":%.3f,"min":%.3f,"p50":%.3f,"p95":%.3f,"p99":%.3f,"max":%.3f}|}
-                 name s.Histogram.count s.mean s.min s.p50 s.p95 s.p99 s.max)
-        |> String.concat ","
-      in
-      Printf.sprintf
-        {|{"node":%d,"up":true,"counters":{%s},"histograms":{%s}}|} i cjson
-        hjson
-  in
-  Printf.sprintf {|{"ts":%.3f,"nodes":[%s]}|}
-    (Unix.gettimeofday () -. t.epoch)
-    (String.concat "," (List.map node_json (List.init t.n Fun.id)))
-
 (* Blocking single-threaded HTTP/1.0 responder: accept, best-effort read
    of the request, answer with the full dump, close. Plenty for a
    scraper on localhost. The loop never parks in accept(2) — closing an
@@ -720,67 +689,10 @@ let serve_metrics t port =
   in
   t.metrics_threads <- th :: t.metrics_threads
 
-(* Size-based rotation for the JSONL snapshot stream: when the live file
-   crosses [snapshot_rotate_bytes], it becomes [path.1] (shifting path.k
-   to path.k+1 and dropping path.<snapshot_keep>), so a long-lived
-   service bounds its snapshot footprint at ~5 x 4 MiB. The doctor reads
-   the rotated files oldest-first. *)
-let snapshot_rotate_bytes = 4 * 1024 * 1024
-let snapshot_keep = 4
-
-let rotate_snapshots path =
-  let numbered k = path ^ "." ^ string_of_int k in
-  (try Sys.remove (numbered snapshot_keep) with Sys_error _ -> ());
-  for k = snapshot_keep - 1 downto 1 do
-    if Sys.file_exists (numbered k) then (
-      try Sys.rename (numbered k) (numbered (k + 1)) with Sys_error _ -> ())
-  done;
-  try Sys.rename path (numbered 1) with Sys_error _ -> ()
-
-let snapshot_loop t interval path =
-  let th =
-    Thread.create
-      (fun () ->
-        let open_file () = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-        let oc = ref (open_file ()) in
-        let emit () =
-          try
-            output_string !oc (json_snapshot t);
-            output_char !oc '\n';
-            flush !oc;
-            if pos_out !oc > snapshot_rotate_bytes then begin
-              close_out_noerr !oc;
-              rotate_snapshots path;
-              oc := open_file ()
-            end
-          with Sys_error _ -> ()
-        in
-        let rec loop () =
-          if not t.metrics_stop then begin
-            let target = Unix.gettimeofday () +. interval in
-            while (not t.metrics_stop) && Unix.gettimeofday () < target do
-              Thread.delay 0.02
-            done;
-            if not t.metrics_stop then begin
-              emit ();
-              loop ()
-            end
-          end
-        in
-        loop ();
-        (* final snapshot at shutdown: [shutdown] joins this thread
-           before crashing the nodes, so the tables are still live and
-           even a run shorter than one interval leaves one line *)
-        emit ();
-        close_out_noerr !oc)
-      ()
-  in
-  t.metrics_threads <- th :: t.metrics_threads
-
 let create proto ~n ?(base_port = 7400) ?dir ?backend:(_ : [ `Wal ] = `Wal)
     ?(fsync = Abcast_store.Durable.Every { ops = 64; ms = 20 })
     ?(flight_cap = 8192) ?(on_deliver = fun ~node:_ ~group:_ _ -> ())
-    ?metrics_port ?(metrics_interval = 1.0) ?metrics_out () =
+    ?metrics_port () =
   let t =
     make proto ~n ~base_port ~dir ~fsync ~flight_cap ~on_deliver ()
   in
@@ -796,9 +708,6 @@ let create proto ~n ?(base_port = 7400) ?dir ?backend:(_ : [ `Wal ] = `Wal)
       done)
     t.nodes;
   (match metrics_port with Some port -> serve_metrics t port | None -> ());
-  (match metrics_out with
-  | Some path -> snapshot_loop t metrics_interval path
-  | None -> ());
   t
 
 let n t = t.n

@@ -61,8 +61,6 @@ val create :
   ?flight_cap:int ->
   ?on_deliver:(node:int -> group:int -> Abcast_core.Payload.t -> unit) ->
   ?metrics_port:int ->
-  ?metrics_interval:float ->
-  ?metrics_out:string ->
   unit ->
   t
 (** Bind one UDP socket per process on [127.0.0.1:base_port+i] (default
@@ -85,12 +83,8 @@ val create :
 
     With [metrics_port], a background thread serves the {!prometheus}
     dump over HTTP on [127.0.0.1:metrics_port] (one blocking request at
-    a time — built for a scraper, not a crowd). With [metrics_out], a
-    second thread appends one JSON snapshot line to that file every
-    [metrics_interval] seconds (default 1.0); when the file crosses
-    4 MiB it is rotated to [<file>.1] (shifting older rotations up,
-    keeping at most 4 of them), so a long-lived service bounds its
-    snapshot footprint. Both threads are joined by {!shutdown}.
+    a time — built for a scraper, not a crowd); {!shutdown} joins it.
+    This is the one live metrics export.
 
     @raise Unix.Unix_error if sockets cannot be created (callers may want
     to skip live tests in restricted environments). *)
@@ -103,7 +97,7 @@ val shards : t -> int
 
 val now_us : t -> int
 (** Microseconds since the runtime was created — the clock flight events
-    and JSONL snapshot timestamps are stamped with. *)
+    are stamped with. *)
 
 val flight : t -> int -> Abcast_sim.Flight.t
 (** Process [i]'s flight recorder ({!Abcast_sim.Flight.disabled} when
@@ -193,11 +187,6 @@ val prometheus : t -> string
     into a [group] label ([{node="0",group="2"}]) so each base series
     keeps one [# HELP]/[# TYPE]; single-group output is unchanged.
     This is the payload the [metrics_port] endpoint serves. *)
-
-val json_snapshot : t -> string
-(** One snapshot line of the [metrics_out] JSONL stream: a JSON object
-    with the run-relative timestamp and, per node, counters and
-    histogram summaries. *)
 
 val shutdown : t -> unit
 (** Crash everything and close all sockets. The runtime is unusable

@@ -181,7 +181,7 @@ let on_payload cfg fronts ~flight ~now ~node ~group (pl : Abcast_core.Payload.t)
   | None -> ()
 
 let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
-    ?metrics_port ?metrics_interval ?metrics_out (cfg : config) =
+    ?metrics_port (cfg : config) =
   if cfg.n < 1 then invalid_arg "Service.create: n >= 1";
   if cfg.shards < 1 then invalid_arg "Service.create: shards >= 1";
   let lease_s = cfg.lease_ms /. 1000. in
@@ -235,7 +235,7 @@ let create ?base_port ?dir ?backend ?fsync ?(trace_sample = 0) ?flight_cap
   let now_ref = ref (fun () -> 0) in
   let rt =
     Runtime.create stack ~n:cfg.n ?base_port ?dir ?backend ?fsync ?flight_cap
-      ?metrics_port ?metrics_interval ?metrics_out
+      ?metrics_port
       ~on_deliver:(fun ~node ~group pl ->
         on_payload cfg fronts ~flight:!flight_ref ~now:!now_ref ~node ~group pl)
       ()

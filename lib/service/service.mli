@@ -42,15 +42,12 @@ val create :
   ?trace_sample:int ->
   ?flight_cap:int ->
   ?metrics_port:int ->
-  ?metrics_interval:float ->
-  ?metrics_out:string ->
   config ->
   t
 (** Build the {!Abcast_core.Protocol.throughput} stack (sharded when
     [shards > 1]) with the session machines wired in as group app
     state, and start the live cluster. [dir]/[backend]/[fsync]/
-    [flight_cap]/[metrics_port]/[metrics_interval]/[metrics_out] (JSONL
-    snapshots with size-based rotation) as in
+    [flight_cap]/[metrics_port] as in
     {!Abcast_live.Runtime.create} (the Prometheus dump additionally
     carries this layer's [abcast_service_request_us] per-class
     histograms, labelled [class="write"|"lin"|"stale"] and by shard

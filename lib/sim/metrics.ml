@@ -114,14 +114,9 @@ let cell t node name =
 
 let observe t ~node name v = Histogram.add (cell t node name) v
 
-(* Interned series handles, the [observe] analogue of counter [handle]s:
-   per-message paths resolve the cell once and then record samples
+(* Interned series, the [observe] analogue of counter [handle]s:
+   per-message paths resolve the cell once and then [Histogram.add]
    without the (node, name) tuple allocation and string hashing. *)
-
-type series = Histogram.t
-
-let series_handle t ~node name = cell t node name
-let sobserve = Histogram.add
 let hist t ~node name = cell t node name
 
 let histogram t name =

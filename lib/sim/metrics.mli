@@ -78,24 +78,12 @@ val sum_prefix : t -> string -> int
 val observe : t -> node:int -> string -> float -> unit
 (** Record one sample in a named series' histogram. *)
 
-type series
-(** A pre-resolved series: like {!handle} but for {!observe}. Hot paths
-    resolve the [(node, name)] cell once and record samples through it
-    without per-sample hashing. Samples recorded this way are
-    indistinguishable from [observe]d ones, and the cell stays attached
-    across {!reset}. *)
-
-val series_handle : t -> node:int -> string -> series
-(** Resolve (creating if needed) the series [(node, name)]. *)
-
-val sobserve : series -> float -> unit
-(** Record one sample through a handle. *)
-
 val hist : t -> node:int -> string -> Abcast_util.Histogram.t
 (** The live histogram backing the series [(node, name)], creating the
-    series if needed. Like {!handle} for counters: resolve once, then
-    [Histogram.add] directly on hot paths, like {!sobserve}. Stays
-    attached across {!reset}. *)
+    series if needed. Like {!handle} for counters: hot paths resolve
+    once, then [Histogram.add] directly without per-sample hashing;
+    samples recorded this way are indistinguishable from [observe]d
+    ones. Stays attached across {!reset}. *)
 
 val mean : t -> string -> float
 (** Exact mean of a series across nodes ([nan] if empty). *)

@@ -171,8 +171,3 @@ let buckets (t : t) =
     end
   done;
   !acc
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.1f min=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f" s.count
-    s.mean s.min s.p50 s.p95 s.p99 s.max

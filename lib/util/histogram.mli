@@ -81,5 +81,3 @@ val buckets : t -> (float * int) list
 val bucket_error : float
 (** The documented relative error bound of bucket-midpoint estimates:
     √γ − 1 ≈ 0.0198. *)
-
-val pp_summary : Format.formatter -> summary -> unit

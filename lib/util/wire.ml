@@ -80,8 +80,6 @@ let write_uvarint w n =
   if n < 0 then invalid_arg "Wire.write_uvarint: negative";
   write_uvarint_fast w n
 
-let write_bool w b = write_u8 w (if b then 1 else 0)
-
 let write_string w s =
   let len = String.length s in
   write_uvarint_fast w len;
@@ -183,12 +181,6 @@ let[@inline] read_uvarint r =
   let n = read_raw_varint r in
   if n < 0 then error "negative length";
   n
-
-let read_bool r =
-  match read_u8 r with
-  | 0 -> false
-  | 1 -> true
-  | t -> error "bad bool tag %d" t
 
 let read_string r =
   let len = read_uvarint r in

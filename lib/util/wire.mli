@@ -98,8 +98,6 @@ val write_uvarint : writer -> int -> unit
 (** Non-negative integer (lengths, counts), plain LEB128.
     @raise Invalid_argument on a negative argument (writer bug). *)
 
-val write_bool : writer -> bool -> unit
-
 val write_string : writer -> string -> unit
 (** Length-prefixed bytes. *)
 
@@ -155,8 +153,6 @@ val read_u8 : reader -> int
 val read_varint : reader -> int
 
 val read_uvarint : reader -> int
-
-val read_bool : reader -> bool
 
 val read_string : reader -> string
 

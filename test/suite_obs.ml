@@ -1,6 +1,7 @@
 (* Observability layer tests: log-bucketed histogram accuracy and edge
    cases, the Chrome-trace export built from Flight events, the
-   instrumented lifecycle stages, and the live Prometheus endpoint. *)
+   instrumented lifecycle stages, the live Prometheus endpoint and the
+   on-demand flight dump. *)
 
 open Helpers
 module Histogram = Abcast_util.Histogram
@@ -574,6 +575,50 @@ let live_tests =
           let direct = Live.prometheus live in
           Alcotest.(check bool) "direct render parses too" true
             (List.for_all prom_line_ok (String.split_on_char '\n' direct)));
+    slow_test "live: request_dump persists every node's flight recorder"
+      (fun () ->
+        with_dir @@ fun base ->
+        match
+          Live.create (Factory.make Protocol.paper_basic) ~n:3 ~base_port:7481
+            ~dir:base ()
+        with
+        | exception Unix.Unix_error (err, _, _) ->
+          Printf.printf "skipping live dump test: %s\n"
+            (Unix.error_message err)
+        | live ->
+          Fun.protect ~finally:(fun () -> Live.shutdown live) @@ fun () ->
+          for j = 0 to 5 do
+            Live.broadcast live ~node:(j mod 3) (Printf.sprintf "m%d" j)
+          done;
+          Live.request_dump live;
+          (* The periodic dump fires a second after each loop starts; a
+             0.5 s window only the on-demand path can meet. *)
+          let has_boot i =
+            let path =
+              Filename.concat
+                (Filename.concat base (Printf.sprintf "node%d" i))
+                "flight.bin"
+            in
+            match Flight.load_file path with
+            | Ok d ->
+              List.exists
+                (fun (e : Flight.event) -> e.e_stage = Flight.boot)
+                d.Flight.d_events
+            | Error _ -> false
+          in
+          let deadline = Unix.gettimeofday () +. 0.5 in
+          while
+            (not (List.for_all has_boot [ 0; 1; 2 ]))
+            && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.01
+          done;
+          List.iter
+            (fun i ->
+              Alcotest.(check bool)
+                (Printf.sprintf "node%d/flight.bin holds its boot" i)
+                true (has_boot i))
+            [ 0; 1; 2 ]);
   ]
 
 (* ---- flight recorder (PR 9) ---- *)
@@ -788,22 +833,6 @@ let doctor_tests =
             match Doctor.analyze ~dir:base () with
             | Error _ -> ()
             | Ok _ -> Alcotest.fail "accepted empty directory"));
-    test "doctor: merges rotated .jsonl.N snapshot files" (fun () ->
-        with_dir (fun base ->
-            Array.iteri (fun i fl -> write_dump base i fl) (healthy_cluster ());
-            let put name lines =
-              let oc = open_out (Filename.concat base name) in
-              List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-              close_out oc
-            in
-            put "m.jsonl" [ "{}"; "{}" ];
-            put "m.jsonl.1" [ "{}"; "{}"; "{}" ];
-            put "m.jsonl.2" [ "{}" ];
-            match Doctor.analyze ~dir:base () with
-            | Error e -> Alcotest.failf "analyze failed: %s" e
-            | Ok r ->
-              Alcotest.(check int) "all generations counted" 6
-                r.Doctor.snapshots));
     test "doctor: surfaces per-node flight-ring drops" (fun () ->
         let fls = healthy_cluster () in
         (* overflow node 2's ring so its early history is overwritten *)
