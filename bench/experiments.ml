@@ -847,8 +847,8 @@ let e13 () =
     {
       Table.title =
         "E13: received-message anatomy (share per layer; gossip covers full \
-         sets, digests and Need pulls; heartbeats are the fixed background, \
-         consensus scales with rounds)";
+         sets, digests and Need pulls; heartbeats only fill silence and \
+         refresh epochs, consensus scales with rounds)";
       header =
         [ "stack"; "msgs"; "rx total"; "% consensus"; "% gossip"; "% fd";
           "% state" ];

@@ -104,6 +104,12 @@ module type S = sig
   val decision : t -> value option
   (** The decided value, if known here. *)
 
+  val probe : t -> unit
+  (** Ask the peers for the decision now, if it is not known here: the
+      caller has evidence that it was reached elsewhere (the broadcast
+      layer calls it when a peer's commit cursor is past the instance).
+      A decided peer answers with its decision. *)
+
   val handle : t -> src:int -> msg -> unit
   (** Feed an incoming message. *)
 end

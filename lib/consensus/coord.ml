@@ -80,6 +80,9 @@ type t = {
   mutable timer_round : int; (* detects stale round timers *)
   mutable ticking : bool;
   mutable proposed_at : int; (* sim time of our first propose, -1 if none *)
+  mutable learned_from : int;
+      (* who told us the decision: self if we coordinated it and
+         announced it, -1 if it was restored from the log *)
 }
 
 let majority t = (t.io.n / 2) + 1
@@ -92,7 +95,12 @@ let current_estimate t =
   | Some { est; ts } -> Some (est, ts)
   | None -> ( match t.proposal with Some v -> Some (v, -1) | None -> None)
 
-let decide t v =
+(* [src] told us the decision; only the coordinator that gathered the
+   acks ([src] = self) announces it, and a node that learned it from a
+   Decide does not echo it, so a failure-free instance carries n-1
+   Decide frames. A lost Decide heals at the next round: the member's
+   [Estimate] (or [Query]) reaches a decided peer, which answers it. *)
+let decide t ~src v =
   match t.decided with
   | Some _ -> ()
   | None ->
@@ -104,7 +112,8 @@ let decide t v =
       Metrics.observe t.io.metrics ~node:t.io.self "cons.rounds"
         (float_of_int (t.round + 1))
     end;
-    t.io.multisend (Decide { v });
+    t.learned_from <- src;
+    if src = t.io.self then t.io.multisend (Decide { v });
     t.on_decide v
 
 let timeout_for t r =
@@ -155,6 +164,7 @@ let create io ~node:() ~instance ~leader:_ ~on_decide =
       timer_round = -1;
       ticking = false;
       proposed_at = -1;
+      learned_from = -1;
     }
   in
   (* A restored proposal counts as proposed "now": the propose→decide
@@ -182,6 +192,8 @@ let proposal t = t.proposal
 
 let decision t = t.decided
 
+let probe t = if t.decided = None then t.io.multisend Query
+
 (* Joining a higher round when evidence shows others are ahead. *)
 let maybe_fast_forward t r = if r > t.round && t.decided = None then enter_round t r
 
@@ -203,7 +215,14 @@ let coordinator_maybe_propose t =
 
 let handle t ~src msg =
   match t.decided with
-  | Some v -> ( match msg with Decide _ -> () | _ -> t.io.send src (Decide { v }))
+  | Some v -> (
+    match msg with
+    | Decide _ -> ()
+    | (Ack { r } | Estimate { r; _ })
+      when t.learned_from = t.io.self && r = t.round ->
+      () (* a late answer in the round our Decide closed *)
+    | _ when src = t.learned_from -> () (* src told us *)
+    | _ -> t.io.send src (Decide { v }))
   | None -> (
     match msg with
     | Estimate { r; v; ts } ->
@@ -227,8 +246,8 @@ let handle t ~src msg =
         if not (List.mem src t.acks) then t.acks <- src :: t.acks;
         if List.length t.acks >= majority t then
           match t.proposed_round with
-          | Some v -> decide t v
+          | Some v -> decide t ~src:t.io.self v
           | None -> () (* acks for a proposal of a previous incarnation *)
       end
     | Query -> ()
-    | Decide { v } -> decide t v)
+    | Decide { v } -> decide t ~src v)

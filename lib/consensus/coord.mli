@@ -13,7 +13,15 @@
     moves to the next round (timeouts escalate with the round number), so
     this implementation needs no leader oracle at all — together with
     {!Paxos} it demonstrates the paper's claim that the broadcast layer is
-    bound to no particular failure-detection mechanism. *)
+    bound to no particular failure-detection mechanism.
+
+    Only the coordinator that gathered the acks multicasts [Decide]; a
+    learner does not echo it, nobody answers the node that told it the
+    decision, and the coordinator ignores late [Ack]s and [Estimate]s of
+    the round its [Decide] closed — n-1 [Decide] frames per failure-free
+    instance. A member that lost the [Decide] learns it at its next
+    round, from the decided peer its [Estimate] (or [Query]) reaches,
+    or at once when the broadcast layer probes. *)
 
 (** Wire messages, exposed for white-box tests. *)
 type msg =
@@ -23,7 +31,8 @@ type msg =
       (** phase 2: coordinator's pick *)
   | Ack of { r : int }  (** phase 3: locked and acknowledged *)
   | Query  (** "anyone decided?" probe *)
-  | Decide of { v : Consensus_intf.value }  (** decision announcement *)
+  | Decide of { v : Consensus_intf.value }
+      (** decision announcement (by the coordinator) or answer *)
 
 include Consensus_intf.S with type msg := msg
 

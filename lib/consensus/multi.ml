@@ -115,6 +115,8 @@ module Make (C : Consensus_intf.S) = struct
 
   let decision t k = cached_read t.decisions_cache t.io.store (Keys.decision k) k
 
+  let probe t k = if k >= t.floor && decision t k = None then C.probe (instance t k)
+
   let handle t ~src = function
     | Truncated { floor } -> t.on_lag floor
     | Inst (k, m) ->

@@ -58,6 +58,11 @@ module Make (C : Consensus_intf.S) : sig
   (** Decided value of instance [k], read from stable storage
       (memoized: present values are served from a volatile cache). *)
 
+  val probe : t -> int -> unit
+  (** Ask the peers for instance [k]'s decision now
+      ({!Consensus_intf.S.probe}). Ignored below the truncation floor and
+      once [k] is decided here. *)
+
   val handle : t -> src:int -> msg -> unit
 
   val logged_proposal_instances : t -> int list

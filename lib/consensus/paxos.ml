@@ -169,6 +169,9 @@ type t = {
   mutable pushing : value option; (* value of our ongoing phase 2 *)
   mutable ticking : bool;
   mutable proposed_at : int; (* sim time of our first propose, -1 if none *)
+  mutable learned_from : int;
+      (* who told us the decision: self if we completed phase 2 and
+         announced it, -1 if it was restored from the log *)
 }
 
 let majority t = (t.io.n / 2) + 1
@@ -177,7 +180,12 @@ let set_acc t acc =
   t.acc <- acc;
   Storage.Slot.set t.acc_slot acc
 
-let decide t v =
+(* [src] told us the decision; only the node that completed phase 2
+   ([src] = self) announces it, and one that learned it from a Decide
+   does not echo it, so a failure-free instance carries n-1 Decide
+   frames. A lost Decide heals through the learner's [Query], which
+   every decided peer answers. *)
+let decide t ~src v =
   match t.decided with
   | Some _ -> ()
   | None ->
@@ -193,7 +201,8 @@ let decide t v =
       Metrics.observe t.io.metrics ~node:t.io.self "cons.ballots"
         (float_of_int (max 1 t.ballots))
     end;
-    t.io.multisend (Decide { v });
+    t.learned_from <- src;
+    if src = t.io.self then t.io.multisend (Decide { v });
     t.on_decide v
 
 (* Run the next ballot of this instance as the leader: straight to
@@ -228,27 +237,34 @@ let start t v =
     t.phase <- Phase1;
     t.io.multisend (Prepare { b })
 
+let probe t = if t.decided = None then t.io.multisend Query
+
 let rec tick t =
   if t.decided = None then begin
     (match t.proposal with
     | Some v when t.leader () = t.io.self -> start t v
     | _ ->
       t.node.term <- No_term;
-      t.io.multisend Query);
-    let jitter = Rng.int t.io.rng (!retry_period / 2 + 1) in
-    t.io.after (!retry_period + jitter) (fun () -> tick t)
+      probe t);
+    next_tick t
   end
   else t.ticking <- false
 
+and next_tick t =
+  let jitter = Rng.int t.io.rng (!retry_period / 2 + 1) in
+  t.io.after (!retry_period + jitter) (fun () -> tick t)
+
 (* A leader holding a proposal starts its ballot at once; the timer only
-   paces its retries. Anyone else waits a small random offset first,
-   which desynchronizes competing proposers. *)
+   paces its retries. Anyone else first waits a retry period (jittered,
+   which desynchronizes competing proposers): in a failure-free run the
+   leader's Decide arrives before, and a probe crossing it would draw a
+   second copy from every decided peer. A caller with evidence that the
+   instance is decided elsewhere probes at once ({!probe}). *)
 let ensure_ticking t =
   if (not t.ticking) && t.decided = None then begin
     t.ticking <- true;
     if t.proposal <> None && t.leader () = t.io.self then tick t
-    else
-      t.io.after (1 + Rng.int t.io.rng (!retry_period / 4 + 1)) (fun () -> tick t)
+    else next_tick t
   end
 
 let create io ~node ~instance ~leader ~on_decide =
@@ -281,6 +297,7 @@ let create io ~node ~instance ~leader ~on_decide =
       pushing = None;
       ticking = false;
       proposed_at = -1;
+      learned_from = -1;
     }
   in
   (* A proposal restored from the log counts as proposed "now": the
@@ -329,7 +346,14 @@ let accepted_above t =
 
 let handle t ~src msg =
   match t.decided with
-  | Some v -> ( match msg with Decide _ -> () | _ -> t.io.send src (Decide { v }))
+  | Some v -> (
+    match msg with
+    | Decide _ -> ()
+    | Query -> t.io.send src (Decide { v })
+    | (Promise _ | Accepted _) when t.learned_from = t.io.self ->
+      () (* a late answer to our ballot: our Decide went to it too *)
+    | _ when src = t.learned_from -> () (* src told us *)
+    | _ -> t.io.send src (Decide { v }))
   | None -> (
     let nd = t.node in
     match msg with
@@ -394,7 +418,9 @@ let handle t ~src msg =
       if t.phase = Phase2 && b = t.ballot then begin
         if not (List.mem src t.accepts) then t.accepts <- src :: t.accepts;
         if List.length t.accepts >= majority t then
-          match t.pushing with Some v -> decide t v | None -> assert false
+          match t.pushing with
+          | Some v -> decide t ~src:t.io.self v
+          | None -> assert false
       end
     | Query -> () (* nothing to offer: not decided *)
-    | Decide { v } -> decide t v)
+    | Decide { v } -> decide t ~src v)

@@ -27,6 +27,13 @@
     timer instead (so a late process still learns decisions from decided
     peers). Safety never depends on Ω.
 
+    Only the leader that gathered the [Accepted] majority multicasts
+    [Decide]; a learner does not echo it, nobody answers the node that
+    told it the decision, and the leader ignores the late [Promise]s and
+    [Accepted]s its [Decide] covered — n-1 [Decide] frames per failure-free instance. A
+    decided process answers every [Query], so a lost [Decide] heals at
+    the prober's next probe.
+
     Stable-storage writes per instance at one process, inside a term:
     the proposal (1 write — the one the atomic broadcast layer piggybacks
     on), one acceptor-state update, and the decision (1 write). Opening a
@@ -47,7 +54,8 @@ type msg =
   | Accept of { b : int; v : Consensus_intf.value }  (** phase 2a *)
   | Accepted of { b : int }  (** phase 2b *)
   | Query  (** "anyone decided?" probe from a non-leader *)
-  | Decide of { v : Consensus_intf.value }  (** decision announcement *)
+  | Decide of { v : Consensus_intf.value }
+      (** decision announcement (by the phase-2 leader) or probe answer *)
 
 include Consensus_intf.S with type msg := msg
 

@@ -329,6 +329,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     mutable unordered_cache_len : int;
     logged_unordered : unit Ptbl.t; (* keys on stable storage *)
     mutable gossip_k : int;
+    mutable probed_k : int; (* the last cursor instance [probe_cursor] probed *)
     mutable gossip_tick : int;
     mutable seq : int; (* local broadcast counter, volatile *)
     pending : pend Ptbl.t;
@@ -353,6 +354,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
            incarnation — the digest we advertise, maintained in O(1) per
            add instead of folding the whole set on every gossip tick. *)
     ck_slot : (int * Agreed.repr) Storage.Slot.slot;
+    mutable ck_k : int; (* commit cursor at the last checkpoint, -1 if none *)
+    mutable ck_len : int; (* delivery length at the last checkpoint *)
     unordered_full_slot : Payload.t list Storage.Slot.slot;
     boot_t0 : int; (* io.now at node construction (recovery timing) *)
     mutable recovery_done : bool; (* [recover] finished for this boot *)
@@ -555,13 +558,21 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   (* --- Checkpointing (§5.1/§5.2) ------------------------------------ *)
 
+  (* A checkpoint of a quiescent node would rewrite the same bytes (and
+     wake the WAL's fsync pacer and compaction for nothing): skip it
+     while neither the commit cursor nor the delivery length moved. *)
   let do_checkpoint t =
-    (match t.app with
-    | Some app -> Agreed.compact t.agreed ~app_blob:(app.checkpoint ())
-    | None -> ());
-    Storage.Slot.set t.ck_slot (committed t, Agreed.snapshot t.agreed);
-    M.truncate_below t.multi (committed t);
-    cleanup_unordered_log t
+    let k = committed t and len = Agreed.total_len t.agreed in
+    if k <> t.ck_k || len <> t.ck_len then begin
+      t.ck_k <- k;
+      t.ck_len <- len;
+      (match t.app with
+      | Some app -> Agreed.compact t.agreed ~app_blob:(app.checkpoint ())
+      | None -> ());
+      Storage.Slot.set t.ck_slot (k, Agreed.snapshot t.agreed);
+      M.truncate_below t.multi k;
+      cleanup_unordered_log t
+    end
 
   (* --- Sequencer (Fig. 2; windowed extension) ------------------------ *)
 
@@ -695,12 +706,25 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     M.Pipeline.commit t.pipe;
     if t.cfg.paranoid_log then do_checkpoint t
 
+  (* Only the node that completes an instance announces it, so a late
+     or lost Decide would stall the commit cursor until its instance's
+     retry tick. A peer that reports a cursor past ours has decided our
+     cursor's instance: probe it at once, once per instance. *)
+  let probe_cursor t =
+    let k = committed t in
+    if t.gossip_k > k && k <> t.probed_k then begin
+      t.probed_k <- k;
+      M.probe t.multi k
+    end
+
   let rec drain_decisions t =
     match M.Pipeline.ready t.pipe with
     | Some v ->
       apply_decision t v;
       drain_decisions t
-    | None -> maybe_propose t
+    | None ->
+      maybe_propose t;
+      probe_cursor t
 
   (* --- State transfer (§5.3) ---------------------------------------- *)
 
@@ -794,7 +818,13 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   let rec ring_flush t =
     t.ring_armed <- false;
-    let entries = List.rev t.ring_pending in
+    (* a payload decided while it waited gains nothing from the hop *)
+    let entries =
+      List.fold_left
+        (fun acc ((_, (p : Payload.t)) as e) ->
+          if Agreed.contains t.agreed p.id then acc else e :: acc)
+        [] t.ring_pending
+    in
     t.ring_pending <- [];
     if entries <> [] then begin
       let succ = (t.io.self + 1) mod t.io.n in
@@ -1075,6 +1105,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     let tref = ref None in
     let with_t f = match !tref with Some t -> f t | None -> () in
     let hb = Heartbeat.create (Engine.map_io (fun m -> Fd m) io) in
+    (* Every frame is liveness evidence at its receiver: the detector
+       sees our sends and beats only into silence. *)
+    let io = Heartbeat.watch hb io in
     let multi =
       M.create
         (Engine.map_io (fun m -> Cons m) io)
@@ -1133,6 +1166,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         unordered_cache_len = 0;
         logged_unordered = Ptbl.create 32;
         gossip_k = 0;
+        probed_k = -1;
         gossip_tick = 0;
         seq = 0;
         pending = Ptbl.create 32;
@@ -1145,6 +1179,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         ck_slot =
           Storage.Slot.make ~codec:checkpoint_codec store ~layer
             ~key:checkpoint_key;
+        ck_k = -1;
+        ck_len = -1;
         unordered_full_slot =
           Storage.Slot.make ~codec:unordered_codec store ~layer
             ~key:unordered_slot_key;
@@ -1171,6 +1207,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     t
 
   let node_handler t ~src msg =
+    Heartbeat.heard t.hb ~src;
     match msg with
     | Gossip { k; len; unordered; cert } ->
       Metrics.hincr t.mh.h_rx_gossip;

@@ -34,7 +34,9 @@ type config = {
       (** simulated µs between gossip ticks (§4.2) *)
   checkpoint_period : int option;
       (** µs between [(k, Agreed)] checkpoints (§5.1); [None] never
-          checkpoints (the basic protocol) *)
+          checkpoints (the basic protocol). A tick at which neither the
+          commit cursor nor the delivery length moved since the last
+          checkpoint writes nothing. *)
   delta : int option;
       (** the §5.3 state-transfer threshold Δ in rounds; [None] disables
           state transfer (the basic protocol) *)
@@ -244,7 +246,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
   (** Snapshot of the [Agreed] queue (tests, state inspection). *)
 
   val checkpoint_now : t -> unit
-  (** Force a checkpoint immediately (tests and examples). *)
+  (** Checkpoint immediately (tests and examples) — a no-op when
+      nothing was committed or delivered since the last checkpoint. *)
 
   val floor : t -> int
   (** Consensus truncation floor (0 until a checkpoint truncates). *)

@@ -8,12 +8,23 @@
     one that oscillates — without predicting the future behaviour of bad
     processes.
 
-    Each process multicasts [Beat { epoch }] every [period]; a process is
-    {e trusted} if a beat from it arrived within [timeout]. The {!leader}
-    oracle (Ω) returns the trusted process with the lexicographically
-    smallest [(epoch, id)]: once the system stabilizes, every good process
-    converges to the same good leader, because good processes' epochs stop
-    growing while oscillating bad processes' epochs grow without bound. *)
+    Liveness is implicit: {e every} frame received from a peer — of any
+    layer of the stack — refreshes its trust ({!heard}), and a process is
+    {e trusted} if some frame from it arrived within [timeout]. A
+    [Beat { epoch }] therefore only fills silence: at each beat tick
+    (every [period]) a peer gets a Beat if no frame went to it for
+    [period]/2 — so no link is silent for much more than 1.5 periods —
+    or if its last Beat is [timeout]/2 old. The second rule exists
+    because a Beat is the only frame that carries the sender's epoch: a
+    recovered process's new epoch reaches every peer within one timeout
+    window even while other traffic never pauses. Sends are seen
+    through {!watch}. A busy link thus carries few Beats and an idle
+    one still beats every period. The {!leader} oracle (Ω) returns the
+    trusted process with the lexicographically smallest [(epoch, id)],
+    a process not heard from yet counting as epoch 0: once the system
+    stabilizes, every good process converges to the same good leader,
+    because good processes' epochs stop growing while oscillating bad
+    processes' epochs grow without bound. *)
 
 type msg = Beat of { epoch : int }
 (** Wire messages (heartbeats) — exposed for white-box tests (codec
@@ -29,12 +40,24 @@ type t
 (** Volatile detector state of one incarnation. *)
 
 val create : ?period:int -> ?timeout:int -> msg Abcast_sim.Engine.io -> t
-(** Start the detector: begins beating immediately. [period] defaults to
-    2_000 simulated µs, [timeout] to 5 × [period]. A fresh incarnation
-    initially trusts everyone (it has no evidence of failure yet). *)
+(** Start the detector: beats every peer immediately (announcing the new
+    epoch), then ticks every [period]. [period] defaults to 2_000 µs,
+    [timeout] to 5 × [period]. A fresh incarnation initially trusts
+    everyone (it has no evidence of failure yet). At
+    each tick a peer whose trusted status flipped since the previous
+    tick is recorded as a {!Abcast_sim.Flight.suspect} or
+    {!Abcast_sim.Flight.trust} event ([a] = peer, [b] = its epoch). *)
+
+val watch : t -> 'm Abcast_sim.Engine.io -> 'm Abcast_sim.Engine.io
+(** [watch t io] is [io] with its sends noted by the detector: a peer
+    that was sent any frame in the last [period]/2 gets no Beat at the
+    tick. The stack sends every non-Beat frame through it. *)
+
+val heard : t -> src:int -> unit
+(** Note that a frame (of any layer) arrived from [src] now. *)
 
 val handle : t -> src:int -> msg -> unit
-(** Feed an incoming heartbeat. *)
+(** Feed an incoming heartbeat: {!heard} plus its epoch. *)
 
 val trusted : t -> int -> bool
 (** Whether a process is currently trusted. *)

@@ -54,6 +54,18 @@ type recovery = {
   rv_caught_us : int;  (* µs from boot to that first delivery *)
 }
 
+type fd_flip = {
+  ff_node : int;
+  ff_group : int;
+  ff_time : int;
+  ff_peer : int;
+  ff_epoch : int;  (* the peer's epoch as the node knew it *)
+  ff_suspect : bool;  (* false: trusted again *)
+  ff_next_decide : int option;
+      (* after a suspicion: when the node next decided an instance of
+         that group — the end of a failover as this node saw it *)
+}
+
 type audit_summary = {
   au_histories : int;  (* client history files merged *)
   au_events : int;  (* completed ops across them *)
@@ -71,6 +83,7 @@ type report = {
   traces : trace_info list;
   stages : stage_stat list;
   recoveries : recovery list;
+  fd_flips : fd_flip list;  (* in time order *)
   audit : audit_summary option;  (* Some when [analyze ~audit:true] ran *)
   anomalies : anomaly list;
   notes : string list;
@@ -528,6 +541,39 @@ let analyze ?(max_traces = 64) ?(audit = false) ~dir () =
                    || r.rv_stjump <> None))
           loaded
       in
+      (* ---- failure-detector flips, each suspicion with the node's
+         next decide in that group: kill -> suspicion -> first decide
+         reads straight off the survivors' lines ---- *)
+      let fd_flips =
+        List.filter_map
+          (fun (e : Flight.event) ->
+            let suspect = e.e_stage = Flight.suspect in
+            if suspect || e.e_stage = Flight.trust then
+              let next_decide =
+                if not suspect then None
+                else
+                  List.find_map
+                    (fun (d : Flight.event) ->
+                      if
+                        d.e_node = e.e_node && d.e_group = e.e_group
+                        && d.e_time >= e.e_time
+                      then Some d.e_time
+                      else None)
+                    decides
+              in
+              Some
+                {
+                  ff_node = e.e_node;
+                  ff_group = e.e_group;
+                  ff_time = e.e_time;
+                  ff_peer = e.e_a;
+                  ff_epoch = e.e_b;
+                  ff_suspect = suspect;
+                  ff_next_decide = next_decide;
+                }
+            else None)
+          all
+      in
       (* ---- online order audit evidence ---- *)
       (* sentinel trips recorded live: a certificate that mismatched the
          receiver's own delivery chain is a total-order violation caught
@@ -687,6 +733,7 @@ let analyze ?(max_traces = 64) ?(audit = false) ~dir () =
           traces;
           stages;
           recoveries;
+          fd_flips;
           audit = audit_summary;
           anomalies = List.rev !anomalies;
           notes = List.rev !notes;
@@ -832,6 +879,20 @@ let render ?(verbose = false) r =
         else pf ", never caught up in this dump";
         pf "\n")
       r.recoveries
+  end;
+  if r.fd_flips <> [] then begin
+    pf "  failure detector:\n";
+    List.iter
+      (fun f ->
+        pf "    node %d g%d @%d us: %s node %d (epoch %d)" f.ff_node f.ff_group
+          f.ff_time
+          (if f.ff_suspect then "suspects" else "trusts")
+          f.ff_peer f.ff_epoch;
+        (match f.ff_next_decide with
+        | Some t -> pf ", next decide here +%d us" (t - f.ff_time)
+        | None -> if f.ff_suspect then pf ", no decide here after it");
+        pf "\n")
+      r.fd_flips
   end;
   (match r.audit with
   | Some a ->

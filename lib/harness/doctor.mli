@@ -27,7 +27,10 @@
 
     It also extracts a per-(node, boot) recovery timeline — storage
     replay size and duration, protocol replay rounds, state-transfer
-    jump, and the boot-to-first-delivery catch-up time.
+    jump, and the boot-to-first-delivery catch-up time — and the
+    failure detector's suspect/trust flips, each suspicion followed by
+    the node's next decide, so a failover (kill → suspicion at a
+    survivor → first decide) reads off the dumps.
 
     All rules compare facts the total order makes deterministic, so a
     ring buffer that overwrote old events can hide an anomaly but never
@@ -69,6 +72,20 @@ type recovery = {
   rv_caught_us : int;  (** µs from boot to that first delivery *)
 }
 
+type fd_flip = {
+  ff_node : int;
+  ff_group : int;
+  ff_time : int;  (** µs on the node's flight clock *)
+  ff_peer : int;
+  ff_epoch : int;  (** the peer's epoch as the node knew it *)
+  ff_suspect : bool;  (** [true]: suspected; [false]: trusted again *)
+  ff_next_decide : int option;
+      (** after a suspicion, when the node next decided an instance of
+          that group (the end of a failover as this node saw it) *)
+}
+(** One failure-detector flip ({!Abcast_sim.Flight.suspect} /
+    {!Abcast_sim.Flight.trust} event). *)
+
 type audit_summary = {
   au_histories : int;  (** client history files merged *)
   au_events : int;  (** completed client ops across them *)
@@ -86,6 +103,7 @@ type report = {
   traces : trace_info list;
   stages : stage_stat list;
   recoveries : recovery list;
+  fd_flips : fd_flip list;  (** every flip in the dumps, in time order *)
   audit : audit_summary option;
   anomalies : anomaly list;
   notes : string list;

@@ -34,12 +34,14 @@ let audit = 14
 let replay = 15
 let replay_done = 16
 let caught_up = 17
+let suspect = 18
+let trust = 19
 
 let names =
   [|
     "submit"; "bcast"; "rx_ring"; "rx_gossip"; "propose"; "decide"; "apply";
     "wal_append"; "wal_fsync"; "ack"; "lease"; "stjump"; "boot"; "chain";
-    "audit"; "replay"; "replay_done"; "caught_up";
+    "audit"; "replay"; "replay_done"; "caught_up"; "suspect"; "trust";
   |]
 
 let stage_name s =

@@ -82,6 +82,12 @@ val replay_done : int
 val caught_up : int
 (** first post-recovery delivery: length [a], [b] µs after boot *)
 
+val suspect : int
+(** failure detector: peer [a] (epoch [b]) stopped being trusted *)
+
+val trust : int
+(** failure detector: peer [a] (epoch [b]) is trusted again *)
+
 val stage_name : int -> string
 
 (** {2 Reading} *)

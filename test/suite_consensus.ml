@@ -318,6 +318,9 @@ module Multi_suite (C : Intf.S) = struct
           (Engine.run_until eng ~until:10_000_000 ~pred:decided ());
         M.truncate_below (node 0) 1;
         M.truncate_below (node 1) 1;
+        (* let the leader's Decide, still in flight, reach node 2 while it
+           is down: the recovered node must not hold the decision *)
+        Engine.run eng ~until:(Engine.now eng + 50_000);
         Engine.recover eng 2;
         Engine.at eng (Engine.now eng + 100) (fun () -> M.propose (node 2) 0 "late");
         let lagged () = lags.(2) <> [] in
@@ -451,6 +454,119 @@ let paxos_term_failover seed =
     chosen
 module Multi_coord = Multi_suite (Abcast_consensus.Coord)
 
+(* Decide fan-out over a multi-instance run: only the node that completes
+   an instance announces it, nobody echoes, and a decided leader ignores
+   the late phase-2 answers its own Decide covered. [drop ~src ~dst k]
+   loses a Decide frame of instance [k] on that link. Every node
+   proposes each instance (as each proposes its Unordered backlog in the
+   stack), the followers a random 0–1 ms after the leader; the next
+   instance starts once all have decided. Returns the Decide frames that
+   crossed a link and, per instance, when it was decided everywhere. *)
+module Fanout (C : Intf.S) = struct
+  module M = Abcast_consensus.Multi.Make (C)
+
+  let run ~is_decide ?(drop = fun ~src:_ ~dst:_ _ -> false) ?(seed = 1)
+      ~instances () =
+    let n = 3 in
+    (* no heavy-tailed delays: a Decide slower than the probe retry
+       period is indistinguishable from a lost one *)
+    let net = Net.create ~heavy_tail:0.0 () in
+    let eng = Engine.create ~seed ~n ~net () in
+    let nodes = Array.make n None in
+    let decides = ref 0 in
+    for i = 0 to n - 1 do
+      Engine.set_behavior eng i (fun io ->
+          let m =
+            M.create io ~leader:(fun () -> 0) ~on_decide:(fun _ _ -> ())
+              ~on_lag:ignore ~on_behind:(fun ~src:_ -> ())
+          in
+          nodes.(i) <- Some m;
+          fun ~src msg ->
+            match msg with
+            | M.Inst (k, c) when src <> i && is_decide c ->
+              if not (drop ~src ~dst:i k) then begin
+                incr decides;
+                M.handle m ~src msg
+              end
+            | _ -> M.handle m ~src msg)
+    done;
+    Engine.start_all eng;
+    let node i = match nodes.(i) with Some m -> m | None -> assert false in
+    let rng = Rng.create (seed + 77) in
+    let took =
+      List.init instances (fun k ->
+          let t0 = Engine.now eng in
+          M.propose (node 0) k (Printf.sprintf "k%d" k);
+          for i = 1 to n - 1 do
+            Engine.after eng (Rng.int rng 1_000) (fun () ->
+                M.propose (node i) k (Printf.sprintf "k%d-%d" k i))
+          done;
+          let decided () =
+            List.for_all (fun i -> M.decision (node i) k <> None) [ 0; 1; 2 ]
+          in
+          if not (Engine.run_until eng ~until:(t0 + 10_000_000) ~pred:decided ())
+          then Alcotest.failf "instance %d undecided" k;
+          Engine.now eng - t0)
+    in
+    (* let late probes and answers land before counting *)
+    Engine.run eng ~until:(Engine.now eng + 100_000);
+    (!decides, took)
+end
+
+module Fanout_paxos = Fanout (Abcast_consensus.Paxos)
+module Fanout_coord = Fanout (Abcast_consensus.Coord)
+
+let paxos_decide = function Abcast_consensus.Paxos.Decide _ -> true | _ -> false
+let coord_decide = function Abcast_consensus.Coord.Decide _ -> true | _ -> false
+
+let fanout_tests =
+  let per_instance name run =
+    test (name ^ ": a failure-free run carries n-1 Decides per instance")
+      (fun () ->
+        List.iter
+          (fun seed ->
+            let decides, _ = run ~seed in
+            Alcotest.(check int)
+              (Printf.sprintf "seed %d: Decide frames for 20 instances" seed)
+              (2 * 20) decides)
+          [ 1; 2; 3; 4; 5 ])
+  in
+  (* The leader's Decide of instance 5 to node 2 is lost: node 2 learns
+     the decision when its next probe reaches a decided peer — its first
+     [Query] in Paxos (one to 1.5 retry periods after it proposes, which
+     is up to 1 ms after the leader), its next round's [Estimate] in
+     Coord (one round timeout plus a quarter of jitter). *)
+  let healed name run ~bound =
+    test (name ^ ": a Decide lost on one link is learned through the probe")
+      (fun () ->
+        let drop ~src ~dst k = src = 0 && dst = 2 && k = 5 in
+        let decides, took = run ~drop in
+        let t5 = List.nth took 5 in
+        let normal = List.fold_left max 0 (List.filteri (fun k _ -> k <> 5) took) in
+        if t5 <= normal then
+          Alcotest.failf "instance 5 took %d us, no slower than the others" t5;
+        if t5 > bound then
+          Alcotest.failf "instance 5 healed after %d us (bound %d)" t5 bound;
+        Alcotest.(check bool) "one answer replaced the lost frame" true
+          (decides >= 2 * 20))
+  in
+  (* two one-way delays at most, the Decide's and the answer's *)
+  let delays = 2 * 2_000 in
+  [
+    per_instance "paxos" (fun ~seed ->
+        Fanout_paxos.run ~is_decide:paxos_decide ~seed ~instances:20 ());
+    per_instance "coord" (fun ~seed ->
+        Fanout_coord.run ~is_decide:coord_decide ~seed ~instances:20 ());
+    healed "paxos"
+      (fun ~drop ->
+        Fanout_paxos.run ~is_decide:paxos_decide ~drop ~instances:20 ())
+      ~bound:((!Abcast_consensus.Paxos.retry_period * 7 / 4) + delays);
+    healed "coord"
+      (fun ~drop ->
+        Fanout_coord.run ~is_decide:coord_decide ~drop ~instances:20 ())
+      ~bound:((!Abcast_consensus.Coord.round_timeout * 5 / 4) + delays);
+  ]
+
 let multi_tests =
   Multi_paxos.tests "paxos" @ Multi_coord.tests "coord"
   @ [
@@ -545,7 +661,7 @@ let suite =
   ( "consensus",
     Paxos_rig.tests "paxos" @ Coord_rig.tests "coord"
     @ Paxos_adv.tests "paxos" @ Coord_adv.tests "coord" @ multi_tests
-    @ pipelined_adversarial_tests @ keys_tests
+    @ fanout_tests @ pipelined_adversarial_tests @ keys_tests
     @ List.map QCheck_alcotest.to_alcotest
         (keys_props
         @ [

@@ -198,6 +198,31 @@ let paxos_tests =
         match take_sent p with
         | (2, Paxos.Decide { v = "done" }) :: _ -> ()
         | _ -> Alcotest.fail "expected a Decide reply to query");
+    test "paxos: a learned decision is not echoed" (fun () ->
+        let p, c, decided = paxos_make ~self:1 () in
+        Paxos.handle c ~src:0 (Paxos.Decide { v = "done" });
+        Alcotest.(check (option string)) "decided" (Some "done") !decided;
+        Alcotest.(check int) "nothing sent" 0 (List.length (take_sent p));
+        (* the node that told us knows: nothing goes back to it *)
+        Paxos.handle c ~src:0 (Paxos.Accept { b = 3; v = "done" });
+        Alcotest.(check int) "no reply to the teller" 0
+          (List.length (take_sent p)));
+    test "paxos: a leader ignores an Accepted its own Decide covered" (fun () ->
+        let p, c, _ = paxos_make () in
+        Paxos.propose c "mine";
+        let b =
+          match sent_prepares (take_sent p) with
+          | (_, b) :: _ -> b
+          | [] -> Alcotest.fail "no prepare"
+        in
+        Paxos.handle c ~src:0 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:0 (Paxos.Accepted { b });
+        Paxos.handle c ~src:1 (Paxos.Accepted { b });
+        ignore (take_sent p);
+        Paxos.handle c ~src:2 (Paxos.Accepted { b });
+        Alcotest.(check int) "late Accepted unanswered" 0
+          (List.length (take_sent p)));
     test "paxos: reject pushes the next ballot higher" (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "v";
@@ -368,11 +393,32 @@ let coord_tests =
     test "coord: decided instance answers with Decide" (fun () ->
         let p, c, _ = coord_make ~self:2 () in
         Coord.handle c ~src:0 (Coord.Decide { v = "d" });
-        ignore (take_sent p);
+        Alcotest.(check int) "not echoed" 0 (List.length (take_sent p));
         Coord.handle c ~src:1 (Coord.Estimate { r = 0; v = "x"; ts = -1 });
-        match take_sent p with
+        (match take_sent p with
         | (1, Coord.Decide { v = "d" }) :: _ -> ()
         | _ -> Alcotest.fail "expected Decide reply");
+        Coord.handle c ~src:0 (Coord.Proposal { r = 0; v = "d" });
+        Alcotest.(check int) "no reply to the teller" 0
+          (List.length (take_sent p)));
+    test "coord: a coordinator ignores the late acks its Decide covered"
+      (fun () ->
+        let p, c, _ = coord_make ~self:0 () in
+        Coord.propose c "own";
+        Coord.handle c ~src:0 (Coord.Estimate { r = 0; v = "own"; ts = -1 });
+        Coord.handle c ~src:1 (Coord.Estimate { r = 0; v = "own"; ts = -1 });
+        Coord.handle c ~src:0 (Coord.Ack { r = 0 });
+        Coord.handle c ~src:1 (Coord.Ack { r = 0 });
+        ignore (take_sent p);
+        Coord.handle c ~src:2 (Coord.Estimate { r = 0; v = "x"; ts = -1 });
+        Coord.handle c ~src:2 (Coord.Ack { r = 0 });
+        Alcotest.(check int) "late estimate and ack unanswered" 0
+          (List.length (take_sent p));
+        (* a later round's estimate means node 2 lost the Decide *)
+        Coord.handle c ~src:2 (Coord.Estimate { r = 3; v = "x"; ts = -1 });
+        match take_sent p with
+        | [ (2, Coord.Decide { v = "own" }) ] -> ()
+        | _ -> Alcotest.fail "expected a Decide for the later round");
     test "coord: stale acks from an older incarnation cannot decide" (fun () ->
         (* coordinator restarted mid-round: proposed_round is volatile, so
            acks arriving for its pre-crash proposal are ignored *)

@@ -18,6 +18,229 @@ let make_cluster ?(n = 3) ?(seed = 1) ?net () =
   let fd i = match fds.(i) with Some hb -> hb | None -> assert false in
   (eng, fd)
 
+(* A stack in miniature: a detector under a chatter layer that sends
+   [Chat] frames through [Heartbeat.watch] every [chat_gap] µs along the
+   links [chats] selects. Every received frame refreshes trust, as in
+   the protocol's node handler. [beats.(src).(dst)] counts the Beats that
+   crossed each link. *)
+type frame = Beat of Heartbeat.msg | Chat
+
+let chatter_cluster ?(n = 3) ?(seed = 1) ?(chat_gap = 500) ?flight ~chats () =
+  let net = Net.create ~heavy_tail:0.0 () in
+  let eng = Engine.create ~seed ~n ~net ?flight () in
+  let fds = Array.make n None in
+  let beats = Array.make_matrix n n 0 in
+  for i = 0 to n - 1 do
+    Engine.set_behavior eng i (fun io ->
+        let hb = Heartbeat.create (Engine.map_io (fun m -> Beat m) io) in
+        fds.(i) <- Some hb;
+        let io = Heartbeat.watch hb io in
+        let rec chat () =
+          for d = 0 to n - 1 do
+            if d <> i && chats ~src:i ~dst:d then io.send d Chat
+          done;
+          io.after chat_gap chat
+        in
+        chat ();
+        fun ~src m ->
+          Heartbeat.heard hb ~src;
+          match m with
+          | Beat b ->
+            beats.(src).(i) <- beats.(src).(i) + 1;
+            Heartbeat.handle hb ~src b
+          | Chat -> ())
+  done;
+  Engine.start_all eng;
+  let fd i = match fds.(i) with Some hb -> hb | None -> assert false in
+  (eng, fd, beats)
+
+let period = 2_000
+let timeout = 5 * period
+
+(* What the simulator cannot do: stall a node's event loop. Node 0's
+   detector and a chatter layer share one hand-driven loop; the chatter
+   sends node 1 a frame every 500 µs from [phase] until [quiet_at], then
+   the link goes quiet. From [stall_at] the loop runs nothing for [stall] µs, then
+   runs every overdue timer late, as the live runtime does. Node 1's
+   detector hears each frame the moment it leaves. Returns the first
+   time node 1 stopped trusting node 0, if it did before [until]. *)
+let stalled_sender ~phase ~quiet_at ~stall_at ~stall ~until =
+  let clock = ref 0 in
+  let timers = ref [] and seq = ref 0 in
+  let io self send : _ Engine.io =
+    {
+      self;
+      n = 2;
+      group = 0;
+      incarnation = 0;
+      now = (fun () -> !clock);
+      send;
+      multisend = (fun m -> send (1 - self) m);
+      after =
+        (fun delay f ->
+          incr seq;
+          if self = 0 then timers := (!clock + delay, !seq, f) :: !timers);
+      store = Storage.create ~metrics:(Metrics.create ()) ~node:self ();
+      rng = Rng.create 1;
+      metrics = Metrics.create ();
+      flight = Abcast_sim.Flight.disabled;
+      alarm = ignore;
+      reorder_apply = false;
+    }
+  in
+  let hb1 = Heartbeat.create (io 1 (fun _ _ -> ())) in
+  let hb0 = Heartbeat.create (io 0 (fun _ b -> Heartbeat.handle hb1 ~src:0 b)) in
+  let chat_io = Heartbeat.watch hb0 (io 0 (fun _ () -> Heartbeat.heard hb1 ~src:0)) in
+  let rec chat () =
+    if !clock < quiet_at then begin
+      chat_io.send 1 ();
+      chat_io.after 500 chat
+    end
+  in
+  chat_io.after phase chat;
+  let rec run_due () =
+    match
+      List.sort compare
+        (List.filter_map
+           (fun (at, id, _) -> if at <= !clock then Some (at, id) else None)
+           !timers)
+    with
+    | [] -> ()
+    | (_, id) :: _ ->
+      let f = List.find_map (fun (_, i, f) -> if i = id then Some f else None) !timers in
+      timers := List.filter (fun (_, i, _) -> i <> id) !timers;
+      Option.iter (fun f -> f ()) f;
+      run_due ()
+  in
+  let rec step () =
+    if !clock > until then None
+    else if not (Heartbeat.trusted hb1 0) then Some !clock
+    else begin
+      if !clock < stall_at || !clock >= stall_at + stall then run_due ();
+      if Heartbeat.trusted hb1 0 then begin
+        clock := !clock + 50;
+        step ()
+      end
+      else Some !clock
+    end
+  in
+  step ()
+
+let implicit_tests =
+  [
+    test "busy links carry only epoch Beats, idle links beat every period"
+      (fun () ->
+        (* 0 -> 1 carries a frame every 500 µs; every other link is idle *)
+        let eng, fd, beats =
+          chatter_cluster ~chats:(fun ~src ~dst -> src = 0 && dst = 1) ()
+        in
+        Engine.run eng ~until:20_000;
+        let before = Array.map Array.copy beats in
+        let window = 100_000 in
+        Engine.run eng ~until:(20_000 + window);
+        let crossed s d = beats.(s).(d) - before.(s).(d) in
+        (* the period rule never fires on the busy link: what is left is
+           the epoch refresh, one Beat per timeout/2 *)
+        let busy = crossed 0 1 in
+        if busy > window / (timeout / 2) then
+          Alcotest.failf "busy link 0->1 carried %d Beats in %d us" busy window;
+        List.iter
+          (fun (s, d) ->
+            let idle = crossed s d in
+            if idle < (window / period) - 1 then
+              Alcotest.failf "idle link %d->%d carried only %d Beats" s d idle)
+          [ (0, 2); (1, 0); (1, 2); (2, 0); (2, 1) ];
+        for i = 0 to 2 do
+          Alcotest.(check (list int)) "everyone trusted" []
+            (Heartbeat.suspects (fd i))
+        done);
+    test "a 6.5-ms loop stall as a busy link goes quiet raises no suspicion"
+      (fun () ->
+        (* A Beat goes out once no frame went to the peer for half a
+           period, so the link is never silent for more than about 1.5
+           periods plus the stall: 3 + 6.5 ms stays under the 10-ms
+           timeout wherever the last frame and the stall fall against
+           the beat ticks. *)
+        for phase = 0 to 4 do
+          for q = 0 to 3 do
+            let quiet_at = 20_000 + (q * 500) in
+            for d = 0 to 2 * period / 100 do
+              let stall_at = quiet_at + (d * 100) in
+              match
+                stalled_sender ~phase:(phase * 100) ~quiet_at ~stall_at
+                  ~stall:6_500 ~until:(stall_at + 6_500 + timeout)
+              with
+              | None -> ()
+              | Some at ->
+                Alcotest.failf
+                  "suspected at %d us (frames from %d, quiet from %d, stall \
+                   from %d)"
+                  at (phase * 100) quiet_at stall_at
+            done
+          done
+        done);
+    test "a crashed peer is suspected within timeout + one period" (fun () ->
+        let module Flight = Abcast_sim.Flight in
+        let eng, fd, _ =
+          chatter_cluster
+            ~flight:(fun ~node:_ -> Flight.create ~cap:256 ())
+            ~chats:(fun ~src:_ ~dst:_ -> true)
+            ()
+        in
+        Engine.run eng ~until:50_000;
+        Engine.crash eng 2;
+        Engine.run eng ~until:(50_000 + timeout + period);
+        Alcotest.(check (list int)) "suspects at 0" [ 2 ] (Heartbeat.suspects (fd 0));
+        Alcotest.(check (list int)) "suspects at 1" [ 2 ] (Heartbeat.suspects (fd 1));
+        Alcotest.(check int) "leader" 0 (Heartbeat.leader (fd 1));
+        (* the flip is on each survivor's flight recorder: peer, epoch *)
+        List.iter
+          (fun i ->
+            match
+              List.filter
+                (fun (e : Flight.event) -> e.e_stage = Flight.suspect)
+                (Flight.events (Engine.flight eng i))
+            with
+            | [ e ] ->
+              Alcotest.(check (pair int int)) "peer 2, epoch 0" (2, 0)
+                (e.e_a, e.e_b);
+              Alcotest.(check bool) "after the crash" true (e.e_time > 50_000)
+            | l -> Alcotest.failf "node %d: %d suspect events" i (List.length l))
+          [ 0; 1 ];
+        Engine.recover eng 2;
+        Engine.run eng ~until:(Engine.now eng + (2 * period));
+        Alcotest.(check int) "trusted again, epoch 1" 1
+          (List.length
+             (List.filter
+                (fun (e : Flight.event) ->
+                  e.e_stage = Flight.trust && e.e_a = 2 && e.e_b = 1)
+                (Flight.events (Engine.flight eng 0)))));
+    test "a recovered node's epoch reaches every peer while traffic never pauses"
+      (fun () ->
+        let eng, fd, _ = chatter_cluster ~chats:(fun ~src:_ ~dst:_ -> true) () in
+        Engine.run eng ~until:50_000;
+        Engine.crash eng 2;
+        Engine.run eng ~until:60_000;
+        Engine.recover eng 2;
+        let knows_epoch e () =
+          Heartbeat.epoch (fd 0) 2 = e && Heartbeat.epoch (fd 1) 2 = e
+        in
+        Alcotest.(check bool) "epoch 1 within timeout/2" true
+          (Engine.run_until eng ~until:(60_000 + (timeout / 2))
+             ~pred:(knows_epoch 1) ());
+        (* the boot Beat lost: the epoch rule still beats through the
+           chatter within one timeout window *)
+        Engine.crash eng 2;
+        Engine.run eng ~until:100_000;
+        let net = Engine.network eng in
+        Net.partition net (fun ~src ~dst:_ -> src = 2);
+        Engine.recover eng 2;
+        Engine.at eng 100_001 (fun () -> Net.heal net);
+        Alcotest.(check bool) "epoch 2 within one timeout" true
+          (Engine.run_until eng ~until:(100_000 + timeout)
+             ~pred:(knows_epoch 2) ()));
+  ]
+
 let tests =
   [
     test "fresh detector trusts everyone" (fun () ->
@@ -51,6 +274,12 @@ let tests =
         Engine.run eng ~until:100_000;
         let leaders = List.init 5 (fun i -> Heartbeat.leader (fd i)) in
         Alcotest.(check (list int)) "same" [ 0; 0; 0; 0; 0 ] leaders);
+    test "a fresh cluster agrees on the leader before any Beat lands"
+      (fun () ->
+        (* an unheard peer ranks as epoch 0, not below the known ones *)
+        let _, fd = make_cluster ~n:5 () in
+        let leaders = List.init 5 (fun i -> Heartbeat.leader (fd i)) in
+        Alcotest.(check (list int)) "same at t=0" [ 0; 0; 0; 0; 0 ] leaders);
     test "leader avoids a crashed low id" (fun () ->
         let eng, fd = make_cluster ~n:3 () in
         Engine.run eng ~until:50_000;
@@ -87,4 +316,4 @@ let tests =
         Alcotest.(check (list int)) "suspects" [ 1; 2 ] (Heartbeat.suspects (fd 0)));
   ]
 
-let suite = ("fd", tests)
+let suite = ("fd", tests @ implicit_tests)

@@ -828,6 +828,50 @@ let doctor_tests =
           (List.length (overlaps (observe ~jump:true)));
         Alcotest.(check int) "no jump: flagged" 1
           (List.length (overlaps (observe ~jump:false))));
+    test "doctor: a leader crash reads as suspicion, then the next decide"
+      (fun () ->
+        let cluster =
+          Cluster.create (Factory.make Protocol.paper_alternative) ~seed:44 ~n:3
+            ~flight:(fun ~node:_ -> Flight.create ~cap:8192 ())
+            ()
+        in
+        let rng = Rng.create 4444 in
+        let count =
+          Workload.open_loop cluster ~rng ~senders:[ 1; 2 ] ~start:1_000
+            ~stop:200_000 ~mean_gap:1_000 ()
+        in
+        Cluster.at cluster 100_000 (fun () -> Cluster.crash cluster 0);
+        Alcotest.(check bool) "survivors quiesced" true
+          (Cluster.run_until cluster ~until:100_000_000
+             ~pred:(fun () ->
+               Cluster.all_caught_up cluster ~among:[ 1; 2 ] ~count ())
+             ());
+        with_dir (fun base ->
+            for i = 0 to 2 do
+              write_dump base i (Cluster.flight cluster i)
+            done;
+            match Doctor.analyze ~dir:base () with
+            | Error e -> Alcotest.failf "doctor: %s" e
+            | Ok r ->
+              List.iter
+                (fun i ->
+                  match
+                    List.find_opt
+                      (fun f ->
+                        f.Doctor.ff_node = i && f.Doctor.ff_suspect
+                        && f.Doctor.ff_peer = 0)
+                      r.Doctor.fd_flips
+                  with
+                  | None -> Alcotest.failf "node %d never suspected node 0" i
+                  | Some f ->
+                    Alcotest.(check bool) "suspected after the crash" true
+                      (f.Doctor.ff_time > 100_000);
+                    Alcotest.(check bool) "decided again after it" true
+                      (f.Doctor.ff_next_decide <> None))
+                [ 1; 2 ];
+              Alcotest.(check bool) "rendered" true
+                (Astring.String.is_infix ~affix:"suspects node 0 (epoch 0)"
+                   (Doctor.render r))));
     test "doctor: errors on a directory with no dumps" (fun () ->
         with_dir (fun base ->
             match Doctor.analyze ~dir:base () with

@@ -393,6 +393,31 @@ let alternative_tests =
         match digests with
         | d :: rest -> List.iter (Alcotest.(check string) "converged" d) rest
         | [] -> ());
+    test "alt: a quiescent node writes nothing to stable storage" (fun () ->
+        let module R = Abcast_apps.Kv.Replica in
+        let stack =
+          Factory.make ~app_factory:(R.factory (fun _ _ -> ()))
+            Protocol.paper_alternative
+        in
+        let cluster = Cluster.create stack ~seed:30 ~n:3 () in
+        for j = 0 to 29 do
+          Cluster.at cluster (1_000 + (j * 1_500)) (fun () ->
+              ignore
+                (Cluster.broadcast cluster ~node:(j mod 3)
+                   (Abcast_apps.Kv.set_cmd ~key:(string_of_int j) ~value:"v")))
+        done;
+        Alcotest.(check bool) "done" true
+          (Cluster.run_until cluster ~until:50_000_000
+             ~pred:(fun () -> Cluster.all_caught_up cluster ~count:30 ())
+             ());
+        (* one checkpoint period settles the last deliveries' checkpoint *)
+        Cluster.run cluster ~until:(Cluster.now cluster + 100_000);
+        let ops () = Metrics.sum_prefix (Cluster.metrics cluster) "log_ops" in
+        let before = ops () in
+        Alcotest.(check bool) "checkpoints were written" true
+          (Metrics.sum_prefix (Cluster.metrics cluster) "log_ops.abcast" > 0);
+        Cluster.run cluster ~until:(Cluster.now cluster + 1_000_000);
+        Alcotest.(check int) "no log_ops over 1 s of quiescence" before (ops ()));
     test "alt: recovery installs the app checkpoint" (fun () ->
         let replicas = Array.make 3 None in
         let module R = Abcast_apps.Kv.Replica in
