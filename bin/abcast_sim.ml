@@ -242,6 +242,7 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
           metric "state transfers"
             (Table.num (Metrics.sum m "state_transfers_applied"));
           metric "wal appends" (Table.num (Metrics.sum m "wal_appends"));
+          metric "wal writes" (Table.num (Metrics.sum m "wal_writes"));
           metric "wal fsyncs" (Table.num (Metrics.sum m "wal_fsyncs"));
         ];
     };
@@ -478,7 +479,10 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
       {
         title = "per-process network and WAL counters";
         header =
-          [ "process"; "tx oversize"; "rx undecodable"; "wal appends"; "wal fsyncs" ];
+          [
+            "process"; "tx oversize"; "rx undecodable"; "wal appends";
+            "wal writes"; "wal fsyncs";
+          ];
         rows =
           List.init n (fun i ->
               let ns = Abcast_live.Runtime.net_stats live i in
@@ -494,6 +498,7 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
                 Table.num ns.Abcast_live.Runtime.tx_oversize;
                 Table.num ns.Abcast_live.Runtime.rx_undecodable;
                 ctr "wal_appends";
+                ctr "wal_writes";
                 ctr "wal_fsyncs";
               ]);
       };

@@ -262,10 +262,14 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       Wire.length dest_bufs.(0)
     in
     Array.iter (fun w -> Frame.start w ~src:nd.id) dest_bufs;
+    (* Whatever the node logged before a frame must be in the file
+       before the frame leaves: the WAL tail is written ahead of every
+       sendto. *)
     let flush_dst dst =
       let w = dest_bufs.(dst) in
       let len = Wire.length w in
       if len > hdr_len then begin
+        Storage.flush store;
         (try ignore (Unix.sendto nd.sock (Wire.unsafe_bytes w) 0 len [] addrs.(dst))
          with Unix.Unix_error _ -> () (* lossy channel *));
         Metrics.hincr h_tx_datagrams;
@@ -364,8 +368,12 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
         reorder_apply = false;
       }
     in
+    (* An upcall can acknowledge a client: the records behind the
+       delivery reach the file first. *)
     let p =
-      P.create io ~deliver:(fun ~group pl -> on_deliver ~node:nd.id ~group pl)
+      P.create io ~deliver:(fun ~group pl ->
+          Storage.flush store;
+          on_deliver ~node:nd.id ~group pl)
     in
     let handler = P.handler p in
     let rec drain_self () =
@@ -446,28 +454,34 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       Mutex.unlock nd.mutex;
       r
     in
-    while keep_going () do
-      (* fire due timers *)
-      let rec fire () =
+    let fire () =
+      let rec go () =
         match Heap.peek timers with
         | Some (at, _, fn) when at <= now_us () ->
           ignore (Heap.pop timers);
           fn ();
-          fire ()
+          go ()
         | _ -> ()
       in
-      fire ();
-      (* drain the mailbox *)
+      go ()
+    in
+    let run_mailbox () =
       let jobs = ref [] in
       Mutex.lock nd.mutex;
       while not (Queue.is_empty nd.mailbox) do
         jobs := Queue.pop nd.mailbox :: !jobs
       done;
       Mutex.unlock nd.mutex;
-      List.iter (fun job -> job ()) (List.rev !jobs);
-      (* Ship everything the timers/mailbox/handlers produced this pass. *)
-      ship ();
-      (* wait for traffic or the next timer *)
+      List.iter (fun job -> job ()) (List.rev !jobs)
+    in
+    (* what the boot produced leaves at once *)
+    ship ();
+    (* One pass: wait for traffic or the next timer, drain the socket,
+       then fire the due timers — so a pass that starts late reads the
+       frames that arrived meanwhile before any timer can take their
+       absence for silence — then the mailbox, then one ship for
+       everything the pass produced. *)
+    while keep_going () do
       let timeout =
         match Heap.peek timers with
         | Some (at, _, _) ->
@@ -483,14 +497,12 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
         last_flight_dump := now_us ();
         dump_flight ()
       end;
-      (match Unix.select [ nd.sock ] [] [] timeout with
-      | [ _ ], _, _ ->
-        drain_ready recv_budget;
-        (* replies produced by the handlers must not wait out the next
-           select timeout *)
-        ship ()
-      | _ -> ()
-      | exception Unix.Unix_error _ -> ())
+      (try ignore (Unix.select [ nd.sock ] [] [] timeout)
+       with Unix.Unix_error _ -> ());
+      drain_ready recv_budget;
+      fire ();
+      run_mailbox ();
+      ship ()
     done;
     flush_all ();
     dump_flight ();

@@ -74,6 +74,14 @@ val create :
     delivering node, the broadcast group ([0] on a single-group stack)
     and the payload; keep it short and synchronize your own data.
 
+    Each process runs one event loop. A pass waits in [select] up to the
+    next timer, drains the socket, fires the due timers, runs the
+    mailbox, then ships every coalesced datagram. The store's WAL tail
+    is written ({!Abcast_sim.Storage.flush}) before every [sendto] and
+    before every [on_deliver] upcall, so neither a frame nor a client
+    acknowledgement leaves before the records behind it are in the
+    file.
+
     [flight_cap] (default 8192, [0] disables) sizes each process's crash
     flight recorder ({!Abcast_sim.Flight}): a fixed, allocation-free ring
     of lifecycle events that survives incarnations in memory and, with

@@ -203,7 +203,8 @@ let start t i =
     Flight.record node.flight ~time:t.time ~node:i ~group:0 ~boot:node.inc
       ~stage:Flight.boot ~trace:0 ~a:node.inc ~b:0;
     let io = io_of t node in
-    node.handler <- Some (behavior io)
+    node.handler <- Some (behavior io);
+    Storage.flush node.store
   end
 
 let start_all t =
@@ -228,21 +229,30 @@ let at t time fn = push t ~at:time (Action fn)
 let after t delay fn = push t ~at:(t.time + delay) (Action fn)
 let events_processed t = t.processed
 
+(* A step ends with its node's WAL tail written, so whatever the step
+   logged is in the file before any frame it sent is delivered. An
+   action may touch any node. *)
 let dispatch t item =
   t.time <- item.at;
   t.processed <- t.processed + 1;
   match item.ev with
-  | Action fn -> fn ()
+  | Action fn ->
+    fn ();
+    Array.iter (fun nd -> Storage.flush nd.store) t.nodes
   | Guarded { node; inc; thunk } ->
     let nd = t.nodes.(node) in
-    if nd.up && nd.inc = inc then thunk ()
+    if nd.up && nd.inc = inc then begin
+      thunk ();
+      Storage.flush nd.store
+    end
   | Deliver { dst; src; msg } -> (
     let nd = t.nodes.(dst) in
     if nd.up then
       match nd.handler with
       | Some h ->
         Metrics.hincr t.h_delivered.(dst);
-        h ~src msg
+        h ~src msg;
+        Storage.flush nd.store
       | None -> ()
     else Metrics.hincr t.h_lost_down.(dst))
 

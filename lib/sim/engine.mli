@@ -12,6 +12,11 @@
     state from {!Storage}. Incarnation numbers guard against stale timers
     and model the boot counter a real system keeps.
 
+    Every step (one dispatched event) ends by writing the WAL tail of
+    the stores it may have touched ({!Storage.flush}): a frame is
+    delivered only after the step that sent it reached the file, as on
+    the live runtime.
+
     The engine is polymorphic in the wire message type ['m]; protocol
     layers are composed by wrapping messages with {!map_io}. *)
 

@@ -54,7 +54,7 @@ val decide : int  (** consensus instance [a] decided *)
 
 val apply : int  (** payload A-delivered to the application *)
 
-val wal_append : int  (** WAL record appended ([a] = µs) *)
+val wal_append : int  (** WAL tail written ([a] = µs) *)
 
 val wal_fsync : int  (** WAL fsync completed ([a] = µs) *)
 

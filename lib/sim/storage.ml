@@ -6,6 +6,7 @@ type wal_state = {
   wal : Wal.t;
   mutable last : Wal.stats;
   h_appends : Metrics.handle;
+  h_writes : Metrics.handle;
   h_fsyncs : Metrics.handle;
   h_segments : Metrics.handle;
   h_compactions : Metrics.handle;
@@ -40,6 +41,7 @@ let sync_wal_metrics w =
   let last = w.last in
   if s.appends <> last.appends then
     Metrics.hadd w.h_appends (s.appends - last.appends);
+  if s.writes <> last.writes then Metrics.hadd w.h_writes (s.writes - last.writes);
   if s.fsyncs <> last.fsyncs then Metrics.hadd w.h_fsyncs (s.fsyncs - last.fsyncs);
   if s.segments <> last.segments then
     Metrics.hadd w.h_segments (s.segments - last.segments);
@@ -56,6 +58,7 @@ let wal_state ~metrics ~node wal =
   let zero =
     {
       Wal.appends = 0;
+      writes = 0;
       fsyncs = 0;
       segments = 0;
       compactions = 0;
@@ -68,6 +71,7 @@ let wal_state ~metrics ~node wal =
       wal;
       last = zero;
       h_appends = h "wal_appends";
+      h_writes = h "wal_writes";
       h_fsyncs = h "wal_fsyncs";
       h_segments = h "wal_segments";
       h_compactions = h "wal_compactions";
@@ -213,6 +217,13 @@ let retained_bytes t =
   Hashtbl.fold (fun _ v acc -> acc + String.length v) t.tbl 0
 
 let retained_keys t = Hashtbl.length t.tbl
+
+let flush t =
+  match t.durable with
+  | Some w when Wal.pending w.wal > 0 ->
+    Wal.flush w.wal;
+    sync_wal_metrics w
+  | _ -> ()
 
 let sync t =
   match t.durable with

@@ -11,17 +11,19 @@
     Reads always hit an in-memory table. Without a directory nothing
     reaches disk ("stability" is the simulator's promise); with one the
     table is made durable by the segmented write-ahead log of
-    {!Abcast_store.Wal}: every write/delete is one CRC-guarded append,
-    recovery is a sequential replay with torn-tail truncation, and key
+    {!Abcast_store.Wal}: every write/delete is one CRC-guarded record
+    on the log's in-memory tail, {!flush} writes the tail with one
+    [write] call (the engine that owns the store calls it before any
+    effect leaves the process), recovery is a sequential replay with torn-tail truncation, and key
     deletion (the paper's §5 checkpoint/trim rule) triggers compaction
     that keeps the on-disk footprint proportional to the live state.
 
-    The WAL mirrors its activity into {!Metrics}: ["wal_appends"],
-    ["wal_fsyncs"], ["wal_segments"], ["wal_compactions"],
+    The WAL mirrors its activity into {!Metrics}: ["wal_appends"]
+    (records), ["wal_writes"] (write calls), ["wal_fsyncs"], ["wal_segments"], ["wal_compactions"],
     ["wal_recovered_records"] and ["wal_torn_records"], plus the
     wall-clock latency histograms (series observed via {!Metrics.hist})
-    ["wal_append_us"], ["wal_fsync_us"] and ["wal_recover_us"] (replay
-    cost at open). *)
+    ["wal_append_us"] (one sample per write call), ["wal_fsync_us"] and
+    ["wal_recover_us"] (replay cost at open). *)
 
 type t
 (** Stable storage of one process. *)
@@ -95,6 +97,11 @@ val retained_bytes : t -> int
 
 val retained_keys : t -> int
 (** Number of currently stored keys. *)
+
+val flush : t -> unit
+(** Write the WAL's tail of appended records with one [write] call (see
+    {!Abcast_store.Wal.flush}). No-op when nothing is pending and for a
+    memory store. *)
 
 val sync : t -> unit
 (** Flush outstanding durability work now (pending batched fsyncs),

@@ -11,6 +11,7 @@ let check_failpoint name =
 
 type stats = {
   appends : int;
+  writes : int;
   fsyncs : int;
   segments : int;
   compactions : int;
@@ -38,7 +39,8 @@ type t = {
      gives [live_bytes], the live fraction of the on-disk log. *)
   live : (string, string * int) Hashtbl.t;
   body : Wire.writer; (* scratch: record body *)
-  frame : Wire.writer; (* scratch: length prefix + body + crc *)
+  tail : Wire.writer; (* framed records appended since the last flush *)
+  snap : Wire.writer; (* compaction output, written at once *)
   mutable fd : Unix.file_descr;
   mutable seg_seq : int; (* sequence number of the current segment *)
   mutable seg_size : int; (* bytes in the current segment *)
@@ -47,6 +49,7 @@ type t = {
   mutable live_bytes : int;
   mutable closed : bool;
   mutable appends : int;
+  mutable writes : int;
   mutable fsyncs : int;
   mutable compactions : int;
   mutable recovered : int;
@@ -79,23 +82,39 @@ let encode_body t tag key value =
   if tag <> tag_reset then Wire.write_string t.body key;
   if tag = tag_put then Wire.write_string t.body value
 
-(* Build the frame for the current body and return its length. *)
-let encode_frame t =
+(* Append the frame of the current body to [w]; returns its length. *)
+let frame_into t w =
+  let start = Wire.length w in
   let blen = Wire.length t.body in
-  Wire.clear t.frame;
-  Wire.write_uvarint t.frame blen;
-  let src = Wire.unsafe_bytes t.body in
-  let dst = Wire.unsafe_reserve t.frame blen in
-  Bytes.blit src 0 dst (Wire.length t.frame) blen;
-  Wire.unsafe_advance t.frame blen;
-  let crc = Crc32.bytes src ~off:0 ~len:blen in
-  Wire.write_u8 t.frame crc;
-  Wire.write_u8 t.frame (crc lsr 8);
-  Wire.write_u8 t.frame (crc lsr 16);
-  Wire.write_u8 t.frame (crc lsr 24);
-  Wire.length t.frame
+  Wire.write_uvarint w blen;
+  Wire.append_writer w ~src:t.body;
+  let crc = Crc32.bytes (Wire.unsafe_bytes t.body) ~off:0 ~len:blen in
+  Wire.write_u8 w crc;
+  Wire.write_u8 w (crc lsr 8);
+  Wire.write_u8 w (crc lsr 16);
+  Wire.write_u8 w (crc lsr 24);
+  Wire.length w - start
+
+(* Write the tail to the segment with one write call. The OS can tear
+   it anywhere; the CRCs catch the tear and replay keeps the whole
+   records before it. *)
+let flush t =
+  let len = Wire.length t.tail in
+  if len > 0 then begin
+    (match t.on_io with
+    | None -> Durable.write_all t.fd (Wire.unsafe_bytes t.tail) 0 len
+    | Some f ->
+      let t0 = Unix.gettimeofday () in
+      Durable.write_all t.fd (Wire.unsafe_bytes t.tail) 0 len;
+      f `Append ((Unix.gettimeofday () -. t0) *. 1e6));
+    Wire.clear t.tail;
+    t.writes <- t.writes + 1
+  end
+
+let pending t = Wire.length t.tail
 
 let do_fsync t =
+  flush t;
   (match t.on_io with
   | None -> Durable.fsync_fd t.fd
   | Some f ->
@@ -115,9 +134,10 @@ let open_segment t seq =
   t.seg_seq <- seq
 
 let roll t =
-  (* Seal the full segment: sync it (unless the policy forbids spending
-     fsyncs at all) so sealed segments are settled history, then start
-     the next one. *)
+  (* Seal the full segment: write its tail and sync it (unless the
+     policy forbids spending fsyncs at all) so sealed segments are
+     settled history, then start the next one. *)
+  flush t;
   if Durable.policy t.pacer <> Durable.Never then do_fsync t;
   Unix.close t.fd;
   t.sealed <- t.sealed @ [ (t.seg_seq, seg_path t t.seg_seq) ];
@@ -126,12 +146,11 @@ let roll t =
 
 let check_open t op = if t.closed then invalid_arg ("Wal." ^ op ^ ": closed")
 
-(* Append the already-encoded body as one record; returns the framed
-   size. One write syscall per record: the OS can tear it, the CRC
-   catches the tear. *)
-let append_record t =
-  let flen = encode_frame t in
-  Durable.write_all t.fd (Wire.unsafe_bytes t.frame) 0 flen;
+(* Append the already-encoded body as one record to the tail; returns
+   the framed size. The fsync pacing still counts records: a due fsync
+   writes the tail first. *)
+let append t =
+  let flen = frame_into t t.tail in
   t.seg_size <- t.seg_size + flen;
   t.total_bytes <- t.total_bytes + flen;
   t.appends <- t.appends + 1;
@@ -139,24 +158,13 @@ let append_record t =
   if t.seg_size >= t.segment_bytes then roll t;
   flen
 
-(* The reported `Append duration covers the whole operation, including
-   any fsync or segment roll it triggers — that is the latency a caller
-   actually pays per record. *)
-let append t =
-  match t.on_io with
-  | None -> append_record t
-  | Some f ->
-    let t0 = Unix.gettimeofday () in
-    let flen = append_record t in
-    f `Append ((Unix.gettimeofday () -. t0) *. 1e6);
-    flen
-
 (* ---- compaction ---- *)
 
 let dead_bytes t = t.total_bytes - t.live_bytes
 
 let compact t =
   check_open t "compact";
+  flush t;
   let snap_seq = t.seg_seq + 1 in
   let snap_path = seg_path t snap_seq in
   let tmp = snap_path ^ ".tmp" in
@@ -167,15 +175,17 @@ let compact t =
   let live_size = ref 0 in
   let emit tag key value =
     encode_body t tag key value;
-    let flen = encode_frame t in
-    Durable.write_all fd (Wire.unsafe_bytes t.frame) 0 flen;
+    let flen = frame_into t t.snap in
     snap_size := !snap_size + flen;
     flen
   in
+  Wire.clear t.snap;
   ignore (emit tag_reset "" "");
   Hashtbl.iter
     (fun key (value, _) -> live_size := !live_size + emit tag_put key value)
     t.live;
+  Durable.write_all fd (Wire.unsafe_bytes t.snap) 0 !snap_size;
+  t.writes <- t.writes + 1;
   Durable.fsync_fd fd;
   t.fsyncs <- t.fsyncs + 1;
   Unix.close fd;
@@ -251,6 +261,7 @@ let sync t =
 
 let close t =
   if not t.closed then begin
+    flush t;
     Durable.fsync_fd t.fd;
     t.fsyncs <- t.fsyncs + 1;
     (try Unix.close t.fd with Unix.Unix_error _ -> ());
@@ -260,6 +271,7 @@ let close t =
 let stats t =
   {
     appends = t.appends;
+    writes = t.writes;
     fsyncs = t.fsyncs;
     segments = List.length t.sealed + 1;
     compactions = t.compactions;
@@ -362,7 +374,8 @@ let open_ ?(segment_bytes = 1 lsl 20)
       on_io;
       live = Hashtbl.create 64;
       body = Wire.writer ~cap:256 ();
-      frame = Wire.writer ~cap:256 ();
+      tail = Wire.writer ~cap:4096 ();
+      snap = Wire.writer ~cap:256 ();
       fd = Unix.stdin (* replaced below *);
       seg_seq = 0;
       seg_size = 0;
@@ -371,6 +384,7 @@ let open_ ?(segment_bytes = 1 lsl 20)
       live_bytes = 0;
       closed = false;
       appends = 0;
+      writes = 0;
       fsyncs = 0;
       compactions = 0;
       recovered = 0;
@@ -432,6 +446,7 @@ let open_ ?(segment_bytes = 1 lsl 20)
 
 let wipe t =
   check_open t "wipe";
+  Wire.clear t.tail;
   (try Unix.close t.fd with Unix.Unix_error _ -> ());
   Array.iter
     (fun name ->

@@ -3,9 +3,21 @@
     The paper's crash-recovery model (§2.1) makes stable storage the
     only state a process can trust after a crash. This module is the
     real implementation of that promise: every [put]/[delete] is
-    appended as one CRC-guarded record to the current segment file, and
-    {!open_} rebuilds the live key→value map by replaying all segments
-    in order.
+    framed as one CRC-guarded record and appended to an in-memory tail,
+    {!flush} writes the whole tail to the current segment file with one
+    [write] call, and {!open_} rebuilds the live key→value map by
+    replaying all segments in order.
+
+    {2 Flush contract}
+
+    A record is in the file only after a {!flush}. {!sync}, {!close}, a
+    segment roll, {!compact} and every fsync the policy makes due flush
+    first, so the fsync pacing still counts records and never syncs a
+    file that lacks them. The owner of a log flushes before any effect
+    that depends on its records leaves the process: the live runtime
+    before every datagram and every delivery upcall, the simulator at
+    the end of every step. A crash loses at most the unflushed tail,
+    which is what the fsync policy already allowed to be lost.
 
     {2 On-disk format}
 
@@ -53,7 +65,10 @@ type t
 (** Monotonic counters, kept by every instance since {!open_} (mirrored
     into [Metrics] as [wal_*] by [Abcast_sim.Storage]). *)
 type stats = {
-  appends : int;  (** records appended (puts + deletes + snapshot writes) *)
+  appends : int;  (** records appended (puts + deletes) *)
+  writes : int;
+      (** write calls issued: one per non-empty {!flush} and one per
+          compaction snapshot *)
   fsyncs : int;  (** fsync system calls issued *)
   segments : int;  (** segment files currently on disk *)
   compactions : int;  (** completed compactions *)
@@ -85,18 +100,25 @@ val open_ :
     fraction of the on-disk log exceeds [compact_ratio] (default 0.5).
 
     [on_io], when given, is called with each operation's wall-clock
-    duration in µs: once per record append ([`Append], covering any
-    fsync or segment roll the append triggers), once per fsync
+    duration in µs: once per tail write ([`Append], one per non-empty
+    {!flush}), once per fsync
     ([`Fsync]), and once at the end of [open_] itself ([`Recover], the
     full replay cost). Omitted (the default), no clock is read —
     instrumentation costs nothing. [Abcast_sim.Storage] uses it to feed
     the [wal_append_us]/[wal_fsync_us]/[wal_recover_us] histograms. *)
 
 val put : t -> string -> string -> unit
-(** Append a Put record and update the live map. *)
+(** Append a Put record to the tail and update the live map. *)
 
 val delete : t -> string -> unit
-(** Append a Delete record (no-op if the key is absent). *)
+(** Append a Delete record to the tail (no-op if the key is absent). *)
+
+val flush : t -> unit
+(** Write the tail to the current segment with one [write] call; a
+    no-op when the tail is empty. *)
+
+val pending : t -> int
+(** Bytes appended to the tail and not yet written. *)
 
 val find : t -> string -> string option
 
@@ -109,24 +131,25 @@ val iter : t -> (string -> string -> unit) -> unit
 (** Visit every live binding (undefined order). *)
 
 val sync : t -> unit
-(** Force an fsync of the current segment now, whatever the policy. *)
+(** Flush, then fsync the current segment now, whatever the policy. *)
 
 val compact : t -> unit
-(** Rewrite live bindings into a fresh segment and unlink the old
+(** Flush, then rewrite live bindings into a fresh segment and unlink the old
     ones, unconditionally (automatic compaction applies the dead-bytes
     thresholds; an explicit call does not). *)
 
 val disk_bytes : t -> int
-(** Total bytes across all segment files — the footprint a recovering
-    process must replay. Falls back towards the live-record size after
-    compaction. *)
+(** Total bytes across all segment files once the tail is flushed — the
+    footprint a recovering process must replay. Falls back towards the
+    live-record size after compaction. *)
 
 val close : t -> unit
-(** fsync and close the segment fd. Idempotent; the instance is
+(** Flush, fsync and close the segment fd. Idempotent; the instance is
     unusable for writes afterwards. *)
 
 val wipe : t -> unit
-(** Delete every segment and restart empty (test helper). *)
+(** Drop the tail, delete every segment and restart empty (test
+    helper). *)
 
 val stats : t -> stats
 

@@ -130,7 +130,8 @@ let implicit_tests =
   [
     test "busy links carry only epoch Beats, idle links beat every period"
       (fun () ->
-        (* 0 -> 1 carries a frame every 500 µs; every other link is idle *)
+        (* node 0 leads; 0 -> 1 carries a frame every 500 µs; every other
+           link is idle *)
         let eng, fd, beats =
           chatter_cluster ~chats:(fun ~src ~dst -> src = 0 && dst = 1) ()
         in
@@ -139,20 +140,26 @@ let implicit_tests =
         let window = 100_000 in
         Engine.run eng ~until:(20_000 + window);
         let crossed s d = beats.(s).(d) - before.(s).(d) in
-        (* the period rule never fires on the busy link: what is left is
-           the epoch refresh, one Beat per timeout/2 *)
+        (* the period rule never fires on the busy link, and a fresh
+           leader owes no epoch Beat: at most a recovered leader's epoch
+           refresh, one per timeout/2, could cross it *)
         let busy = crossed 0 1 in
         if busy > window / (timeout / 2) then
           Alcotest.failf "busy link 0->1 carried %d Beats in %d us" busy window;
+        let idle = crossed 0 2 in
+        if idle < (window / period) - 1 then
+          Alcotest.failf "the leader's idle link 0->2 carried only %d Beats"
+            idle;
+        (* followers keep no link alive *)
         List.iter
           (fun (s, d) ->
-            let idle = crossed s d in
-            if idle < (window / period) - 1 then
-              Alcotest.failf "idle link %d->%d carried only %d Beats" s d idle)
-          [ (0, 2); (1, 0); (1, 2); (2, 0); (2, 1) ];
+            Alcotest.(check int)
+              (Printf.sprintf "follower link %d->%d" s d)
+              0 (crossed s d))
+          [ (1, 0); (1, 2); (2, 0); (2, 1) ];
         for i = 0 to 2 do
-          Alcotest.(check (list int)) "everyone trusted" []
-            (Heartbeat.suspects (fd i))
+          Alcotest.(check int) "everyone follows node 0" 0
+            (Heartbeat.leader (fd i))
         done);
     test "a 6.5-ms loop stall as a busy link goes quiet raises no suspicion"
       (fun () ->
@@ -180,6 +187,8 @@ let implicit_tests =
           done
         done);
     test "a crashed peer is suspected within timeout + one period" (fun () ->
+        (* every link chats, so the followers hear each other: once node
+           0, the leader, crashes, both name node 1 at once *)
         let module Flight = Abcast_sim.Flight in
         let eng, fd, _ =
           chatter_cluster
@@ -188,12 +197,17 @@ let implicit_tests =
             ()
         in
         Engine.run eng ~until:50_000;
-        Engine.crash eng 2;
+        Engine.crash eng 0;
         Engine.run eng ~until:(50_000 + timeout + period);
-        Alcotest.(check (list int)) "suspects at 0" [ 2 ] (Heartbeat.suspects (fd 0));
-        Alcotest.(check (list int)) "suspects at 1" [ 2 ] (Heartbeat.suspects (fd 1));
-        Alcotest.(check int) "leader" 0 (Heartbeat.leader (fd 1));
-        (* the flip is on each survivor's flight recorder: peer, epoch *)
+        List.iter
+          (fun i ->
+            Alcotest.(check bool)
+              (Printf.sprintf "node %d suspects the leader" i)
+              false
+              (Heartbeat.trusted (fd i) 0);
+            Alcotest.(check int) "next leader" 1 (Heartbeat.leader (fd i)))
+          [ 1; 2 ];
+        (* the flip is on each follower's flight recorder: peer, epoch *)
         List.iter
           (fun i ->
             match
@@ -202,19 +216,20 @@ let implicit_tests =
                 (Flight.events (Engine.flight eng i))
             with
             | [ e ] ->
-              Alcotest.(check (pair int int)) "peer 2, epoch 0" (2, 0)
+              Alcotest.(check (pair int int)) "peer 0, epoch 0" (0, 0)
                 (e.e_a, e.e_b);
               Alcotest.(check bool) "after the crash" true (e.e_time > 50_000)
             | l -> Alcotest.failf "node %d: %d suspect events" i (List.length l))
-          [ 0; 1 ];
-        Engine.recover eng 2;
+          [ 1; 2 ];
+        (* the recovered node ranks behind its epoch-0 peers, and its
+           epoch reaches every peer *)
+        Engine.recover eng 0;
         Engine.run eng ~until:(Engine.now eng + (2 * period));
-        Alcotest.(check int) "trusted again, epoch 1" 1
-          (List.length
-             (List.filter
-                (fun (e : Flight.event) ->
-                  e.e_stage = Flight.trust && e.e_a = 2 && e.e_b = 1)
-                (Flight.events (Engine.flight eng 0)))));
+        for i = 0 to 2 do
+          if i <> 0 then
+            Alcotest.(check int) "epoch 1 known" 1 (Heartbeat.epoch (fd i) 0);
+          Alcotest.(check int) "leader stays" 1 (Heartbeat.leader (fd i))
+        done);
     test "a recovered node's epoch reaches every peer while traffic never pauses"
       (fun () ->
         let eng, fd, _ = chatter_cluster ~chats:(fun ~src:_ ~dst:_ -> true) () in
@@ -249,18 +264,47 @@ let tests =
           Alcotest.(check (list int)) "no suspects" [] (Heartbeat.suspects (fd i))
         done);
     test "crashed node becomes suspected" (fun () ->
-        let eng, fd = make_cluster () in
-        Engine.crash eng 2;
-        Engine.run eng ~until:100_000;
-        Alcotest.(check (list int)) "suspects at 0" [ 2 ] (Heartbeat.suspects (fd 0));
-        Alcotest.(check (list int)) "suspects at 1" [ 2 ] (Heartbeat.suspects (fd 1)));
+        (* Ω's obligation: every follower suspects a crashed leader
+           within timeout + one period (no heavy tail: a frame takes at
+           most one period to land), then they agree on the next one *)
+        List.iter
+          (fun n ->
+            let net = Net.create ~heavy_tail:0.0 () in
+            let eng, fd = make_cluster ~n ~net () in
+            Engine.run eng ~until:50_500;
+            Alcotest.(check int) "node 0 leads" 0 (Heartbeat.leader (fd 0));
+            Engine.crash eng 0;
+            Engine.run eng ~until:(50_500 + timeout + period);
+            for i = 1 to n - 1 do
+              Alcotest.(check bool)
+                (Printf.sprintf "n=%d: follower %d suspects node 0" n i)
+                false
+                (Heartbeat.trusted (fd i) 0)
+            done;
+            Engine.run eng ~until:(Engine.now eng + (3 * period));
+            for i = 1 to n - 1 do
+              Alcotest.(check int)
+                (Printf.sprintf "n=%d: follower %d names node 1" n i)
+                1
+                (Heartbeat.leader (fd i))
+            done)
+          [ 3; 5 ]);
     test "recovered node is trusted again" (fun () ->
         let eng, fd = make_cluster () in
-        Engine.crash eng 2;
+        Engine.run eng ~until:50_000;
+        Engine.crash eng 0;
         Engine.run eng ~until:100_000;
-        Engine.recover eng 2;
+        Engine.recover eng 0;
         Engine.run eng ~until:200_000;
-        Alcotest.(check (list int)) "trusted" [] (Heartbeat.suspects (fd 0)));
+        (* a recovered node keeps beating its epoch to every peer: each
+           trusts it, knows epoch 1, and so ranks it behind node 1 *)
+        for i = 1 to 2 do
+          Alcotest.(check bool) "trusted" true (Heartbeat.trusted (fd i) 0);
+          Alcotest.(check int) "epoch 1" 1 (Heartbeat.epoch (fd i) 0)
+        done;
+        for i = 0 to 2 do
+          Alcotest.(check int) "agreed leader" 1 (Heartbeat.leader (fd i))
+        done);
     test "epochs reflect incarnations" (fun () ->
         let eng, fd = make_cluster () in
         Engine.run eng ~until:50_000;

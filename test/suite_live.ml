@@ -260,4 +260,161 @@ let tests =
             Alcotest.(check (list string)) "1=2" (seq 1) (seq 2)));
   ]
 
-let suite = ("live", tests)
+(* A stack wrapper for the live runtime's duties. Every frame carries
+   the WAL bytes its sender had logged when the frame was queued, and
+   the receiver checks that the sender's segment files already hold
+   that many; every delivery upcall checks that the delivering node's
+   files hold all it has logged. Either check failing counts a
+   violation. A broadcast of ["stall"] only sleeps [stall] seconds in
+   the mailbox job that runs it, and counts in [stalls]. *)
+let wal_file_bytes dir =
+  Array.fold_left
+    (fun acc name ->
+      if Filename.check_suffix name ".log" then
+        acc + (Unix.stat (Filename.concat dir name)).Unix.st_size
+      else acc)
+    0 (Sys.readdir dir)
+
+type probe = {
+  frames_checked : int Atomic.t;
+  stalls : int Atomic.t;
+  violations : int Atomic.t;
+  stores : Storage.t option array;
+}
+
+let new_probe () =
+  {
+    frames_checked = Atomic.make 0;
+    stalls = Atomic.make 0;
+    violations = Atomic.make 0;
+    stores = Array.make 3 None;
+  }
+
+let probe_stack ?node_dir ?(stall = 0.0) (stack : Abcast_core.Proto.t) probe :
+    Abcast_core.Proto.t =
+  let module S = (val stack : Abcast_core.Proto.S) in
+  let module Wire = Abcast_util.Wire in
+  (module struct
+    let name = S.name ^ "+probe"
+    let shards = S.shards
+    let broadcast_blocks = S.broadcast_blocks
+
+    type msg = S.msg * int
+
+    let msg_size (m, _) = S.msg_size m + 8
+    let msg_group (m, _) = S.msg_group m
+
+    let write_msg w (m, logged) =
+      Wire.write_uvarint w logged;
+      S.write_msg w m
+
+    let read_msg r =
+      let logged = Wire.read_uvarint r in
+      (S.read_msg r, logged)
+
+    let encode_msg m = Wire.to_string write_msg m
+    let decode_msg s = Wire.of_string_opt read_msg s
+
+    type t = { inner : S.t; self : int }
+
+    let create (io : msg Engine.io) ~deliver =
+      probe.stores.(io.self) <- Some io.store;
+      let inner =
+        S.create
+          (Engine.map_io (fun m -> (m, Storage.disk_bytes io.store)) io)
+          ~deliver
+      in
+      { inner; self = io.self }
+
+    (* frames to ourselves never leave the node: no check *)
+    let handler t ~src (m, logged) =
+      (match node_dir with
+      | Some node_dir when src <> t.self ->
+        Atomic.incr probe.frames_checked;
+        if wal_file_bytes (node_dir src) < logged then
+          Atomic.incr probe.violations
+      | _ -> ());
+      S.handler t.inner ~src m
+
+    let broadcast t ?on_agreed ?group data =
+      if data = "stall" then begin
+        Thread.delay stall;
+        Atomic.incr probe.stalls;
+        { Payload.origin = t.self; boot = 0; seq = -1 }
+      end
+      else S.broadcast t.inner ?on_agreed ?group data
+
+    let round t = S.round t.inner
+    let delivered_count t = S.delivered_count t.inner
+    let delivered_tail t = S.delivered_tail t.inner
+    let delivery_vc t = S.delivery_vc t.inner
+    let unordered_count t = S.unordered_count t.inner
+  end)
+
+let probe_tests =
+  [
+    slow_test "live: no frame or delivery leaves before the records behind it"
+      (fun () ->
+        let dir = fresh_dir () in
+        let node_dir i = Filename.concat dir (Printf.sprintf "node%d" i) in
+        let probe = new_probe () in
+        let deliveries = Atomic.make 0 in
+        let on_deliver ~node ~group:_ _ =
+          Atomic.incr deliveries;
+          match probe.stores.(node) with
+          | Some store
+            when wal_file_bytes (node_dir node) < Storage.disk_bytes store ->
+            Atomic.incr probe.violations
+          | _ -> ()
+        in
+        let stack = probe_stack ~node_dir basic probe in
+        match Live.create stack ~n:3 ~base_port:7501 ~dir ~on_deliver () with
+        | exception Unix.Unix_error (err, _, _) ->
+          Printf.printf "skipping live test: %s\n" (Unix.error_message err)
+        | live ->
+          Fun.protect
+            ~finally:(fun () ->
+              Live.shutdown live;
+              Abcast_store.Durable.rm_rf dir)
+            (fun () ->
+              for j = 0 to 19 do
+                Live.broadcast live ~node:(j mod 3) (Printf.sprintf "f%d" j)
+              done;
+              Alcotest.(check bool) "all delivered" true
+                (await (fun () ->
+                     List.for_all
+                       (fun i -> Live.delivered_count live i >= 20)
+                       [ 0; 1; 2 ]));
+              Alcotest.(check bool) "frames checked" true
+                (Atomic.get probe.frames_checked > 0);
+              Alcotest.(check int) "deliveries checked" 60
+                (Atomic.get deliveries);
+              Alcotest.(check int) "violations" 0
+                (Atomic.get probe.violations)));
+    slow_test "live: a stalled loop reads the frames that came meanwhile first"
+      (fun () ->
+        (* node 0 leads and beats node 1, whose mailbox job sleeps for
+           three detector timeouts (10 ms each); the next pass must drain
+           the leader's frames before its watch timer fires *)
+        let module Flight = Abcast_sim.Flight in
+        let probe = new_probe () in
+        let stack = probe_stack ~stall:0.030 basic probe in
+        with_live ~base_port:7511 stack (fun live ->
+            Thread.delay 0.1;
+            let suspicions () =
+              List.length
+                (List.filter
+                   (fun (e : Flight.event) ->
+                     e.e_stage = Flight.suspect && e.e_a = 0)
+                   (Flight.events (Live.flight live 1)))
+            in
+            let before = suspicions () in
+            Live.broadcast live ~node:1 "stall";
+            Alcotest.(check bool) "the stall ran" true
+              (await (fun () -> Atomic.get probe.stalls = 1));
+            Thread.delay 0.05;
+            Alcotest.(check int) "no suspicion of the leader" before
+              (suspicions ())));
+  ]
+
+let suite = ("live", tests @ probe_tests)

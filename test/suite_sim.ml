@@ -105,7 +105,9 @@ let storage_file_tests =
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"cons/000000001/proposal" "hello";
         Storage.write s1 ~layer:"x" ~key:"weird key /%\\0" "bytes";
-        (* a fresh handle on the same directory sees everything *)
+        (* a fresh handle on the same directory sees everything the
+           first one flushed *)
+        Storage.flush s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         Alcotest.(check (option string)) "key 1" (Some "hello")
           (Storage.read s2 "cons/000000001/proposal");
@@ -118,6 +120,7 @@ let storage_file_tests =
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "1";
         Storage.delete s1 ~layer:"x" "a";
+        Storage.flush s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         Alcotest.(check (option string)) "gone" None (Storage.read s2 "a"));
     test "file backing: overwrite persists the newest value" (fun () ->
@@ -126,6 +129,7 @@ let storage_file_tests =
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "old";
         Storage.write s1 ~layer:"x" ~key:"a" "new";
+        Storage.flush s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         Alcotest.(check (option string)) "new" (Some "new") (Storage.read s2 "a"));
     test "file backing: wipe clears the directory" (fun () ->
@@ -134,6 +138,7 @@ let storage_file_tests =
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "1";
         Storage.wipe s1;
+        Storage.flush s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         Alcotest.(check int) "empty" 0 (Storage.retained_keys s2));
     test "file backing: binary values roundtrip" (fun () ->
@@ -142,6 +147,7 @@ let storage_file_tests =
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         let blob = Storage.encode (42, [ "x"; "y" ], 3.14) in
         Storage.write s1 ~layer:"x" ~key:"blob" blob;
+        Storage.flush s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         let (a, b, c) : int * string list * float =
           Storage.decode (Option.get (Storage.read s2 "blob"))

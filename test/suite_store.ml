@@ -78,6 +78,7 @@ let build_log d ops =
     List.map
       (fun op ->
         apply w op;
+        Wal.flush w;
         (Unix.stat seg).Unix.st_size)
       ops
   in
@@ -115,6 +116,27 @@ let wal_tests =
               (Wal.stats w2).Wal.recovered_records;
             Alcotest.(check int) "no tears" 0 (Wal.stats w2).Wal.torn_records;
             Wal.close w2));
+    test "wal: an unflushed record is absent from the segment" (fun () ->
+        with_dir (fun d ->
+            let w = Wal.open_ ~dir:d ~fsync:Durable.Never () in
+            let seg = Wal.current_segment w in
+            let size () = (Unix.stat seg).Unix.st_size in
+            let writes () = (Wal.stats w).Wal.writes in
+            Wal.put w "a" "1";
+            Wal.put w "b" "two";
+            Wal.delete w "a";
+            Alcotest.(check int) "nothing in the file" 0 (size ());
+            Alcotest.(check int) "no write yet" 0 (writes ());
+            let pending = Wal.pending w in
+            Alcotest.(check int) "the tail holds the records"
+              (Wal.disk_bytes w) pending;
+            Wal.flush w;
+            Alcotest.(check int) "one write for three records" 1 (writes ());
+            Alcotest.(check int) "the tail is in the file" pending (size ());
+            Alcotest.(check int) "tail empty" 0 (Wal.pending w);
+            Wal.flush w;
+            Alcotest.(check int) "an empty flush writes nothing" 1 (writes ());
+            Wal.close w));
     test "wal: delete of an absent key appends nothing" (fun () ->
         with_dir (fun d ->
             let w = Wal.open_ ~dir:d () in
@@ -426,6 +448,54 @@ let qcheck_tests =
         (prefix_property (fun data sel ->
              Some (String.sub data 0 (sel mod (String.length data + 1)))));
       QCheck.Test.make
+        ~name:
+          "wal: flush batches of any size, then damage anywhere, recover an \
+           exact op prefix"
+        ~count:100
+        QCheck.(
+          quad raw_ops
+            (list_of_size (Gen.int_range 1 6) (int_range 1 8))
+            bool (int_range 0 1_000_000))
+        (fun (raw, batches, flip, sel) ->
+          let ops = decode_ops raw in
+          with_dir (fun d ->
+              let w =
+                Wal.open_ ~dir:d ~fsync:Durable.Never ~auto_compact:false ()
+              in
+              let seg = Wal.current_segment w in
+              (* write [ops] in batches, cycling through the sizes *)
+              let expected_writes = ref 0 in
+              let rec go ops bs =
+                match (ops, bs) with
+                | [], _ -> ()
+                | _, [] -> go ops batches
+                | _, b :: bs ->
+                  List.iter (apply w) (take b ops);
+                  if Wal.pending w > 0 then incr expected_writes;
+                  Wal.flush w;
+                  go (List.filteri (fun i _ -> i >= b) ops) bs
+              in
+              go ops batches;
+              let writes = (Wal.stats w).Wal.writes in
+              Wal.close w;
+              let data = read_file seg in
+              let len = String.length data in
+              let damaged =
+                if flip && len > 0 then begin
+                  let b = Bytes.of_string data in
+                  let pos = sel mod len in
+                  Bytes.set b pos
+                    (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
+                  Bytes.to_string b
+                end
+                else String.sub data 0 (sel mod (len + 1))
+              in
+              write_raw seg damaged;
+              let w2 = Wal.open_ ~dir:d () in
+              let got = bindings w2 in
+              Wal.close w2;
+              writes = !expected_writes && List.mem got (prefix_models ops)));
+      QCheck.Test.make
         ~name:"wal: one corrupt byte anywhere recovers an exact op prefix"
         ~count:60
         QCheck.(pair raw_ops (int_range 0 1_000_000))
@@ -470,6 +540,8 @@ let backend_tests =
             done;
             Storage.delete s ~layer:"x" "3";
             Alcotest.(check int) "appends" 9 (Metrics.get m ~node:0 "wal_appends");
+            (* every record is due an fsync, which writes it first *)
+            Alcotest.(check int) "writes" 9 (Metrics.get m ~node:0 "wal_writes");
             Alcotest.(check bool) "fsyncs" true
               (Metrics.get m ~node:0 "wal_fsyncs" >= 9);
             Alcotest.(check int) "segments gauge" 1
