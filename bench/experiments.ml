@@ -249,6 +249,38 @@ let e3 () =
     };
   ]
 
+(* [stack] with every State it sends also priced as a full snapshot of
+   the sender's Agreed queue, summed into [full]. The stack runs without
+   an application hook, so that queue has no compacted base: the full
+   snapshot is the whole delivered sequence. *)
+let pricing_full_states full (module S : Proto.S) : Proto.t =
+  let module P = Protocol.Make (Abcast_consensus.Paxos) in
+  (module struct
+    include S
+
+    let create (io : msg Abcast_sim.Engine.io) ~deliver =
+      let self = ref None in
+      let send dst m =
+        (match (!self, P.decode_msg (S.encode_msg m)) with
+        | Some t, Some (P.State { k; floor; _ }) ->
+          let agreed =
+            {
+              Abcast_core.Agreed.base_app = None;
+              base_len = 0;
+              base_chain = Abcast_core.Audit.empty;
+              vc = S.delivery_vc t 0;
+              tail = S.delivered_tail t 0;
+            }
+          in
+          full := !full + P.msg_size (P.State { k; floor; agreed })
+        | _ -> ());
+        io.send dst m
+      in
+      let t = S.create { io with send } ~deliver in
+      self := Some t;
+      t
+  end)
+
 (* ------------------------------------------------------------------ *)
 (* E4 — catching up: consensus replay vs state transfer (paper §5.3).  *)
 
@@ -316,17 +348,20 @@ let e4 () =
         [ Table.num delta; Table.num missed; Table.num ms; Table.num transfers ])
       [ 1; 4; 16; 64 ]
   in
-  (* §5.3 closing remark: ship only what the recipient is missing *)
-  let bytes_row (name, trim_state) =
+  (* §5.3 closing remark: ship only what the recipient is missing. One
+     run; its full-snapshot row prices each State it sent at what the
+     donor's whole Agreed queue would have cost on the wire. *)
+  let bytes_rows =
+    let full_bytes = ref 0 in
     let stack =
-      Factory.make
-        {
-          Protocol.paper_alternative with
-          delta = Some 3;
-          checkpoint_period = Some 2_000_000;
-          early_return = false;
-          trim_state;
-        }
+      pricing_full_states full_bytes
+        (Factory.make
+           {
+             Protocol.paper_alternative with
+             delta = Some 3;
+             checkpoint_period = Some 2_000_000;
+             early_return = false;
+           })
     in
     let cluster = Cluster.create stack ~seed:71 ~n:3 () in
     let rng = Rng.create 73 in
@@ -340,11 +375,17 @@ let e4 () =
     Cluster.at cluster (horizon + 1_000) (fun () -> Cluster.recover cluster 2);
     quiesce cluster ~count "E4c";
     let m = Cluster.metrics cluster in
+    let row name bytes =
+      [
+        Table.Text name;
+        Table.num count;
+        Table.num (Metrics.sum m "state_sent");
+        Table.num bytes;
+      ]
+    in
     [
-      Table.Text name;
-      Table.num count;
-      Table.num (Metrics.sum m "state_sent");
-      Table.num (Metrics.sum m "state_bytes_sent");
+      row "full snapshot" !full_bytes;
+      row "suffix only" (Metrics.sum m "state_bytes_sent");
     ]
   in
   [
@@ -370,8 +411,7 @@ let e4 () =
         "E4c: state-transfer payload, full snapshot vs missing-suffix only \
          (the optimization the paper sketches at the end of 5.3)";
       header = [ "mode"; "msgs"; "state msgs sent"; "state bytes sent" ];
-      rows =
-        [ bytes_row ("full snapshot", false); bytes_row ("suffix only", true) ];
+      rows = bytes_rows;
     };
   ]
 
@@ -599,14 +639,7 @@ let e9 () =
     let stability = 150_000 in
     let plan = Faults.plan_random ~rng ~n ~n_bad:1 ~stability () in
     let good = Faults.good_nodes plan in
-    List.iter
-      (fun ({ time; node; kind } : Faults.event) ->
-        match kind with
-        | Faults.Crash ->
-          Cluster.at cluster time (fun () -> Cluster.crash cluster node)
-        | Faults.Recover ->
-          Cluster.at cluster time (fun () -> Cluster.recover cluster node))
-      plan.events;
+    Cluster.apply_faults cluster plan;
     ignore
       (Workload.open_loop cluster ~rng ~senders:(List.init n Fun.id)
          ~start:1_000 ~stop:stability ~mean_gap:4_000 ());
@@ -909,7 +942,8 @@ let e14 () =
     ]
   in
   let full =
-    run (Factory.make { Protocol.paper_alternative with delta_gossip = false })
+    run
+      (Factory.make { Protocol.paper_alternative with gossip_full_every = 1 })
   in
   let delta = run (Factory.make Protocol.paper_alternative) in
   let flight =
@@ -1463,8 +1497,7 @@ let e22 () =
   let msgs = scale 2_000 in
   let run on =
     drain_burst ~seed:61 ~rng_seed:67 ~n:5 ~msgs
-      (Factory.make
-         { Protocol.throughput with audit_every = (if on then 1 else 0) })
+      (Factory.make { Protocol.throughput with audit = on })
   in
   let modes = [ false; true ] in
   let runs = List.map run modes in

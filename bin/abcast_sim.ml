@@ -32,12 +32,29 @@ module Table = Abcast_harness.Table
 module Kv = Abcast_apps.Kv
 module Partitioned_kv = Abcast_apps.Partitioned_kv
 
+(* A bad flag value is an input error: say which, and exit 3. *)
+let bad_input fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 3) fmt
+
 let parse_topo = function
   | "gossip" -> `Gossip
   | "ring" -> `Ring
-  | s ->
-    Printf.eprintf "unknown --topo %S (expected gossip|ring)\n" s;
-    exit 3
+  | s -> bad_input "unknown --topo %S (expected gossip|ring)" s
+
+let parse_consensus = function
+  | "paxos" -> `Paxos
+  | "coord" -> `Coord
+  | s -> bad_input "unknown --consensus %S (expected paxos|coord)" s
+
+let parse_crash ~n s =
+  let node, from_, until =
+    match List.map int_of_string_opt (String.split_on_char ':' s) with
+    | [ Some node; Some from_; Some until ] -> (node, from_, until)
+    | [ Some node; Some from_ ] -> (node, from_, -1)
+    | _ -> bad_input "bad --crash %S (expected NODE:FROM[:UNTIL] in µs)" s
+  in
+  if node < 0 || node >= n then
+    bad_input "bad --crash %S (node %d is not in 0..%d)" s node (n - 1);
+  (node, from_, until)
 
 (* The stack flags parse into one protocol config. [window]: [None]
    keeps each preset's own (1 for alt, 4 for throughput); naive/ct/basic
@@ -45,7 +62,9 @@ let parse_topo = function
    throughput/naive/ct. *)
 let make_stack stack consensus checkpoint_period delta ~window ~topo ~shards
     ?(trace_sample = 0) () =
+  let consensus = parse_consensus consensus in
   let dissemination = parse_topo topo in
+  if shards < 1 then bad_input "bad --shards %d (must be >= 1)" shards;
   let tuned (c : Protocol.config) = { c with trace_sample } in
   let windowed (c : Protocol.config) =
     { c with window = Option.value window ~default:c.window }
@@ -70,11 +89,9 @@ let make_stack stack consensus checkpoint_period delta ~window ~topo ~shards
     | "naive" -> Factory.make ~consensus Protocol.naive
     | "ct" -> Abcast_baseline.Ct_abcast.stack ~consensus ()
     | s ->
-      failwith
-        (Printf.sprintf "unknown stack %S (basic|alt|throughput|naive|ct)" s)
+      bad_input "unknown --stack %S (expected basic|alt|throughput|naive|ct)" s
   in
-  if shards < 1 then failwith "--shards must be >= 1"
-  else Factory.sharded ~shards base
+  Factory.sharded ~shards base
 
 (* Histogram series worth a row in the end-of-run latency table. *)
 let is_latency_series name =
@@ -85,9 +102,7 @@ let is_latency_series name =
 let parse_fsync s =
   match Durable.policy_of_string s with
   | Ok p -> p
-  | Error msg ->
-    Printf.eprintf "bad --fsync %S: %s\n" s msg;
-    exit 3
+  | Error msg -> bad_input "bad --fsync %S: %s" s msg
 
 (* Default scratch directory of a command run without --dir. It starts
    empty: after PID reuse its nodes would otherwise recover an earlier
@@ -102,7 +117,7 @@ let fresh_scratch_dir prefix =
 
 let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
     dup crashes trace_on trace_out backend fsync check =
-  let consensus = if consensus = "coord" then `Coord else `Paxos in
+  let crashes = List.map (parse_crash ~n) crashes in
   (* Tracing samples every broadcast into per-node flight rings. The net
      model ignores message size and sampling draws no randomness, so a
      traced run keeps the untraced run's schedule. *)
@@ -135,9 +150,7 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
             ~dir:(Filename.concat (Lazy.force storage_dir)
                     (Printf.sprintf "node%d" node))
             ~fsync ~metrics ~node ())
-    | s ->
-      Printf.eprintf "unknown --backend %S (expected memory|wal)\n" s;
-      exit 3
+    | s -> bad_input "unknown --backend %S (expected memory|wal)" s
   in
   let cluster = Cluster.create stack_mod ~seed ~n ~net ?storage ?flight () in
   List.iter
@@ -317,7 +330,6 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
   if not ok then exit 2
 
 let soak_cmd stack consensus window topo n n_bad episodes seed0 =
-  let consensus = if consensus = "coord" then `Coord else `Paxos in
   let violations = ref 0 in
   for e = 1 to episodes do
     let seed = seed0 + (e * 997) in
@@ -329,13 +341,7 @@ let soak_cmd stack consensus window topo n n_bad episodes seed0 =
     let rng = Rng.create (seed + 31) in
     let stability = 150_000 in
     let plan = Faults.plan_random ~rng ~n ~n_bad ~stability () in
-    List.iter
-      (fun ({ time; node; kind } : Faults.event) ->
-        match kind with
-        | Faults.Crash -> Cluster.at cluster time (fun () -> Cluster.crash cluster node)
-        | Faults.Recover ->
-          Cluster.at cluster time (fun () -> Cluster.recover cluster node))
-      plan.events;
+    Cluster.apply_faults cluster plan;
     ignore
       (Workload.open_loop cluster ~rng ~senders:(List.init n Fun.id)
          ~start:1_000 ~stop:stability ~mean_gap:4_000 ());
@@ -369,7 +375,6 @@ let install_sigusr1 rt =
 
 let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     fsync metrics_port trace_sample dir_opt min_rate =
-  let consensus = if consensus = "coord" then `Coord else `Paxos in
   let stack_mod =
     make_stack stack consensus 100_000 3 ~window ~topo ~shards
       ~trace_sample:(max 0 trace_sample) ()
@@ -543,10 +548,8 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
     match Service.read_mode_of_string read_mode with
     | Some m -> m
     | None ->
-      Printf.eprintf
-        "unknown --read-mode %S (expected broadcast|read-index)\n"
-        read_mode;
-      exit 3
+      bad_input "unknown --read-mode %S (expected broadcast|read-index)"
+        read_mode
   in
   let fsync = parse_fsync fsync in
   let dir =
@@ -766,22 +769,12 @@ let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~doc:"number of processes")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"root RNG seed")
 
-let crash_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ a; b; c ] -> Ok (int_of_string a, int_of_string b, int_of_string c)
-    | [ a; b ] -> Ok (int_of_string a, int_of_string b, -1)
-    | _ -> Error (`Msg "expected NODE:FROM[:UNTIL] in µs")
-  in
-  let print ppf (a, b, c) = Format.fprintf ppf "%d:%d:%d" a b c in
-  Arg.conv (parse, print)
-
 let run_t =
   let msgs = Arg.(value & opt int 50 & info [ "msgs" ] ~doc:"broadcast count") in
   let loss = Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"message loss probability") in
   let dup = Arg.(value & opt float 0.0 & info [ "dup" ] ~doc:"duplication probability") in
   let crashes =
-    Arg.(value & opt_all crash_conv [] & info [ "crash" ] ~doc:"NODE:FROM[:UNTIL] fault (repeatable)")
+    Arg.(value & opt_all string [] & info [ "crash" ] ~doc:"NODE:FROM[:UNTIL] fault (repeatable)")
   in
   let trace =
     Arg.(

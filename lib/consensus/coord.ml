@@ -6,7 +6,7 @@ open Consensus_intf
 
 let name = "coord"
 
-let round_timeout = ref 12_000
+let round_timeout = 12_000
 
 type msg =
   | Estimate of { r : int; v : value; ts : int }
@@ -118,7 +118,7 @@ let decide t ~src v =
 
 let timeout_for t r =
   let scale = min 10 (1 + (r / t.io.n)) in
-  (!round_timeout * scale) + Rng.int t.io.rng (!round_timeout / 4 + 1)
+  (round_timeout * scale) + Rng.int t.io.rng (round_timeout / 4 + 1)
 
 let rec enter_round t r =
   if t.decided = None then begin

@@ -36,6 +36,6 @@ type msg =
 
 include Consensus_intf.S with type msg := msg
 
-val round_timeout : int ref
-(** Base round timeout in simulated µs (default 12_000). The effective
+val round_timeout : int
+(** Base round timeout in simulated µs (12_000). The effective
     timeout grows linearly with the round number, capped at 10x. *)

@@ -139,6 +139,8 @@ module Make (C : Consensus_intf.S) = struct
 
   let floor t = t.floor
 
+  let retire t k = t.retired <- max t.retired k
+
   let truncate_below t k =
     if k > t.floor then begin
       Storage.keys_with_prefix t.io.store Keys.prefix
@@ -154,39 +156,8 @@ module Make (C : Consensus_intf.S) = struct
       prune t.proposals_cache;
       prune t.decisions_cache;
       t.floor <- k;
-      t.retired <- max t.retired k;
+      retire t k;
       Storage.write t.io.store ~layer:truncate_layer ~key:floor_key
         (string_of_int k)
     end
-
-  (* The pipelined sequencer: instances [committed .. committed+width)
-     may run concurrently; decisions land in [decisions_cache] as they
-     arrive (in any order) and are handed to the broadcast layer strictly
-     in instance order through [ready]/[commit]. The cursor is volatile —
-     on recovery the broadcast layer re-derives it from its checkpoint and
-     replays decisions from the stable log, which [decision] falls back
-     to when the cache has no entry (e.g. right after recovery). *)
-  module Pipeline = struct
-    type multi = t
-
-    type t = { m : multi; width : int; mutable committed : int }
-
-    let attach m ~width = { m; width = max 1 width; committed = 0 }
-
-    let committed p = p.committed
-
-    let width p = p.width
-
-    let limit p = p.committed + p.width
-
-    let ready p = decision p.m p.committed
-
-    let commit p = p.committed <- p.committed + 1
-
-    let seek p k =
-      if k > p.committed then begin
-        p.committed <- k;
-        p.m.retired <- max p.m.retired k
-      end
-  end
 end

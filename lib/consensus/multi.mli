@@ -73,52 +73,14 @@ module Make (C : Consensus_intf.S) : sig
   (** Lowest instance whose consensus state is still retained (0 if no
       truncation ever happened). *)
 
+  val retire : t -> int -> unit
+  (** [retire t k] settles the instances below [k] here: their pending
+      timers no longer fire. The broadcast layer calls it when its commit
+      cursor jumps forward (state transfer, or recovery adopting a
+      checkpoint at round [k]); {!truncate_below} retires too. *)
+
   val truncate_below : t -> int -> unit
   (** Discard all stable consensus state of instances [< k] and raise the
       floor. Only call once the corresponding prefix is covered by a
       durable checkpoint. *)
-
-  (** The pipelined sequencer over this instance manager: up to [width]
-      instances in flight at once, decisions arriving out of order and
-      committed strictly in instance order. The broadcast layer owns the
-      apply side — it calls {!Pipeline.ready}/{!Pipeline.commit} in a
-      drain loop, kicked from its [on_decide]. The cursor is volatile:
-      recovery re-derives it from the durable checkpoint via
-      {!Pipeline.seek}, and {!Pipeline.ready} reads {!decision}, which
-      falls back to the stable decision log for instances decided before
-      the crash. *)
-  module Pipeline : sig
-    type multi := t
-
-    type t
-
-    val attach : multi -> width:int -> t
-    (** Cursor at instance 0; [width] is clamped to at least 1
-        ([width = 1] is exactly the paper's one-instance-at-a-time
-        sequencer). *)
-
-    val committed : t -> int
-    (** The next instance to commit — the broadcast layer's round
-        counter [k]. Instances below it are applied. *)
-
-    val width : t -> int
-
-    val limit : t -> int
-    (** [committed + width], exclusive upper bound on the instances that
-        may be proposed to right now. *)
-
-    val ready : t -> Consensus_intf.value option
-    (** [decision] of instance [committed], if known — from the volatile
-        decision cache or, failing that, the stable decision log. *)
-
-    val commit : t -> unit
-    (** Advance the cursor past [committed] (whose decision the caller
-        just applied). *)
-
-    val seek : t -> int -> unit
-    (** Jump the cursor forward to [k] (state transfer / recovery
-        adopting a checkpoint at round [k]); instances below [k] are
-        retired, so their pending timers no longer fire. Never moves
-        backwards. *)
-  end
 end

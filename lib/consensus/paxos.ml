@@ -6,7 +6,7 @@ open Consensus_intf
 
 let name = "paxos"
 
-let retry_period = ref 8_000
+let retry_period = 8_000
 
 type msg =
   | Prepare of { b : int }
@@ -251,8 +251,8 @@ let rec tick t =
   else t.ticking <- false
 
 and next_tick t =
-  let jitter = Rng.int t.io.rng (!retry_period / 2 + 1) in
-  t.io.after (!retry_period + jitter) (fun () -> tick t)
+  let jitter = Rng.int t.io.rng (retry_period / 2 + 1) in
+  t.io.after (retry_period + jitter) (fun () -> tick t)
 
 (* A leader holding a proposal starts its ballot at once; the timer only
    paces its retries. Anyone else first waits a retry period (jittered,

@@ -63,9 +63,9 @@ val accepted : Abcast_sim.Storage.t -> instance:int -> (int * Consensus_intf.val
 (** The [(ballot, value)] an acceptor has durably accepted in an
     instance, read from its stable storage. *)
 
-val retry_period : int ref
-(** Base period in simulated µs (default 8_000) between a leader's
+val retry_period : int
+(** Base period in simulated µs (8_000) between a leader's
     ballot retries and a non-leader's [Query] probes; each wait adds a
     random jitter of up to half of it. It never delays a leader's first
     ballot, which starts at propose. A non-leader's first probe waits
-    1 µs to a quarter of it. Tests shrink it to accelerate convergence. *)
+    1 µs to a quarter of it. *)

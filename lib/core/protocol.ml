@@ -41,13 +41,10 @@ type config = {
   incremental : bool;
   paranoid_log : bool;
   window : int;
-  trim_state : bool;
-  delta_gossip : bool;
   gossip_full_every : int;
   dissemination : [ `Gossip | `Ring ];
-  need_cap : int;
   trace_sample : int;
-  audit_every : int;
+  audit : bool;
 }
 
 let paper_basic =
@@ -59,13 +56,10 @@ let paper_basic =
     incremental = false;
     paranoid_log = false;
     window = 1;
-    trim_state = false;
-    delta_gossip = true;
     gossip_full_every = 8;
     dissemination = `Gossip;
-    need_cap = 128;
     trace_sample = 0;
-    audit_every = 1;
+    audit = true;
   }
 
 let paper_alternative =
@@ -75,7 +69,6 @@ let paper_alternative =
     delta = Some 4;
     early_return = true;
     incremental = true;
-    trim_state = true;
   }
 
 let naive = { paper_alternative with paranoid_log = true; incremental = false }
@@ -98,6 +91,15 @@ let throughput =
    the whole backlog, cut at this bound) and for one ring message. *)
 let max_batch_bytes = 24_000
 
+(* How many missing ids one digest exchange pulls — the repair path's
+   flow control. An uncapped pull turns the first digest of a large
+   burst into a storm: every receiver asks every peer for the whole
+   backlog that the primary dissemination path (ring or full gossip) is
+   already carrying, and each peer answers with a duplicate copy.
+   Anything past the cap is pulled on a later tick, so repair throughput
+   stays bounded but positive. *)
+let need_cap = 128
+
 (* Coalescing delay before forwarding ring entries to the successor. *)
 let ring_flush_us = 400
 
@@ -105,9 +107,7 @@ let validate c =
   let reject what = invalid_arg ("Protocol.config: " ^ what) in
   if c.window < 1 then reject "window must be >= 1";
   if c.gossip_full_every < 1 then reject "gossip_full_every must be >= 1";
-  if c.need_cap < 0 then reject "need_cap must be >= 0";
-  if c.trace_sample < 0 then reject "trace_sample must be >= 0";
-  if c.audit_every < 0 then reject "audit_every must be >= 0"
+  if c.trace_sample < 0 then reject "trace_sample must be >= 0"
 
 (* The Unordered set. Most operations on it are point lookups, adds and
    removes — one of each per payload per process — so it lives in a
@@ -319,7 +319,12 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     multi : M.t;
     mh : handles;
     size : msg -> int; (* this node's own one-slot msg_size memo *)
-    pipe : M.Pipeline.t; (* in-order commit cursor over the instance window *)
+    mutable committed : int;
+        (* the paper's round counter [k]: the next instance whose
+           decision we apply. Volatile — recovery re-derives it from the
+           checkpoint. Instances [committed .. committed + window) may
+           run concurrently; their decisions land in [multi]'s cache in
+           any order and are applied strictly in instance order. *)
     mutable agreed : Agreed.t;
     unordered : Payload.t Ptbl.t;
     mutable unordered_cache : Payload.t list option;
@@ -366,9 +371,14 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
            [Abcast_sim.Faults.reorder_apply]) has not fired yet *)
   }
 
-  (* The round counter [k] of the paper is the pipeline's commit cursor:
-     the next instance whose decision we will apply. *)
-  let committed t = M.Pipeline.committed t.pipe
+  (* Jump the commit cursor forward to [k] (state transfer, or recovery
+     adopting a checkpoint at round [k]); the instances below it retire,
+     so their pending timers no longer fire. Never moves backwards. *)
+  let seek t k =
+    if k > t.committed then begin
+      t.committed <- k;
+      M.retire t.multi k
+    end
 
   let unordered_mem t id = Ptbl.mem t.unordered id
 
@@ -535,9 +545,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         ~a:(Agreed.total_len t.agreed) ~b:dt;
       Metrics.add t.io.metrics ~node:t.io.self "recovery_catchup_us" dt
     end;
-    if
-      t.cfg.audit_every > 0
-      && Agreed.total_len t.agreed land chain_grid_mask = 0
+    if t.cfg.audit && Agreed.total_len t.agreed land chain_grid_mask = 0
     then
       flight t ~stage:Flight.chain ~trace:0 ~a:(Agreed.total_len t.agreed)
         ~b:(Agreed.chain t.agreed);
@@ -562,7 +570,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      wake the WAL's fsync pacer and compaction for nothing): skip it
      while neither the commit cursor nor the delivery length moved. *)
   let do_checkpoint t =
-    let k = committed t and len = Agreed.total_len t.agreed in
+    let k = t.committed and len = Agreed.total_len t.agreed in
     if k <> t.ck_k || len <> t.ck_len then begin
       t.ck_k <- k;
       t.ck_len <- len;
@@ -649,9 +657,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        skipped and every one eventually runs a consensus. A backlog wider
        than the bytes budget keeps the walk going: each further instance
        gets the still-uncovered suffix (pipelining). *)
-    let k = committed t in
+    let k = t.committed in
     let rec walk j =
-      if j < M.Pipeline.limit t.pipe then
+      if j < t.committed + t.cfg.window then
         match (M.decision t.multi j, M.proposal t.multi j) with
         | Some _, _ | None, Some _ -> walk (j + 1)
         | None, None ->
@@ -702,8 +710,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         | `Dup -> unordered_remove t p.id
         | `Gap -> Metrics.incr t.io.metrics ~node:t.io.self "ab_gap_skips")
       batch;
-    own_props_del t (committed t);
-    M.Pipeline.commit t.pipe;
+    own_props_del t t.committed;
+    t.committed <- t.committed + 1;
     if t.cfg.paranoid_log then do_checkpoint t
 
   (* Only the node that completes an instance announces it, so a late
@@ -711,14 +719,14 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      retry tick. A peer that reports a cursor past ours has decided our
      cursor's instance: probe it at once, once per instance. *)
   let probe_cursor t =
-    let k = committed t in
+    let k = t.committed in
     if t.gossip_k > k && k <> t.probed_k then begin
       t.probed_k <- k;
       M.probe t.multi k
     end
 
   let rec drain_decisions t =
-    match M.Pipeline.ready t.pipe with
+    match M.decision t.multi t.committed with
     | Some v ->
       apply_decision t v;
       drain_decisions t
@@ -728,16 +736,19 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   (* --- State transfer (§5.3) ---------------------------------------- *)
 
+  (* A Δ-triggered transfer knows the recipient's delivery length and
+     ships only the suffix it is missing (§5.3), falling back to the full
+     snapshot when that suffix reaches into a compacted checkpoint. *)
   let send_state ?for_len t dst =
     let agreed =
-      match for_len with
-      | Some len when t.cfg.trim_state -> (
-        match Agreed.suffix_snapshot t.agreed ~from_len:len with
-        | Some trimmed -> trimmed
-        | None -> Agreed.snapshot t.agreed)
-      | _ -> Agreed.snapshot t.agreed
+      match
+        Option.bind for_len (fun len ->
+            Agreed.suffix_snapshot t.agreed ~from_len:len)
+      with
+      | Some trimmed -> trimmed
+      | None -> Agreed.snapshot t.agreed
     in
-    let m = State { k = committed t; floor = M.floor t.multi; agreed } in
+    let m = State { k = t.committed; floor = M.floor t.multi; agreed } in
     Metrics.add t.io.metrics ~node:t.io.self "state_bytes_sent" (t.size m);
     Metrics.incr t.io.metrics ~node:t.io.self "state_sent";
     t.io.send dst m
@@ -749,8 +760,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        there, so state transfer is the only way forward (§5.3). *)
     match t.cfg.delta with
     | Some delta
-      when committed t < ks
-           && (committed t < ks - delta || committed t < floor)
+      when t.committed < ks
+           && (t.committed < ks - delta || t.committed < floor)
            (* A trimmed repr (no app blob, synthetic base) is only usable
               if our sequence still covers its base — it carries no
               prefix. A crash after we advertised [len] can put us below;
@@ -759,7 +770,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
               || Agreed.total_len t.agreed >= repr.base_len) ->
       (* The jump event excuses the skipped instances in the doctor's
          delivery-gap scan: adopted prefixes never saw local decides. *)
-      flight t ~stage:Flight.stjump ~trace:0 ~a:(committed t) ~b:ks;
+      flight t ~stage:Flight.stjump ~trace:0 ~a:t.committed ~b:ks;
       (* "Terminate task sequencer": in-flight decisions below [ks] are
          ignored from now on because the commit cursor jumps past them. *)
       (match Agreed.adopt t.agreed repr with
@@ -771,7 +782,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         | None, Some _ ->
           invalid_arg "state transfer: checkpointed donor but no app hook");
         List.iter (deliver_one t) ps);
-      M.Pipeline.seek t.pipe ks;
+      seek t ks;
       let stale_props =
         Hashtbl.fold
           (fun j _ acc -> if j < ks then j :: acc else acc)
@@ -790,12 +801,12 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       List.iter (Ptbl.remove t.unordered) ordered;
       (* Persist the jump: replay must not restart below the donor's
          floor, whose consensus state may be truncated. *)
-      Storage.Slot.set t.ck_slot (committed t, Agreed.snapshot t.agreed);
+      Storage.Slot.set t.ck_slot (t.committed, Agreed.snapshot t.agreed);
       Metrics.incr t.io.metrics ~node:t.io.self "state_transfers_applied";
       drain_decisions t
     | _ ->
       (* Small de-synchronization: treat like a gossip round hint. *)
-      if ks > committed t then t.gossip_k <- max t.gossip_k ks
+      if ks > t.committed then t.gossip_k <- max t.gossip_k ks
 
   (* --- Gossip task (§4.2; digest/pull optimization) ------------------ *)
 
@@ -828,7 +839,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     t.ring_pending <- [];
     if entries <> [] then begin
       let succ = (t.io.self + 1) mod t.io.n in
-      let k = committed t and len = Agreed.total_len t.agreed in
+      let k = t.committed and len = Agreed.total_len t.agreed in
       let send chunk =
         let m = Ring { k; len; entries = List.rev chunk } in
         count_gossip t ~copies:1 m;
@@ -856,12 +867,11 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       end
     end
 
-  (* The order certificate riding this gossip tick, if the cadence says
-     so. One small option allocation per periodic tick — never on the
+  (* The order certificate riding every gossip tick when the audit is
+     on. One small option allocation per periodic tick — never on the
      per-payload path — and ~1 byte on the wire when absent. *)
   let cert_now t =
-    if t.cfg.audit_every > 0 && t.gossip_tick mod t.cfg.audit_every = 0
-    then
+    if t.cfg.audit then
       Some
         {
           Audit.c_boot = t.io.incarnation;
@@ -872,16 +882,13 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   let rec gossip_loop t =
     t.gossip_tick <- t.gossip_tick + 1;
-    let full =
-      (not t.cfg.delta_gossip)
-      || t.gossip_tick mod t.cfg.gossip_full_every = 0
-    in
+    let full = t.gossip_tick mod t.cfg.gossip_full_every = 0 in
     let cert = cert_now t in
     let m =
       if full then
         Gossip
           {
-            k = committed t;
+            k = t.committed;
             len = Agreed.total_len t.agreed;
             unordered = unordered_list t;
             cert;
@@ -889,7 +896,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       else
         Digest
           {
-            k = committed t;
+            k = t.committed;
             len = Agreed.total_len t.agreed;
             summary = unordered_summary t;
             cert;
@@ -909,7 +916,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     match cert with
     | None -> ()
     | Some (c : Audit.cert) -> (
-      if t.cfg.audit_every > 0 then
+      if t.cfg.audit then
         match Agreed.chain_at t.agreed c.c_len with
         | None -> ()
         | Some h ->
@@ -930,50 +937,30 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      and Agreed length [len_q]: note how far the group has got, hand a
      peer lagging by more than Δ a State (§5.3), then drain. *)
   let on_peer_progress t ~src kq ~len_q =
-    if kq > committed t then t.gossip_k <- max t.gossip_k kq;
+    if kq > t.committed then t.gossip_k <- max t.gossip_k kq;
     (match t.cfg.delta with
-    | Some delta when committed t > kq + delta -> send_state ~for_len:len_q t src
+    | Some delta when t.committed > kq + delta -> send_state ~for_len:len_q t src
     | _ -> ());
     drain_decisions t
 
-  let on_gossip t ~src kq ~len_q uq =
-    List.iter
-      (fun (p : Payload.t) ->
-        if not (Agreed.contains t.agreed p.id) then begin
-          if p.trace <> 0 && not (unordered_mem t p.id) then
-            flight t ~stage:Flight.rx_gossip ~trace:p.trace ~a:src ~b:0;
-          unordered_add t p
-        end)
-      uq;
-    on_peer_progress t ~src kq ~len_q
-
-  let on_ring t ~src kq ~len_q entries =
-    List.iter
-      (fun (hops, (p : Payload.t)) ->
-        if not (Agreed.contains t.agreed p.id) then begin
-          if p.trace <> 0 && not (unordered_mem t p.id) then
-            flight t ~stage:Flight.rx_ring ~trace:p.trace ~a:src ~b:0;
-          unordered_add t p;
-          ring_enqueue t (hops - 1) p
-        end)
-      entries;
-    on_peer_progress t ~src kq ~len_q
+  (* Admit one disseminated payload to Unordered. [stage] names the path
+     it came by in the flight recorder; [hops] is what is left of its
+     ring journey (0 for gossip, which forwards nothing). *)
+  let admit t ~src ~stage ~hops (p : Payload.t) =
+    if not (Agreed.contains t.agreed p.id) then begin
+      if p.trace <> 0 && not (unordered_mem t p.id) then
+        flight t ~stage ~trace:p.trace ~a:src ~b:0;
+      unordered_add t p;
+      ring_enqueue t hops p
+    end
 
   (* A digest names, per stream, the highest seq the sender has held
      unordered. Everything below it that we neither delivered nor hold is
      a candidate gap: pull exactly those. The sender replies with the
-     subset it actually has, as a regular payload gossip.
-
-     The pull is flow-controlled: at most [cfg.need_cap] ids per digest
-     (default 128, a [config] field). An uncapped pull turns the first
-     digest of a large burst into a storm — every receiver asks every
-     peer for the whole backlog that the primary dissemination path
-     (ring or full gossip) is already carrying, and each peer answers
-     with a duplicate copy. Anything past the cap is simply pulled on a
-     later tick, so repair throughput stays bounded but positive. *)
-
+     subset it actually has, as a regular payload gossip — at most
+     [need_cap] ids per digest. *)
   let on_digest t ~src kq ~len_q summary =
-    let budget = ref t.cfg.need_cap in
+    let budget = ref need_cap in
     let missing =
       List.fold_left
         (fun acc (origin, boot, smax) ->
@@ -1007,7 +994,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       let m =
         Gossip
           {
-            k = committed t;
+            k = t.committed;
             len = Agreed.total_len t.agreed;
             unordered = List.sort Payload.compare ps;
             cert = None;
@@ -1059,7 +1046,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     let t0 = t.io.now () in
     (match Storage.Slot.get t.ck_slot with
     | Some (k, repr) ->
-      M.Pipeline.seek t.pipe k;
+      seek t k;
       t.agreed <- Agreed.restore repr;
       (match (t.app, repr.base_app) with
       | Some app, Some blob -> app.install blob
@@ -1070,11 +1057,11 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | None -> ());
     restore_unordered t;
     (* Replay: walk the consensus log upward from the checkpoint.
-       [Pipeline.ready] falls back to the stable decision log exactly for
+       [M.decision] falls back to the stable decision log exactly for
        this — the volatile decide buffer died with the crash. *)
     let rounds = ref 0 in
     let rec replay () =
-      match M.Pipeline.ready t.pipe with
+      match M.decision t.multi t.committed with
       | Some v ->
         apply_decision t v;
         incr rounds;
@@ -1091,7 +1078,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        volatile record of what they contain. *)
     List.iter
       (fun j ->
-        if j >= committed t && M.decision t.multi j = None then
+        if j >= t.committed && M.decision t.multi j = None then
           match M.proposal t.multi j with
           | Some v ->
             own_props_set t j
@@ -1119,10 +1106,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
               (* Multi caches every decision before this upcall, so an
                  out-of-order one waits there; only a decision at the
                  cursor lets the drain loop make progress. *)
-              if k = committed t then drain_decisions t))
+              if k = t.committed then drain_decisions t))
         ~on_lag:(fun floor ->
           with_t (fun t ->
-              if floor > committed t then t.gossip_k <- max t.gossip_k floor))
+              if floor > t.committed then t.gossip_k <- max t.gossip_k floor))
         ~on_behind:(fun ~src -> with_t (fun t -> send_state t src))
     in
     let store = io.Engine.store in
@@ -1159,7 +1146,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         multi;
         mh;
         size = make_msg_size ();
-        pipe = M.Pipeline.attach multi ~width:cfg.window;
+        committed = 0;
         agreed = Agreed.create ();
         unordered = Ptbl.create 64;
         unordered_cache = None;
@@ -1212,7 +1199,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | Gossip { k; len; unordered; cert } ->
       Metrics.hincr t.mh.h_rx_gossip;
       audit_check t ~src cert;
-      on_gossip t ~src k ~len_q:len unordered
+      List.iter (admit t ~src ~stage:Flight.rx_gossip ~hops:0) unordered;
+      on_peer_progress t ~src k ~len_q:len
     | Digest { k; len; summary; cert } ->
       Metrics.hincr t.mh.h_rx_digest;
       audit_check t ~src cert;
@@ -1231,13 +1219,17 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       Heartbeat.handle t.hb ~src m
     | Ring { k; len; entries } ->
       Metrics.hincr t.mh.h_rx_ring;
-      on_ring t ~src k ~len_q:len entries
+      List.iter
+        (fun (hops, p) ->
+          admit t ~src ~stage:Flight.rx_ring ~hops:(hops - 1) p)
+        entries;
+      on_peer_progress t ~src k ~len_q:len
 
   type t = node
 
   let handler = node_handler
 
-  let round t = committed t
+  let round t = t.committed
 
   let delivered_count t = Agreed.total_len t.agreed
 

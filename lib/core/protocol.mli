@@ -39,7 +39,10 @@ type config = {
           checkpoint writes nothing. *)
   delta : int option;
       (** the §5.3 state-transfer threshold Δ in rounds; [None] disables
-          state transfer (the basic protocol) *)
+          state transfer (the basic protocol). A Δ-triggered transfer
+          carries only the suffix the recipient is missing (§5.3),
+          falling back to the full snapshot when that suffix reaches
+          into a compacted checkpoint. *)
   early_return : bool;
       (** log [Unordered] on [A-broadcast] and complete immediately
           (§5.4); [false] blocks until the message reaches [Agreed] *)
@@ -56,36 +59,26 @@ type config = {
           of order but deliveries happen strictly in instance order, and
           a batch entry whose stream predecessor is missing is skipped
           deterministically and re-proposed. *)
-  trim_state : bool;
-      (** a gossip-triggered state transfer carries only the suffix the
-          recipient is missing (§5.3), falling back to the full snapshot
-          when that suffix reaches into a compacted checkpoint *)
-  delta_gossip : bool;
-      (** gossip {!Make.Digest} summaries and pull missing entries
-          instead of multisending the full [Unordered] set every period;
-          [false] restores Fig. 2/3 verbatim *)
   gossip_full_every : int;
-      (** with [delta_gossip], every this-many-th tick still ships the
-          full set, so the paper's §4.2 liveness argument applies
-          unchanged to that subsequence of gossips *)
+      (** every this-many-th gossip tick multisends the full [Unordered]
+          set; the others send a {!Make.Digest} summary from which each
+          receiver pulls what it misses with {!Make.Need}. The full
+          subsequence keeps the paper's §4.2 liveness argument
+          unchanged; [1] is Fig. 2/3 verbatim (full set every tick). *)
   dissemination : [ `Gossip | `Ring ];
       (** [`Ring] forwards payload batches to the successor process only
           (coalesced for 400 µs); the digest/pull gossip stays as the
           repair path after crashes *)
-  need_cap : int;
-      (** how many missing ids one digest exchange will pull — the
-          repair path's flow control *)
   trace_sample : int;
       (** [0] = off; [k] samples every [k]-th local broadcast for causal
           tracing: the payload carries a {!Trace_ctx} across every hop
           and each node stamps flight events with it
           (see {!Abcast_sim.Flight}) *)
-  audit_every : int;
-      (** [0] = off; [k] piggybacks an {!Audit.cert} order certificate
-          on every [k]-th gossip or digest; a mismatch against the
-          receiver's own delivery hash chain trips the
-          ["audit_diverged"] sentinel (an [io.alarm], a flight event and
-          a metric) *)
+  audit : bool;
+      (** piggyback an {!Audit.cert} order certificate on every gossip
+          and digest; a mismatch against the receiver's own delivery
+          hash chain trips the ["audit_diverged"] sentinel (an
+          [io.alarm], a flight event and a metric) *)
 }
 (** The protocol's tuning, shared by every functor instantiation. Build
     one from a preset: [{ paper_alternative with window = 4 }]. *)
@@ -93,11 +86,11 @@ type config = {
 val paper_basic : config
 (** Fig. 2: no checkpoints, no state transfer, blocking [A-broadcast],
     3 ms gossip with digests and a full set every 8th tick, window 1,
-    [need_cap = 128], audit on every tick, tracing off. *)
+    audit on, tracing off. *)
 
 val paper_alternative : config
 (** Figs. 3–5: {!paper_basic} plus 50 ms checkpoints, Δ = 4, early
-    return, incremental logging and trimmed state transfer. *)
+    return and incremental logging. *)
 
 val naive : config
 (** {!paper_alternative} with a checkpoint after every round and full
@@ -132,9 +125,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
       }
         (** full-payload [gossip(k_p, Unordered_p)] multisend (§4.2); [len]
             is the sender's delivered-sequence length, letting a state-
-            transfer donor ship only the missing suffix (§5.3). With
-            digest gossip enabled this is the periodic full-set fallback
-            and the reply to a {!Need} pull. [cert] optionally piggybacks
+            transfer donor ship only the missing suffix (§5.3). Sent on
+            every [gossip_full_every]-th tick and as the reply to a
+            {!Need} pull. [cert] optionally piggybacks
             the sender's order certificate (the online audit). *)
     | Digest of {
         k : int;
@@ -212,8 +205,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
       sentinel to catch.
 
       @raise Invalid_argument ["Protocol.config: <field> must be >= …"]
-      unless [window >= 1], [gossip_full_every >= 1], [need_cap >= 0],
-      [trace_sample >= 0] and [audit_every >= 0]. *)
+      unless [window >= 1], [gossip_full_every >= 1] and
+      [trace_sample >= 0]. *)
 
   val handler : t -> src:int -> msg -> unit
   (** The incoming-message dispatcher to register as the engine

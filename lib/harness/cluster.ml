@@ -57,6 +57,7 @@ let at (T c) time fn = Engine.at c.eng time fn
 let after (T c) delay fn = Engine.after c.eng delay fn
 let crash (T c) i = Engine.crash c.eng i
 let recover (T c) i = Engine.recover c.eng i
+let apply_faults (T c) plan = Abcast_sim.Faults.apply c.eng plan
 let is_up (T c) i = Engine.is_up c.eng i
 
 let started nodes i =

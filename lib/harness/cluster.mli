@@ -60,6 +60,9 @@ val crash : t -> int -> unit
 val recover : t -> int -> unit
 val is_up : t -> int -> bool
 
+val apply_faults : t -> Abcast_sim.Faults.plan -> unit
+(** Schedule every crash and recovery of a fault plan, in plan order. *)
+
 val broadcast :
   t -> ?on_agreed:(Abcast_core.Payload.id -> unit) -> ?group:int ->
   node:int -> string -> Abcast_core.Payload.id option

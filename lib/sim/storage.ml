@@ -83,7 +83,7 @@ let wal_state ~metrics ~node wal =
   w
 
 let create ?dir ?(fsync = Durable.Every { ops = 64; ms = 20 })
-    ?wal_segment_bytes ?wal_compact_min_bytes ?(flight = Flight.disabled)
+    ?wal_compact_min_bytes ?(flight = Flight.disabled)
     ?(flight_now = fun () -> int_of_float (Unix.gettimeofday () *. 1e6))
     ~metrics ~node () =
   let tbl = Hashtbl.create 32 in
@@ -128,8 +128,8 @@ let create ?dir ?(fsync = Durable.Every { ops = 64; ms = 20 })
         | `Recover -> Histogram.add h_recover us
       in
       let wal =
-        Wal.open_ ?segment_bytes:wal_segment_bytes
-          ?compact_min_bytes:wal_compact_min_bytes ~fsync ~on_io ~dir:d ()
+        Wal.open_ ?compact_min_bytes:wal_compact_min_bytes ~fsync ~on_io
+          ~dir:d ()
       in
       let t0 = Unix.gettimeofday () in
       let records = ref 0 and bytes = ref 0 in
@@ -177,13 +177,6 @@ let write t ~layer ~key v =
     sync_wal_metrics w
 
 let read t key = Hashtbl.find_opt t.tbl (full_key t key)
-
-let write_if_changed t ~layer ~key v =
-  match read t key with
-  | Some old when String.equal old v -> false
-  | _ ->
-    write t ~layer ~key v;
-    true
 
 let mem t key = Hashtbl.mem t.tbl (full_key t key)
 
@@ -265,21 +258,9 @@ module Slot = struct
     dec : string -> 'a option;
   }
 
-  let marshal_dec s =
-    match Marshal.from_string s 0 with
-    | v -> Some v
-    | exception (Failure _ | Invalid_argument _) -> None
-
-  let make ?codec store ~layer ~key =
-    let enc, dec =
-      match codec with Some c -> c | None -> (encode, marshal_dec)
-    in
-    { store; layer; key; enc; dec }
+  let make ~codec:(enc, dec) store ~layer ~key = { store; layer; key; enc; dec }
 
   let set slot v = write slot.store ~layer:slot.layer ~key:slot.key (slot.enc v)
-
-  let set_if_changed slot v =
-    write_if_changed slot.store ~layer:slot.layer ~key:slot.key (slot.enc v)
 
   let get slot =
     match read slot.store slot.key with

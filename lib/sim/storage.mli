@@ -31,7 +31,6 @@ type t
 val create :
   ?dir:string ->
   ?fsync:Abcast_store.Durable.policy ->
-  ?wal_segment_bytes:int ->
   ?wal_compact_min_bytes:int ->
   ?flight:Flight.t ->
   ?flight_now:(unit -> int) ->
@@ -47,9 +46,9 @@ val create :
     keep flight timestamps on its own run-relative clock.
 
     With [dir] the store is a WAL in that directory, otherwise memory
-    only. [fsync] (default [Every {ops = 64; ms = 20}]),
-    [wal_segment_bytes] and [wal_compact_min_bytes] tune the WAL (see
-    {!Abcast_store.Wal.open_}). An existing WAL is replayed at creation
+    only. [fsync] (default [Every {ops = 64; ms = 20}]) and
+    [wal_compact_min_bytes] tune the WAL (see {!Abcast_store.Wal.open_});
+    segments roll at its default size. An existing WAL is replayed at creation
     — this is what lets state survive {e real} process restarts in the
     live runtime. *)
 
@@ -72,13 +71,6 @@ val write : t -> layer:string -> key:string -> string -> unit
 (** [write t ~layer ~key v] durably stores [v] under [key]. Counts one
     log operation and [String.length v] bytes for [layer].
     Overwrites silently. *)
-
-val write_if_changed : t -> layer:string -> key:string -> string -> bool
-(** Like {!write} but skips the physical write (and its accounting) when
-    the stored value is already equal — the paper's §5.5 incremental
-    logging rule "a log operation can be saved each time the current value
-    does not differ from its previously logged value". Returns whether a
-    write happened. *)
 
 val read : t -> string -> string option
 (** Retrieve the value stored under a key, if any. Reads are free. *)
@@ -123,28 +115,22 @@ val disk_bytes : t -> int
 val wipe : t -> unit
 (** Clear everything (test helper; never called by protocols). *)
 
-(** Typed single-value cell on top of {!t}. Serialization defaults to
-    [Marshal] (only instantiate at plain data types, no closures) but a
-    slot can carry an explicit codec — protocols use {!Abcast_util.Wire}
-    codecs for their hot cells. *)
+(** Typed single-value cell on top of {!t}, serialized by an explicit
+    codec — protocols use {!Abcast_util.Wire} codecs for their cells. *)
 module Slot : sig
   type 'a slot
 
   val make :
-    ?codec:(('a -> string) * (string -> 'a option)) ->
+    codec:('a -> string) * (string -> 'a option) ->
     t ->
     layer:string ->
     key:string ->
     'a slot
   (** A typed view of one key. [codec] is [(encode, decode)]; the decoder
-      returns [None] on malformed bytes. Defaults to [Marshal] with a
-      decoder that maps deserialization failures to [None]. *)
+      returns [None] on malformed bytes. *)
 
   val set : 'a slot -> 'a -> unit
   (** Durably store a value (one log operation). *)
-
-  val set_if_changed : 'a slot -> 'a -> bool
-  (** Store only if the serialized form differs from what is on disk. *)
 
   val get : 'a slot -> 'a option
   (** Read back the stored value, if present. *)
@@ -154,8 +140,8 @@ module Slot : sig
 end
 
 val encode : 'a -> string
-(** [Marshal] serialization used by {!Slot} — exposed so protocols can
-    measure the size of values they are about to log. *)
+(** [Marshal] serialization for the example applications' command and
+    checkpoint blobs (plain data types only, no closures). *)
 
 val decode : string -> 'a
 (** Inverse of {!encode}. Unsafe in general; callers fix ['a] by

@@ -360,7 +360,7 @@ module Multi_suite (C : Intf.S) = struct
         Alcotest.(check bool) "lag reported" true
           (Engine.run_until eng ~until:(Engine.now eng + 1_000_000)
              ~pred:(fun () -> lags.(2) <> []) ());
-        M.Pipeline.seek (M.Pipeline.attach (node 2) ~width:1) (List.hd lags.(2));
+        M.retire (node 2) (List.hd lags.(2));
         (* let the probes already in flight land, then listen for two
            seconds: a retry period of ~10 ms would send ~200 more *)
         Engine.run eng ~until:(Engine.now eng + 100_000);
@@ -560,11 +560,11 @@ let fanout_tests =
     healed "paxos"
       (fun ~drop ->
         Fanout_paxos.run ~is_decide:paxos_decide ~drop ~instances:20 ())
-      ~bound:((!Abcast_consensus.Paxos.retry_period * 7 / 4) + delays);
+      ~bound:((Abcast_consensus.Paxos.retry_period * 7 / 4) + delays);
     healed "coord"
       (fun ~drop ->
         Fanout_coord.run ~is_decide:coord_decide ~drop ~instances:20 ())
-      ~bound:((!Abcast_consensus.Coord.round_timeout * 5 / 4) + delays);
+      ~bound:((Abcast_consensus.Coord.round_timeout * 5 / 4) + delays);
   ]
 
 let multi_tests =

@@ -30,14 +30,7 @@ let episode ?(partition_churn = false) ?(compacted = false) ~stack ~seed ~n
   end;
   let plan = Faults.plan_random ~rng ~n ~n_bad ~stability () in
   let good = Faults.good_nodes plan in
-  (* Apply the plan through cluster actions. *)
-  List.iter
-    (fun ({ time; node; kind } : Faults.event) ->
-      match kind with
-      | Faults.Crash -> Cluster.at cluster time (fun () -> Cluster.crash cluster node)
-      | Faults.Recover ->
-        Cluster.at cluster time (fun () -> Cluster.recover cluster node))
-    plan.events;
+  Cluster.apply_faults cluster plan;
   let attempts =
     Workload.open_loop cluster ~rng ~senders:(List.init n Fun.id) ~start:1_000
       ~stop:stability ~mean_gap:4_000 ()

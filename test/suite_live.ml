@@ -266,7 +266,8 @@ let tests =
    that many; every delivery upcall checks that the delivering node's
    files hold all it has logged. Either check failing counts a
    violation. A broadcast of ["stall"] only sleeps [stall] seconds in
-   the mailbox job that runs it, and counts in [stalls]. *)
+   the mailbox job that runs it, counts in [stalls] and sets
+   [stall_end] to the node's clock when it wakes. *)
 let wal_file_bytes dir =
   Array.fold_left
     (fun acc name ->
@@ -278,6 +279,7 @@ let wal_file_bytes dir =
 type probe = {
   frames_checked : int Atomic.t;
   stalls : int Atomic.t;
+  stall_end : int Atomic.t;
   violations : int Atomic.t;
   stores : Storage.t option array;
 }
@@ -286,6 +288,7 @@ let new_probe () =
   {
     frames_checked = Atomic.make 0;
     stalls = Atomic.make 0;
+    stall_end = Atomic.make 0;
     violations = Atomic.make 0;
     stores = Array.make 3 None;
   }
@@ -315,7 +318,7 @@ let probe_stack ?node_dir ?(stall = 0.0) (stack : Abcast_core.Proto.t) probe :
     let encode_msg m = Wire.to_string write_msg m
     let decode_msg s = Wire.of_string_opt read_msg s
 
-    type t = { inner : S.t; self : int }
+    type t = { inner : S.t; self : int; now : unit -> int }
 
     let create (io : msg Engine.io) ~deliver =
       probe.stores.(io.self) <- Some io.store;
@@ -324,7 +327,7 @@ let probe_stack ?node_dir ?(stall = 0.0) (stack : Abcast_core.Proto.t) probe :
           (Engine.map_io (fun m -> (m, Storage.disk_bytes io.store)) io)
           ~deliver
       in
-      { inner; self = io.self }
+      { inner; self = io.self; now = io.now }
 
     (* frames to ourselves never leave the node: no check *)
     let handler t ~src (m, logged) =
@@ -339,6 +342,7 @@ let probe_stack ?node_dir ?(stall = 0.0) (stack : Abcast_core.Proto.t) probe :
     let broadcast t ?on_agreed ?group data =
       if data = "stall" then begin
         Thread.delay stall;
+        Atomic.set probe.stall_end (t.now ());
         Atomic.incr probe.stalls;
         { Payload.origin = t.self; boot = 0; seq = -1 }
       end
@@ -395,26 +399,30 @@ let probe_tests =
       (fun () ->
         (* node 0 leads and beats node 1, whose mailbox job sleeps for
            three detector timeouts (10 ms each); the next pass must drain
-           the leader's frames before its watch timer fires *)
+           the leader's frames before its watch timer fires. Only that
+           pass is judged: the leader's own thread may miss a beat on a
+           loaded host at any other moment, and a suspicion then is the
+           detector doing its job. *)
         let module Flight = Abcast_sim.Flight in
         let probe = new_probe () in
         let stack = probe_stack ~stall:0.030 basic probe in
+        let timeout_us = 10_000 in
         with_live ~base_port:7511 stack (fun live ->
             Thread.delay 0.1;
-            let suspicions () =
-              List.length
-                (List.filter
-                   (fun (e : Flight.event) ->
-                     e.e_stage = Flight.suspect && e.e_a = 0)
-                   (Flight.events (Live.flight live 1)))
-            in
-            let before = suspicions () in
             Live.broadcast live ~node:1 "stall";
             Alcotest.(check bool) "the stall ran" true
               (await (fun () -> Atomic.get probe.stalls = 1));
             Thread.delay 0.05;
-            Alcotest.(check int) "no suspicion of the leader" before
-              (suspicions ())));
+            let woke = Atomic.get probe.stall_end in
+            let after_stall =
+              List.filter
+                (fun (e : Flight.event) ->
+                  e.e_stage = Flight.suspect && e.e_a = 0 && e.e_time >= woke
+                  && e.e_time < woke + timeout_us)
+                (Flight.events (Live.flight live 1))
+            in
+            Alcotest.(check int) "no suspicion of the leader" 0
+              (List.length after_stall)));
   ]
 
 let suite = ("live", tests @ probe_tests)

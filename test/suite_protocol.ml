@@ -287,40 +287,52 @@ let alternative_tests =
         Alcotest.(check int) "no transfers" 0
           (Metrics.sum (Cluster.metrics cluster) "state_transfers_applied"));
     test "alt: trimmed state transfer ships fewer bytes (§5.3 optim.)" (fun () ->
-        let bytes_of trim_state =
-          let stack =
-            Factory.make
-              {
-                Protocol.paper_alternative with
-                delta = Some 3;
-                checkpoint_period = Some 1_000_000;
-                trim_state;
-              }
-          in
-          let cluster = Cluster.create stack ~seed:95 ~n:3 () in
-          let rng = Rng.create 96 in
-          (* node 2 sees the first third, misses the rest, then catches up *)
-          Cluster.at cluster 30_000 (fun () -> Cluster.crash cluster 2);
-          let count =
-            Workload.open_loop cluster ~rng ~senders:[ 0; 1 ] ~start:1_000
-              ~stop:100_000 ~mean_gap:1_000 ()
-          in
-          Cluster.at cluster 110_000 (fun () -> Cluster.recover cluster 2);
-          let ok =
-            Cluster.run_until cluster ~until:60_000_000
-              ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
-              ()
-          in
-          Alcotest.(check bool) "caught up" true ok;
-          Alcotest.(check bool) "transfer happened" true
-            (Metrics.sum (Cluster.metrics cluster) "state_transfers_applied" >= 1);
-          Metrics.sum (Cluster.metrics cluster) "state_bytes_sent"
+        let stack =
+          Factory.make
+            {
+              Protocol.paper_alternative with
+              delta = Some 3;
+              checkpoint_period = Some 1_000_000;
+            }
         in
-        let trimmed = bytes_of true and full = bytes_of false in
+        let cluster = Cluster.create stack ~seed:95 ~n:3 () in
+        let rng = Rng.create 96 in
+        (* node 2 sees the first third, misses the rest, then catches up *)
+        Cluster.at cluster 30_000 (fun () -> Cluster.crash cluster 2);
+        let count =
+          Workload.open_loop cluster ~rng ~senders:[ 0; 1 ] ~start:1_000
+            ~stop:100_000 ~mean_gap:1_000 ()
+        in
+        Cluster.at cluster 110_000 (fun () -> Cluster.recover cluster 2);
+        let ok =
+          Cluster.run_until cluster ~until:60_000_000
+            ~pred:(fun () -> Cluster.all_caught_up cluster ~count ())
+            ()
+        in
+        Alcotest.(check bool) "caught up" true ok;
+        let m = Cluster.metrics cluster in
+        Alcotest.(check bool) "transfer happened" true
+          (Metrics.sum m "state_transfers_applied" >= 1);
+        (* Without an app hook nothing is compacted, so a donor's full
+           Agreed snapshot is its whole delivered sequence; each State
+           must ship less than that. *)
+        let full =
+          String.length
+            (Abcast_util.Wire.to_string Abcast_core.Agreed.write_repr
+               {
+                 base_app = None;
+                 base_len = 0;
+                 base_chain = Abcast_core.Audit.empty;
+                 vc = Cluster.delivery_vc cluster 0;
+                 tail = Cluster.delivered_tail cluster 0;
+               })
+        and per_state =
+          Metrics.sum m "state_bytes_sent" / Metrics.sum m "state_sent"
+        in
         Alcotest.(check bool)
-          (Printf.sprintf "trimmed %d < full %d" trimmed full)
-          true
-          (trimmed < full));
+          (Printf.sprintf "%d bytes per State < full snapshot %d" per_state
+             full)
+          true (per_state < full));
     test "alt: incremental logging writes fewer bytes than full (§5.5)" (fun () ->
         let bytes_of incremental =
           let stack =
@@ -554,9 +566,7 @@ let window_tests =
           [
             ("window must be >= 1", { c with window = 0 });
             ("gossip_full_every must be >= 1", { c with gossip_full_every = 0 });
-            ("need_cap must be >= 0", { c with need_cap = -1 });
             ("trace_sample must be >= 0", { c with trace_sample = -1 });
-            ("audit_every must be >= 0", { c with audit_every = -1 });
           ]
         in
         let eng = Engine.create ~seed:1 ~n:1 () in
@@ -602,7 +612,7 @@ let metrics_tests =
   ]
 
 (* Direct use of the functor API (not via Factory): checkpoint_now and
-   floor, plus the tunables exposed on the consensus implementations. *)
+   floor, plus the gossip period. *)
 let direct_api_tests =
   [
     test "Alternative.checkpoint_now raises the truncation floor" (fun () ->
@@ -641,17 +651,6 @@ let direct_api_tests =
         let snap = P.agreed_snapshot (get 0) in
         Alcotest.(check int) "snapshot covers everything" 10
           (snap.base_len + List.length snap.tail));
-    test "consensus tunables are settable" (fun () ->
-        let saved_p = !Abcast_consensus.Paxos.retry_period in
-        let saved_c = !Abcast_consensus.Coord.round_timeout in
-        Abcast_consensus.Paxos.retry_period := 2_000;
-        Abcast_consensus.Coord.round_timeout := 3_000;
-        ignore (run_workload ~seed:92 ~msgs:10 basic);
-        ignore
-          (run_workload ~seed:93 ~msgs:10
-             (Factory.make ~consensus:`Coord Protocol.paper_basic));
-        Abcast_consensus.Paxos.retry_period := saved_p;
-        Abcast_consensus.Coord.round_timeout := saved_c);
     test "gossip period is configurable and matters" (fun () ->
         (* a 10x slower gossip delays a gossip-only catch-up *)
         let catch_up_time gossip_period =
@@ -765,12 +764,15 @@ let edge_tests =
   ]
 
 (* One adversarial run (message loss + duplication + a crash/recovery)
-   under the given gossip mode; returns a fingerprint of everything node 0
-   delivered. Used by the equivalence sweep: digest/pull gossip must
-   produce the same delivered set as Fig. 3's full-set gossip. *)
-let delta_equiv_run ~delta_gossip ~seed =
+   with a full-set gossip every [gossip_full_every]-th tick; returns a
+   fingerprint of everything node 0 delivered. Used by the equivalence
+   sweep: digest/pull gossip must produce the same delivered set as
+   Fig. 3's full-set gossip on every tick. *)
+let delta_equiv_run ~gossip_full_every ~seed =
   let net = Net.create ~loss:0.12 ~dup:0.05 () in
-  let stack = Factory.make { Protocol.paper_alternative with delta_gossip } in
+  let stack =
+    Factory.make { Protocol.paper_alternative with gossip_full_every }
+  in
   let cluster = Cluster.create stack ~seed ~n:3 ~net () in
   let rng = Rng.create (seed + 4242) in
   Cluster.at cluster 12_000 (fun () -> Cluster.crash cluster 1);
@@ -785,10 +787,11 @@ let delta_equiv_run ~delta_gossip ~seed =
       ()
   in
   if not ok then
-    Alcotest.failf "seed %d (delta_gossip=%b): did not quiesce" seed
-      delta_gossip;
+    Alcotest.failf "seed %d (gossip_full_every=%d): did not quiesce" seed
+      gossip_full_every;
   check_ok
-    (Printf.sprintf "properties (seed %d, delta_gossip=%b)" seed delta_gossip)
+    (Printf.sprintf "properties (seed %d, gossip_full_every=%d)" seed
+       gossip_full_every)
     (Checks.all ~cluster ~good:[ 0; 1; 2 ] ());
   ( Cluster.delivered_count cluster 0,
     Abcast_core.Vclock.streams (Cluster.delivery_vc cluster 0) )
@@ -826,9 +829,14 @@ let delta_gossip_tests =
         Alcotest.(check bool) "ordered once majority returns" true ok;
         check_ok "props" (Checks.all ~cluster ~good:(List.init 5 Fun.id) ()));
     test "full-gossip mode sends no digests or Needs" (fun () ->
+        (* Fig. 3's literal gossip on the alternative stack, under loss
+           and duplication: every tick ships the full set, so no digest
+           goes out and there is nothing to pull *)
+        let net = Net.create ~loss:0.1 ~dup:0.05 () in
         let cluster, _ =
-          run_workload ~seed:42 ~msgs:10
-            (Factory.make { Protocol.paper_basic with delta_gossip = false })
+          run_workload ~seed:42 ~msgs:10 ~net ~until:60_000_000
+            (Factory.make
+               { Protocol.paper_alternative with gossip_full_every = 1 })
         in
         let m = Cluster.metrics cluster in
         Alcotest.(check int) "rx.digest" 0 (Metrics.sum m "rx.digest");
@@ -850,8 +858,12 @@ let delta_gossip_tests =
           (Metrics.sum (Cluster.metrics cluster) "rx.digest"));
     test "delta ≡ full gossip: delivered sets match across 24 seeds" (fun () ->
         for seed = 1 to 24 do
-          let full = delta_equiv_run ~delta_gossip:false ~seed in
-          let delta = delta_equiv_run ~delta_gossip:true ~seed in
+          let full = delta_equiv_run ~gossip_full_every:1 ~seed in
+          let delta =
+            delta_equiv_run
+              ~gossip_full_every:Protocol.paper_alternative.gossip_full_every
+              ~seed
+          in
           if full <> delta then
             Alcotest.failf "seed %d: delivered sets diverge (full %d, delta %d)"
               seed (fst full) (fst delta)

@@ -148,23 +148,56 @@ let scoping_tests =
         Alcotest.(check bool) "g1 untouched" true (Storage.mem g1 "k"));
   ]
 
-(* --- need-pull cap knob --------------------------------------------- *)
+(* --- the Need pull cap ---------------------------------------------- *)
 
 let need_cap_tests =
   [
-    test "need_cap=1 still reaches quiescence under loss" (fun () ->
-        let net = Net.create ~loss:0.15 ~dup:0.05 () in
-        ignore
-          (run_workload ~seed:21 ~msgs:15 ~net ~until:60_000_000
-             (Factory.make { Protocol.paper_basic with need_cap = 1 })));
-    test "need_cap rejects negative values" (fun () ->
-        Alcotest.check_raises "invalid"
-          (Invalid_argument "Protocol.config: need_cap must be >= 0")
-          (fun () ->
-            let stack =
-              Factory.make { Protocol.paper_basic with need_cap = -1 }
-            in
-            ignore (Cluster.create stack ~seed:1 ~n:3 ())));
+    test "need_cap: a node far behind pulls every payload in capped Needs"
+      (fun () ->
+        (* Every Cons frame is dropped, so nothing is ordered and the
+           payloads stay in Unordered; no gossip tick ships the full set,
+           so node 1 gets node 0's broadcasts only by pulling them, at
+           most 128 ids per Need. *)
+        let module P = Protocol.Make (Abcast_consensus.Paxos) in
+        let cfg = { Protocol.paper_basic with gossip_full_every = max_int } in
+        let eng = Engine.create ~seed:5 ~n:3 () in
+        let protos = Array.make 3 None in
+        let pulls = ref [] in
+        for i = 0 to 2 do
+          Engine.set_behavior eng i (fun io ->
+              let p = P.create cfg io ~on_deliver:ignore in
+              protos.(i) <- Some p;
+              fun ~src m ->
+                match m with
+                | P.Cons _ -> ()
+                | P.Need { ids } ->
+                  if src = 1 then pulls := List.length ids :: !pulls;
+                  P.handler p ~src m
+                | _ -> P.handler p ~src m)
+        done;
+        Engine.start_all eng;
+        let get i = Option.get protos.(i) in
+        let missing = 300 in
+        Engine.at eng 1_000 (fun () ->
+            for j = 1 to missing do
+              ignore (P.broadcast (get 0) (string_of_int j))
+            done);
+        Alcotest.(check bool) "node 1 holds every payload" true
+          (Engine.run_until eng ~until:1_000_000
+             ~pred:(fun () -> P.unordered_count (get 1) = missing)
+             ());
+        Alcotest.(check int) "nothing was ordered" 0
+          (P.delivered_count (get 1));
+        Alcotest.(check bool)
+          (Printf.sprintf "at least 3 Needs (%d)" (List.length !pulls))
+          true
+          (List.length !pulls >= 3);
+        List.iter
+          (fun k ->
+            Alcotest.(check bool)
+              (Printf.sprintf "a Need of %d ids stays within 128" k)
+              true (k <= 128))
+          !pulls);
   ]
 
 (* --- end-to-end: sharded runs deliver per group --------------------- *)

@@ -43,15 +43,6 @@ let storage_tests =
         Alcotest.(check int) "cons ops" 1 (Metrics.get m ~node:0 "log_ops.cons");
         Alcotest.(check int) "cons bytes" 5 (Metrics.get m ~node:0 "log_bytes.cons");
         Alcotest.(check int) "ab bytes" 3 (Metrics.get m ~node:0 "log_bytes.ab"));
-    test "write_if_changed skips equal values" (fun () ->
-        let s, m = mk_store () in
-        Alcotest.(check bool) "first" true
-          (Storage.write_if_changed s ~layer:"x" ~key:"a" "v");
-        Alcotest.(check bool) "same" false
-          (Storage.write_if_changed s ~layer:"x" ~key:"a" "v");
-        Alcotest.(check bool) "changed" true
-          (Storage.write_if_changed s ~layer:"x" ~key:"a" "w");
-        Alcotest.(check int) "two ops" 2 (Metrics.get m ~node:0 "log_ops.x"));
     test "keys_with_prefix sorted and filtered" (fun () ->
         let s, _ = mk_store () in
         List.iter
@@ -69,19 +60,22 @@ let storage_tests =
         Alcotest.(check int) "bytes after delete" 3 (Storage.retained_bytes s));
     test "slot roundtrip" (fun () ->
         let s, _ = mk_store () in
-        let slot = Storage.Slot.make s ~layer:"x" ~key:"pair" in
+        let module Wire = Abcast_util.Wire in
+        let codec =
+          ( Wire.to_string (fun w (i, str) ->
+                Wire.write_varint w i;
+                Wire.write_string w str),
+            Wire.of_string_opt (fun r ->
+                let i = Wire.read_varint r in
+                (i, Wire.read_string r)) )
+        in
+        let slot = Storage.Slot.make ~codec s ~layer:"x" ~key:"pair" in
         Alcotest.(check bool) "empty" true (Storage.Slot.get slot = None);
         Storage.Slot.set slot (42, "hello");
         Alcotest.(check (option (pair int string)))
           "value" (Some (42, "hello")) (Storage.Slot.get slot);
         Storage.Slot.clear slot;
         Alcotest.(check bool) "cleared" true (Storage.Slot.get slot = None));
-    test "slot set_if_changed" (fun () ->
-        let s, m = mk_store () in
-        let slot = Storage.Slot.make s ~layer:"x" ~key:"v" in
-        Alcotest.(check bool) "first" true (Storage.Slot.set_if_changed slot [ 1 ]);
-        Alcotest.(check bool) "same" false (Storage.Slot.set_if_changed slot [ 1 ]);
-        Alcotest.(check int) "one op" 1 (Metrics.get m ~node:0 "log_ops.x"));
     test "wipe clears everything" (fun () ->
         let s, _ = mk_store () in
         Storage.write s ~layer:"x" ~key:"a" "1";
