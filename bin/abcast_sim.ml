@@ -482,11 +482,11 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     (* end-of-run observability summary: network drops + WAL counters *)
     Table.print
       {
-        title = "per-process network and WAL counters";
+        title = "per-process network, WAL and loop counters";
         header =
           [
             "process"; "tx oversize"; "rx undecodable"; "wal appends";
-            "wal writes"; "wal fsyncs";
+            "wal writes"; "wal fsyncs"; "loop passes"; "timer fires";
           ];
         rows =
           List.init n (fun i ->
@@ -505,6 +505,8 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
                 ctr "wal_appends";
                 ctr "wal_writes";
                 ctr "wal_fsyncs";
+                ctr "loop_passes";
+                ctr "timer_fires";
               ]);
       };
     let lat_rows =
@@ -676,6 +678,26 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
             metric "failed (drain expired)" (Table.num report.Loadgen.failed);
             metric "wall seconds" (Table.flt report.Loadgen.wall);
           ];
+      };
+    Table.print
+      {
+        title = "per-process loop counters";
+        header =
+          [ "process"; "delivered"; "loop passes"; "timer fires"; "passes/msg" ];
+        rows =
+          List.init n (fun i ->
+              let c = Runtime.node_counters rt i in
+              let ctr name = Option.value ~default:0 (List.assoc_opt name c) in
+              let delivered = Runtime.delivered_count rt i in
+              [
+                Table.num i;
+                Table.num delivered;
+                Table.num (ctr "loop_passes");
+                Table.num (ctr "timer_fires");
+                Table.flt
+                  (float_of_int (ctr "loop_passes")
+                  /. float_of_int (max 1 delivered));
+              ]);
       };
     Printf.printf "exactly-once audit: %d violations\n"
       (List.length violations);

@@ -77,7 +77,10 @@ type t = {
   mutable estimates : (int * (value * int)) list; (* as coordinator *)
   mutable acks : int list; (* as coordinator *)
   mutable proposed_round : value option; (* our round-r proposal, as coord *)
-  mutable timer_round : int; (* detects stale round timers *)
+  mutable timer_round : int; (* the round [timers] belong to *)
+  mutable timers : Engine.Timer.t list;
+      (* the current round's timers (a re-entered round arms another; the
+         first to fire wins): a new round or the decision cancels them *)
   mutable ticking : bool;
   mutable proposed_at : int; (* sim time of our first propose, -1 if none *)
   mutable learned_from : int;
@@ -105,6 +108,7 @@ let decide t ~src v =
   | Some _ -> ()
   | None ->
     t.decided <- Some v;
+    List.iter Engine.Timer.cancel t.timers;
     Storage.write t.io.store ~layer:Keys.layer ~key:(Keys.decision t.k) v;
     if t.proposed_at >= 0 then begin
       Metrics.observe t.io.metrics ~node:t.io.self "cons.propose_to_decide_us"
@@ -133,10 +137,13 @@ let rec enter_round t r =
   end
 
 and arm_timer t r =
-  t.timer_round <- r;
-  t.io.after (timeout_for t r) (fun () ->
-      if t.decided = None && t.timer_round = r && t.round = r then
-        enter_round t (r + 1))
+  if r <> t.timer_round then begin
+    List.iter Engine.Timer.cancel t.timers;
+    t.timers <- [];
+    t.timer_round <- r
+  end;
+  t.timers <-
+    t.io.after (timeout_for t r) (fun () -> enter_round t (r + 1)) :: t.timers
 
 type node = unit
 
@@ -162,6 +169,7 @@ let create io ~node:() ~instance ~leader:_ ~on_decide =
       acks = [];
       proposed_round = None;
       timer_round = -1;
+      timers = [];
       ticking = false;
       proposed_at = -1;
       learned_from = -1;

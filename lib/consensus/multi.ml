@@ -141,14 +141,17 @@ module Make (C : Consensus_intf.S) = struct
 
   let retire t k = t.retired <- max t.retired k
 
+  (* The floor record goes first: any prefix of the log that holds the
+     retirement also holds the floor, so a recovered node never admits
+     an instance whose acceptor state is gone (it answers [Truncated]).
+     Every instance key below the old floor is already gone, so one
+     range record over [floor, k) retires the rest. *)
   let truncate_below t k =
     if k > t.floor then begin
-      Storage.keys_with_prefix t.io.store Keys.prefix
-      |> List.iter (fun key ->
-             match Keys.instance_of_key key with
-             | Some i when i < k ->
-               Storage.delete t.io.store ~layer:truncate_layer key
-             | _ -> ());
+      Storage.write t.io.store ~layer:truncate_layer ~key:floor_key
+        (string_of_int k);
+      Storage.delete_range t.io.store ~layer:truncate_layer
+        ~lo:(Keys.inst t.floor "") ~hi:(Keys.inst k "");
       let prune tbl =
         Hashtbl.filter_map_inplace (fun i x -> if i < k then None else Some x) tbl
       in
@@ -156,8 +159,6 @@ module Make (C : Consensus_intf.S) = struct
       prune t.proposals_cache;
       prune t.decisions_cache;
       t.floor <- k;
-      retire t k;
-      Storage.write t.io.store ~layer:truncate_layer ~key:floor_key
-        (string_of_int k)
+      retire t k
     end
 end

@@ -81,6 +81,8 @@ module Make (C : Consensus_intf.S) : sig
 
   val truncate_below : t -> int -> unit
   (** Discard all stable consensus state of instances [< k] and raise the
-      floor. Only call once the corresponding prefix is covered by a
-      durable checkpoint. *)
+      floor: the floor record first, then one range record over the
+      instance keys in [\[floor, k)] (see DESIGN.md "Log retirement by
+      watermark"). Only call once the corresponding prefix is covered by
+      a durable checkpoint. *)
 end

@@ -167,7 +167,7 @@ type t = {
   mutable listed : int list; (* instances the counted promises listed *)
   mutable accepts : int list;
   mutable pushing : value option; (* value of our ongoing phase 2 *)
-  mutable ticking : bool;
+  mutable timer : Engine.Timer.t; (* the retry tick; cancelled at decide *)
   mutable proposed_at : int; (* sim time of our first propose, -1 if none *)
   mutable learned_from : int;
       (* who told us the decision: self if we completed phase 2 and
@@ -190,6 +190,7 @@ let decide t ~src v =
   | Some _ -> ()
   | None ->
     t.decided <- Some v;
+    Engine.Timer.cancel t.timer;
     Storage.write t.io.store ~layer:Keys.layer ~key:(Keys.decision t.k) v;
     t.phase <- Idle;
     (match t.node.term with
@@ -239,20 +240,18 @@ let start t v =
 
 let probe t = if t.decided = None then t.io.multisend Query
 
+(* The retry tick of an undecided instance; [decide] cancels it. *)
 let rec tick t =
-  if t.decided = None then begin
-    (match t.proposal with
-    | Some v when t.leader () = t.io.self -> start t v
-    | _ ->
-      t.node.term <- No_term;
-      probe t);
-    next_tick t
-  end
-  else t.ticking <- false
+  (match t.proposal with
+  | Some v when t.leader () = t.io.self -> start t v
+  | _ ->
+    t.node.term <- No_term;
+    probe t);
+  next_tick t
 
 and next_tick t =
   let jitter = Rng.int t.io.rng (retry_period / 2 + 1) in
-  t.io.after (retry_period + jitter) (fun () -> tick t)
+  t.timer <- t.io.after (retry_period + jitter) (fun () -> tick t)
 
 (* A leader holding a proposal starts its ballot at once; the timer only
    paces its retries. Anyone else first waits a retry period (jittered,
@@ -261,11 +260,9 @@ and next_tick t =
    second copy from every decided peer. A caller with evidence that the
    instance is decided elsewhere probes at once ({!probe}). *)
 let ensure_ticking t =
-  if (not t.ticking) && t.decided = None then begin
-    t.ticking <- true;
+  if (not (Engine.Timer.pending t.timer)) && t.decided = None then
     if t.proposal <> None && t.leader () = t.io.self then tick t
     else next_tick t
-  end
 
 let create io ~node ~instance ~leader ~on_decide =
   let acc_slot =
@@ -295,7 +292,7 @@ let create io ~node ~instance ~leader ~on_decide =
       listed = [];
       accepts = [];
       pushing = None;
-      ticking = false;
+      timer = Engine.Timer.none;
       proposed_at = -1;
       learned_from = -1;
     }

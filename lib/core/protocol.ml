@@ -15,14 +15,28 @@ let checkpoint_key = "ab/checkpoint"
 
 let unordered_slot_key = "ab/unordered"
 
-(* Built by concatenation, not [sprintf]: one of these is materialized
-   per logged payload, and the format interpreter showed up in profiles. *)
-let unordered_item_key (id : Payload.id) =
+(* Item keys of one stream share a prefix and carry the seq zero-padded
+   to a fixed width, so byte order is seq order within a stream and its
+   delivered prefix is one key range. Built by concatenation, not
+   [sprintf]: one of these is materialized per logged payload, and the
+   format interpreter showed up in profiles. *)
+let unordered_stream_prefix ~origin ~boot =
+  String.concat ""
+    [ "ab/u/"; string_of_int origin; "."; string_of_int boot; "." ]
+
+let seq_width = 12
+
+let unordered_seq_key ~origin ~boot seq =
+  let digits = string_of_int seq in
   String.concat ""
     [
-      "ab/u/"; string_of_int id.origin; "."; string_of_int id.boot; ".";
-      string_of_int id.seq;
+      unordered_stream_prefix ~origin ~boot;
+      String.make (max 0 (seq_width - String.length digits)) '0';
+      digits;
     ]
+
+let unordered_item_key (id : Payload.id) =
+  unordered_seq_key ~origin:id.origin ~boot:id.boot id.seq
 
 (* Application-level checkpoint hooks (§5.2, Fig. 5). Shared by every
    functor instantiation so that generic harness code can build them. *)
@@ -332,7 +346,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
            equals the table size, a superset after removals (deliveries),
            stale only after an add *)
     mutable unordered_cache_len : int;
-    logged_unordered : unit Ptbl.t; (* keys on stable storage *)
+    logged_unordered : unit Ptbl.t;
+        (* ids in the full-set slot (non-incremental logging only) *)
     mutable gossip_k : int;
     mutable probed_k : int; (* the last cursor instance [probe_cursor] probed *)
     mutable gossip_tick : int;
@@ -346,7 +361,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     mutable ring_pending : (int * Payload.t) list;
         (* entries awaiting the next coalesced forward to our successor,
            in reverse arrival order *)
-    mutable ring_armed : bool; (* a flush timer is outstanding *)
+    mutable ring_timer : Engine.Timer.t;
+        (* the next coalesced forward; cancelled once every entry it
+           would carry is delivered *)
+    mutable ring_due : int; (* when [ring_timer] is (or was) due *)
     stream_contig : (int * int, int) Hashtbl.t;
         (* per (origin, boot): highest seq s such that every seq <= s is
            covered — delivered (in Agreed) or held in Unordered. Coverage
@@ -462,32 +480,31 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   let log_unordered_add t (p : Payload.t) =
     if t.cfg.early_return then
-      if t.cfg.incremental then begin
+      if t.cfg.incremental then
         (* §5.5: log only the new part — one small write per message. *)
         Storage.write t.io.store ~layer ~key:(unordered_item_key p.id)
-          (Wire.to_string Payload.write p);
-        Ptbl.replace t.logged_unordered p.id ()
-      end
+          (Wire.to_string Payload.write p)
       else begin
         (* Full re-log of the whole set on every change. *)
         Storage.Slot.set t.unordered_full_slot (unordered_list t);
         Ptbl.replace t.logged_unordered p.id ()
       end
 
+  (* Only our own payloads are logged, and each stream is delivered in
+     seq order: the items a checkpoint can drop are each own stream's
+     delivered prefix, one key range per stream (a range with no key
+     left costs no record). *)
   let cleanup_unordered_log t =
     if t.cfg.early_return then
       if t.cfg.incremental then begin
-        let stale =
-          Ptbl.fold
-            (fun id () acc ->
-              if not (unordered_mem t id) then id :: acc else acc)
-            t.logged_unordered []
-        in
-        List.iter
-          (fun id ->
-            Storage.delete t.io.store ~layer (unordered_item_key id);
-            Ptbl.remove t.logged_unordered id)
-          stale
+        let vc = Agreed.vc t.agreed and origin = t.io.self in
+        for boot = 0 to t.io.incarnation do
+          let upto = Vclock.next_seq vc ~origin ~boot in
+          if upto > 0 then
+            Storage.delete_range t.io.store ~layer
+              ~lo:(unordered_seq_key ~origin ~boot 0)
+              ~hi:(unordered_seq_key ~origin ~boot upto)
+        done
       end
       else if Ptbl.length t.logged_unordered > unordered_count t
       then begin
@@ -508,7 +525,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
                  match Wire.of_string_opt Payload.read blob with
                  | None -> () (* corrupt log entry: skip, don't crash *)
                  | Some p ->
-                   Ptbl.replace t.logged_unordered p.id ();
                    if not (Agreed.contains t.agreed p.id) then
                      unordered_add t p))
       else
@@ -687,6 +703,19 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           q.id.origin <> p.id.origin || q.id.boot <> p.id.boot)
         rest
 
+  (* A flush whose every entry is delivered has nothing left to carry:
+     cancel it. *)
+  let ring_settle t =
+    if
+      Engine.Timer.pending t.ring_timer
+      && List.for_all
+           (fun (_, (p : Payload.t)) -> Agreed.contains t.agreed p.id)
+           t.ring_pending
+    then begin
+      Engine.Timer.cancel t.ring_timer;
+      t.ring_pending <- []
+    end
+
   let apply_decision t v =
     let batch = Batch.decode v in
     let batch =
@@ -710,6 +739,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         | `Dup -> unordered_remove t p.id
         | `Gap -> Metrics.incr t.io.metrics ~node:t.io.self "ab_gap_skips")
       batch;
+    ring_settle t;
     own_props_del t t.committed;
     t.committed <- t.committed + 1;
     if t.cfg.paranoid_log then do_checkpoint t
@@ -799,6 +829,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           t.unordered []
       in
       List.iter (Ptbl.remove t.unordered) ordered;
+      ring_settle t;
       (* Persist the jump: replay must not restart below the donor's
          floor, whose consensus state may be truncated. *)
       Storage.Slot.set t.ck_slot (t.committed, Agreed.snapshot t.agreed);
@@ -828,7 +859,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let ring_entry_cost (p : Payload.t) = String.length p.data + 16
 
   let rec ring_flush t =
-    t.ring_armed <- false;
     (* a payload decided while it waited gains nothing from the hop *)
     let entries =
       List.fold_left
@@ -861,9 +891,12 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   and ring_enqueue t hops (p : Payload.t) =
     if t.cfg.dissemination = `Ring && hops > 0 && t.io.n > 1 then begin
       t.ring_pending <- (hops, p) :: t.ring_pending;
-      if not t.ring_armed then begin
-        t.ring_armed <- true;
-        t.io.after ring_flush_us (fun () -> ring_flush t)
+      if not (Engine.Timer.pending t.ring_timer) then begin
+        (* A flush cancelled before its due time keeps its slot: what is
+           queued meanwhile leaves when it would have left. *)
+        let now = t.io.now () in
+        if t.ring_due <= now then t.ring_due <- now + ring_flush_us;
+        t.ring_timer <- t.io.after (t.ring_due - now) (fun () -> ring_flush t)
       end
     end
 
@@ -904,7 +937,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     in
     count_gossip t ~copies:t.io.n m;
     t.io.multisend m;
-    t.io.after t.cfg.gossip_period (fun () -> gossip_loop t)
+    ignore (t.io.after t.cfg.gossip_period (fun () -> gossip_loop t))
 
   (* The sentinel: compare a peer's order certificate against our own
      chain at the same delivery position. Positions outside our window
@@ -1160,7 +1193,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         own_props = Hashtbl.create 8;
         covered_ids = Ptbl.create 64;
         ring_pending = [];
-        ring_armed = false;
+        ring_timer = Engine.Timer.none;
+        ring_due = 0;
         stream_contig = Hashtbl.create 16;
         stream_maxseen = Hashtbl.create 16;
         ck_slot =
@@ -1185,9 +1219,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     (match cfg.checkpoint_period with
     | Some period ->
       let rec checkpoint_loop () =
-        t.io.after period (fun () ->
-            do_checkpoint t;
-            checkpoint_loop ())
+        ignore
+          (t.io.after period (fun () ->
+               do_checkpoint t;
+               checkpoint_loop ()))
       in
       checkpoint_loop ()
     | None -> ());

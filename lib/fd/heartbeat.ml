@@ -22,7 +22,9 @@ type t = {
   was_trusted : bool array; (* trust as last recorded, for flight events *)
   mutable leading : bool; (* the beat tick runs *)
   mutable watched : int; (* the leader a follower watches *)
-  mutable gen : int; (* bumped on every role change: stale timers no-op *)
+  mutable timer : Engine.Timer.t;
+      (* the current role's timer (beat tick or watch): a role change
+         cancels it *)
   h_tx : Metrics.handle; (* Beats sent *)
 }
 
@@ -64,11 +66,7 @@ let note t d tr =
       ~trace:0 ~a:d ~b:(epoch t d)
   end
 
-(* A timer of the current role: a role change bumps [gen] and so
-   cancels it. *)
-let after t delay f =
-  let g = t.gen in
-  t.io.after delay (fun () -> if g = t.gen then f ())
+let after t delay f = t.timer <- t.io.after delay f
 
 (* Act on Ω's output: a node that names itself runs the beat tick, any
    other watches the node it names. A follower that finds its leader
@@ -80,13 +78,13 @@ let rec elect t =
   let l = best t ~now in
   if l = t.io.self then begin
     if not t.leading then begin
-      t.gen <- t.gen + 1;
+      Engine.Timer.cancel t.timer;
       t.leading <- true;
       tick t
     end
   end
   else if t.leading || l <> t.watched then begin
-    t.gen <- t.gen + 1;
+    Engine.Timer.cancel t.timer;
     t.leading <- false;
     t.watched <- l;
     note t l true;
@@ -124,7 +122,7 @@ let rec epoch_tick t =
   for d = 0 to t.io.n - 1 do
     if d <> t.io.self && now - t.last_beat.(d) >= t.timeout / 2 then beat t d
   done;
-  t.io.after (t.timeout / 2) (fun () -> epoch_tick t)
+  ignore (t.io.after (t.timeout / 2) (fun () -> epoch_tick t))
 
 let create ?(period = 2_000) ?timeout io =
   let timeout = match timeout with Some x -> x | None -> 5 * period in
@@ -143,7 +141,7 @@ let create ?(period = 2_000) ?timeout io =
       was_trusted = Array.make io.n true;
       leading = false;
       watched = io.self;
-      gen = 0;
+      timer = Engine.Timer.none;
       h_tx = Metrics.handle io.metrics ~node:io.self "tx.fd";
     }
   in
@@ -153,7 +151,7 @@ let create ?(period = 2_000) ?timeout io =
     if d <> io.self then beat t d
   done;
   if io.incarnation > 0 then
-    io.after (timeout / 2) (fun () -> epoch_tick t);
+    ignore (io.after (timeout / 2) (fun () -> epoch_tick t));
   ignore (elect t);
   t
 

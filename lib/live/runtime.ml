@@ -235,10 +235,12 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
     in
     let last_flight_dump = ref (now_us ()) in
     let seen_dump_epoch = ref t.dump_epoch in
-    let timers : (int * int * (unit -> unit)) Heap.t =
+    let timers : (int * int * Engine.Timer.t) Heap.t =
       Heap.create ~cmp:(fun (a, sa, _) (b, sb, _) -> compare (a, sa) (b, sb)) ()
     in
     let timer_seq = ref 0 in
+    let h_loop_passes = Metrics.handle metrics ~node:nd.id "loop_passes" in
+    let h_timer_fires = Metrics.handle metrics ~node:nd.id "timer_fires" in
     let h_tx_oversize = Metrics.handle metrics ~node:nd.id "udp_tx_oversize" in
     let h_rx_undecodable =
       Metrics.handle metrics ~node:nd.id "udp_rx_undecodable"
@@ -352,7 +354,9 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
         after =
           (fun delay fn ->
             incr timer_seq;
-            Heap.push timers (now_us () + delay, !timer_seq, fn));
+            let timer = Engine.Timer.make fn in
+            Heap.push timers (now_us () + delay, !timer_seq, timer);
+            timer);
         store;
         rng = Rng.create ((nd.id * 7919) + incarnation);
         metrics;
@@ -457,13 +461,23 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
     let fire () =
       let rec go () =
         match Heap.peek timers with
-        | Some (at, _, fn) when at <= now_us () ->
+        | Some (at, _, timer) when at <= now_us () ->
           ignore (Heap.pop timers);
-          fn ();
+          if Engine.Timer.fire timer then Metrics.hincr h_timer_fires;
           go ()
         | _ -> ()
       in
       go ()
+    in
+    (* Cancelled timers leave the heap before the wait is computed, so
+       none of them wakes a pass. *)
+    let rec next_due () =
+      match Heap.peek timers with
+      | Some (_, _, timer) when not (Engine.Timer.pending timer) ->
+        ignore (Heap.pop timers);
+        next_due ()
+      | Some (at, _, _) -> Some at
+      | None -> None
     in
     let run_mailbox () =
       let jobs = ref [] in
@@ -483,8 +497,8 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
        everything the pass produced. *)
     while keep_going () do
       let timeout =
-        match Heap.peek timers with
-        | Some (at, _, _) ->
+        match next_due () with
+        | Some at ->
           Float.max 0.0 (Float.min 0.05 (float_of_int (at - now_us ()) /. 1e6))
         | None -> 0.05
       in
@@ -499,6 +513,7 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       end;
       (try ignore (Unix.select [ nd.sock ] [] [] timeout)
        with Unix.Unix_error _ -> ());
+      Metrics.hincr h_loop_passes;
       drain_ready recv_budget;
       fire ();
       run_mailbox ();

@@ -75,9 +75,12 @@ val create :
     and the payload; keep it short and synchronize your own data.
 
     Each process runs one event loop. A pass waits in [select] up to the
-    next timer, drains the socket, fires the due timers, runs the
-    mailbox, then ships every coalesced datagram. The store's WAL tail
-    is written ({!Abcast_sim.Storage.flush}) before every [sendto] and
+    next pending timer (cancelled ones are dropped first, so they wake
+    nothing), drains the socket, fires the due timers, runs the
+    mailbox, then ships every coalesced datagram. The process counts
+    its passes ([loop_passes]) and the timers that ran ([timer_fires])
+    among its counters ({!node_counters}, {!prometheus}). The store's
+    WAL tail is written ({!Abcast_sim.Storage.flush}) before every [sendto] and
     before every [on_deliver] upcall, so neither a frame nor a client
     acknowledgement leaves before the records behind it are in the
     file.

@@ -3,6 +3,30 @@ module Heap = Abcast_util.Heap
 
 type time = int
 
+module Timer = struct
+  (* [Pending] until it fires or is cancelled; both end states are
+     final. *)
+  type state = Pending | Fired | Cancelled
+
+  type t = { mutable state : state; thunk : unit -> unit }
+
+  let make thunk = { state = Pending; thunk }
+
+  let none = { state = Fired; thunk = ignore }
+
+  let cancel t = if t.state = Pending then t.state <- Cancelled
+
+  let pending t = t.state = Pending
+
+  let fire t =
+    if t.state = Pending then begin
+      t.state <- Fired;
+      t.thunk ();
+      true
+    end
+    else false
+end
+
 type 'm io = {
   self : int;
   n : int;
@@ -14,7 +38,7 @@ type 'm io = {
   now : unit -> time;
   send : int -> 'm -> unit;
   multisend : 'm -> unit;
-  after : time -> (unit -> unit) -> unit;
+  after : time -> (unit -> unit) -> Timer.t;
   store : Storage.t;
   rng : Rng.t;
   metrics : Metrics.t;
@@ -50,7 +74,7 @@ type 'm behavior = 'm io -> src:int -> 'm -> unit
 
 type 'm ev =
   | Deliver of { dst : int; src : int; msg : 'm }
-  | Guarded of { node : int; inc : int; thunk : unit -> unit }
+  | Guarded of { node : int; inc : int; timer : Timer.t }
   | Action of (unit -> unit)
 
 type 'm item = { at : time; seq : int; ev : 'm ev }
@@ -179,7 +203,9 @@ let io_of t node =
     after =
       (fun delay thunk ->
         if delay < 0 then invalid_arg "io.after: negative delay";
-        push t ~at:(t.time + delay) (Guarded { node = id; inc; thunk }));
+        let timer = Timer.make thunk in
+        push t ~at:(t.time + delay) (Guarded { node = id; inc; timer });
+        timer);
     store = node.store;
     rng = node.rng;
     metrics = t.metrics;
@@ -231,7 +257,9 @@ let events_processed t = t.processed
 
 (* A step ends with its node's WAL tail written, so whatever the step
    logged is in the file before any frame it sent is delivered. An
-   action may touch any node. *)
+   action may touch any node. A cancelled timer stays in the heap and is
+   dispatched at its due time as a no-op, so cancelling moves neither
+   the event order, nor [processed], nor the clock. *)
 let dispatch t item =
   t.time <- item.at;
   t.processed <- t.processed + 1;
@@ -239,12 +267,9 @@ let dispatch t item =
   | Action fn ->
     fn ();
     Array.iter (fun nd -> Storage.flush nd.store) t.nodes
-  | Guarded { node; inc; thunk } ->
+  | Guarded { node; inc; timer } ->
     let nd = t.nodes.(node) in
-    if nd.up && nd.inc = inc then begin
-      thunk ();
-      Storage.flush nd.store
-    end
+    if nd.up && nd.inc = inc && Timer.fire timer then Storage.flush nd.store
   | Deliver { dst; src; msg } -> (
     let nd = t.nodes.(dst) in
     if nd.up then

@@ -23,6 +23,32 @@
 type time = int
 (** Simulated microseconds since the start of the run. *)
 
+(** Handle of a volatile timer armed by [io.after]. *)
+module Timer : sig
+  type t
+
+  val cancel : t -> unit
+  (** Stop the timer: its thunk never runs. O(1); a no-op once it fired
+      or was cancelled. The live runtime drops a cancelled timer before
+      it computes its next wait, so it wakes no loop pass; the simulator
+      still dispatches its event at the due time, as a no-op, so event
+      order, {!events_processed} and the clock do not move. *)
+
+  val pending : t -> bool
+  (** Neither fired nor cancelled yet. *)
+
+  val none : t
+  (** A handle that is never pending: the initial value of a timer
+      field. *)
+
+  val make : (unit -> unit) -> t
+  (** A pending timer running the thunk (for [io] implementations). *)
+
+  val fire : t -> bool
+  (** Run the thunk if the timer is pending, and say whether it ran; the
+      timer is no longer pending afterwards (for [io] implementations). *)
+end
+
 (** The environment handed to a process behaviour — the only way a protocol
     can affect the world. One fresh ['m io] per incarnation. *)
 type 'm io = {
@@ -36,9 +62,10 @@ type 'm io = {
   now : unit -> time;  (** current simulated time *)
   send : int -> 'm -> unit;  (** unreliable point-to-point send (§3.1) *)
   multisend : 'm -> unit;  (** unreliable send to all, including self *)
-  after : time -> (unit -> unit) -> unit;
+  after : time -> (unit -> unit) -> Timer.t;
       (** volatile timer: run the thunk after the given delay unless this
-          incarnation has crashed by then *)
+          incarnation has crashed by then or the returned handle was
+          cancelled ({!Timer.cancel}) *)
   store : Storage.t;  (** stable storage, survives crashes *)
   rng : Abcast_util.Rng.t;  (** this process's private random stream *)
   metrics : Metrics.t;  (** shared measurement registry *)

@@ -192,6 +192,26 @@ let delete t ~layer key =
       sync_wal_metrics w
   end
 
+let delete_range t ~layer ~lo ~hi =
+  let lo = full_key t lo and hi = full_key t hi in
+  let removed = ref false in
+  Hashtbl.filter_map_inplace
+    (fun k v ->
+      if String.compare k lo >= 0 && String.compare k hi < 0 then begin
+        removed := true;
+        None
+      end
+      else Some v)
+    t.tbl;
+  if !removed then begin
+    account t ~layer 0;
+    match t.durable with
+    | None -> ()
+    | Some w ->
+      Wal.delete_range w.wal ~lo ~hi;
+      sync_wal_metrics w
+  end
+
 let keys_with_prefix t prefix =
   let prefix = full_key t prefix in
   let plen = String.length prefix in

@@ -81,6 +81,13 @@ val mem : t -> string -> bool
 val delete : t -> layer:string -> string -> unit
 (** Remove a key (log truncation). Counts one log operation. *)
 
+val delete_range : t -> layer:string -> lo:string -> hi:string -> unit
+(** Remove every key [k] with [lo <= k < hi] in byte order (a scoped
+    view confines both bounds to its prefix). Counts one log operation
+    and, on the WAL backend, appends one Range record
+    ({!Abcast_store.Wal.delete_range}), whatever the number of keys; a
+    no-op when no key lies in the range. *)
+
 val keys_with_prefix : t -> string -> string list
 (** All present keys starting with the given prefix, sorted. *)
 

@@ -75,12 +75,14 @@ let seq_of_name name =
 let tag_put = 0
 let tag_delete = 1
 let tag_reset = 2
+let tag_range = 3
 
+(* [key] and [value] are [lo] and [hi] for a Range record. *)
 let encode_body t tag key value =
   Wire.clear t.body;
   Wire.write_u8 t.body tag;
   if tag <> tag_reset then Wire.write_string t.body key;
-  if tag = tag_put then Wire.write_string t.body value
+  if tag = tag_put || tag = tag_range then Wire.write_string t.body value
 
 (* Append the frame of the current body to [w]; returns its length. *)
 let frame_into t w =
@@ -244,6 +246,25 @@ let delete t key =
     t.live_bytes <- t.live_bytes - old;
     maybe_compact t
 
+(* Drop every live key in [\[lo, hi)]; the writer and the replay share
+   it, so both end at the same map. *)
+let remove_range t ~lo ~hi =
+  Hashtbl.filter_map_inplace
+    (fun key ((_, flen) as b) ->
+      if String.compare key lo >= 0 && String.compare key hi < 0 then begin
+        t.live_bytes <- t.live_bytes - flen;
+        None
+      end
+      else Some b)
+    t.live
+
+let delete_range t ~lo ~hi =
+  check_open t "delete_range";
+  encode_body t tag_range lo hi;
+  ignore (append t);
+  remove_range t ~lo ~hi;
+  maybe_compact t
+
 let find t key =
   match Hashtbl.find_opt t.live key with
   | Some (v, _) -> Some v
@@ -335,6 +356,12 @@ let replay_segment t data =
             t.live_bytes <- t.live_bytes - old;
             Hashtbl.remove t.live key
           | None -> ()
+        end
+        else if tag = tag_range then begin
+          let lo = Wire.read_string br in
+          let hi = Wire.read_string br in
+          Wire.expect_end br;
+          remove_range t ~lo ~hi
         end
         else if tag = tag_reset then begin
           Wire.expect_end br;

@@ -2,11 +2,11 @@
 
     The paper's crash-recovery model (§2.1) makes stable storage the
     only state a process can trust after a crash. This module is the
-    real implementation of that promise: every [put]/[delete] is
-    framed as one CRC-guarded record and appended to an in-memory tail,
-    {!flush} writes the whole tail to the current segment file with one
-    [write] call, and {!open_} rebuilds the live key→value map by
-    replaying all segments in order.
+    real implementation of that promise: every [put], [delete] and
+    [delete_range] is framed as one CRC-guarded record and appended to
+    an in-memory tail, {!flush} writes the whole tail to the current
+    segment file with one [write] call, and {!open_} rebuilds the live
+    key→value map by replaying all segments in order.
 
     {2 Flush contract}
 
@@ -28,8 +28,13 @@
 
     {v uvarint(len body) | body | crc32(body) as 4 bytes LE v}
 
-    where [body] is one tag byte — [0] Put, [1] Delete, [2] Reset —
-    followed by the length-prefixed key (and value, for Put). [Reset]
+    where [body] is one tag byte — [0] Put, [1] Delete, [2] Reset,
+    [3] Range — followed by the length-prefixed key (and value, for
+    Put). A Range record carries two length-prefixed keys [lo] and [hi]
+    and removes every live key [k] with [lo <= k < hi] in byte order;
+    replay applies it to the map rebuilt so far, exactly as the writer
+    applied it to its live map, so replay still ends at the writer's
+    map. [Reset]
     marks the start of a compaction snapshot: on replay it clears all
     state accumulated from earlier records, which is what makes
     crash-interrupted compaction safe (see below). Files ending in
@@ -112,6 +117,11 @@ val put : t -> string -> string -> unit
 
 val delete : t -> string -> unit
 (** Append a Delete record to the tail (no-op if the key is absent). *)
+
+val delete_range : t -> lo:string -> hi:string -> unit
+(** Append one Range record to the tail and drop every live key in
+    [\[lo, hi)] (byte order). One record whatever the number of keys;
+    the scan of the live map is O(live keys). *)
 
 val flush : t -> unit
 (** Write the tail to the current segment with one [write] call; a

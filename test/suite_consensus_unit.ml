@@ -12,7 +12,7 @@ module Coord = Abcast_consensus.Coord
 type 'm probe = {
   io : 'm Engine.io;
   sent : (int * 'm) list ref; (* reversed *)
-  timers : (int * (unit -> unit)) Queue.t;
+  timers : (int * Engine.Timer.t) Queue.t;
   store : Storage.t;
 }
 
@@ -33,7 +33,11 @@ let probe ?(self = 0) ?(n = 3) () =
           for dst = 0 to n - 1 do
             sent := (dst, m) :: !sent
           done);
-      after = (fun delay thunk -> Queue.push (delay, thunk) timers);
+      after =
+        (fun delay thunk ->
+          let timer = Engine.Timer.make thunk in
+          Queue.push (delay, timer) timers;
+          timer);
       store;
       rng = Rng.create 1;
       metrics = Metrics.create ();
@@ -49,10 +53,16 @@ let take_sent p =
   p.sent := [];
   out
 
-let fire_next_timer p =
+(* Fire the oldest timer still pending (cancelled ones are skipped). *)
+let rec fire_next_timer p =
   match Queue.take_opt p.timers with
-  | Some (_, thunk) -> thunk ()
+  | Some (_, timer) -> if not (Engine.Timer.fire timer) then fire_next_timer p
   | None -> Alcotest.fail "no timer armed"
+
+let live_timers p =
+  Queue.fold
+    (fun n (_, timer) -> if Engine.Timer.pending timer then n + 1 else n)
+    0 p.timers
 
 let self_leader () = 0
 
@@ -207,6 +217,26 @@ let paxos_tests =
         Paxos.handle c ~src:0 (Paxos.Accept { b = 3; v = "done" });
         Alcotest.(check int) "no reply to the teller" 0
           (List.length (take_sent p)));
+    test "paxos: decide cancels the retry tick, leader or learner" (fun () ->
+        let p, c, decided = paxos_make () in
+        Paxos.propose c "mine";
+        Alcotest.(check int) "a retry tick is live" 1 (live_timers p);
+        let b =
+          match sent_prepares (take_sent p) with
+          | (_, b) :: _ -> b
+          | [] -> Alcotest.fail "no prepare"
+        in
+        Paxos.handle c ~src:0 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:0 (Paxos.Accepted { b });
+        Paxos.handle c ~src:1 (Paxos.Accepted { b });
+        Alcotest.(check (option string)) "decided" (Some "mine") !decided;
+        Alcotest.(check int) "leader: no live timer" 0 (live_timers p);
+        let q, d, _ = paxos_make ~self:1 () in
+        Paxos.propose d "theirs";
+        Alcotest.(check int) "learner: a retry tick is live" 1 (live_timers q);
+        Paxos.handle d ~src:0 (Paxos.Decide { v = "mine" });
+        Alcotest.(check int) "learner: no live timer" 0 (live_timers q));
     test "paxos: a leader ignores an Accepted its own Decide covered" (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "mine";
@@ -375,6 +405,25 @@ let coord_tests =
           (List.exists
              (fun (_, m) -> match m with Coord.Decide _ -> true | _ -> false)
              (take_sent p)));
+    test "coord: decide cancels every round timer" (fun () ->
+        let p, c, decided = coord_make ~self:0 () in
+        (* traffic of round 3 (coordinated here) pulls us into it before
+           we propose; the propose re-enters round 3 and arms a second
+           timer of the same round *)
+        Coord.handle c ~src:1 (Coord.Estimate { r = 3; v = "own"; ts = -1 });
+        Coord.propose c "own";
+        Alcotest.(check int) "round timers live" 2 (live_timers p);
+        Coord.handle c ~src:0 (Coord.Estimate { r = 3; v = "own"; ts = -1 });
+        Coord.handle c ~src:1 (Coord.Estimate { r = 3; v = "own"; ts = -1 });
+        Coord.handle c ~src:0 (Coord.Ack { r = 3 });
+        Coord.handle c ~src:1 (Coord.Ack { r = 3 });
+        Alcotest.(check (option string)) "decided" (Some "own") !decided;
+        Alcotest.(check int) "no live timer" 0 (live_timers p));
+    test "coord: a new round cancels the old round's timers" (fun () ->
+        let p, c, _ = coord_make ~self:1 () in
+        Coord.propose c "v";
+        Coord.handle c ~src:2 (Coord.Estimate { r = 7; v = "x"; ts = 2 });
+        Alcotest.(check int) "only round 7's timer" 1 (live_timers p));
     test "coord: higher-round traffic fast-forwards the round" (fun () ->
         let p, c, _ = coord_make ~self:1 () in
         Coord.propose c "v";

@@ -39,7 +39,7 @@ let chatter_cluster ?(n = 3) ?(seed = 1) ?(chat_gap = 500) ?flight ~chats () =
           for d = 0 to n - 1 do
             if d <> i && chats ~src:i ~dst:d then io.send d Chat
           done;
-          io.after chat_gap chat
+          ignore (io.after chat_gap chat)
         in
         chat ();
         fun ~src m ->
@@ -79,7 +79,9 @@ let stalled_sender ~phase ~quiet_at ~stall_at ~stall ~until =
       after =
         (fun delay f ->
           incr seq;
-          if self = 0 then timers := (!clock + delay, !seq, f) :: !timers);
+          let timer = Engine.Timer.make f in
+          if self = 0 then timers := (!clock + delay, !seq, timer) :: !timers;
+          timer);
       store = Storage.create ~metrics:(Metrics.create ()) ~node:self ();
       rng = Rng.create 1;
       metrics = Metrics.create ();
@@ -94,10 +96,10 @@ let stalled_sender ~phase ~quiet_at ~stall_at ~stall ~until =
   let rec chat () =
     if !clock < quiet_at then begin
       chat_io.send 1 ();
-      chat_io.after 500 chat
+      ignore (chat_io.after 500 chat)
     end
   in
-  chat_io.after phase chat;
+  ignore (chat_io.after phase chat);
   let rec run_due () =
     match
       List.sort compare
@@ -109,7 +111,7 @@ let stalled_sender ~phase ~quiet_at ~stall_at ~stall ~until =
     | (_, id) :: _ ->
       let f = List.find_map (fun (_, i, f) -> if i = id then Some f else None) !timers in
       timers := List.filter (fun (_, i, _) -> i <> id) !timers;
-      Option.iter (fun f -> f ()) f;
+      Option.iter (fun f -> ignore (Engine.Timer.fire f)) f;
       run_due ()
   in
   let rec step () =
@@ -360,4 +362,55 @@ let tests =
         Alcotest.(check (list int)) "suspects" [ 1; 2 ] (Heartbeat.suspects (fd 0)));
   ]
 
-let suite = ("fd", tests @ implicit_tests)
+(* A role change cancels the old role's timer: node 1 of two, on a
+   hand-driven clock with its timers captured, watches node 0, leads
+   once node 0 falls silent, and watches again once node 0 is heard;
+   in every role it holds exactly one live timer. *)
+let role_timer_tests =
+  [
+    test "a role change cancels the old role's timer" (fun () ->
+        let clock = ref 0 and timers = ref [] in
+        let io : Heartbeat.msg Engine.io =
+          {
+            self = 1;
+            n = 2;
+            group = 0;
+            incarnation = 0;
+            now = (fun () -> !clock);
+            send = (fun _ _ -> ());
+            multisend = ignore;
+            after =
+              (fun delay f ->
+                let tm = Engine.Timer.make f in
+                timers := (!clock + delay, tm) :: !timers;
+                tm);
+            store = Storage.create ~metrics:(Metrics.create ()) ~node:1 ();
+            rng = Rng.create 1;
+            metrics = Metrics.create ();
+            flight = Abcast_sim.Flight.disabled;
+            alarm = ignore;
+            reorder_apply = false;
+          }
+        in
+        let hb = Heartbeat.create ~period ~timeout io in
+        let live () =
+          List.length
+            (List.filter (fun (_, tm) -> Engine.Timer.pending tm) !timers)
+        in
+        let run_until t =
+          clock := t;
+          List.iter
+            (fun (at, tm) -> if at <= t then ignore (Engine.Timer.fire tm))
+            (List.sort (fun (a, _) (b, _) -> compare a b) !timers)
+        in
+        Alcotest.(check int) "follower of 0" 0 (Heartbeat.leader hb);
+        Alcotest.(check int) "watching: one timer" 1 (live ());
+        run_until (timeout + 1);
+        Alcotest.(check int) "leads once 0 is silent" 1 (Heartbeat.leader hb);
+        Alcotest.(check int) "leading: one timer" 1 (live ());
+        Heartbeat.heard hb ~src:0;
+        Alcotest.(check int) "follows 0 again" 0 (Heartbeat.leader hb);
+        Alcotest.(check int) "watching again: one timer" 1 (live ()));
+  ]
+
+let suite = ("fd", tests @ implicit_tests @ role_timer_tests)

@@ -32,6 +32,24 @@ let storage_tests =
         Storage.delete s ~layer:"x" "a";
         Alcotest.(check bool) "gone" false (Storage.mem s "a");
         Alcotest.(check int) "two ops" 2 (Metrics.get m ~node:0 "log_ops.x"));
+    test "delete_range drops [lo, hi) as one op; an empty range is free"
+      (fun () ->
+        let s, m = mk_store () in
+        List.iter
+          (fun k -> Storage.write s ~layer:"x" ~key:k "v")
+          [ "a/1"; "a/2"; "a/3"; "b/1" ];
+        Storage.delete_range s ~layer:"t" ~lo:"a/1" ~hi:"a/3";
+        Alcotest.(check (list string)) "left" [ "a/3"; "b/1" ]
+          (Storage.keys_with_prefix s "");
+        Alcotest.(check int) "one op" 1 (Metrics.get m ~node:0 "log_ops.t");
+        Storage.delete_range s ~layer:"t" ~lo:"a/0" ~hi:"a/3";
+        Alcotest.(check int) "empty range: no op" 1
+          (Metrics.get m ~node:0 "log_ops.t");
+        let g = Storage.scoped s ~prefix:"g1/" in
+        Storage.write g ~layer:"x" ~key:"a/1" "v";
+        Storage.delete_range g ~layer:"t" ~lo:"" ~hi:"z";
+        Alcotest.(check (list string)) "a scope confines the range"
+          [ "a/3"; "b/1" ] (Storage.keys_with_prefix s ""));
     test "delete of absent key is free" (fun () ->
         let s, m = mk_store () in
         Storage.delete s ~layer:"x" "a";
@@ -408,7 +426,8 @@ let engine_tests =
         let fired = ref false in
         Engine.set_behavior eng 0 (fun io ~src:_ () -> ignore io);
         Engine.set_behavior eng 0 (fun io ->
-            if io.incarnation = 0 then io.after 1_000 (fun () -> fired := true);
+            if io.incarnation = 0 then
+              ignore (io.after 1_000 (fun () -> fired := true));
             fun ~src:_ () -> ());
         Engine.start eng 0;
         Engine.at eng 500 (fun () -> Engine.crash eng 0);
@@ -591,7 +610,142 @@ let engine_bytes_tests =
           (Metrics.get (Engine.metrics eng) ~node:0 "net_bytes"));
   ]
 
+(* A stack that only arms timers: [broadcast "cancel"] arms a 20-ms
+   timer and cancels it at once, any other payload arms one and keeps
+   it. No frame, no other timer, so a node's loop passes are the
+   mailbox's, the timers' and the 50-ms select cap's. *)
+module Timer_stack = struct
+  let name = "timer-probe"
+
+  type msg = unit
+
+  let msg_size () = 0
+  let write_msg _ () = ()
+  let read_msg _ = ()
+  let encode_msg () = ""
+  let decode_msg _ = Some ()
+  let shards = 1
+  let msg_group () = 0
+
+  type t = msg Engine.io
+
+  let create io ~deliver:_ = io
+  let handler _ ~src:_ () = ()
+
+  let broadcast io ?on_agreed:_ ?group:_ data =
+    let timer = io.Engine.after 20_000 ignore in
+    if data = "cancel" then Engine.Timer.cancel timer;
+    { Payload.origin = io.self; boot = 0; seq = 0 }
+
+  let broadcast_blocks = false
+  let round _ _ = 0
+  let delivered_count _ _ = 0
+  let delivered_tail _ _ = []
+  let delivery_vc _ _ = Abcast_core.Vclock.empty
+  let unordered_count _ _ = 0
+end
+
+let timer_tests =
+  [
+    test "timer: a cancelled timer never runs, yet is dispatched on time"
+      (fun () ->
+        let run ~cancel =
+          let eng : unit Engine.t = Engine.create ~seed:1 ~n:1 () in
+          let ran = ref false in
+          Engine.set_behavior eng 0 (fun io ->
+              let tm = io.after 1_000 (fun () -> ran := true) in
+              let stop () = if cancel then Engine.Timer.cancel tm in
+              ignore (io.after 500 stop);
+              fun ~src:_ () -> ());
+          Engine.start eng 0;
+          Engine.run eng;
+          (!ran, Engine.events_processed eng, Engine.now eng)
+        in
+        let ran, events, now = run ~cancel:true in
+        let ran', events', now' = run ~cancel:false in
+        Alcotest.(check bool) "cancelled thunk never ran" false ran;
+        Alcotest.(check bool) "control ran" true ran';
+        Alcotest.(check int) "events processed" events' events;
+        Alcotest.(check int) "clock reached the due time" now' now;
+        Alcotest.(check int) "due time" 1_000 now);
+    slow_test "timer: a cancelled 20-ms timer wakes no live loop pass"
+      (fun () ->
+        match
+          Abcast_live.Runtime.create (module Timer_stack) ~n:3 ~base_port:7681 ()
+        with
+        | exception Unix.Unix_error (err, _, _) ->
+          Printf.printf "skipping live test: %s\n" (Unix.error_message err)
+        | live ->
+          Fun.protect ~finally:(fun () -> Abcast_live.Runtime.shutdown live)
+          @@ fun () ->
+          let counters () =
+            let c = Abcast_live.Runtime.node_counters live 0 in
+            let get name = Option.value ~default:0 (List.assoc_opt name c) in
+            (get "loop_passes", get "timer_fires")
+          in
+          (* a counter read is a mailbox call, one pass: a window
+             read-arm-wait-read costs the arm's pass and the last read's,
+             plus one per timer that woke the loop in between *)
+          let window data =
+            let p0, f0 = counters () in
+            Abcast_live.Runtime.broadcast live ~node:0 data;
+            Thread.delay 0.035;
+            let p1, f1 = counters () in
+            (p1 - p0, f1 - f0)
+          in
+          let passes, fires = window "cancel" in
+          Alcotest.(check int) "cancelled: no fire" 0 fires;
+          Alcotest.(check int) "cancelled: only the arm's pass" 2 passes;
+          let passes', fires' = window "keep" in
+          Alcotest.(check int) "kept: it fired" 1 fires';
+          Alcotest.(check int) "kept: one more pass" 3 passes');
+    test "timer: a decided broadcast leaves no Ring frame and no live flush"
+      (fun () ->
+        (* 20-µs links: the leader decides its first instance well inside
+           the ring's 400-µs coalescing delay, so the flush that would
+           carry the payload has nothing left to do *)
+        let module P = (val Factory.make Protocol.throughput) in
+        let n = 3 in
+        let net = Net.create ~delay_min:20 ~delay_max:20 ~heavy_tail:0.0 () in
+        let eng = Engine.create ~seed:1 ~n ~net () in
+        let flushes = ref [] and nodes = Array.make n None in
+        for i = 0 to n - 1 do
+          Engine.set_behavior eng i (fun io ->
+              let after delay f =
+                let tm = io.Engine.after delay f in
+                if delay = 400 then flushes := tm :: !flushes;
+                tm
+              in
+              let p =
+                P.create { io with after } ~deliver:(fun ~group:_ _ -> ())
+              in
+              nodes.(i) <- Some p;
+              P.handler p)
+        done;
+        Engine.start_all eng;
+        let node i = Option.get nodes.(i) in
+        Engine.run eng ~until:30_000;
+        let leader = 0 in
+        ignore (P.broadcast (node leader) "m");
+        let armed = List.length !flushes in
+        let decided =
+          Engine.run_until eng ~until:30_300
+            ~pred:(fun () -> P.delivered_count (node leader) 0 = 1)
+            ()
+        in
+        Alcotest.(check bool) "decided before the flush was due" true decided;
+        Alcotest.(check bool) "the broadcast armed a flush" true (armed > 0);
+        Alcotest.(check int) "no live flush timer" 0
+          (List.length (List.filter Engine.Timer.pending !flushes));
+        Engine.run eng ~until:60_000;
+        for i = 0 to n - 1 do
+          Alcotest.(check int) "delivered" 1 (P.delivered_count (node i) 0)
+        done;
+        Alcotest.(check int) "no Ring frame" 0
+          (Metrics.sum_prefix (Engine.metrics eng) "rx.ring"));
+  ]
+
 let suite =
   ( "sim",
     storage_tests @ storage_file_tests @ metrics_tests @ net_tests
-    @ engine_tests @ engine_bytes_tests @ faults_tests )
+    @ engine_tests @ engine_bytes_tests @ faults_tests @ timer_tests )

@@ -40,11 +40,12 @@ let write_raw path data =
 
 (* ---- an operation model for prefix properties ---- *)
 
-type op = Put of string * string | Del of string
+type op = Put of string * string | Del of string | Range of string * string
 
 let apply w = function
   | Put (k, v) -> Wal.put w k v
   | Del k -> Wal.delete w k
+  | Range (lo, hi) -> Wal.delete_range w ~lo ~hi
 
 let bindings w =
   let acc = ref [] in
@@ -60,7 +61,11 @@ let model ops =
   List.iter
     (function
       | Put (k, v) -> Hashtbl.replace tbl k v
-      | Del k -> Hashtbl.remove tbl k)
+      | Del k -> Hashtbl.remove tbl k
+      | Range (lo, hi) ->
+        Hashtbl.filter_map_inplace
+          (fun k v -> if k >= lo && k < hi then None else Some v)
+          tbl)
     ops;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
@@ -358,6 +363,50 @@ let crash_tests =
 
 (* ---- crash fidelity: kill mid-compaction ---- *)
 
+let range_ops =
+  [
+    Put ("a/1", "x");
+    Put ("a/2", "y");
+    Put ("a/10", "z");
+    Put ("b/1", String.make 20 'b');
+    Range ("a/1", "a/2");
+  ]
+
+let range_tests =
+  [
+    test "wal: a range record drops [lo, hi) in byte order, on write and replay"
+      (fun () ->
+        with_dir (fun d ->
+            let w =
+              Wal.open_ ~dir:d ~fsync:Durable.Never ~auto_compact:false ()
+            in
+            List.iter (apply w) range_ops;
+            let live = bindings w in
+            Alcotest.check kv_list "writer: a/1 and a/10 gone"
+              [ ("a/2", "y"); ("b/1", String.make 20 'b') ]
+              live;
+            Alcotest.(check int) "one record" 5 (Wal.stats w).Wal.appends;
+            Wal.close w;
+            let w2 = Wal.open_ ~dir:d () in
+            Alcotest.check kv_list "replay equals the writer" live (bindings w2);
+            Wal.close w2));
+    test "torn tail: a range record cut at every offset is all or nothing"
+      (fun () ->
+        with_dir (fun d ->
+            let seg, offsets = build_log d range_ops in
+            let data = read_file seg in
+            let last = List.length range_ops - 1 in
+            let last_start = List.nth offsets last in
+            for cut = last_start to String.length data do
+              let got, _ = recover_mutated (fun s -> String.sub s 0 cut) data in
+              let expect =
+                let whole = cut = String.length data in
+                model (take (if whole then last + 1 else last) range_ops)
+              in
+              Alcotest.check kv_list (Printf.sprintf "cut at %d" cut) expect got
+            done));
+  ]
+
 let compaction_crash_test point =
   test (Printf.sprintf "compaction killed at %s recovers cleanly" point)
     (fun () ->
@@ -420,12 +469,22 @@ let decode_ops raw =
 let raw_ops =
   QCheck.(list_of_size (Gen.int_range 1 40) (pair (int_range 0 24) (int_range 0 999)))
 
+(* [decode_ops] with range records in the mix: a draw of 23 or 24 is a
+   Range whose bounds may be empty or inverted. *)
+let decode_ops_with_ranges raw =
+  List.map2
+    (fun (a, b) op ->
+      if a >= 23 then
+        Range (Printf.sprintf "k%d" (b mod 5), Printf.sprintf "k%d" (b / 5 mod 6))
+      else op)
+    raw (decode_ops raw)
+
 (* Damage must hit the raw segment bytes of a log with compaction off:
    truncating inside a compaction snapshot yields a key subset, not an
    op prefix (and a real torn write cannot hit the snapshot — it is
    fully fsynced before the rename makes it visible). *)
-let prefix_property mutate (raw, sel) =
-  let ops = decode_ops raw in
+let prefix_property ?(decode = decode_ops) mutate (raw, sel) =
+  let ops = decode raw in
   with_dir (fun d ->
       let seg, _ = build_log d ops in
       let data = read_file seg in
@@ -496,6 +555,14 @@ let qcheck_tests =
               Wal.close w2;
               writes = !expected_writes && List.mem got (prefix_models ops)));
       QCheck.Test.make
+        ~name:
+          "wal: with range records, truncation at any point recovers an exact \
+           op prefix"
+        ~count:60
+        QCheck.(pair raw_ops (int_range 0 1_000_000))
+        (prefix_property ~decode:decode_ops_with_ranges (fun data sel ->
+             Some (String.sub data 0 (sel mod (String.length data + 1)))));
+      QCheck.Test.make
         ~name:"wal: one corrupt byte anywhere recovers an exact op prefix"
         ~count:60
         QCheck.(pair raw_ops (int_range 0 1_000_000))
@@ -556,6 +623,153 @@ let backend_tests =
             | Some st -> Alcotest.(check int) "stats agree" 9 st.Wal.recovered_records
             | None -> Alcotest.fail "wal_stats missing");
             Storage.close s2));
+  ]
+
+(* ---- consensus-log retirement under a crash ---- *)
+
+module Multi = Abcast_consensus.Multi.Make (Abcast_consensus.Paxos)
+module Paxos = Abcast_consensus.Paxos
+module Keys = Abcast_consensus.Consensus_intf.Keys
+
+(* A Multi over [store] that captures its replies. *)
+let multi_over store =
+  let sent = ref [] in
+  let io : Multi.msg Engine.io =
+    {
+      self = 0;
+      n = 3;
+      group = 0;
+      incarnation = 0;
+      now = (fun () -> 0);
+      send = (fun dst m -> sent := (dst, m) :: !sent);
+      multisend = ignore;
+      after = (fun _ f -> Engine.Timer.make f);
+      store;
+      rng = Rng.create 1;
+      metrics = Metrics.create ();
+      flight = Abcast_sim.Flight.disabled;
+      alarm = ignore;
+      reorder_apply = false;
+    }
+  in
+  let m =
+    Multi.create io ~leader:(Abcast_fd.Omega.fixed 1)
+      ~on_decide:(fun _ _ -> ())
+      ~on_lag:ignore
+      ~on_behind:(fun ~src:_ -> ())
+  in
+  (m, sent)
+
+let retired_below = 6
+
+(* Instances 0..9 hold acceptor state, 0..5 are decided; then the
+   checkpoint at 6 retires 0..5. *)
+let populate store =
+  let m, _ = multi_over store in
+  for k = 0 to 9 do
+    let v = Printf.sprintf "v%d" k in
+    Multi.handle m ~src:1 (Multi.Inst (k, Paxos.Accept { b = 4; v }))
+  done;
+  for k = 0 to retired_below - 1 do
+    let v = Printf.sprintf "v%d" k in
+    Multi.handle m ~src:1 (Multi.Inst (k, Paxos.Decide { v }))
+  done;
+  Storage.flush store;
+  m
+
+(* Recover [dir] and ask for a promise in every retired instance: a node
+   must answer [Truncated] or report what it accepted — a promise with
+   nothing accepted would let a lagging proposer decide anew. *)
+let check_recovered what dir =
+  let store, _ = mk_storage ~dir () in
+  let m, sent = multi_over store in
+  for k = 0 to retired_below - 1 do
+    let kept = Storage.mem store (Keys.inst k "paxos.acc") in
+    sent := [];
+    Multi.handle m ~src:2 (Multi.Inst (k, Paxos.Prepare { b = 100 }));
+    if not (kept || k < Multi.floor m) then
+      Alcotest.failf "%s: instance %d lost its acceptor state above floor %d"
+        what k (Multi.floor m);
+    List.iter
+      (function
+        | _, Multi.Inst (_, Paxos.Promise { accepted = None; _ }) ->
+          Alcotest.failf "%s: instance %d promised with nothing accepted" what k
+        | _ -> ())
+      !sent
+  done;
+  Storage.close store
+
+(* Record boundaries of a segment from byte [from] on. *)
+let record_ends data ~from =
+  let rec go pos acc =
+    if pos >= String.length data then List.rev acc
+    else
+      let len = String.length data - pos in
+      let r = Abcast_util.Wire.reader ~pos ~len data in
+      let blen = Abcast_util.Wire.read_uvarint r in
+      let next = Abcast_util.Wire.unsafe_pos r + blen + 4 in
+      go next (next :: acc)
+  in
+  go from []
+
+let copy_dir src dst =
+  Durable.mkdir_p dst;
+  Array.iter
+    (fun name ->
+      write_raw (Filename.concat dst name)
+        (read_file (Filename.concat src name)))
+    (Sys.readdir src)
+
+let retirement_tests =
+  [
+    test "retirement: a crash after any record keeps the floor ahead of it"
+      (fun () ->
+        with_dir (fun d ->
+            let live = Filename.concat d "live" in
+            let store, _ = mk_storage ~dir:live ~fsync:Durable.Never () in
+            let m = populate store in
+            (* one segment: nothing here comes near the roll size *)
+            let seg = "wal-0000000001.log" in
+            let from = (Unix.stat (Filename.concat live seg)).Unix.st_size in
+            Multi.truncate_below m retired_below;
+            Storage.flush store;
+            let data = read_file (Filename.concat live seg) in
+            let cuts = from :: record_ends data ~from in
+            Alcotest.(check int) "the floor and one range record" 3
+              (List.length cuts);
+            List.iteri
+              (fun i cut ->
+                let copy = Filename.concat d (Printf.sprintf "cut%d" i) in
+                copy_dir live copy;
+                write_raw (Filename.concat copy seg) (String.sub data 0 cut);
+                check_recovered (Printf.sprintf "cut after record %d" i) copy)
+              cuts;
+            Storage.close store));
+    test "retirement: a crash in the compaction it triggers keeps the floor"
+      (fun () ->
+        List.iter
+          (fun point ->
+            with_dir (fun d ->
+                let store =
+                  Storage.create ~dir:d ~fsync:Durable.Never
+                    ~wal_compact_min_bytes:1 ~metrics:(Metrics.create ())
+                    ~node:0 ()
+                in
+                let m = populate store in
+                Wal.failpoint := Some point;
+                let crashed =
+                  Fun.protect
+                    ~finally:(fun () -> Wal.failpoint := None)
+                    (fun () ->
+                      match Multi.truncate_below m retired_below with
+                      | () -> false
+                      | exception Wal.Injected_crash _ -> true)
+                in
+                Alcotest.(check bool)
+                  (point ^ ": the retirement compacted")
+                  true crashed;
+                check_recovered point d))
+          [ "compact-before-rename"; "compact-after-rename" ]);
   ]
 
 (* ---- backend equivalence sweep (E3 workload on memory and WAL) ---- *)
@@ -660,5 +874,5 @@ let sweep_tests =
 
 let suite =
   ( "store",
-    wal_tests @ crash_tests @ failpoint_tests @ qcheck_tests @ backend_tests
-    @ sweep_tests )
+    wal_tests @ crash_tests @ range_tests @ failpoint_tests @ qcheck_tests
+    @ backend_tests @ retirement_tests @ sweep_tests )
