@@ -99,10 +99,13 @@ module type S = sig
       regardless of the argument. *)
 
   val proposal : t -> value option
-  (** The logged initial value, if this process ever proposed. *)
+  (** The logged initial value, if this process ever proposed. Always
+      equal to what stable storage holds under {!Keys.proposal}: [Multi]
+      answers from the instance instead of the log. *)
 
   val decision : t -> value option
-  (** The decided value, if known here. *)
+  (** The decided value, if known here. Always equal to what stable
+      storage holds under {!Keys.decision}. *)
 
   val probe : t -> unit
   (** Ask the peers for the decision now, if it is not known here: the

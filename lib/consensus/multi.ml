@@ -38,14 +38,6 @@ module Make (C : Consensus_intf.S) = struct
     on_behind : src:int -> unit;
     node : C.node; (* state the instances of this incarnation share *)
     instances : (int, C.t) Hashtbl.t;
-    (* Volatile mirrors of the stable proposal/decision log. [proposal]
-       and [decision] sit on the broadcast layer's commit loop, which
-       under pipelining polls them once per in-flight instance per
-       event; going to [Storage] each time costs a key format + backend
-       lookup. Only [Some] results are cached (a [None] can turn into
-       [Some] at any time), so a hit is always authoritative. *)
-    proposals_cache : (int, value) Hashtbl.t;
-    decisions_cache : (int, value) Hashtbl.t;
     mutable floor : int;
     mutable retired : int;
         (* instances below it are settled here (truncated, or jumped past
@@ -66,8 +58,6 @@ module Make (C : Consensus_intf.S) = struct
       on_behind;
       node = C.node io;
       instances = Hashtbl.create 16;
-      proposals_cache = Hashtbl.create 16;
-      decisions_cache = Hashtbl.create 16;
       floor;
       retired = floor;
     }
@@ -92,7 +82,6 @@ module Make (C : Consensus_intf.S) = struct
                with instance [k] to its decision *)
             Metrics.observe t.io.metrics ~node:t.io.self "cons.instance_us"
               (float_of_int (t.io.now () - created_at));
-            Hashtbl.replace t.decisions_cache k v;
             t.on_decide k v)
       in
       Hashtbl.add t.instances k c;
@@ -101,19 +90,18 @@ module Make (C : Consensus_intf.S) = struct
   let propose t k v =
     if k >= t.floor then C.propose (instance t k) v
 
-  let cached_read cache store key k =
-    match Hashtbl.find_opt cache k with
-    | Some _ as r -> r
-    | None -> (
-      match Storage.read store key with
-      | Some v as r ->
-        Hashtbl.replace cache k v;
-        r
-      | None -> None)
+  (* A live instance holds what the log holds for it: it restores both
+     values at creation and logs each one as it sets it. Only an
+     instance with no object here is read from the log, without
+     creating one. *)
+  let logged t k ~live ~key =
+    match Hashtbl.find_opt t.instances k with
+    | Some c -> live c
+    | None -> Storage.read t.io.store (key k)
 
-  let proposal t k = cached_read t.proposals_cache t.io.store (Keys.proposal k) k
+  let proposal t k = logged t k ~live:C.proposal ~key:Keys.proposal
 
-  let decision t k = cached_read t.decisions_cache t.io.store (Keys.decision k) k
+  let decision t k = logged t k ~live:C.decision ~key:Keys.decision
 
   let probe t k = if k >= t.floor && decision t k = None then C.probe (instance t k)
 
@@ -152,12 +140,9 @@ module Make (C : Consensus_intf.S) = struct
         (string_of_int k);
       Storage.delete_range t.io.store ~layer:truncate_layer
         ~lo:(Keys.inst t.floor "") ~hi:(Keys.inst k "");
-      let prune tbl =
-        Hashtbl.filter_map_inplace (fun i x -> if i < k then None else Some x) tbl
-      in
-      prune t.instances;
-      prune t.proposals_cache;
-      prune t.decisions_cache;
+      Hashtbl.filter_map_inplace
+        (fun i c -> if i < k then None else Some c)
+        t.instances;
       t.floor <- k;
       retire t k
     end

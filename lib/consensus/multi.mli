@@ -7,10 +7,10 @@
     - routes wire messages [(k, m)] to instance [k], creating instances on
       demand (a recovering or late process may receive traffic for
       instances it never started — the primitives must be idempotent);
-    - answers [proposal]/[decision] queries straight from stable storage,
-      which is exactly the "log of proposed and agreed values kept
-      internally by Consensus" that the paper's replay procedure parses
-      (§4.2 Recovery);
+    - answers [proposal]/[decision] queries from the "log of proposed
+      and agreed values kept internally by Consensus" that the paper's
+      replay procedure parses (§4.2 Recovery): each instance restores
+      and logs both values, so a live instance answers for the log;
     - supports {e truncation} of instances below a floor once the
       broadcast layer has checkpointed them (§5.1 line (c) / §5.2). A peer
       asking about a truncated instance is told [Truncated { floor }],
@@ -51,12 +51,12 @@ module Make (C : Consensus_intf.S) : sig
       call — paper §3.2). Ignored below the truncation floor. *)
 
   val proposal : t -> int -> Consensus_intf.value option
-  (** Logged initial value of instance [k], read from stable storage
-      (memoized: present values are served from a volatile cache). *)
+  (** Logged initial value of instance [k]: the live instance's, else a
+      read of stable storage (creating no instance). *)
 
   val decision : t -> int -> Consensus_intf.value option
-  (** Decided value of instance [k], read from stable storage
-      (memoized: present values are served from a volatile cache). *)
+  (** Decided value of instance [k]: the live instance's, else a read of
+      stable storage (creating no instance). *)
 
   val probe : t -> int -> unit
   (** Ask the peers for instance [k]'s decision now

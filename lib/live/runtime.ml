@@ -33,7 +33,6 @@ type node = {
   mutable running : bool; (* guarded by mutex *)
   mutable thread : Thread.t option;
   mutable ops : node_ops option; (* written by the node thread at boot *)
-  mutable boots : int;
   flight : Flight.t;
       (* the node's crash flight recorder. Created once per node (not per
          incarnation) so a recovery appends after the crash's last events
@@ -173,7 +172,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
           running = false;
           thread = None;
           ops = None;
-          boots = 0;
           flight =
             (if flight_cap > 0 then Flight.create ~cap:flight_cap ()
              else Flight.disabled);
@@ -532,7 +530,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
     Mutex.lock nd.mutex;
     if not nd.running then begin
       nd.running <- true;
-      nd.boots <- nd.boots + 1;
       Mutex.unlock nd.mutex;
       (* A recovering process has lost its input buffer: discard whatever
          piled up in the socket while it was down. *)

@@ -14,8 +14,12 @@ type wal_state = {
   h_torn : Metrics.handle;
 }
 
+(* One key->value map per store: the memory backend's table, or the
+   WAL's live map, which every read goes to. *)
+type backend = Memory of (string, string) Hashtbl.t | Logged of wal_state
+
 type t = {
-  tbl : (string, string) Hashtbl.t;
+  backend : backend;
   metrics : Metrics.t;
   node : int;
   prefix : string;
@@ -23,7 +27,6 @@ type t = {
          the root store. Sharded stacks give each broadcast group a view
          prefixed ["g<id>/"], so one WAL holds group-tagged records for
          every group and recovers them all in one pass. *)
-  durable : wal_state option; (* [None]: memory only *)
   layer_handles : (string, Metrics.handle * Metrics.handle) Hashtbl.t;
       (* layer -> (log_ops.<layer>, log_bytes.<layer>) — interned so the
          per-write accounting stops concatenating and hashing full names *)
@@ -83,26 +86,12 @@ let wal_state ~metrics ~node wal =
   w
 
 let create ?dir ?(fsync = Durable.Every { ops = 64; ms = 20 })
-    ?wal_compact_min_bytes ?(flight = Flight.disabled)
+    ?(flight = Flight.disabled)
     ?(flight_now = fun () -> int_of_float (Unix.gettimeofday () *. 1e6))
     ~metrics ~node () =
-  let tbl = Hashtbl.create 32 in
-  (* Recovery-timeline instrumentation: how much the boot replayed from
-     stable storage and how long it took. The flight event puts the
-     replay on the same clock as the protocol's own recovery stages, so
-     the doctor can render a boot-to-caught-up timeline per node. *)
-  let note_replay ~t0 ~records ~bytes =
-    let us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-    Metrics.add metrics ~node "recovery_replay_records" records;
-    Metrics.add metrics ~node "recovery_replay_bytes" bytes;
-    Metrics.add metrics ~node "recovery_replay_us" us;
-    if Flight.enabled flight then
-      Flight.record flight ~time:(flight_now ()) ~node ~group:0 ~boot:0
-        ~stage:Flight.replay ~trace:0 ~a:records ~b:us
-  in
-  let durable =
+  let backend =
     match dir with
-    | None -> None
+    | None -> Memory (Hashtbl.create 32)
     | Some d ->
       (* Route the WAL's timing tap into the latency histograms before
          the wal exists — [open_] itself reports the `Recover sample. *)
@@ -127,22 +116,29 @@ let create ?dir ?(fsync = Durable.Every { ops = 64; ms = 20 })
           fl Flight.wal_fsync us
         | `Recover -> Histogram.add h_recover us
       in
-      let wal =
-        Wal.open_ ?compact_min_bytes:wal_compact_min_bytes ~fsync ~on_io
-          ~dir:d ()
-      in
       let t0 = Unix.gettimeofday () in
-      let records = ref 0 and bytes = ref 0 in
-      Wal.iter wal (fun key value ->
-          incr records;
-          bytes := !bytes + String.length key + String.length value;
-          Hashtbl.replace tbl key value);
-      note_replay ~t0 ~records:!records ~bytes:!bytes;
-      Some (wal_state ~metrics ~node wal)
+      let wal = Wal.open_ ~fsync ~on_io ~dir:d () in
+      (* Recovery-timeline instrumentation: how much the boot replayed
+         from stable storage and how long it took. The flight event puts
+         the replay on the same clock as the protocol's own recovery
+         stages, so the doctor can render a boot-to-caught-up timeline
+         per node. *)
+      let us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+      let records = Wal.length wal in
+      Metrics.add metrics ~node "recovery_replay_records" records;
+      Metrics.add metrics ~node "recovery_replay_bytes"
+        (Wal.fold wal
+           (fun key value acc -> acc + String.length key + String.length value)
+           0);
+      Metrics.add metrics ~node "recovery_replay_us" us;
+      if Flight.enabled flight then
+        Flight.record flight ~time:(flight_now ()) ~node ~group:0 ~boot:0
+          ~stage:Flight.replay ~trace:0 ~a:records ~b:us;
+      Logged (wal_state ~metrics ~node wal)
   in
-  { tbl; metrics; node; prefix = ""; durable; layer_handles = Hashtbl.create 4 }
+  { backend; metrics; node; prefix = ""; layer_handles = Hashtbl.create 4 }
 
-(* A scoped view shares everything — table, backend, pacer, metric
+(* A scoped view shares everything — backend, pacer, metric
    handles — and only rewrites keys. [sync]/[close]/[wipe]/[wal_stats]
    and the byte accounting remain whole-store operations: one physical
    log backs every view. *)
@@ -169,101 +165,104 @@ let account t ~layer bytes =
 let write t ~layer ~key v =
   let key = full_key t key in
   account t ~layer (String.length v);
-  Hashtbl.replace t.tbl key v;
-  match t.durable with
-  | None -> ()
-  | Some w ->
+  match t.backend with
+  | Memory tbl -> Hashtbl.replace tbl key v
+  | Logged w ->
     Wal.put w.wal key v;
     sync_wal_metrics w
 
-let read t key = Hashtbl.find_opt t.tbl (full_key t key)
+let read t key =
+  let key = full_key t key in
+  match t.backend with
+  | Memory tbl -> Hashtbl.find_opt tbl key
+  | Logged w -> Wal.find w.wal key
 
-let mem t key = Hashtbl.mem t.tbl (full_key t key)
+let mem t key = Option.is_some (read t key)
+
+let length t =
+  match t.backend with
+  | Memory tbl -> Hashtbl.length tbl
+  | Logged w -> Wal.length w.wal
+
+let fold t f acc =
+  match t.backend with
+  | Memory tbl -> Hashtbl.fold f tbl acc
+  | Logged w -> Wal.fold w.wal f acc
 
 let delete t ~layer key =
-  let key = full_key t key in
-  if Hashtbl.mem t.tbl key then begin
+  if mem t key then begin
     account t ~layer 0;
-    Hashtbl.remove t.tbl key;
-    match t.durable with
-    | None -> ()
-    | Some w ->
+    let key = full_key t key in
+    match t.backend with
+    | Memory tbl -> Hashtbl.remove tbl key
+    | Logged w ->
       Wal.delete w.wal key;
       sync_wal_metrics w
   end
 
 let delete_range t ~layer ~lo ~hi =
   let lo = full_key t lo and hi = full_key t hi in
-  let removed = ref false in
-  Hashtbl.filter_map_inplace
-    (fun k v ->
-      if String.compare k lo >= 0 && String.compare k hi < 0 then begin
-        removed := true;
-        None
-      end
-      else Some v)
-    t.tbl;
-  if !removed then begin
-    account t ~layer 0;
-    match t.durable with
-    | None -> ()
-    | Some w ->
-      Wal.delete_range w.wal ~lo ~hi;
-      sync_wal_metrics w
-  end
+  let before = length t in
+  (match t.backend with
+  | Memory tbl ->
+    Hashtbl.filter_map_inplace
+      (fun k v ->
+        if String.compare k lo >= 0 && String.compare k hi < 0 then None
+        else Some v)
+      tbl
+  | Logged w ->
+    Wal.delete_range w.wal ~lo ~hi;
+    sync_wal_metrics w);
+  if length t < before then account t ~layer 0
 
 let keys_with_prefix t prefix =
   let prefix = full_key t prefix in
   let plen = String.length prefix in
   let skip = String.length t.prefix in
-  Hashtbl.fold
+  fold t
     (fun k _ acc ->
       if String.length k >= plen && String.sub k 0 plen = prefix then
         (* return keys in the view's namespace, so a scoped reader can
            feed them straight back into [read]/[delete] *)
         String.sub k skip (String.length k - skip) :: acc
       else acc)
-    t.tbl []
+    []
   |> List.sort compare
 
-let retained_bytes t =
-  Hashtbl.fold (fun _ v acc -> acc + String.length v) t.tbl 0
+let retained_bytes t = fold t (fun _ v acc -> acc + String.length v) 0
 
-let retained_keys t = Hashtbl.length t.tbl
+let retained_keys = length
 
 let flush t =
-  match t.durable with
-  | Some w when Wal.pending w.wal > 0 ->
+  match t.backend with
+  | Logged w when Wal.pending w.wal > 0 ->
     Wal.flush w.wal;
     sync_wal_metrics w
   | _ -> ()
 
-let sync t =
-  match t.durable with
-  | None -> ()
-  | Some w ->
-    Wal.sync w.wal;
+let on_wal t f =
+  match t.backend with
+  | Memory _ -> ()
+  | Logged w ->
+    f w.wal;
     sync_wal_metrics w
 
-let close t =
-  match t.durable with
-  | None -> ()
-  | Some w ->
-    Wal.close w.wal;
-    sync_wal_metrics w
+let sync t = on_wal t Wal.sync
 
-let wal_stats t = Option.map (fun w -> Wal.stats w.wal) t.durable
+let close t = on_wal t Wal.close
+
+let wal_stats t =
+  match t.backend with Memory _ -> None | Logged w -> Some (Wal.stats w.wal)
 
 let disk_bytes t =
-  match t.durable with None -> 0 | Some w -> Wal.disk_bytes w.wal
+  match t.backend with Memory _ -> 0 | Logged w -> Wal.disk_bytes w.wal
 
 let wipe t =
-  (match t.durable with
-  | None -> ()
-  | Some w ->
+  match t.backend with
+  | Memory tbl -> Hashtbl.reset tbl
+  | Logged w ->
     Wal.wipe w.wal;
-    sync_wal_metrics w);
-  Hashtbl.reset t.tbl
+    sync_wal_metrics w
 
 let encode v = Marshal.to_string v []
 

@@ -8,10 +8,12 @@
     {!Metrics}, plus the currently retained footprint via {!retained_bytes}
     (used for the log-growth experiment E3).
 
-    Reads always hit an in-memory table. Without a directory nothing
-    reaches disk ("stability" is the simulator's promise); with one the
-    table is made durable by the segmented write-ahead log of
-    {!Abcast_store.Wal}: every write/delete is one CRC-guarded record
+    Reads always hit an in-memory key→value map, and a store holds
+    exactly one. Without a directory it is a table of this module and
+    nothing reaches disk ("stability" is the simulator's promise); with
+    one it is the live map of the segmented write-ahead log of
+    {!Abcast_store.Wal}, which the replay at creation rebuilds and this
+    module reads in place: every write/delete is one CRC-guarded record
     on the log's in-memory tail, {!flush} writes the tail with one
     [write] call (the engine that owns the store calls it before any
     effect leaves the process), recovery is a sequential replay with torn-tail truncation, and key
@@ -31,7 +33,6 @@ type t
 val create :
   ?dir:string ->
   ?fsync:Abcast_store.Durable.policy ->
-  ?wal_compact_min_bytes:int ->
   ?flight:Flight.t ->
   ?flight_now:(unit -> int) ->
   metrics:Metrics.t ->
@@ -46,9 +47,9 @@ val create :
     keep flight timestamps on its own run-relative clock.
 
     With [dir] the store is a WAL in that directory, otherwise memory
-    only. [fsync] (default [Every {ops = 64; ms = 20}]) and
-    [wal_compact_min_bytes] tune the WAL (see {!Abcast_store.Wal.open_});
-    segments roll at its default size. An existing WAL is replayed at creation
+    only. [fsync] (default [Every {ops = 64; ms = 20}]) is the WAL's
+    durability policy (see {!Abcast_store.Wal.open_}); segments roll and
+    compaction triggers at its defaults. An existing WAL is replayed at creation
     — this is what lets state survive {e real} process restarts in the
     live runtime. *)
 

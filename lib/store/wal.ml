@@ -25,7 +25,6 @@ type t = {
   dir : string;
   segment_bytes : int;
   compact_min_bytes : int;
-  compact_ratio : float;
   auto_compact : bool;
   pacer : Durable.pacer;
   (* optional wall-clock timing tap: called with each operation's
@@ -214,12 +213,13 @@ let compact t =
   t.compactions <- t.compactions + 1;
   Durable.note_sync t.pacer
 
+(* Due once the dead bytes pass [compact_min_bytes] and half the
+   on-disk log. *)
 let maybe_compact t =
   if
     t.auto_compact
     && dead_bytes t >= t.compact_min_bytes
-    && float_of_int (dead_bytes t)
-       >= t.compact_ratio *. float_of_int (max 1 t.total_bytes)
+    && 2 * dead_bytes t >= max 1 t.total_bytes
   then compact t
 
 (* ---- public mutators ---- *)
@@ -247,8 +247,9 @@ let delete t key =
     maybe_compact t
 
 (* Drop every live key in [\[lo, hi)]; the writer and the replay share
-   it, so both end at the same map. *)
+   it, so both end at the same map. Returns whether a key went. *)
 let remove_range t ~lo ~hi =
+  let before = Hashtbl.length t.live in
   Hashtbl.filter_map_inplace
     (fun key ((_, flen) as b) ->
       if String.compare key lo >= 0 && String.compare key hi < 0 then begin
@@ -256,14 +257,16 @@ let remove_range t ~lo ~hi =
         None
       end
       else Some b)
-    t.live
+    t.live;
+  Hashtbl.length t.live < before
 
 let delete_range t ~lo ~hi =
   check_open t "delete_range";
-  encode_body t tag_range lo hi;
-  ignore (append t);
-  remove_range t ~lo ~hi;
-  maybe_compact t
+  if remove_range t ~lo ~hi then begin
+    encode_body t tag_range lo hi;
+    ignore (append t);
+    maybe_compact t
+  end
 
 let find t key =
   match Hashtbl.find_opt t.live key with
@@ -274,7 +277,8 @@ let mem t key = Hashtbl.mem t.live key
 
 let length t = Hashtbl.length t.live
 
-let iter t f = Hashtbl.iter (fun key (value, _) -> f key value) t.live
+let fold t f acc =
+  Hashtbl.fold (fun key (value, _) acc -> f key value acc) t.live acc
 
 let sync t =
   check_open t "sync";
@@ -361,7 +365,7 @@ let replay_segment t data =
           let lo = Wire.read_string br in
           let hi = Wire.read_string br in
           Wire.expect_end br;
-          remove_range t ~lo ~hi
+          ignore (remove_range t ~lo ~hi)
         end
         else if tag = tag_reset then begin
           Wire.expect_end br;
@@ -384,7 +388,7 @@ let truncate_file path size =
 
 let open_ ?(segment_bytes = 1 lsl 20)
     ?(fsync = Durable.Every { ops = 64; ms = 20 }) ?(compact_min_bytes = 64_000)
-    ?(compact_ratio = 0.5) ?(auto_compact = true) ?on_io ~dir () =
+    ?(auto_compact = true) ?on_io ~dir () =
   if segment_bytes <= 0 then invalid_arg "Wal.open_: segment_bytes";
   Durable.mkdir_p dir;
   let t_recover0 =
@@ -395,7 +399,6 @@ let open_ ?(segment_bytes = 1 lsl 20)
       dir;
       segment_bytes;
       compact_min_bytes;
-      compact_ratio;
       auto_compact;
       pacer = Durable.pacer fsync;
       on_io;

@@ -89,7 +89,6 @@ val open_ :
   ?segment_bytes:int ->
   ?fsync:Durable.policy ->
   ?compact_min_bytes:int ->
-  ?compact_ratio:float ->
   ?auto_compact:bool ->
   ?on_io:(io_op -> float -> unit) ->
   dir:string ->
@@ -101,8 +100,8 @@ val open_ :
     that reaches it is sealed and a new one started. [fsync] (default
     [Every {ops = 64; ms = 20}]) is the durability policy. Compaction
     triggers automatically (unless [auto_compact] is [false]) when dead
-    bytes exceed [compact_min_bytes] (default 64 KiB) {e and} the dead
-    fraction of the on-disk log exceeds [compact_ratio] (default 0.5).
+    bytes exceed [compact_min_bytes] (default 64 000) {e and} half of
+    the on-disk log.
 
     [on_io], when given, is called with each operation's wall-clock
     duration in µs: once per tail write ([`Append], one per non-empty
@@ -119,9 +118,10 @@ val delete : t -> string -> unit
 (** Append a Delete record to the tail (no-op if the key is absent). *)
 
 val delete_range : t -> lo:string -> hi:string -> unit
-(** Append one Range record to the tail and drop every live key in
-    [\[lo, hi)] (byte order). One record whatever the number of keys;
-    the scan of the live map is O(live keys). *)
+(** Drop every live key in [\[lo, hi)] (byte order) and append one
+    Range record to the tail. One record whatever the number of keys,
+    none when no live key is in the range (as {!delete} of an absent
+    key); the scan of the live map is O(live keys). *)
 
 val flush : t -> unit
 (** Write the tail to the current segment with one [write] call; a
@@ -137,8 +137,10 @@ val mem : t -> string -> bool
 val length : t -> int
 (** Number of live keys. *)
 
-val iter : t -> (string -> string -> unit) -> unit
-(** Visit every live binding (undefined order). *)
+val fold : t -> (string -> string -> 'a -> 'a) -> 'a -> 'a
+(** Fold over every live binding (undefined order). This map is the
+    only in-memory copy of the log's state: [Abcast_sim.Storage] reads
+    it directly. *)
 
 val sync : t -> unit
 (** Flush, then fsync the current segment now, whatever the policy. *)

@@ -481,4 +481,69 @@ let coord_tests =
         ignore p);
   ]
 
-let suite = ("consensus-unit", paxos_tests @ coord_tests)
+(* ---------------- Multi answers for the log ---------------- *)
+
+(* [Multi.proposal]/[decision] answer from the live instance, or from
+   the log when no instance exists; either way they must equal the log.
+   A seeded walk proposes, learns decisions, touches fresh instances,
+   truncates and recovers (a new manager over the same store), and
+   compares every instance up to just past the floor with a direct
+   [Storage.read] after each step. *)
+module Log_agreement (C : Abcast_consensus.Consensus_intf.S) = struct
+  module M = Abcast_consensus.Multi.Make (C)
+  module Keys = Abcast_consensus.Consensus_intf.Keys
+
+  let run ~decide ~query () =
+    let p = probe () in
+    let boot () =
+      M.create p.io ~leader:(Abcast_fd.Omega.fixed 0)
+        ~on_decide:(fun _ _ -> ())
+        ~on_lag:ignore
+        ~on_behind:(fun ~src:_ -> ())
+    in
+    let m = ref (boot ()) in
+    let rng = Rng.create 7 in
+    let check step =
+      for k = 0 to M.floor !m + 8 do
+        let what field = Printf.sprintf "step %d: %s of %d" step field k in
+        Alcotest.(check (option string)) (what "proposal")
+          (Storage.read p.store (Keys.proposal k))
+          (M.proposal !m k);
+        Alcotest.(check (option string)) (what "decision")
+          (Storage.read p.store (Keys.decision k))
+          (M.decision !m k)
+      done
+    in
+    let truncations = ref 0 and recoveries = ref 0 in
+    for step = 1 to 300 do
+      let floor = M.floor !m in
+      let k = floor + Rng.int rng 6 in
+      (match Rng.int rng 10 with
+      | 0 | 1 | 2 -> M.propose !m k (Printf.sprintf "p%d.%d" k step)
+      | 3 | 4 | 5 ->
+        M.handle !m ~src:1 (M.Inst (k, decide (Printf.sprintf "d%d" k)))
+      | 6 -> M.handle !m ~src:2 (M.Inst (k, query))
+      | 7 ->
+        incr truncations;
+        M.truncate_below !m (floor + 1 + Rng.int rng 2)
+      | _ ->
+        incr recoveries;
+        m := boot ());
+      check step
+    done;
+    Alcotest.(check bool) "walked through truncations and recoveries" true
+      (!truncations > 0 && !recoveries > 0)
+end
+
+module Paxos_log = Log_agreement (Paxos)
+module Coord_log = Log_agreement (Coord)
+
+let multi_tests =
+  [
+    test "multi over paxos: proposal and decision equal the log at every step"
+      (Paxos_log.run ~decide:(fun v -> Paxos.Decide { v }) ~query:Paxos.Query);
+    test "multi over coord: proposal and decision equal the log at every step"
+      (Coord_log.run ~decide:(fun v -> Coord.Decide { v }) ~query:Coord.Query);
+  ]
+
+let suite = ("consensus-unit", paxos_tests @ coord_tests @ multi_tests)

@@ -48,9 +48,7 @@ let apply w = function
   | Range (lo, hi) -> Wal.delete_range w ~lo ~hi
 
 let bindings w =
-  let acc = ref [] in
-  Wal.iter w (fun k v -> acc := (k, v) :: !acc);
-  List.sort compare !acc
+  List.sort compare (Wal.fold w (fun k v acc -> (k, v) :: acc) [])
 
 let rec take n = function
   | [] -> []
@@ -172,7 +170,7 @@ let wal_tests =
     test "wal: overwrites trigger compaction and bound the disk" (fun () ->
         with_dir (fun d ->
             let w = Wal.open_ ~dir:d ~segment_bytes:4096 ~compact_min_bytes:2048
-                ~compact_ratio:0.5 ~fsync:Durable.Never () in
+                ~fsync:Durable.Never () in
             let v = String.make 64 'x' in
             for _ = 1 to 500 do
               Wal.put w "hot" v
@@ -390,6 +388,25 @@ let range_tests =
             let w2 = Wal.open_ ~dir:d () in
             Alcotest.check kv_list "replay equals the writer" live (bindings w2);
             Wal.close w2));
+    test "wal: a range with no live key appends nothing" (fun () ->
+        with_dir (fun d ->
+            let w =
+              Wal.open_ ~dir:d ~fsync:Durable.Never ~auto_compact:false ()
+            in
+            List.iter (apply w) range_ops;
+            Wal.flush w;
+            let seg_size () = (Unix.stat (Wal.current_segment w)).Unix.st_size in
+            let appends = (Wal.stats w).Wal.appends and size = seg_size () in
+            let live = bindings w in
+            (* [a/1, a/2) was emptied by the last op; nothing sorts in [c, d) *)
+            Wal.delete_range w ~lo:"a/1" ~hi:"a/2";
+            Wal.delete_range w ~lo:"c" ~hi:"d";
+            Wal.flush w;
+            Alcotest.(check int) "no record appended" appends
+              (Wal.stats w).Wal.appends;
+            Alcotest.(check int) "segment unchanged" size (seg_size ());
+            Alcotest.check kv_list "map unchanged" live (bindings w);
+            Wal.close w));
     test "torn tail: a range record cut at every offset is all or nothing"
       (fun () ->
         with_dir (fun d ->
@@ -663,16 +680,16 @@ let multi_over store =
 let retired_below = 6
 
 (* Instances 0..9 hold acceptor state, 0..5 are decided; then the
-   checkpoint at 6 retires 0..5. *)
-let populate store =
+   checkpoint at 6 retires 0..5. Each value is [pad] bytes longer than
+   its ["v<k>"] name. *)
+let populate ?(pad = 0) store =
   let m, _ = multi_over store in
+  let value k = Printf.sprintf "v%d%s" k (String.make pad '.') in
   for k = 0 to 9 do
-    let v = Printf.sprintf "v%d" k in
-    Multi.handle m ~src:1 (Multi.Inst (k, Paxos.Accept { b = 4; v }))
+    Multi.handle m ~src:1 (Multi.Inst (k, Paxos.Accept { b = 4; v = value k }))
   done;
   for k = 0 to retired_below - 1 do
-    let v = Printf.sprintf "v%d" k in
-    Multi.handle m ~src:1 (Multi.Inst (k, Paxos.Decide { v }))
+    Multi.handle m ~src:1 (Multi.Inst (k, Paxos.Decide { v = value k }))
   done;
   Storage.flush store;
   m
@@ -750,12 +767,12 @@ let retirement_tests =
         List.iter
           (fun point ->
             with_dir (fun d ->
-                let store =
-                  Storage.create ~dir:d ~fsync:Durable.Never
-                    ~wal_compact_min_bytes:1 ~metrics:(Metrics.create ())
-                    ~node:0 ()
-                in
-                let m = populate store in
+                let store, _ = mk_storage ~dir:d ~fsync:Durable.Never () in
+                (* 8 KB values: the range record kills the 12 retired
+                   bindings (~96 KB of a ~128 KB log), past the WAL's
+                   compaction threshold of 64 000 dead bytes and half
+                   the log *)
+                let m = populate ~pad:8_000 store in
                 Wal.failpoint := Some point;
                 let crashed =
                   Fun.protect
@@ -791,7 +808,7 @@ let sweep_run ?storage () =
   let rng = Rng.create 23 in
   let count =
     Workload.open_loop cluster ~rng ~senders:[ 0; 1; 2 ] ~start:1_000
-      ~stop:60_000 ~mean_gap:1_000 ~size:64 ()
+      ~stop:60_000 ~mean_gap:1_000 ~size:512 ()
   in
   let ok =
     Cluster.run_until cluster ~until:1_000_000_000
@@ -823,8 +840,7 @@ let sweep_tests =
             let factory ~metrics ~node =
               Storage.create
                 ~dir:(Filename.concat base (Printf.sprintf "w%d" node))
-                ~fsync:Durable.Never ~wal_compact_min_bytes:2048 ~metrics ~node
-                ()
+                ~fsync:Durable.Never ~metrics ~node ()
             in
             let mem_cluster, count = sweep_run () in
             let wal_cluster, count_w = sweep_run ~storage:factory () in
@@ -858,6 +874,11 @@ let sweep_tests =
             | None -> Alcotest.fail "wal cluster has no wal stats"
             | Some st ->
               Alcotest.(check bool) "wal appended" true (st.Wal.appends > 0));
+            (* 512-byte payloads retire enough volume to cross the WAL's
+               default compaction threshold *)
+            Alcotest.(check bool) "wal compacted" true
+              (Metrics.sum_prefix (Cluster.metrics wal_cluster) "wal_compactions"
+              > 0);
             let w = Wal.open_ ~dir:(Filename.concat base "w0") () in
             let wal_keys = List.sort compare (List.map fst (bindings w)) in
             List.iter
