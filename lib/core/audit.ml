@@ -18,10 +18,16 @@
 
 module Wire = Abcast_util.Wire
 
-(* FNV-1a-style prime; the fold is a polynomial in the prime over the
-   (origin, boot, seq) triples, so transposing any two distinct
-   deliveries changes the value. Masked positive so certificates encode
-   as plain uvarints. *)
+(* FNV-1a-style prime; the fold is a polynomial in it over the (origin,
+   boot, seq) triples, masked positive (kept mod 2^62) so certificates
+   encode as plain uvarints. With c(id) = (origin + 1)·p² + boot·p + seq,
+   swapping adjacent deliveries x, y moves the chain by
+   (c(x) − c(y))·(p³ − 1), which later folds multiply by the odd p³;
+   p ≡ 3 (mod 4) leaves p³ − 1 one factor of two, so the swap is unseen
+   iff c(x) ≡ c(y) (mod 2^61). Exactly: ids that differ in one field by
+   0 < |d| < 2^61 differ in c by d·pⁱ, so their swap always changes the
+   chain (seqs 0 and 2^61 alias). Any other pair gets only the collision
+   resistance of a 62-bit hash. *)
 let prime = 0x100000001b3
 
 let[@inline] mix h (id : Payload.id) =

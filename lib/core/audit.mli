@@ -3,8 +3,10 @@
 
     The chain is an order-sensitive polynomial fold of each delivered
     payload identity: two processes that A-delivered the same sequence
-    hold equal chain values at every position, and any transposition of
-    two distinct deliveries changes every value from that point on. A
+    hold equal chain values at every position. Swapping two adjacent
+    deliveries whose ids differ in one field by 0 < |d| < 2^61 changes
+    every value from that point on; any other transposition is caught
+    with the collision resistance of a 62-bit hash. A
     node periodically piggybacks [(boot, len, chain)] on gossip; a
     receiver whose {!window} still covers [len] compares hashes, and a
     mismatch is a live total-order violation (the sentinel). Folding is

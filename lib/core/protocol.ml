@@ -123,14 +123,6 @@ let validate c =
   if c.gossip_full_every < 1 then reject "gossip_full_every must be >= 1";
   if c.trace_sample < 0 then reject "trace_sample must be >= 0"
 
-(* The Unordered set. Most operations on it are point lookups, adds and
-   removes — one of each per payload per process — so it lives in a
-   Hashtbl; the identity-sorted list view the batching and full-gossip
-   paths want is materialized on demand and memoized between mutations.
-   (An always-sorted functional map made every add/remove pay a
-   log-rebalance plus allocation; the profile showed that tax dwarfing
-   the occasional sort.) *)
-
 (* --- Stable-storage codecs ------------------------------------------- *)
 (* Shared across every functor instantiation (none of these types depend
    on the consensus implementation), and by harness code that inspects
@@ -337,15 +329,11 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         (* the paper's round counter [k]: the next instance whose
            decision we apply. Volatile — recovery re-derives it from the
            checkpoint. Instances [committed .. committed + window) may
-           run concurrently; their decisions land in [multi]'s cache in
-           any order and are applied strictly in instance order. *)
+           run concurrently and decide in any order; an early decision
+           waits in its instance, and decisions are applied strictly in
+           instance order. *)
     mutable agreed : Agreed.t;
-    unordered : Payload.t Ptbl.t;
-    mutable unordered_cache : Payload.t list option;
-        (* memoized sorted view; exact when [unordered_cache_len] still
-           equals the table size, a superset after removals (deliveries),
-           stale only after an add *)
-    mutable unordered_cache_len : int;
+    unordered : Unordered.t;
     logged_unordered : unit Ptbl.t;
         (* ids in the full-set slot (non-incremental logging only) *)
     mutable gossip_k : int;
@@ -353,11 +341,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     mutable gossip_tick : int;
     mutable seq : int; (* local broadcast counter, volatile *)
     pending : pend Ptbl.t;
-    own_props : (int, Payload.id list) Hashtbl.t;
-    covered_ids : unit Ptbl.t;
-        (* union of [own_props]' id lists, maintained incrementally so
-           the window walk never rebuilds it per proposal opportunity *)
-        (* ids inside our own not-yet-decided proposals (window > 1) *)
     mutable ring_pending : (int * Payload.t) list;
         (* entries awaiting the next coalesced forward to our successor,
            in reverse arrival order *)
@@ -365,17 +348,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         (* the next coalesced forward; cancelled once every entry it
            would carry is delivered *)
     mutable ring_due : int; (* when [ring_timer] is (or was) due *)
-    stream_contig : (int * int, int) Hashtbl.t;
-        (* per (origin, boot): highest seq s such that every seq <= s is
-           covered — delivered (in Agreed) or held in Unordered. Coverage
-           is monotone within an incarnation (removal from Unordered only
-           happens for ids already in Agreed), so the watermark never has
-           to move backwards. It lets the digest receiver skip the
-           already-covered prefix instead of probing every seq. *)
-    stream_maxseen : (int * int, int) Hashtbl.t;
-        (* per (origin, boot): highest seq ever admitted to Unordered this
-           incarnation — the digest we advertise, maintained in O(1) per
-           add instead of folding the whole set on every gossip tick. *)
     ck_slot : (int * Agreed.repr) Storage.Slot.slot;
     mutable ck_k : int; (* commit cursor at the last checkpoint, -1 if none *)
     mutable ck_len : int; (* delivery length at the last checkpoint *)
@@ -384,9 +356,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     mutable recovery_done : bool; (* [recover] finished for this boot *)
     mutable caught_up : bool; (* first post-recovery delivery observed *)
     mutable audit_tripped : bool; (* order-divergence sentinel, one-shot *)
-    mutable fault_armed : bool;
-        (* the test-only apply-order fault [io.reorder_apply] (see
-           [Abcast_sim.Faults.reorder_apply]) has not fired yet *)
   }
 
   (* Jump the commit cursor forward to [k] (state transfer, or recovery
@@ -398,83 +367,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       M.retire t.multi k
     end
 
-  let unordered_mem t id = Ptbl.mem t.unordered id
-
-  (* Advance the covered watermark of a stream as far as its contiguous
-     delivered-or-held prefix reaches, and return it. The walk resumes
-     where the last one stopped (or at the delivery frontier, whichever
-     is higher), so each seq of a stream is stepped over at most once per
-     incarnation: O(1) amortized per payload. *)
-  let contig_advance t ~origin ~boot =
-    let key = (origin, boot) in
-    let ns = Vclock.next_seq (Agreed.vc t.agreed) ~origin ~boot in
-    let start =
-      match Hashtbl.find_opt t.stream_contig key with
-      | Some c -> max c (ns - 1)
-      | None -> ns - 1
-    in
-    let covered s =
-      s < ns || unordered_mem t { Payload.origin; boot; seq = s }
-    in
-    let rec adv c = if covered (c + 1) then adv (c + 1) else c in
-    let c = adv start in
-    if c <> start || not (Hashtbl.mem t.stream_contig key) then
-      Hashtbl.replace t.stream_contig key c;
-    c
-
-  let unordered_add t (p : Payload.t) =
-    if not (Ptbl.mem t.unordered p.id) then begin
-      Ptbl.replace t.unordered p.id p;
-      t.unordered_cache <- None;
-      let key = (p.id.origin, p.id.boot) in
-      (match Hashtbl.find_opt t.stream_maxseen key with
-      | Some m when m >= p.id.seq -> ()
-      | _ -> Hashtbl.replace t.stream_maxseen key p.id.seq);
-      ignore (contig_advance t ~origin:p.id.origin ~boot:p.id.boot)
-    end
-
-  let unordered_remove t id =
-    if Ptbl.mem t.unordered id then begin
-      Ptbl.remove t.unordered id
-      (* the memoized list view survives removals: consumers re-filter
-         it against the table (no re-sort), see [unordered_list] *)
-    end
-
-  let unordered_count t = Ptbl.length t.unordered
-
-  (* The identity-sorted view. A full rebuild (fold + sort) happens only
-     after an add invalidated the memo; removals — the per-delivery case —
-     degrade the memo to a superset that one membership-filter pass
-     restores, with no re-sort. *)
-  let unordered_list t =
-    let live = Ptbl.length t.unordered in
-    match t.unordered_cache with
-    | Some l when t.unordered_cache_len = live -> l
-    | Some l ->
-      let l = List.filter (fun (p : Payload.t) -> Ptbl.mem t.unordered p.id) l in
-      t.unordered_cache <- Some l;
-      t.unordered_cache_len <- live;
-      l
-    | None ->
-      let l =
-        Payload.sort_batch (Ptbl.fold (fun _ p acc -> p :: acc) t.unordered [])
-      in
-      t.unordered_cache <- Some l;
-      t.unordered_cache_len <- live;
-      l
-
-  (* Per-(origin, boot) maximum sequence number admitted to Unordered —
-     the digest advertised instead of the payloads. This deliberately
-     over-approximates the live set (a seq delivered since it was added
-     stays advertised): a receiver that pulls such a seq gets no reply —
-     [on_need] serves only what is still held — and obtains it through
-     its own commits or a state transfer instead, exactly as it would
-     have before the digest named it. The payoff is an O(streams) digest
-     instead of an O(|Unordered|) fold on every gossip tick. *)
-  let unordered_summary t =
-    Hashtbl.fold
-      (fun (origin, boot) smax acc -> (origin, boot, smax) :: acc)
-      t.stream_maxseen []
+  let unordered_add t p = Unordered.add t.unordered ~vc:(Agreed.vc t.agreed) p
 
   (* --- Unordered-set durability (alternative protocol, §5.4/§5.5) --- *)
 
@@ -486,7 +379,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           (Wire.to_string Payload.write p)
       else begin
         (* Full re-log of the whole set on every change. *)
-        Storage.Slot.set t.unordered_full_slot (unordered_list t);
+        Storage.Slot.set t.unordered_full_slot (Unordered.to_list t.unordered);
         Ptbl.replace t.logged_unordered p.id ()
       end
 
@@ -506,12 +399,14 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
               ~hi:(unordered_seq_key ~origin ~boot upto)
         done
       end
-      else if Ptbl.length t.logged_unordered > unordered_count t
+      else if Ptbl.length t.logged_unordered > Unordered.count t.unordered
       then begin
-        Storage.Slot.set t.unordered_full_slot (unordered_list t);
+        let held = Unordered.to_list t.unordered in
+        Storage.Slot.set t.unordered_full_slot held;
         Ptbl.reset t.logged_unordered;
-        Ptbl.iter (fun id _ -> Ptbl.replace t.logged_unordered id ())
-          t.unordered
+        List.iter
+          (fun (p : Payload.t) -> Ptbl.replace t.logged_unordered p.id ())
+          held
       end
 
   let restore_unordered t =
@@ -577,7 +472,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         Histogram.add t.mh.s_stage_p2d (float_of_int (now - pe.p_proposed));
       (match pe.p_cb with Some f -> f p.id | None -> ())
     | None -> ());
-    unordered_remove t p.id;
+    Unordered.remove t.unordered p.id;
     t.on_deliver p
 
   (* --- Checkpointing (§5.1/§5.2) ------------------------------------ *)
@@ -599,34 +494,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     end
 
   (* --- Sequencer (Fig. 2; windowed extension) ------------------------ *)
-
-  (* [own_props] and its id-set mirror [covered_ids] change together:
-     every mutation goes through this pair. Removing an instance's entry
-     re-exposes its ids to [uncovered_list] — exactly what a losing or
-     committed proposal needs. *)
-  let own_props_set t j ids =
-    Hashtbl.replace t.own_props j ids;
-    List.iter (fun id -> Ptbl.replace t.covered_ids id ()) ids
-
-  let own_props_del t j =
-    match Hashtbl.find_opt t.own_props j with
-    | None -> ()
-    | Some ids ->
-      Hashtbl.remove t.own_props j;
-      List.iter (Ptbl.remove t.covered_ids) ids
-
-  (* The part of the Unordered backlog not already covered by one of our
-     outstanding (uncommitted) proposals. Pipelined instances each
-     propose a disjoint slice of the backlog: re-proposing a covered
-     entry at a later instance would only decide a duplicate batch and
-     waste a round's worth of bytes — the deduplication at delivery makes
-     it harmless, so this is purely the throughput-side of the window. *)
-  let uncovered_list t =
-    if Ptbl.length t.covered_ids = 0 then unordered_list t
-    else
-      List.filter
-        (fun (p : Payload.t) -> not (Ptbl.mem t.covered_ids p.id))
-        (unordered_list t)
 
   let propose_at t j backlog =
     (* Propose [backlog] as one batch, cut at the bytes budget. The cut
@@ -664,7 +531,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
             flight t ~stage:Flight.propose ~trace:p.trace ~a:j ~b:0)
         batch
     end;
-    own_props_set t j (List.map (fun (p : Payload.t) -> p.id) batch);
+    List.iter (fun (p : Payload.t) -> Unordered.cover t.unordered j p.id) batch;
     M.propose t.multi j value
 
   let maybe_propose t =
@@ -679,10 +546,14 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         match (M.decision t.multi j, M.proposal t.multi j) with
         | Some _, _ | None, Some _ -> walk (j + 1)
         | None, None ->
-          (* Each instance proposes the still-uncovered slice of the
-             backlog (recomputed after the previous [propose_at] extended
-             the coverage), so pipelined proposals are disjoint. *)
-          let backlog = uncovered_list t in
+          (* Each instance proposes the slice of the backlog no
+             outstanding proposal of ours covers (recomputed after the
+             previous [propose_at] extended the coverage), so pipelined
+             proposals are disjoint: re-proposing a covered entry would
+             only decide a duplicate and waste a round's bytes. *)
+          let backlog =
+            Unordered.uncovered t.unordered ~committed:t.committed
+          in
           let trigger = backlog <> [] || (j = k && t.gossip_k > k) in
           if trigger then begin
             propose_at t j backlog;
@@ -690,18 +561,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           end
     in
     walk k
-
-  (* Two payloads of different streams in one batch: reversing such a
-     batch genuinely transposes cross-stream deliveries (same-stream
-     pairs would just gap-skip back into the original order). *)
-  let multi_stream (batch : Payload.t list) =
-    match batch with
-    | [] | [ _ ] -> false
-    | p :: rest ->
-      List.exists
-        (fun (q : Payload.t) ->
-          q.id.origin <> p.id.origin || q.id.boot <> p.id.boot)
-        rest
 
   (* A flush whose every entry is delivered has nothing left to carry:
      cancel it. *)
@@ -717,15 +576,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     end
 
   let apply_decision t v =
-    let batch = Batch.decode v in
-    let batch =
-      if t.fault_armed && multi_stream batch then begin
-        t.fault_armed <- false;
-        Metrics.incr t.io.metrics ~node:t.io.self "fault_reorder_injected";
-        List.rev batch
-      end
-      else batch
-    in
     List.iter
       (fun (p : Payload.t) ->
         (* A decided batch can carry a payload whose stream predecessor
@@ -736,11 +586,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
            somewhere — gets re-proposed and delivered later. *)
         match Agreed.try_append t.agreed p with
         | `Appended -> deliver_one t p
-        | `Dup -> unordered_remove t p.id
+        | `Dup -> Unordered.remove t.unordered p.id
         | `Gap -> Metrics.incr t.io.metrics ~node:t.io.self "ab_gap_skips")
-      batch;
+      (Batch.decode v);
     ring_settle t;
-    own_props_del t t.committed;
     t.committed <- t.committed + 1;
     if t.cfg.paranoid_log then do_checkpoint t
 
@@ -813,22 +662,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           invalid_arg "state transfer: checkpointed donor but no app hook");
         List.iter (deliver_one t) ps);
       seek t ks;
-      let stale_props =
-        Hashtbl.fold
-          (fun j _ acc -> if j < ks then j :: acc else acc)
-          t.own_props []
-      in
-      List.iter (own_props_del t) stale_props;
-      (* Drop everything the adopted prefix already ordered. Collect
-         before removing: mutating a Hashtbl mid-iteration is
-         unspecified. *)
-      let ordered =
-        Ptbl.fold
-          (fun id _ acc ->
-            if Agreed.contains t.agreed id then id :: acc else acc)
-          t.unordered []
-      in
-      List.iter (Ptbl.remove t.unordered) ordered;
+      (* Drop everything the adopted prefix already ordered. *)
+      Unordered.drop_if t.unordered (Agreed.contains t.agreed);
       ring_settle t;
       (* Persist the jump: replay must not restart below the donor's
          floor, whose consensus state may be truncated. *)
@@ -923,7 +758,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           {
             k = t.committed;
             len = Agreed.total_len t.agreed;
-            unordered = unordered_list t;
+            unordered = Unordered.to_list t.unordered;
             cert;
           }
       else
@@ -931,7 +766,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           {
             k = t.committed;
             len = Agreed.total_len t.agreed;
-            summary = unordered_summary t;
+            summary = Unordered.summary t.unordered;
             cert;
           }
     in
@@ -981,7 +816,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      ring journey (0 for gossip, which forwards nothing). *)
   let admit t ~src ~stage ~hops (p : Payload.t) =
     if not (Agreed.contains t.agreed p.id) then begin
-      if p.trace <> 0 && not (unordered_mem t p.id) then
+      if p.trace <> 0 && not (Unordered.mem t.unordered p.id) then
         flight t ~stage ~trace:p.trace ~a:src ~b:0;
       unordered_add t p;
       ring_enqueue t hops p
@@ -993,26 +828,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      subset it actually has, as a regular payload gossip — at most
      [need_cap] ids per digest. *)
   let on_digest t ~src kq ~len_q summary =
-    let budget = ref need_cap in
     let missing =
-      List.fold_left
-        (fun acc (origin, boot, smax) ->
-          (* Probing every seq from the delivery frontier is O(backlog)
-             per digest; the covered watermark jumps the scan past the
-             contiguous delivered-or-held prefix, leaving only genuine
-             holes to probe. *)
-          let rec collect s acc =
-            if s > smax || !budget = 0 then acc
-            else
-              let id = { Payload.origin; boot; seq = s } in
-              if unordered_mem t id then collect (s + 1) acc
-              else begin
-                decr budget;
-                collect (s + 1) (id :: acc)
-              end
-          in
-          collect (contig_advance t ~origin ~boot + 1) acc)
-        [] summary
+      Unordered.missing t.unordered ~vc:(Agreed.vc t.agreed) ~cap:need_cap
+        summary
     in
     if missing <> [] then begin
       let m = Need { ids = missing } in
@@ -1022,7 +840,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     on_peer_progress t ~src kq ~len_q
 
   let on_need t ~src ids =
-    let ps = List.filter_map (Ptbl.find_opt t.unordered) ids in
+    let ps = List.filter_map (Unordered.find_opt t.unordered) ids in
     if ps <> [] then begin
       let m =
         Gossip
@@ -1090,8 +908,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | None -> ());
     restore_unordered t;
     (* Replay: walk the consensus log upward from the checkpoint.
-       [M.decision] falls back to the stable decision log exactly for
-       this — the volatile decide buffer died with the crash. *)
+       [M.decision] reads the stable decision log for every instance
+       this fresh incarnation has not created yet. *)
     let rounds = ref 0 in
     let rec replay () =
       match M.decision t.multi t.committed with
@@ -1107,15 +925,18 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     Metrics.add t.io.metrics ~node:t.io.self "recovery_protocol_us" dt;
     flight t ~stage:Flight.replay_done ~trace:0 ~a:!rounds ~b:dt;
     (* Re-propose every logged, still-undecided proposal — with a window
-       there can be several in flight (idempotent, P4) — and rebuild the
-       volatile record of what they contain. *)
+       there can be several in flight (idempotent, P4) — and cover what
+       they carry that is not ordered yet. *)
     List.iter
       (fun j ->
         if j >= t.committed && M.decision t.multi j = None then
           match M.proposal t.multi j with
           | Some v ->
-            own_props_set t j
-              (List.map (fun (p : Payload.t) -> p.id) (Batch.decode v));
+            List.iter
+              (fun (p : Payload.t) ->
+                if not (Agreed.contains t.agreed p.id) then
+                  Unordered.cover t.unordered j p.id)
+              (Batch.decode v);
             M.propose t.multi j v
           | None -> ())
       (M.logged_proposal_instances t.multi)
@@ -1136,9 +957,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           with_t (fun t ->
               flight t ~stage:Flight.decide ~trace:0 ~a:k
                 ~b:(String.length v);
-              (* Multi caches every decision before this upcall, so an
-                 out-of-order one waits there; only a decision at the
-                 cursor lets the drain loop make progress. *)
+              (* An out-of-order decision waits in its instance, where
+                 [M.decision] finds it; only a decision at the cursor
+                 lets the drain loop make progress. *)
               if k = t.committed then drain_decisions t))
         ~on_lag:(fun floor ->
           with_t (fun t ->
@@ -1181,22 +1002,16 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         size = make_msg_size ();
         committed = 0;
         agreed = Agreed.create ();
-        unordered = Ptbl.create 64;
-        unordered_cache = None;
-        unordered_cache_len = 0;
+        unordered = Unordered.create ();
         logged_unordered = Ptbl.create 32;
         gossip_k = 0;
         probed_k = -1;
         gossip_tick = 0;
         seq = 0;
         pending = Ptbl.create 32;
-        own_props = Hashtbl.create 8;
-        covered_ids = Ptbl.create 64;
         ring_pending = [];
         ring_timer = Engine.Timer.none;
         ring_due = 0;
-        stream_contig = Hashtbl.create 16;
-        stream_maxseen = Hashtbl.create 16;
         ck_slot =
           Storage.Slot.make ~codec:checkpoint_codec store ~layer
             ~key:checkpoint_key;
@@ -1209,7 +1024,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         recovery_done = false;
         caught_up = false;
         audit_tripped = false;
-        fault_armed = io.Engine.reorder_apply;
       }
     in
     tref := Some t;
@@ -1265,6 +1079,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let handler = node_handler
 
   let round t = t.committed
+
+  let unordered_count t = Unordered.count t.unordered
 
   let delivered_count t = Agreed.total_len t.agreed
 

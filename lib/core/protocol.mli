@@ -198,12 +198,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
       prefix is replaced by the application state and the consensus log
       is truncated (§5.2).
 
-      [io.reorder_apply] (armed only by the simulator's
-      {!Abcast_sim.Faults.reorder_apply}) makes this incarnation apply
-      its first decided batch carrying payloads of two streams in
-      reversed order — a deliberate total-order violation for the audit
-      sentinel to catch.
-
       @raise Invalid_argument ["Protocol.config: <field> must be >= …"]
       unless [window >= 1], [gossip_full_every >= 1] and
       [trace_sample >= 0]. *)

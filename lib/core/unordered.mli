@@ -1,0 +1,53 @@
+(** The sequencer's [Unordered] set (§4.2, Fig. 2): the payloads a
+    process holds but has not seen ordered. Each fact is held once: the
+    payloads by identity (with a memoized identity-sorted view), one
+    record per [(origin, boot)] stream (the highest seq ever admitted
+    and the covered watermark), and one coverage map, id → the instance
+    this process proposed it in. Logging the set, the window walk and
+    state transfer stay in {!Protocol}; nothing here touches storage.
+
+    Callers keep one invariant: an id leaves the set ({!remove},
+    {!drop_if}) only once the delivery clock [vc] covers it, so every
+    stream's watermark is monotone within an incarnation. *)
+
+type t
+
+val create : unit -> t
+val mem : t -> Payload.id -> bool
+val find_opt : t -> Payload.id -> Payload.t option
+val count : t -> int
+
+val add : t -> vc:Vclock.t -> Payload.t -> unit
+(** Admit a payload unless held; its stream's record is created at the
+    stream's first admission. *)
+
+val remove : t -> Payload.id -> unit
+(** Drop a delivered id from the set and from the coverage map. *)
+
+val drop_if : t -> (Payload.id -> bool) -> unit
+(** {!remove} every held or covered id the predicate accepts. *)
+
+val to_list : t -> Payload.t list
+(** The set sorted by identity. Removals only re-filter the memo; an
+    add rebuilds it on the next call. *)
+
+val summary : t -> (int * int * int) list
+(** [(origin, boot, max seq ever admitted)] per stream: the digest. A
+    seq delivered since its admission stays advertised. *)
+
+val missing :
+  t -> vc:Vclock.t -> cap:int -> (int * int * int) list -> Payload.id list
+(** At most [cap] ids of a peer's digest that this process neither
+    delivered nor holds, scanning the summary in order and each stream
+    up from its watermark; last found first. A stream never held here
+    stores nothing: its watermark is [next_seq vc - 1]. *)
+
+val cover : t -> int -> Payload.id -> unit
+(** Note that this process proposed the id at the given instance. *)
+
+val uncovered : t -> committed:int -> Payload.t list
+(** {!to_list} without the ids covered at an instance [>= committed]:
+    a commit or a cursor jump uncovers ids without touching the map. *)
+
+val covered_count : t -> int
+(** Entries in the coverage map, committed instances included. *)

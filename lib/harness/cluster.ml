@@ -19,17 +19,13 @@ type t =
       -> t
 
 let create (module P : Proto.S) ~seed ~n ?net ?(count_bytes = false) ?storage
-    ?flight ?reorder_apply () =
+    ?flight () =
   let msg_size = if count_bytes then Some P.msg_size else None in
   let eng = Engine.create ~seed ~n ?net ?msg_size ?storage ?flight () in
   let nodes = Array.make n None in
   let ever_delivered = Hashtbl.create 256 in
   for i = 0 to n - 1 do
     Engine.set_behavior eng i (fun io ->
-        let io =
-          if reorder_apply = Some i then Abcast_sim.Faults.reorder_apply io
-          else io
-        in
         let p =
           P.create io ~deliver:(fun ~group pl ->
               Hashtbl.replace ever_delivered (group, pl.Payload.id) ())

@@ -16,7 +16,6 @@ val create :
   ?count_bytes:bool ->
   ?storage:(metrics:Abcast_sim.Metrics.t -> node:int -> Abcast_sim.Storage.t) ->
   ?flight:(node:int -> Abcast_sim.Flight.t) ->
-  ?reorder_apply:int ->
   unit ->
   t
 (** Build the cluster and start every process. [count_bytes] (default
@@ -24,10 +23,7 @@ val create :
     message). [storage] selects the stable-storage backend per process
     (default memory-only; see {!Abcast_sim.Engine.create}). [flight]
     gives each process a real flight recorder — tests dump them to a
-    run directory and feed {!Abcast_harness.Doctor}. [reorder_apply]
-    (tests only) arms {!Abcast_sim.Faults.reorder_apply} on every
-    incarnation of that process, so a run can break total order on one
-    node and watch the audit sentinel catch it. *)
+    run directory and feed {!Abcast_harness.Doctor}. *)
 
 val n : t -> int
 val metrics : t -> Abcast_sim.Metrics.t
@@ -108,7 +104,10 @@ val corrupt_storage : t -> int -> key:string -> string -> unit
 (** Fault injection outside the model: overwrite a stable-storage key
     behind the protocol's back (disk corruption). The protocols do NOT
     promise to survive this — it exists so tests can prove the lemma
-    monitors detect log tampering. *)
+    monitors detect log tampering, and so the audit sentinel test can
+    make a node break total order: rewrite a crashed node's logged
+    consensus decision, then recover it and let replay apply it. Works
+    whether the process is up or down. *)
 
 val sent : t -> (Abcast_core.Payload.id * bool) list
 (** Every id injected through {!broadcast}, with whether its completion

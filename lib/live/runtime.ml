@@ -367,7 +367,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
             Metrics.incr metrics ~node:nd.id "alarms";
             Printf.eprintf "abcast-live node %d: ALARM: %s\n%!" nd.id reason;
             dump_flight ());
-        reorder_apply = false;
       }
     in
     (* An upcall can acknowledge a client: the records behind the

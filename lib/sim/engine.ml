@@ -48,8 +48,6 @@ type 'm io = {
   alarm : string -> unit;
       (* safety sentinel tripped (audit divergence): the live runtime
          dumps the flight recorder immediately so the evidence survives *)
-  reorder_apply : bool;
-      (* test-only apply-order fault, armed by [Faults.reorder_apply] *)
 }
 
 let map_io wrap io =
@@ -67,7 +65,6 @@ let map_io wrap io =
     metrics = io.metrics;
     flight = io.flight;
     alarm = io.alarm;
-    reorder_apply = io.reorder_apply;
   }
 
 type 'm behavior = 'm io -> src:int -> 'm -> unit
@@ -211,7 +208,6 @@ let io_of t node =
     metrics = t.metrics;
     flight = node.flight;
     alarm = (fun _reason -> Metrics.incr t.metrics ~node:id "alarms");
-    reorder_apply = false;
   }
 
 let set_behavior t i f = t.behaviors.(i) <- Some f

@@ -80,12 +80,6 @@ type 'm io = {
           bumps an ["alarms"] counter (the protocol has already recorded
           a {!Flight.audit} event); the live runtime also
           dumps the flight recorder immediately so evidence survives. *)
-  reorder_apply : bool;
-      (** test-only fault: the protocol applies this incarnation's first
-          decided multi-stream batch in reversed order, breaking total
-          order on purpose so the audit sentinel can be exercised. Always
-          [false] except in simulator runs that wrap the io with
-          {!Faults.reorder_apply}; the live runtime cannot set it. *)
 }
 
 val map_io : ('a -> 'b) -> 'b io -> 'a io

@@ -81,5 +81,3 @@ let good_nodes plan =
     if plan.good.(i) then out := i :: !out
   done;
   !out
-
-let reorder_apply io = { io with Engine.reorder_apply = true }

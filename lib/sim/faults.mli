@@ -48,10 +48,3 @@ val apply : 'm Engine.t -> plan -> unit
 
 val good_nodes : plan -> int list
 (** Identities of the good processes, ascending. *)
-
-val reorder_apply : 'm Engine.io -> 'm Engine.io
-(** Arm the one-shot apply-order fault on an incarnation's environment
-    (see {!Engine.io.reorder_apply}): the protocol created over it
-    applies its first decided multi-stream batch in reversed order,
-    breaking total order on that node only. Test-only; the simulator
-    harness arms it per node via [Cluster.create ?reorder_apply]. *)

@@ -43,7 +43,6 @@ let probe ?(self = 0) ?(n = 3) () =
       metrics = Metrics.create ();
       flight = Abcast_sim.Flight.disabled;
       alarm = ignore;
-      reorder_apply = false;
     }
   in
   { io; sent; timers; store }

@@ -1,10 +1,11 @@
 (* Unit and property tests for the core data structures: Payload, Vclock,
-   Agreed, Batch. *)
+   Agreed, Batch, Unordered. *)
 
 open Helpers
 module Vclock = Abcast_core.Vclock
 module Agreed = Abcast_core.Agreed
 module Batch = Abcast_core.Batch
+module Unordered = Abcast_core.Unordered
 
 let id origin boot seq = { Payload.origin; boot; seq }
 
@@ -296,8 +297,148 @@ let batch_props =
         Batch.decode (Batch.encode ps) = Payload.sort_batch ps);
   ]
 
+(* --- Unordered against a list model ----------------------------------- *)
+
+(* One step of the sequencer's life. The operations keep the caller
+   invariant of [Unordered]: an id leaves the set only once the
+   delivery clock covers it. *)
+type u_op =
+  | Add of int * int * int  (** admit (origin, boot, seq) unless delivered *)
+  | Deliver of int * int  (** a stream's next seq is delivered and leaves *)
+  | Absorb of int * int  (** a stream's next seq is ordered but stays held *)
+  | Remove of int  (** the nth held id, if delivered (a duplicate) *)
+  | Drop  (** state transfer's bulk drop of every delivered id *)
+  | Cover of int * int  (** the nth held id, at instance committed + d *)
+  | Commit  (** the commit cursor moves one instance *)
+
+let pp_u_op = function
+  | Add (o, b, s) -> Printf.sprintf "Add %d.%d.%d" o b s
+  | Deliver (o, b) -> Printf.sprintf "Deliver %d.%d" o b
+  | Absorb (o, b) -> Printf.sprintf "Absorb %d.%d" o b
+  | Remove i -> Printf.sprintf "Remove %d" i
+  | Drop -> "Drop"
+  | Cover (i, d) -> Printf.sprintf "Cover %d +%d" i d
+  | Commit -> "Commit"
+
+let u_op_gen =
+  QCheck.Gen.(
+    let o = int_range 0 2 and b = int_range 0 1 in
+    frequency
+      [
+        (8, map3 (fun o b s -> Add (o, b, s)) o b (int_range 0 11));
+        (3, map2 (fun o b -> Deliver (o, b)) o b);
+        (1, map2 (fun o b -> Absorb (o, b)) o b);
+        (1, map (fun i -> Remove i) (int_range 0 20));
+        (1, return Drop);
+        (3, map2 (fun i d -> Cover (i, d)) (int_range 0 20) (int_range 0 3));
+        (2, return Commit);
+      ])
+
+let u_streams = [ (0, 0); (2, 1); (1, 0); (0, 1); (2, 0); (1, 1) ]
+
+let unordered_props =
+  [
+    QCheck.Test.make ~name:"unordered matches a list model after every step"
+      ~count:300
+      QCheck.(
+        pair
+          (make
+             ~print:(fun ops -> String.concat "; " (List.map pp_u_op ops))
+             Gen.(list_size (int_range 1 80) u_op_gen))
+          (int_range 0 12))
+      (fun (ops, cap) ->
+        let u = Unordered.create () in
+        let vc = ref Vclock.empty in
+        (* the model *)
+        let held = ref [] (* ids *)
+        and cov = ref [] (* (id, instance) *)
+        and maxseen = ref [] (* ((origin, boot), seq), first admission *)
+        and committed = ref 0 in
+        let next o b = Vclock.next_seq !vc ~origin:o ~boot:b in
+        let delivered (i : Payload.id) = i.seq < next i.origin i.boot in
+        let leave i =
+          Unordered.remove u i;
+          held := List.filter (( <> ) i) !held;
+          cov := List.filter (fun (i', _) -> i' <> i) !cov
+        in
+        let step = function
+          | Add (o, b, s) ->
+            let i = id o b s in
+            if not (delivered i) then begin
+              Unordered.add u ~vc:!vc (pl i);
+              if not (List.mem i !held) then held := i :: !held;
+              match List.assoc_opt (o, b) !maxseen with
+              | Some m when m >= s -> ()
+              | _ ->
+                maxseen := ((o, b), s) :: List.remove_assoc (o, b) !maxseen
+            end
+          | Deliver (o, b) ->
+            let i = id o b (next o b) in
+            vc := Vclock.add !vc i;
+            leave i
+          | Absorb (o, b) -> vc := Vclock.add !vc (id o b (next o b))
+          | Remove n -> (
+            match List.nth_opt !held n with
+            | Some i when delivered i -> leave i
+            | _ -> ())
+          | Drop ->
+            Unordered.drop_if u (Vclock.contains !vc);
+            held := List.filter (fun i -> not (delivered i)) !held;
+            cov := List.filter (fun (i, _) -> not (delivered i)) !cov
+          | Cover (n, d) -> (
+            match List.nth_opt !held n with
+            | Some i ->
+              Unordered.cover u (!committed + d) i;
+              cov := (i, !committed + d) :: List.remove_assoc i !cov
+            | None -> ())
+          | Commit -> incr committed
+        in
+        let ids = List.map (fun (p : Payload.t) -> p.id) in
+        let model_missing () =
+          let budget = ref cap in
+          List.fold_left
+            (fun acc (o, b) ->
+              let w = ref (next o b - 1) in
+              while List.mem (id o b (!w + 1)) !held do
+                incr w
+              done;
+              let acc = ref acc in
+              for s = !w + 1 to 11 do
+                if !budget > 0 && not (List.mem (id o b s) !held) then begin
+                  decr budget;
+                  acc := id o b s :: !acc
+                end
+              done;
+              !acc)
+            []
+            u_streams
+        in
+        List.for_all
+          (fun op ->
+            step op;
+            let sorted = List.sort Payload.compare_id !held in
+            ids (Unordered.to_list u) = sorted
+            && Unordered.count u = List.length sorted
+            && List.sort compare (Unordered.summary u)
+               = List.sort compare
+                   (List.map (fun ((o, b), s) -> (o, b, s)) !maxseen)
+            && Unordered.missing u ~vc:!vc ~cap
+                 (List.map (fun (o, b) -> (o, b, 11)) u_streams)
+               = model_missing ()
+            && ids (Unordered.uncovered u ~committed:!committed)
+               = List.filter
+                   (fun i ->
+                     not
+                       (List.exists
+                          (fun (i', j) -> i' = i && j >= !committed)
+                          !cov))
+                   sorted
+            && Unordered.covered_count u = List.length !cov)
+          ops);
+  ]
+
 let suite =
   ( "core-units",
     payload_tests @ vclock_tests @ agreed_tests @ batch_tests
     @ List.map QCheck_alcotest.to_alcotest
-        (vclock_props @ agreed_props @ batch_props) )
+        (vclock_props @ agreed_props @ batch_props @ unordered_props) )

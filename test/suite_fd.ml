@@ -87,7 +87,6 @@ let stalled_sender ~phase ~quiet_at ~stall_at ~stall ~until =
       metrics = Metrics.create ();
       flight = Abcast_sim.Flight.disabled;
       alarm = ignore;
-      reorder_apply = false;
     }
   in
   let hb1 = Heartbeat.create (io 1 (fun _ _ -> ())) in
@@ -389,7 +388,6 @@ let role_timer_tests =
             metrics = Metrics.create ();
             flight = Abcast_sim.Flight.disabled;
             alarm = ignore;
-            reorder_apply = false;
           }
         in
         let hb = Heartbeat.create ~period ~timeout io in

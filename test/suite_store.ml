@@ -666,7 +666,6 @@ let multi_over store =
       metrics = Metrics.create ();
       flight = Abcast_sim.Flight.disabled;
       alarm = ignore;
-      reorder_apply = false;
     }
   in
   let m =

@@ -240,6 +240,51 @@ let roundtrip_props =
 
 let chain ids = List.fold_left Audit.mix Audit.empty ids
 
+(* Non-negative ids below 2^40 in every field: the shape real streams
+   have, and away from the exact aliases of the 62-bit chain. *)
+let small_id_gen =
+  QCheck.Gen.(
+    let f = int_bound ((1 lsl 40) - 1) in
+    map3 (fun origin boot seq -> { Payload.origin; boot; seq }) f f f)
+
+(* Two ids equal but in one field, which differs by [d] (0 < |d| <
+   2^61) — any base value in the full int range, stepped towards zero so
+   the difference never overflows. *)
+let one_field_apart_gen =
+  QCheck.Gen.(
+    let d =
+      frequency
+        [
+          (4, int_range 1 ((1 lsl 61) - 1));
+          (1, map (fun k -> 1 lsl k) (int_range 0 60));
+          (1, oneofl [ 1; (1 lsl 61) - 1 ]);
+        ]
+    in
+    map3
+      (fun x field d ->
+        let step a = if a >= 0 then a - d else a + d in
+        let y =
+          match field with
+          | 0 -> { x with Payload.origin = step x.Payload.origin }
+          | 1 -> { x with Payload.boot = step x.Payload.boot }
+          | _ -> { x with Payload.seq = step x.Payload.seq }
+        in
+        (x, y))
+      id_gen (int_range 0 2) d)
+
+let audit_tests =
+  [
+    test "chain: seqs 2^61 apart alias under a swap, 2^60 apart do not"
+      (fun () ->
+        let swapped a b =
+          let x = { Payload.origin = 0; boot = 0; seq = a }
+          and y = { Payload.origin = 0; boot = 0; seq = b } in
+          chain [ x; y ] = chain [ y; x ]
+        in
+        Alcotest.(check bool) "2^61 aliases" true (swapped 0 (1 lsl 61));
+        Alcotest.(check bool) "2^60 does not" false (swapped 0 (1 lsl 60)));
+  ]
+
 let audit_props =
   [
     prop "order certificate roundtrips" cert_gen
@@ -266,11 +311,20 @@ let audit_props =
             b := Audit.mix !b id;
             !a = !b)
           ids);
+    (* Probabilistic: ids differing in several fields get only the
+       collision resistance of the 62-bit chain. *)
     prop "transposing two distinct deliveries changes the chain"
       QCheck.Gen.(
-        triple (small_list id_gen) (pair id_gen id_gen) (small_list id_gen))
+        triple (small_list small_id_gen)
+          (pair small_id_gen small_id_gen)
+          (small_list small_id_gen))
       (fun (pre, (x, y), post) ->
         x = y || chain (pre @ [ x; y ] @ post) <> chain (pre @ [ y; x ] @ post));
+    prop "swapping ids one field apart by 0 < |d| < 2^61 changes the chain"
+      QCheck.Gen.(
+        triple (small_list id_gen) one_field_apart_gen (small_list id_gen))
+      (fun (pre, (x, y), post) ->
+        chain (pre @ [ x; y ] @ post) <> chain (pre @ [ y; x ] @ post));
     prop "chains are boot-epoch-scoped"
       QCheck.Gen.(pair (small_list id_gen) id_gen)
       (fun (pre, id) ->
@@ -601,7 +655,7 @@ let equivalence_tests =
 
 let suite =
   ( "wire",
-    rejection_tests @ equivalence_tests
+    rejection_tests @ equivalence_tests @ audit_tests
     @ List.map QCheck_alcotest.to_alcotest
         (roundtrip_props @ audit_props @ envelope_props @ kv_props
        @ truncation_props) )
