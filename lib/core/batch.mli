@@ -8,18 +8,25 @@
 
 val encode : Payload.t list -> Abcast_consensus.Consensus_intf.value
 
+type writers
+(** A proposer's reusable encode buffers. Never share one between nodes:
+    the nodes of a live process are threads of one domain. *)
+
+val writers : unit -> writers
+
 val encode_sorted_bounded :
+  writers ->
   max_bytes:int ->
   Payload.t list ->
-  Abcast_consensus.Consensus_intf.value * Payload.t list * Payload.t list
-(** [encode_sorted_bounded ~max_bytes payloads] encodes the longest
+  Abcast_consensus.Consensus_intf.value * Payload.t list
+(** [encode_sorted_bounded w ~max_bytes payloads] encodes the longest
     prefix of the (sorted, duplicate-free) list whose payload bodies fit
-    in [max_bytes] — always at least one payload. Returns
-    [(value, included, excluded)]; [excluded] stays in [Unordered] for a
-    later instance. Because the cut respects identity order, [included]
-    carries a contiguous per-stream prefix of the backlog, which is what
-    keeps pipelined decisions appendable in FIFO order. The encoding of
-    a fully-included list is byte-identical to {!encode}'s. *)
+    in [max_bytes] — always at least one payload — and returns it with
+    the value. The rest stays in [Unordered] for a later instance.
+    Because the cut respects identity order, the prefix is contiguous
+    per stream, which keeps pipelined decisions appendable in FIFO
+    order. The encoding of a fully-included list is byte-identical to
+    {!encode}'s. *)
 
 val decode : Abcast_consensus.Consensus_intf.value -> Payload.t list
 (** Inverse of {!encode}; the result is sorted by identity. Only for

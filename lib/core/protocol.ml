@@ -1,5 +1,4 @@
 module Engine = Abcast_sim.Engine
-module Storage = Abcast_sim.Storage
 module Flight = Abcast_sim.Flight
 module Metrics = Abcast_sim.Metrics
 module Histogram = Abcast_util.Histogram
@@ -9,38 +8,9 @@ module Omega = Abcast_fd.Omega
 module Wire = Abcast_util.Wire
 module Ptbl = Payload.Id_tbl
 
-let layer = "abcast"
-
-let checkpoint_key = "ab/checkpoint"
-
-let unordered_slot_key = "ab/unordered"
-
-(* Item keys of one stream share a prefix and carry the seq zero-padded
-   to a fixed width, so byte order is seq order within a stream and its
-   delivered prefix is one key range. Built by concatenation, not
-   [sprintf]: one of these is materialized per logged payload, and the
-   format interpreter showed up in profiles. *)
-let unordered_stream_prefix ~origin ~boot =
-  String.concat ""
-    [ "ab/u/"; string_of_int origin; "."; string_of_int boot; "." ]
-
-let seq_width = 12
-
-let unordered_seq_key ~origin ~boot seq =
-  let digits = string_of_int seq in
-  String.concat ""
-    [
-      unordered_stream_prefix ~origin ~boot;
-      String.make (max 0 (seq_width - String.length digits)) '0';
-      digits;
-    ]
-
-let unordered_item_key (id : Payload.id) =
-  unordered_seq_key ~origin:id.origin ~boot:id.boot id.seq
-
-(* Application-level checkpoint hooks (§5.2, Fig. 5). Shared by every
-   functor instantiation so that generic harness code can build them. *)
-type app = { checkpoint : unit -> string; install : string -> unit }
+(* Application-level checkpoint hooks (§5.2, Fig. 5), owned by the
+   stable state that checkpoints and installs them. *)
+type app = Stable.app = { checkpoint : unit -> string; install : string -> unit }
 
 (* --- Configuration ---------------------------------------------------- *)
 (* The basic protocol (Fig. 2) and the alternative protocol (Figs. 3-5)
@@ -122,30 +92,6 @@ let validate c =
   if c.window < 1 then reject "window must be >= 1";
   if c.gossip_full_every < 1 then reject "gossip_full_every must be >= 1";
   if c.trace_sample < 0 then reject "trace_sample must be >= 0"
-
-(* --- Stable-storage codecs ------------------------------------------- *)
-(* Shared across every functor instantiation (none of these types depend
-   on the consensus implementation), and by harness code that inspects
-   checkpoints from outside the stack (Lemmas). *)
-
-let write_checkpoint w ((k, repr) : int * Agreed.repr) =
-  Wire.write_varint w k;
-  Agreed.write_repr w repr
-
-let read_checkpoint r =
-  let k = Wire.read_varint r in
-  let repr = Agreed.read_repr r in
-  (k, repr)
-
-let encode_checkpoint ck = Wire.to_string write_checkpoint ck
-
-let decode_checkpoint s = Wire.of_string_opt read_checkpoint s
-
-let checkpoint_codec = (encode_checkpoint, decode_checkpoint)
-
-let unordered_codec =
-  ( Wire.to_string (Wire.write_list Payload.write),
-    Wire.of_string_opt Payload.read_list )
 
 module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   module M = Abcast_consensus.Multi.Make (C)
@@ -319,7 +265,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   type node = {
     io : msg Engine.io;
     cfg : config;
-    app : app option;
     on_deliver : Payload.t -> unit;
     hb : Heartbeat.t;
     multi : M.t;
@@ -334,8 +279,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
            instance order. *)
     mutable agreed : Agreed.t;
     unordered : Unordered.t;
-    logged_unordered : unit Ptbl.t;
-        (* ids in the full-set slot (non-incremental logging only) *)
+    stable : Stable.t;
+    batch : Batch.writers; (* this node's proposal encoder *)
     mutable gossip_k : int;
     mutable probed_k : int; (* the last cursor instance [probe_cursor] probed *)
     mutable gossip_tick : int;
@@ -348,13 +293,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         (* the next coalesced forward; cancelled once every entry it
            would carry is delivered *)
     mutable ring_due : int; (* when [ring_timer] is (or was) due *)
-    ck_slot : (int * Agreed.repr) Storage.Slot.slot;
-    mutable ck_k : int; (* commit cursor at the last checkpoint, -1 if none *)
-    mutable ck_len : int; (* delivery length at the last checkpoint *)
-    unordered_full_slot : Payload.t list Storage.Slot.slot;
-    boot_t0 : int; (* io.now at node construction (recovery timing) *)
-    mutable recovery_done : bool; (* [recover] finished for this boot *)
-    mutable caught_up : bool; (* first post-recovery delivery observed *)
+    mutable catchup_t0 : int;
+        (* io.now at construction once [recover] finished, until the
+           first delivery after it (the catch-up point); -1 otherwise *)
     mutable audit_tripped : bool; (* order-divergence sentinel, one-shot *)
   }
 
@@ -368,69 +309,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     end
 
   let unordered_add t p = Unordered.add t.unordered ~vc:(Agreed.vc t.agreed) p
-
-  (* --- Unordered-set durability (alternative protocol, §5.4/§5.5) --- *)
-
-  let log_unordered_add t (p : Payload.t) =
-    if t.cfg.early_return then
-      if t.cfg.incremental then
-        (* §5.5: log only the new part — one small write per message. *)
-        Storage.write t.io.store ~layer ~key:(unordered_item_key p.id)
-          (Wire.to_string Payload.write p)
-      else begin
-        (* Full re-log of the whole set on every change. *)
-        Storage.Slot.set t.unordered_full_slot (Unordered.to_list t.unordered);
-        Ptbl.replace t.logged_unordered p.id ()
-      end
-
-  (* Only our own payloads are logged, and each stream is delivered in
-     seq order: the items a checkpoint can drop are each own stream's
-     delivered prefix, one key range per stream (a range with no key
-     left costs no record). *)
-  let cleanup_unordered_log t =
-    if t.cfg.early_return then
-      if t.cfg.incremental then begin
-        let vc = Agreed.vc t.agreed and origin = t.io.self in
-        for boot = 0 to t.io.incarnation do
-          let upto = Vclock.next_seq vc ~origin ~boot in
-          if upto > 0 then
-            Storage.delete_range t.io.store ~layer
-              ~lo:(unordered_seq_key ~origin ~boot 0)
-              ~hi:(unordered_seq_key ~origin ~boot upto)
-        done
-      end
-      else if Ptbl.length t.logged_unordered > Unordered.count t.unordered
-      then begin
-        let held = Unordered.to_list t.unordered in
-        Storage.Slot.set t.unordered_full_slot held;
-        Ptbl.reset t.logged_unordered;
-        List.iter
-          (fun (p : Payload.t) -> Ptbl.replace t.logged_unordered p.id ())
-          held
-      end
-
-  let restore_unordered t =
-    if t.cfg.early_return then
-      if t.cfg.incremental then
-        Storage.keys_with_prefix t.io.store "ab/u/"
-        |> List.iter (fun key ->
-               match Storage.read t.io.store key with
-               | None -> ()
-               | Some blob -> (
-                 match Wire.of_string_opt Payload.read blob with
-                 | None -> () (* corrupt log entry: skip, don't crash *)
-                 | Some p ->
-                   if not (Agreed.contains t.agreed p.id) then
-                     unordered_add t p))
-      else
-        match Storage.Slot.get t.unordered_full_slot with
-        | None -> ()
-        | Some ps ->
-          List.iter
-            (fun (p : Payload.t) ->
-              Ptbl.replace t.logged_unordered p.id ();
-              if not (Agreed.contains t.agreed p.id) then unordered_add t p)
-            ps
 
   (* --- Delivery ----------------------------------------------------- *)
 
@@ -448,10 +326,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   let deliver_one t (p : Payload.t) =
     Metrics.hincr t.mh.h_delivered;
-    if not t.caught_up && t.recovery_done then begin
-      (* First frontier delivery after recovery: the node is caught up. *)
-      t.caught_up <- true;
-      let dt = t.io.now () - t.boot_t0 in
+    if t.catchup_t0 >= 0 then begin
+      let dt = t.io.now () - t.catchup_t0 in
+      t.catchup_t0 <- -1;
       flight t ~stage:Flight.caught_up ~trace:0
         ~a:(Agreed.total_len t.agreed) ~b:dt;
       Metrics.add t.io.metrics ~node:t.io.self "recovery_catchup_us" dt
@@ -475,23 +352,11 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     Unordered.remove t.unordered p.id;
     t.on_deliver p
 
-  (* --- Checkpointing (§5.1/§5.2) ------------------------------------ *)
-
-  (* A checkpoint of a quiescent node would rewrite the same bytes (and
-     wake the WAL's fsync pacer and compaction for nothing): skip it
-     while neither the commit cursor nor the delivery length moved. *)
-  let do_checkpoint t =
-    let k = t.committed and len = Agreed.total_len t.agreed in
-    if k <> t.ck_k || len <> t.ck_len then begin
-      t.ck_k <- k;
-      t.ck_len <- len;
-      (match t.app with
-      | Some app -> Agreed.compact t.agreed ~app_blob:(app.checkpoint ())
-      | None -> ());
-      Storage.Slot.set t.ck_slot (k, Agreed.snapshot t.agreed);
-      M.truncate_below t.multi k;
-      cleanup_unordered_log t
-    end
+  (* Checkpointing (§5.1/§5.2): the record, then the consensus log's
+     truncation, then the Unordered log's retirement. *)
+  let checkpoint_now t =
+    Stable.checkpoint t.stable ~k:t.committed t.agreed t.unordered
+      ~truncate:(M.truncate_below t.multi)
 
   (* --- Sequencer (Fig. 2; windowed extension) ------------------------ *)
 
@@ -505,8 +370,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        case. Duplicates across instances are removed at delivery, as the
        paper's idempotence requires; the excluded suffix stays in
        [Unordered] for the next instance of the window. *)
-    let value, batch, _excluded =
-      Batch.encode_sorted_bounded ~max_bytes:max_batch_bytes backlog
+    let value, batch =
+      Batch.encode_sorted_bounded t.batch ~max_bytes:max_batch_bytes backlog
     in
     (* First time one of our own messages enters a proposal: close the
        batching-delay stage. The [p_proposed < 0] guard keeps re-proposals
@@ -591,7 +456,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       (Batch.decode v);
     ring_settle t;
     t.committed <- t.committed + 1;
-    if t.cfg.paranoid_log then do_checkpoint t
+    if t.cfg.paranoid_log then checkpoint_now t
 
   (* Only the node that completes an instance announces it, so a late
      or lost Decide would stall the commit cursor until its instance's
@@ -604,75 +469,58 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       M.probe t.multi k
     end
 
-  let rec drain_decisions t =
+  (* Apply every decision at the cursor, in instance order. [M.decision]
+     reads the stable decision log for an instance this incarnation has
+     not created yet, which is all recovery's replay needs. *)
+  let rec apply_ready t =
     match M.decision t.multi t.committed with
     | Some v ->
       apply_decision t v;
-      drain_decisions t
-    | None ->
-      maybe_propose t;
-      probe_cursor t
+      apply_ready t
+    | None -> ()
+
+  let drain_decisions t =
+    apply_ready t;
+    maybe_propose t;
+    probe_cursor t
 
   (* --- State transfer (§5.3) ---------------------------------------- *)
 
   (* A Δ-triggered transfer knows the recipient's delivery length and
-     ships only the suffix it is missing (§5.3), falling back to the full
-     snapshot when that suffix reaches into a compacted checkpoint. *)
+     ships only the suffix it is missing. *)
   let send_state ?for_len t dst =
-    let agreed =
-      match
-        Option.bind for_len (fun len ->
-            Agreed.suffix_snapshot t.agreed ~from_len:len)
-      with
-      | Some trimmed -> trimmed
-      | None -> Agreed.snapshot t.agreed
-    in
+    let agreed = Stable.snapshot_for t.agreed ~for_len in
     let m = State { k = t.committed; floor = M.floor t.multi; agreed } in
     Metrics.add t.io.metrics ~node:t.io.self "state_bytes_sent" (t.size m);
     Metrics.incr t.io.metrics ~node:t.io.self "state_sent";
     t.io.send dst m
 
+  (* Adopt past Δ, or below the donor's truncation floor, where the
+     instances we would replay are gone (§5.3). A trimmed repr we cannot
+     use (a crash put us below the len we advertised) is skipped: the
+     donor re-sends against our fresher len. *)
   let on_state t ~src:_ ks ~floor (repr : Agreed.repr) =
-    (* Adopt when the de-synchronization exceeds the tuning knob, or
-       unconditionally when we sit below the donor's truncation floor —
-       the consensus instances we would need to replay no longer exist
-       there, so state transfer is the only way forward (§5.3). *)
-    match t.cfg.delta with
-    | Some delta
-      when t.committed < ks
-           && (t.committed < ks - delta || t.committed < floor)
-           (* A trimmed repr (no app blob, synthetic base) is only usable
-              if our sequence still covers its base — it carries no
-              prefix. A crash after we advertised [len] can put us below;
-              skip, the donor re-sends against our fresher len. *)
-           && (repr.base_app <> None
-              || Agreed.total_len t.agreed >= repr.base_len) ->
+    if
+      Stable.adoptable ~delta:t.cfg.delta ~committed:t.committed t.agreed
+        ~k:ks ~floor repr
+    then begin
       (* The jump event excuses the skipped instances in the doctor's
          delivery-gap scan: adopted prefixes never saw local decides. *)
       flight t ~stage:Flight.stjump ~trace:0 ~a:t.committed ~b:ks;
       (* "Terminate task sequencer": in-flight decisions below [ks] are
          ignored from now on because the commit cursor jumps past them. *)
-      (match Agreed.adopt t.agreed repr with
-      | `Deliver ps -> List.iter (deliver_one t) ps
-      | `Install (blob, ps) ->
-        (match (t.app, blob) with
-        | Some app, Some b -> app.install b
-        | _, None -> assert (repr.base_len = 0)
-        | None, Some _ ->
-          invalid_arg "state transfer: checkpointed donor but no app hook");
-        List.iter (deliver_one t) ps);
+      List.iter (deliver_one t) (Stable.adopt t.stable t.agreed repr);
       seek t ks;
       (* Drop everything the adopted prefix already ordered. *)
       Unordered.drop_if t.unordered (Agreed.contains t.agreed);
       ring_settle t;
-      (* Persist the jump: replay must not restart below the donor's
-         floor, whose consensus state may be truncated. *)
-      Storage.Slot.set t.ck_slot (t.committed, Agreed.snapshot t.agreed);
+      Stable.persist_jump t.stable ~k:t.committed t.agreed;
       Metrics.incr t.io.metrics ~node:t.io.self "state_transfers_applied";
       drain_decisions t
-    | _ ->
+    end
+    else if ks > t.committed then
       (* Small de-synchronization: treat like a gossip round hint. *)
-      if ks > t.committed then t.gossip_k <- max t.gossip_k ks
+      t.gossip_k <- max t.gossip_k ks
 
   (* --- Gossip task (§4.2; digest/pull optimization) ------------------ *)
 
@@ -886,7 +734,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     Ptbl.replace t.pending id
       { p_t0 = t.io.now (); p_proposed = -1; p_cb = on_agreed };
     Metrics.hincr t.mh.h_broadcasts;
-    log_unordered_add t p;
+    Stable.log_add t.stable t.unordered p;
     ring_enqueue t (t.io.n - 1) p;
     maybe_propose t;
     id
@@ -895,35 +743,24 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   let recover t =
     let t0 = t.io.now () in
-    (match Storage.Slot.get t.ck_slot with
-    | Some (k, repr) ->
+    (match Stable.last_checkpoint t.stable with
+    | Some (k, agreed) ->
       seek t k;
-      t.agreed <- Agreed.restore repr;
-      (match (t.app, repr.base_app) with
-      | Some app, Some blob -> app.install blob
-      | _ -> ());
+      t.agreed <- agreed;
       (* The upper layer is volatile: re-deliver the explicit tail so it
          rebuilds its state on top of the installed checkpoint. *)
-      List.iter (deliver_one t) (Agreed.tail t.agreed)
+      List.iter (deliver_one t) (Agreed.tail agreed)
     | None -> ());
-    restore_unordered t;
-    (* Replay: walk the consensus log upward from the checkpoint.
-       [M.decision] reads the stable decision log for every instance
-       this fresh incarnation has not created yet. *)
-    let rounds = ref 0 in
-    let rec replay () =
-      match M.decision t.multi t.committed with
-      | Some v ->
-        apply_decision t v;
-        incr rounds;
-        Metrics.incr t.io.metrics ~node:t.io.self "replay_rounds";
-        replay ()
-      | None -> ()
-    in
-    replay ();
+    Stable.restore t.stable t.agreed t.unordered;
+    (* Replay: walk the consensus log upward from the checkpoint. *)
+    let k0 = t.committed in
+    apply_ready t;
+    let rounds = t.committed - k0 in
+    if rounds > 0 then
+      Metrics.add t.io.metrics ~node:t.io.self "replay_rounds" rounds;
     let dt = t.io.now () - t0 in
     Metrics.add t.io.metrics ~node:t.io.self "recovery_protocol_us" dt;
-    flight t ~stage:Flight.replay_done ~trace:0 ~a:!rounds ~b:dt;
+    flight t ~stage:Flight.replay_done ~trace:0 ~a:rounds ~b:dt;
     (* Re-propose every logged, still-undecided proposal — with a window
        there can be several in flight (idempotent, P4) — and cover what
        they carry that is not ordered yet. *)
@@ -943,6 +780,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   let create ?app cfg io ~on_deliver =
     validate cfg;
+    let boot_t0 = io.Engine.now () in
     let tref = ref None in
     let with_t f = match !tref with Some t -> f t | None -> () in
     let hb = Heartbeat.create (Engine.map_io (fun m -> Fd m) io) in
@@ -966,7 +804,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
               if floor > t.committed then t.gossip_k <- max t.gossip_k floor))
         ~on_behind:(fun ~src -> with_t (fun t -> send_state t src))
     in
-    let store = io.Engine.store in
     let metrics = io.Engine.metrics in
     let self = io.Engine.self in
     let h name = Metrics.handle metrics ~node:self name in
@@ -994,7 +831,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       {
         io;
         cfg;
-        app;
         on_deliver;
         hb;
         multi;
@@ -1003,7 +839,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         committed = 0;
         agreed = Agreed.create ();
         unordered = Unordered.create ();
-        logged_unordered = Ptbl.create 32;
+        stable =
+          Stable.create io.Engine.store ~self ~boot:io.Engine.incarnation ~app
+            ~early_return:cfg.early_return ~incremental:cfg.incremental;
+        batch = Batch.writers ();
         gossip_k = 0;
         probed_k = -1;
         gossip_tick = 0;
@@ -1012,30 +851,20 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         ring_pending = [];
         ring_timer = Engine.Timer.none;
         ring_due = 0;
-        ck_slot =
-          Storage.Slot.make ~codec:checkpoint_codec store ~layer
-            ~key:checkpoint_key;
-        ck_k = -1;
-        ck_len = -1;
-        unordered_full_slot =
-          Storage.Slot.make ~codec:unordered_codec store ~layer
-            ~key:unordered_slot_key;
-        boot_t0 = io.Engine.now ();
-        recovery_done = false;
-        caught_up = false;
+        catchup_t0 = -1;
         audit_tripped = false;
       }
     in
     tref := Some t;
     recover t;
-    t.recovery_done <- true;
+    t.catchup_t0 <- boot_t0;
     gossip_loop t;
     (match cfg.checkpoint_period with
     | Some period ->
       let rec checkpoint_loop () =
         ignore
           (t.io.after period (fun () ->
-               do_checkpoint t;
+               checkpoint_now t;
                checkpoint_loop ()))
       in
       checkpoint_loop ()
@@ -1089,8 +918,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let delivery_vc t = Agreed.vc t.agreed
 
   let agreed_snapshot t = Agreed.snapshot t.agreed
-
-  let checkpoint_now = do_checkpoint
 
   let floor t = M.floor t.multi
 end

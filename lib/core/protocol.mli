@@ -22,30 +22,24 @@
     the test suite checks these over adversarial crash/recovery
     schedules. *)
 
-type app = { checkpoint : unit -> string; install : string -> unit }
-(** Application hooks for application-level checkpointing (§5.2, Fig. 5).
-    [checkpoint] is the [A-checkpoint] upcall returning the serialized
-    application state; [install] resets the application to a received
-    checkpoint (recovery and state transfer). Shared across all functor
-    instantiations. *)
+type app = Stable.app = { checkpoint : unit -> string; install : string -> unit }
+(** Application-level checkpoint hooks (§5.2); see {!Stable.app}. *)
 
 type config = {
   gossip_period : int;
       (** simulated µs between gossip ticks (§4.2) *)
   checkpoint_period : int option;
       (** µs between [(k, Agreed)] checkpoints (§5.1); [None] never
-          checkpoints (the basic protocol). A tick at which neither the
-          commit cursor nor the delivery length moved since the last
-          checkpoint writes nothing. *)
+          checkpoints (the basic protocol). An unmoved node writes
+          nothing ({!Stable.checkpoint}). *)
   delta : int option;
       (** the §5.3 state-transfer threshold Δ in rounds; [None] disables
-          state transfer (the basic protocol). A Δ-triggered transfer
-          carries only the suffix the recipient is missing (§5.3),
-          falling back to the full snapshot when that suffix reaches
-          into a compacted checkpoint. *)
+          state transfer (the basic protocol). See {!Stable.adoptable}
+          and {!Stable.snapshot_for}. *)
   early_return : bool;
       (** log [Unordered] on [A-broadcast] and complete immediately
-          (§5.4); [false] blocks until the message reaches [Agreed] *)
+          (§5.4); [false] blocks until the message reaches [Agreed].
+          With [incremental], the two pick {!Stable}'s logging mode. *)
   incremental : bool;
       (** log only the new part of [Unordered] (§5.5) *)
   paranoid_log : bool;
@@ -100,15 +94,6 @@ val throughput : config
 (** {!paper_alternative} with ring dissemination, a window of 4 and the
     gossip slowed to repair duty (10 ms ticks, full set every 32nd) —
     the preset behind E18, the service layer and the live benchmark. *)
-
-val encode_checkpoint : int * Agreed.repr -> string
-(** Wire encoding of the stable [(k, Agreed)] checkpoint cell — the
-    format every stack instance logs under ["ab/checkpoint"],
-    independent of the consensus implementation. Exposed for harness
-    code that inspects or fabricates checkpoints (Lemmas, tests). *)
-
-val decode_checkpoint : string -> (int * Agreed.repr) option
-(** Inverse of {!encode_checkpoint}; [None] on malformed bytes. *)
 
 module Make (C : Abcast_consensus.Consensus_intf.S) : sig
   module M : module type of Abcast_consensus.Multi.Make (C)
@@ -175,10 +160,11 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
       any malformation, including trailing bytes. *)
 
   val msg_size : msg -> int
-  (** Exact wire size in bytes, for engine-level network accounting (one
-      consumer per simulation). A one-slot memo keyed by physical
-      equality: a multisend re-accounting the same message for every
-      destination serializes it once. *)
+  (** Exact wire size in bytes, for the simulator engine's network
+      accounting (one consumer per simulation; nodes never read it). A
+      one-slot memo keyed by physical equality: a multisend
+      re-accounting the same message for every destination serializes
+      it once. *)
 
   type t
   (** Per-process protocol state (one value per incarnation). *)

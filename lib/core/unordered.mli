@@ -3,8 +3,8 @@
     payloads by identity (with a memoized identity-sorted view), one
     record per [(origin, boot)] stream (the highest seq ever admitted
     and the covered watermark), and one coverage map, id → the instance
-    this process proposed it in. Logging the set, the window walk and
-    state transfer stay in {!Protocol}; nothing here touches storage.
+    this process proposed it in. Nothing here touches storage: logging
+    the set is {!Stable}'s, the window walk {!Protocol}'s.
 
     Callers keep one invariant: an id leaves the set ({!remove},
     {!drop_if}) only once the delivery clock [vc] covers it, so every

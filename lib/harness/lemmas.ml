@@ -19,10 +19,10 @@ let violation t fmt =
 (* The checkpoint slot stores a wire-encoded (k, Agreed.repr); decode
    just the round. *)
 let checkpoint_k cluster node =
-  match Cluster.read_storage cluster node "ab/checkpoint" with
+  match Cluster.read_storage cluster node Abcast_core.Stable.checkpoint_key with
   | None -> None
   | Some blob -> (
-    match Abcast_core.Protocol.decode_checkpoint blob with
+    match Abcast_core.Stable.decode_checkpoint blob with
     | Some (k, _) -> Some k
     | None -> None)
 

@@ -28,10 +28,10 @@ type node = {
   sock : Unix.file_descr;
   port : int;
   mutex : Mutex.t;
-  cond : Condition.t;
   mailbox : (unit -> unit) Queue.t;
   mutable running : bool; (* guarded by mutex *)
   mutable thread : Thread.t option;
+  mutable deaths : int; (* event loops ended by an exception; under mutex *)
   mutable ops : node_ops option; (* written by the node thread at boot *)
   flight : Flight.t;
       (* the node's crash flight recorder. Created once per node (not per
@@ -125,10 +125,7 @@ let call t i (fn : node_ops -> 'a) : 'a option =
         (match nd.ops with
         | Some ops -> result := Some (fn ops)
         | None -> ());
-        Mutex.lock nd.mutex;
-        done_ := true;
-        Condition.broadcast nd.cond;
-        Mutex.unlock nd.mutex)
+        Mutex.protect nd.mutex (fun () -> done_ := true))
       nd.mailbox;
     Mutex.unlock nd.mutex;
     wake t i;
@@ -167,10 +164,10 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
           sock;
           port = base_port + id;
           mutex = Mutex.create ();
-          cond = Condition.create ();
           mailbox = Queue.create ();
           running = false;
           thread = None;
+          deaths = 0;
           ops = None;
           flight =
             (if flight_cap > 0 then Flight.create ~cap:flight_cap ()
@@ -369,161 +366,180 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
             dump_flight ());
       }
     in
-    (* An upcall can acknowledge a client: the records behind the
-       delivery reach the file first. *)
-    let p =
-      P.create io ~deliver:(fun ~group pl ->
-          Storage.flush store;
-          on_deliver ~node:nd.id ~group pl)
-    in
-    let handler = P.handler p in
-    let rec drain_self () =
-      if !self_len > 0 then begin
-        let ring = !self_ring in
-        let msg = ring.(!self_head) in
-        self_head := (!self_head + 1) mod Array.length ring;
-        decr self_len;
-        handler ~src:nd.id msg;
-        drain_self ()
-      end
-    in
-    (* Ship everything produced so far: our own frames are handled first
-       (their replies to peers join the same flush), then one coalesced
-       datagram leaves per destination with pending frames. *)
-    let ship () =
-      drain_self ();
-      flush_all ()
-    in
-    Mutex.lock nd.mutex;
-    nd.ops <- Some (Ops { stack = (module P); state = p; metrics });
-    Mutex.unlock nd.mutex;
-    (* The allocation-free receive path: the socket is non-blocking so a
-       single wakeup drains a bounded burst of datagrams; each datagram
-       is decoded in place through a pooled reader over the (unsafely
-       string-viewed) receive buffer. The view is sound because the
-       buffer is only mutated by the next [recvfrom], after decoding is
-       done. *)
-    let buf = Bytes.create (max_datagram + 1) in
-    let buf_view = Bytes.unsafe_to_string buf in
-    Unix.set_nonblock nd.sock;
-    let rd = Wire.reader "" in
-    let frame_rd = Wire.reader "" in
-    let decode_batch len =
-      (* 'B' framing: uvarint source, then length-prefixed frames *)
-      Wire.reader_reset rd ~pos:1 ~len:(len - 1) buf_view;
-      (* Decoded messages copy their strings out of the buffer, so each
-         frame's handler can run before the next frame is parsed — no
-         per-datagram message list. A malformed tail loses only the
-         remaining frames (counted once), exactly like datagram loss. *)
+    (* An exception out of the stack ends the node as a crash would, but
+       loudly: a flight event, one stderr line, the node marked down and
+       its death counted, so [is_up] and [call] do not wait on a zombie. *)
+    let died =
       match
-        let src = Wire.read_uvarint rd in
-        if src >= n then Wire.error "datagram: bad source %d" src;
-        while not (Wire.at_end rd) do
-          let flen = Wire.read_uvarint rd in
-          let pos = Wire.unsafe_pos rd in
-          if flen > Wire.remaining rd then
-            Wire.error "datagram: frame overruns (%d bytes)" flen;
-          Wire.reader_reset frame_rd ~pos ~len:flen buf_view;
-          let msg = P.read_msg frame_rd in
-          Wire.expect_end frame_rd;
-          Wire.unsafe_seek rd (pos + flen);
-          handler ~src msg
-        done
-      with
-      | () -> ()
-      | exception Wire.Error _ -> Metrics.hincr h_rx_undecodable
-    in
-    let recv_budget = 128 in
-    let rec drain_ready budget =
-      if budget > 0 then
-        match Unix.recvfrom nd.sock buf 0 (Bytes.length buf) [] with
-        | len, _ when len > 1 && Bytes.get buf 0 = 'B' ->
-          decode_batch len;
-          drain_ready (budget - 1)
-        | len, _ when len > 0 && Bytes.get buf 0 = 'W' ->
-          drain_ready (budget - 1) (* wake byte *)
-        | len, _ when len > 0 ->
-          Metrics.hincr h_rx_undecodable;
-          drain_ready (budget - 1)
-        | _ -> drain_ready (budget - 1)
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-        | exception Unix.Unix_error _ -> ()
-    in
-    let keep_going () =
+      (* An upcall can acknowledge a client: the records behind the
+         delivery reach the file first. *)
+      let p =
+        P.create io ~deliver:(fun ~group pl ->
+            Storage.flush store;
+            on_deliver ~node:nd.id ~group pl)
+      in
+      let handler = P.handler p in
+      let rec drain_self () =
+        if !self_len > 0 then begin
+          let ring = !self_ring in
+          let msg = ring.(!self_head) in
+          self_head := (!self_head + 1) mod Array.length ring;
+          decr self_len;
+          handler ~src:nd.id msg;
+          drain_self ()
+        end
+      in
+      (* Ship everything produced so far: our own frames are handled first
+         (their replies to peers join the same flush), then one coalesced
+         datagram leaves per destination with pending frames. *)
+      let ship () =
+        drain_self ();
+        flush_all ()
+      in
       Mutex.lock nd.mutex;
-      let r = nd.running in
+      nd.ops <- Some (Ops { stack = (module P); state = p; metrics });
       Mutex.unlock nd.mutex;
-      r
-    in
-    let fire () =
-      let rec go () =
+      (* The allocation-free receive path: the socket is non-blocking so a
+         single wakeup drains a bounded burst of datagrams; each datagram
+         is decoded in place through a pooled reader over the (unsafely
+         string-viewed) receive buffer. The view is sound because the
+         buffer is only mutated by the next [recvfrom], after decoding is
+         done. *)
+      let buf = Bytes.create (max_datagram + 1) in
+      let buf_view = Bytes.unsafe_to_string buf in
+      Unix.set_nonblock nd.sock;
+      let rd = Wire.reader "" in
+      let frame_rd = Wire.reader "" in
+      let decode_batch len =
+        (* 'B' framing: uvarint source, then length-prefixed frames *)
+        Wire.reader_reset rd ~pos:1 ~len:(len - 1) buf_view;
+        (* Decoded messages copy their strings out of the buffer, so each
+           frame's handler can run before the next frame is parsed — no
+           per-datagram message list. A malformed tail loses only the
+           remaining frames (counted once), exactly like datagram loss. *)
+        match
+          let src = Wire.read_uvarint rd in
+          if src >= n then Wire.error "datagram: bad source %d" src;
+          while not (Wire.at_end rd) do
+            let flen = Wire.read_uvarint rd in
+            let pos = Wire.unsafe_pos rd in
+            if flen > Wire.remaining rd then
+              Wire.error "datagram: frame overruns (%d bytes)" flen;
+            Wire.reader_reset frame_rd ~pos ~len:flen buf_view;
+            let msg = P.read_msg frame_rd in
+            Wire.expect_end frame_rd;
+            Wire.unsafe_seek rd (pos + flen);
+            handler ~src msg
+          done
+        with
+        | () -> ()
+        | exception Wire.Error _ -> Metrics.hincr h_rx_undecodable
+      in
+      let recv_budget = 128 in
+      let rec drain_ready budget =
+        if budget > 0 then
+          match Unix.recvfrom nd.sock buf 0 (Bytes.length buf) [] with
+          | len, _ when len > 1 && Bytes.get buf 0 = 'B' ->
+            decode_batch len;
+            drain_ready (budget - 1)
+          | len, _ when len > 0 && Bytes.get buf 0 = 'W' ->
+            drain_ready (budget - 1) (* wake byte *)
+          | len, _ when len > 0 ->
+            Metrics.hincr h_rx_undecodable;
+            drain_ready (budget - 1)
+          | _ -> drain_ready (budget - 1)
+          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+          | exception Unix.Unix_error _ -> ()
+      in
+      let keep_going () =
+        Mutex.lock nd.mutex;
+        let r = nd.running in
+        Mutex.unlock nd.mutex;
+        r
+      in
+      let fire () =
+        let rec go () =
+          match Heap.peek timers with
+          | Some (at, _, timer) when at <= now_us () ->
+            ignore (Heap.pop timers);
+            if Engine.Timer.fire timer then Metrics.hincr h_timer_fires;
+            go ()
+          | _ -> ()
+        in
+        go ()
+      in
+      (* Cancelled timers leave the heap before the wait is computed, so
+         none of them wakes a pass. *)
+      let rec next_due () =
         match Heap.peek timers with
-        | Some (at, _, timer) when at <= now_us () ->
+        | Some (_, _, timer) when not (Engine.Timer.pending timer) ->
           ignore (Heap.pop timers);
-          if Engine.Timer.fire timer then Metrics.hincr h_timer_fires;
-          go ()
-        | _ -> ()
+          next_due ()
+        | Some (at, _, _) -> Some at
+        | None -> None
       in
-      go ()
-    in
-    (* Cancelled timers leave the heap before the wait is computed, so
-       none of them wakes a pass. *)
-    let rec next_due () =
-      match Heap.peek timers with
-      | Some (_, _, timer) when not (Engine.Timer.pending timer) ->
-        ignore (Heap.pop timers);
-        next_due ()
-      | Some (at, _, _) -> Some at
-      | None -> None
-    in
-    let run_mailbox () =
-      let jobs = ref [] in
-      Mutex.lock nd.mutex;
-      while not (Queue.is_empty nd.mailbox) do
-        jobs := Queue.pop nd.mailbox :: !jobs
-      done;
-      Mutex.unlock nd.mutex;
-      List.iter (fun job -> job ()) (List.rev !jobs)
-    in
-    (* what the boot produced leaves at once *)
-    ship ();
-    (* One pass: wait for traffic or the next timer, drain the socket,
-       then fire the due timers — so a pass that starts late reads the
-       frames that arrived meanwhile before any timer can take their
-       absence for silence — then the mailbox, then one ship for
-       everything the pass produced. *)
-    while keep_going () do
-      let timeout =
-        match next_due () with
-        | Some at ->
-          Float.max 0.0 (Float.min 0.05 (float_of_int (at - now_us ()) /. 1e6))
-        | None -> 0.05
+      let run_mailbox () =
+        let jobs = ref [] in
+        Mutex.lock nd.mutex;
+        while not (Queue.is_empty nd.mailbox) do
+          jobs := Queue.pop nd.mailbox :: !jobs
+        done;
+        Mutex.unlock nd.mutex;
+        List.iter (fun job -> job ()) (List.rev !jobs)
       in
-      (* flight persistence: on demand (request_dump) or once a second *)
-      if
-        t.dump_epoch <> !seen_dump_epoch
-        || now_us () - !last_flight_dump >= 1_000_000
-      then begin
-        seen_dump_epoch := t.dump_epoch;
-        last_flight_dump := now_us ();
-        dump_flight ()
-      end;
-      (try ignore (Unix.select [ nd.sock ] [] [] timeout)
-       with Unix.Unix_error _ -> ());
-      Metrics.hincr h_loop_passes;
-      drain_ready recv_budget;
-      fire ();
-      run_mailbox ();
-      ship ()
-    done;
+      (* what the boot produced leaves at once *)
+      ship ();
+      (* One pass: wait for traffic or the next timer, drain the socket,
+         then fire the due timers — so a pass that starts late reads the
+         frames that arrived meanwhile before any timer can take their
+         absence for silence — then the mailbox, then one ship for
+         everything the pass produced. *)
+      while keep_going () do
+        let timeout =
+          match next_due () with
+          | Some at ->
+            Float.max 0.0 (Float.min 0.05 (float_of_int (at - now_us ()) /. 1e6))
+          | None -> 0.05
+        in
+        (* flight persistence: on demand (request_dump) or once a second *)
+        if
+          t.dump_epoch <> !seen_dump_epoch
+          || now_us () - !last_flight_dump >= 1_000_000
+        then begin
+          seen_dump_epoch := t.dump_epoch;
+          last_flight_dump := now_us ();
+          dump_flight ()
+        end;
+        (try ignore (Unix.select [ nd.sock ] [] [] timeout)
+         with Unix.Unix_error _ -> ());
+        Metrics.hincr h_loop_passes;
+        drain_ready recv_budget;
+        fire ();
+        run_mailbox ();
+        ship ()
+      done
+      with
+      | () -> false
+      | exception e ->
+        Flight.record nd.flight ~time:(now_us ()) ~node:nd.id ~group:0
+          ~boot:incarnation ~stage:Flight.loop_died ~trace:0 ~a:0 ~b:0;
+        Printf.eprintf "abcast-live node %d: event loop died: %s\n%!" nd.id
+          (Printexc.to_string e);
+        true
+    in
     flush_all ();
     dump_flight ();
-    Mutex.lock nd.mutex;
-    nd.ops <- None;
-    Mutex.unlock nd.mutex;
     (* Flush and release the durable backend: a clean shutdown must not
-       lose the tail the fsync policy was still holding back. *)
-    Storage.close store
+       lose the tail the fsync policy was still holding back. A dead loop
+       is marked down only once the backend is released, so a recovery
+       never opens the log under it. *)
+    Storage.close store;
+    Mutex.protect nd.mutex (fun () ->
+        nd.ops <- None;
+        if died then begin
+          nd.running <- false;
+          nd.deaths <- nd.deaths + 1
+        end)
   and start_node i =
     let nd = nodes.(i) in
     Mutex.lock nd.mutex;
@@ -752,6 +768,10 @@ let is_up t i =
   let r = nd.running in
   Mutex.unlock nd.mutex;
   r
+
+let loop_deaths t i =
+  let nd = t.nodes.(i) in
+  Mutex.protect nd.mutex (fun () -> nd.deaths)
 
 let crash t i =
   let nd = t.nodes.(i) in

@@ -135,6 +135,12 @@ val set_prom_extra : t -> (Buffer.t -> unit) -> unit
     its per-class request-latency histograms through this. *)
 
 val is_up : t -> int -> bool
+(** False once crashed, or once its event loop raised. *)
+
+val loop_deaths : t -> int -> int
+(** How many of the process's event loops ended by an exception (each
+    records a [loop_died] flight event and leaves the node down); readable
+    while it is down. *)
 
 val crash : t -> int -> unit
 (** Kill the process's thread; volatile state and queued datagrams are

@@ -36,12 +36,13 @@ let replay_done = 16
 let caught_up = 17
 let suspect = 18
 let trust = 19
+let loop_died = 20
 
 let names =
   [|
     "submit"; "bcast"; "rx_ring"; "rx_gossip"; "propose"; "decide"; "apply";
     "wal_append"; "wal_fsync"; "ack"; "lease"; "stjump"; "boot"; "chain";
-    "audit"; "replay"; "replay_done"; "caught_up"; "suspect"; "trust";
+    "audit"; "replay"; "replay_done"; "caught_up"; "suspect"; "trust"; "loop_died";
   |]
 
 let stage_name s =

@@ -88,6 +88,8 @@ val suspect : int
 val trust : int
 (** failure detector: peer [a] (epoch [b]) is trusted again *)
 
+val loop_died : int  (** live event loop raised; the node went down *)
+
 val stage_name : int -> string
 
 (** {2 Reading} *)

@@ -7,6 +7,7 @@ module Storage = Abcast_sim.Storage
 module Metrics = Abcast_sim.Metrics
 module Payload = Abcast_core.Payload
 module Protocol = Abcast_core.Protocol
+module Stable = Abcast_core.Stable
 module Factory = Abcast_core.Factory
 module Cluster = Abcast_harness.Cluster
 module Checks = Abcast_harness.Checks

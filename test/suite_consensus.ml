@@ -603,7 +603,7 @@ let keys_tests =
           (Intf.Keys.field_of_key key));
     test "keys: non-consensus keys are rejected" (fun () ->
         Alcotest.(check (option int)) "other" None
-          (Intf.Keys.instance_of_key "ab/checkpoint"));
+          (Intf.Keys.instance_of_key Stable.checkpoint_key));
   ]
 
 let keys_props =

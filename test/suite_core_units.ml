@@ -437,8 +437,179 @@ let unordered_props =
           ops);
   ]
 
+(* --- Stable: what the broadcast layer keeps on stable storage -------- *)
+
+(* One store per test, reopened as a recovering node would find it: the
+   same table on the memory backend, a fresh replay of the directory on
+   the WAL backend. *)
+let stable_dirs = ref 0
+
+let with_backend backend f =
+  let metrics = Metrics.create () in
+  match backend with
+  | `Memory ->
+    let store = Storage.create ~metrics ~node:0 () in
+    f ~metrics (fun () -> store)
+  | `Wal ->
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (incr stable_dirs;
+         Printf.sprintf "abcast-stable-%d-%d" (Unix.getpid ()) !stable_dirs)
+    in
+    let current = ref None in
+    let reopen () =
+      Option.iter Storage.close !current;
+      let store = Storage.create ~dir ~metrics ~node:0 () in
+      current := Some store;
+      store
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter Storage.close !current;
+        Abcast_store.Durable.rm_rf dir)
+      (fun () -> f ~metrics reopen)
+
+(* (name, early_return, incremental) *)
+let log_modes =
+  [ ("no log", false, false); ("per item", true, true); ("full set", true, false) ]
+
+let stable_create store ~boot (_, early_return, incremental) =
+  Stable.create store ~self:0 ~boot ~app:None ~early_return ~incremental
+
+let abcast_ops metrics = Metrics.get metrics ~node:0 "log_ops.abcast"
+
+(* Broadcast [ids] as own payloads: into the set, then the log. *)
+let log_own st u agreed ids =
+  List.iter
+    (fun i ->
+      let p = pl i in
+      Unordered.add u ~vc:(Agreed.vc agreed) p;
+      Stable.log_add st u p)
+    ids
+
+let deliver u agreed ids =
+  List.iter
+    (fun i ->
+      ignore (Agreed.append agreed (pl i));
+      Unordered.remove u i)
+    ids
+
+let restored_ids st agreed =
+  let u = Unordered.create () in
+  Stable.restore st agreed u;
+  List.map (fun (p : Payload.t) -> p.id) (Unordered.to_list u)
+
+let ids_t = Alcotest.testable (Fmt.list Payload.pp_id) ( = )
+
+let stable_tests =
+  List.concat_map
+    (fun (backend, bname) ->
+      List.concat_map
+        (fun ((mname, early_return, _) as mode) ->
+          let name what = Printf.sprintf "stable (%s, %s): %s" mname bname what in
+          let logs = early_return in
+          [
+            test (name "log_add then restore gives the undelivered own payloads")
+              (fun () ->
+                with_backend backend (fun ~metrics:_ reopen ->
+                    let agreed = Agreed.create () and u = Unordered.create () in
+                    let st = stable_create (reopen ()) ~boot:0 mode in
+                    log_own st u agreed (List.init 5 (id 0 0));
+                    deliver u agreed [ id 0 0 0; id 0 0 1 ];
+                    let st' = stable_create (reopen ()) ~boot:1 mode in
+                    Alcotest.check ids_t "restored"
+                      (if logs then [ id 0 0 2; id 0 0 3; id 0 0 4 ] else [])
+                      (restored_ids st' agreed)));
+            test (name "a checkpoint of an unmoved node writes nothing")
+              (fun () ->
+                with_backend backend (fun ~metrics reopen ->
+                    let agreed = Agreed.create () and u = Unordered.create () in
+                    let st = stable_create (reopen ()) ~boot:0 mode in
+                    log_own st u agreed [ id 0 0 0; id 0 0 1 ];
+                    deliver u agreed [ id 0 0 0 ];
+                    let truncated = ref [] in
+                    let truncate k = truncated := k :: !truncated in
+                    Stable.checkpoint st ~k:1 agreed u ~truncate;
+                    let ops = abcast_ops metrics in
+                    Stable.checkpoint st ~k:1 agreed u ~truncate;
+                    Alcotest.(check int) "no record" ops (abcast_ops metrics);
+                    Alcotest.(check (list int)) "truncated once" [ 1 ] !truncated;
+                    let st' = stable_create (reopen ()) ~boot:1 mode in
+                    match Stable.last_checkpoint st' with
+                    | Some (k, a) ->
+                      Alcotest.(check int) "k" 1 k;
+                      Alcotest.(check int) "len" 1 (Agreed.total_len a)
+                    | None -> Alcotest.fail "no checkpoint record"));
+            test (name "retirement drops only each own stream's delivered prefix")
+              (fun () ->
+                with_backend backend (fun ~metrics:_ reopen ->
+                    let agreed = Agreed.create () and u = Unordered.create () in
+                    (* boot 1's node still holds boot 0's stream; seqs
+                       past 9 check that the padded keys keep seq order *)
+                    let st = stable_create (reopen ()) ~boot:1 mode in
+                    log_own st u agreed (List.init 12 (id 0 0) @ List.init 3 (id 0 1));
+                    deliver u agreed (List.init 10 (id 0 0) @ [ id 0 1 0 ]);
+                    Stable.checkpoint st ~k:11 agreed u ~truncate:ignore;
+                    let left = [ id 0 0 10; id 0 0 11; id 0 1 1; id 0 1 2 ] in
+                    let store = reopen () in
+                    if mname = "per item" then
+                      Alcotest.(check int) "item keys" (List.length left)
+                        (List.length (Storage.keys_with_prefix store "ab/u/"));
+                    Alcotest.check ids_t "restored"
+                      (if logs then left else [])
+                      (restored_ids (stable_create store ~boot:2 mode) agreed)));
+          ]
+          @
+          if mname <> "full set" then []
+          else
+            [
+              test (name "the set is rewritten only after a delivery") (fun () ->
+                  with_backend backend (fun ~metrics reopen ->
+                      let agreed = Agreed.create () and u = Unordered.create () in
+                      let st = stable_create (reopen ()) ~boot:0 mode in
+                      log_own st u agreed (List.init 3 (id 0 0));
+                      let ops_of k =
+                        let before = abcast_ops metrics in
+                        Stable.checkpoint st ~k agreed u ~truncate:ignore;
+                        abcast_ops metrics - before
+                      in
+                      Alcotest.(check int) "no delivery: the record only" 1 (ops_of 1);
+                      deliver u agreed [ id 0 0 0 ];
+                      Alcotest.(check int) "a delivery: record and set" 2 (ops_of 2);
+                      Alcotest.(check int) "none since: the record only" 1 (ops_of 3)));
+            ])
+        log_modes)
+    [ (`Memory, "memory"); (`Wal, "wal") ]
+  @ [
+      test "stable: adopt rejects a trimmed snapshot whose base we lack" (fun () ->
+          let donor = Agreed.create () in
+          List.iter (fun s -> ignore (Agreed.append donor (pl (id 1 0 s)))) (List.init 10 Fun.id);
+          let receiver len =
+            let a = Agreed.create () in
+            List.iter (fun s -> ignore (Agreed.append a (pl (id 1 0 s)))) (List.init len Fun.id);
+            a
+          in
+          let trimmed =
+            match Agreed.suffix_snapshot donor ~from_len:6 with
+            | Some r -> r
+            | None -> Alcotest.fail "no suffix snapshot"
+          in
+          let adoptable ?(delta = Some 2) a repr =
+            Stable.adoptable ~delta ~committed:0 a ~k:10 ~floor:0 repr
+          in
+          Alcotest.(check bool) "base not covered" false (adoptable (receiver 4) trimmed);
+          Alcotest.(check bool) "base covered" true (adoptable (receiver 6) trimmed);
+          Alcotest.(check bool) "full snapshot" true
+            (adoptable (receiver 4) (Agreed.snapshot donor));
+          Alcotest.(check bool) "no delta" false
+            (adoptable ~delta:None (receiver 6) trimmed);
+          Alcotest.(check bool) "the snapshot sent to len 6 is that suffix" true
+            (Stable.snapshot_for donor ~for_len:(Some 6) = trimmed));
+    ]
+
 let suite =
   ( "core-units",
-    payload_tests @ vclock_tests @ agreed_tests @ batch_tests
+    payload_tests @ vclock_tests @ agreed_tests @ batch_tests @ stable_tests
     @ List.map QCheck_alcotest.to_alcotest
         (vclock_props @ agreed_props @ batch_props @ unordered_props) )

@@ -111,8 +111,8 @@ let tests =
         Alcotest.(check bool) "quiesced" true ok;
         check_ok "pre" (Lemmas.report lemmas);
         (* rewind the checkpoint round to 0 *)
-        Cluster.corrupt_storage cluster 0 ~key:"ab/checkpoint"
-          (Protocol.encode_checkpoint
+        Cluster.corrupt_storage cluster 0 ~key:Stable.checkpoint_key
+          (Stable.encode_checkpoint
              (0, Abcast_core.Agreed.snapshot (Abcast_core.Agreed.create ())));
         Lemmas.sample_now lemmas;
         Alcotest.(check bool) "detected" true

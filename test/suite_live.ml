@@ -425,4 +425,95 @@ let probe_tests =
               (List.length after_stall)));
   ]
 
-let suite = ("live", tests @ probe_tests)
+(* A stack whose node [node] raises out of its handler when it delivers
+   the payload "boom" (once: the replay after recovery delivers it
+   again). *)
+let raise_on_marker ~node (stack : Abcast_core.Proto.t) : Abcast_core.Proto.t =
+  let module S = (val stack : Abcast_core.Proto.S) in
+  let armed = Atomic.make true in
+  (module struct
+    include S
+
+    let create (io : msg Engine.io) ~deliver =
+      S.create io ~deliver:(fun ~group (pl : Payload.t) ->
+          if io.self = node && pl.data = "boom" && Atomic.exchange armed false
+          then failwith "marker payload";
+          deliver ~group pl)
+  end)
+
+let robustness_tests =
+  [
+    slow_test "live: threads encoding proposals at once never mix batches"
+      (fun () ->
+        (* Nodes of one process are threads of one domain and switch at
+           allocation points, also inside an encode; each thread owns its
+           writers, so every value decodes to exactly what it claims. *)
+        let module Batch = Abcast_core.Batch in
+        let stop = Atomic.make false and bad = Atomic.make 0 in
+        let encoder origin () =
+          let w = Batch.writers () in
+          let backlog =
+            List.init 400 (fun seq ->
+                Payload.make { Payload.origin; boot = 0; seq }
+                  (String.make (20 + ((seq * 7 + origin) mod 100)) 'x'))
+          in
+          let rounds = ref 0 in
+          while not (Atomic.get stop) do
+            let cut = List.filteri (fun i _ -> i >= !rounds mod 200) backlog in
+            let value, included =
+              Batch.encode_sorted_bounded w ~max_bytes:24_000 cut
+            in
+            if Batch.decode_opt value <> Some included then Atomic.incr bad;
+            incr rounds
+          done;
+          !rounds
+        in
+        let results = Array.make 3 0 in
+        let threads =
+          List.init 3 (fun i ->
+              Thread.create (fun () -> results.(i) <- encoder i ()) ())
+        in
+        Thread.delay 2.0;
+        Atomic.set stop true;
+        List.iter Thread.join threads;
+        Alcotest.(check bool) "every thread encoded" true
+          (Array.for_all (fun r -> r > 0) results);
+        Alcotest.(check int) "values that decode to another batch" 0
+          (Atomic.get bad));
+    slow_test "live: a raising event loop takes its node down, visibly"
+      (fun () ->
+        let dir = fresh_dir () in
+        let stack = raise_on_marker ~node:1 basic in
+        with_live ~dir ~base_port:7691 stack (fun live ->
+            Fun.protect ~finally:(fun () -> Abcast_store.Durable.rm_rf dir)
+            @@ fun () ->
+            let all_have k i = Live.delivered_count live i >= k in
+            Live.broadcast live ~node:0 "a0";
+            Alcotest.(check bool) "first delivery" true
+              (await (fun () -> List.for_all (all_have 1) [ 0; 1; 2 ]));
+            Live.broadcast live ~node:0 "boom";
+            Alcotest.(check bool) "down within 1 s" true
+              (await ~timeout:1.0 (fun () -> not (Live.is_up live 1)));
+            Alcotest.(check int) "one death counted" 1 (Live.loop_deaths live 1);
+            let dump =
+              In_channel.with_open_bin
+                (Filename.concat dir "node1/flight.bin")
+                In_channel.input_all
+            in
+            (match Abcast_sim.Flight.load_string dump with
+            | Ok d ->
+              Alcotest.(check bool) "flight.bin holds the death" true
+                (List.exists
+                   (fun (e : Abcast_sim.Flight.event) ->
+                     e.e_stage = Abcast_sim.Flight.loop_died)
+                   d.d_events)
+            | Error e -> Alcotest.fail e);
+            Live.recover live 1;
+            Live.broadcast live ~node:0 "a2";
+            Alcotest.(check bool) "the recovered node delivers again" true
+              (await (fun () -> List.for_all (all_have 3) [ 0; 1; 2 ]));
+            Alcotest.(check (list string)) "same order"
+              (Live.delivered_data live 0) (Live.delivered_data live 1)));
+  ]
+
+let suite = ("live", tests @ probe_tests @ robustness_tests)

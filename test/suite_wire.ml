@@ -230,8 +230,7 @@ let roundtrip_props =
         | None -> false);
     prop "checkpoint roundtrips" (QCheck.Gen.pair nat_gen repr_gen)
       (fun (k, repr) ->
-        match Protocol.decode_checkpoint (Protocol.encode_checkpoint (k, repr))
-        with
+        match Stable.decode_checkpoint (Stable.encode_checkpoint (k, repr)) with
         | Some (k', repr') -> k = k' && repr_equal repr repr'
         | None -> false);
   ]
@@ -529,7 +528,7 @@ let rejection_tests =
         in
         let slot =
           Storage.Slot.make
-            ~codec:(Protocol.encode_checkpoint, Protocol.decode_checkpoint)
+            ~codec:(Stable.encode_checkpoint, Stable.decode_checkpoint)
             store ~layer:"t" ~key:"ck"
         in
         Storage.Slot.set slot (3, Agreed.snapshot (Agreed.create ()));
