@@ -346,16 +346,21 @@ let soak_cmd stack consensus window topo n n_bad episodes seed0 =
       (Workload.open_loop cluster ~rng ~senders:(List.init n Fun.id)
          ~start:1_000 ~stop:stability ~mean_gap:4_000 ());
     Cluster.run cluster ~until:(plan.horizon + 4_000_000);
+    let good = Faults.good_nodes plan in
+    ignore (Cluster.settle cluster ~among:good);
     let combined =
-      match Checks.all ~cluster ~good:(Faults.good_nodes plan) () with
+      match Checks.all ~cluster ~good () with
       | Error _ as e -> e
-      | Ok () -> Abcast_harness.Lemmas.report lemmas
+      | Ok () -> (
+        match Abcast_harness.Lemmas.report lemmas with
+        | Error _ as e -> e
+        | Ok () -> Abcast_harness.Lemmas.check_converged lemmas ~good)
     in
     (match combined with
     | Ok () ->
       Printf.printf "episode %3d (seed %7d): ok, %d delivered, %d crashes\n" e
         seed
-        (Cluster.delivered_count cluster (List.hd (Faults.good_nodes plan)))
+        (Cluster.delivered_count cluster (List.hd good))
         (Metrics.sum (Cluster.metrics cluster) "crashes")
     | Error msg ->
       incr violations;

@@ -170,20 +170,38 @@ type t = {
   mutable timer : Engine.Timer.t; (* the retry tick; cancelled at decide *)
   mutable proposed_at : int; (* sim time of our first propose, -1 if none *)
   mutable learned_from : int;
-      (* who told us the decision: self if we completed phase 2 and
-         announced it, -1 if it was restored from the log *)
+      (* who told us the decision: self if we completed phase 2, -1 if
+         no peer is known to hold it (restored from the log, or learned
+         on accepting: our Accepted may never reach the leader) *)
 }
 
 let majority t = (t.io.n / 2) + 1
+
+(* An Accept carries its sender's acceptance, so accepting one makes
+   two: a majority at n <= 3. *)
+let learns_on_accept t = majority t <= 2
 
 let set_acc t acc =
   t.acc <- acc;
   Storage.Slot.set t.acc_slot acc
 
-(* [src] told us the decision; only the node that completed phase 2
-   ([src] = self) announces it, and one that learned it from a Decide
-   does not echo it, so a failure-free instance carries n-1 Decide
-   frames. A lost Decide heals through the learner's [Query], which
+(* The acceptor step at ballot [b], for a peer's Accept and for our own
+   before we send one: log [(b, v)] as accepted, unless a higher promise
+   blocks [b]. *)
+let accept t b v =
+  let nd = t.node in
+  let ok = b >= t.acc.promised && b >= nd.promise in
+  if ok then begin
+    set_acc t { promised = b; accepted = Some (b, v) };
+    nd.top <- max nd.top t.k
+  end;
+  ok
+
+(* [src] told us the decision. Only the node that completed phase 2
+   ([src] = self) announces it, and only above three nodes: at n <= 3
+   every follower that accepted has decided, so a failure-free instance
+   carries no Decide frame (n-1 above three). A learner never echoes;
+   a missed Accept or Decide heals through the learner's [Query], which
    every decided peer answers. *)
 let decide t ~src v =
   match t.decided with
@@ -203,15 +221,24 @@ let decide t ~src v =
         (float_of_int (max 1 t.ballots))
     end;
     t.learned_from <- src;
-    if src = t.io.self then t.io.multisend (Decide { v });
+    if src = t.io.self && not (learns_on_accept t) then
+      t.io.multisend (Decide { v });
     t.on_decide v
+
+(* [src] has accepted our ballot's value: a majority decides it. *)
+let count_accept t src =
+  if not (List.mem src t.accepts) then t.accepts <- src :: t.accepts;
+  if List.length t.accepts >= majority t then
+    match t.pushing with
+    | Some v -> decide t ~src:t.io.self v
+    | None -> assert false
 
 (* Run the next ballot of this instance as the leader: straight to
    phase 2 when the held term covers it, else phase 1 at the term's
    ballot, else a new term opened here. A ballot is used at most once
    per instance, and a fresh one is logged as our own promise before it
    leaves, so no later incarnation can reuse it. *)
-let start t v =
+let rec start t v =
   let nd = t.node in
   t.ballots <- t.ballots + 1;
   t.promises <- [];
@@ -222,9 +249,7 @@ let start t v =
   | Held { b; from; excluded }
     when b > t.ballot && t.k >= from && not (List.mem t.k excluded) ->
     t.ballot <- b;
-    t.phase <- Phase2;
-    t.pushing <- Some v;
-    t.io.multisend (Accept { b; v })
+    push t v
   | (Held { b; _ } | Opening { b; _ }) when b > t.ballot ->
     t.ballot <- b;
     t.phase <- Phase1;
@@ -237,6 +262,35 @@ let start t v =
     t.ballot <- b;
     t.phase <- Phase1;
     t.io.multisend (Prepare { b })
+
+(* Phase 2 of our ballot: accept [v] here first, so that an Accept
+   leaves only after its sender accepted it (CORRECTNESS.md, "Paxos
+   followers learn on accept"); if our own promise blocks the ballot,
+   nothing leaves and the ballot ends as a peer's Reject would end it. *)
+and push t v =
+  let b = t.ballot in
+  if accept t b v then begin
+    t.phase <- Phase2;
+    t.pushing <- Some v;
+    t.accepts <- [];
+    t.io.multisend (Accept { b; v });
+    count_accept t t.io.self
+  end
+  else rejected t (max t.acc.promised t.node.promise)
+
+(* A promise at [b] blocks our ballot. *)
+and rejected t b =
+  let nd = t.node in
+  if b > t.ballot then begin
+    nd.high <- max nd.high b;
+    t.phase <- Idle;
+    if term_ballot nd < b then nd.term <- No_term
+    else
+      (* our own newer term overtook this ballot: rejoin it now *)
+      match t.proposal with
+      | Some v when t.leader () = t.io.self -> start t v
+      | _ -> ()
+  end
 
 let probe t = if t.decided = None then t.io.multisend Query
 
@@ -348,7 +402,9 @@ let handle t ~src msg =
     | Decide _ -> ()
     | Query -> t.io.send src (Decide { v })
     | (Promise _ | Accepted _) when t.learned_from = t.io.self ->
-      () (* a late answer to our ballot: our Decide went to it too *)
+      (* a late answer to our ballot: at n <= 3 our Accept went to it
+         too and accepting it decides, above that our Decide did *)
+      ()
     | _ when src = t.learned_from -> () (* src told us *)
     | _ -> t.io.send src (Decide { v }))
   | None -> (
@@ -376,48 +432,27 @@ let handle t ~src msg =
           | Opening { b = tb; k } when tb = b && k = t.k ->
             nd.term <- Held { b; from = t.k + 1; excluded = t.listed }
           | _ -> ());
-          let v =
-            match best_accepted t.promises with
+          push t
+            (match best_accepted t.promises with
             | Some (_, v) -> v
             | None -> (
               match t.proposal with
               | Some v -> v
-              | None -> assert false (* phase 1 only runs after propose *))
-          in
-          t.phase <- Phase2;
-          t.accepts <- [];
-          t.pushing <- Some v;
-          t.io.multisend (Accept { b; v })
+              | None -> assert false (* phase 1 only runs after propose *)))
         end
       end
-    | Reject { b } ->
-      if b > t.ballot then begin
-        nd.high <- max nd.high b;
-        t.phase <- Idle;
-        if term_ballot nd < b then nd.term <- No_term
-        else
-          (* our own newer term overtook this ballot: rejoin it now *)
-          match t.proposal with
-          | Some v when t.leader () = t.io.self -> start t v
-          | _ -> ()
-      end
+    | Reject { b } -> rejected t b
+    | Accept _ when src = t.io.self -> () (* [push] accepted it before it left *)
     | Accept { b; v } ->
       (* a recovered leader learns the current term here, and opens its
          own above it instead of being rejected once *)
       nd.high <- max nd.high b;
-      if b >= t.acc.promised && b >= nd.promise then begin
-        set_acc t { promised = b; accepted = Some (b, v) };
-        nd.top <- max nd.top t.k;
-        t.io.send src (Accepted { b })
+      if accept t b v then begin
+        t.io.send src (Accepted { b });
+        if learns_on_accept t then decide t ~src:(-1) v
       end
       else t.io.send src (Reject { b = max t.acc.promised nd.promise })
     | Accepted { b } ->
-      if t.phase = Phase2 && b = t.ballot then begin
-        if not (List.mem src t.accepts) then t.accepts <- src :: t.accepts;
-        if List.length t.accepts >= majority t then
-          match t.pushing with
-          | Some v -> decide t ~src:t.io.self v
-          | None -> assert false
-      end
+      if t.phase = Phase2 && b = t.ballot then count_accept t src
     | Query -> () (* nothing to offer: not decided *)
     | Decide { v } -> decide t ~src v)

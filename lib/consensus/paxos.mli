@@ -27,12 +27,16 @@
     timer instead (so a late process still learns decisions from decided
     peers). Safety never depends on Ω.
 
-    Only the leader that gathered the [Accepted] majority multicasts
-    [Decide]; a learner does not echo it, nobody answers the node that
-    told it the decision, and the leader ignores the late [Promise]s and
-    [Accepted]s its [Decide] covered — n-1 [Decide] frames per failure-free instance. A
-    decided process answers every [Query], so a lost [Decide] heals at
-    the prober's next probe.
+    A proposer accepts its own value, logged, before its [Accept]
+    leaves. At n <= 3 that makes a follower's acceptance the second of a
+    majority: it sends its [Accepted] and decides, and nobody sends
+    [Decide] in a failure-free instance. Above three nodes only the
+    leader that gathered the [Accepted] majority multicasts [Decide]
+    (n-1 frames per failure-free instance). A learner does not echo the
+    decision, nobody answers the node that told it, and the leader
+    ignores the late [Promise]s and [Accepted]s its [Accept] or
+    [Decide] covered. A decided process answers every [Query], so a
+    lost [Accept] or [Decide] heals at the prober's next probe.
 
     Stable-storage writes per instance at one process, inside a term:
     the proposal (1 write — the one the atomic broadcast layer piggybacks

@@ -417,7 +417,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
              proposals are disjoint: re-proposing a covered entry would
              only decide a duplicate and waste a round's bytes. *)
           let backlog =
-            Unordered.uncovered t.unordered ~committed:t.committed
+            Unordered.uncovered t.unordered ~vc:(Agreed.vc t.agreed)
+              ~committed:t.committed
           in
           let trigger = backlog <> [] || (j = k && t.gossip_k > k) in
           if trigger then begin
@@ -448,11 +449,15 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
            re-proposal surviving a crash that also lost Unordered items);
            every applier of this instance shares our Agreed state, so the
            skip is deterministic and the payload — still in [Unordered]
-           somewhere — gets re-proposed and delivered later. *)
+           somewhere — gets re-proposed and delivered later. We park it
+           until its predecessor arrives: the predecessor may be lost
+           for good (a bad origin whose A-broadcast was never logged). *)
         match Agreed.try_append t.agreed p with
         | `Appended -> deliver_one t p
         | `Dup -> Unordered.remove t.unordered p.id
-        | `Gap -> Metrics.incr t.io.metrics ~node:t.io.self "ab_gap_skips")
+        | `Gap ->
+          Unordered.park t.unordered p.id;
+          Metrics.incr t.io.metrics ~node:t.io.self "ab_gap_skips")
       (Batch.decode v);
     ring_settle t;
     t.committed <- t.committed + 1;

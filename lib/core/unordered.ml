@@ -21,6 +21,7 @@ type t = {
   mutable sorted_len : int;
   streams : (int * int, stream) Hashtbl.t;
   covered : int Ptbl.t;
+  parked : unit Ptbl.t;
 }
 
 let create () =
@@ -30,6 +31,7 @@ let create () =
     sorted_len = 0;
     streams = Hashtbl.create 16;
     covered = Ptbl.create 64;
+    parked = Ptbl.create 8;
   }
 
 let mem t id = Ptbl.mem t.tbl id
@@ -66,11 +68,13 @@ let add t ~vc (p : Payload.t) =
 
 let remove t id =
   Ptbl.remove t.tbl id;
-  Ptbl.remove t.covered id
+  Ptbl.remove t.covered id;
+  Ptbl.remove t.parked id
 
 let drop_if t f =
   Ptbl.filter_map_inplace (fun id p -> if f id then None else Some p) t.tbl;
-  Ptbl.filter_map_inplace (fun id j -> if f id then None else Some j) t.covered
+  Ptbl.filter_map_inplace (fun id j -> if f id then None else Some j) t.covered;
+  Ptbl.filter_map_inplace (fun id () -> if f id then None else Some ()) t.parked
 
 let to_list t =
   let live = Ptbl.length t.tbl in
@@ -121,15 +125,30 @@ let missing t ~vc ~cap summary =
 
 let cover t j id = Ptbl.replace t.covered id j
 
-let uncovered t ~committed =
+let park t id = if Ptbl.mem t.tbl id then Ptbl.replace t.parked id ()
+
+(* A parked id stays out until its stream's watermark reaches its
+   predecessor; it then leaves the parked table for good, since the
+   watermark never moves back. *)
+let still_parked t ~vc ({ Payload.origin; boot; seq } as id) =
+  Ptbl.mem t.parked id
+  && begin
+       let s = Hashtbl.find t.streams (origin, boot) in
+       let blocked = advance t s ~vc ~origin ~boot < seq - 1 in
+       if not blocked then Ptbl.remove t.parked id;
+       blocked
+     end
+
+let uncovered t ~vc ~committed =
   let l = to_list t in
-  if Ptbl.length t.covered = 0 then l
+  if Ptbl.length t.covered = 0 && Ptbl.length t.parked = 0 then l
   else
     List.filter
       (fun (p : Payload.t) ->
-        match Ptbl.find t.covered p.id with
+        (match Ptbl.find t.covered p.id with
         | j -> j < committed
         | exception Not_found -> true)
+        && not (still_parked t ~vc p.id))
       l
 
 let covered_count t = Ptbl.length t.covered

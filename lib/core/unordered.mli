@@ -3,8 +3,9 @@
     payloads by identity (with a memoized identity-sorted view), one
     record per [(origin, boot)] stream (the highest seq ever admitted
     and the covered watermark), and one coverage map, id → the instance
-    this process proposed it in. Nothing here touches storage: logging
-    the set is {!Stable}'s, the window walk {!Protocol}'s.
+    this process proposed it in, plus the ids parked after a gap skip.
+    Nothing here touches storage: logging the set is {!Stable}'s, the
+    window walk {!Protocol}'s.
 
     Callers keep one invariant: an id leaves the set ({!remove},
     {!drop_if}) only once the delivery clock [vc] covers it, so every
@@ -45,9 +46,17 @@ val missing :
 val cover : t -> int -> Payload.id -> unit
 (** Note that this process proposed the id at the given instance. *)
 
-val uncovered : t -> committed:int -> Payload.t list
+val park : t -> Payload.id -> unit
+(** Note that a decided instance skipped this held id as a gap: a
+    smaller seq of its stream is neither delivered nor held. Proposing
+    it again before that seq arrives would only skip it again, one
+    consensus instance per round, on an otherwise idle cluster. *)
+
+val uncovered : t -> vc:Vclock.t -> committed:int -> Payload.t list
 (** {!to_list} without the ids covered at an instance [>= committed]:
-    a commit or a cursor jump uncovers ids without touching the map. *)
+    a commit or a cursor jump uncovers ids without touching the map.
+    A parked id is left out too, until every smaller seq of its stream
+    is delivered (in [vc]) or held. *)
 
 val covered_count : t -> int
 (** Entries in the coverage map, committed instances included. *)

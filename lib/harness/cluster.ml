@@ -83,6 +83,15 @@ let delivered_count ?group (T c) i =
 let delivered_tail ?group (T c) i =
   Proto.delivered_tail c.stack ?group (started c.nodes i)
 
+let settle t ~among =
+  let counts () = List.map (delivered_count t) among in
+  let rec go tries prev =
+    run t ~until:(now t + 2_000_000);
+    let cur = counts () in
+    if cur = prev || tries > 30 then cur else go (tries + 1) cur
+  in
+  go 0 (counts ())
+
 let delivery_vc ?group (T c) i =
   Proto.delivery_vc c.stack ?group (started c.nodes i)
 

@@ -78,6 +78,12 @@ val broadcast :
 val round : ?group:int -> t -> int -> int
 val delivered_count : ?group:int -> t -> int -> int
 val delivered_tail : ?group:int -> t -> int -> Abcast_core.Payload.t list
+
+val settle : t -> among:int list -> int list
+(** Run on in 2-simulated-second steps until the delivered counts of
+    [among] read the same twice in a row (at most 32 steps), and return
+    them: the quiescence that P3 ({!Lemmas.check_converged}) needs. *)
+
 val delivery_vc : ?group:int -> t -> int -> Abcast_core.Vclock.t
 val unordered_count : ?group:int -> t -> int -> int
 val retained_bytes : t -> int -> int

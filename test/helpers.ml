@@ -21,6 +21,19 @@ let check_ok what = function
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s: %s" what msg
 
+(* [f] gets a fresh path [<tmp>/<prefix>-<pid>-<n>] (not created), which
+   is removed with everything under it once [f] returns or raises. *)
+let temp_dirs = ref 0
+
+let with_temp_dir prefix f =
+  incr temp_dirs;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !temp_dirs)
+  in
+  Fun.protect ~finally:(fun () -> Abcast_store.Durable.rm_rf dir) (fun () -> f dir)
+
 (* Run an open-loop workload on a cluster of [n] nodes of the given stack
    and require that all (or [among]) nodes deliver everything and that the
    four properties hold over [good]. Returns the cluster for further

@@ -404,11 +404,13 @@ let paxos_term_failover seed =
   run_to "instance 0 decided" (fun () -> M.decision (node 0) 0 <> None);
   List.iter (fun j -> M.propose (node 0) j (Printf.sprintf "a%d" j)) insts;
   let accepted i j = Paxos.accepted (Engine.storage eng i) ~instance:j in
+  (* a follower has accepted (and, at n = 3, decided) an instance whose
+     Accepted the leader still waits for *)
   run_to "an accept reached a follower" (fun () ->
       List.exists
         (fun i ->
           List.exists
-            (fun j -> accepted i j <> None && M.decision (node i) j = None)
+            (fun j -> accepted i j <> None && M.decision (node 0) j = None)
             [ 2; 3; 4 ])
         [ 1; 2 ]);
   Engine.crash eng 0;
@@ -455,19 +457,20 @@ let paxos_term_failover seed =
 module Multi_coord = Multi_suite (Abcast_consensus.Coord)
 
 (* Decide fan-out over a multi-instance run: only the node that completes
-   an instance announces it, nobody echoes, and a decided leader ignores
-   the late phase-2 answers its own Decide covered. [drop ~src ~dst k]
-   loses a Decide frame of instance [k] on that link. Every node
-   proposes each instance (as each proposes its Unordered backlog in the
-   stack), the followers a random 0–1 ms after the leader; the next
-   instance starts once all have decided. Returns the Decide frames that
-   crossed a link and, per instance, when it was decided everywhere. *)
+   an instance announces it (Paxos only above three nodes: at n <= 3 its
+   followers decide on accepting), nobody echoes, and a decided leader
+   ignores the late phase-2 answers its Accept or Decide covered.
+   [drop ~src ~dst k c] loses consensus frame [c] of instance [k] on that
+   link. Every node proposes each instance (as each proposes its
+   Unordered backlog in the stack), the followers a random 0–1 ms after
+   the leader; the next instance starts once all have decided. Returns
+   the Decide frames that crossed a link and, per instance, when it was
+   decided everywhere. *)
 module Fanout (C : Intf.S) = struct
   module M = Abcast_consensus.Multi.Make (C)
 
-  let run ~is_decide ?(drop = fun ~src:_ ~dst:_ _ -> false) ?(seed = 1)
-      ~instances () =
-    let n = 3 in
+  let run ~is_decide ?(drop = fun ~src:_ ~dst:_ _ _ -> false) ?(n = 3)
+      ?(seed = 1) ~instances () =
     (* no heavy-tailed delays: a Decide slower than the probe retry
        period is indistinguishable from a lost one *)
     let net = Net.create ~heavy_tail:0.0 () in
@@ -483,11 +486,10 @@ module Fanout (C : Intf.S) = struct
           nodes.(i) <- Some m;
           fun ~src msg ->
             match msg with
-            | M.Inst (k, c) when src <> i && is_decide c ->
-              if not (drop ~src ~dst:i k) then begin
-                incr decides;
-                M.handle m ~src msg
-              end
+            | M.Inst (k, c) when src <> i && drop ~src ~dst:i k c -> ()
+            | M.Inst (_, c) when src <> i && is_decide c ->
+              incr decides;
+              M.handle m ~src msg
             | _ -> M.handle m ~src msg)
     done;
     Engine.start_all eng;
@@ -502,7 +504,7 @@ module Fanout (C : Intf.S) = struct
                 M.propose (node i) k (Printf.sprintf "k%d-%d" k i))
           done;
           let decided () =
-            List.for_all (fun i -> M.decision (node i) k <> None) [ 0; 1; 2 ]
+            List.for_all (fun i -> M.decision (node i) k <> None) (List.init n Fun.id)
           in
           if not (Engine.run_until eng ~until:(t0 + 10_000_000) ~pred:decided ())
           then Alcotest.failf "instance %d undecided" k;
@@ -517,29 +519,30 @@ module Fanout_paxos = Fanout (Abcast_consensus.Paxos)
 module Fanout_coord = Fanout (Abcast_consensus.Coord)
 
 let paxos_decide = function Abcast_consensus.Paxos.Decide _ -> true | _ -> false
+let paxos_accept = function Abcast_consensus.Paxos.Accept _ -> true | _ -> false
 let coord_decide = function Abcast_consensus.Coord.Decide _ -> true | _ -> false
 
 let fanout_tests =
-  let per_instance name run =
-    test (name ^ ": a failure-free run carries n-1 Decides per instance")
-      (fun () ->
-        List.iter
-          (fun seed ->
-            let decides, _ = run ~seed in
-            Alcotest.(check int)
-              (Printf.sprintf "seed %d: Decide frames for 20 instances" seed)
-              (2 * 20) decides)
-          [ 1; 2; 3; 4; 5 ])
+  let count_decides ~seeds ~n ~per_instance run =
+    List.iter
+      (fun seed ->
+        let decides, _ = run ~n ~seed in
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d, n = %d: Decide frames for 20 instances" seed n)
+          (per_instance * 20) decides)
+      seeds
   in
-  (* The leader's Decide of instance 5 to node 2 is lost: node 2 learns
-     the decision when its next probe reaches a decided peer — its first
-     [Query] in Paxos (one to 1.5 retry periods after it proposes, which
-     is up to 1 ms after the leader), its next round's [Estimate] in
-     Coord (one round timeout plus a quarter of jitter). *)
-  let healed name run ~bound =
+  (* The frame of instance 5 that would tell node 2 the decision is lost:
+     the leader's Decide in Coord, its Accept in Paxos (at n = 3 no
+     Decide follows it). Node 2 learns the decision when its next probe
+     reaches a decided peer — its first [Query] in Paxos (one to 1.5
+     retry periods after it proposes, which is up to 1 ms after the
+     leader), its next round's [Estimate] in Coord (one round timeout
+     plus a quarter of jitter). Every decided peer answers it. *)
+  let healed name run ~lost ~at_least ~bound =
     test (name ^ ": a Decide lost on one link is learned through the probe")
       (fun () ->
-        let drop ~src ~dst k = src = 0 && dst = 2 && k = 5 in
+        let drop ~src ~dst k c = src = 0 && dst = 2 && k = 5 && lost c in
         let decides, took = run ~drop in
         let t5 = List.nth took 5 in
         let normal = List.fold_left max 0 (List.filteri (fun k _ -> k <> 5) took) in
@@ -547,31 +550,106 @@ let fanout_tests =
           Alcotest.failf "instance 5 took %d us, no slower than the others" t5;
         if t5 > bound then
           Alcotest.failf "instance 5 healed after %d us (bound %d)" t5 bound;
-        Alcotest.(check bool) "one answer replaced the lost frame" true
-          (decides >= 2 * 20))
+        Alcotest.(check bool) "an answer replaced the lost frame" true
+          (decides >= at_least))
   in
-  (* two one-way delays at most, the Decide's and the answer's *)
+  (* two one-way delays at most, the lost frame's and the answer's *)
   let delays = 2 * 2_000 in
   [
-    per_instance "paxos" (fun ~seed ->
-        Fanout_paxos.run ~is_decide:paxos_decide ~seed ~instances:20 ());
-    per_instance "coord" (fun ~seed ->
-        Fanout_coord.run ~is_decide:coord_decide ~seed ~instances:20 ());
+    test "paxos: a failure-free run carries no Decide at n = 3, n-1 per instance at n = 5"
+      (fun () ->
+        let run ~n ~seed =
+          Fanout_paxos.run ~is_decide:paxos_decide ~n ~seed ~instances:20 ()
+        in
+        count_decides ~seeds:[ 1; 2; 3; 4; 5 ] ~n:3 ~per_instance:0 run;
+        count_decides ~seeds:[ 1; 2; 3 ] ~n:5 ~per_instance:4 run);
+    test "coord: a failure-free run carries n-1 Decides per instance" (fun () ->
+        count_decides ~seeds:[ 1; 2; 3; 4; 5 ] ~n:3 ~per_instance:2
+          (fun ~n ~seed ->
+            Fanout_coord.run ~is_decide:coord_decide ~n ~seed ~instances:20 ()));
     healed "paxos"
       (fun ~drop ->
         Fanout_paxos.run ~is_decide:paxos_decide ~drop ~instances:20 ())
+      ~lost:paxos_accept ~at_least:1
       ~bound:((Abcast_consensus.Paxos.retry_period * 7 / 4) + delays);
     healed "coord"
       (fun ~drop ->
         Fanout_coord.run ~is_decide:coord_decide ~drop ~instances:20 ())
+      ~lost:coord_decide ~at_least:(2 * 20)
       ~bound:((Abcast_consensus.Coord.round_timeout * 5 / 4) + delays);
   ]
+
+(* The leader's Accept reaches node 1 only (the link to node 2 loses it),
+   and the leader crashes in the very step that sent it, before it could
+   handle its own copy. Node 1 decides on accepting, then crashes. The
+   leader recovers and node 2 runs a ballot that only the leader and node
+   2 can promise: the leader's acceptance, logged before its Accept left,
+   must carry node 1's decision into it. *)
+let paxos_accept_then_crash seed =
+  let module Paxos = Abcast_consensus.Paxos in
+  let net = Net.create ~heavy_tail:0.0 () in
+  let eng = Engine.create ~seed ~n:3 ~net () in
+  let leader = ref 0 in
+  let nodes = Array.make 3 None in
+  let accept_sent = ref false in
+  for i = 0 to 2 do
+    Engine.set_behavior eng i (fun io ->
+        let io =
+          if i <> 0 then io
+          else
+            {
+              io with
+              multisend =
+                (fun m ->
+                  if paxos_accept m then accept_sent := true;
+                  io.multisend m);
+            }
+        in
+        let c =
+          Paxos.create io ~node:(Paxos.node io) ~instance:0
+            ~leader:(fun () -> !leader)
+            ~on_decide:ignore
+        in
+        nodes.(i) <- Some c;
+        fun ~src msg ->
+          if not (i = 2 && src = 0 && paxos_accept msg) then begin
+            Paxos.handle c ~src msg;
+            if i = 0 && !accept_sent then begin
+              accept_sent := false;
+              Engine.crash eng 0;
+              leader := 2;
+              Engine.after eng 100 (fun () -> Engine.recover eng 0)
+            end;
+            if i = 1 && Paxos.decision c <> None then Engine.crash eng 1
+          end)
+  done;
+  Engine.start_all eng;
+  let node i = match nodes.(i) with Some c -> c | None -> assert false in
+  Paxos.propose (node 0) "v0";
+  Paxos.propose (node 2) "w";
+  let decided1 () =
+    Storage.read (Engine.storage eng 1) (Intf.Keys.decision 0)
+  in
+  if
+    not
+      (Engine.run_until eng ~until:10_000_000
+         ~pred:(fun () -> decided1 () <> None && Paxos.decision (node 2) <> None)
+         ())
+  then Alcotest.failf "seed %d: nodes 1 and 2 did not both decide" seed;
+  Alcotest.(check (option string))
+    (Printf.sprintf "seed %d: node 1 decided on accepting" seed)
+    (Some "v0") (decided1 ());
+  Alcotest.(check (option string))
+    (Printf.sprintf "seed %d: node 2's ballot keeps node 1's decision" seed)
+    (decided1 ()) (Paxos.decision (node 2))
 
 let multi_tests =
   Multi_paxos.tests "paxos" @ Multi_coord.tests "coord"
   @ [
       test "paxos multi: a new leader keeps the crashed term's values (20 seeds)"
         (fun () -> List.iter paxos_term_failover (List.init 20 (fun i -> i + 1)));
+      test "paxos: a follower's decision survives the leader's crash after its Accept"
+        (fun () -> List.iter paxos_accept_then_crash (List.init 10 (fun i -> i + 1)));
       test "paxos multi: a node does not answer its own probe below its floor"
         (fun () ->
           let behind = ref [] in

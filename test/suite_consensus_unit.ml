@@ -72,8 +72,8 @@ let sent_prepares msgs =
     (fun (dst, m) -> match m with Paxos.Prepare { b } -> Some (dst, b) | _ -> None)
     msgs
 
-let paxos_make ?(self = 0) () =
-  let p = probe ~self () in
+let paxos_make ?(self = 0) ?n () =
+  let p = probe ~self ?n () in
   let decided = ref None in
   let c =
     Paxos.create p.io ~node:(Paxos.node p.io) ~instance:0 ~leader:self_leader ~on_decide:(fun v ->
@@ -175,7 +175,39 @@ let paxos_tests =
         in
         Alcotest.(check bool) "phase 2 started" true (accepts <> []);
         List.iter (Alcotest.(check string) "own value" "mine") accepts);
+    (* Above three nodes two acceptances are no majority: the follower
+       waits, and the leader that completes the instance announces it. *)
     test "paxos: majority of accepted acks decides, logs, announces" (fun () ->
+        let p, c, decided = paxos_make ~n:5 () in
+        Paxos.propose c "mine";
+        let b =
+          match sent_prepares (take_sent p) with
+          | (_, b) :: _ -> b
+          | [] -> Alcotest.fail "no prepare"
+        in
+        Paxos.handle c ~src:0 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = None; above = [] });
+        ignore (take_sent p);
+        Paxos.handle c ~src:1 (Paxos.Accepted { b });
+        Alcotest.(check (option string)) "two of five: undecided" None !decided;
+        Paxos.handle c ~src:2 (Paxos.Accepted { b });
+        Alcotest.(check (option string)) "decided" (Some "mine") !decided;
+        Alcotest.(check (option string)) "logged" (Some "mine")
+          (Storage.read p.store (Abcast_consensus.Consensus_intf.Keys.decision 0));
+        Alcotest.(check int) "announced to all five" 5
+          (List.length
+             (List.filter
+                (fun (_, m) -> match m with Paxos.Decide _ -> true | _ -> false)
+                (take_sent p)));
+        let q, d, learned = paxos_make ~self:1 ~n:5 () in
+        Paxos.handle d ~src:0 (Paxos.Accept { b = 5; v = "x" });
+        Alcotest.(check (option string)) "a follower of five waits" None !learned;
+        (match take_sent q with
+        | [ (0, Paxos.Accepted { b = 5 }) ] -> ()
+        | _ -> Alcotest.fail "expected an ack"));
+    test "paxos: at n = 3 the leader accepts before its Accept leaves and sends no Decide"
+      (fun () ->
         let p, c, decided = paxos_make () in
         Paxos.propose c "mine";
         let b =
@@ -183,18 +215,98 @@ let paxos_tests =
           | (_, b) :: _ -> b
           | [] -> Alcotest.fail "no prepare"
         in
+        Paxos.handle c ~src:0 (Paxos.Promise { b; accepted = None; above = [] });
         Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None; above = [] });
-        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = None; above = [] });
-        ignore (take_sent p);
-        Paxos.handle c ~src:1 (Paxos.Accepted { b });
+        Alcotest.(check (option (pair int string))) "accepted here first"
+          (Some (b, "mine")) (Paxos.accepted p.store ~instance:0);
+        let accepts =
+          List.filter (fun (_, m) -> match m with Paxos.Accept _ -> true | _ -> false)
+            (take_sent p)
+        in
+        Alcotest.(check int) "one Accept to each node" 3 (List.length accepts);
+        (* the self copy of the multisend is ignored *)
+        Paxos.handle c ~src:0 (Paxos.Accept { b; v = "mine" });
+        Alcotest.(check int) "own copy unanswered" 0 (List.length (take_sent p));
+        Alcotest.(check (option string)) "one acceptance is no majority" None
+          !decided;
         Paxos.handle c ~src:2 (Paxos.Accepted { b });
         Alcotest.(check (option string)) "decided" (Some "mine") !decided;
-        Alcotest.(check (option string)) "logged" (Some "mine")
+        Alcotest.(check int) "no Decide" 0 (List.length (take_sent p)));
+    test "paxos: at n = 3 a follower decides on accepting, after its Accepted"
+      (fun () ->
+        let p = probe ~self:1 () in
+        let acked_first = ref false in
+        let c =
+          Paxos.create p.io ~node:(Paxos.node p.io) ~instance:0
+            ~leader:self_leader ~on_decide:(fun _ ->
+              acked_first := List.mem (0, Paxos.Accepted { b = 6 }) !(p.sent))
+        in
+        Paxos.handle c ~src:0 (Paxos.Accept { b = 6; v = "x" });
+        Alcotest.(check (option string)) "decided" (Some "x") (Paxos.decision c);
+        Alcotest.(check (option string)) "logged" (Some "x")
           (Storage.read p.store (Abcast_consensus.Consensus_intf.Keys.decision 0));
-        Alcotest.(check bool) "announced" true
-          (List.exists
-             (fun (_, m) -> match m with Paxos.Decide _ -> true | _ -> false)
-             (take_sent p)));
+        Alcotest.(check bool) "Accepted queued before the decision" true
+          !acked_first;
+        Alcotest.(check int) "no echo" 1 (List.length (take_sent p));
+        (* our Accepted may be lost: the leader's next ballot is answered *)
+        Paxos.handle c ~src:0 (Paxos.Prepare { b = 9 });
+        match take_sent p with
+        | [ (0, Paxos.Decide { v = "x" }) ] -> ()
+        | _ -> Alcotest.fail "expected a Decide to the leader");
+    test "paxos: a proposer whose own promise blocks its ballot sends no Accept"
+      (fun () ->
+        let p, c, _ = paxos_make () in
+        Paxos.propose c "mine";
+        let b =
+          match sent_prepares (take_sent p) with
+          | (_, b) :: _ -> b
+          | [] -> Alcotest.fail "no prepare"
+        in
+        (* node 1's higher Prepare reaches us before the promises do *)
+        Paxos.handle c ~src:1 (Paxos.Prepare { b = b + 1 });
+        ignore (take_sent p);
+        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:2 (Paxos.Promise { b; accepted = None; above = [] });
+        Alcotest.(check int) "nothing sent" 0 (List.length (take_sent p));
+        Alcotest.(check (option (pair int string))) "nothing accepted" None
+          (Paxos.accepted p.store ~instance:0);
+        fire_next_timer p;
+        List.iter
+          (fun (_, b') ->
+            Alcotest.(check bool) "the retry goes above the blocker" true
+              (b' > b + 1))
+          (sent_prepares (take_sent p)));
+    test "paxos: a follower whose promise blocks the Accept learns from its Reject's answer"
+      (fun () ->
+        let q, f, learned = paxos_make ~self:2 () in
+        Paxos.handle f ~src:1 (Paxos.Prepare { b = 7 });
+        ignore (take_sent q);
+        Paxos.handle f ~src:0 (Paxos.Accept { b = 6; v = "mine" });
+        let reject =
+          match take_sent q with
+          | [ (0, (Paxos.Reject { b = 7 } as r)) ] -> r
+          | _ -> Alcotest.fail "expected a Reject carrying 7"
+        in
+        Alcotest.(check (option string)) "blocked: undecided" None !learned;
+        (* the leader decided with node 1's Accepted *)
+        let p, c, decided = paxos_make () in
+        Paxos.propose c "mine";
+        let b =
+          match sent_prepares (take_sent p) with
+          | (_, b) :: _ -> b
+          | [] -> Alcotest.fail "no prepare"
+        in
+        Paxos.handle c ~src:0 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:1 (Paxos.Promise { b; accepted = None; above = [] });
+        Paxos.handle c ~src:1 (Paxos.Accepted { b });
+        Alcotest.(check (option string)) "leader decided" (Some "mine") !decided;
+        ignore (take_sent p);
+        Paxos.handle c ~src:2 reject;
+        match take_sent p with
+        | [ (2, (Paxos.Decide { v = "mine" } as d)) ] ->
+          Paxos.handle f ~src:0 d;
+          Alcotest.(check (option string)) "learned" (Some "mine") !learned
+        | _ -> Alcotest.fail "expected a Decide answering the Reject");
     test "paxos: decided instance answers everything with Decide" (fun () ->
         let p, c, _ = paxos_make ~self:1 () in
         Paxos.handle c ~src:0 (Paxos.Decide { v = "done" });

@@ -310,6 +310,7 @@ type u_op =
   | Drop  (** state transfer's bulk drop of every delivered id *)
   | Cover of int * int  (** the nth held id, at instance committed + d *)
   | Commit  (** the commit cursor moves one instance *)
+  | Park of int  (** the nth held id, skipped as a gap *)
 
 let pp_u_op = function
   | Add (o, b, s) -> Printf.sprintf "Add %d.%d.%d" o b s
@@ -319,6 +320,7 @@ let pp_u_op = function
   | Drop -> "Drop"
   | Cover (i, d) -> Printf.sprintf "Cover %d +%d" i d
   | Commit -> "Commit"
+  | Park i -> Printf.sprintf "Park %d" i
 
 let u_op_gen =
   QCheck.Gen.(
@@ -332,6 +334,7 @@ let u_op_gen =
         (1, return Drop);
         (3, map2 (fun i d -> Cover (i, d)) (int_range 0 20) (int_range 0 3));
         (2, return Commit);
+        (2, map (fun i -> Park i) (int_range 0 20));
       ])
 
 let u_streams = [ (0, 0); (2, 1); (1, 0); (0, 1); (2, 0); (1, 1) ]
@@ -353,13 +356,24 @@ let unordered_props =
         let held = ref [] (* ids *)
         and cov = ref [] (* (id, instance) *)
         and maxseen = ref [] (* ((origin, boot), seq), first admission *)
+        and parked = ref [] (* ids *)
         and committed = ref 0 in
         let next o b = Vclock.next_seq !vc ~origin:o ~boot:b in
         let delivered (i : Payload.id) = i.seq < next i.origin i.boot in
         let leave i =
           Unordered.remove u i;
           held := List.filter (( <> ) i) !held;
-          cov := List.filter (fun (i', _) -> i' <> i) !cov
+          cov := List.filter (fun (i', _) -> i' <> i) !cov;
+          parked := List.filter (( <> ) i) !parked
+        in
+        (* parked, and some smaller seq neither delivered nor held *)
+        let blocked (i : Payload.id) =
+          List.mem i !parked
+          && List.exists
+               (fun s ->
+                 let j = id i.origin i.boot s in
+                 not (delivered j || List.mem j !held))
+               (List.init i.seq Fun.id)
         in
         let step = function
           | Add (o, b, s) ->
@@ -384,7 +398,8 @@ let unordered_props =
           | Drop ->
             Unordered.drop_if u (Vclock.contains !vc);
             held := List.filter (fun i -> not (delivered i)) !held;
-            cov := List.filter (fun (i, _) -> not (delivered i)) !cov
+            cov := List.filter (fun (i, _) -> not (delivered i)) !cov;
+            parked := List.filter (fun i -> not (delivered i)) !parked
           | Cover (n, d) -> (
             match List.nth_opt !held n with
             | Some i ->
@@ -392,6 +407,12 @@ let unordered_props =
               cov := (i, !committed + d) :: List.remove_assoc i !cov
             | None -> ())
           | Commit -> incr committed
+          | Park n -> (
+            match List.nth_opt !held n with
+            | Some i ->
+              Unordered.park u i;
+              if not (List.mem i !parked) then parked := i :: !parked
+            | None -> ())
         in
         let ids = List.map (fun (p : Payload.t) -> p.id) in
         let model_missing () =
@@ -425,13 +446,14 @@ let unordered_props =
             && Unordered.missing u ~vc:!vc ~cap
                  (List.map (fun (o, b) -> (o, b, 11)) u_streams)
                = model_missing ()
-            && ids (Unordered.uncovered u ~committed:!committed)
+            && ids (Unordered.uncovered u ~vc:!vc ~committed:!committed)
                = List.filter
                    (fun i ->
                      not
                        (List.exists
                           (fun (i', j) -> i' = i && j >= !committed)
-                          !cov))
+                          !cov)
+                     && not (blocked i))
                    sorted
             && Unordered.covered_count u = List.length !cov)
           ops);

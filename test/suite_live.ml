@@ -8,17 +8,6 @@ module Live = Abcast_live.Runtime
 
 let basic = Factory.make Protocol.paper_basic
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abcast-live-%d-%d" (Unix.getpid ()) !counter)
-    in
-    d
-
 let with_live ?dir ~base_port stack f =
   match Live.create stack ~n:3 ~base_port ?dir () with
   | exception Unix.Unix_error (err, _, _) ->
@@ -66,7 +55,7 @@ let tests =
             in
             Alcotest.(check bool) "survivors deliver" true (await done_)));
     slow_test "live: real crash-recovery from files" (fun () ->
-        let dir = fresh_dir () in
+        with_temp_dir "abcast-live" @@ fun dir ->
         with_live ~dir ~base_port:7431 basic (fun live ->
             for j = 0 to 3 do
               Live.broadcast live ~node:(j mod 3) (Printf.sprintf "a%d" j)
@@ -95,7 +84,7 @@ let tests =
               (Live.delivered_data live 0)
               (Live.delivered_data live 2)));
     slow_test "live: alternative protocol with state transfer" (fun () ->
-        let dir = fresh_dir () in
+        with_temp_dir "abcast-live" @@ fun dir ->
         let stack =
           Factory.make
             {
@@ -359,7 +348,7 @@ let probe_tests =
   [
     slow_test "live: no frame or delivery leaves before the records behind it"
       (fun () ->
-        let dir = fresh_dir () in
+        with_temp_dir "abcast-live" @@ fun dir ->
         let node_dir i = Filename.concat dir (Printf.sprintf "node%d" i) in
         let probe = new_probe () in
         let deliveries = Atomic.make 0 in
@@ -377,9 +366,7 @@ let probe_tests =
           Printf.printf "skipping live test: %s\n" (Unix.error_message err)
         | live ->
           Fun.protect
-            ~finally:(fun () ->
-              Live.shutdown live;
-              Abcast_store.Durable.rm_rf dir)
+            ~finally:(fun () -> Live.shutdown live)
             (fun () ->
               for j = 0 to 19 do
                 Live.broadcast live ~node:(j mod 3) (Printf.sprintf "f%d" j)
@@ -482,11 +469,9 @@ let robustness_tests =
           (Atomic.get bad));
     slow_test "live: a raising event loop takes its node down, visibly"
       (fun () ->
-        let dir = fresh_dir () in
+        with_temp_dir "abcast-live" @@ fun dir ->
         let stack = raise_on_marker ~node:1 basic in
         with_live ~dir ~base_port:7691 stack (fun live ->
-            Fun.protect ~finally:(fun () -> Abcast_store.Durable.rm_rf dir)
-            @@ fun () ->
             let all_have k i = Live.delivered_count live i >= k in
             Live.broadcast live ~node:0 "a0";
             Alcotest.(check bool) "first delivery" true

@@ -407,15 +407,9 @@ let trace_tests =
 (* ---- lifecycle instrumentation on a seeded sim run ---- *)
 
 let with_dir f =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "abcast-obs-%d-%d" (Unix.getpid ()) (Random.int 100000))
-  in
+  with_temp_dir "abcast-obs" @@ fun d ->
   Unix.mkdir d 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d))))
-    (fun () -> f d)
+  f d
 
 let stage_tests =
   [

@@ -391,16 +391,9 @@ let sim_tests =
 
 (* --- live runtime: the issue's crash-recovery dedup scenario ---------- *)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (counter := !counter + 1;
-       Printf.sprintf "abcast-service-%d-%d" (Unix.getpid ()) !counter)
-
 let with_service ?(cfg = Service.default_config) ~base_port f =
-  match Service.create ~base_port ~dir:(fresh_dir ()) cfg with
+  with_temp_dir "abcast-service" @@ fun dir ->
+  match Service.create ~base_port ~dir cfg with
   | exception Unix.Unix_error (err, _, _) ->
     Alcotest.skip () |> ignore;
     Printf.printf "skipping live service test: %s\n" (Unix.error_message err)

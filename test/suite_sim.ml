@@ -101,18 +101,10 @@ let storage_tests =
         Alcotest.(check int) "keys" 0 (Storage.retained_keys s));
   ]
 
-let temp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "abcast-storage-%d-%d" (Unix.getpid ()) !counter)
-
 let storage_file_tests =
   [
     test "file backing: contents survive re-opening" (fun () ->
-        let dir = temp_dir () in
+        with_temp_dir "abcast-storage" @@ fun dir ->
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"cons/000000001/proposal" "hello";
@@ -127,7 +119,7 @@ let storage_file_tests =
           (Storage.read s2 "weird key /%\\0");
         Alcotest.(check int) "two keys" 2 (Storage.retained_keys s2));
     test "file backing: delete removes the file" (fun () ->
-        let dir = temp_dir () in
+        with_temp_dir "abcast-storage" @@ fun dir ->
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "1";
@@ -136,7 +128,7 @@ let storage_file_tests =
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         Alcotest.(check (option string)) "gone" None (Storage.read s2 "a"));
     test "file backing: overwrite persists the newest value" (fun () ->
-        let dir = temp_dir () in
+        with_temp_dir "abcast-storage" @@ fun dir ->
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "old";
@@ -145,7 +137,7 @@ let storage_file_tests =
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         Alcotest.(check (option string)) "new" (Some "new") (Storage.read s2 "a"));
     test "file backing: wipe clears the directory" (fun () ->
-        let dir = temp_dir () in
+        with_temp_dir "abcast-storage" @@ fun dir ->
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "1";
@@ -154,7 +146,7 @@ let storage_file_tests =
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         Alcotest.(check int) "empty" 0 (Storage.retained_keys s2));
     test "file backing: binary values roundtrip" (fun () ->
-        let dir = temp_dir () in
+        with_temp_dir "abcast-storage" @@ fun dir ->
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         let blob = Storage.encode (42, [ "x"; "y" ], 3.14) in
