@@ -117,7 +117,7 @@ let fixed_seed_tests =
 
 (* E9 basic episodes in which an idle cluster kept deciding a payload
    the gap rule always skips, until P3 caught two good processes one
-   round apart at quiescence (ROADMAP item 2). 753 failed before Paxos
+   round apart at quiescence. 753 failed before Paxos
    followers learned on accept; the others failed with that change
    before gap-skipped payloads were parked. *)
 let gap_skip_seed_tests =
