@@ -1,6 +1,7 @@
 module Engine = Abcast_sim.Engine
 module Storage = Abcast_sim.Storage
 module Metrics = Abcast_sim.Metrics
+module Flight = Abcast_sim.Flight
 open Consensus_intf
 
 let floor_key = "cons.floor"
@@ -33,18 +34,17 @@ module Make (C : Consensus_intf.S) = struct
   type t = {
     io : msg Engine.io;
     leader : Abcast_fd.Omega.t;
-    on_decide : int -> value -> unit;
-    on_lag : int -> unit;
+    on_ready : unit -> unit;
     on_behind : src:int -> unit;
     node : C.node; (* state the instances of this incarnation share *)
     instances : (int, C.t) Hashtbl.t;
     mutable floor : int;
-    mutable retired : int;
-        (* instances below it are settled here (truncated, or jumped past
-           by state transfer): their timers no longer fire *)
+    mutable cursor : int; (* the round counter [k]; no timers below it *)
+    mutable heard : int; (* the highest cursor a peer has reported *)
+    mutable probed : int; (* the last cursor instance [chase] probed *)
   }
 
-  let create io ~leader ~on_decide ~on_lag ~on_behind =
+  let create io ~leader ~on_ready ~on_behind =
     let floor =
       match Storage.read io.Engine.store floor_key with
       | Some s -> int_of_string s
@@ -53,13 +53,14 @@ module Make (C : Consensus_intf.S) = struct
     {
       io;
       leader;
-      on_decide;
-      on_lag;
+      on_ready;
       on_behind;
       node = C.node io;
       instances = Hashtbl.create 16;
       floor;
-      retired = floor;
+      cursor = 0;
+      heard = 0;
+      probed = -1;
     }
 
   let instance t k =
@@ -71,7 +72,7 @@ module Make (C : Consensus_intf.S) = struct
           (Engine.map_io (fun m -> Inst (k, m)) t.io) with
           after =
             (fun delay f ->
-              t.io.after delay (fun () -> if k >= t.retired then f ()));
+              t.io.after delay (fun () -> if k >= t.cursor then f ()));
         }
       in
       let created_at = t.io.now () in
@@ -80,9 +81,13 @@ module Make (C : Consensus_intf.S) = struct
           ~on_decide:(fun v ->
             (* instance lifetime on this node: from first local contact
                with instance [k] to its decision *)
+            let now = t.io.now () in
             Metrics.observe t.io.metrics ~node:t.io.self "cons.instance_us"
-              (float_of_int (t.io.now () - created_at));
-            t.on_decide k v)
+              (float_of_int (now - created_at));
+            Flight.record t.io.flight ~time:now ~node:t.io.self
+              ~group:t.io.group ~boot:t.io.incarnation ~stage:Flight.decide
+              ~trace:0 ~a:k ~b:(String.length v);
+            if k = t.cursor then t.on_ready ())
       in
       Hashtbl.add t.instances k c;
       c
@@ -103,10 +108,27 @@ module Make (C : Consensus_intf.S) = struct
 
   let decision t k = logged t k ~live:C.decision ~key:Keys.decision
 
-  let probe t k = if k >= t.floor && decision t k = None then C.probe (instance t k)
+  let cursor t = t.cursor
+
+  let seek t k = if k > t.cursor then t.cursor <- k
+
+  let hear t k = if k > t.heard then t.heard <- k
+
+  let behind t = t.heard > t.cursor
+
+  (* Only the node that completes an instance announces it, so a late or
+     lost announcement would stall the cursor until its instance's retry
+     tick. A peer past our cursor has decided the cursor's instance: ask
+     for it at once, once per instance. *)
+  let chase t =
+    let k = t.cursor in
+    if behind t && k <> t.probed then begin
+      t.probed <- k;
+      if k >= t.floor && decision t k = None then C.probe (instance t k)
+    end
 
   let handle t ~src = function
-    | Truncated { floor } -> t.on_lag floor
+    | Truncated { floor } -> hear t floor
     | Inst (k, m) ->
       if k < t.floor && decision t k = None then begin
         (* our own probe of an instance we truncated needs no answer *)
@@ -121,13 +143,13 @@ module Make (C : Consensus_intf.S) = struct
     Storage.keys_with_prefix t.io.store Keys.prefix
     |> List.filter_map (fun key ->
            match (Keys.field_of_key key, Keys.instance_of_key key) with
-           | Some "proposal", Some k -> Some k
+           | Some "proposal", Some k when k >= t.cursor && decision t k = None
+             ->
+             Option.map (fun v -> (k, v)) (proposal t k)
            | _ -> None)
     |> List.sort compare
 
   let floor t = t.floor
-
-  let retire t k = t.retired <- max t.retired k
 
   (* The floor record goes first: any prefix of the log that holds the
      retirement also holds the floor, so a recovered node never admits
@@ -144,6 +166,6 @@ module Make (C : Consensus_intf.S) = struct
         (fun i c -> if i < k then None else Some c)
         t.instances;
       t.floor <- k;
-      retire t k
+      seek t k
     end
 end

@@ -1,8 +1,10 @@
-(** Numbered consensus instances with idempotent [propose]/[decided].
+(** The ordered sequence of numbered consensus instances.
 
     The paper's broadcast layer runs one consensus per round [k]
-    (§4.1–§4.2). This functor wraps any {!Consensus_intf.S} implementation
-    into an instance manager that:
+    (§4.1–§4.2): propose to instance [k], wait for its decision, apply
+    it, then [k <- k + 1]. This functor wraps any {!Consensus_intf.S}
+    implementation into the owner of that sequence and its {e cursor}
+    [k], which:
 
     - routes wire messages [(k, m)] to instance [k], creating instances on
       demand (a recovering or late process may receive traffic for
@@ -14,7 +16,7 @@
     - supports {e truncation} of instances below a floor once the
       broadcast layer has checkpointed them (§5.1 line (c) / §5.2). A peer
       asking about a truncated instance is told [Truncated { floor }],
-      which the broadcast layer treats as a lag signal and resolves via
+      which the asker hears as a peer past its cursor and resolves via
       state transfer (§5.3). *)
 
 module Make (C : Consensus_intf.S) : sig
@@ -35,16 +37,16 @@ module Make (C : Consensus_intf.S) : sig
   val create :
     msg Abcast_sim.Engine.io ->
     leader:Abcast_fd.Omega.t ->
-    on_decide:(int -> Consensus_intf.value -> unit) ->
-    on_lag:(int -> unit) ->
+    on_ready:(unit -> unit) ->
     on_behind:(src:int -> unit) ->
     t
-  (** [on_decide k v] fires when instance [k] decides at this incarnation;
-      [on_lag floor] fires when a peer reports truncation below [floor];
-      [on_behind ~src] fires when {e this} process detects that peer [src]
-      is asking about an instance we truncated — the broadcast layer must
-      then push it a state transfer, or the peer could block forever
-      waiting for a consensus that no quorum can still run (§5.3). *)
+  (** A manager with its cursor at 0. [on_ready ()] fires when the
+      cursor's instance decides at this incarnation (every decision
+      records a [decide] flight event); [on_behind ~src] fires when
+      {e this} process detects that peer [src] is asking about an instance
+      we truncated — the broadcast layer must then push it a state
+      transfer, or the peer could block forever waiting for a consensus
+      that no quorum can still run (§5.3). *)
 
   val propose : t -> int -> Consensus_intf.value -> unit
   (** Idempotent propose to instance [k] (logs the initial value on first
@@ -58,26 +60,35 @@ module Make (C : Consensus_intf.S) : sig
   (** Decided value of instance [k]: the live instance's, else a read of
       stable storage (creating no instance). *)
 
-  val probe : t -> int -> unit
-  (** Ask the peers for instance [k]'s decision now
-      ({!Consensus_intf.S.probe}). Ignored below the truncation floor and
-      once [k] is decided here. *)
-
   val handle : t -> src:int -> msg -> unit
 
-  val logged_proposal_instances : t -> int list
-  (** All instance numbers with a logged proposal, ascending — the replay
-      procedure's iteration domain. *)
+  val logged_proposal_instances : t -> (int * Consensus_intf.value) list
+  (** Logged proposals of the undecided instances at or above the cursor,
+      ascending: what the replay procedure re-proposes. *)
+
+  val cursor : t -> int
+  (** The round counter [k]: the next instance the broadcast layer
+      applies. *)
+
+  val seek : t -> int -> unit
+  (** [seek t k] moves the cursor up to [k], never back (an applied
+      decision, a state-transfer jump, a checkpoint adopted at recovery;
+      {!truncate_below} seeks too). Instances below it run no timers. *)
+
+  val hear : t -> int -> unit
+  (** A peer reports its cursor at [k]. *)
+
+  val behind : t -> bool
+  (** A peer has reported a cursor past ours. *)
+
+  val chase : t -> unit
+  (** When {!behind}, ask the peers for the cursor's decision
+      ({!Consensus_intf.S.probe}), once per cursor instance; not below the
+      floor or once it is decided here. *)
 
   val floor : t -> int
   (** Lowest instance whose consensus state is still retained (0 if no
       truncation ever happened). *)
-
-  val retire : t -> int -> unit
-  (** [retire t k] settles the instances below [k] here: their pending
-      timers no longer fire. The broadcast layer calls it when its commit
-      cursor jumps forward (state transfer, or recovery adopting a
-      checkpoint at round [k]); {!truncate_below} retires too. *)
 
   val truncate_below : t -> int -> unit
   (** Discard all stable consensus state of instances [< k] and raise the

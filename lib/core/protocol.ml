@@ -270,19 +270,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     multi : M.t;
     mh : handles;
     size : msg -> int; (* this node's own one-slot msg_size memo *)
-    mutable committed : int;
-        (* the paper's round counter [k]: the next instance whose
-           decision we apply. Volatile — recovery re-derives it from the
-           checkpoint. Instances [committed .. committed + window) may
-           run concurrently and decide in any order; an early decision
-           waits in its instance, and decisions are applied strictly in
-           instance order. *)
     mutable agreed : Agreed.t;
     unordered : Unordered.t;
     stable : Stable.t;
     batch : Batch.writers; (* this node's proposal encoder *)
-    mutable gossip_k : int;
-    mutable probed_k : int; (* the last cursor instance [probe_cursor] probed *)
     mutable gossip_tick : int;
     mutable seq : int; (* local broadcast counter, volatile *)
     pending : pend Ptbl.t;
@@ -298,15 +289,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
            first delivery after it (the catch-up point); -1 otherwise *)
     mutable audit_tripped : bool; (* order-divergence sentinel, one-shot *)
   }
-
-  (* Jump the commit cursor forward to [k] (state transfer, or recovery
-     adopting a checkpoint at round [k]); the instances below it retire,
-     so their pending timers no longer fire. Never moves backwards. *)
-  let seek t k =
-    if k > t.committed then begin
-      t.committed <- k;
-      M.retire t.multi k
-    end
 
   let unordered_add t p = Unordered.add t.unordered ~vc:(Agreed.vc t.agreed) p
 
@@ -355,7 +337,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   (* Checkpointing (§5.1/§5.2): the record, then the consensus log's
      truncation, then the Unordered log's retirement. *)
   let checkpoint_now t =
-    Stable.checkpoint t.stable ~k:t.committed t.agreed t.unordered
+    Stable.checkpoint t.stable ~k:(M.cursor t.multi) t.agreed t.unordered
       ~truncate:(M.truncate_below t.multi)
 
   (* --- Sequencer (Fig. 2; windowed extension) ------------------------ *)
@@ -405,9 +387,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        skipped and every one eventually runs a consensus. A backlog wider
        than the bytes budget keeps the walk going: each further instance
        gets the still-uncovered suffix (pipelining). *)
-    let k = t.committed in
+    let k = M.cursor t.multi in
     let rec walk j =
-      if j < t.committed + t.cfg.window then
+      if j < M.cursor t.multi + t.cfg.window then
         match (M.decision t.multi j, M.proposal t.multi j) with
         | Some _, _ | None, Some _ -> walk (j + 1)
         | None, None ->
@@ -418,9 +400,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
              only decide a duplicate and waste a round's bytes. *)
           let backlog =
             Unordered.uncovered t.unordered ~vc:(Agreed.vc t.agreed)
-              ~committed:t.committed
+              ~committed:(M.cursor t.multi)
           in
-          let trigger = backlog <> [] || (j = k && t.gossip_k > k) in
+          let trigger = backlog <> [] || (j = k && M.behind t.multi) in
           if trigger then begin
             propose_at t j backlog;
             walk (j + 1)
@@ -460,25 +442,14 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           Metrics.incr t.io.metrics ~node:t.io.self "ab_gap_skips")
       (Batch.decode v);
     ring_settle t;
-    t.committed <- t.committed + 1;
+    M.seek t.multi (M.cursor t.multi + 1);
     if t.cfg.paranoid_log then checkpoint_now t
-
-  (* Only the node that completes an instance announces it, so a late
-     or lost Decide would stall the commit cursor until its instance's
-     retry tick. A peer that reports a cursor past ours has decided our
-     cursor's instance: probe it at once, once per instance. *)
-  let probe_cursor t =
-    let k = t.committed in
-    if t.gossip_k > k && k <> t.probed_k then begin
-      t.probed_k <- k;
-      M.probe t.multi k
-    end
 
   (* Apply every decision at the cursor, in instance order. [M.decision]
      reads the stable decision log for an instance this incarnation has
      not created yet, which is all recovery's replay needs. *)
   let rec apply_ready t =
-    match M.decision t.multi t.committed with
+    match M.decision t.multi (M.cursor t.multi) with
     | Some v ->
       apply_decision t v;
       apply_ready t
@@ -487,7 +458,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let drain_decisions t =
     apply_ready t;
     maybe_propose t;
-    probe_cursor t
+    M.chase t.multi
 
   (* --- State transfer (§5.3) ---------------------------------------- *)
 
@@ -495,7 +466,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      ships only the suffix it is missing. *)
   let send_state ?for_len t dst =
     let agreed = Stable.snapshot_for t.agreed ~for_len in
-    let m = State { k = t.committed; floor = M.floor t.multi; agreed } in
+    let m = State { k = M.cursor t.multi; floor = M.floor t.multi; agreed } in
     Metrics.add t.io.metrics ~node:t.io.self "state_bytes_sent" (t.size m);
     Metrics.incr t.io.metrics ~node:t.io.self "state_sent";
     t.io.send dst m
@@ -506,26 +477,26 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      donor re-sends against our fresher len. *)
   let on_state t ~src:_ ks ~floor (repr : Agreed.repr) =
     if
-      Stable.adoptable ~delta:t.cfg.delta ~committed:t.committed t.agreed
+      Stable.adoptable ~delta:t.cfg.delta ~committed:(M.cursor t.multi) t.agreed
         ~k:ks ~floor repr
     then begin
       (* The jump event excuses the skipped instances in the doctor's
          delivery-gap scan: adopted prefixes never saw local decides. *)
-      flight t ~stage:Flight.stjump ~trace:0 ~a:t.committed ~b:ks;
+      flight t ~stage:Flight.stjump ~trace:0 ~a:(M.cursor t.multi) ~b:ks;
       (* "Terminate task sequencer": in-flight decisions below [ks] are
          ignored from now on because the commit cursor jumps past them. *)
       List.iter (deliver_one t) (Stable.adopt t.stable t.agreed repr);
-      seek t ks;
+      M.seek t.multi ks;
       (* Drop everything the adopted prefix already ordered. *)
       Unordered.drop_if t.unordered (Agreed.contains t.agreed);
       ring_settle t;
-      Stable.persist_jump t.stable ~k:t.committed t.agreed;
+      Stable.persist_jump t.stable ~k:ks t.agreed;
       Metrics.incr t.io.metrics ~node:t.io.self "state_transfers_applied";
       drain_decisions t
     end
-    else if ks > t.committed then
+    else
       (* Small de-synchronization: treat like a gossip round hint. *)
-      t.gossip_k <- max t.gossip_k ks
+      M.hear t.multi ks
 
   (* --- Gossip task (§4.2; digest/pull optimization) ------------------ *)
 
@@ -557,7 +528,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     t.ring_pending <- [];
     if entries <> [] then begin
       let succ = (t.io.self + 1) mod t.io.n in
-      let k = t.committed and len = Agreed.total_len t.agreed in
+      let k = M.cursor t.multi and len = Agreed.total_len t.agreed in
       let send chunk =
         let m = Ring { k; len; entries = List.rev chunk } in
         count_gossip t ~copies:1 m;
@@ -609,7 +580,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       if full then
         Gossip
           {
-            k = t.committed;
+            k = M.cursor t.multi;
             len = Agreed.total_len t.agreed;
             unordered = Unordered.to_list t.unordered;
             cert;
@@ -617,7 +588,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       else
         Digest
           {
-            k = t.committed;
+            k = M.cursor t.multi;
             len = Agreed.total_len t.agreed;
             summary = Unordered.summary t.unordered;
             cert;
@@ -658,9 +629,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
      and Agreed length [len_q]: note how far the group has got, hand a
      peer lagging by more than Δ a State (§5.3), then drain. *)
   let on_peer_progress t ~src kq ~len_q =
-    if kq > t.committed then t.gossip_k <- max t.gossip_k kq;
+    M.hear t.multi kq;
     (match t.cfg.delta with
-    | Some delta when t.committed > kq + delta -> send_state ~for_len:len_q t src
+    | Some delta when M.cursor t.multi > kq + delta ->
+      send_state ~for_len:len_q t src
     | _ -> ());
     drain_decisions t
 
@@ -698,7 +670,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       let m =
         Gossip
           {
-            k = t.committed;
+            k = M.cursor t.multi;
             len = Agreed.total_len t.agreed;
             unordered = List.sort Payload.compare ps;
             cert = None;
@@ -750,7 +722,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     let t0 = t.io.now () in
     (match Stable.last_checkpoint t.stable with
     | Some (k, agreed) ->
-      seek t k;
+      M.seek t.multi k;
       t.agreed <- agreed;
       (* The upper layer is volatile: re-deliver the explicit tail so it
          rebuilds its state on top of the installed checkpoint. *)
@@ -758,9 +730,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | None -> ());
     Stable.restore t.stable t.agreed t.unordered;
     (* Replay: walk the consensus log upward from the checkpoint. *)
-    let k0 = t.committed in
+    let k0 = M.cursor t.multi in
     apply_ready t;
-    let rounds = t.committed - k0 in
+    let rounds = M.cursor t.multi - k0 in
     if rounds > 0 then
       Metrics.add t.io.metrics ~node:t.io.self "replay_rounds" rounds;
     let dt = t.io.now () - t0 in
@@ -770,17 +742,13 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        there can be several in flight (idempotent, P4) — and cover what
        they carry that is not ordered yet. *)
     List.iter
-      (fun j ->
-        if j >= t.committed && M.decision t.multi j = None then
-          match M.proposal t.multi j with
-          | Some v ->
-            List.iter
-              (fun (p : Payload.t) ->
-                if not (Agreed.contains t.agreed p.id) then
-                  Unordered.cover t.unordered j p.id)
-              (Batch.decode v);
-            M.propose t.multi j v
-          | None -> ())
+      (fun (j, v) ->
+        List.iter
+          (fun (p : Payload.t) ->
+            if not (Agreed.contains t.agreed p.id) then
+              Unordered.cover t.unordered j p.id)
+          (Batch.decode v);
+        M.propose t.multi j v)
       (M.logged_proposal_instances t.multi)
 
   let create ?app cfg io ~on_deliver =
@@ -796,17 +764,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       M.create
         (Engine.map_io (fun m -> Cons m) io)
         ~leader:(Omega.of_heartbeat hb)
-        ~on_decide:(fun k v ->
-          with_t (fun t ->
-              flight t ~stage:Flight.decide ~trace:0 ~a:k
-                ~b:(String.length v);
-              (* An out-of-order decision waits in its instance, where
-                 [M.decision] finds it; only a decision at the cursor
-                 lets the drain loop make progress. *)
-              if k = t.committed then drain_decisions t))
-        ~on_lag:(fun floor ->
-          with_t (fun t ->
-              if floor > t.committed then t.gossip_k <- max t.gossip_k floor))
+        ~on_ready:(fun () -> with_t drain_decisions)
         ~on_behind:(fun ~src -> with_t (fun t -> send_state t src))
     in
     let metrics = io.Engine.metrics in
@@ -841,15 +799,12 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         multi;
         mh;
         size = make_msg_size ();
-        committed = 0;
         agreed = Agreed.create ();
         unordered = Unordered.create ();
         stable =
           Stable.create io.Engine.store ~self ~boot:io.Engine.incarnation ~app
             ~early_return:cfg.early_return ~incremental:cfg.incremental;
         batch = Batch.writers ();
-        gossip_k = 0;
-        probed_k = -1;
         gossip_tick = 0;
         seq = 0;
         pending = Ptbl.create 32;
@@ -912,7 +867,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
   let handler = node_handler
 
-  let round t = t.committed
+  let round t = M.cursor t.multi
 
   let unordered_count t = Unordered.count t.unordered
 

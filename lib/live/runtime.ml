@@ -200,23 +200,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
     let node_dir =
       Option.map (fun d -> Filename.concat d (Printf.sprintf "node%d" nd.id)) dir
     in
-    let store =
-      match node_dir with
-      | Some d ->
-        Storage.create ~dir:d ~fsync ~flight:nd.flight ~flight_now:now_us
-          ~metrics ~node:nd.id ()
-      | None -> Storage.create ~metrics ~node:nd.id ()
-    in
-    (* Real boot counter: persisted, so identities survive restarts. *)
-    let incarnation =
-      match Storage.read store "sys/boot" with
-      | Some s -> int_of_string s
-      | None -> 0
-    in
-    Storage.write store ~layer:"sys" ~key:"sys/boot"
-      (string_of_int (incarnation + 1));
-    Flight.record nd.flight ~time:(now_us ()) ~node:nd.id ~group:0
-      ~boot:incarnation ~stage:Flight.boot ~trace:0 ~a:incarnation ~b:0;
     (* Persist the black box next to the WAL: periodically (so a SIGKILL
        loses at most the last second of events), on demand via
        [request_dump], and at loop exit. *)
@@ -259,118 +242,139 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       Wire.length dest_bufs.(0)
     in
     Array.iter (fun w -> Frame.start w ~src:nd.id) dest_bufs;
-    (* Whatever the node logged before a frame must be in the file
-       before the frame leaves: the WAL tail is written ahead of every
-       sendto. *)
-    let flush_dst dst =
-      let w = dest_bufs.(dst) in
-      let len = Wire.length w in
-      if len > hdr_len then begin
-        Storage.flush store;
-        (try ignore (Unix.sendto nd.sock (Wire.unsafe_bytes w) 0 len [] addrs.(dst))
-         with Unix.Unix_error _ -> () (* lossy channel *));
-        Metrics.hincr h_tx_datagrams;
-        Frame.start w ~src:nd.id
-      end
-    in
-    let flush_all () =
-      for dst = 0 to n - 1 do
-        flush_dst dst
-      done
-    in
-    (* Worst-case frame overhead: the length prefix (uvarint of a value
-       <= 65_000 takes at most 3 bytes). *)
-    let frame_overhead = 3 in
-    let push dst =
-      let w = dest_bufs.(dst) in
-      if Wire.length w + Wire.length msg_buf + frame_overhead > max_datagram
-      then flush_dst dst;
-      Frame.add dest_bufs.(dst) ~msg:msg_buf;
-      Metrics.hincr h_tx_frames
-    in
-    (* Encode once into [msg_buf]; false (and a loud drop) if the message
-       can never fit a datagram even alone. The protocol treats the drop
-       as loss; the counter and stderr line make the cause diagnosable. *)
-    let encode_current (msg : P.msg) =
-      Wire.clear msg_buf;
-      P.write_msg msg_buf msg;
-      if Wire.length msg_buf + hdr_len + frame_overhead > max_datagram then begin
-        Metrics.hincr h_tx_oversize;
-        Printf.eprintf
-          "abcast-live node %d: dropping oversize message (%d bytes > %d \
-           limit)\n\
-           %!"
-          nd.id (Wire.length msg_buf) max_datagram;
-        false
-      end
-      else true
-    in
-    (* Frames to ourselves never touch the socket: [send self] and the
-       self copy of a multisend queue the message value in this FIFO,
-       and [ship] hands them to the handler before every flush. A
-       growable array ring: once it has reached its high-water size,
-       queueing allocates nothing (a popped slot keeps its message until
-       the ring laps it). *)
-    let self_ring = ref [||] in
-    let self_head = ref 0 in
-    let self_len = ref 0 in
-    let push_self (msg : P.msg) =
-      let cap = Array.length !self_ring in
-      if !self_len = cap then begin
-        let ring = Array.make (max 16 (2 * cap)) msg in
-        for i = 0 to cap - 1 do
-          ring.(i) <- !self_ring.((!self_head + i) mod cap)
-        done;
-        self_ring := ring;
-        self_head := 0
-      end;
-      let ring = !self_ring in
-      ring.((!self_head + !self_len) mod Array.length ring) <- msg;
-      incr self_len
-    in
-    let send dst (msg : P.msg) =
-      if dst = nd.id then push_self msg else if encode_current msg then push dst
-    in
-    let io : P.msg Engine.io =
-      {
-        self = nd.id;
-        n;
-        group = 0;
-        incarnation;
-        now = now_us;
-        send;
-        multisend =
-          (fun m ->
-            push_self m;
-            if n > 1 && encode_current m then
-              for dst = 0 to n - 1 do
-                if dst <> nd.id then push dst
-              done);
-        after =
-          (fun delay fn ->
-            incr timer_seq;
-            let timer = Engine.Timer.make fn in
-            Heap.push timers (now_us () + delay, !timer_seq, timer);
-            timer);
-        store;
-        rng = Rng.create ((nd.id * 7919) + incarnation);
-        metrics;
-        flight = nd.flight;
-        alarm =
-          (* Safety sentinel: scream on stderr, bump the counter and dump
-             the flight ring immediately — the evidence must hit disk
-             before any operator reaction (or a panicked SIGKILL). *)
-          (fun reason ->
-            Metrics.incr metrics ~node:nd.id "alarms";
-            Printf.eprintf "abcast-live node %d: ALARM: %s\n%!" nd.id reason;
-            dump_flight ());
-      }
-    in
-    (* An exception out of the stack ends the node as a crash would, but
-       loudly: a flight event, one stderr line, the node marked down and
-       its death counted, so [is_up] and [call] do not wait on a zombie. *)
+    (* An exception out of the boot (the store's opening included) or the
+       stack ends the node as a crash would, but loudly: a flight event,
+       one stderr line, the node marked down and its death counted, so
+       [is_up] and [call] do not wait on a zombie. *)
+    let boot = ref 0 and opened = ref None in
     let died =
       match
+      let store =
+        match node_dir with
+        | Some d ->
+          Storage.create ~dir:d ~fsync ~flight:nd.flight ~flight_now:now_us
+            ~metrics ~node:nd.id ()
+        | None -> Storage.create ~metrics ~node:nd.id ()
+      in
+      opened := Some store;
+      (* Real boot counter: persisted, so identities survive restarts. *)
+      let incarnation =
+        match Storage.read store "sys/boot" with
+        | Some s -> int_of_string s
+        | None -> 0
+      in
+      boot := incarnation;
+      Storage.write store ~layer:"sys" ~key:"sys/boot"
+        (string_of_int (incarnation + 1));
+      Flight.record nd.flight ~time:(now_us ()) ~node:nd.id ~group:0
+        ~boot:incarnation ~stage:Flight.boot ~trace:0 ~a:incarnation ~b:0;
+      (* Whatever the node logged before a frame must be in the file
+         before the frame leaves: the WAL tail is written ahead of every
+         sendto. *)
+      let flush_dst dst =
+        let w = dest_bufs.(dst) in
+        let len = Wire.length w in
+        if len > hdr_len then begin
+          Storage.flush store;
+          (try ignore (Unix.sendto nd.sock (Wire.unsafe_bytes w) 0 len [] addrs.(dst))
+           with Unix.Unix_error _ -> () (* lossy channel *));
+          Metrics.hincr h_tx_datagrams;
+          Frame.start w ~src:nd.id
+        end
+      in
+      let flush_all () =
+        for dst = 0 to n - 1 do
+          flush_dst dst
+        done
+      in
+      (* Worst-case frame overhead: the length prefix (uvarint of a value
+         <= 65_000 takes at most 3 bytes). *)
+      let frame_overhead = 3 in
+      let push dst =
+        let w = dest_bufs.(dst) in
+        if Wire.length w + Wire.length msg_buf + frame_overhead > max_datagram
+        then flush_dst dst;
+        Frame.add dest_bufs.(dst) ~msg:msg_buf;
+        Metrics.hincr h_tx_frames
+      in
+      (* Encode once into [msg_buf]; false (and a loud drop) if the message
+         can never fit a datagram even alone. The protocol treats the drop
+         as loss; the counter and stderr line make the cause diagnosable. *)
+      let encode_current (msg : P.msg) =
+        Wire.clear msg_buf;
+        P.write_msg msg_buf msg;
+        if Wire.length msg_buf + hdr_len + frame_overhead > max_datagram then begin
+          Metrics.hincr h_tx_oversize;
+          Printf.eprintf
+            "abcast-live node %d: dropping oversize message (%d bytes > %d \
+             limit)\n\
+             %!"
+            nd.id (Wire.length msg_buf) max_datagram;
+          false
+        end
+        else true
+      in
+      (* Frames to ourselves never touch the socket: [send self] and the
+         self copy of a multisend queue the message value in this FIFO,
+         and [ship] hands them to the handler before every flush. A
+         growable array ring: once it has reached its high-water size,
+         queueing allocates nothing (a popped slot keeps its message until
+         the ring laps it). *)
+      let self_ring = ref [||] in
+      let self_head = ref 0 in
+      let self_len = ref 0 in
+      let push_self (msg : P.msg) =
+        let cap = Array.length !self_ring in
+        if !self_len = cap then begin
+          let ring = Array.make (max 16 (2 * cap)) msg in
+          for i = 0 to cap - 1 do
+            ring.(i) <- !self_ring.((!self_head + i) mod cap)
+          done;
+          self_ring := ring;
+          self_head := 0
+        end;
+        let ring = !self_ring in
+        ring.((!self_head + !self_len) mod Array.length ring) <- msg;
+        incr self_len
+      in
+      let send dst (msg : P.msg) =
+        if dst = nd.id then push_self msg else if encode_current msg then push dst
+      in
+      let io : P.msg Engine.io =
+        {
+          self = nd.id;
+          n;
+          group = 0;
+          incarnation;
+          now = now_us;
+          send;
+          multisend =
+            (fun m ->
+              push_self m;
+              if n > 1 && encode_current m then
+                for dst = 0 to n - 1 do
+                  if dst <> nd.id then push dst
+                done);
+          after =
+            (fun delay fn ->
+              incr timer_seq;
+              let timer = Engine.Timer.make fn in
+              Heap.push timers (now_us () + delay, !timer_seq, timer);
+              timer);
+          store;
+          rng = Rng.create ((nd.id * 7919) + incarnation);
+          metrics;
+          flight = nd.flight;
+          alarm =
+            (* Safety sentinel: scream on stderr, bump the counter and dump
+               the flight ring immediately — the evidence must hit disk
+               before any operator reaction (or a panicked SIGKILL). *)
+            (fun reason ->
+              Metrics.incr metrics ~node:nd.id "alarms";
+              Printf.eprintf "abcast-live node %d: ALARM: %s\n%!" nd.id reason;
+              dump_flight ());
+        }
+      in
       (* An upcall can acknowledge a client: the records behind the
          delivery reach the file first. *)
       let p =
@@ -522,18 +526,18 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync
       | () -> false
       | exception e ->
         Flight.record nd.flight ~time:(now_us ()) ~node:nd.id ~group:0
-          ~boot:incarnation ~stage:Flight.loop_died ~trace:0 ~a:0 ~b:0;
+          ~boot:!boot ~stage:Flight.loop_died ~trace:0 ~a:0 ~b:0;
         Printf.eprintf "abcast-live node %d: event loop died: %s\n%!" nd.id
           (Printexc.to_string e);
         true
     in
-    flush_all ();
     dump_flight ();
     (* Flush and release the durable backend: a clean shutdown must not
        lose the tail the fsync policy was still holding back. A dead loop
        is marked down only once the backend is released, so a recovery
-       never opens the log under it. *)
-    Storage.close store;
+       never opens the log under it. A dying pass's unsent frames are
+       lost, as in a crash. *)
+    Option.iter Storage.close !opened;
     Mutex.protect nd.mutex (fun () ->
         nd.ops <- None;
         if died then begin
@@ -728,6 +732,15 @@ let serve_metrics t port =
   in
   t.metrics_threads <- th :: t.metrics_threads
 
+(* Wait until the node's loop publishes its operations or dies booting. *)
+let await_boot ~deadline nd =
+  while
+    Mutex.protect nd.mutex (fun () -> nd.ops = None && nd.running)
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.yield ()
+  done
+
 let create proto ~n ?(base_port = 7400) ?dir ?backend:(_ : [ `Wal ] = `Wal)
     ?(fsync = Abcast_store.Durable.Every { ops = 64; ms = 20 })
     ?(flight_cap = 8192) ?(on_deliver = fun ~node:_ ~group:_ _ -> ())
@@ -738,14 +751,8 @@ let create proto ~n ?(base_port = 7400) ?dir ?backend:(_ : [ `Wal ] = `Wal)
   for i = 0 to n - 1 do
     t.start_node i
   done;
-  (* wait for every loop to publish its operations *)
   let deadline = Unix.gettimeofday () +. 5.0 in
-  Array.iter
-    (fun nd ->
-      while nd.ops = None && Unix.gettimeofday () < deadline do
-        Thread.yield ()
-      done)
-    t.nodes;
+  Array.iter (await_boot ~deadline) t.nodes;
   (match metrics_port with Some port -> serve_metrics t port | None -> ());
   t
 
@@ -788,11 +795,7 @@ let crash t i =
 let recover t i =
   if not (is_up t i) then begin
     t.start_node i;
-    let nd = t.nodes.(i) in
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    while nd.ops = None && Unix.gettimeofday () < deadline do
-      Thread.yield ()
-    done
+    await_boot ~deadline:(Unix.gettimeofday () +. 5.0) t.nodes.(i)
   end
 
 let broadcast ?group t ~node data =

@@ -251,6 +251,8 @@ let sync t = on_wal t Wal.sync
 
 let close t = on_wal t Wal.close
 
+let set_wal_failpoint t point = on_wal t (fun w -> Wal.set_failpoint w point)
+
 let wal_stats t =
   match t.backend with Memory _ -> None | Logged w -> Some (Wal.stats w.wal)
 

@@ -112,6 +112,9 @@ val close : t -> unit
     instance must not be written afterwards (the live runtime closes a
     node's storage when its event loop exits). *)
 
+val set_wal_failpoint : t -> string option -> unit
+(** {!Abcast_store.Wal.set_failpoint} on the WAL (test-only). *)
+
 val wal_stats : t -> Abcast_store.Wal.stats option
 (** The WAL's counters ([None] for a memory store). *)
 

@@ -1,26 +1,24 @@
-(* CRC-32 (IEEE), reflected form, one 256-entry table computed at first
-   use. The checksum lives in an int masked to 32 bits. *)
+(* CRC-32 (IEEE), reflected form, one 256-entry table computed at module
+   initialisation, before any thread can read it. The checksum lives in
+   an int masked to 32 bits. *)
 
 let poly = 0xEDB88320
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := (!c lsr 1) lxor poly else c := !c lsr 1
-         done;
-         !c))
+  let rec entry c bit =
+    if bit = 8 then c
+    else entry (if c land 1 = 1 then (c lsr 1) lxor poly else c lsr 1) (bit + 1)
+  in
+  Array.init 256 (fun n -> entry n 0)
 
-let update_byte table crc b =
+let update_byte crc b =
   let idx = (crc lxor b) land 0xff in
   Array.unsafe_get table idx lxor (crc lsr 8)
 
 let run get len off =
-  let table = Lazy.force table in
   let crc = ref 0xFFFF_FFFF in
   for i = off to off + len - 1 do
-    crc := update_byte table !crc (get i)
+    crc := update_byte !crc (get i)
   done;
   !crc lxor 0xFFFF_FFFF
 

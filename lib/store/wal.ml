@@ -2,13 +2,6 @@ module Wire = Abcast_util.Wire
 
 exception Injected_crash of string
 
-let failpoint : string option ref = ref None
-
-let check_failpoint name =
-  match !failpoint with
-  | Some n when String.equal n name -> raise (Injected_crash name)
-  | _ -> ()
-
 type stats = {
   appends : int;
   writes : int;
@@ -53,7 +46,15 @@ type t = {
   mutable compactions : int;
   mutable recovered : int;
   mutable torn : int;
+  mutable failpoint : string option; (* test-only crash injection *)
 }
+
+let check_failpoint t name =
+  match t.failpoint with
+  | Some n when String.equal n name -> raise (Injected_crash name)
+  | _ -> ()
+
+let set_failpoint t point = t.failpoint <- point
 
 (* ---- segment naming ---- *)
 
@@ -190,10 +191,10 @@ let compact t =
   Durable.fsync_fd fd;
   t.fsyncs <- t.fsyncs + 1;
   Unix.close fd;
-  check_failpoint "compact-before-rename";
+  check_failpoint t "compact-before-rename";
   Sys.rename tmp snap_path;
   Durable.fsync_dir t.dir;
-  check_failpoint "compact-after-rename";
+  check_failpoint t "compact-after-rename";
   (* The snapshot is durable and, thanks to its leading Reset record,
      replay-dominant over everything older: stale segments can now go,
      in any order, crash or no crash. *)
@@ -419,6 +420,7 @@ let open_ ?(segment_bytes = 1 lsl 20)
       compactions = 0;
       recovered = 0;
       torn = 0;
+      failpoint = None;
     }
   in
   let entries = Sys.readdir dir in

@@ -175,10 +175,10 @@ val current_segment : t -> string
 
 exception Injected_crash of string
 
-val failpoint : string option ref
-(** When set to [Some "compact-before-rename"] or
-    [Some "compact-after-rename"], {!compact} raises {!Injected_crash}
-    at that point, simulating a process killed mid-compaction. The
-    instance must then be discarded and the directory re-opened — which
-    is exactly what the crash-fidelity tests assert recovers cleanly.
-    Never set outside tests. *)
+val set_failpoint : t -> string option -> unit
+(** With [Some "compact-before-rename"] or [Some "compact-after-rename"],
+    this instance's {!compact} raises {!Injected_crash} at that point,
+    simulating a process killed mid-compaction. The instance must then
+    be discarded and the directory re-opened — which is exactly what the
+    crash-fidelity tests assert recovers cleanly. Never set outside
+    tests. *)

@@ -232,8 +232,6 @@ module Multi_suite (C : Intf.S) = struct
   let multi_rig ?(n = 3) ?(seed = 1) ?(on_behind = fun _ ~src:_ -> ()) () =
   let eng = Engine.create ~seed ~n () in
   let nodes = Array.make n None in
-  let decisions = Array.make n [] in
-  let lags = Array.make n [] in
   let leader () =
     let rec first i = if Engine.is_up eng i then i else first (i + 1) in
     first 0
@@ -241,22 +239,19 @@ module Multi_suite (C : Intf.S) = struct
   for i = 0 to n - 1 do
     Engine.set_behavior eng i (fun io ->
         let m =
-          M.create io ~leader
-            ~on_decide:(fun k v -> decisions.(i) <- (k, v) :: decisions.(i))
-            ~on_lag:(fun f -> lags.(i) <- f :: lags.(i))
-            ~on_behind:(on_behind i)
+          M.create io ~leader ~on_ready:ignore ~on_behind:(on_behind i)
         in
         nodes.(i) <- Some m;
         M.handle m)
   done;
   Engine.start_all eng;
   let node i = match nodes.(i) with Some m -> m | None -> assert false in
-  (eng, node, decisions, lags)
+  (eng, node)
 
   let tests name =
     [
     test (name ^ " multi: instances are independent") (fun () ->
-        let eng, node, _, _ = multi_rig () in
+        let eng, node = multi_rig () in
         for k = 0 to 3 do
           for i = 0 to 2 do
             M.propose (node i) k (Printf.sprintf "k%d-v%d" k i)
@@ -281,14 +276,22 @@ module Multi_suite (C : Intf.S) = struct
               [ 1; 2 ])
           [ 0; 1; 2; 3 ]);
     test (name ^ " multi: logged_proposal_instances lists proposals") (fun () ->
-        let eng, node, _, _ = multi_rig () in
+        (* the undecided ones at or above the cursor: alone, node 0
+           decides nothing *)
+        let eng, node = multi_rig () in
+        Engine.crash eng 1;
+        Engine.crash eng 2;
         M.propose (node 0) 0 "a";
         M.propose (node 0) 2 "c";
         Engine.run eng ~until:1_000;
-        Alcotest.(check (list int)) "instances" [ 0; 2 ]
+        let logged = Alcotest.(list (pair int string)) in
+        Alcotest.check logged "instances" [ (0, "a"); (2, "c") ]
+          (M.logged_proposal_instances (node 0));
+        M.seek (node 0) 1;
+        Alcotest.check logged "below the cursor" [ (2, "c") ]
           (M.logged_proposal_instances (node 0)));
     test (name ^ " multi: truncate_below raises the floor and drops state") (fun () ->
-        let eng, node, _, _ = multi_rig () in
+        let eng, node = multi_rig () in
         for k = 0 to 2 do
           for i = 0 to 2 do
             M.propose (node i) k "v"
@@ -307,7 +310,7 @@ module Multi_suite (C : Intf.S) = struct
         M.propose (node 0) 0 "zombie";
         Alcotest.(check (option string)) "ignored" None (M.proposal (node 0) 0));
     test (name ^ " multi: truncated peer reports lag to the asker") (fun () ->
-        let eng, node, _, lags = multi_rig ~seed:3 () in
+        let eng, node = multi_rig ~seed:3 () in
         (* decide instance 0 while node 2 is down *)
         Engine.crash eng 2;
         for i = 0 to 1 do
@@ -323,10 +326,12 @@ module Multi_suite (C : Intf.S) = struct
         Engine.run eng ~until:(Engine.now eng + 50_000);
         Engine.recover eng 2;
         Engine.at eng (Engine.now eng + 100) (fun () -> M.propose (node 2) 0 "late");
-        let lagged () = lags.(2) <> [] in
+        let lagged () = M.behind (node 2) in
         Alcotest.(check bool) "lag reported" true
           (Engine.run_until eng ~until:20_000_000 ~pred:lagged ());
-        Alcotest.(check bool) "floor carried" true (List.mem 1 lags.(2)));
+        (* the hint is the peers' floor: a cursor there is behind no more *)
+        M.seek (node 2) 1;
+        Alcotest.(check bool) "floor carried" false (M.behind (node 2)));
     test (name ^ " multi: an instance jumped past stops probing") (fun () ->
         (* Node 2 logs a proposal for instance 0 and crashes; the others
            decide and truncate it. Recovered, node 2 re-proposes it, hears
@@ -334,7 +339,7 @@ module Multi_suite (C : Intf.S) = struct
            transfer does). From then on the instance must fall silent:
            every probe of it costs its peers a State. *)
         let probes = ref 0 in
-        let eng, node, _, lags =
+        let eng, node =
           multi_rig ~seed:9 ~on_behind:(fun _ ~src -> if src = 2 then incr probes) ()
         in
         M.propose (node 2) 0 "late";
@@ -359,8 +364,8 @@ module Multi_suite (C : Intf.S) = struct
         M.propose (node 2) 0 "late";
         Alcotest.(check bool) "lag reported" true
           (Engine.run_until eng ~until:(Engine.now eng + 1_000_000)
-             ~pred:(fun () -> lags.(2) <> []) ());
-        M.retire (node 2) (List.hd lags.(2));
+             ~pred:(fun () -> M.behind (node 2)) ());
+        M.seek (node 2) 3;
         (* let the probes already in flight land, then listen for two
            seconds: a retry period of ~10 ms would send ~200 more *)
         Engine.run eng ~until:(Engine.now eng + 100_000);
@@ -368,7 +373,7 @@ module Multi_suite (C : Intf.S) = struct
         Engine.run eng ~until:(Engine.now eng + 2_000_000);
         Alcotest.(check int) "probes after the jump" 0 !probes);
     test (name ^ " multi: decisions persist across recovery") (fun () ->
-        let eng, node, _, _ = multi_rig ~seed:5 () in
+        let eng, node = multi_rig ~seed:5 () in
         for i = 0 to 2 do
           M.propose (node i) 0 "v"
         done;
@@ -393,7 +398,7 @@ module Multi_paxos = Multi_suite (Abcast_consensus.Paxos)
 let paxos_term_failover seed =
   let module Paxos = Abcast_consensus.Paxos in
   let module M = Multi_paxos.M in
-  let eng, node, _, _ = Multi_paxos.multi_rig ~seed () in
+  let eng, node = Multi_paxos.multi_rig ~seed () in
   let insts = [ 1; 2; 3; 4 ] in
   let run_to what pred =
     if not (Engine.run_until eng ~until:(Engine.now eng + 20_000_000) ~pred ())
@@ -480,8 +485,8 @@ module Fanout (C : Intf.S) = struct
     for i = 0 to n - 1 do
       Engine.set_behavior eng i (fun io ->
           let m =
-            M.create io ~leader:(fun () -> 0) ~on_decide:(fun _ _ -> ())
-              ~on_lag:ignore ~on_behind:(fun ~src:_ -> ())
+            M.create io ~leader:(fun () -> 0) ~on_ready:ignore
+              ~on_behind:(fun ~src:_ -> ())
           in
           nodes.(i) <- Some m;
           fun ~src msg ->
@@ -653,7 +658,7 @@ let multi_tests =
       test "paxos multi: a node does not answer its own probe below its floor"
         (fun () ->
           let behind = ref [] in
-          let eng, node, _, _ =
+          let eng, node =
             Multi_paxos.multi_rig
               ~on_behind:(fun i ~src -> behind := (i, src) :: !behind)
               ()

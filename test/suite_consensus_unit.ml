@@ -608,9 +608,7 @@ module Log_agreement (C : Abcast_consensus.Consensus_intf.S) = struct
     let p = probe () in
     let boot () =
       M.create p.io ~leader:(Abcast_fd.Omega.fixed 0)
-        ~on_decide:(fun _ _ -> ())
-        ~on_lag:ignore
-        ~on_behind:(fun ~src:_ -> ())
+        ~on_ready:ignore ~on_behind:(fun ~src:_ -> ())
     in
     let m = ref (boot ()) in
     let rng = Rng.create 7 in
@@ -649,12 +647,53 @@ end
 module Paxos_log = Log_agreement (Paxos)
 module Coord_log = Log_agreement (Coord)
 
+(* [chase] asks for the cursor's decision only when a peer has reported
+   a cursor past ours, and once per cursor instance however often the
+   hint repeats. *)
+let chase_test () =
+  let module M = Abcast_consensus.Multi.Make (Paxos) in
+  let p = probe ~self:1 () in
+  let m =
+    M.create p.io ~leader:(Abcast_fd.Omega.fixed 0) ~on_ready:ignore
+      ~on_behind:(fun ~src:_ -> ())
+  in
+  (* the instances whose Query left, one entry per multisend *)
+  let queried () =
+    List.filter_map
+      (fun (dst, msg) ->
+        match msg with M.Inst (k, Paxos.Query) when dst = 0 -> Some k | _ -> None)
+      (take_sent p)
+  in
+  let check what expect =
+    Alcotest.(check (list int)) what expect (queried ())
+  in
+  M.chase m;
+  M.hear m 0;
+  M.chase m;
+  check "not behind" [];
+  M.hear m 3;
+  M.chase m;
+  M.hear m 4;
+  M.chase m;
+  M.chase m;
+  check "one query for the cursor's instance" [ 0 ];
+  M.seek m 1;
+  M.handle m ~src:2 (M.Truncated { floor = 5 });
+  M.chase m;
+  M.chase m;
+  check "one more once the cursor moves" [ 1 ];
+  M.seek m 5;
+  M.chase m;
+  check "caught up with every hint" []
+
 let multi_tests =
   [
     test "multi over paxos: proposal and decision equal the log at every step"
       (Paxos_log.run ~decide:(fun v -> Paxos.Decide { v }) ~query:Paxos.Query);
     test "multi over coord: proposal and decision equal the log at every step"
       (Coord_log.run ~decide:(fun v -> Coord.Decide { v }) ~query:Coord.Query);
+    test "multi: repeated hints past the cursor send one query per instance"
+      chase_test;
   ]
 
 let suite = ("consensus-unit", paxos_tests @ coord_tests @ multi_tests)

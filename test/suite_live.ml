@@ -499,6 +499,33 @@ let robustness_tests =
               (await (fun () -> List.for_all (all_have 3) [ 0; 1; 2 ]));
             Alcotest.(check (list string)) "same order"
               (Live.delivered_data live 0) (Live.delivered_data live 1)));
+    slow_test "live: a node whose store fails to open dies visibly"
+      (fun () ->
+        with_temp_dir "abcast-live" @@ fun dir ->
+        (* a directory where node 1's first WAL segment belongs: the
+           store's recovery cannot read it *)
+        let node1 = Filename.concat dir "node1" in
+        Abcast_store.Durable.mkdir_p (Filename.concat node1 "wal-0000000001.log");
+        let t0 = Unix.gettimeofday () in
+        with_live ~dir ~base_port:7695 basic (fun live ->
+            Alcotest.(check bool) "down within 1 s" true
+              (await ~timeout:1.0 (fun () -> not (Live.is_up live 1)));
+            Alcotest.(check bool) "create did not wait on it" true
+              (Unix.gettimeofday () -. t0 < 1.0);
+            Alcotest.(check int) "one death counted" 1 (Live.loop_deaths live 1);
+            let dump =
+              In_channel.with_open_bin
+                (Filename.concat node1 "flight.bin")
+                In_channel.input_all
+            in
+            match Abcast_sim.Flight.load_string dump with
+            | Ok d ->
+              Alcotest.(check bool) "flight.bin holds the death" true
+                (List.exists
+                   (fun (e : Abcast_sim.Flight.event) ->
+                     e.e_stage = Abcast_sim.Flight.loop_died)
+                   d.d_events)
+            | Error e -> Alcotest.fail e));
   ]
 
 let suite = ("live", tests @ probe_tests @ robustness_tests)

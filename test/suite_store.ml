@@ -439,13 +439,10 @@ let compaction_crash_test point =
               Del "c";
             ];
           let expect = bindings w in
-          Wal.failpoint := Some point;
-          Fun.protect
-            ~finally:(fun () -> Wal.failpoint := None)
-            (fun () ->
-              match Wal.compact w with
-              | () -> Alcotest.fail "failpoint did not fire"
-              | exception Wal.Injected_crash _ -> ());
+          Wal.set_failpoint w (Some point);
+          (match Wal.compact w with
+          | () -> Alcotest.fail "failpoint did not fire"
+          | exception Wal.Injected_crash _ -> ());
           (* the crashed instance is dead; a fresh open is the recovery *)
           let w2 = Wal.open_ ~dir:d () in
           Alcotest.check kv_list "state preserved" expect (bindings w2);
@@ -669,9 +666,7 @@ let multi_over store =
     }
   in
   let m =
-    Multi.create io ~leader:(Abcast_fd.Omega.fixed 1)
-      ~on_decide:(fun _ _ -> ())
-      ~on_lag:ignore
+    Multi.create io ~leader:(Abcast_fd.Omega.fixed 1) ~on_ready:ignore
       ~on_behind:(fun ~src:_ -> ())
   in
   (m, sent)
@@ -772,14 +767,11 @@ let retirement_tests =
                    compaction threshold of 64 000 dead bytes and half
                    the log *)
                 let m = populate ~pad:8_000 store in
-                Wal.failpoint := Some point;
+                Storage.set_wal_failpoint store (Some point);
                 let crashed =
-                  Fun.protect
-                    ~finally:(fun () -> Wal.failpoint := None)
-                    (fun () ->
-                      match Multi.truncate_below m retired_below with
-                      | () -> false
-                      | exception Wal.Injected_crash _ -> true)
+                  match Multi.truncate_below m retired_below with
+                  | () -> false
+                  | exception Wal.Injected_crash _ -> true
                 in
                 Alcotest.(check bool)
                   (point ^ ": the retirement compacted")
