@@ -294,14 +294,15 @@ and rejected t b =
 
 let probe t = if t.decided = None then t.io.multisend Query
 
-(* The retry tick of an undecided instance; [decide] cancels it. *)
+(* The retry tick of an undecided instance; [decide] cancels it, and a
+   [start] that decided at once (n = 1 under a held term) leaves none. *)
 let rec tick t =
   (match t.proposal with
   | Some v when t.leader () = t.io.self -> start t v
   | _ ->
     t.node.term <- No_term;
     probe t);
-  next_tick t
+  if t.decided = None then next_tick t
 
 and next_tick t =
   let jitter = Rng.int t.io.rng (retry_period / 2 + 1) in

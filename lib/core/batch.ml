@@ -1,21 +1,8 @@
 module Wire = Abcast_util.Wire
 
-(* For unsorted input, walk the compacted sorted array straight into the
-   writer — no list rebuild between sort and encode. *)
 let encode payloads : Abcast_consensus.Consensus_intf.value =
-  let w = Wire.writer ~cap:1024 () in
-  if Payload.sorted_distinct payloads then begin
-    Wire.write_uvarint w (List.length payloads);
-    List.iter (Payload.write w) payloads
-  end
-  else begin
-    let arr, m = Payload.sorted_array payloads in
-    Wire.write_uvarint w m;
-    for i = 0 to m - 1 do
-      Payload.write w (Array.unsafe_get arr i)
-    done
-  end;
-  Wire.contents w
+  Wire.to_string ~cap:1024 (Wire.write_list Payload.write)
+    (Payload.sort_batch payloads)
 
 (* A proposer's two writers keep their high-water-mark allocation across
    calls, so a proposal costs one output-string allocation and zero

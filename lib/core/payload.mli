@@ -35,19 +35,10 @@ val compare : t -> t -> int
 (** Orders by {!compare_id} (payload bytes never influence order). *)
 
 val sort_batch : t list -> t list
-(** Sort a decided batch by identity and drop duplicate identities — the
-    deterministic insertion rule of Fig. 2. *)
-
-val sorted_distinct : t list -> bool
-(** True iff already strictly ascending by identity — the
-    {!sort_batch} fast path, exposed so encoders can skip the array
-    round-trip for protocol-built (incrementally sorted) batches. *)
-
-val sorted_array : t list -> t array * int
-(** [sorted_array batch] is {!sort_batch} as a compacted array: sorted
-    by identity with duplicates dropped, valid in the first [m] slots of
-    the returned array. The batch must be non-empty. Lets the batch
-    encoder walk the sorted result without rebuilding a list. *)
+(** Sort a batch by identity and drop every later duplicate of an id —
+    the deterministic insertion rule of Fig. 2, for arbitrary input. The
+    protocol's own batches come out of {!Unordered} already in this
+    order. *)
 
 (** {2 Wire codec} — three zigzag varints for the identity, then the
     data length shifted left one with the trace-presence flag in the low

@@ -1,25 +1,25 @@
 (* A Hashtbl, because most operations are point lookups, adds and
-   removes, one of each per payload per process; the sorted view is
-   built on demand and memoized. (An always-sorted functional map made
-   every add/remove pay a log-rebalance plus allocation; the profile
-   showed that tax dwarfing the occasional sort.) *)
+   removes, one of each per payload per process. Identity order is read
+   off the stream records by walking each stream's seqs, so nothing is
+   sorted and nothing is memoized. *)
 
 module Ptbl = Payload.Id_tbl
 
 type stream = {
+  mutable low : int;
+      (* no seq below it is held: [add] lowers it, the walk raises it to
+         the lowest held seq *)
   mutable contig : int;
-      (* every seq <= contig is delivered or held; the walk resumes here,
+      (* every seq <= contig is delivered or held; the scan resumes here,
          so each seq is stepped over at most once per incarnation *)
   mutable maxseen : int;
 }
 
 type t = {
   tbl : Payload.t Ptbl.t;
-  mutable sorted : Payload.t list option;
-      (* exact while [sorted_len] is the table size, a superset after
-         removals, stale after an add *)
-  mutable sorted_len : int;
   streams : (int * int, stream) Hashtbl.t;
+  mutable order : (int * int * stream) list;
+      (* the same records, by descending (origin, boot) *)
   covered : int Ptbl.t;
   parked : unit Ptbl.t;
 }
@@ -27,9 +27,8 @@ type t = {
 let create () =
   {
     tbl = Ptbl.create 64;
-    sorted = None;
-    sorted_len = 0;
     streams = Hashtbl.create 16;
+    order = [];
     covered = Ptbl.create 64;
     parked = Ptbl.create 8;
   }
@@ -38,7 +37,7 @@ let mem t id = Ptbl.mem t.tbl id
 let find_opt t id = Ptbl.find_opt t.tbl id
 let count t = Ptbl.length t.tbl
 
-(* Everything below the delivery frontier is covered, so the walk
+(* Everything below the delivery frontier is covered, so the scan
    starts there at the latest and probes only held ids. *)
 let advance t s ~vc ~origin ~boot =
   let rec go c =
@@ -48,19 +47,27 @@ let advance t s ~vc ~origin ~boot =
   s.contig <- go (max s.contig (Vclock.next_seq vc ~origin ~boot - 1));
   s.contig
 
+(* Streams are created rarely (one per origin incarnation), so a list
+   insertion keeps [order] sorted. *)
+let rec insert ((o, b, _) as e) = function
+  | ((o', b', _) as e') :: rest when o' > o || (o' = o && b' > b) ->
+    e' :: insert e rest
+  | l -> e :: l
+
 let add t ~vc (p : Payload.t) =
   if not (Ptbl.mem t.tbl p.id) then begin
     Ptbl.replace t.tbl p.id p;
-    t.sorted <- None;
     let { Payload.origin; boot; seq } = p.id in
     let s =
       match Hashtbl.find t.streams (origin, boot) with
       | s ->
         if seq > s.maxseen then s.maxseen <- seq;
+        if seq < s.low then s.low <- seq;
         s
       | exception Not_found ->
-        let s = { contig = -1; maxseen = seq } in
+        let s = { low = seq; contig = -1; maxseen = seq } in
         Hashtbl.add t.streams (origin, boot) s;
+        t.order <- insert (origin, boot, s) t.order;
         s
     in
     ignore (advance t s ~vc ~origin ~boot)
@@ -76,20 +83,28 @@ let drop_if t f =
   Ptbl.filter_map_inplace (fun id j -> if f id then None else Some j) t.covered;
   Ptbl.filter_map_inplace (fun id () -> if f id then None else Some ()) t.parked
 
-let to_list t =
-  let live = Ptbl.length t.tbl in
-  match t.sorted with
-  | Some l when t.sorted_len = live -> l
-  | memo ->
-    let l =
-      match memo with
-      | Some l -> List.filter (fun (p : Payload.t) -> Ptbl.mem t.tbl p.id) l
-      | None ->
-        Payload.sort_batch (Ptbl.fold (fun _ p acc -> p :: acc) t.tbl [])
-    in
-    t.sorted <- Some l;
-    t.sorted_len <- live;
-    l
+(* Every held id lies in its stream's [low .. maxseen]. Streams are
+   walked by descending (origin, boot) and each from [maxseen] down,
+   consing, so the held payloads [keep] accepts come out in ascending
+   identity order. *)
+let walk t keep =
+  List.fold_left
+    (fun acc (origin, boot, s) ->
+      let low = s.low in
+      let rec go seq lowest acc =
+        if seq < low then begin
+          s.low <- lowest;
+          acc
+        end
+        else
+          match Ptbl.find t.tbl { Payload.origin; boot; seq } with
+          | p -> go (seq - 1) seq (if keep p then p :: acc else acc)
+          | exception Not_found -> go (seq - 1) lowest acc
+      in
+      go s.maxseen (s.maxseen + 1) acc)
+    [] t.order
+
+let to_list t = walk t (fun _ -> true)
 
 (* O(streams) per gossip tick instead of a fold over the set; a peer
    that pulls an advertised but since-delivered seq gets no reply and
@@ -140,15 +155,10 @@ let still_parked t ~vc ({ Payload.origin; boot; seq } as id) =
      end
 
 let uncovered t ~vc ~committed =
-  let l = to_list t in
-  if Ptbl.length t.covered = 0 && Ptbl.length t.parked = 0 then l
-  else
-    List.filter
-      (fun (p : Payload.t) ->
-        (match Ptbl.find t.covered p.id with
-        | j -> j < committed
-        | exception Not_found -> true)
-        && not (still_parked t ~vc p.id))
-      l
+  walk t (fun (p : Payload.t) ->
+      (match Ptbl.find t.covered p.id with
+      | j -> j < committed
+      | exception Not_found -> true)
+      && not (still_parked t ~vc p.id))
 
 let covered_count t = Ptbl.length t.covered

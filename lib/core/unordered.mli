@@ -1,9 +1,10 @@
 (** The sequencer's [Unordered] set (§4.2, Fig. 2): the payloads a
     process holds but has not seen ordered. Each fact is held once: the
-    payloads by identity (with a memoized identity-sorted view), one
-    record per [(origin, boot)] stream (the highest seq ever admitted
-    and the covered watermark), and one coverage map, id → the instance
-    this process proposed it in, plus the ids parked after a gap skip.
+    payloads by identity, one record per [(origin, boot)] stream (the
+    highest seq ever admitted, a bound below which no seq is held, and
+    the covered watermark), and one coverage map, id → the instance this
+    process proposed it in, plus the ids parked after a gap skip.
+    Identity order is read off the stream records, never sorted.
     Nothing here touches storage: logging the set is {!Stable}'s, the
     window walk {!Protocol}'s.
 
@@ -29,8 +30,10 @@ val drop_if : t -> (Payload.id -> bool) -> unit
 (** {!remove} every held or covered id the predicate accepts. *)
 
 val to_list : t -> Payload.t list
-(** The set sorted by identity. Removals only re-filter the memo; an
-    add rebuilds it on the next call. *)
+(** The set in identity order: the streams by [(origin, boot)], each
+    probed for every seq from the lowest it may hold up to the highest
+    it admitted. Nothing is sorted or kept between calls; the call
+    raises each stream's lower bound to its lowest held seq. *)
 
 val summary : t -> (int * int * int) list
 (** [(origin, boot, max seq ever admitted)] per stream: the digest. A
@@ -56,7 +59,8 @@ val uncovered : t -> vc:Vclock.t -> committed:int -> Payload.t list
 (** {!to_list} without the ids covered at an instance [>= committed]:
     a commit or a cursor jump uncovers ids without touching the map.
     A parked id is left out too, until every smaller seq of its stream
-    is delivered (in [vc]) or held. *)
+    is delivered (in [vc]) or held. One walk, as {!to_list}'s, filters
+    each held id as it visits it. *)
 
 val covered_count : t -> int
 (** Entries in the coverage map, committed instances included. *)

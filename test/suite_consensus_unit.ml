@@ -347,7 +347,29 @@ let paxos_tests =
         Paxos.propose d "theirs";
         Alcotest.(check int) "learner: a retry tick is live" 1 (live_timers q);
         Paxos.handle d ~src:0 (Paxos.Decide { v = "mine" });
-        Alcotest.(check int) "learner: no live timer" 0 (live_timers q));
+        Alcotest.(check int) "learner: no live timer" 0 (live_timers q);
+        (* n = 1: the term instance 0 opens lets instance 1 decide inside
+           the tick its propose runs, which must not re-arm itself *)
+        let s = probe ~n:1 () in
+        let node = Paxos.node s.io in
+        let decided = ref [] in
+        let inst k =
+          Paxos.create s.io ~node ~instance:k ~leader:self_leader
+            ~on_decide:(fun v -> decided := (k, v) :: !decided)
+        in
+        let c0 = inst 0 in
+        Paxos.propose c0 "a";
+        (match sent_prepares (take_sent s) with
+        | [ (0, b) ] ->
+          Paxos.handle c0 ~src:0
+            (Paxos.Promise { b; accepted = None; above = [] })
+        | _ -> Alcotest.fail "expected one prepare");
+        Alcotest.(check int) "n = 1, phase 1: no live timer" 0 (live_timers s);
+        Paxos.propose (inst 1) "b";
+        Alcotest.(check (list (pair int string))) "n = 1: both decided"
+          [ (1, "b"); (0, "a") ] !decided;
+        Alcotest.(check int) "n = 1, held term: no live timer" 0
+          (live_timers s));
     test "paxos: a leader ignores an Accepted its own Decide covered" (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "mine";
