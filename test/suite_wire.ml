@@ -559,6 +559,71 @@ let rejection_tests =
           [ (0, 1); (1, 1); (-1, 1); (63, 1); (64, 2); (max_int, 9) ]);
   ]
 
+(* --- Exact wire vectors ------------------------------------------------ *)
+
+(* One pinned encoding per constructor of the stack's message type, so a
+   layer that wraps another's messages cannot add or move a byte unseen:
+   the round-trip properties above hold for any consistent format, these
+   only for this one (DESIGN.md "Wire format"). *)
+let vector_tests =
+  let hex s =
+    String.concat ""
+      (List.map
+         (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq s)))
+  in
+  let pay ?(trace = Trace_ctx.none) origin seq data =
+    Payload.make ~trace { Payload.origin; boot = 1; seq } data
+  in
+  let traced = pay ~trace:(Trace_ctx.make ~node:2 ~stamp:5) 2 0 "cd" in
+  let agreed =
+    let a = Agreed.create () in
+    ignore (Agreed.append a (pay 0 0 "x"));
+    Agreed.snapshot a
+  in
+  let vectors =
+    [
+      ( "gossip",
+        P.Gossip
+          {
+            k = 3;
+            len = 7;
+            unordered = [ pay 1 2 "ab"; traced ];
+            cert = Some { Audit.c_boot = 1; c_len = 7; c_hash = 0xbeef };
+          },
+        "00060e020202040461620402000563640205010107effd02" );
+      ( "digest",
+        P.Digest
+          { k = 3; len = 7; summary = [ (1, 1, 2); (2, 1, 0) ]; cert = None },
+        "01060e0202020404020000" );
+      ( "need",
+        P.Need { ids = [ { Payload.origin = 1; boot = 1; seq = 1 } ] },
+        "0201020202" );
+      ( "state",
+        P.State { k = 4; floor = 2; agreed },
+        "03080400000001000200010002000278" );
+      ( "cons",
+        P.Cons (P.M.Inst (5, Paxos.Accept { b = 1; v = "v" })),
+        "04000a03020176" );
+      ("fd", P.Fd (Heartbeat.Beat { epoch = 2 }), "0504");
+      ( "ring",
+        P.Ring { k = 3; len = 7; entries = [ (2, pay 1 2 "ab") ] },
+        "06060e0102020204046162" );
+    ]
+  in
+  [
+    test "every protocol message encodes to its pinned bytes" (fun () ->
+        List.iter
+          (fun (name, m, expected) ->
+            let s = P.encode_msg m in
+            Alcotest.(check string) name expected (hex s);
+            Alcotest.(check int)
+              (name ^ " size") (String.length s) (P.msg_size m);
+            Alcotest.(check bool) (name ^ " decodes") true
+              (Option.map P.encode_msg (P.decode_msg s) = Some s))
+          vectors);
+  ]
+
 (* --- End-to-end equivalence sweep ------------------------------------ *)
 
 (* Wrap a stack so every message is encoded and re-decoded through the
@@ -654,7 +719,7 @@ let equivalence_tests =
 
 let suite =
   ( "wire",
-    rejection_tests @ equivalence_tests @ audit_tests
+    vector_tests @ rejection_tests @ equivalence_tests @ audit_tests
     @ List.map QCheck_alcotest.to_alcotest
         (roundtrip_props @ audit_props @ envelope_props @ kv_props
        @ truncation_props) )
