@@ -93,7 +93,8 @@ let batch_marshal_bench =
 module PB = Abcast_core.Protocol.Make (Abcast_consensus.Paxos)
 
 let bench_msg =
-  PB.Gossip { k = 12; len = 40; unordered = bench_payloads; cert = None }
+  PB.Dissem
+    (Gossip { k = 12; len = 40; unordered = bench_payloads; cert = None })
 
 let msg_wire_bench =
   Test.make ~name:"protocol msg roundtrip, wire codec (gossip)"

@@ -1,5 +1,9 @@
 module Wire = Abcast_util.Wire
 
+(* Bytes budget for one proposal's payload bodies (the adaptive batch is
+   the whole backlog, cut at this bound) and for one ring message. *)
+let max_bytes = 24_000
+
 let encode payloads : Abcast_consensus.Consensus_intf.value =
   Wire.to_string ~cap:1024 (Wire.write_list Payload.write)
     (Payload.sort_batch payloads)

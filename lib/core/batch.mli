@@ -6,6 +6,10 @@
     equal byte strings regardless of insertion order — which matters for
     the idempotent re-propose after recovery (property P4). *)
 
+val max_bytes : int
+(** Bytes budget (24 000) for one proposal's payload bodies and for one
+    ring message's entries. *)
+
 val encode : Payload.t list -> Abcast_consensus.Consensus_intf.value
 
 type writers

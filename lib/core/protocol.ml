@@ -71,22 +71,6 @@ let throughput =
     gossip_full_every = 32;
   }
 
-(* Bytes budget for one proposal's payload bodies (the adaptive batch is
-   the whole backlog, cut at this bound) and for one ring message. *)
-let max_batch_bytes = 24_000
-
-(* How many missing ids one digest exchange pulls — the repair path's
-   flow control. An uncapped pull turns the first digest of a large
-   burst into a storm: every receiver asks every peer for the whole
-   backlog that the primary dissemination path (ring or full gossip) is
-   already carrying, and each peer answers with a duplicate copy.
-   Anything past the cap is pulled on a later tick, so repair throughput
-   stays bounded but positive. *)
-let need_cap = 128
-
-(* Coalescing delay before forwarding ring entries to the successor. *)
-let ring_flush_us = 400
-
 let validate c =
   let reject what = invalid_arg ("Protocol.config: " ^ what) in
   if c.window < 1 then reject "window must be >= 1";
@@ -96,56 +80,19 @@ let validate c =
 module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   module M = Abcast_consensus.Multi.Make (C)
 
+  (* Dissemination's messages ride under [Dissem] with no byte of their
+     own: the tag space is split between this reader (3, 4 and 5) and
+     {!Dissem.read_tagged} (every other tag, so 0, 1, 2 and 6). *)
   type msg =
-    | Gossip of {
-        k : int;
-        len : int;
-        unordered : Payload.t list;
-        cert : Audit.cert option;
-      }
-    | Digest of {
-        k : int;
-        len : int;
-        summary : (int * int * int) list;
-        cert : Audit.cert option;
-      }
-    | Need of { ids : Payload.id list }
+    | Dissem of Dissem.msg
     | State of { k : int; floor : int; agreed : Agreed.repr }
     | Cons of M.msg
     | Fd of Heartbeat.msg
-    | Ring of { k : int; len : int; entries : (int * Payload.t) list }
-        (** payload batch travelling around the ring; each entry carries
-            its remaining hop count *)
 
   (* --- Wire codec --------------------------------------------------- *)
 
-  let write_summary_entry w (origin, boot, smax) =
-    Wire.write_varint w origin;
-    Wire.write_varint w boot;
-    Wire.write_varint w smax
-
-  let read_summary_entry r =
-    let origin = Wire.read_varint r in
-    let boot = Wire.read_varint r in
-    let smax = Wire.read_varint r in
-    (origin, boot, smax)
-
   let write_msg w = function
-    | Gossip { k; len; unordered; cert } ->
-      Wire.write_u8 w 0;
-      Wire.write_varint w k;
-      Wire.write_varint w len;
-      Wire.write_list Payload.write w unordered;
-      Wire.write_option Audit.write_cert w cert
-    | Digest { k; len; summary; cert } ->
-      Wire.write_u8 w 1;
-      Wire.write_varint w k;
-      Wire.write_varint w len;
-      Wire.write_list write_summary_entry w summary;
-      Wire.write_option Audit.write_cert w cert
-    | Need { ids } ->
-      Wire.write_u8 w 2;
-      Wire.write_list Payload.write_id w ids
+    | Dissem m -> Dissem.write_msg w m
     | State { k; floor; agreed } ->
       Wire.write_u8 w 3;
       Wire.write_varint w k;
@@ -157,31 +104,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | Fd m ->
       Wire.write_u8 w 5;
       Heartbeat.write_msg w m
-    | Ring { k; len; entries } ->
-      Wire.write_u8 w 6;
-      Wire.write_varint w k;
-      Wire.write_varint w len;
-      Wire.write_list
-        (fun w (hops, p) ->
-          Wire.write_uvarint w hops;
-          Payload.write w p)
-        w entries
 
   let read_msg r =
     match Wire.read_u8 r with
-    | 0 ->
-      let k = Wire.read_varint r in
-      let len = Wire.read_varint r in
-      let unordered = Payload.read_list r in
-      let cert = Wire.read_option Audit.read_cert r in
-      Gossip { k; len; unordered; cert }
-    | 1 ->
-      let k = Wire.read_varint r in
-      let len = Wire.read_varint r in
-      let summary = Wire.read_list read_summary_entry r in
-      let cert = Wire.read_option Audit.read_cert r in
-      Digest { k; len; summary; cert }
-    | 2 -> Need { ids = Wire.read_list Payload.read_id r }
     | 3 ->
       let k = Wire.read_varint r in
       let floor = Wire.read_varint r in
@@ -189,48 +114,16 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       State { k; floor; agreed }
     | 4 -> Cons (M.read_msg r)
     | 5 -> Fd (Heartbeat.read_msg r)
-    | 6 ->
-      let k = Wire.read_varint r in
-      let len = Wire.read_varint r in
-      let entries =
-        Wire.read_list
-          (fun r ->
-            let hops = Wire.read_uvarint r in
-            let p = Payload.read r in
-            (hops, p))
-          r
-      in
-      Ring { k; len; entries }
-    | t -> Wire.error "protocol: bad message tag %d" t
+    | tag -> Dissem (Dissem.read_tagged tag r)
 
   let encode_msg m = Wire.to_string write_msg m
 
   let decode_msg s = Wire.of_string_opt read_msg s
 
-  (* One-slot memo keyed by physical equality: a multisend hands the same
-     message value to [Engine.transmit] once per destination, so the
-     first transmit serializes it and the other n-1 hit the slot. Each
-     call to [make_msg_size] builds an independent memo (own slot, own
-     scratch buffer) so consumers never evict each other's entry: the
-     engine reads the stack-level [msg_size] below, while each node's
-     own accounting (gossip, state bytes) goes through its [t.size] — it
-     does not warm the slot the engine reads. *)
-  let make_msg_size () =
-    let memo : (msg * int) option ref = ref None in
-    let scratch = Wire.writer ~cap:256 () in
-    fun (m : msg) ->
-      match !memo with
-      | Some (m', s) when m' == m -> s
-      | _ ->
-        Wire.clear scratch;
-        write_msg scratch m;
-        let s = Wire.length scratch in
-        memo := Some (m, s);
-        s
-
-  (* The engine-facing instance (one per stack value, fed to
-     [Engine.create]). *)
-  let msg_size = make_msg_size ()
+  (* The engine-facing size memo (one per stack value, fed to
+     [Engine.create]). Each node accounts its own sends through memos
+     of its own ([t.size], {!Dissem}'s), so it never warms this slot. *)
+  let msg_size = Wire.sizer write_msg
 
   (* Lifecycle record of one locally-broadcast message, from A-broadcast
      to local A-delivery (volatile — lost on crash like [pending] always
@@ -248,15 +141,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   type handles = {
     h_delivered : Metrics.handle;
     h_broadcasts : Metrics.handle;
-    h_rx_gossip : Metrics.handle;
-    h_rx_digest : Metrics.handle;
-    h_rx_need : Metrics.handle;
     h_rx_state : Metrics.handle;
     h_rx_cons : Metrics.handle;
     h_rx_fd : Metrics.handle;
-    h_rx_ring : Metrics.handle;
-    h_gossip_msgs : Metrics.handle;
-    h_gossip_bytes : Metrics.handle;
     s_lat_deliver : Histogram.t;
     s_stage_b2p : Histogram.t;
     s_stage_p2d : Histogram.t;
@@ -269,28 +156,18 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     hb : Heartbeat.t;
     multi : M.t;
     mh : handles;
-    size : msg -> int; (* this node's own one-slot msg_size memo *)
+    size : msg -> int; (* this node's own one-slot size memo *)
     mutable agreed : Agreed.t;
     unordered : Unordered.t;
     stable : Stable.t;
     batch : Batch.writers; (* this node's proposal encoder *)
-    mutable gossip_tick : int;
+    dissem : Dissem.t;
     mutable seq : int; (* local broadcast counter, volatile *)
     pending : pend Ptbl.t;
-    mutable ring_pending : (int * Payload.t) list;
-        (* entries awaiting the next coalesced forward to our successor,
-           in reverse arrival order *)
-    mutable ring_timer : Engine.Timer.t;
-        (* the next coalesced forward; cancelled once every entry it
-           would carry is delivered *)
-    mutable ring_due : int; (* when [ring_timer] is (or was) due *)
     mutable catchup_t0 : int;
         (* io.now at construction once [recover] finished, until the
            first delivery after it (the catch-up point); -1 otherwise *)
-    mutable audit_tripped : bool; (* order-divergence sentinel, one-shot *)
   }
-
-  let unordered_add t p = Unordered.add t.unordered ~vc:(Agreed.vc t.agreed) p
 
   (* --- Delivery ----------------------------------------------------- *)
 
@@ -353,7 +230,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        paper's idempotence requires; the excluded suffix stays in
        [Unordered] for the next instance of the window. *)
     let value, batch =
-      Batch.encode_sorted_bounded t.batch ~max_bytes:max_batch_bytes backlog
+      Batch.encode_sorted_bounded t.batch ~max_bytes:Batch.max_bytes backlog
     in
     (* First time one of our own messages enters a proposal: close the
        batching-delay stage. The [p_proposed < 0] guard keeps re-proposals
@@ -410,19 +287,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     in
     walk k
 
-  (* A flush whose every entry is delivered has nothing left to carry:
-     cancel it. *)
-  let ring_settle t =
-    if
-      Engine.Timer.pending t.ring_timer
-      && List.for_all
-           (fun (_, (p : Payload.t)) -> Agreed.contains t.agreed p.id)
-           t.ring_pending
-    then begin
-      Engine.Timer.cancel t.ring_timer;
-      t.ring_pending <- []
-    end
-
   let apply_decision t v =
     List.iter
       (fun (p : Payload.t) ->
@@ -441,7 +305,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           Unordered.park t.unordered p.id;
           Metrics.incr t.io.metrics ~node:t.io.self "ab_gap_skips")
       (Batch.decode v);
-    ring_settle t;
+    Dissem.settle t.dissem;
     M.seek t.multi (M.cursor t.multi + 1);
     if t.cfg.paranoid_log then checkpoint_now t
 
@@ -489,7 +353,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       M.seek t.multi ks;
       (* Drop everything the adopted prefix already ordered. *)
       Unordered.drop_if t.unordered (Agreed.contains t.agreed);
-      ring_settle t;
+      Dissem.settle t.dissem;
       Stable.persist_jump t.stable ~k:ks t.agreed;
       Metrics.incr t.io.metrics ~node:t.io.self "state_transfers_applied";
       drain_decisions t
@@ -498,187 +362,16 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       (* Small de-synchronization: treat like a gossip round hint. *)
       M.hear t.multi ks
 
-  (* --- Gossip task (§4.2; digest/pull optimization) ------------------ *)
-
-  (* Byte accounting of the gossip layer proper — kept whether or not the
-     engine counts wire bytes, so experiments can compare dissemination
-     strategies directly. *)
-  let count_gossip t ~copies m =
-    Metrics.hadd t.mh.h_gossip_msgs copies;
-    Metrics.hadd t.mh.h_gossip_bytes (copies * t.size m)
-
-  (* --- Ring dissemination -------------------------------------------- *)
-
-  (* Payloads travel around the ring once: the origin enqueues n-1 hops,
-     every receiver forwards with one hop less. Entries are coalesced for
-     [ring_flush_us] before the (single) send to our successor, and split
-     into messages that respect the bytes budget. Crashed successors tear
-     the ring — the digest/pull gossip keeps running underneath as the
-     repair path, so liveness never depends on an intact ring. *)
-  let ring_entry_cost (p : Payload.t) = String.length p.data + 16
-
-  let rec ring_flush t =
-    (* a payload decided while it waited gains nothing from the hop *)
-    let entries =
-      List.fold_left
-        (fun acc ((_, (p : Payload.t)) as e) ->
-          if Agreed.contains t.agreed p.id then acc else e :: acc)
-        [] t.ring_pending
-    in
-    t.ring_pending <- [];
-    if entries <> [] then begin
-      let succ = (t.io.self + 1) mod t.io.n in
-      let k = M.cursor t.multi and len = Agreed.total_len t.agreed in
-      let send chunk =
-        let m = Ring { k; len; entries = List.rev chunk } in
-        count_gossip t ~copies:1 m;
-        t.io.send succ m
-      in
-      let rec chunked cost acc = function
-        | [] -> if acc <> [] then send acc
-        | ((_, p) as e) :: rest ->
-          let c = ring_entry_cost p in
-          if acc <> [] && cost + c > max_batch_bytes then begin
-            send acc;
-            chunked c [ e ] rest
-          end
-          else chunked (cost + c) (e :: acc) rest
-      in
-      chunked 0 [] entries
-    end
-
-  and ring_enqueue t hops (p : Payload.t) =
-    if t.cfg.dissemination = `Ring && hops > 0 && t.io.n > 1 then begin
-      t.ring_pending <- (hops, p) :: t.ring_pending;
-      if not (Engine.Timer.pending t.ring_timer) then begin
-        (* A flush cancelled before its due time keeps its slot: what is
-           queued meanwhile leaves when it would have left. *)
-        let now = t.io.now () in
-        if t.ring_due <= now then t.ring_due <- now + ring_flush_us;
-        t.ring_timer <- t.io.after (t.ring_due - now) (fun () -> ring_flush t)
-      end
-    end
-
-  (* The order certificate riding every gossip tick when the audit is
-     on. One small option allocation per periodic tick — never on the
-     per-payload path — and ~1 byte on the wire when absent. *)
-  let cert_now t =
-    if t.cfg.audit then
-      Some
-        {
-          Audit.c_boot = t.io.incarnation;
-          c_len = Agreed.total_len t.agreed;
-          c_hash = Agreed.chain t.agreed;
-        }
-    else None
-
-  let rec gossip_loop t =
-    t.gossip_tick <- t.gossip_tick + 1;
-    let full = t.gossip_tick mod t.cfg.gossip_full_every = 0 in
-    let cert = cert_now t in
-    let m =
-      if full then
-        Gossip
-          {
-            k = M.cursor t.multi;
-            len = Agreed.total_len t.agreed;
-            unordered = Unordered.to_list t.unordered;
-            cert;
-          }
-      else
-        Digest
-          {
-            k = M.cursor t.multi;
-            len = Agreed.total_len t.agreed;
-            summary = Unordered.summary t.unordered;
-            cert;
-          }
-    in
-    count_gossip t ~copies:t.io.n m;
-    t.io.multisend m;
-    ignore (t.io.after t.cfg.gossip_period (fun () -> gossip_loop t))
-
-  (* The sentinel: compare a peer's order certificate against our own
-     chain at the same delivery position. Positions outside our window
-     (too far ahead, or already slid past) prove nothing and are skipped;
-     an overlap with a different hash is a total-order violation — the
-     one thing the paper's protocol must never allow — so it trips the
-     alarm (live: immediate flight dump) exactly once per boot. *)
-  let audit_check t ~src cert =
-    match cert with
-    | None -> ()
-    | Some (c : Audit.cert) -> (
-      if t.cfg.audit then
-        match Agreed.chain_at t.agreed c.c_len with
-        | None -> ()
-        | Some h ->
-          if h <> c.c_hash then begin
-            Metrics.incr t.io.metrics ~node:t.io.self "audit_diverged";
-            if not t.audit_tripped then begin
-              t.audit_tripped <- true;
-              flight t ~stage:Flight.audit ~trace:0 ~a:c.c_len ~b:src;
-              t.io.alarm
-                (Printf.sprintf
-                   "audit: delivery order diverged from node %d (boot %d) \
-                    at len %d in group %d: local chain %x, remote %x"
-                   src c.c_boot c.c_len t.io.group h c.c_hash)
-            end
-          end)
-
-  (* Every dissemination message carries the sender's decided count [kq]
-     and Agreed length [len_q]: note how far the group has got, hand a
+  (* Every dissemination message carries the sender's decided count [k]
+     and Agreed length [len]: note how far the group has got, hand a
      peer lagging by more than Δ a State (§5.3), then drain. *)
-  let on_peer_progress t ~src kq ~len_q =
-    M.hear t.multi kq;
+  let on_peer_progress t ~src ~k ~len =
+    M.hear t.multi k;
     (match t.cfg.delta with
-    | Some delta when M.cursor t.multi > kq + delta ->
-      send_state ~for_len:len_q t src
+    | Some delta when M.cursor t.multi > k + delta ->
+      send_state ~for_len:len t src
     | _ -> ());
     drain_decisions t
-
-  (* Admit one disseminated payload to Unordered. [stage] names the path
-     it came by in the flight recorder; [hops] is what is left of its
-     ring journey (0 for gossip, which forwards nothing). *)
-  let admit t ~src ~stage ~hops (p : Payload.t) =
-    if not (Agreed.contains t.agreed p.id) then begin
-      if p.trace <> 0 && not (Unordered.mem t.unordered p.id) then
-        flight t ~stage ~trace:p.trace ~a:src ~b:0;
-      unordered_add t p;
-      ring_enqueue t hops p
-    end
-
-  (* A digest names, per stream, the highest seq the sender has held
-     unordered. Everything below it that we neither delivered nor hold is
-     a candidate gap: pull exactly those. The sender replies with the
-     subset it actually has, as a regular payload gossip — at most
-     [need_cap] ids per digest. *)
-  let on_digest t ~src kq ~len_q summary =
-    let missing =
-      Unordered.missing t.unordered ~vc:(Agreed.vc t.agreed) ~cap:need_cap
-        summary
-    in
-    if missing <> [] then begin
-      let m = Need { ids = missing } in
-      count_gossip t ~copies:1 m;
-      t.io.send src m
-    end;
-    on_peer_progress t ~src kq ~len_q
-
-  let on_need t ~src ids =
-    let ps = List.filter_map (Unordered.find_opt t.unordered) ids in
-    if ps <> [] then begin
-      let m =
-        Gossip
-          {
-            k = M.cursor t.multi;
-            len = Agreed.total_len t.agreed;
-            unordered = List.sort Payload.compare ps;
-            cert = None;
-          }
-      in
-      count_gossip t ~copies:1 m;
-      t.io.send src m
-    end
 
   (* --- A-broadcast --------------------------------------------------- *)
 
@@ -707,12 +400,12 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     let p = { Payload.id; data; trace } in
     if trace <> 0 then
       flight t ~stage:Flight.bcast ~trace ~a:seq ~b:(String.length data);
-    unordered_add t p;
+    Unordered.add t.unordered ~vc:(Agreed.vc t.agreed) p;
     Ptbl.replace t.pending id
       { p_t0 = t.io.now (); p_proposed = -1; p_cb = on_agreed };
     Metrics.hincr t.mh.h_broadcasts;
     Stable.log_add t.stable t.unordered p;
-    ring_enqueue t (t.io.n - 1) p;
+    Dissem.forward t.dissem p;
     maybe_propose t;
     id
 
@@ -774,21 +467,27 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       {
         h_delivered = h "ab_delivered";
         h_broadcasts = h "ab_broadcasts";
-        h_rx_gossip = h "rx.gossip";
-        h_rx_digest = h "rx.digest";
-        h_rx_need = h "rx.need";
         h_rx_state = h "rx.state";
         h_rx_cons = h "rx.consensus";
         h_rx_fd = h "rx.fd";
-        h_rx_ring = h "rx.ring";
-        h_gossip_msgs = h "gossip_msgs_sent";
-        h_gossip_bytes = h "gossip_bytes_sent";
         s_lat_deliver = Metrics.hist metrics ~node:self "lat_deliver";
         s_stage_b2p =
           Metrics.hist metrics ~node:self "stage.broadcast_to_propose_us";
         s_stage_p2d =
           Metrics.hist metrics ~node:self "stage.propose_to_adeliver_us";
       }
+    in
+    let unordered = Unordered.create () in
+    let dissem =
+      Dissem.create ~period:cfg.gossip_period
+        ~full_every:cfg.gossip_full_every ~dissemination:cfg.dissemination
+        ~audit:cfg.audit
+        (Engine.map_io (fun m -> Dissem m) io)
+        unordered
+        ~agreed:(fun () -> (Option.get !tref).agreed)
+        ~cursor:(fun () -> M.cursor multi)
+        ~on_progress:(fun ~src ~k ~len ->
+          with_t (fun t -> on_peer_progress t ~src ~k ~len))
     in
     let t =
       {
@@ -798,27 +497,23 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         hb;
         multi;
         mh;
-        size = make_msg_size ();
+        size = Wire.sizer write_msg;
         agreed = Agreed.create ();
-        unordered = Unordered.create ();
+        unordered;
         stable =
           Stable.create io.Engine.store ~self ~boot:io.Engine.incarnation ~app
             ~early_return:cfg.early_return ~incremental:cfg.incremental;
         batch = Batch.writers ();
-        gossip_tick = 0;
+        dissem;
         seq = 0;
         pending = Ptbl.create 32;
-        ring_pending = [];
-        ring_timer = Engine.Timer.none;
-        ring_due = 0;
         catchup_t0 = -1;
-        audit_tripped = false;
       }
     in
     tref := Some t;
     recover t;
     t.catchup_t0 <- boot_t0;
-    gossip_loop t;
+    Dissem.start dissem;
     (match cfg.checkpoint_period with
     | Some period ->
       let rec checkpoint_loop () =
@@ -834,18 +529,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let node_handler t ~src msg =
     Heartbeat.heard t.hb ~src;
     match msg with
-    | Gossip { k; len; unordered; cert } ->
-      Metrics.hincr t.mh.h_rx_gossip;
-      audit_check t ~src cert;
-      List.iter (admit t ~src ~stage:Flight.rx_gossip ~hops:0) unordered;
-      on_peer_progress t ~src k ~len_q:len
-    | Digest { k; len; summary; cert } ->
-      Metrics.hincr t.mh.h_rx_digest;
-      audit_check t ~src cert;
-      on_digest t ~src k ~len_q:len summary
-    | Need { ids } ->
-      Metrics.hincr t.mh.h_rx_need;
-      on_need t ~src ids
+    | Dissem m -> Dissem.handle t.dissem ~src m
     | State { k; floor; agreed } ->
       Metrics.hincr t.mh.h_rx_state;
       on_state t ~src k ~floor agreed
@@ -855,13 +539,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     | Fd m ->
       Metrics.hincr t.mh.h_rx_fd;
       Heartbeat.handle t.hb ~src m
-    | Ring { k; len; entries } ->
-      Metrics.hincr t.mh.h_rx_ring;
-      List.iter
-        (fun (hops, p) ->
-          admit t ~src ~stage:Flight.rx_ring ~hops:(hops - 1) p)
-        entries;
-      on_peer_progress t ~src k ~len_q:len
 
   type t = node
 

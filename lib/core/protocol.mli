@@ -55,8 +55,8 @@ type config = {
           deterministically and re-proposed. *)
   gossip_full_every : int;
       (** every this-many-th gossip tick multisends the full [Unordered]
-          set; the others send a {!Make.Digest} summary from which each
-          receiver pulls what it misses with {!Make.Need}. The full
+          set; the others send a {!Dissem.Digest} summary from which each
+          receiver pulls what it misses with {!Dissem.Need}. The full
           subsequence keeps the paper's §4.2 liveness argument
           unchanged; [1] is Fig. 2/3 verbatim (full set every tick). *)
   dissemination : [ `Gossip | `Ring ];
@@ -98,37 +98,13 @@ val throughput : config
 module Make (C : Abcast_consensus.Consensus_intf.S) : sig
   module M : module type of Abcast_consensus.Multi.Make (C)
 
-  (** Wire messages of the whole stack: protocol gossip and state
+  (** Wire messages of the whole stack: dissemination and state
       transfer, plus encapsulated consensus and failure-detector
       traffic. *)
   type msg =
-    | Gossip of {
-        k : int;
-        len : int;
-        unordered : Payload.t list;
-        cert : Audit.cert option;
-      }
-        (** full-payload [gossip(k_p, Unordered_p)] multisend (§4.2); [len]
-            is the sender's delivered-sequence length, letting a state-
-            transfer donor ship only the missing suffix (§5.3). Sent on
-            every [gossip_full_every]-th tick and as the reply to a
-            {!Need} pull. [cert] optionally piggybacks
-            the sender's order certificate (the online audit). *)
-    | Digest of {
-        k : int;
-        len : int;
-        summary : (int * int * int) list;
-        cert : Audit.cert option;
-      }
-        (** compact gossip: [summary] lists, per [(origin, boot)] stream,
-            the highest sequence number present in the sender's
-            [Unordered] set. A receiver derives exactly the candidate
-            entries it is missing and pulls them with {!Need} — see
-            DESIGN.md for why the §4.2 liveness argument is preserved.
-            [cert]: as in {!Gossip}. *)
-    | Need of { ids : Payload.id list }
-        (** pull request for specific unordered entries, answered with a
-            payload {!Gossip} restricted to the ids the sender holds *)
+    | Dissem of Dissem.msg
+        (** gossip, digest, pull and ring traffic ({!Dissem.msg}),
+            written with no byte of its own *)
     | State of { k : int; floor : int; agreed : Agreed.repr }
         (** state transfer for late processes (§5.3); [floor] is the
             sender's consensus truncation floor — a receiver below it must
@@ -136,14 +112,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
             instances it is missing can no longer be re-run *)
     | Cons of M.msg  (** consensus instance traffic *)
     | Fd of Abcast_fd.Heartbeat.msg  (** failure-detector heartbeats *)
-    | Ring of { k : int; len : int; entries : (int * Payload.t) list }
-        (** ring dissemination: payload batch forwarded to the successor
-            process; each entry carries its remaining hop count (the
-            origin starts at [n-1], so a payload circles the ring at most
-            once). [k]/[len] piggyback the same round/length hints as
-            {!Gossip}. A torn ring (crashed successor) degrades to the
-            digest/pull gossip underneath — see DESIGN.md "Dissemination
-            topologies". *)
 
   val write_msg : Abcast_util.Wire.writer -> msg -> unit
   (** Wire encoding of the whole stack's messages (one leading tag byte,

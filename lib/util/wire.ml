@@ -218,6 +218,18 @@ let to_string ?cap write v =
   write w v;
   contents w
 
+let sizer write =
+  let memo = ref None and scratch = writer ~cap:256 () in
+  fun v ->
+    match !memo with
+    | Some (v', s) when v' == v -> s
+    | _ ->
+      clear scratch;
+      write scratch v;
+      let s = length scratch in
+      memo := Some (v, s);
+      s
+
 let decode_all read s =
   let r = reader s in
   let v = read r in

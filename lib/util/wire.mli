@@ -170,6 +170,13 @@ val to_string : ?cap:int -> (writer -> 'a -> unit) -> 'a -> string
     (default 128) — pass an estimate on hot paths to skip the growth
     copies. *)
 
+val sizer : (writer -> 'a -> unit) -> 'a -> int
+(** [sizer write] measures encoded sizes in a scratch writer of its
+    own, with a one-slot memo keyed by physical equality: a multisend
+    that accounts the same value once per destination encodes it once.
+    Each call builds an independent memo, so its consumers never evict
+    each other's entry. *)
+
 val of_string_opt : (reader -> 'a) -> string -> 'a option
 (** Decode one value spanning the whole string; [None] on any
     malformation (including trailing bytes). *)

@@ -133,7 +133,9 @@ let tests =
             if audited then Some { Audit.c_boot = 1; c_len = 9; c_hash = 0x1234 }
             else None
           in
-          let msg = P.Gossip { k = 5; len = 9; unordered = payloads; cert } in
+          let msg =
+            P.Dissem (Gossip { k = 5; len = 9; unordered = payloads; cert })
+          in
           let chain = ref Audit.empty in
           let window = Audit.window ~cap:1024 () in
           let pos = ref 0 in
@@ -216,7 +218,7 @@ let tests =
               Wire.write_uvarint w src;
               Wire.contents w ^ body
             in
-            let msg = P.encode_msg (P.Need { ids = [] }) in
+            let msg = P.encode_msg (P.Dissem (Need { ids = [] })) in
             let frame = Wire.to_string Wire.write_string msg in
             let single = datagram 'M' ~src:1 msg in
             let whole = datagram 'B' ~src:1 frame in

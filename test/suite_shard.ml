@@ -170,7 +170,7 @@ let need_cap_tests =
               fun ~src m ->
                 match m with
                 | P.Cons _ -> ()
-                | P.Need { ids } ->
+                | P.Dissem (Need { ids }) ->
                   if src = 1 then pulls := List.length ids :: !pulls;
                   P.handler p ~src m
                 | _ -> P.handler p ~src m)
@@ -436,6 +436,8 @@ let system_tests =
           (Metrics.count_samples m "lat_deliver"));
   ]
 
+(* The capped-Need test comes first: CI's dissemination step runs it as
+   test 0 of this suite. *)
 let suite =
   ( "shard",
-    unit_tests @ scoping_tests @ need_cap_tests @ system_tests )
+    need_cap_tests @ unit_tests @ scoping_tests @ system_tests )

@@ -133,15 +133,17 @@ let msg_gen : P.msg QCheck.Gen.t =
     oneof
       [
         map3
-          (fun (k, cert) len unordered -> P.Gossip { k; len; unordered; cert })
+          (fun (k, cert) len unordered ->
+            P.Dissem (Gossip { k; len; unordered; cert }))
           (pair nat_gen cert_opt_gen)
           nat_gen (small_list payload_gen);
         map3
-          (fun (k, cert) len summary -> P.Digest { k; len; summary; cert })
+          (fun (k, cert) len summary ->
+            P.Dissem (Digest { k; len; summary; cert }))
           (pair nat_gen cert_opt_gen)
           nat_gen
           (small_list (triple nat_gen nat_gen int_gen));
-        map (fun ids -> P.Need { ids }) (small_list id_gen);
+        map (fun ids -> P.Dissem (Need { ids })) (small_list id_gen);
         map3
           (fun k floor agreed -> P.State { k; floor; agreed })
           nat_gen nat_gen repr_gen;
@@ -584,20 +586,27 @@ let vector_tests =
   let vectors =
     [
       ( "gossip",
-        P.Gossip
-          {
-            k = 3;
-            len = 7;
-            unordered = [ pay 1 2 "ab"; traced ];
-            cert = Some { Audit.c_boot = 1; c_len = 7; c_hash = 0xbeef };
-          },
+        P.Dissem
+          (Gossip
+             {
+               k = 3;
+               len = 7;
+               unordered = [ pay 1 2 "ab"; traced ];
+               cert = Some { Audit.c_boot = 1; c_len = 7; c_hash = 0xbeef };
+             }),
         "00060e020202040461620402000563640205010107effd02" );
       ( "digest",
-        P.Digest
-          { k = 3; len = 7; summary = [ (1, 1, 2); (2, 1, 0) ]; cert = None },
+        P.Dissem
+          (Digest
+             {
+               k = 3;
+               len = 7;
+               summary = [ (1, 1, 2); (2, 1, 0) ];
+               cert = None;
+             }),
         "01060e0202020404020000" );
       ( "need",
-        P.Need { ids = [ { Payload.origin = 1; boot = 1; seq = 1 } ] },
+        P.Dissem (Need { ids = [ { Payload.origin = 1; boot = 1; seq = 1 } ] }),
         "0201020202" );
       ( "state",
         P.State { k = 4; floor = 2; agreed },
@@ -607,7 +616,7 @@ let vector_tests =
         "04000a03020176" );
       ("fd", P.Fd (Heartbeat.Beat { epoch = 2 }), "0504");
       ( "ring",
-        P.Ring { k = 3; len = 7; entries = [ (2, pay 1 2 "ab") ] },
+        P.Dissem (Ring { k = 3; len = 7; entries = [ (2, pay 1 2 "ab") ] }),
         "06060e0102020204046162" );
     ]
   in
@@ -717,6 +726,8 @@ let equivalence_tests =
           [ 500; 501; 502; 503 ]);
   ]
 
+(* The vectors come first: CI's dissemination step runs them as test 0
+   of this suite. *)
 let suite =
   ( "wire",
     vector_tests @ rejection_tests @ equivalence_tests @ audit_tests

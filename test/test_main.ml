@@ -10,6 +10,7 @@ let () =
       Suite_consensus_unit.suite;
       Suite_core_units.suite;
       Suite_protocol.suite;
+      Suite_dissem.suite;
       Suite_shard.suite;
       Suite_apps.suite;
       Suite_service.suite;
