@@ -1043,11 +1043,16 @@ let e15 () =
                summary = List.init 5 (fun o -> (o, 0, 10));
                cert =
                  Some
-                   { Abcast_core.Audit.c_boot = 0; c_len = 40; c_hash = 0x1234 };
+                   {
+                     Abcast_core.Audit.c_boot = 0;
+                     c_len = 40;
+                     c_hash = 0x1234;
+                   };
              }) );
       ( "need (4 ids)",
         P.Dissem
-          (Need { ids = List.map (fun (p : Payload.t) -> p.id) (payloads 4) }) );
+          (Need
+             { ids = List.map (fun (p : Payload.t) -> p.id) (payloads 4) }) );
       ("state (16-msg tail)", P.State { k = 12; floor = 8; agreed = repr });
       ( "cons accept (24-msg batch)",
         P.Cons

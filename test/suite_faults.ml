@@ -87,7 +87,8 @@ let idle_cluster_test =
           (fun i ->
             P.handler (get i) ~src:0
               (P.Dissem
-                 (Gossip { k = 0; len = 0; unordered = [ seq s ]; cert = None })))
+                 (Gossip
+                    { k = 0; len = 0; unordered = [ seq s ]; cert = None })))
           [ 1; 2 ]
       in
       Engine.at eng 1_000 (fun () -> hand 1);
